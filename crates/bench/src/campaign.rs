@@ -1899,7 +1899,7 @@ pub fn fault_to_csv(report: &FaultCampaignReport) -> String {
 
 /// The `repro-figures faults` campaign: 2 concurrent training jobs of the
 /// first model under FIFO arbitration, hit by one wavelength failure, one
-/// link degradation and one node failure (each at 25% of the clean
+/// link degradation and one node failure (each at 50% of the clean
 /// makespan) under `Replan` and `FailJob` recovery, on both substrates.
 #[must_use]
 pub fn faults_spec(cfg: &ExperimentConfig, models: &[Model], n: usize, seed: u64) -> FaultSweep {

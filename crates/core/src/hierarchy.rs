@@ -95,15 +95,13 @@
 //! assert!(report.transfers[1].start_s >= report.transfers[0].finish_s);
 //! ```
 
-use electrical_sim::{EngineFlow, FluidEngine, Network};
+use electrical_sim::{FluidEngine, Network};
 use optical_sim::sim::StepSchedule;
-use optical_sim::{
-    GrantCompletion, GrantEngine, GrantTransfer, NodeId, OpticalConfig, OpticalError, Strategy,
-    Transfer,
-};
+use optical_sim::{GrantEngine, NodeId, OpticalConfig, OpticalError, Strategy, Transfer};
 use serde::{Deserialize, Serialize};
 
-use crate::dag::DepSchedule;
+use crate::dag::{DepSchedule, DepTransfer};
+use crate::engine::{Completion, FabricEngine};
 use crate::error::Result;
 use crate::fault::{FaultPolicy, FaultRunReport, FaultScript};
 use crate::stream::{StreamCheckpoint, StreamOutcome, StreamSpec};
@@ -309,300 +307,84 @@ impl FabricSpec {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Per-fabric streaming engines
-// ---------------------------------------------------------------------------
-
-/// One transfer completion surfaced to the composed event loop, already
-/// resolved to its global DAG index.
-struct Done {
-    idx: usize,
-    start_s: f64,
-    finish_s: f64,
+/// One fabric engine of the composed loop plus the loop's bookkeeping for
+/// it.
+struct Member<'a> {
+    eng: Box<dyn FabricEngine + 'a>,
+    /// Global DAG index of each engine completion key.
+    dag_index: Vec<usize>,
+    /// Global id of the fabric's host 0 (group * group_size; 0 for the
+    /// inter fabric).
+    node_base: usize,
+    /// Launch overhead charged per transfer (see [`FabricEngine::inject`]).
+    delay_s: f64,
+    /// Instant of the engine's last processed event. Cross-fabric gates
+    /// can lie (slightly) in this engine's past — the fluid engines surface
+    /// completions through tolerated stale events, so a finish instant may
+    /// only become known after other engines advanced beyond it.
+    /// Injections clamp their release to this clock: the transfer still
+    /// starts no earlier than its gate.
+    clock_s: f64,
 }
 
-/// A fabric's streaming engine plus the bookkeeping that maps engine
-/// completions back to global DAG indices and global host ids down to the
-/// fabric's own address space.
-enum Fabric<'a> {
-    Optical {
-        eng: Box<GrantEngine>,
-        /// Global DAG index per engine order key (order keys are assigned
-        /// in injection order, one per transfer).
-        order_map: Vec<usize>,
-        /// Global id of the fabric's host 0 (group * group_size; 0 for
-        /// the inter fabric).
-        node_base: usize,
-        scratch: Vec<GrantCompletion>,
-        wavelengths: usize,
-        /// Instant of the engine's last processed event. Cross-fabric
-        /// gates can lie (slightly) in this engine's past — the fluid
-        /// engines surface completions through tolerated stale events, so
-        /// a finish instant may only become known after other engines
-        /// advanced beyond it. Injections clamp their release to this
-        /// clock: the transfer still starts no earlier than its gate.
-        clock_s: f64,
-    },
-    Electrical {
-        eng: Box<FluidEngine<'a>>,
-        /// Global DAG index per engine flow index (append-only).
-        flow_map: Vec<usize>,
-        node_base: usize,
-        overhead_s: f64,
-        /// Earliest release among flows injected since the last step; the
-        /// fluid engine schedules release events lazily inside `step`, so
-        /// the loop carries this to keep `peek` truthful (exactly as the
-        /// stream driver does).
-        pending_release: Option<f64>,
-        scratch: Vec<usize>,
-        /// Instant of the engine's last processed event (see the optical
-        /// variant's `clock_s`); kept for symmetry so late cross-fabric
-        /// gates never regress this engine's timeline either.
-        clock_s: f64,
-    },
+impl Member<'_> {
+    /// Inject one transfer, released at `gate_s` (raised to the fabric's
+    /// clock), with its global endpoints rebased to the fabric's hosts.
+    fn inject(&mut self, idx: usize, t: &DepTransfer, gate_s: f64, job: usize) -> Result<()> {
+        let local = DepTransfer {
+            transfer: Transfer {
+                src: NodeId(t.transfer.src.0 - self.node_base),
+                dst: NodeId(t.transfer.dst.0 - self.node_base),
+                ..t.transfer.clone()
+            },
+            deps: Vec::new(),
+            release_s: 0.0,
+            stage: t.stage,
+        };
+        let release_s = gate_s.max(self.clock_s);
+        self.eng
+            .inject(std::slice::from_ref(&local), release_s, self.delay_s, job)?;
+        self.dag_index.push(idx);
+        Ok(())
+    }
 }
 
-impl<'a> Fabric<'a> {
-    fn build(spec: &'a FabricSpec, node_base: usize, arb: Option<&JobArbitration>) -> Result<Self> {
-        Ok(match spec {
-            FabricSpec::Optical { config, strategy } => {
-                let mut eng = GrantEngine::new(
+impl FabricSpec {
+    /// A fresh engine for one instance of this fabric, with hosts from
+    /// global id `node_base` on. `arb` registers the jobs' grant ranks
+    /// (arbitrating the optical grant order).
+    fn member(&self, node_base: usize, arb: Option<&JobArbitration>) -> Result<Member<'_>> {
+        let (mut eng, delay_s): (Box<dyn FabricEngine + '_>, f64) = match self {
+            FabricSpec::Optical { config, strategy } => (
+                Box::new(GrantEngine::new(
                     config,
                     *strategy,
                     arb.is_some(),
                     arb.is_some_and(|a| a.fair_share),
-                )?;
-                if let Some(a) = arb {
-                    for &r in &a.rank {
-                        eng.add_job(r);
-                    }
-                }
-                Fabric::Optical {
-                    eng: Box::new(eng),
-                    order_map: Vec::new(),
-                    node_base,
-                    scratch: Vec::new(),
-                    wavelengths: config.wavelengths,
-                    clock_s: 0.0,
-                }
-            }
+                )?),
+                0.0,
+            ),
             FabricSpec::Electrical {
                 network,
                 step_overhead_s,
-            } => Fabric::Electrical {
-                eng: Box::new(FluidEngine::new(network)),
-                flow_map: Vec::new(),
-                node_base,
-                overhead_s: *step_overhead_s,
-                pending_release: None,
-                scratch: Vec::new(),
-                clock_s: 0.0,
-            },
+            } => (Box::new(FluidEngine::new(network)), *step_overhead_s),
+        };
+        for &r in arb.map_or(&[][..], |a| &a.rank) {
+            eng.add_job(r);
+        }
+        Ok(Member {
+            eng,
+            dag_index: Vec::new(),
+            node_base,
+            delay_s,
+            clock_s: 0.0,
         })
-    }
-
-    /// Instant of the fabric's next pending event, if any.
-    fn peek(&mut self) -> Option<f64> {
-        match self {
-            Fabric::Optical { eng, .. } => eng.peek_time(),
-            Fabric::Electrical {
-                eng,
-                pending_release,
-                ..
-            } => match (eng.peek_time(), *pending_release) {
-                (Some(p), Some(r)) => Some(p.min(r)),
-                (Some(p), None) => Some(p),
-                (None, pending) => pending,
-            },
-        }
-    }
-
-    /// Inject one dependency-free transfer, released at `release_s`
-    /// (absolute seconds; raised to the fabric's clock when a cross-fabric
-    /// gate surfaced late — see `clock_s`). Endpoints are global host ids
-    /// and are rebased into the fabric's address space.
-    fn inject(
-        &mut self,
-        idx: usize,
-        transfer: &Transfer,
-        release_s: f64,
-        job: usize,
-    ) -> Result<()> {
-        match self {
-            Fabric::Optical {
-                eng,
-                order_map,
-                node_base,
-                clock_s,
-                ..
-            } => {
-                let release_s = release_s.max(*clock_s);
-                let local = Transfer {
-                    src: NodeId(transfer.src.0 - *node_base),
-                    dst: NodeId(transfer.dst.0 - *node_base),
-                    ..transfer.clone()
-                };
-                eng.inject(&[GrantTransfer {
-                    transfer: local,
-                    release_s,
-                    deps: Vec::new(),
-                    job,
-                }])?;
-                order_map.push(idx);
-                Ok(())
-            }
-            Fabric::Electrical {
-                eng,
-                flow_map,
-                node_base,
-                overhead_s,
-                pending_release,
-                clock_s,
-                ..
-            } => {
-                let release_s = release_s.max(*clock_s);
-                let base = eng.inject(&[EngineFlow {
-                    src: transfer.src.0 - *node_base,
-                    dst: transfer.dst.0 - *node_base,
-                    bytes: transfer.bytes,
-                    release_s,
-                    delay_s: *overhead_s,
-                    deps: Vec::new(),
-                    job,
-                }])?;
-                debug_assert_eq!(base, flow_map.len());
-                flow_map.push(idx);
-                *pending_release = Some(match *pending_release {
-                    Some(r) => r.min(release_s),
-                    None => release_s,
-                });
-                Ok(())
-            }
-        }
-    }
-
-    /// Process the fabric's next event instant.
-    fn step(&mut self) -> Result<()> {
-        match self {
-            Fabric::Optical { eng, clock_s, .. } => {
-                if let Some(t) = eng.step() {
-                    *clock_s = clock_s.max(t);
-                }
-                Ok(())
-            }
-            Fabric::Electrical {
-                eng,
-                pending_release,
-                clock_s,
-                ..
-            } => {
-                *pending_release = None;
-                if let Some(t) = eng.step()? {
-                    *clock_s = clock_s.max(t);
-                }
-                Ok(())
-            }
-        }
-    }
-
-    /// Drain completions recorded by previous steps, resolved to global
-    /// DAG indices.
-    fn drain(&mut self, out: &mut Vec<Done>) {
-        match self {
-            Fabric::Optical {
-                eng,
-                order_map,
-                scratch,
-                ..
-            } => {
-                scratch.clear();
-                eng.drain_completions(scratch);
-                out.extend(scratch.iter().map(|c| Done {
-                    idx: order_map[c.order as usize],
-                    start_s: c.start_s,
-                    finish_s: c.finish_s,
-                }));
-            }
-            Fabric::Electrical {
-                eng,
-                flow_map,
-                scratch,
-                ..
-            } => {
-                scratch.clear();
-                eng.drain_completed(scratch);
-                for &i in scratch.iter() {
-                    let (start_s, finish_s) = eng.window(i);
-                    out.push(Done {
-                        idx: flow_map[i],
-                        start_s,
-                        finish_s,
-                    });
-                }
-            }
-        }
-    }
-
-    fn events(&self) -> u64 {
-        match self {
-            Fabric::Optical { eng, .. } => eng.events(),
-            Fabric::Electrical { eng, .. } => eng.events(),
-        }
-    }
-
-    fn peak_wavelength(&self) -> usize {
-        match self {
-            Fabric::Optical { eng, .. } => eng.peak_wavelength(),
-            Fabric::Electrical { .. } => 0,
-        }
-    }
-
-    /// (rate recomputations, solver work) — zero on optical fabrics.
-    fn solver_stats(&self) -> (usize, usize) {
-        match self {
-            Fabric::Optical { .. } => (0, 0),
-            Fabric::Electrical { eng, .. } => (eng.rate_recomputations(), eng.solver_work()),
-        }
-    }
-
-    /// Surface the fabric's own diagnostic when the composed run stalled
-    /// (stuck optical lanes, unreachable electrical flows).
-    fn stall_diagnostic(&mut self) -> Result<()> {
-        match self {
-            Fabric::Optical {
-                eng, wavelengths, ..
-            } => {
-                if let Some(lanes) = eng.stuck_lanes() {
-                    return Err(OpticalError::WavelengthsExhausted {
-                        available: *wavelengths,
-                        requested: lanes,
-                        step: 0,
-                    }
-                    .into());
-                }
-                Ok(())
-            }
-            Fabric::Electrical { eng, .. } => {
-                eng.step()?;
-                Ok(())
-            }
-        }
     }
 }
 
 // ---------------------------------------------------------------------------
 // The composed substrate
 // ---------------------------------------------------------------------------
-
-/// Result of one composed event loop.
-struct ComposedRun {
-    timings: Vec<DagTiming>,
-    makespan_s: f64,
-    peak_wavelength: usize,
-    rate_recomputations: usize,
-    solver_work: usize,
-    events: u64,
-}
 
 /// A hierarchical [`Substrate`]: per-group intra fabrics plus one
 /// inter-group fabric, executing one domain-tagged DAG in a single event
@@ -674,8 +456,17 @@ impl ComposedSubstrate {
     /// The composed event loop (see module docs for the determinism
     /// contract). `arb` switches the optical fabrics into arbitrated
     /// (multi-job) grant order and tags electrical flows with jobs.
-    fn run(&self, dag: &DepSchedule, arb: Option<&JobArbitration>) -> Result<ComposedRun> {
-        let domains = self.spec.domains(dag)?;
+    fn run(&self, dag: &DepSchedule, arb: Option<&JobArbitration>) -> Result<DagRunReport> {
+        // Engines in fixed order: intra group 0 .. G-1, then inter.
+        let engine_of: Vec<usize> = self
+            .spec
+            .domains(dag)?
+            .into_iter()
+            .map(|d| match d {
+                Domain::Intra { group } => group,
+                Domain::Inter => self.spec.groups,
+            })
+            .collect();
         if let Some(a) = arb {
             if a.job_of.len() != dag.len() {
                 return Err(cfg_err("job tags do not cover the schedule"));
@@ -685,30 +476,34 @@ impl ComposedSubstrate {
             }
         }
 
-        // Engines in fixed order: intra group 0 .. G-1, then inter.
-        let mut fabrics: Vec<Fabric<'_>> = Vec::with_capacity(self.spec.groups + 1);
+        let mut fabrics: Vec<Member<'_>> = Vec::with_capacity(self.spec.groups + 1);
         for g in 0..self.spec.groups {
-            fabrics.push(Fabric::build(&self.intra, g * self.spec.group_size, arb)?);
+            fabrics.push(self.intra.member(g * self.spec.group_size, arb)?);
         }
-        fabrics.push(Fabric::build(&self.inter, 0, arb)?);
-        let engine_of: Vec<usize> = domains
-            .iter()
-            .map(|d| match d {
-                Domain::Intra { group } => *group,
-                Domain::Inter => self.spec.groups,
-            })
-            .collect();
+        fabrics.push(self.inter.member(0, arb)?);
 
         let transfers = dag.transfers();
         let n = transfers.len();
         let mut missing: Vec<usize> = transfers.iter().map(|t| t.deps.len()).collect();
-        let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
+        // Dependents in compressed rows (one allocation, not one list per
+        // transfer): those of `d` are `dependents[row[d]..row[d + 1]]`,
+        // ascending.
+        let mut row = vec![0usize; n + 1];
         for (i, t) in transfers.iter().enumerate() {
+            if t.deps.iter().any(|&d| d >= i) {
+                return Err(cfg_err("dependency must precede its transfer"));
+            }
+            t.deps.iter().for_each(|&d| row[d] += 1);
+        }
+        for d in 1..=n {
+            row[d] += row[d - 1];
+        }
+        // Filled back to front, so `row[d]` ends at the start of its row.
+        let mut dependents = vec![0usize; row[n]];
+        for (i, t) in transfers.iter().enumerate().rev() {
             for &d in &t.deps {
-                if d >= i {
-                    return Err(cfg_err("dependency must precede its transfer"));
-                }
-                dependents[d].push(i);
+                row[d] -= 1;
+                dependents[row[d]] = i;
             }
         }
         // Earliest legal start: own release, raised to the completion
@@ -718,7 +513,7 @@ impl ComposedSubstrate {
 
         for i in 0..n {
             if missing[i] == 0 {
-                fabrics[engine_of[i]].inject(i, &transfers[i].transfer, gate_s[i], job_of(i))?;
+                fabrics[engine_of[i]].inject(i, &transfers[i], gate_s[i], job_of(i))?;
             }
         }
 
@@ -730,14 +525,14 @@ impl ComposedSubstrate {
             n
         ];
         let mut completed = 0usize;
-        let mut done: Vec<Done> = Vec::new();
+        let mut done: Vec<Completion> = Vec::new();
         let mut ready: Vec<usize> = Vec::new();
         while completed < n {
             // The engine with the earliest pending event steps next;
             // ties go to the lowest engine index.
             let mut best: Option<(f64, usize)> = None;
             for (k, f) in fabrics.iter_mut().enumerate() {
-                if let Some(t) = f.peek() {
+                if let Some(t) = f.eng.peek_time() {
                     best = Some(match best {
                         Some((bt, bk)) if bt.total_cmp(&t).is_le() => (bt, bk),
                         _ => (t, k),
@@ -745,37 +540,42 @@ impl ComposedSubstrate {
                 }
             }
             done.clear();
-            match best {
-                Some((_, k)) => {
-                    fabrics[k].step()?;
-                    fabrics[k].drain(&mut done);
+            // The fluid engine promotes released flows lazily inside
+            // `step`; with nothing pending, give every fabric one chance
+            // to make progress before declaring the run stuck.
+            let stepping = match best {
+                Some((_, k)) => k..k + 1,
+                None => 0..fabrics.len(),
+            };
+            let events =
+                |fabrics: &[Member<'_>]| fabrics.iter().map(|f| f.eng.events()).sum::<u64>();
+            let before = if best.is_none() { events(&fabrics) } else { 0 };
+            for f in &mut fabrics[stepping] {
+                if let Some(t) = f.eng.step()? {
+                    f.clock_s = f.clock_s.max(t);
                 }
-                None => {
-                    // The fluid engine promotes released flows lazily
-                    // inside `step`; give every fabric one chance to make
-                    // progress before declaring the run stuck.
-                    let before: u64 = fabrics.iter().map(Fabric::events).sum();
-                    for f in fabrics.iter_mut() {
-                        f.step()?;
-                        f.drain(&mut done);
-                    }
-                    let after: u64 = fabrics.iter().map(Fabric::events).sum();
-                    if after == before && done.is_empty() {
-                        for f in fabrics.iter_mut() {
-                            f.stall_diagnostic()?;
-                        }
-                        return Err(cfg_err("composed run stalled with unfinished transfers"));
-                    }
+                // Completion keys are resolved to DAG indices in place.
+                let first = done.len();
+                f.eng.drain(&mut done);
+                for c in &mut done[first..] {
+                    c.key = f.dag_index[c.key];
                 }
+            }
+            if best.is_none() && done.is_empty() && before == events(&fabrics) {
+                for f in &mut fabrics {
+                    f.eng.stall_diagnostic()?;
+                }
+                return Err(cfg_err("composed run stalled with unfinished transfers"));
             }
             ready.clear();
             for c in &done {
-                timings[c.idx] = DagTiming {
+                let idx = c.key;
+                timings[idx] = DagTiming {
                     start_s: c.start_s,
                     finish_s: c.finish_s,
                 };
                 completed += 1;
-                for &j in &dependents[c.idx] {
+                for &j in &dependents[row[idx]..row[idx + 1]] {
                     if c.finish_s > gate_s[j] {
                         gate_s[j] = c.finish_s;
                     }
@@ -790,42 +590,27 @@ impl ComposedSubstrate {
             // finished (raised to their own release time if later).
             ready.sort_unstable();
             for &j in &ready {
-                fabrics[engine_of[j]].inject(j, &transfers[j].transfer, gate_s[j], job_of(j))?;
+                fabrics[engine_of[j]].inject(j, &transfers[j], gate_s[j], job_of(j))?;
             }
         }
 
-        let makespan_s = timings.iter().fold(0.0f64, |m, t| m.max(t.finish_s));
-        let mut peak_wavelength = 0usize;
-        let mut rate_recomputations = 0usize;
-        let mut solver_work = 0usize;
-        let mut events = 0u64;
-        for f in &fabrics {
-            peak_wavelength = peak_wavelength.max(f.peak_wavelength());
-            let (r, w) = f.solver_stats();
-            rate_recomputations += r;
-            solver_work += w;
-            events += f.events();
-        }
-        Ok(ComposedRun {
-            timings,
-            makespan_s,
-            peak_wavelength,
-            rate_recomputations,
-            solver_work,
-            events,
-        })
-    }
-
-    fn dag_report(&self, run: ComposedRun) -> DagRunReport {
-        DagRunReport {
+        let mut report = DagRunReport {
             substrate: self.name.clone(),
-            makespan_s: run.makespan_s,
-            transfers: run.timings,
-            peak_wavelength: run.peak_wavelength,
-            rate_recomputations: run.rate_recomputations,
-            solver_work: run.solver_work,
-            events: run.events,
+            makespan_s: timings.iter().fold(0.0f64, |m, t| m.max(t.finish_s)),
+            transfers: timings,
+            peak_wavelength: 0,
+            rate_recomputations: 0,
+            solver_work: 0,
+            events: 0,
+        };
+        for f in &fabrics {
+            report.peak_wavelength = report.peak_wavelength.max(f.eng.peak_wavelength());
+            let (r, w) = f.eng.solver_stats();
+            report.rate_recomputations += r;
+            report.solver_work += w;
+            report.events += f.eng.events();
         }
+        Ok(report)
     }
 }
 
@@ -849,7 +634,7 @@ impl Substrate for ComposedSubstrate {
         let dag = DepSchedule::from_steps(schedule);
         let run = self.run(&dag, None)?;
         let mut stage_end = vec![0.0f64; schedule.len()];
-        for (t, timing) in dag.transfers().iter().zip(&run.timings) {
+        for (t, timing) in dag.transfers().iter().zip(&run.transfers) {
             stage_end[t.stage] = stage_end[t.stage].max(timing.finish_s);
         }
         let mut steps = Vec::with_capacity(schedule.len());
@@ -875,8 +660,7 @@ impl Substrate for ComposedSubstrate {
         if self.is_flat() {
             return self.flat()?.execute_dag(dag);
         }
-        let run = self.run(dag, None)?;
-        Ok(self.dag_report(run))
+        self.run(dag, None)
     }
 
     fn execute_dag_jobs(
@@ -887,35 +671,12 @@ impl Substrate for ComposedSubstrate {
         if self.is_flat() {
             return self.flat()?.execute_dag_jobs(dag, arb);
         }
-        let run = self.run(dag, Some(arb))?;
-        let jobs = arb.rank.len();
-        // Like the flat optical path: resources are granted whole (and
-        // the fluid rates live inside the inter engine), so delivered
-        // bytes are the exact payload sums and there is no fractional
-        // rate attribution to report.
-        let mut service = vec![0.0f64; jobs];
-        for (t, &j) in dag.transfers().iter().zip(&arb.job_of) {
-            service[j] += t.transfer.bytes as f64;
-        }
-        Ok(TenantDagRun {
-            dag: self.dag_report(run),
-            job_active_s: vec![0.0; jobs],
-            job_service_bytes: service,
-            job_peak_rate_bps: vec![0.0; jobs],
-        })
-    }
-
-    fn execute_dag_faulted(
-        &mut self,
-        dag: &DepSchedule,
-        script: &FaultScript,
-        policy: FaultPolicy,
-    ) -> Result<FaultRunReport> {
-        if self.is_flat() {
-            return self.flat()?.execute_dag_faulted(dag, script, policy);
-        }
-        Err(cfg_err(
-            "fault injection on a multi-group composed substrate is not supported yet",
+        // Like the flat optical path (the fluid rates live inside the
+        // inter engine): no fractional rate attribution to report.
+        Ok(TenantDagRun::unattributed(
+            self.run(dag, Some(arb))?,
+            dag,
+            arb,
         ))
     }
 

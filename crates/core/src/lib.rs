@@ -49,6 +49,9 @@
 //!   under a recovery [`fault::FaultPolicy`], with per-job blast radius
 //!   and recovery time in a [`fault::FaultClusterReport`]
 //!   ([`substrate::Substrate::execute_jobs_faulted`]);
+//! * [`engine`] — the one streaming-engine interface
+//!   ([`engine::FabricEngine`]) the stream and composed drivers drive on
+//!   both fabrics;
 //! * [`stream`] — the open-loop cluster service: arrival streams
 //!   ([`stream::ArrivalProcess`]) admitted into the *running* engines
 //!   ([`substrate::Substrate::execute_stream`]), windowed metrics with
@@ -83,6 +86,7 @@ pub mod baselines;
 pub mod cost;
 pub mod dag;
 pub mod describe;
+pub mod engine;
 pub mod error;
 pub mod fault;
 pub mod hierarchy;

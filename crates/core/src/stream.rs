@@ -60,15 +60,16 @@
 use serde::{Deserialize, Serialize, Value};
 
 use crate::dag::DepSchedule;
+use crate::engine::{Completion, FabricEngine};
 use crate::error::Result;
 use crate::quantile::{PercentileSet, Percentiles};
 use crate::substrate::{ElectricalSubstrate, OpticalSubstrate, Substrate};
 use crate::tenancy::{JobWorkload, SchedPolicy};
-use electrical_sim::{EngineFlow, FluidEngine, FluidEngineSnapshot, Network};
-use optical_sim::{GrantCompletion, GrantEngine, GrantEngineSnapshot, GrantTransfer, OpticalError};
+use electrical_sim::{FluidEngine, FluidEngineSnapshot};
+use optical_sim::{GrantEngine, GrantEngineSnapshot, OpticalError};
 
 /// Version tag of [`StreamCheckpoint`]; bump on any layout change.
-pub const STREAM_CHECKPOINT_VERSION: u32 = 1;
+pub const STREAM_CHECKPOINT_VERSION: u32 = 2;
 
 fn cfg_err(msg: &'static str) -> crate::error::WrhtError {
     OpticalError::BadConfig(msg).into()
@@ -841,337 +842,24 @@ fn lower_templates<S: Substrate + ?Sized>(
 }
 
 // ---------------------------------------------------------------------------
-// The engine abstraction both substrates drive through
-// ---------------------------------------------------------------------------
-
-/// One transfer completion surfaced to the driver.
-struct EngineDone {
-    slot: usize,
-    start_s: f64,
-    finish_s: f64,
-}
-
-/// The minimal streaming-engine surface the service driver needs; adapters
-/// wrap [`GrantEngine`] and [`FluidEngine`].
-trait StreamEngine {
-    /// Coincidence tolerance added to the event horizon when deciding
-    /// which arrivals to inject before the next step (the electrical
-    /// engine promotes within [`electrical_sim::sim::EPS`]; the optical
-    /// engine batches bit-identical instants only).
-    fn admit_slack(&self) -> f64;
-    /// Events processed so far (for the report).
-    fn events(&self) -> u64;
-    /// Instant of the next pending event (including releases of freshly
-    /// injected, not-yet-stepped flows), if any.
-    fn peek_time(&mut self) -> Option<f64>;
-    /// Register a job slot with the given grant rank.
-    fn add_job(&mut self, rank: u64) -> usize;
-    /// Release a finished job's slot for reuse.
-    fn retire_job(&mut self, slot: usize);
-    /// Inject one job's DAG with every release offset by `offset_s`.
-    fn inject_job(&mut self, dag: &DepSchedule, offset_s: f64, slot: usize) -> Result<()>;
-    /// Process the next event instant.
-    fn step(&mut self) -> Result<()>;
-    /// Drain transfer completions recorded by previous steps.
-    fn drain(&mut self, out: &mut Vec<EngineDone>);
-    /// Surface the substrate's diagnostic when the stream drained with
-    /// unfinished jobs (stuck lanes, unreachable flows).
-    fn finish_check(&mut self) -> Result<()>;
-    /// Serialized engine image for a [`StreamCheckpoint`].
-    fn snapshot(&self) -> Value;
-}
-
-// -- optical adapter --------------------------------------------------------
-
-struct OpticalStream {
-    eng: GrantEngine,
-    wavelengths: usize,
-    scratch: Vec<GrantCompletion>,
-}
-
-impl OpticalStream {
-    fn build(sub: &OpticalSubstrate, spec: &StreamSpec) -> Result<Self> {
-        let eng = GrantEngine::new(
-            sub.config(),
-            sub.strategy(),
-            true,
-            spec.policy == SchedPolicy::FairShare,
-        )?;
-        Ok(Self {
-            eng,
-            wavelengths: sub.config().wavelengths,
-            scratch: Vec::new(),
-        })
-    }
-
-    fn restore(sub: &OpticalSubstrate, spec: &StreamSpec, image: &Value) -> Result<Self> {
-        let snap = GrantEngineSnapshot::from_value(image)
-            .map_err(|_| cfg_err("malformed stream checkpoint"))?;
-        let eng = GrantEngine::restore(
-            sub.config(),
-            sub.strategy(),
-            true,
-            spec.policy == SchedPolicy::FairShare,
-            &snap,
-        )?;
-        Ok(Self {
-            eng,
-            wavelengths: sub.config().wavelengths,
-            scratch: Vec::new(),
-        })
-    }
-}
-
-impl StreamEngine for OpticalStream {
-    fn admit_slack(&self) -> f64 {
-        // The optical kernel batches bit-identical instants only; an
-        // arrival strictly after the next event can never join its batch.
-        0.0
-    }
-
-    fn events(&self) -> u64 {
-        self.eng.events()
-    }
-
-    fn peek_time(&mut self) -> Option<f64> {
-        self.eng.peek_time()
-    }
-
-    fn add_job(&mut self, rank: u64) -> usize {
-        self.eng.add_job(rank)
-    }
-
-    fn retire_job(&mut self, slot: usize) {
-        self.eng.retire_job(slot);
-    }
-
-    fn inject_job(&mut self, dag: &DepSchedule, offset_s: f64, slot: usize) -> Result<()> {
-        let batch: Vec<GrantTransfer> = dag
-            .transfers()
-            .iter()
-            .map(|t| GrantTransfer {
-                transfer: t.transfer.clone(),
-                // The identical float expression the closed compose() uses
-                // (`arrival + release`), so grant instants match bit-exactly.
-                release_s: offset_s + t.release_s,
-                deps: t.deps.clone(),
-                job: slot,
-            })
-            .collect();
-        self.eng.inject(&batch)?;
-        Ok(())
-    }
-
-    fn step(&mut self) -> Result<()> {
-        self.eng.step();
-        Ok(())
-    }
-
-    fn drain(&mut self, out: &mut Vec<EngineDone>) {
-        self.scratch.clear();
-        self.eng.drain_completions(&mut self.scratch);
-        out.extend(self.scratch.iter().map(|c| EngineDone {
-            slot: c.job,
-            start_s: c.start_s,
-            finish_s: c.finish_s,
-        }));
-    }
-
-    fn finish_check(&mut self) -> Result<()> {
-        if let Some(lanes) = self.eng.stuck_lanes() {
-            // The same error value the closed path raises for a transfer
-            // whose lane demand can never be granted.
-            return Err(OpticalError::WavelengthsExhausted {
-                available: self.wavelengths,
-                requested: lanes,
-                step: 0,
-            }
-            .into());
-        }
-        Ok(())
-    }
-
-    fn snapshot(&self) -> Value {
-        self.eng.snapshot().to_value()
-    }
-}
-
-// -- electrical adapter -----------------------------------------------------
-
-/// Engine image plus the adapter's own slot bookkeeping (the fluid engine
-/// has no job-slot table of its own, so the mapping rides along in the
-/// checkpoint).
-#[derive(Serialize, Deserialize)]
-struct ElectricalStreamState {
-    engine: FluidEngineSnapshot,
-    flow_slot: Vec<usize>,
-    free_slots: Vec<usize>,
-    next_slot: usize,
-    pending_release: Option<f64>,
-}
-
-struct ElectricalStream<'a> {
-    eng: FluidEngine<'a>,
-    overhead_s: f64,
-    /// Owning job slot of every engine flow (engine flow indices are
-    /// append-only).
-    flow_slot: Vec<usize>,
-    free_slots: Vec<usize>,
-    next_slot: usize,
-    /// Earliest release among flows injected since the last step. The
-    /// fluid engine schedules release events lazily inside `step`, so the
-    /// adapter carries this to keep `peek_time` truthful right after an
-    /// injection.
-    pending_release: Option<f64>,
-    scratch: Vec<usize>,
-}
-
-impl<'a> ElectricalStream<'a> {
-    fn build(net: &'a Network, overhead_s: f64) -> Self {
-        Self {
-            eng: FluidEngine::new(net),
-            overhead_s,
-            flow_slot: Vec::new(),
-            free_slots: Vec::new(),
-            next_slot: 0,
-            pending_release: None,
-            scratch: Vec::new(),
-        }
-    }
-
-    fn restore(net: &'a Network, overhead_s: f64, image: &Value) -> Result<Self> {
-        let state = ElectricalStreamState::from_value(image)
-            .map_err(|_| cfg_err("malformed stream checkpoint"))?;
-        let eng = FluidEngine::restore(net, &state.engine)?;
-        Ok(Self {
-            eng,
-            overhead_s,
-            flow_slot: state.flow_slot,
-            free_slots: state.free_slots,
-            next_slot: state.next_slot,
-            pending_release: state.pending_release,
-            scratch: Vec::new(),
-        })
-    }
-}
-
-impl StreamEngine for ElectricalStream<'_> {
-    fn admit_slack(&self) -> f64 {
-        // The fluid engine promotes anything within EPS of the batch
-        // instant, so arrivals inside that tolerance belong to the batch.
-        electrical_sim::sim::EPS
-    }
-
-    fn events(&self) -> u64 {
-        self.eng.events()
-    }
-
-    fn peek_time(&mut self) -> Option<f64> {
-        match (self.eng.peek_time(), self.pending_release) {
-            (Some(p), Some(r)) => Some(p.min(r)),
-            (Some(p), None) => Some(p),
-            (None, pending) => pending,
-        }
-    }
-
-    fn add_job(&mut self, _rank: u64) -> usize {
-        // Max-min rates are policy-free; ranks only matter optically. The
-        // slot still identifies the job for completion attribution.
-        if let Some(slot) = self.free_slots.pop() {
-            slot
-        } else {
-            self.next_slot += 1;
-            self.next_slot - 1
-        }
-    }
-
-    fn retire_job(&mut self, slot: usize) {
-        self.free_slots.push(slot);
-    }
-
-    fn inject_job(&mut self, dag: &DepSchedule, offset_s: f64, slot: usize) -> Result<()> {
-        let batch: Vec<EngineFlow> = dag
-            .transfers()
-            .iter()
-            .map(|t| EngineFlow {
-                src: t.transfer.src.0,
-                dst: t.transfer.dst.0,
-                bytes: t.transfer.bytes,
-                // Identical float expression to the closed compose().
-                release_s: offset_s + t.release_s,
-                delay_s: self.overhead_s,
-                deps: t.deps.clone(),
-                job: slot,
-            })
-            .collect();
-        for (flow, t) in batch.iter().zip(dag.transfers()) {
-            if t.deps.is_empty() {
-                self.pending_release = Some(match self.pending_release {
-                    Some(r) => r.min(flow.release_s),
-                    None => flow.release_s,
-                });
-            }
-        }
-        let base = self.eng.inject(&batch)?;
-        debug_assert_eq!(base, self.flow_slot.len());
-        self.flow_slot.resize(base + batch.len(), slot);
-        Ok(())
-    }
-
-    fn step(&mut self) -> Result<()> {
-        self.pending_release = None;
-        self.eng.step()?;
-        Ok(())
-    }
-
-    fn drain(&mut self, out: &mut Vec<EngineDone>) {
-        self.scratch.clear();
-        self.eng.drain_completed(&mut self.scratch);
-        for &i in &self.scratch {
-            let (start_s, finish_s) = self.eng.window(i);
-            out.push(EngineDone {
-                slot: self.flow_slot[i],
-                start_s,
-                finish_s,
-            });
-        }
-    }
-
-    fn finish_check(&mut self) -> Result<()> {
-        // The closed path's "unreachable flows" diagnostic surfaces from a
-        // step on the drained engine.
-        self.eng.step()?;
-        Ok(())
-    }
-
-    fn snapshot(&self) -> Value {
-        ElectricalStreamState {
-            engine: self.eng.snapshot(),
-            flow_slot: self.flow_slot.clone(),
-            free_slots: self.free_slots.clone(),
-            next_slot: self.next_slot,
-            pending_release: self.pending_release,
-        }
-        .to_value()
-    }
-}
-
-// ---------------------------------------------------------------------------
 // The service driver
 // ---------------------------------------------------------------------------
 
-struct Driver<'a, E: StreamEngine> {
+struct Driver<'a, E: FabricEngine> {
     eng: &'a mut E,
+    /// Launch overhead charged per injected transfer (see
+    /// [`FabricEngine::inject`]).
+    delay_s: f64,
     spec: &'a StreamSpec,
     lowered: &'a [LoweredTemplate],
     st: &'a mut ServiceState,
 }
 
-impl<E: StreamEngine> Driver<'_, E> {
+impl<E: FabricEngine> Driver<'_, E> {
     /// Pump the service loop. Returns `true` when paused at the requested
     /// arrival count, `false` when the stream ran dry and drained.
     fn run(&mut self, pause_after_arrivals: Option<u64>) -> Result<bool> {
-        let mut done: Vec<EngineDone> = Vec::new();
+        let mut done: Vec<Completion> = Vec::new();
         loop {
             if let Some(limit) = pause_after_arrivals {
                 if self.st.arrivals >= limit {
@@ -1196,33 +884,24 @@ impl<E: StreamEngine> Driver<'_, E> {
                     continue;
                 }
             }
-            if peek.is_none() {
-                if self.st.in_service == 0 {
-                    break;
-                }
-                // The fluid engine promotes lazily inside `step`: a
-                // completion can leave the kernel momentarily empty with
-                // dependents unblocked but not yet scheduled. Step anyway —
-                // the promote pass schedules them — and treat a step that
-                // makes no progress as a stuck stream.
-                let before = self.eng.events();
-                self.eng.step()?;
-                done.clear();
-                self.eng.drain(&mut done);
-                for d in &done {
-                    self.complete_one(d)?;
-                }
-                if self.eng.events() == before && done.is_empty() {
-                    self.eng.finish_check()?;
-                    return Err(cfg_err("stream drained with unfinished jobs"));
-                }
-                continue;
+            if peek.is_none() && self.st.in_service == 0 {
+                break;
             }
+            // The fluid engine promotes lazily inside `step`: a completion
+            // can leave the kernel momentarily empty with dependents
+            // unblocked but not yet scheduled. Step anyway — the promote
+            // pass schedules them — and treat a step from an empty kernel
+            // that makes no progress as a stuck stream.
+            let before = self.eng.events();
             self.eng.step()?;
             done.clear();
             self.eng.drain(&mut done);
             for d in &done {
                 self.complete_one(d)?;
+            }
+            if peek.is_none() && self.eng.events() == before && done.is_empty() {
+                self.eng.stall_diagnostic()?;
+                return Err(cfg_err("stream drained with unfinished jobs"));
             }
         }
         Ok(false)
@@ -1290,7 +969,8 @@ impl<E: StreamEngine> Driver<'_, E> {
             idx,
         );
         let slot = self.eng.add_job(rank);
-        self.eng.inject_job(&lowered.dag, admit_s, slot)?;
+        self.eng
+            .inject(lowered.dag.transfers(), admit_s, self.delay_s, slot)?;
         if slot >= self.st.live.len() {
             self.st.live.resize(slot + 1, None);
         }
@@ -1310,9 +990,9 @@ impl<E: StreamEngine> Driver<'_, E> {
         Ok(())
     }
 
-    fn complete_one(&mut self, d: &EngineDone) -> Result<()> {
+    fn complete_one(&mut self, d: &Completion) -> Result<()> {
         let finished = {
-            let Some(job) = self.st.live.get_mut(d.slot).and_then(Option::as_mut) else {
+            let Some(job) = self.st.live.get_mut(d.job).and_then(Option::as_mut) else {
                 return Err(cfg_err("completion for an unknown job slot"));
             };
             job.remaining -= 1;
@@ -1328,10 +1008,10 @@ impl<E: StreamEngine> Driver<'_, E> {
         if !finished {
             return Ok(());
         }
-        let Some(job) = self.st.live[d.slot].take() else {
+        let Some(job) = self.st.live[d.job].take() else {
             return Err(cfg_err("completion for an unknown job slot"));
         };
-        self.eng.retire_job(d.slot);
+        self.eng.retire_job(d.job);
         self.st.in_service -= 1;
         self.st.record_finish(
             self.spec,
@@ -1438,17 +1118,41 @@ fn finish_report(
     }
 }
 
-fn outcome<E: StreamEngine>(
-    eng: &E,
+/// Run or resume a stream on `sub`: lower the templates, restore the
+/// service state, pump the service loop over the engine `engine` builds
+/// (fresh, or from a checkpoint's engine image, with the launch overhead
+/// it charges per transfer), and wrap the result — the final report, or a
+/// checkpoint of the engine and service state when paused.
+fn run_stream<'a, S: Substrate, E: FabricEngine>(
+    sub: &'a mut S,
     spec: &StreamSpec,
-    st: ServiceState,
-    substrate: &str,
-    paused: bool,
-) -> StreamOutcome {
-    if paused {
+    resume: Option<&StreamCheckpoint>,
+    pause_after_arrivals: Option<u64>,
+    engine: impl FnOnce(&'a S, Option<&Value>) -> Result<(E, f64)>,
+) -> Result<StreamOutcome> {
+    spec.validate()?;
+    let lowered = lower_templates(sub, spec)?;
+    let substrate = sub.name().to_string();
+    let mut st = match resume {
+        None => ServiceState::fresh(spec),
+        Some(ck) => {
+            check_checkpoint(ck, &substrate, spec)?;
+            ck.state.clone()
+        }
+    };
+    let (mut eng, delay_s) = engine(sub, resume.map(|ck| &ck.engine))?;
+    let paused = Driver {
+        eng: &mut eng,
+        delay_s,
+        spec,
+        lowered: &lowered,
+        st: &mut st,
+    }
+    .run(pause_after_arrivals)?;
+    Ok(if paused {
         StreamOutcome::Paused(Box::new(StreamCheckpoint {
             version: STREAM_CHECKPOINT_VERSION,
-            substrate: substrate.into(),
+            substrate,
             arrivals_seen: st.arrivals,
             templates: spec.templates.len(),
             policy: spec.policy,
@@ -1456,8 +1160,8 @@ fn outcome<E: StreamEngine>(
             state: st,
         }))
     } else {
-        StreamOutcome::Done(finish_report(spec, st, substrate, eng.events()))
-    }
+        StreamOutcome::Done(finish_report(spec, st, &substrate, eng.events()))
+    })
 }
 
 pub(crate) fn optical_stream(
@@ -1466,26 +1170,19 @@ pub(crate) fn optical_stream(
     resume: Option<&StreamCheckpoint>,
     pause_after_arrivals: Option<u64>,
 ) -> Result<StreamOutcome> {
-    spec.validate()?;
-    let lowered = lower_templates(sub, spec)?;
-    let (mut eng, mut st) = match resume {
-        None => (OpticalStream::build(sub, spec)?, ServiceState::fresh(spec)),
-        Some(ck) => {
-            check_checkpoint(ck, "optical", spec)?;
-            (
-                OpticalStream::restore(sub, spec, &ck.engine)?,
-                ck.state.clone(),
-            )
-        }
-    };
-    let paused = Driver {
-        eng: &mut eng,
-        spec,
-        lowered: &lowered,
-        st: &mut st,
-    }
-    .run(pause_after_arrivals)?;
-    Ok(outcome(&eng, spec, st, "optical", paused))
+    let fair_share = spec.policy == SchedPolicy::FairShare;
+    run_stream(sub, spec, resume, pause_after_arrivals, |sub, image| {
+        let (config, strategy) = (sub.config(), sub.strategy());
+        let eng = match image {
+            None => GrantEngine::new(config, strategy, true, fair_share)?,
+            Some(v) => {
+                let snap = GrantEngineSnapshot::from_value(v)
+                    .map_err(|_| cfg_err("malformed stream checkpoint"))?;
+                GrantEngine::restore(config, strategy, true, fair_share, &snap)?
+            }
+        };
+        Ok((eng, 0.0))
+    })
 }
 
 pub(crate) fn electrical_stream(
@@ -1494,30 +1191,17 @@ pub(crate) fn electrical_stream(
     resume: Option<&StreamCheckpoint>,
     pause_after_arrivals: Option<u64>,
 ) -> Result<StreamOutcome> {
-    spec.validate()?;
-    let lowered = lower_templates(sub, spec)?;
-    let overhead_s = sub.step_overhead_s();
-    let mut st;
-    let net = sub.network();
-    let mut eng = match resume {
-        None => {
-            st = ServiceState::fresh(spec);
-            ElectricalStream::build(net, overhead_s)
-        }
-        Some(ck) => {
-            check_checkpoint(ck, "electrical", spec)?;
-            st = ck.state.clone();
-            ElectricalStream::restore(net, overhead_s, &ck.engine)?
-        }
-    };
-    let paused = Driver {
-        eng: &mut eng,
-        spec,
-        lowered: &lowered,
-        st: &mut st,
-    }
-    .run(pause_after_arrivals)?;
-    Ok(outcome(&eng, spec, st, "electrical", paused))
+    run_stream(sub, spec, resume, pause_after_arrivals, |sub, image| {
+        let eng = match image {
+            None => FluidEngine::new(sub.network()),
+            Some(v) => {
+                let snap = FluidEngineSnapshot::from_value(v)
+                    .map_err(|_| cfg_err("malformed stream checkpoint"))?;
+                FluidEngine::restore(sub.network(), &snap)?
+            }
+        };
+        Ok((eng, sub.step_overhead_s()))
+    })
 }
 
 #[cfg(test)]
@@ -1723,6 +1407,41 @@ mod tests {
         };
         assert_eq!(run(&mut optical()), paused_run(&mut optical()));
         assert_eq!(run(&mut electrical()), paused_run(&mut electrical()));
+    }
+
+    /// Insert `999` as the first entry of the JSON list that follows `key`.
+    fn corrupt_first_index(json: &str, key: &str) -> String {
+        let at = json.find(key).expect("engine image carries the list") + key.len();
+        let sep = if json[at..].starts_with(']') { "" } else { "," };
+        format!("{}999{sep}{}", &json[..at], &json[at..])
+    }
+
+    #[test]
+    fn corrupted_checkpoint_indices_are_typed_errors() {
+        // One out-of-range index in a paused stream's engine image — a
+        // waiting slot optically, a completed flow electrically — must be
+        // rejected on resume, not accepted and panic the next step.
+        let spec = stream_spec(SchedPolicy::Fifo);
+        for (mut sub, key) in [
+            (Box::new(optical()) as Box<dyn Substrate>, "\"waiting\":["),
+            (Box::new(electrical()), "\"completed\":["),
+        ] {
+            let ck = sub
+                .execute_stream_until(&spec, Some(2))
+                .unwrap()
+                .checkpoint()
+                .expect("should pause at 2 arrivals");
+            let json = serde_json::to_string(&ck).unwrap();
+            let bad: StreamCheckpoint =
+                serde_json::from_str(&corrupt_first_index(&json, key)).unwrap();
+            assert_ne!(bad, ck, "{key}: corruption must change the image");
+            assert!(
+                sub.resume_stream(&spec, &bad, None).is_err(),
+                "{key}: a corrupt index must be a typed error"
+            );
+            // The intact checkpoint still resumes.
+            assert!(sub.resume_stream(&spec, &ck, None).is_ok());
+        }
     }
 
     #[test]

@@ -222,14 +222,23 @@ pub trait Substrate {
     /// Execute a dependency-aware schedule under a [`FaultScript`] with the
     /// given recovery [`FaultPolicy`]. Each substrate reacts only to the
     /// event kinds that exist on it (see [`crate::fault`]); with no
-    /// relevant events the run delegates to [`Substrate::execute_dag`] and
-    /// is **bit-exact** with it.
+    /// relevant events the run is **bit-exact** with
+    /// [`Substrate::execute_dag`]. This is
+    /// [`Substrate::execute_dag_jobs_faulted`] with every transfer in one
+    /// job, which is bit-exact with the unarbitrated run on every fabric.
     fn execute_dag_faulted(
         &mut self,
         dag: &DepSchedule,
         script: &FaultScript,
         policy: FaultPolicy,
-    ) -> Result<FaultRunReport>;
+    ) -> Result<FaultRunReport> {
+        let arb = JobArbitration {
+            job_of: vec![0; dag.len()],
+            rank: vec![0],
+            fair_share: false,
+        };
+        self.execute_dag_jobs_faulted(dag, &arb, script, policy)
+    }
 
     /// The multi-job counterpart of [`Substrate::execute_dag_faulted`]:
     /// transfers carry job tags, contended resources are arbitrated across
@@ -304,6 +313,68 @@ pub trait Substrate {
     ) -> Result<StreamOutcome>;
 }
 
+/// The optical closed-path input of a dependency-aware schedule.
+fn dag_transfers(dag: &DepSchedule) -> Vec<DagTransfer> {
+    dag.transfers()
+        .iter()
+        .map(|t| DagTransfer {
+            transfer: t.transfer.clone(),
+            release_s: t.release_s,
+            deps: t.deps.clone(),
+        })
+        .collect()
+}
+
+/// The electrical closed-path input of a dependency-aware schedule
+/// (direction and lane fields of the optical IR are ignored).
+fn dag_flows(dag: &DepSchedule) -> Vec<DagFlow> {
+    dag.transfers()
+        .iter()
+        .map(|t| DagFlow {
+            src: t.transfer.src.0,
+            dst: t.transfer.dst.0,
+            bytes: t.transfer.bytes,
+            release_s: t.release_s,
+            deps: t.deps.clone(),
+            stage: t.stage,
+        })
+        .collect()
+}
+
+/// The common report of an optical DAG run.
+fn optical_dag_report(report: &optical_sim::sim::DagReport) -> DagRunReport {
+    DagRunReport {
+        substrate: "optical".into(),
+        makespan_s: report.makespan_s,
+        transfers: report
+            .transfer_times
+            .iter()
+            .map(|&(start_s, finish_s)| DagTiming { start_s, finish_s })
+            .collect(),
+        peak_wavelength: report.peak_wavelength,
+        rate_recomputations: 0,
+        solver_work: 0,
+        events: report.events,
+    }
+}
+
+/// The common report of an electrical DAG run.
+fn electrical_dag_report(report: &electrical_sim::runner::DagRunReport) -> DagRunReport {
+    DagRunReport {
+        substrate: "electrical".into(),
+        makespan_s: report.makespan_s,
+        transfers: report
+            .windows
+            .iter()
+            .map(|&(start_s, finish_s)| DagTiming { start_s, finish_s })
+            .collect(),
+        peak_wavelength: 0,
+        rate_recomputations: report.rate_recomputations,
+        solver_work: report.solver_work,
+        events: report.events,
+    }
+}
+
 /// The WDM optical ring as an execution substrate.
 #[derive(Debug, Clone)]
 pub struct OpticalSubstrate {
@@ -335,44 +406,6 @@ impl OpticalSubstrate {
     #[must_use]
     pub fn strategy(&self) -> Strategy {
         self.strategy
-    }
-
-    fn run_faulted(
-        &mut self,
-        dag: &DepSchedule,
-        arb: Option<&JobArbitration>,
-        script: &FaultScript,
-        policy: FaultPolicy,
-    ) -> Result<FaultRunReport> {
-        let transfers: Vec<DagTransfer> = dag
-            .transfers()
-            .iter()
-            .map(|t| DagTransfer {
-                transfer: t.transfer.clone(),
-                release_s: t.release_s,
-                deps: t.deps.clone(),
-            })
-            .collect();
-        let report = self
-            .sim
-            .run_dag_faulted(&transfers, self.strategy, arb, script, policy)?;
-        Ok(FaultRunReport {
-            substrate: "optical".into(),
-            makespan_s: report.makespan_s,
-            transfers: report
-                .outcomes
-                .iter()
-                .map(|o| FaultTiming {
-                    start_s: o.start_s,
-                    finish_s: o.finish_s,
-                    aborts: o.aborts,
-                    completed: o.completed,
-                })
-                .collect(),
-            peak_wavelength: report.peak_wavelength,
-            events: report.events,
-            first_impact_s: report.first_impact_s,
-        })
     }
 
     /// Convert a stepped optical report into the common shape.
@@ -411,29 +444,8 @@ impl Substrate for OpticalSubstrate {
     }
 
     fn execute_dag(&mut self, dag: &DepSchedule) -> Result<DagRunReport> {
-        let transfers: Vec<DagTransfer> = dag
-            .transfers()
-            .iter()
-            .map(|t| DagTransfer {
-                transfer: t.transfer.clone(),
-                release_s: t.release_s,
-                deps: t.deps.clone(),
-            })
-            .collect();
-        let report = self.sim.run_dag(&transfers, self.strategy)?;
-        Ok(DagRunReport {
-            substrate: "optical".into(),
-            makespan_s: report.makespan_s,
-            transfers: report
-                .transfer_times
-                .iter()
-                .map(|&(start_s, finish_s)| DagTiming { start_s, finish_s })
-                .collect(),
-            peak_wavelength: report.peak_wavelength,
-            rate_recomputations: 0,
-            solver_work: 0,
-            events: report.events,
-        })
+        let report = self.sim.run_dag(&dag_transfers(dag), self.strategy)?;
+        Ok(optical_dag_report(&report))
     }
 
     fn execute_dag_jobs(
@@ -441,53 +453,16 @@ impl Substrate for OpticalSubstrate {
         dag: &DepSchedule,
         arb: &JobArbitration,
     ) -> Result<TenantDagRun> {
-        let transfers: Vec<DagTransfer> = dag
-            .transfers()
-            .iter()
-            .map(|t| DagTransfer {
-                transfer: t.transfer.clone(),
-                release_s: t.release_s,
-                deps: t.deps.clone(),
-            })
-            .collect();
-        let report = self.sim.run_dag_jobs(&transfers, arb, self.strategy)?;
-        let jobs = arb.rank.len();
-        Ok(TenantDagRun {
-            dag: DagRunReport {
-                substrate: "optical".into(),
-                makespan_s: report.makespan_s,
-                transfers: report
-                    .transfer_times
-                    .iter()
-                    .map(|&(start_s, finish_s)| DagTiming { start_s, finish_s })
-                    .collect(),
-                peak_wavelength: report.peak_wavelength,
-                rate_recomputations: 0,
-                solver_work: 0,
-                events: report.events,
-            },
-            // Wavelengths are granted whole — there is no fractional rate
-            // solution to attribute on the optical ring; delivered bytes
-            // are the exact payload sums (as on the electrical fast path).
-            job_active_s: vec![0.0; jobs],
-            job_service_bytes: {
-                let mut service = vec![0.0f64; jobs];
-                for (t, &j) in dag.transfers().iter().zip(&arb.job_of) {
-                    service[j] += t.transfer.bytes as f64;
-                }
-                service
-            },
-            job_peak_rate_bps: vec![0.0; jobs],
-        })
-    }
-
-    fn execute_dag_faulted(
-        &mut self,
-        dag: &DepSchedule,
-        script: &FaultScript,
-        policy: FaultPolicy,
-    ) -> Result<FaultRunReport> {
-        self.run_faulted(dag, None, script, policy)
+        let report = self
+            .sim
+            .run_dag_jobs(&dag_transfers(dag), arb, self.strategy)?;
+        // Wavelengths are granted whole — there is no fractional rate
+        // solution to attribute on the optical ring.
+        Ok(TenantDagRun::unattributed(
+            optical_dag_report(&report),
+            dag,
+            arb,
+        ))
     }
 
     fn execute_dag_jobs_faulted(
@@ -497,7 +472,21 @@ impl Substrate for OpticalSubstrate {
         script: &FaultScript,
         policy: FaultPolicy,
     ) -> Result<FaultRunReport> {
-        self.run_faulted(dag, Some(arb), script, policy)
+        let report = self.sim.run_dag_faulted(
+            &dag_transfers(dag),
+            self.strategy,
+            Some(arb),
+            script,
+            policy,
+        )?;
+        Ok(FaultRunReport {
+            substrate: "optical".into(),
+            makespan_s: report.makespan_s,
+            transfers: report.outcomes,
+            peak_wavelength: report.peak_wavelength,
+            events: report.events,
+            first_impact_s: report.first_impact_s,
+        })
     }
 
     fn execute_stream_until(
@@ -552,57 +541,6 @@ impl ElectricalSubstrate {
     pub fn step_overhead_s(&self) -> f64 {
         self.step_overhead_s
     }
-
-    fn run_faulted(
-        &mut self,
-        dag: &DepSchedule,
-        job_of: &[usize],
-        jobs: usize,
-        script: &FaultScript,
-        policy: FaultPolicy,
-    ) -> Result<FaultRunReport> {
-        let flows: Vec<DagFlow> = dag
-            .transfers()
-            .iter()
-            .map(|t| DagFlow {
-                src: t.transfer.src.0,
-                dst: t.transfer.dst.0,
-                bytes: t.transfer.bytes,
-                release_s: t.release_s,
-                deps: t.deps.clone(),
-                stage: t.stage,
-            })
-            .collect();
-        let report = run_dag_jobs_faulted(
-            &self.net,
-            &flows,
-            job_of,
-            jobs,
-            self.step_overhead_s,
-            script,
-            policy,
-        )?;
-        Ok(FaultRunReport {
-            substrate: "electrical".into(),
-            makespan_s: report.tenant.report.makespan_s,
-            transfers: report
-                .tenant
-                .report
-                .windows
-                .iter()
-                .zip(report.failed.iter().zip(&report.aborted))
-                .map(|(&(start_s, finish_s), (&failed, &aborts))| FaultTiming {
-                    start_s,
-                    finish_s,
-                    aborts,
-                    completed: !failed,
-                })
-                .collect(),
-            peak_wavelength: 0,
-            events: report.tenant.report.events,
-            first_impact_s: report.first_impact_s,
-        })
-    }
 }
 
 impl Substrate for ElectricalSubstrate {
@@ -647,32 +585,8 @@ impl Substrate for ElectricalSubstrate {
     }
 
     fn execute_dag(&mut self, dag: &DepSchedule) -> Result<DagRunReport> {
-        let flows: Vec<DagFlow> = dag
-            .transfers()
-            .iter()
-            .map(|t| DagFlow {
-                src: t.transfer.src.0,
-                dst: t.transfer.dst.0,
-                bytes: t.transfer.bytes,
-                release_s: t.release_s,
-                deps: t.deps.clone(),
-                stage: t.stage,
-            })
-            .collect();
-        let report = run_dag(&self.net, &flows, self.step_overhead_s)?;
-        Ok(DagRunReport {
-            substrate: "electrical".into(),
-            makespan_s: report.makespan_s,
-            transfers: report
-                .windows
-                .iter()
-                .map(|&(start_s, finish_s)| DagTiming { start_s, finish_s })
-                .collect(),
-            peak_wavelength: 0,
-            rate_recomputations: report.rate_recomputations,
-            solver_work: report.solver_work,
-            events: report.events,
-        })
+        let report = run_dag(&self.net, &dag_flows(dag), self.step_overhead_s)?;
+        Ok(electrical_dag_report(&report))
     }
 
     fn execute_dag_jobs(
@@ -680,57 +594,22 @@ impl Substrate for ElectricalSubstrate {
         dag: &DepSchedule,
         arb: &JobArbitration,
     ) -> Result<TenantDagRun> {
-        let flows: Vec<DagFlow> = dag
-            .transfers()
-            .iter()
-            .map(|t| DagFlow {
-                src: t.transfer.src.0,
-                dst: t.transfer.dst.0,
-                bytes: t.transfer.bytes,
-                release_s: t.release_s,
-                deps: t.deps.clone(),
-                stage: t.stage,
-            })
-            .collect();
         // The max-min fluid model is inherently fair-shared: ranks do not
         // change electrical rates, but the solver attributes its solution
         // to the job tags so tenants' bandwidth can be priced.
         let tenant = run_dag_jobs(
             &self.net,
-            &flows,
+            &dag_flows(dag),
             &arb.job_of,
             arb.rank.len(),
             self.step_overhead_s,
         )?;
         Ok(TenantDagRun {
-            dag: DagRunReport {
-                substrate: "electrical".into(),
-                makespan_s: tenant.report.makespan_s,
-                transfers: tenant
-                    .report
-                    .windows
-                    .iter()
-                    .map(|&(start_s, finish_s)| DagTiming { start_s, finish_s })
-                    .collect(),
-                peak_wavelength: 0,
-                rate_recomputations: tenant.report.rate_recomputations,
-                solver_work: tenant.report.solver_work,
-                events: tenant.report.events,
-            },
+            dag: electrical_dag_report(&tenant.report),
             job_active_s: tenant.job_active_s,
             job_service_bytes: tenant.job_service_bytes,
             job_peak_rate_bps: tenant.job_peak_rate_bps,
         })
-    }
-
-    fn execute_dag_faulted(
-        &mut self,
-        dag: &DepSchedule,
-        script: &FaultScript,
-        policy: FaultPolicy,
-    ) -> Result<FaultRunReport> {
-        let job_of = vec![0usize; dag.len()];
-        self.run_faulted(dag, &job_of, 1, script, policy)
     }
 
     fn execute_dag_jobs_faulted(
@@ -740,7 +619,35 @@ impl Substrate for ElectricalSubstrate {
         script: &FaultScript,
         policy: FaultPolicy,
     ) -> Result<FaultRunReport> {
-        self.run_faulted(dag, &arb.job_of, arb.rank.len(), script, policy)
+        let report = run_dag_jobs_faulted(
+            &self.net,
+            &dag_flows(dag),
+            &arb.job_of,
+            arb.rank.len(),
+            self.step_overhead_s,
+            script,
+            policy,
+        )?;
+        Ok(FaultRunReport {
+            substrate: "electrical".into(),
+            makespan_s: report.tenant.report.makespan_s,
+            transfers: report
+                .tenant
+                .report
+                .windows
+                .iter()
+                .zip(report.failed.iter().zip(&report.aborted))
+                .map(|(&(start_s, finish_s), (&failed, &aborts))| FaultTiming {
+                    start_s,
+                    finish_s,
+                    aborts,
+                    completed: !failed,
+                })
+                .collect(),
+            peak_wavelength: 0,
+            events: report.tenant.report.events,
+            first_impact_s: report.first_impact_s,
+        })
     }
 
     fn execute_stream_until(

@@ -263,6 +263,26 @@ pub struct TenantDagRun {
     pub job_peak_rate_bps: Vec<f64>,
 }
 
+impl TenantDagRun {
+    /// A run on a fabric without fractional rate attribution: delivered
+    /// bytes are the exact per-job payload sums (as on the electrical
+    /// barrier fast path), active time and peak rate are zeros.
+    #[must_use]
+    pub fn unattributed(dag: DagRunReport, sched: &DepSchedule, arb: &JobArbitration) -> Self {
+        let jobs = arb.rank.len();
+        let mut service = vec![0.0f64; jobs];
+        for (t, &j) in sched.transfers().iter().zip(&arb.job_of) {
+            service[j] += t.transfer.bytes as f64;
+        }
+        Self {
+            dag,
+            job_active_s: vec![0.0; jobs],
+            job_service_bytes: service,
+            job_peak_rate_bps: vec![0.0; jobs],
+        }
+    }
+}
+
 impl TenancySpec {
     /// Empty spec under `policy`.
     #[must_use]

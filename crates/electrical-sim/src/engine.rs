@@ -1,15 +1,15 @@
 //! The streaming fluid engine.
 //!
 //! [`FluidEngine`] is the single execution engine behind every dependency-
-//! aware electrical run: the closed-set entry point
+//! aware electrical run: the closed-set entry points
 //! ([`crate::sim::run_engine`], reached through [`crate::runner::run_dag`]
-//! and friends) injects the whole flow list at time zero and pumps the
-//! engine to idle, while open-loop cluster services
-//! [`FluidEngine::inject`] each arriving job's flows into the *running*
-//! engine. The incremental per-component max-min re-solve, the lazy
-//! `remaining` bookkeeping and the one-completion-event-per-component
-//! discipline are shared, so a stream whose arrivals are all known up
-//! front is bit-exact with the closed path.
+//! and friends, and [`crate::runner::run_dag_jobs_faulted`]) inject the
+//! whole flow list at time zero and pump the engine to idle, while
+//! open-loop cluster services [`FluidEngine::inject`] each arriving job's
+//! flows into the *running* engine. The incremental per-component max-min
+//! re-solve, the lazy `remaining` bookkeeping and the
+//! one-completion-event-per-component discipline are shared, so a stream
+//! whose arrivals are all known up front is bit-exact with the closed path.
 //!
 //! # Determinism across injection times
 //!
@@ -28,34 +28,91 @@
 //! *active* flow sets plus the affected contention component — not to the
 //! number of flows ever injected.
 //!
+//! # Faults
+//!
+//! [`FluidEngine::set_faults`] lowers a [`FaultScript`]'s electrically
+//! relevant events onto the engine's own kernel. `LinkDegrade` scales a
+//! link's capacity and re-solves the affected component at the fault
+//! instant; `LinkFlap` darkens a link for its outage (crossing flows are
+//! suspended at rate zero, not aborted, and resume on restore);
+//! `NodeStraggle` caps flows touching the node at `1/slowdown` of their
+//! max-min share (the freed share is *not* redistributed); `NodeDown`
+//! permanently fails every unfinished flow touching the node. Under
+//! [`FaultPolicy::FailJob`] a failed flow fails its whole job; under
+//! `RetryAfter`/`Replan` its dependents are released so survivors re-plan
+//! (retrying a dead endpoint is futile, and suspension already preserves
+//! progress, so the two coincide here). Wavelength events have no
+//! electrical meaning. A batch applies its completions before its faults,
+//! so a flow finishing at exactly the fault instant is finished, not
+//! failed. Without a relevant fault the engine allocates no fault state and
+//! runs the clean arithmetic.
+//!
 //! The engine supports [`FluidEngine::snapshot`] /
 //! [`FluidEngine::restore`]: a versioned, serializable image of the flow
 //! table, pending kernel events and clock. Per-flow times are stored as
 //! IEEE-754 bit patterns so `INFINITY` sentinels and exact candidates
-//! survive JSON round-trips byte-identically.
+//! survive JSON round-trips byte-identically. Restore validates the
+//! image's indices and table shapes and rejects corrupt ones with
+//! [`NetError::BadConfig`].
 
 use crate::error::{NetError, Result};
 use crate::graph::{LinkId, Network};
 use crate::maxmin::progressive_fill;
-use crate::sim::{EngineFlow, EngineOutcome, EngineReport, Phase, EPS};
+use crate::sim::{EngineFlow, EngineReport, Phase, EPS};
 use serde::{Deserialize, Serialize};
-use wrht_kernel::EventKernel;
+use wrht_kernel::{EventKernel, FaultKind, FaultLimits, FaultPolicy, FaultScript};
 
 /// Version tag of [`FluidEngineSnapshot`]; bump on any layout change.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 enum Ev {
     Release(usize),
     Timer(usize),
     Complete(usize),
+    Fault(usize),
+}
+
+/// One flow completion drained via [`FluidEngine::drain_completions`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FlowCompletion {
+    /// Engine flow index (sequential in injection order).
+    pub index: usize,
+    /// Owning job ([`EngineFlow::job`]).
+    pub job: usize,
+    /// Instant the flow's gates opened, seconds.
+    pub start_s: f64,
+    /// Completion instant, seconds.
+    pub finish_s: f64,
+}
+
+/// Fault state, allocated only when [`FluidEngine::set_faults`] installs
+/// at least one relevant event.
+#[derive(Debug)]
+struct Faults {
+    /// The lowered relevant events, indexed by their [`Ev::Fault`]
+    /// payload. Flaps are lowered to link-factor changes, and a factor of
+    /// 0.0 darkens the link: crossing flows are suspended, not aborted.
+    script: Vec<FaultKind>,
+    policy: FaultPolicy,
+    link_factor: Vec<f64>,
+    node_slow: Vec<f64>,
+    /// Rate divisor per flow (1.0 unless an endpoint straggles).
+    flow_slow: Vec<f64>,
+    /// Per flow: killed while actively transmitting.
+    aborted: Vec<u32>,
+    failed: usize,
+    first_impact_s: Option<f64>,
 }
 
 /// Versioned, serializable image of a [`FluidEngine`] mid-run.
 ///
 /// Per-flow `f64` arrays are stored as raw bit patterns (`u64`): candidate
 /// times legitimately hold `INFINITY`, which JSON cannot represent, and the
-/// resumed run must match an uninterrupted one bit-for-bit.
+/// resumed run must match an uninterrupted one bit-for-bit. The index
+/// lists derived from the flow phases (active and unsettled flows, flows
+/// per link) are rebuilt on restore, not stored. Fault state is not
+/// captured: faulted runs are closed runs.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FluidEngineSnapshot {
     /// Snapshot layout version ([`SNAPSHOT_VERSION`]).
@@ -76,17 +133,16 @@ pub struct FluidEngineSnapshot {
     last_update: Vec<u64>,
     cand: Vec<u64>,
     sched_cand: Vec<u64>,
-    flows_on_link: Vec<Vec<usize>>,
     dirty: Vec<usize>,
-    unsettled: Vec<usize>,
-    active: Vec<usize>,
-    n_done: usize,
     completed: Vec<usize>,
     recomputations: usize,
     solver_work: usize,
     job_active_s: Vec<u64>,
     job_service_bytes: Vec<u64>,
     job_peak_rate: Vec<u64>,
+    job_free: Vec<usize>,
+    next_job: usize,
+    pending_release: Option<u64>,
     pending: Vec<(u64, Ev)>,
 }
 
@@ -132,6 +188,14 @@ pub struct FluidEngine<'a> {
     job_active_s: Vec<f64>,
     job_service_bytes: Vec<f64>,
     job_peak_rate: Vec<f64>,
+    job_free: Vec<usize>,
+    next_job: usize,
+    /// Earliest release among flows injected since the last step. Release
+    /// events are only scheduled inside [`FluidEngine::step`]'s promotion
+    /// scan, so [`FluidEngine::peek_time`] folds this in to stay truthful
+    /// right after an injection.
+    pending_release: Option<f64>,
+    faults: Option<Box<Faults>>,
     // Scratch, allocated once (not part of snapshots).
     link_seen: Vec<bool>,
     flow_seen: Vec<bool>,
@@ -184,6 +248,10 @@ impl<'a> FluidEngine<'a> {
             job_active_s: Vec::new(),
             job_service_bytes: Vec::new(),
             job_peak_rate: Vec::new(),
+            job_free: Vec::new(),
+            next_job: 0,
+            pending_release: None,
+            faults: None,
             link_seen: vec![false; n_links],
             flow_seen: Vec::new(),
             flow_comp: Vec::new(),
@@ -200,6 +268,87 @@ impl<'a> FluidEngine<'a> {
             busy_jobs: Vec::new(),
             newly_active: Vec::new(),
         }
+    }
+
+    /// Install a fault script and the policy failed work recovers under
+    /// (see the module docs). A full-capacity degrade on a link no other
+    /// event disturbs is dropped: an extra kernel instant would split fluid
+    /// intervals and can perturb completions in the last ulp. Returns
+    /// whether any event was relevant — without one the engine stays on the
+    /// clean path.
+    ///
+    /// # Errors
+    /// Scripts and policies that fail validation against this network
+    /// ([`NetError::Fault`]), and installation after the first injection
+    /// ([`NetError::BadConfig`]).
+    pub fn set_faults(&mut self, script: &FaultScript, policy: FaultPolicy) -> Result<bool> {
+        script.validate(&FaultLimits {
+            nodes: self.net.hosts(),
+            wavelengths: None,
+            links: Some(self.net.links().len()),
+        })?;
+        policy.validate()?;
+        if !self.flows.is_empty() || self.faults.is_some() {
+            return Err(NetError::BadConfig(
+                "faults must be installed once, before the first injection",
+            ));
+        }
+        // A flap is dark for `down_s`, then back to full capacity
+        // (forgetting any earlier degrade on the link).
+        let disturbed = |link: usize| {
+            script.events().iter().any(|o| match o.kind {
+                FaultKind::LinkDegrade { link: l, factor } => l == link && factor < 1.0,
+                FaultKind::LinkFlap { link: l, .. } => l == link,
+                _ => false,
+            })
+        };
+        let mut faults: Vec<(f64, FaultKind)> = Vec::new();
+        for ev in script.events() {
+            match ev.kind {
+                FaultKind::LinkDegrade { link, factor } if factor >= 1.0 && !disturbed(link) => {}
+                FaultKind::LinkFlap { link, down_s } => {
+                    faults.push((ev.at_s, FaultKind::LinkDegrade { link, factor: 0.0 }));
+                    let restore = FaultKind::LinkDegrade { link, factor: 1.0 };
+                    faults.push((ev.at_s + down_s, restore));
+                }
+                FaultKind::WavelengthDown { .. } | FaultKind::WavelengthUp { .. } => {}
+                kind => faults.push((ev.at_s, kind)),
+            }
+        }
+        if faults.is_empty() {
+            return Ok(false);
+        }
+        for (k, &(at_s, _)) in faults.iter().enumerate() {
+            self.kernel
+                .schedule_at(at_s, Ev::Fault(k))
+                .map_err(|_| NetError::BadConfig("fault instant precedes the engine clock"))?;
+        }
+        self.faults = Some(Box::new(Faults {
+            script: faults.into_iter().map(|(_, f)| f).collect(),
+            policy,
+            link_factor: vec![1.0; self.net.links().len()],
+            node_slow: vec![1.0; self.net.hosts()],
+            flow_slow: Vec::new(),
+            aborted: Vec::new(),
+            failed: 0,
+            first_impact_s: None,
+        }));
+        Ok(true)
+    }
+
+    /// Allocate a job tag for [`EngineFlow::job`], reusing the tags of
+    /// [`FluidEngine::retire_job`]d jobs. Max-min rates are policy-free, so
+    /// the tag only attributes flows (and their rate solution) to the job.
+    pub fn add_job(&mut self) -> usize {
+        self.job_free.pop().unwrap_or_else(|| {
+            self.next_job += 1;
+            self.next_job - 1
+        })
+    }
+
+    /// Release a job tag for reuse once every flow of the job completed.
+    pub fn retire_job(&mut self, job: usize) {
+        self.job_free.push(job);
     }
 
     /// Inject a flow batch (one job's DAG) into the running engine.
@@ -234,6 +383,10 @@ impl<'a> FluidEngine<'a> {
                 self.dependents[base + d].push(i);
             }
             self.phase.push(if f.deps.is_empty() {
+                self.pending_release = Some(
+                    self.pending_release
+                        .map_or(f.release_s, |r| r.min(f.release_s)),
+                );
                 Phase::Pending
             } else {
                 Phase::Blocked
@@ -269,29 +422,35 @@ impl<'a> FluidEngine<'a> {
         }
         self.routes.append(&mut routes);
         self.latencies.append(&mut latencies);
+        if let Some(f) = self.faults.as_deref_mut() {
+            f.flow_slow.resize(self.flows.len(), 1.0);
+            f.aborted.resize(self.flows.len(), 0);
+        }
         Ok(base)
     }
 
-    /// Timestamp of the next pending event, if any. Events for freshly
-    /// injected flows are only scheduled inside [`FluidEngine::step`]'s
-    /// promotion scan, so this can overestimate right after an injection —
-    /// callers injecting arrivals in time order are unaffected (a too-late
-    /// peek only admits *extra* arrivals early, which is harmless: a
-    /// pending flow behaves identically however early it is injected).
+    /// Timestamp of the next pending event, if any — including the release
+    /// of a flow injected since the last step, whose wake-up the promotion
+    /// scan has not scheduled yet.
     pub fn peek_time(&mut self) -> Option<f64> {
-        self.kernel.peek_time()
+        match (self.kernel.peek_time(), self.pending_release) {
+            (Some(p), Some(r)) => Some(p.min(r)),
+            (peek, pending) => peek.or(pending),
+        }
     }
 
     /// Process the next event instant: promote newly eligible flows,
     /// re-solve the dirty contention component, pop the next live batch and
-    /// apply its completions. Returns the batch instant, or `None` when the
-    /// engine is idle (every injected flow done).
+    /// apply its completions, then its faults. Returns the batch instant,
+    /// or `None` when the engine is idle (every injected flow settled;
+    /// under faults, flows stranded behind failed ones are failed too).
     ///
     /// # Errors
-    /// [`NetError::StalledFlow`] when a flow is frozen at rate zero, and
-    /// the closed path's "unreachable flows" error when the queue drains
-    /// with unfinished flows.
+    /// [`NetError::StalledFlow`] when a flow is frozen at rate zero (other
+    /// than suspended on a dark link), and the closed path's "unreachable
+    /// flows" error when the queue drains with unfinished flows.
     pub fn step(&mut self) -> Result<Option<f64>> {
+        self.pending_release = None;
         let now = self.kernel.now();
 
         // Promote flows whose gates opened or timers expired. Completions
@@ -377,7 +536,7 @@ impl<'a> FluidEngine<'a> {
         self.resolve_dirty()?;
 
         // Pop the next batch of same-instant events; purely stale batches
-        // advance only the kernel clock.
+        // advance only the kernel clock. Fault events are always live.
         let batch_time = loop {
             self.batch.clear();
             match self.kernel.pop_batch(&mut self.batch) {
@@ -395,6 +554,7 @@ impl<'a> FluidEngine<'a> {
                                 live |= self.phase[i] == Phase::Active
                                     && self.cand[i].to_bits() == t.to_bits();
                             }
+                            Ev::Fault(_) => live = true,
                         }
                     }
                     if live {
@@ -404,7 +564,7 @@ impl<'a> FluidEngine<'a> {
             }
         };
         let Some(next) = batch_time else {
-            if self.n_done == self.flows.len() {
+            if self.live_flows() == 0 || self.strand() {
                 return Ok(None);
             }
             return Err(NetError::BadConfig("unreachable flows in dependency DAG"));
@@ -414,10 +574,11 @@ impl<'a> FluidEngine<'a> {
         // Attribute the current rate allocation to jobs over [now, next]:
         // each transmitting flow's max-min rate is constant on the
         // interval. The active list is ascending, so the per-job float
-        // sums accumulate in closed-path index order.
+        // sums accumulate in closed-path index order. Suspended flows
+        // (rate zero during a flap) neither transmit nor count as busy.
         self.busy_jobs.clear();
         for &i in &self.active {
-            if self.rate[i].is_finite() {
+            if self.rate[i].is_finite() && self.rate[i] > 0.0 {
                 let j = self.flows[i].job;
                 if !self.job_busy[j] {
                     self.job_busy[j] = true;
@@ -469,6 +630,10 @@ impl<'a> FluidEngine<'a> {
             let phase = &self.phase;
             self.active.retain(|&i| phase[i] == Phase::Active);
         }
+        // ... then the faults coalesced at this instant.
+        if self.faults.is_some() {
+            self.apply_faults(next);
+        }
         Ok(Some(next))
     }
 
@@ -500,8 +665,151 @@ impl<'a> FluidEngine<'a> {
         unblocked
     }
 
+    /// Apply the faults of the current batch, after its completions.
+    fn apply_faults(&mut self, now: f64) {
+        let mut any = false;
+        let mut fail_jobs: Vec<usize> = Vec::new();
+        for k in 0..self.batch.len() {
+            let (Ev::Fault(e), Some(f)) = (self.batch[k], self.faults.as_deref_mut()) else {
+                continue;
+            };
+            any = true;
+            let policy = f.policy;
+            match f.script[e] {
+                FaultKind::LinkDegrade { link, factor } => {
+                    // A degrade that catches flows mid-flight is the fault's
+                    // first observable impact; a restore (factor rising) is
+                    // recovery, not impact.
+                    if factor < f.link_factor[link] && !self.flows_on_link[link].is_empty() {
+                        f.first_impact_s.get_or_insert(now);
+                    }
+                    f.link_factor[link] = factor;
+                    self.dirty.push(link);
+                }
+                FaultKind::NodeStraggle { node, slowdown } => {
+                    f.node_slow[node] = f.node_slow[node].max(slowdown);
+                    for (i, fl) in self.flows.iter().enumerate() {
+                        let slow = f.node_slow[fl.src].max(f.node_slow[fl.dst]);
+                        if (fl.src == node || fl.dst == node) && slow > f.flow_slow[i] {
+                            f.flow_slow[i] = slow;
+                            if self.phase[i] == Phase::Active {
+                                f.first_impact_s.get_or_insert(now);
+                                self.dirty.extend(self.routes[i].iter().map(|l| l.0));
+                            }
+                        }
+                    }
+                }
+                FaultKind::NodeDown { node } => {
+                    // Ascending index order lets failure cascade through
+                    // dependents that also touch the node in one sweep.
+                    for i in 0..self.flows.len() {
+                        let fl = &self.flows[i];
+                        if (fl.src != node && fl.dst != node)
+                            || matches!(self.phase[i], Phase::Done | Phase::Failed)
+                        {
+                            continue;
+                        }
+                        let job = fl.job;
+                        if self.fail_flow(i, now) {
+                            if let Some(f) = self.faults.as_deref_mut() {
+                                f.aborted[i] += 1;
+                            }
+                        }
+                        if policy == FaultPolicy::FailJob {
+                            fail_jobs.push(job);
+                        } else {
+                            for d in 0..self.dependents[i].len() {
+                                let dep = self.dependents[i][d];
+                                self.missing[dep] -= 1;
+                            }
+                        }
+                    }
+                }
+                // Lowered away by `set_faults`.
+                FaultKind::LinkFlap { .. }
+                | FaultKind::WavelengthDown { .. }
+                | FaultKind::WavelengthUp { .. } => {}
+            }
+        }
+        if !any {
+            return;
+        }
+        if !fail_jobs.is_empty() {
+            for i in 0..self.flows.len() {
+                if fail_jobs.contains(&self.flows[i].job)
+                    && !matches!(self.phase[i], Phase::Done | Phase::Failed)
+                {
+                    self.fail_flow(i, now);
+                }
+            }
+        }
+        let phase = &self.phase;
+        self.unsettled.retain(|&i| {
+            matches!(
+                phase[i],
+                Phase::Blocked | Phase::Pending | Phase::Latency(_)
+            )
+        });
+        self.active.retain(|&i| phase[i] == Phase::Active);
+    }
+
+    /// Fail flow `i` permanently, releasing its links if it was
+    /// transmitting. Returns whether it was (an abort).
+    fn fail_flow(&mut self, i: usize, now: f64) -> bool {
+        let active = self.phase[i] == Phase::Active;
+        if active {
+            for &l in &self.routes[i] {
+                self.flows_on_link[l.0].retain(|&f| f != i);
+                self.dirty.push(l.0);
+            }
+        }
+        self.phase[i] = Phase::Failed;
+        if let Some(f) = self.faults.as_deref_mut() {
+            f.failed += 1;
+            f.first_impact_s.get_or_insert(now);
+        }
+        active
+    }
+
+    /// Under faults, a drained queue with unfinished flows means they are
+    /// stranded behind failed ones (e.g. cross-job dependents under
+    /// `FailJob`): casualties, not a malformed DAG. Returns whether the
+    /// stranded flows were failed.
+    fn strand(&mut self) -> bool {
+        let Some(f) = self.faults.as_deref_mut() else {
+            return false;
+        };
+        if f.failed == 0 {
+            return false;
+        }
+        for p in &mut self.phase {
+            if !matches!(*p, Phase::Done | Phase::Failed) {
+                *p = Phase::Failed;
+                f.failed += 1;
+            }
+        }
+        self.unsettled.clear();
+        self.active.clear();
+        true
+    }
+
+    /// A dark link (flap in progress) suspends its flows at rate zero:
+    /// progress freezes until the restoring fault dirties the link again.
+    fn suspended(&self, f: usize) -> bool {
+        // wrht-analyze: allow(r6, reason = "exact-zero sentinel: suspension assigns the literal 0.0 rate, never a computed value")
+        let zero_rate = self.rate[f] == 0.0;
+        zero_rate
+            && self.faults.as_deref().is_some_and(|ft| {
+                self.routes[f]
+                    .iter()
+                    // wrht-analyze: allow(r6, reason = "exact-zero sentinel: a dark link's factor is the literal 0.0, never a computed value")
+                    .any(|&l| ft.link_factor[l.0] == 0.0)
+            })
+    }
+
     /// Incremental per-component max-min re-solve (bit-identical to the
-    /// closed path's).
+    /// closed path's), with faulted capacities and straggle caps layered on
+    /// top of the clean arithmetic when faults are installed.
     fn resolve_dirty(&mut self) -> Result<()> {
         if self.dirty.is_empty() {
             return Ok(());
@@ -547,7 +855,11 @@ impl<'a> FluidEngine<'a> {
         if !self.comp_flows.is_empty() {
             self.recomputations += 1;
             for &l in &self.comp_links {
-                self.cap_scratch[l] = self.net.links()[l].capacity_bps;
+                let cap = self.net.links()[l].capacity_bps;
+                self.cap_scratch[l] = self
+                    .faults
+                    .as_deref()
+                    .map_or(cap, |f| cap * f.link_factor[l]);
                 self.count_scratch[l] = self.flows_on_link[l].len();
             }
             self.old_rate_scratch.clear();
@@ -562,8 +874,18 @@ impl<'a> FluidEngine<'a> {
                 &mut self.rate,
                 &mut self.solver_work,
             );
+            if let Some(ft) = self.faults.as_deref() {
+                // Straggle cap: the node processes at 1/slowdown, and the
+                // share other flows could have claimed is left on the
+                // table (max-min redistribution would hide the straggler).
+                for &f in &self.comp_flows {
+                    if ft.flow_slow[f] > 1.0 {
+                        self.rate[f] /= ft.flow_slow[f];
+                    }
+                }
+            }
             for (k, &f) in self.comp_flows.iter().enumerate() {
-                if self.rate[f].is_nan() || self.rate[f] <= 0.0 {
+                if (self.rate[f].is_nan() || self.rate[f] <= 0.0) && !self.suspended(f) {
                     return Err(NetError::StalledFlow {
                         src: self.flows[f].src,
                         dst: self.flows[f].dst,
@@ -574,7 +896,11 @@ impl<'a> FluidEngine<'a> {
                 }
                 self.remaining[f] -= self.old_rate_scratch[k] * (now - self.last_update[f]);
                 self.last_update[f] = now;
-                self.cand[f] = if self.rate[f].is_finite() {
+                // wrht-analyze: allow(r6, reason = "exact-zero sentinel: suspension writes the literal 0.0 rate, never a computed value")
+                self.cand[f] = if self.rate[f] == 0.0 {
+                    // Suspended: no completion candidate until restored.
+                    f64::INFINITY
+                } else if self.rate[f].is_finite() {
                     (now + self.remaining[f] / self.rate[f]).max(now)
                 } else {
                     now
@@ -608,34 +934,41 @@ impl<'a> FluidEngine<'a> {
         Ok(())
     }
 
-    /// Current engine clock (timestamp of the last processed batch).
-    #[must_use]
-    pub fn now(&self) -> f64 {
-        self.kernel.now()
-    }
-
     /// Events processed so far, including any before a snapshot/restore.
     #[must_use]
     pub fn events(&self) -> u64 {
         self.events_base + self.kernel.events_processed()
     }
 
-    /// Total flows ever injected.
-    #[must_use]
-    pub fn flow_count(&self) -> usize {
-        self.flows.len()
-    }
-
-    /// Flows not yet done.
+    /// Flows neither done nor failed.
     #[must_use]
     pub fn live_flows(&self) -> usize {
-        self.flows.len() - self.n_done
+        self.flows.len() - self.n_done - self.faults.as_ref().map_or(0, |f| f.failed)
     }
 
-    /// `(start, finish)` window of flow `i` (zeros until settled).
+    /// `(start, finish)` window of flow `i` (zeros until settled; a failed
+    /// flow keeps a zero finish).
     #[must_use]
     pub fn window(&self, i: usize) -> (f64, f64) {
         (self.start[i], self.finish[i])
+    }
+
+    /// Did a fault fail flow `i` (or strand it behind a failed flow)?
+    #[must_use]
+    pub fn failed(&self, i: usize) -> bool {
+        self.phase[i] == Phase::Failed
+    }
+
+    /// Times a fault killed flow `i` while it was transmitting.
+    #[must_use]
+    pub fn aborts(&self, i: usize) -> u32 {
+        self.faults.as_ref().map_or(0, |f| f.aborted[i])
+    }
+
+    /// Instant a fault first failed, aborted or slowed a flow, if any.
+    #[must_use]
+    pub fn first_impact_s(&self) -> Option<f64> {
+        self.faults.as_ref().and_then(|f| f.first_impact_s)
     }
 
     /// Rate solver invocations so far.
@@ -650,33 +983,23 @@ impl<'a> FluidEngine<'a> {
         self.solver_work
     }
 
-    /// Per-job `(active seconds, service bytes, peak rate)` attribution,
-    /// indexed by [`EngineFlow::job`].
-    #[must_use]
-    pub fn job_totals(&self) -> (&[f64], &[f64], &[f64]) {
-        (
-            &self.job_active_s,
-            &self.job_service_bytes,
-            &self.job_peak_rate,
-        )
-    }
-
-    /// Append and clear the indices of flows completed since the last call.
-    pub fn drain_completed(&mut self, out: &mut Vec<usize>) {
-        out.append(&mut self.completed);
+    /// Drain the flows completed since the last call, in completion order.
+    pub fn drain_completions(&mut self) -> impl Iterator<Item = FlowCompletion> + '_ {
+        let (flows, start, finish) = (&self.flows, &self.start, &self.finish);
+        self.completed.drain(..).map(move |i| FlowCompletion {
+            index: i,
+            job: flows[i].job,
+            start_s: start[i],
+            finish_s: finish[i],
+        })
     }
 
     /// Build the closed-set report (consumes the engine).
     pub(crate) fn into_report(self) -> EngineReport {
-        let makespan = self.finish.iter().copied().fold(0.0f64, f64::max);
         EngineReport {
-            makespan_s: makespan,
-            outcomes: self
-                .start
-                .iter()
-                .zip(&self.finish)
-                .map(|(&start_s, &finish_s)| EngineOutcome { start_s, finish_s })
-                .collect(),
+            makespan_s: self.finish.iter().copied().fold(0.0f64, f64::max),
+            start_s: self.start,
+            finish_s: self.finish,
             rate_recomputations: self.recomputations,
             solver_work: self.solver_work,
             events: self.events_base + self.kernel.events_processed(),
@@ -708,17 +1031,16 @@ impl<'a> FluidEngine<'a> {
             last_update: to_bits(&self.last_update),
             cand: to_bits(&self.cand),
             sched_cand: to_bits(&self.sched_cand),
-            flows_on_link: self.flows_on_link.clone(),
             dirty: self.dirty.clone(),
-            unsettled: self.unsettled.clone(),
-            active: self.active.clone(),
-            n_done: self.n_done,
             completed: self.completed.clone(),
             recomputations: self.recomputations,
             solver_work: self.solver_work,
             job_active_s: to_bits(&self.job_active_s),
             job_service_bytes: to_bits(&self.job_service_bytes),
             job_peak_rate: to_bits(&self.job_peak_rate),
+            job_free: self.job_free.clone(),
+            next_job: self.next_job,
+            pending_release: self.pending_release.map(f64::to_bits),
             pending: self
                 .kernel
                 .pending()
@@ -732,13 +1054,16 @@ impl<'a> FluidEngine<'a> {
     /// The resumed run is byte-identical to an uninterrupted one.
     ///
     /// # Errors
-    /// Rejects unknown snapshot versions and corrupt clocks/events.
+    /// Rejects unknown snapshot versions, corrupt clocks/events, and
+    /// images that do not fit the engine: per-flow tables of different
+    /// lengths and out-of-range flow, link, host and job references.
     pub fn restore(net: &'a Network, snap: &FluidEngineSnapshot) -> Result<Self> {
         if snap.version != SNAPSHOT_VERSION {
             return Err(NetError::BadConfig(
                 "unsupported fluid-engine snapshot version",
             ));
         }
+        check_snapshot(net, snap).map_err(NetError::BadConfig)?;
         let mut eng = Self::new(net);
         eng.kernel
             .fast_forward(f64::from_bits(snap.now))
@@ -762,11 +1087,7 @@ impl<'a> FluidEngine<'a> {
         eng.last_update = from_bits(&snap.last_update);
         eng.cand = from_bits(&snap.cand);
         eng.sched_cand = from_bits(&snap.sched_cand);
-        eng.flows_on_link = snap.flows_on_link.clone();
         eng.dirty = snap.dirty.clone();
-        eng.unsettled = snap.unsettled.clone();
-        eng.active = snap.active.clone();
-        eng.n_done = snap.n_done;
         eng.completed = snap.completed.clone();
         eng.recomputations = snap.recomputations;
         eng.solver_work = snap.solver_work;
@@ -774,6 +1095,22 @@ impl<'a> FluidEngine<'a> {
         eng.job_active_s = from_bits(&snap.job_active_s);
         eng.job_service_bytes = from_bits(&snap.job_service_bytes);
         eng.job_peak_rate = from_bits(&snap.job_peak_rate);
+        eng.job_free = snap.job_free.clone();
+        eng.next_job = snap.next_job;
+        eng.pending_release = snap.pending_release.map(f64::from_bits);
+        for (i, &phase) in eng.phase.iter().enumerate() {
+            match phase {
+                Phase::Blocked | Phase::Pending | Phase::Latency(_) => eng.unsettled.push(i),
+                Phase::Active => {
+                    eng.active.push(i);
+                    for &l in &eng.routes[i] {
+                        eng.flows_on_link[l.0].push(i);
+                    }
+                }
+                Phase::Done => eng.n_done += 1,
+                Phase::Failed => {}
+            }
+        }
         let n = eng.flows.len();
         eng.flow_seen = vec![false; n];
         eng.flow_comp = vec![0; n];
@@ -782,6 +1119,73 @@ impl<'a> FluidEngine<'a> {
         eng.job_busy = vec![false; jobs];
         Ok(eng)
     }
+}
+
+/// Structural check of a snapshot against the network it resumes on:
+/// every index the engine dereferences must name an existing flow, link,
+/// host or job, and the per-flow index lists must agree with the phases,
+/// so a corrupt image is rejected here rather than panicking mid-run.
+fn check_snapshot(net: &Network, s: &FluidEngineSnapshot) -> std::result::Result<(), &'static str> {
+    let n = s.flows.len();
+    let links = net.links().len();
+    let lengths = [
+        s.routes.len(),
+        s.latencies.len(),
+        s.dependents.len(),
+        s.missing.len(),
+        s.phase.len(),
+        s.remaining.len(),
+        s.start.len(),
+        s.finish.len(),
+        s.rate.len(),
+        s.release_scheduled.len(),
+        s.last_update.len(),
+        s.cand.len(),
+        s.sched_cand.len(),
+    ];
+    let jobs = s.job_active_s.len();
+    if lengths.iter().any(|&len| len != n)
+        || s.job_service_bytes.len() != jobs
+        || s.job_peak_rate.len() != jobs
+    {
+        return Err("snapshot tables do not match the flow table or the network");
+    }
+    let mut refs = vec![0usize; n];
+    let time = |t: f64| t.is_finite() && t >= 0.0;
+    for (i, f) in s.flows.iter().enumerate() {
+        if !(time(f.release_s) && time(f.delay_s) && time(f64::from_bits(s.latencies[i])))
+            || f.job >= jobs
+            || f.src >= net.hosts()
+            || f.dst >= net.hosts()
+            || f.deps.iter().any(|&d| d >= i)
+            || s.routes[i].iter().any(|l| l.0 >= links)
+            || s.dependents[i].iter().any(|&d| d >= n || d <= i)
+        {
+            return Err("snapshot flow has a bad time or names an unknown job, host, link or flow");
+        }
+        s.dependents[i].iter().for_each(|&d| refs[d] += 1);
+    }
+    if refs.iter().zip(&s.missing).any(|(&r, &m)| r > m) {
+        return Err("snapshot flow has more live predecessors than missing edges");
+    }
+    if s.completed.iter().any(|&i| i >= n) || s.dirty.iter().any(|&l| l >= links) {
+        return Err("snapshot names an unknown completed flow or dirty link");
+    }
+    for &(_, ev) in &s.pending {
+        match ev {
+            Ev::Release(i) | Ev::Timer(i) | Ev::Complete(i) if i < n => {}
+            _ => return Err("snapshot event names an unknown flow or a fault"),
+        }
+    }
+    let mut seen = vec![false; s.next_job];
+    if !s
+        .job_free
+        .iter()
+        .all(|&j| j < s.next_job && !std::mem::replace(&mut seen[j], true))
+    {
+        return Err("snapshot job free list names an unknown or repeated job");
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -861,6 +1265,37 @@ mod tests {
     }
 
     #[test]
+    fn corrupt_snapshots_are_rejected_not_panicked() {
+        let net = star_cluster(4, 1e9, 0.0);
+        let mut eng = FluidEngine::new(&net);
+        eng.inject(&[
+            flow(0, 1, 1_000_000, 0.0, vec![]),
+            flow(1, 2, 1_000_000, 0.0, vec![0]),
+        ])
+        .unwrap();
+        eng.step().unwrap();
+        let good = eng.snapshot();
+        let corruptions: [fn(&mut FluidEngineSnapshot); 5] = [
+            |s| s.completed.push(99),
+            |s| s.dependents[0].push(99),
+            |s| s.pending.push((1.0f64.to_bits(), Ev::Timer(99))),
+            |s| s.job_free.push(5),
+            |s| {
+                s.phase.pop();
+            },
+        ];
+        for corrupt in corruptions {
+            let mut snap = good.clone();
+            corrupt(&mut snap);
+            assert!(matches!(
+                FluidEngine::restore(&net, &snap),
+                Err(NetError::BadConfig(_))
+            ));
+        }
+        assert!(FluidEngine::restore(&net, &good).is_ok());
+    }
+
+    #[test]
     fn unknown_snapshot_version_is_rejected() {
         let net = star_cluster(4, 1e9, 0.0);
         let eng = FluidEngine::new(&net);
@@ -885,8 +1320,6 @@ mod tests {
         assert_eq!(eng.live_flows(), 0);
         assert!(eng.routes.iter().all(Vec::is_empty));
         assert!(eng.dependents.iter().all(Vec::is_empty));
-        let mut done = Vec::new();
-        eng.drain_completed(&mut done);
-        assert_eq!(done.len(), 2);
+        assert_eq!(eng.drain_completions().count(), 2);
     }
 }

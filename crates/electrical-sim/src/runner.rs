@@ -6,12 +6,13 @@
 //! overhead, and moves to the next step — mirroring how the paper times its
 //! SimGrid baselines.
 
-use crate::error::Result;
+use crate::engine::FluidEngine;
+use crate::error::{NetError, Result};
 use crate::flow::FlowSpec;
 use crate::graph::Network;
-use crate::sim::{run_engine, run_engine_faulted, run_flows, EngineFault, EngineFlow};
+use crate::sim::{run_engine, run_flows, EngineFlow, EngineReport};
 use serde::{Deserialize, Serialize};
-use wrht_kernel::{FaultKind, FaultLimits, FaultPolicy, FaultScript};
+use wrht_kernel::{FaultPolicy, FaultScript};
 
 /// One transfer inside a step (sizes in bytes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -269,16 +270,7 @@ pub fn run_dag_jobs(
     jobs: usize,
     per_message_overhead_s: f64,
 ) -> Result<TenantDagReport> {
-    if job_of.len() != flows.len() {
-        return Err(crate::error::NetError::BadConfig(
-            "job tag list must match the flow list",
-        ));
-    }
-    if job_of.iter().any(|&j| j >= jobs) {
-        return Err(crate::error::NetError::BadConfig(
-            "job tag out of range of the job count",
-        ));
-    }
+    check_jobs(flows, job_of, jobs)?;
     if let Some(stages) = barrier_stages(flows) {
         // Keep the stepped fast path so single-tenant barrier DAGs stay
         // bit-exact with `run_dag`/`run_steps`; delivered bytes are exact,
@@ -295,28 +287,30 @@ pub fn run_dag_jobs(
             job_peak_rate_bps: vec![0.0; jobs],
         });
     }
-    let engine_flows: Vec<EngineFlow> = flows
-        .iter()
-        .zip(job_of)
-        .map(|(f, &job)| EngineFlow {
-            src: f.src,
-            dst: f.dst,
-            bytes: f.bytes,
-            release_s: f.release_s,
-            delay_s: per_message_overhead_s,
-            deps: f.deps.clone(),
-            job,
-        })
-        .collect();
-    let r = run_engine(net, &engine_flows)?;
+    let r = run_engine(net, &engine_flows(flows, job_of, per_message_overhead_s))?;
+    Ok(tenant_report(r, jobs))
+}
+
+fn check_jobs(flows: &[DagFlow], job_of: &[usize], jobs: usize) -> Result<()> {
+    if job_of.len() != flows.len() {
+        return Err(NetError::BadConfig("job tag list must match the flow list"));
+    }
+    if job_of.iter().any(|&j| j >= jobs) {
+        return Err(NetError::BadConfig("job tag out of range of the job count"));
+    }
+    Ok(())
+}
+
+/// The report of an event-engine run, per-job vectors padded to `jobs`.
+fn tenant_report(r: EngineReport, jobs: usize) -> TenantDagReport {
     let pad = |mut v: Vec<f64>| {
         v.resize(jobs, 0.0);
         v
     };
-    Ok(TenantDagReport {
+    TenantDagReport {
         report: DagRunReport {
             makespan_s: r.makespan_s,
-            windows: r.outcomes.iter().map(|o| (o.start_s, o.finish_s)).collect(),
+            windows: r.start_s.into_iter().zip(r.finish_s).collect(),
             rate_recomputations: r.rate_recomputations,
             solver_work: r.solver_work,
             events: r.events,
@@ -325,7 +319,7 @@ pub fn run_dag_jobs(
         job_active_s: pad(r.job_active_s),
         job_service_bytes: pad(r.job_service_bytes),
         job_peak_rate_bps: pad(r.job_peak_rate_bps),
-    })
+    }
 }
 
 /// Result of a faulted dependency-aware run ([`run_dag_jobs_faulted`]).
@@ -343,29 +337,10 @@ pub struct FaultDagRunReport {
     pub first_impact_s: Option<f64>,
 }
 
-impl FaultDagRunReport {
-    /// Number of transfers that never completed.
-    #[must_use]
-    pub fn failed_transfers(&self) -> usize {
-        self.failed.iter().filter(|&&f| f).count()
-    }
-}
-
 /// Execute a (multi-job) dependency-aware schedule under a [`FaultScript`]
-/// with the given recovery [`FaultPolicy`].
-///
-/// Electrically relevant kinds: `LinkDegrade { factor }` multiplies the
-/// link's capacity from the fault instant onward and triggers an
-/// incremental per-component max-min re-solve at that instant; `LinkFlap`
-/// lowers to a capacity-zero interval (crossing flows are *suspended* —
-/// fluid progress freezes and resumes on restore, so nothing is lost);
-/// `NodeDown` permanently fails every unfinished flow touching the node
-/// (whole-job failure under [`FaultPolicy::FailJob`], survivor re-planning
-/// of dependents under `RetryAfter`/`Replan`); `NodeStraggle` caps flows
-/// touching the node at `1/slowdown` of their max-min share. Wavelength
-/// events have no electrical meaning and are ignored.
-///
-/// With no relevant events the run delegates to [`run_dag_jobs`] —
+/// with the given recovery [`FaultPolicy`]: a closed driver over the
+/// [`FluidEngine`], which schedules the faults on its own kernel (see
+/// [`crate::engine`] for the per-kind semantics). With no relevant events the run delegates to [`run_dag_jobs`] —
 /// including its barrier fast path — and is **bit-exact** with the clean
 /// entry points. Single-job callers pass `job_of = [0; n], jobs = 1`.
 pub fn run_dag_jobs_faulted(
@@ -377,64 +352,9 @@ pub fn run_dag_jobs_faulted(
     script: &FaultScript,
     policy: FaultPolicy,
 ) -> Result<FaultDagRunReport> {
-    if job_of.len() != flows.len() {
-        return Err(crate::error::NetError::BadConfig(
-            "job tag list must match the flow list",
-        ));
-    }
-    if job_of.iter().any(|&j| j >= jobs) {
-        return Err(crate::error::NetError::BadConfig(
-            "job tag out of range of the job count",
-        ));
-    }
-    let limits = FaultLimits {
-        nodes: net.hosts(),
-        wavelengths: None,
-        links: Some(net.links().len()),
-    };
-    script.validate(&limits)?;
-    policy.validate()?;
-
-    let mut faults: Vec<(f64, EngineFault)> = Vec::new();
-    for ev in script.events() {
-        match ev.kind {
-            FaultKind::LinkDegrade { link, factor } => {
-                // A full-capacity "degrade" on a link no other event
-                // disturbs is a no-op; dropping it keeps such scripts
-                // bit-exact with the clean run (an extra kernel instant
-                // would otherwise split fluid intervals and can perturb
-                // completion times in the last ulp).
-                let lone_restore = factor >= 1.0
-                    && !script.events().iter().any(|other| {
-                        matches!(other.kind,
-                            FaultKind::LinkDegrade { link: l, factor: f } if l == link && f < 1.0)
-                            || matches!(other.kind,
-                                FaultKind::LinkFlap { link: l, .. } if l == link)
-                    });
-                if !lone_restore {
-                    faults.push((ev.at_s, EngineFault::SetLinkFactor { link, factor }));
-                }
-            }
-            FaultKind::LinkFlap { link, down_s } => {
-                // Dark for `down_s`, then back to full capacity (a flap
-                // restore forgets any earlier degrade on the same link).
-                faults.push((ev.at_s, EngineFault::SetLinkFactor { link, factor: 0.0 }));
-                faults.push((
-                    ev.at_s + down_s,
-                    EngineFault::SetLinkFactor { link, factor: 1.0 },
-                ));
-            }
-            FaultKind::NodeDown { node } => {
-                faults.push((ev.at_s, EngineFault::NodeDown { node }));
-            }
-            FaultKind::NodeStraggle { node, slowdown } => {
-                faults.push((ev.at_s, EngineFault::Straggle { node, slowdown }));
-            }
-            // Wavelengths are an optical concept; no electrical meaning.
-            FaultKind::WavelengthDown { .. } | FaultKind::WavelengthUp { .. } => {}
-        }
-    }
-    if faults.is_empty() {
+    check_jobs(flows, job_of, jobs)?;
+    let mut eng = FluidEngine::new(net);
+    if !eng.set_faults(script, policy)? {
         // Zero relevant faults: the clean entry point (barrier fast path
         // included), bit-exactly.
         let tenant = run_dag_jobs(net, flows, job_of, jobs, per_message_overhead_s)?;
@@ -445,8 +365,28 @@ pub fn run_dag_jobs_faulted(
             tenant,
         });
     }
+    eng.inject(&engine_flows(flows, job_of, per_message_overhead_s))?;
+    // Stop the instant every flow settled: later fault events and stale
+    // wake-ups have nothing left to act on.
+    while eng.live_flows() > 0 && eng.step()?.is_some() {}
+    let failed = (0..flows.len()).map(|i| eng.failed(i)).collect();
+    let aborted = (0..flows.len()).map(|i| eng.aborts(i)).collect();
+    let first_impact_s = eng.first_impact_s();
+    Ok(FaultDagRunReport {
+        tenant: tenant_report(eng.into_report(), jobs),
+        failed,
+        aborted,
+        first_impact_s,
+    })
+}
 
-    let engine_flows: Vec<EngineFlow> = flows
+/// The engine flows of a tagged dependency-aware schedule.
+fn engine_flows(
+    flows: &[DagFlow],
+    job_of: &[usize],
+    per_message_overhead_s: f64,
+) -> Vec<EngineFlow> {
+    flows
         .iter()
         .zip(job_of)
         .map(|(f, &job)| EngineFlow {
@@ -458,35 +398,7 @@ pub fn run_dag_jobs_faulted(
             deps: f.deps.clone(),
             job,
         })
-        .collect();
-    let r = run_engine_faulted(net, &engine_flows, &faults, policy)?;
-    let pad = |mut v: Vec<f64>| {
-        v.resize(jobs, 0.0);
-        v
-    };
-    Ok(FaultDagRunReport {
-        tenant: TenantDagReport {
-            report: DagRunReport {
-                makespan_s: r.base.makespan_s,
-                windows: r
-                    .base
-                    .outcomes
-                    .iter()
-                    .map(|o| (o.start_s, o.finish_s))
-                    .collect(),
-                rate_recomputations: r.base.rate_recomputations,
-                solver_work: r.base.solver_work,
-                events: r.base.events,
-                barrier_fast_path: false,
-            },
-            job_active_s: pad(r.base.job_active_s),
-            job_service_bytes: pad(r.base.job_service_bytes),
-            job_peak_rate_bps: pad(r.base.job_peak_rate_bps),
-        },
-        failed: r.failed,
-        aborted: r.aborted,
-        first_impact_s: r.first_impact_s,
-    })
+        .collect()
 }
 
 /// Execute a dependency-aware schedule strictly through the event-driven
@@ -497,31 +409,11 @@ pub fn run_dag_event_driven(
     flows: &[DagFlow],
     per_message_overhead_s: f64,
 ) -> Result<DagRunReport> {
-    let engine_flows: Vec<EngineFlow> = flows
-        .iter()
-        .map(|f| EngineFlow {
-            src: f.src,
-            dst: f.dst,
-            bytes: f.bytes,
-            release_s: f.release_s,
-            delay_s: per_message_overhead_s,
-            deps: f.deps.clone(),
-            job: 0,
-        })
-        .collect();
-    let report = run_engine(net, &engine_flows)?;
-    Ok(DagRunReport {
-        makespan_s: report.makespan_s,
-        windows: report
-            .outcomes
-            .iter()
-            .map(|o| (o.start_s, o.finish_s))
-            .collect(),
-        rate_recomputations: report.rate_recomputations,
-        solver_work: report.solver_work,
-        events: report.events,
-        barrier_fast_path: false,
-    })
+    let r = run_engine(
+        net,
+        &engine_flows(flows, &vec![0; flows.len()], per_message_overhead_s),
+    )?;
+    Ok(tenant_report(r, 1).report)
 }
 
 #[cfg(test)]

@@ -37,9 +37,9 @@
 use crate::error::{NetError, Result};
 use crate::flow::FlowSpec;
 use crate::graph::{LinkId, Network};
-use crate::maxmin::{maxmin_rates_counted, progressive_fill};
+use crate::maxmin::maxmin_rates_counted;
 use serde::{Deserialize, Serialize};
-use wrht_kernel::{EventKernel, FaultPolicy};
+use wrht_kernel::EventKernel;
 
 /// Wake-up events of the fluid engines. `Release`/`Timer` only wake the
 /// engine (promotion happens in the engine's own `EPS`-tolerant scan, so a
@@ -160,15 +160,6 @@ pub struct EngineFlow {
     pub job: usize,
 }
 
-/// Per-flow window reported by the engine.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct EngineOutcome {
-    /// Instant the flow's gates opened (deps + release satisfied).
-    pub start_s: f64,
-    /// Completion instant.
-    pub finish_s: f64,
-}
-
 /// Result of a dependency-aware engine run.
 ///
 /// The three `job_*` vectors are indexed by [`EngineFlow::job`] (length =
@@ -181,7 +172,10 @@ pub(crate) struct EngineOutcome {
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct EngineReport {
     pub makespan_s: f64,
-    pub outcomes: Vec<EngineOutcome>,
+    /// Per flow: instant its gates opened (deps + release satisfied).
+    pub start_s: Vec<f64>,
+    /// Per flow: completion instant (0 for a failed flow).
+    pub finish_s: Vec<f64>,
     pub rate_recomputations: usize,
     pub solver_work: usize,
     /// Discrete events processed by the kernel (wake-ups + completions).
@@ -202,8 +196,8 @@ pub(crate) enum Phase {
     /// Transmitting; `remaining` bytes to go.
     Active,
     Done,
-    /// Permanently failed by a fault (never constructed by the clean
-    /// engine): terminal like `Done`, but with no completion instant.
+    /// Permanently failed by a fault (only under an installed fault
+    /// script): terminal like `Done`, but with no completion instant.
     Failed,
 }
 
@@ -224,556 +218,6 @@ pub(crate) fn run_engine(net: &Network, flows: &[EngineFlow]) -> Result<EngineRe
     eng.inject(flows)?;
     while eng.step()?.is_some() {}
     Ok(eng.into_report())
-}
-
-/// One substrate-lowered fault of the faulted engine ([`run_engine_faulted`]).
-/// `FaultScript` lowering happens in the runner: a `LinkDegrade` becomes one
-/// `SetLinkFactor`, a `LinkFlap` becomes `SetLinkFactor { factor: 0.0 }`
-/// plus a restoring `SetLinkFactor { factor: 1.0 }` at the flap's end.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum EngineFault {
-    /// Multiply the link's capacity by `factor` from the instant onward
-    /// (`0.0` = dark: flows crossing it are suspended, not aborted).
-    SetLinkFactor { link: usize, factor: f64 },
-    /// The node fails permanently; flows touching it can never complete.
-    NodeDown { node: usize },
-    /// Flows touching the node get their allocated rate divided by
-    /// `slowdown` (the freed share is *not* redistributed to other flows).
-    Straggle { node: usize, slowdown: f64 },
-}
-
-/// Result of a faulted engine run: the clean report shape plus per-flow
-/// casualty accounting. Failed flows keep `finish_s == 0.0` and are
-/// excluded from the makespan.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct FaultEngineReport {
-    pub base: EngineReport,
-    /// Per-flow: permanently failed by a fault.
-    pub failed: Vec<bool>,
-    /// Per-flow: killed while actively transmitting.
-    pub aborted: Vec<u32>,
-    /// Instant the first flow was failed, aborted, or slowed mid-flight by
-    /// a fault (a degrade/straggle catching active flows counts), if any.
-    pub first_impact_s: Option<f64>,
-}
-
-/// [`run_engine`] under a list of timestamped faults, scheduled through the
-/// same kernel as releases, timers and completions.
-///
-/// Semantics: `SetLinkFactor` scales the link's capacity and triggers an
-/// incremental max-min re-solve of the affected contention component at the
-/// fault instant (factor `0.0` suspends crossing flows at rate zero — fluid
-/// progress freezes, no [`NetError::StalledFlow`] — until a later restore);
-/// `Straggle` caps flows touching the node at `1/slowdown` of their max-min
-/// share; `NodeDown` permanently fails every unfinished flow touching the
-/// node. Under [`FaultPolicy::FailJob`] a failed flow fails its whole job;
-/// under `RetryAfter`/`Replan` the failed flow's dependents are released so
-/// survivors re-plan (retrying a dead endpoint is futile, so the two
-/// policies coincide on this substrate — nothing transient is ever lost,
-/// suspension already preserves progress).
-///
-/// Same-instant order: completions coalesced with a fault at a bit-
-/// identical instant are applied **before** the fault. With an empty fault
-/// list callers should use [`run_engine`] — the runner delegates there so
-/// zero-fault runs stay bit-exact on the clean code path.
-pub(crate) fn run_engine_faulted(
-    net: &Network,
-    flows: &[EngineFlow],
-    faults: &[(f64, EngineFault)],
-    policy: FaultPolicy,
-) -> Result<FaultEngineReport> {
-    let n = flows.len();
-    if n == 0 {
-        return Ok(FaultEngineReport {
-            base: EngineReport {
-                makespan_s: 0.0,
-                outcomes: Vec::new(),
-                rate_recomputations: 0,
-                solver_work: 0,
-                events: 0,
-                job_active_s: Vec::new(),
-                job_service_bytes: Vec::new(),
-                job_peak_rate_bps: Vec::new(),
-            },
-            failed: Vec::new(),
-            aborted: Vec::new(),
-            first_impact_s: None,
-        });
-    }
-
-    #[derive(Debug, Clone, Copy)]
-    enum FEv {
-        Release(usize),
-        Timer(usize),
-        Complete(usize),
-        Fault(usize),
-    }
-
-    // Validate and pre-route everything up front (same checks as the clean
-    // engine).
-    let mut routes: Vec<Vec<LinkId>> = Vec::with_capacity(n);
-    let mut latencies: Vec<f64> = Vec::with_capacity(n);
-    for (i, f) in flows.iter().enumerate() {
-        if f.deps.iter().any(|&d| d >= i) {
-            return Err(NetError::BadConfig("dependency must precede its flow"));
-        }
-        if !f.release_s.is_finite() || f.release_s < 0.0 {
-            return Err(NetError::BadConfig("release time must be finite and >= 0"));
-        }
-        routes.push(net.route(f.src, f.dst)?);
-        latencies.push(net.route_latency(f.src, f.dst)?);
-    }
-    let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut missing: Vec<usize> = vec![0; n];
-    for (i, f) in flows.iter().enumerate() {
-        missing[i] = f.deps.len();
-        for &d in &f.deps {
-            dependents[d].push(i);
-        }
-    }
-
-    let n_links = net.links().len();
-    let mut phase: Vec<Phase> = (0..n)
-        .map(|i| {
-            if missing[i] == 0 {
-                Phase::Pending
-            } else {
-                Phase::Blocked
-            }
-        })
-        .collect();
-    let mut remaining: Vec<f64> = flows.iter().map(|f| f.bytes as f64).collect();
-    let mut start = vec![0.0f64; n];
-    let mut finish = vec![0.0f64; n];
-    let mut rate = vec![0.0f64; n];
-    let mut now = 0.0f64;
-
-    let mut kernel: EventKernel<FEv> = EventKernel::with_capacity(n + faults.len());
-    for (fi, &(at_s, _)) in faults.iter().enumerate() {
-        kernel
-            .schedule_at(at_s, FEv::Fault(fi))
-            .expect("validated fault time");
-    }
-    let mut release_scheduled = vec![false; n];
-    let mut last_update = vec![0.0f64; n];
-    let mut cand = vec![f64::INFINITY; n];
-    let mut sched_cand = vec![f64::INFINITY; n];
-    let mut old_rate_scratch: Vec<f64> = Vec::new();
-    let mut batch: Vec<FEv> = Vec::new();
-
-    let mut flows_on_link: Vec<Vec<usize>> = vec![Vec::new(); n_links];
-    let mut dirty: Vec<usize> = Vec::new();
-    let mut link_seen = vec![false; n_links];
-    let mut flow_seen = vec![false; n];
-    let mut flow_comp = vec![0u32; n];
-    let mut comp_min: Vec<(f64, usize)> = Vec::new();
-    let mut cap_scratch = vec![0.0f64; n_links];
-    let mut count_scratch = vec![0usize; n_links];
-    let mut recomputations = 0usize;
-    let mut solver_work = 0usize;
-
-    // Fault state.
-    let mut link_factor = vec![1.0f64; n_links];
-    let mut node_slow = vec![1.0f64; net.hosts()];
-    let mut flow_slow = vec![1.0f64; n];
-    let mut aborted = vec![0u32; n];
-    let mut first_impact: Option<f64> = None;
-    let n_jobs = flows.iter().map(|f| f.job + 1).max().unwrap_or(0);
-    let mut jobs_to_fail = vec![false; n_jobs];
-
-    let mut job_active_s = vec![0.0f64; n_jobs];
-    let mut job_service_bytes = vec![0.0f64; n_jobs];
-    let mut job_peak_rate = vec![0.0f64; n_jobs];
-    let mut job_agg_rate = vec![0.0f64; n_jobs];
-    let mut job_busy = vec![false; n_jobs];
-
-    loop {
-        // Promote flows whose gates opened or timers expired (fixpoint, as
-        // in the clean engine).
-        loop {
-            let mut unblocked = false;
-            for i in 0..n {
-                match phase[i] {
-                    Phase::Pending if flows[i].release_s <= now + EPS => {
-                        start[i] = now;
-                        let pipe = if remaining[i] <= EPS {
-                            flows[i].delay_s
-                        } else {
-                            flows[i].delay_s + latencies[i]
-                        };
-                        if pipe > 0.0 {
-                            phase[i] = Phase::Latency(now + pipe);
-                            kernel
-                                .schedule_at(now + pipe, FEv::Timer(i))
-                                .expect("latency expiry is ahead of the clock");
-                        } else if remaining[i] <= EPS {
-                            phase[i] = Phase::Done;
-                            finish[i] = now;
-                            for &dep in &dependents[i] {
-                                missing[dep] -= 1;
-                                unblocked = true;
-                            }
-                        } else {
-                            phase[i] = Phase::Active;
-                            for &l in &routes[i] {
-                                flows_on_link[l.0].push(i);
-                                dirty.push(l.0);
-                            }
-                        }
-                    }
-                    Phase::Latency(t) if t <= now + EPS => {
-                        if remaining[i] <= EPS {
-                            phase[i] = Phase::Done;
-                            finish[i] = now.max(t);
-                            for &dep in &dependents[i] {
-                                missing[dep] -= 1;
-                                unblocked = true;
-                            }
-                        } else {
-                            phase[i] = Phase::Active;
-                            for &l in &routes[i] {
-                                flows_on_link[l.0].push(i);
-                                dirty.push(l.0);
-                            }
-                        }
-                    }
-                    Phase::Pending if !release_scheduled[i] => {
-                        release_scheduled[i] = true;
-                        kernel
-                            .schedule_at(flows[i].release_s, FEv::Release(i))
-                            .expect("pending release is ahead of the clock");
-                    }
-                    Phase::Blocked if missing[i] == 0 => {
-                        phase[i] = Phase::Pending;
-                        unblocked = true;
-                    }
-                    _ => {}
-                }
-            }
-            if !unblocked {
-                break;
-            }
-        }
-
-        // Incremental per-component re-solve, with faulted capacities and
-        // straggle caps layered on top of the clean arithmetic.
-        if !dirty.is_empty() {
-            let mut comp_links: Vec<usize> = Vec::new();
-            let mut comp_flows: Vec<usize> = Vec::new();
-            let mut stack: Vec<usize> = Vec::new();
-            let mut n_comps = 0usize;
-            for &seed in &dirty {
-                if link_seen[seed] {
-                    continue;
-                }
-                link_seen[seed] = true;
-                comp_links.push(seed);
-                stack.push(seed);
-                let mut found_flow = false;
-                while let Some(l) = stack.pop() {
-                    for &f in &flows_on_link[l] {
-                        if !flow_seen[f] {
-                            flow_seen[f] = true;
-                            flow_comp[f] = u32::try_from(n_comps).expect("component count");
-                            comp_flows.push(f);
-                            found_flow = true;
-                            for &l2 in &routes[f] {
-                                if !link_seen[l2.0] {
-                                    link_seen[l2.0] = true;
-                                    comp_links.push(l2.0);
-                                    stack.push(l2.0);
-                                }
-                            }
-                        }
-                    }
-                }
-                if found_flow {
-                    n_comps += 1;
-                }
-            }
-            comp_links.sort_unstable();
-            comp_flows.sort_unstable();
-            if !comp_flows.is_empty() {
-                recomputations += 1;
-                for &l in &comp_links {
-                    // The one capacity difference from the clean engine.
-                    cap_scratch[l] = net.links()[l].capacity_bps * link_factor[l];
-                    count_scratch[l] = flows_on_link[l].len();
-                }
-                old_rate_scratch.clear();
-                old_rate_scratch.extend(comp_flows.iter().map(|&f| rate[f]));
-                progressive_fill(
-                    &comp_links,
-                    &comp_flows,
-                    &routes,
-                    &mut cap_scratch,
-                    &mut count_scratch,
-                    &mut rate,
-                    &mut solver_work,
-                );
-                // Straggle cap: the node processes at 1/slowdown, and the
-                // share other flows could have claimed is left on the table
-                // (max-min redistribution would hide the straggler).
-                for &f in &comp_flows {
-                    if flow_slow[f] > 1.0 {
-                        rate[f] /= flow_slow[f];
-                    }
-                }
-                for (k, &f) in comp_flows.iter().enumerate() {
-                    if rate[f].is_nan() || rate[f] <= 0.0 {
-                        // A dark link (flap in progress) suspends its flows:
-                        // progress freezes until the restoring fault dirties
-                        // the link again. Any other zero rate is the clean
-                        // engine's permanent stall.
-                        // wrht-analyze: allow(r6, reason = "exact-zero sentinel: suspension assigns the literal 0.0 rate, never a computed value")
-                        let zero_rate = rate[f] == 0.0;
-                        // wrht-analyze: allow(r6, reason = "exact-zero sentinel: a dark link's factor is the literal 0.0, never a computed value")
-                        let on_dark_link = routes[f].iter().any(|&l| link_factor[l.0] == 0.0);
-                        let suspended = zero_rate && on_dark_link;
-                        if !suspended {
-                            return Err(NetError::StalledFlow {
-                                src: flows[f].src,
-                                dst: flows[f].dst,
-                            });
-                        }
-                    }
-                    if rate[f].to_bits() == old_rate_scratch[k].to_bits() {
-                        continue;
-                    }
-                    remaining[f] -= old_rate_scratch[k] * (now - last_update[f]);
-                    last_update[f] = now;
-                    // wrht-analyze: allow(r6, reason = "exact-zero sentinel: suspension writes the literal 0.0 rate, never a computed value")
-                    cand[f] = if rate[f] == 0.0 {
-                        // Suspended: no completion candidate until restored.
-                        f64::INFINITY
-                    } else if rate[f].is_finite() {
-                        (now + remaining[f] / rate[f]).max(now)
-                    } else {
-                        now
-                    };
-                }
-                comp_min.clear();
-                comp_min.resize(n_comps, (f64::INFINITY, usize::MAX));
-                for &f in &comp_flows {
-                    let c = flow_comp[f] as usize;
-                    if cand[f] < comp_min[c].0 {
-                        comp_min[c] = (cand[f], f);
-                    }
-                }
-                for &(t, f) in &comp_min {
-                    if f != usize::MAX && sched_cand[f].to_bits() != t.to_bits() {
-                        sched_cand[f] = t;
-                        kernel
-                            .schedule_at(t, FEv::Complete(f))
-                            .expect("completion candidate is ahead of the clock");
-                    }
-                }
-            }
-            for &l in &comp_links {
-                link_seen[l] = false;
-            }
-            for &f in &comp_flows {
-                flow_seen[f] = false;
-            }
-            dirty.clear();
-        }
-
-        // Pop the next live batch (fault events are always live).
-        let batch_time = loop {
-            batch.clear();
-            match kernel.pop_batch(&mut batch) {
-                None => break None,
-                Some(t) => {
-                    let mut live = false;
-                    for ev in &batch {
-                        match *ev {
-                            FEv::Release(i) => live |= phase[i] == Phase::Pending,
-                            FEv::Timer(i) => live |= matches!(phase[i], Phase::Latency(_)),
-                            FEv::Complete(i) => {
-                                if sched_cand[i].to_bits() == t.to_bits() {
-                                    sched_cand[i] = f64::INFINITY;
-                                }
-                                live |=
-                                    phase[i] == Phase::Active && cand[i].to_bits() == t.to_bits();
-                            }
-                            FEv::Fault(_) => live = true,
-                        }
-                    }
-                    if live {
-                        break Some(t);
-                    }
-                }
-            }
-        };
-        let Some(next) = batch_time else {
-            if phase
-                .iter()
-                .all(|&p| matches!(p, Phase::Done | Phase::Failed))
-            {
-                break;
-            }
-            if phase.contains(&Phase::Failed) {
-                // Survivors stranded behind failed flows (e.g. cross-job
-                // dependents under FailJob) are casualties, not a malformed
-                // DAG.
-                for p in phase.iter_mut() {
-                    if !matches!(*p, Phase::Done | Phase::Failed) {
-                        *p = Phase::Failed;
-                    }
-                }
-                break;
-            }
-            return Err(NetError::BadConfig("unreachable flows in dependency DAG"));
-        };
-        let dt = (next - now).max(0.0);
-
-        // Attribute rates to jobs over [now, next]. Suspended flows (rate
-        // zero during a flap) are Active but neither transmit nor count as
-        // busy time.
-        job_agg_rate.fill(0.0);
-        job_busy.fill(false);
-        for i in 0..n {
-            if phase[i] == Phase::Active && rate[i].is_finite() && rate[i] > 0.0 {
-                job_agg_rate[flows[i].job] += rate[i];
-                job_busy[flows[i].job] = true;
-            }
-        }
-        for j in 0..n_jobs {
-            if job_busy[j] {
-                job_peak_rate[j] = job_peak_rate[j].max(job_agg_rate[j]);
-                if dt > 0.0 {
-                    job_active_s[j] += dt;
-                    job_service_bytes[j] += job_agg_rate[j] * dt;
-                }
-            }
-        }
-
-        // Apply the instant: completions first (found by candidate bits, as
-        // in the clean engine)...
-        for i in 0..n {
-            if phase[i] == Phase::Active && cand[i].to_bits() == next.to_bits() {
-                remaining[i] = 0.0;
-                phase[i] = Phase::Done;
-                finish[i] = next;
-                for &l in &routes[i] {
-                    flows_on_link[l.0].retain(|&f| f != i);
-                    dirty.push(l.0);
-                }
-                for &dep in &dependents[i] {
-                    missing[dep] -= 1;
-                }
-            }
-        }
-        // ... then the faults coalesced at this instant (documented order: a
-        // flow finishing at exactly the fault instant is finished, not
-        // failed).
-        let mut any_fault = false;
-        for ev in &batch {
-            let FEv::Fault(fi) = *ev else { continue };
-            any_fault = true;
-            match faults[fi].1 {
-                EngineFault::SetLinkFactor { link, factor } => {
-                    // A degrade that catches flows mid-flight is the fault's
-                    // first observable impact; a restore (factor rising) is
-                    // recovery, not impact.
-                    if factor < link_factor[link] && !flows_on_link[link].is_empty() {
-                        first_impact.get_or_insert(next);
-                    }
-                    link_factor[link] = factor;
-                    dirty.push(link);
-                }
-                EngineFault::Straggle { node, slowdown } => {
-                    node_slow[node] = node_slow[node].max(slowdown);
-                    for i in 0..n {
-                        if flows[i].src == node || flows[i].dst == node {
-                            let slow = node_slow[flows[i].src].max(node_slow[flows[i].dst]);
-                            if slow > flow_slow[i] {
-                                flow_slow[i] = slow;
-                                if phase[i] == Phase::Active {
-                                    first_impact.get_or_insert(next);
-                                    for &l in &routes[i] {
-                                        dirty.push(l.0);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-                EngineFault::NodeDown { node } => {
-                    // Ascending index order lets failure cascade through
-                    // dependents that also touch the node in one sweep.
-                    for i in 0..n {
-                        if (flows[i].src == node || flows[i].dst == node)
-                            && !matches!(phase[i], Phase::Done | Phase::Failed)
-                        {
-                            if phase[i] == Phase::Active {
-                                aborted[i] += 1;
-                                for &l in &routes[i] {
-                                    flows_on_link[l.0].retain(|&f| f != i);
-                                    dirty.push(l.0);
-                                }
-                            }
-                            phase[i] = Phase::Failed;
-                            first_impact.get_or_insert(next);
-                            match policy {
-                                FaultPolicy::FailJob => jobs_to_fail[flows[i].job] = true,
-                                FaultPolicy::RetryAfter(_) | FaultPolicy::Replan => {
-                                    for &dep in &dependents[i] {
-                                        missing[dep] -= 1;
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        if any_fault && jobs_to_fail.iter().any(|&f| f) {
-            for i in 0..n {
-                if jobs_to_fail[flows[i].job] && !matches!(phase[i], Phase::Done | Phase::Failed) {
-                    if phase[i] == Phase::Active {
-                        for &l in &routes[i] {
-                            flows_on_link[l.0].retain(|&f| f != i);
-                            dirty.push(l.0);
-                        }
-                    }
-                    phase[i] = Phase::Failed;
-                    first_impact.get_or_insert(next);
-                }
-            }
-            jobs_to_fail.iter_mut().for_each(|f| *f = false);
-        }
-        now = next;
-
-        if phase
-            .iter()
-            .all(|&p| matches!(p, Phase::Done | Phase::Failed))
-        {
-            break;
-        }
-    }
-
-    let makespan = finish.iter().copied().fold(0.0f64, f64::max);
-    let failed: Vec<bool> = phase.iter().map(|&p| p == Phase::Failed).collect();
-    Ok(FaultEngineReport {
-        base: EngineReport {
-            makespan_s: makespan,
-            outcomes: start
-                .iter()
-                .zip(&finish)
-                .map(|(&start_s, &finish_s)| EngineOutcome { start_s, finish_s })
-                .collect(),
-            rate_recomputations: recomputations,
-            solver_work,
-            events: kernel.events_processed(),
-            job_active_s,
-            job_service_bytes,
-            job_peak_rate_bps: job_peak_rate,
-        },
-        failed,
-        aborted,
-        first_impact_s: first_impact,
-    })
 }
 
 /// Simulate `specs` over `net` and report completion times.
@@ -807,10 +251,10 @@ pub fn run_flows(net: &Network, specs: &[FlowSpec]) -> Result<RunReport> {
         makespan_s: report.makespan_s,
         flows: specs
             .iter()
-            .zip(&report.outcomes)
-            .map(|(s, o)| FlowOutcome {
+            .zip(&report.finish_s)
+            .map(|(s, &finish_s)| FlowOutcome {
                 release_s: s.release_s(),
-                finish_s: o.finish_s,
+                finish_s,
             })
             .collect(),
         rate_recomputations: report.rate_recomputations,
@@ -1197,8 +641,8 @@ mod tests {
             },
         ];
         let r = run_engine(&net, &flows).unwrap();
-        assert!((r.outcomes[0].finish_s - 1e-3).abs() < 1e-12);
-        assert!((r.outcomes[1].start_s - 1e-3).abs() < 1e-12);
+        assert!((r.finish_s[0] - 1e-3).abs() < 1e-12);
+        assert!((r.start_s[1] - 1e-3).abs() < 1e-12);
         assert!((r.makespan_s - 2e-3).abs() < 1e-12);
     }
 
@@ -1228,8 +672,8 @@ mod tests {
         let r = run_engine(&net, &flows).unwrap();
         // The zero-byte flow completes instantly at its release; the
         // dependent starts right there.
-        assert!((r.outcomes[0].finish_s - 1e-3).abs() < 1e-12);
-        assert!((r.outcomes[1].start_s - 1e-3).abs() < 1e-12);
+        assert!((r.finish_s[0] - 1e-3).abs() < 1e-12);
+        assert!((r.start_s[1] - 1e-3).abs() < 1e-12);
         assert!((r.makespan_s - 2e-3).abs() < 1e-12);
     }
 

@@ -2,8 +2,9 @@
 //!
 //! [`GrantEngine`] is the single execution engine behind every dependency-
 //! aware optical run. The closed-set entry points
-//! ([`crate::sim::RingSimulator::run_dag`] and
-//! [`crate::sim::RingSimulator::run_dag_jobs`]) are thin drivers over it:
+//! ([`crate::sim::RingSimulator::run_dag`],
+//! [`crate::sim::RingSimulator::run_dag_jobs`] and
+//! [`crate::sim::RingSimulator::run_dag_faulted`]) are thin drivers over it:
 //! they inject the whole transfer DAG at time zero and pump the engine to
 //! idle. Open-loop cluster services instead [`GrantEngine::inject`] each
 //! arriving job's transfers into the *running* engine — the grant loop,
@@ -28,13 +29,35 @@
 //!    scheduled before vs. after an injection therefore cannot change the
 //!    outcome — only the *set* of simultaneous events matters.
 //!
+//! # Faults
+//!
+//! [`GrantEngine::set_faults`] schedules a [`FaultScript`]'s optically
+//! relevant events on the engine's own kernel, beside gates and
+//! completions. A batch applies its completions first and its faults
+//! second, so a transfer finishing at exactly the fault instant is
+//! finished, not aborted. `WavelengthDown` masks a lane and **aborts** its
+//! in-flight holders, which recover per [`FaultPolicy`]: re-granted over
+//! the surviving lanes under the same arbitration, at once (`Replan`) or
+//! after the backoff (`RetryAfter`), or failing the owning job wholly
+//! (`FailJob`). `WavelengthUp` repairs the lane. `NodeDown` permanently
+//! fails every unfinished transfer with an endpoint on the node; under
+//! `RetryAfter`/`Replan` their dependents are released so survivors
+//! re-plan, under `FailJob` the owning job fails. `NodeStraggle`
+//! multiplies the duration of grants made at or after the instant. Link
+//! events have no optical meaning. Failed transfers — and, once the engine
+//! goes idle, every transfer stranded behind them — are reported as
+//! [`GrantCompletion`]s with `failed` set. Without a relevant fault the
+//! engine allocates no fault state and runs the clean arithmetic.
+//!
 //! The engine also supports [`GrantEngine::snapshot`] /
 //! [`GrantEngine::restore`]: a versioned, serializable image of the slots,
-//! lane occupancy, pending kernel events and clock, pinned byte-identical
-//! by the stream checkpoint tests in `wrht-core`.
+//! pending kernel events and clock, pinned byte-identical by the stream
+//! checkpoint tests in `wrht-core`. Restore validates the image's indices
+//! and times, rejects corrupt ones with [`OpticalError::BadConfig`], and
+//! rebuilds the lane occupancy from the in-flight slots.
 
 use serde::{Deserialize, Serialize};
-use wrht_kernel::EventKernel;
+use wrht_kernel::{EventId, EventKernel, FaultKind, FaultLimits, FaultPolicy, FaultScript};
 
 use crate::config::OpticalConfig;
 use crate::error::{OpticalError, Result};
@@ -46,7 +69,7 @@ use crate::topology::{Direction, RingTopology};
 use crate::wavelength::Wavelength;
 
 /// Version tag of [`GrantEngineSnapshot`]; bump on any layout change.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// One transfer submitted to [`GrantEngine::inject`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -65,7 +88,7 @@ pub struct GrantTransfer {
     pub job: usize,
 }
 
-/// Completion record drained via [`GrantEngine::drain_completions`].
+/// Outcome record drained via [`GrantEngine::drain_completions`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct GrantCompletion {
     /// The transfer's order key — for a single batch injected at time zero
@@ -73,20 +96,22 @@ pub struct GrantCompletion {
     pub order: u64,
     /// Owning job slot.
     pub job: usize,
-    /// Grant instant, seconds.
+    /// Grant instant, seconds (0 for failed transfers).
     pub start_s: f64,
-    /// Completion instant, seconds.
+    /// Completion instant, seconds (0 for failed transfers).
     pub finish_s: f64,
-    /// Payload bytes.
-    pub bytes: u64,
-    /// Striping lanes the transfer held.
-    pub lanes: usize,
+    /// Times a fault aborted the transfer mid-flight.
+    pub aborts: u32,
+    /// A fault failed the transfer, or it was stranded when the engine
+    /// went idle; it never completed.
+    pub failed: bool,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 enum Ev {
     Gate(usize),
     Complete(usize),
+    Fault(usize),
 }
 
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -110,20 +135,37 @@ struct JobSlot {
     service: f64,
 }
 
+/// Fault state, allocated only when [`GrantEngine::set_faults`] installs
+/// at least one relevant event.
+#[derive(Debug)]
+struct Faults {
+    /// The relevant events, indexed by their [`Ev::Fault`] payload.
+    script: Vec<FaultKind>,
+    policy: FaultPolicy,
+    /// Grant-duration multiplier per node (1.0 while healthy).
+    straggle: Vec<f64>,
+    /// Pending completion event of every in-flight slot.
+    in_flight: Vec<Option<EventId>>,
+    /// Mid-flight aborts per slot.
+    aborts: Vec<u32>,
+    first_impact_s: Option<f64>,
+}
+
 /// Versioned, serializable image of a [`GrantEngine`] mid-run.
 ///
 /// Contains the full mutable state: transfer slots and free list, job
-/// table, lane occupancy, waiting list, pending kernel events in pop order,
-/// the clock and counters. Restoring re-schedules the pending events in
-/// order into a fresh kernel — relative insertion order is all tie-breaking
-/// observes, so the resumed run is byte-identical to an uninterrupted one.
+/// table, waiting list, pending kernel events in pop order, the clock and
+/// counters. Restoring re-schedules the pending events in order into a
+/// fresh kernel — relative insertion order is all tie-breaking observes, so
+/// the resumed run is byte-identical to an uninterrupted one — and rebuilds
+/// the lane occupancy from the in-flight slots' lanes. Fault state is not
+/// captured: faulted runs are closed runs.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct GrantEngineSnapshot {
     /// Snapshot layout version ([`SNAPSHOT_VERSION`]).
     pub version: u32,
     now: f64,
     events: u64,
-    occ: Occupancy,
     slots: Vec<Option<Slot>>,
     free: Vec<usize>,
     jobs: Vec<JobSlot>,
@@ -132,7 +174,6 @@ pub struct GrantEngineSnapshot {
     waiting: Vec<usize>,
     pending: Vec<(f64, Ev)>,
     completions: Vec<GrantCompletion>,
-    active: usize,
     peak: usize,
     peak_wavelength: usize,
     makespan: f64,
@@ -161,6 +202,7 @@ pub struct GrantEngine {
     peak: usize,
     peak_wavelength: usize,
     makespan: f64,
+    faults: Option<Box<Faults>>,
     // Per-step scratch, allocated once.
     batch: Vec<Ev>,
     scan: Vec<usize>,
@@ -208,6 +250,7 @@ impl GrantEngine {
             peak: 0,
             peak_wavelength: 0,
             makespan: 0.0,
+            faults: None,
             batch: Vec::new(),
             scan: Vec::new(),
             claimed: [vec![false; nodes], vec![false; nodes]],
@@ -215,6 +258,57 @@ impl GrantEngine {
             granted: Vec::new(),
             topo,
         })
+    }
+
+    /// Install a fault script and the policy aborted or failed work
+    /// recovers under (see the module docs). Returns whether any event was
+    /// optically relevant — without one the engine stays on the clean path.
+    ///
+    /// # Errors
+    /// Scripts and policies that fail validation against this ring
+    /// ([`OpticalError::Fault`]), and installation after the first
+    /// injection ([`OpticalError::BadConfig`]).
+    pub fn set_faults(&mut self, script: &FaultScript, policy: FaultPolicy) -> Result<bool> {
+        script.validate(&FaultLimits {
+            nodes: self.topo.nodes(),
+            wavelengths: Some(self.wavelengths),
+            links: None,
+        })?;
+        policy.validate()?;
+        if self.next_order > 0 || self.faults.is_some() {
+            return Err(OpticalError::BadConfig(
+                "faults must be installed once, before the first injection",
+            ));
+        }
+        let relevant: Vec<FaultKind> = script
+            .events()
+            .iter()
+            .filter(|ev| {
+                !matches!(
+                    ev.kind,
+                    FaultKind::LinkDegrade { .. } | FaultKind::LinkFlap { .. }
+                )
+            })
+            .enumerate()
+            .map(|(k, ev)| {
+                self.queue
+                    .schedule_at(ev.at_s, Ev::Fault(k))
+                    .map(|_| ev.kind)
+                    .map_err(|_| OpticalError::BadConfig("fault instant precedes the engine clock"))
+            })
+            .collect::<Result<_>>()?;
+        if relevant.is_empty() {
+            return Ok(false);
+        }
+        self.faults = Some(Box::new(Faults {
+            script: relevant,
+            policy,
+            straggle: vec![1.0; self.topo.nodes()],
+            in_flight: Vec::new(),
+            aborts: Vec::new(),
+            first_impact_s: None,
+        }));
+        Ok(true)
     }
 
     /// Register a job with the given static grant rank, returning its slot.
@@ -310,6 +404,10 @@ impl GrantEngine {
             };
             ids.push(id);
         }
+        if let Some(f) = self.faults.as_deref_mut() {
+            f.in_flight.resize(self.slots.len(), None);
+            f.aborts.resize(self.slots.len(), 0);
+        }
         for (bi, t) in transfers.iter().enumerate() {
             let id = ids[bi];
             for &d in &t.deps {
@@ -335,10 +433,22 @@ impl GrantEngine {
 
     /// Process the next event batch (every event at the next bit-identical
     /// instant) and run one grant scan. Returns the batch instant, or
-    /// `None` when the engine is idle.
+    /// `None` when the engine is idle. Under faults, going idle fails every
+    /// transfer still unfinished.
     pub fn step(&mut self) -> Option<f64> {
         self.batch.clear();
-        let now = self.queue.pop_batch(&mut self.batch)?;
+        let Some(now) = self.queue.pop_batch(&mut self.batch) else {
+            // Under faults, an idle engine can still hold unfinished
+            // transfers — stuck waiters and dependents of failed ones.
+            // They are casualties.
+            if self.faults.is_some() {
+                for id in 0..self.slots.len() {
+                    self.fail(id, None);
+                }
+                self.waiting.clear();
+            }
+            return None;
+        };
         // The kernel coalesces every event at this exact instant before
         // granting: cross-job arbitration must see all simultaneous waiters
         // (and all simultaneously freed wavelengths) together. Completes
@@ -346,9 +456,18 @@ impl GrantEngine {
         // same clock, which is fine.
         for k in 0..self.batch.len() {
             match self.batch[k] {
-                Ev::Gate(id) => self.enqueue_waiting(id),
+                // A failed transfer's slot is retired; its gate is stale.
+                Ev::Gate(id) => {
+                    if self.slots[id].is_some() {
+                        self.enqueue_waiting(id);
+                    }
+                }
                 Ev::Complete(id) => self.complete(id, now),
+                Ev::Fault(_) => {}
             }
+        }
+        if self.faults.is_some() {
+            self.apply_faults(now);
         }
         self.grant_scan();
         Some(now)
@@ -376,8 +495,28 @@ impl GrantEngine {
         }
         self.makespan = self.makespan.max(now);
         self.active -= 1;
-        for &dep in &slot.dependents {
-            let d = self.slots[dep].as_mut().expect("dependent slot is live");
+        self.release_dependents(&slot.dependents, now);
+        let aborts = self.faults.as_deref_mut().map_or(0, |f| {
+            f.in_flight[id] = None;
+            std::mem::take(&mut f.aborts[id])
+        });
+        self.completions.push(GrantCompletion {
+            order: slot.order,
+            job: slot.job,
+            start_s: slot.started.unwrap_or(0.0),
+            finish_s: now,
+            aborts,
+            failed: false,
+        });
+    }
+
+    /// Retire one dependency edge of each of `dependents`, gating those
+    /// whose last predecessor this was (failed dependents are skipped).
+    fn release_dependents(&mut self, dependents: &[usize], now: f64) {
+        for &dep in dependents {
+            let Some(d) = self.slots[dep].as_mut() else {
+                continue;
+            };
             d.missing -= 1;
             if d.missing == 0 {
                 let rel = d.release_s;
@@ -390,14 +529,136 @@ impl GrantEngine {
                 }
             }
         }
+    }
+
+    /// Apply the faults of the current batch, after its completions.
+    fn apply_faults(&mut self, now: f64) {
+        let Some(policy) = self.faults.as_deref().map(|f| f.policy) else {
+            return;
+        };
+        let mut any = false;
+        let mut fail_jobs: Vec<usize> = Vec::new();
+        for k in 0..self.batch.len() {
+            let (Ev::Fault(i), Some(f)) = (self.batch[k], self.faults.as_deref_mut()) else {
+                continue;
+            };
+            any = true;
+            match f.script[i] {
+                FaultKind::WavelengthDown { lane } => {
+                    self.occ.set_lane_down(Wavelength(lane));
+                    for id in 0..self.slots.len() {
+                        let holder = self.slots[id]
+                            .as_ref()
+                            .filter(|s| s.assigned.contains(&Wavelength(lane)));
+                        let Some(job) = holder.map(|s| s.job) else {
+                            continue;
+                        };
+                        if !self.abort(id, Some(now)) {
+                            continue;
+                        }
+                        match policy {
+                            FaultPolicy::FailJob => fail_jobs.push(job),
+                            FaultPolicy::RetryAfter(backoff) => {
+                                self.queue
+                                    .schedule_at(now + backoff, Ev::Gate(id))
+                                    .expect("finite non-negative backoff");
+                            }
+                            FaultPolicy::Replan => self.enqueue_waiting(id),
+                        }
+                    }
+                }
+                FaultKind::WavelengthUp { lane } => self.occ.set_lane_up(Wavelength(lane)),
+                FaultKind::NodeDown { node } => {
+                    // Every unfinished transfer touching the node fails
+                    // permanently (retrying a dead endpoint is futile).
+                    // Ascending slot order lets failure cascade to
+                    // dependents that also touch the node in one sweep.
+                    for id in 0..self.slots.len() {
+                        let touches = self.slots[id]
+                            .as_ref()
+                            .is_some_and(|s| s.transfer.src.0 == node || s.transfer.dst.0 == node);
+                        if !touches {
+                            continue;
+                        }
+                        self.abort(id, Some(now));
+                        let Some(slot) = self.fail(id, Some(now)) else {
+                            continue;
+                        };
+                        if policy == FaultPolicy::FailJob {
+                            fail_jobs.push(slot.job);
+                        } else {
+                            self.release_dependents(&slot.dependents, now);
+                        }
+                    }
+                }
+                FaultKind::NodeStraggle { node, slowdown } => {
+                    f.straggle[node] = f.straggle[node].max(slowdown);
+                }
+                FaultKind::LinkDegrade { .. } | FaultKind::LinkFlap { .. } => {}
+            }
+        }
+        if !any {
+            return;
+        }
+        if !fail_jobs.is_empty() {
+            for id in 0..self.slots.len() {
+                if self.slots[id]
+                    .as_ref()
+                    .is_some_and(|s| fail_jobs.contains(&s.job))
+                {
+                    self.abort(id, None);
+                    self.fail(id, None);
+                }
+            }
+        }
+        let slots = &self.slots;
+        self.waiting.retain(|&id| slots[id].is_some());
+    }
+
+    /// Tear down `id`'s grant if it is in flight: cancel its completion
+    /// and free its lanes; `impact` counts it as an abort at that instant.
+    /// Returns whether it was in flight.
+    fn abort(&mut self, id: usize, impact: Option<f64>) -> bool {
+        let Some(f) = self.faults.as_deref_mut() else {
+            return false;
+        };
+        let Some(ev) = f.in_flight[id].take() else {
+            return false;
+        };
+        if let Some(now) = impact {
+            f.aborts[id] += 1;
+            f.first_impact_s.get_or_insert(now);
+        }
+        self.queue.cancel(ev);
+        if let Some(slot) = self.slots[id].as_mut() {
+            for &lambda in &slot.assigned {
+                self.occ.release(&slot.path, lambda);
+            }
+            slot.assigned.clear();
+            slot.started = None;
+        }
+        self.active -= 1;
+        true
+    }
+
+    /// Report `id` as failed (at the `impact` instant, if the fault hit it
+    /// directly) and retire its slot. The slot index is never recycled: a
+    /// gate already scheduled for it must find it empty.
+    fn fail(&mut self, id: usize, impact: Option<f64>) -> Option<Slot> {
+        let f = self.faults.as_deref_mut()?;
+        let slot = self.slots[id].take()?;
+        if let Some(now) = impact {
+            f.first_impact_s.get_or_insert(now);
+        }
         self.completions.push(GrantCompletion {
             order: slot.order,
             job: slot.job,
-            start_s: slot.started.unwrap_or(0.0),
-            finish_s: now,
-            bytes: slot.transfer.bytes,
-            lanes: slot.transfer.lanes,
+            start_s: 0.0,
+            finish_s: 0.0,
+            aborts: std::mem::take(&mut f.aborts[id]),
+            failed: true,
         });
+        Some(slot)
     }
 
     /// Start every waiter that now fits. Scan order is order-key (DAG)
@@ -423,6 +684,7 @@ impl GrantEngine {
             strategy,
             arbitrated,
             fair_share,
+            faults,
             ..
         } = self;
         scan.clear();
@@ -449,15 +711,25 @@ impl GrantEngine {
             if !overtakes {
                 if let Ok(lanes) = occ.assign(&slot.path, slot.transfer.lanes, *strategy) {
                     slot.assigned = lanes;
-                    let dur = timing.transfer_time(
+                    let mut dur = timing.transfer_time(
                         slot.transfer.bytes,
                         slot.transfer.lanes,
                         slot.path.hops(),
                     );
+                    if let Some(f) = faults.as_deref() {
+                        let slow =
+                            f.straggle[slot.transfer.src.0].max(f.straggle[slot.transfer.dst.0]);
+                        if slow > 1.0 {
+                            dur *= slow;
+                        }
+                    }
                     slot.started = Some(queue.now());
-                    queue
+                    let ev = queue
                         .schedule_in(dur, Ev::Complete(id))
                         .expect("transfer duration is a finite forward delay");
+                    if let Some(f) = faults.as_deref_mut() {
+                        f.in_flight[id] = Some(ev);
+                    }
                     *active += 1;
                     *peak = (*peak).max(*active);
                     *peak_wavelength = (*peak_wavelength).max(occ.peak_wavelengths_used());
@@ -491,33 +763,15 @@ impl GrantEngine {
         claimed_set.clear();
     }
 
-    /// Append and clear the accumulated completion records.
-    pub fn drain_completions(&mut self, out: &mut Vec<GrantCompletion>) {
-        out.append(&mut self.completions);
-    }
-
-    /// Current engine clock (timestamp of the last processed batch).
-    #[must_use]
-    pub fn now(&self) -> f64 {
-        self.queue.now()
+    /// Drain the accumulated outcome records, oldest first.
+    pub fn drain_completions(&mut self) -> std::vec::Drain<'_, GrantCompletion> {
+        self.completions.drain(..)
     }
 
     /// Events processed so far, including any before a snapshot/restore.
     #[must_use]
     pub fn events(&self) -> u64 {
         self.events_base + self.queue.events_processed()
-    }
-
-    /// Number of live (injected, not yet completed) transfer slots.
-    #[must_use]
-    pub fn live_transfers(&self) -> usize {
-        self.slots.len() - self.free.len()
-    }
-
-    /// Number of pending kernel events.
-    #[must_use]
-    pub fn pending_events(&self) -> usize {
-        self.queue.len()
     }
 
     /// Completion time of the last completed transfer, seconds.
@@ -538,17 +792,25 @@ impl GrantEngine {
         self.peak_wavelength
     }
 
-    /// Lane demand of the first stuck waiter, if the engine went idle with
-    /// waiters that can never be served.
+    /// Instant a fault first aborted or failed a transfer, if any.
     #[must_use]
-    pub fn stuck_lanes(&self) -> Option<usize> {
-        self.waiting.first().map(|&id| {
-            self.slots[id]
-                .as_ref()
-                .expect("waiting slot is live")
-                .transfer
-                .lanes
-        })
+    pub fn first_impact_s(&self) -> Option<f64> {
+        self.faults.as_ref().and_then(|f| f.first_impact_s)
+    }
+
+    /// # Errors
+    /// [`OpticalError::WavelengthsExhausted`] (the stepped path's error
+    /// value) when the engine went idle with a waiter whose lane demand can
+    /// never be granted.
+    pub fn check_stuck(&self) -> Result<()> {
+        match self.waiting.first().and_then(|&id| self.slots[id].as_ref()) {
+            Some(s) => Err(OpticalError::WavelengthsExhausted {
+                available: self.wavelengths,
+                requested: s.transfer.lanes,
+                step: 0,
+            }),
+            None => Ok(()),
+        }
     }
 
     /// Capture the full mutable state as a versioned snapshot.
@@ -561,7 +823,6 @@ impl GrantEngine {
             version: SNAPSHOT_VERSION,
             now: self.queue.now(),
             events: self.events(),
-            occ: self.occ.clone(),
             slots: self.slots.clone(),
             free: self.free.clone(),
             jobs: self.jobs.clone(),
@@ -575,7 +836,6 @@ impl GrantEngine {
                 .map(|(t, ev)| (t, *ev))
                 .collect(),
             completions: self.completions.clone(),
-            active: self.active,
             peak: self.peak,
             peak_wavelength: self.peak_wavelength,
             makespan: self.makespan,
@@ -586,7 +846,10 @@ impl GrantEngine {
     /// engine. The resumed run is byte-identical to the uninterrupted one.
     ///
     /// # Errors
-    /// Rejects unknown snapshot versions and invalid configurations.
+    /// Rejects unknown snapshot versions, invalid configurations and
+    /// images that do not fit the engine: out-of-range or dead slot, job,
+    /// lane and segment references, free and waiting lists that disagree
+    /// with the live slots, and in-flight transfers sharing a lane.
     pub fn restore(
         config: &OpticalConfig,
         strategy: Strategy,
@@ -600,6 +863,7 @@ impl GrantEngine {
             ));
         }
         let mut eng = Self::new(config, strategy, arbitrated, fair_share)?;
+        check_snapshot(&eng, snap).map_err(OpticalError::BadConfig)?;
         eng.queue
             .fast_forward(snap.now)
             .map_err(|_| OpticalError::BadConfig("snapshot clock must be finite and >= 0"))?;
@@ -608,7 +872,19 @@ impl GrantEngine {
                 .schedule_at(*t, *ev)
                 .map_err(|_| OpticalError::BadConfig("snapshot event precedes its clock"))?;
         }
-        eng.occ = snap.occ.clone();
+        for s in snap.slots.iter().flatten() {
+            for &lambda in &s.assigned {
+                if !eng.occ.is_free(&s.path, lambda) {
+                    return Err(OpticalError::BadConfig("snapshot lanes overlap"));
+                }
+                eng.occ.occupy(&s.path, lambda);
+            }
+        }
+        eng.active = snap
+            .pending
+            .iter()
+            .filter(|(_, ev)| matches!(ev, Ev::Complete(_)))
+            .count();
         eng.slots = snap.slots.clone();
         eng.free = snap.free.clone();
         eng.jobs = snap.jobs.clone();
@@ -617,13 +893,62 @@ impl GrantEngine {
         eng.waiting = snap.waiting.clone();
         eng.completions = snap.completions.clone();
         eng.events_base = snap.events;
-        eng.active = snap.active;
         eng.peak = snap.peak;
         eng.peak_wavelength = snap.peak_wavelength;
         eng.makespan = snap.makespan;
         eng.granted = vec![false; eng.slots.len()];
         Ok(eng)
     }
+}
+
+/// Structural check of a snapshot against a fresh engine of the target
+/// configuration: every index the engine dereferences must name a live
+/// slot, job, wavelength or segment, so a corrupt image is rejected here
+/// rather than panicking mid-run.
+fn check_snapshot(
+    eng: &GrantEngine,
+    snap: &GrantEngineSnapshot,
+) -> std::result::Result<(), &'static str> {
+    let (n, nodes) = (snap.slots.len(), eng.topo.nodes());
+    let live = |id: usize| snap.slots.get(id).is_some_and(Option::is_some);
+    let dead = (0..n).filter(|&id| !live(id)).count();
+    if !distinct(&snap.free, n, |id| !live(id)) || snap.free.len() != dead {
+        return Err("snapshot free list disagrees with the dead slots");
+    }
+    if !distinct(&snap.waiting, n, live) || !distinct(&snap.job_free, snap.jobs.len(), |_| true) {
+        return Err("snapshot waiting or job free list names a dead or repeated entry");
+    }
+    let mut refs = vec![0usize; n];
+    for s in snap.slots.iter().flatten() {
+        if s.order >= snap.next_order
+            || !(s.release_s.is_finite() && s.release_s >= 0.0)
+            || (eng.arbitrated && s.job >= snap.jobs.len())
+            || s.transfer.lanes == 0
+            || s.transfer.lanes > eng.wavelengths
+            || s.assigned.iter().any(|l| l.0 >= eng.wavelengths)
+            || s.path.segments.iter().any(|&seg| seg >= nodes)
+            || !s.dependents.iter().all(|&d| live(d))
+        {
+            return Err("snapshot slot has a bad release or names an unknown order key, job, lane, segment or slot");
+        }
+        s.dependents.iter().for_each(|&d| refs[d] += 1);
+    }
+    let over = |(slot, &r): (&Option<Slot>, &usize)| slot.as_ref().is_some_and(|s| r > s.missing);
+    if snap.slots.iter().zip(&refs).any(over) {
+        return Err("snapshot slot has more live predecessors than missing edges");
+    }
+    let event_ok = |(_, ev): &(f64, Ev)| matches!(*ev, Ev::Gate(id) | Ev::Complete(id) if live(id));
+    if !snap.pending.iter().all(event_ok) {
+        return Err("snapshot event names a dead slot or a fault");
+    }
+    Ok(())
+}
+
+/// Are `list`'s entries distinct, below `bound` and accepted by `ok`?
+fn distinct(list: &[usize], bound: usize, ok: impl Fn(usize) -> bool) -> bool {
+    let mut seen = vec![false; bound];
+    list.iter()
+        .all(|&i| i < bound && ok(i) && !std::mem::replace(&mut seen[i], true))
 }
 
 #[cfg(test)]
@@ -716,7 +1041,7 @@ mod tests {
             "completed slots must be recycled, got {}",
             eng.slots.len()
         );
-        assert_eq!(eng.live_transfers(), 0);
+        assert!(eng.slots.iter().all(Option::is_none));
     }
 
     #[test]
@@ -745,10 +1070,38 @@ mod tests {
         assert_eq!(full.makespan().to_bits(), resumed.makespan().to_bits());
         assert_eq!(full.events(), resumed.events());
         let (mut a, mut b) = (Vec::new(), Vec::new());
-        full.drain_completions(&mut a);
-        resumed.drain_completions(&mut b);
+        a.extend(full.drain_completions());
+        b.extend(resumed.drain_completions());
         let tail = &a[a.len() - b.len()..];
         assert_eq!(tail, &b[..], "post-restore completions must match");
+    }
+
+    #[test]
+    fn corrupt_snapshots_are_rejected_not_panicked() {
+        let mut eng = GrantEngine::new(&cfg(), Strategy::FirstFit, false, false).unwrap();
+        eng.inject(&[
+            item(0, 2, 1_000_000, 0.0, vec![]),
+            item(0, 2, 1_000_000, 0.0, vec![0]),
+        ])
+        .unwrap();
+        eng.step();
+        let good = eng.snapshot();
+        let corruptions: [fn(&mut GrantEngineSnapshot); 5] = [
+            |s| s.waiting.push(999),
+            |s| s.free.push(0),
+            |s| s.pending.push((1.0, Ev::Complete(7))),
+            |s| s.slots[0].as_mut().unwrap().assigned.push(Wavelength(9)),
+            |s| s.slots[1].as_mut().unwrap().dependents.push(0),
+        ];
+        for corrupt in corruptions {
+            let mut snap = good.clone();
+            corrupt(&mut snap);
+            assert!(matches!(
+                GrantEngine::restore(&cfg(), Strategy::FirstFit, false, false, &snap),
+                Err(OpticalError::BadConfig(_))
+            ));
+        }
+        assert!(GrantEngine::restore(&cfg(), Strategy::FirstFit, false, false, &good).is_ok());
     }
 
     #[test]

@@ -37,10 +37,7 @@ impl std::fmt::Display for Strategy {
 }
 
 /// Per-direction, per-segment wavelength occupancy for one scheduling round.
-///
-/// Serializable so long-running grant engines can checkpoint lane state
-/// mid-run (see `engine::GrantEngine::snapshot`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Occupancy {
     wavelengths: usize,
     /// `used[dir][segment]` = set of wavelengths busy on that segment.

@@ -7,9 +7,9 @@ use crate::path::LightPath;
 use crate::request::Transfer;
 use crate::rwa::{Occupancy, Strategy};
 use crate::stats::{RunStats, StepStats};
-use crate::topology::{Direction, RingTopology};
+use crate::topology::RingTopology;
 use serde::{Deserialize, Serialize};
-use wrht_kernel::{EventId, EventKernel, FaultKind, FaultLimits, FaultPolicy, FaultScript};
+use wrht_kernel::{EventKernel, FaultPolicy, FaultScript};
 
 /// A step-synchronous communication schedule: every transfer of a step
 /// starts together, and a step ends when its slowest transfer completes.
@@ -133,10 +133,11 @@ pub struct DagReport {
     pub events: u64,
 }
 
-/// Per-transfer outcome of a faulted DAG run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// Per-transfer outcome of a faulted DAG run (on the optical ring, the
+/// start is the last wavelength grant).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct FaultOutcome {
-    /// Instant of the (last) wavelength grant, seconds; 0 if never granted.
+    /// Instant of the (last) start, seconds; 0 if never started.
     pub start_s: f64,
     /// Completion instant, seconds; 0 if the transfer never completed.
     pub finish_s: f64,
@@ -162,20 +163,6 @@ pub struct FaultDagReport {
     pub events: u64,
     /// Instant the first transfer was aborted or failed by a fault, if any.
     pub first_impact_s: Option<f64>,
-}
-
-impl FaultDagReport {
-    /// Number of transfers that never completed.
-    #[must_use]
-    pub fn failed_transfers(&self) -> usize {
-        self.outcomes.iter().filter(|o| !o.completed).count()
-    }
-
-    /// Total mid-flight aborts across all transfers.
-    #[must_use]
-    pub fn total_aborts(&self) -> u64 {
-        self.outcomes.iter().map(|o| u64::from(o.aborts)).sum()
-    }
 }
 
 /// Simulator for one optical ring deployment.
@@ -431,31 +418,92 @@ impl RingSimulator {
         arb: &JobArbitration,
         strategy: Strategy,
     ) -> Result<DagReport> {
-        if arb.job_of.len() != transfers.len() {
-            return Err(OpticalError::BadConfig(
-                "job tag list must match the transfer list",
-            ));
-        }
-        if arb.job_of.iter().any(|&j| j >= arb.rank.len()) {
-            return Err(OpticalError::BadConfig(
-                "job tag out of range of the rank table",
-            ));
-        }
         self.run_dag_arbitrated(transfers, strategy, Some(arb))
     }
 
     /// Shared body of [`RingSimulator::run_dag`] (no arbitration: waiters
-    /// served in DAG order) and [`RingSimulator::run_dag_jobs`]: a thin
-    /// closed-set driver over the streaming [`GrantEngine`] — the whole DAG
-    /// is injected as one batch at time zero (so order keys equal transfer
-    /// indices and arbitration tie-breaks match the historical DAG order)
-    /// and the engine is pumped to idle.
+    /// served in DAG order) and [`RingSimulator::run_dag_jobs`].
     fn run_dag_arbitrated(
         &mut self,
         transfers: &[DagTransfer],
         strategy: Strategy,
         arb: Option<&JobArbitration>,
     ) -> Result<DagReport> {
+        let mut eng = self.drive(transfers, strategy, arb, None)?;
+        let mut times = vec![(f64::NAN, f64::NAN); transfers.len()];
+        for c in eng.drain_completions() {
+            times[c.order as usize] = (c.start_s, c.finish_s);
+        }
+        Ok(DagReport {
+            makespan_s: eng.makespan(),
+            transfer_times: times,
+            peak_concurrency: eng.peak_concurrency(),
+            peak_wavelength: eng.peak_wavelength(),
+            events: eng.events(),
+        })
+    }
+
+    /// Execute a transfer DAG under a [`FaultScript`] with the given
+    /// recovery [`FaultPolicy`]: the [`GrantEngine`] schedules the faults on
+    /// its own kernel (see [`crate::engine`] for the per-kind semantics and
+    /// the completion-before-fault order at a shared instant). With no
+    /// optically relevant event the run is **bit-exact** with
+    /// [`RingSimulator::run_dag`] / [`RingSimulator::run_dag_jobs`].
+    /// Transfers that can never complete are marked failed in the report
+    /// instead of erroring the run.
+    pub fn run_dag_faulted(
+        &mut self,
+        transfers: &[DagTransfer],
+        strategy: Strategy,
+        arb: Option<&JobArbitration>,
+        script: &FaultScript,
+        policy: FaultPolicy,
+    ) -> Result<FaultDagReport> {
+        let mut eng = self.drive(transfers, strategy, arb, Some((script, policy)))?;
+        let mut outcomes = vec![FaultOutcome::default(); transfers.len()];
+        for c in eng.drain_completions() {
+            outcomes[c.order as usize] = FaultOutcome {
+                start_s: c.start_s,
+                finish_s: c.finish_s,
+                aborts: c.aborts,
+                completed: !c.failed,
+            };
+        }
+        Ok(FaultDagReport {
+            makespan_s: eng.makespan(),
+            outcomes,
+            peak_concurrency: eng.peak_concurrency(),
+            peak_wavelength: eng.peak_wavelength(),
+            events: eng.events(),
+            first_impact_s: eng.first_impact_s(),
+        })
+    }
+
+    /// The closed-set driver over the streaming [`GrantEngine`]: the whole
+    /// DAG is injected as one batch at time zero (so order keys equal
+    /// transfer indices and arbitration tie-breaks match the historical DAG
+    /// order) and the engine is pumped to idle. Returns the idle engine, its
+    /// outcome records (keyed by order key, i.e. transfer index) not yet
+    /// drained.
+    fn drive(
+        &self,
+        transfers: &[DagTransfer],
+        strategy: Strategy,
+        arb: Option<&JobArbitration>,
+        faults: Option<(&FaultScript, FaultPolicy)>,
+    ) -> Result<GrantEngine> {
+        if let Some(a) = arb {
+            if a.job_of.len() != transfers.len() {
+                return Err(OpticalError::BadConfig(
+                    "job tag list must match the transfer list",
+                ));
+            }
+            if a.job_of.iter().any(|&j| j >= a.rank.len()) {
+                return Err(OpticalError::BadConfig(
+                    "job tag out of range of the rank table",
+                ));
+            }
+        }
         let mut eng = GrantEngine::new(
             &self.config,
             strategy,
@@ -466,6 +514,9 @@ impl RingSimulator {
             for &r in &a.rank {
                 eng.add_job(r);
             }
+        }
+        if let Some((script, policy)) = faults {
+            eng.set_faults(script, policy)?;
         }
         let items: Vec<GrantTransfer> = transfers
             .iter()
@@ -479,450 +530,11 @@ impl RingSimulator {
             .collect();
         eng.inject(&items)?;
         while eng.step().is_some() {}
-
-        if let Some(lanes) = eng.stuck_lanes() {
-            // Can only happen if a transfer's lane demand can never be met
-            // concurrently with an earlier waiter — surface it rather than
-            // silently dropping the transfer.
-            return Err(OpticalError::WavelengthsExhausted {
-                available: self.config.wavelengths,
-                requested: lanes,
-                step: 0,
-            });
-        }
-        let mut times = vec![(f64::NAN, f64::NAN); transfers.len()];
-        let mut completions = Vec::with_capacity(transfers.len());
-        eng.drain_completions(&mut completions);
-        for c in &completions {
-            // One batch injected at time zero: order keys are indices.
-            times[usize::try_from(c.order).expect("order fits usize")] = (c.start_s, c.finish_s);
-        }
-        Ok(DagReport {
-            makespan_s: eng.makespan(),
-            transfer_times: times,
-            peak_concurrency: eng.peak_concurrency(),
-            peak_wavelength: eng.peak_wavelength(),
-            events: eng.events(),
-        })
-    }
-
-    /// Execute a transfer DAG under a [`FaultScript`]: fault events are
-    /// scheduled through the same event kernel as gates and completions
-    /// and applied at their instants, interleaved deterministically.
-    ///
-    /// Optically relevant kinds: `WavelengthDown` fails a lane (it admits
-    /// no new lightpaths and every in-flight holder **aborts**, recovering
-    /// per [`FaultPolicy`] — re-granted over surviving lanes under the same
-    /// cross-job arbitration); `WavelengthUp` repairs it; `NodeDown`
-    /// permanently fails every unfinished transfer with an endpoint on the
-    /// node (under `RetryAfter`/`Replan` their dependents are released so
-    /// survivors re-plan; under `FailJob` the owning job fails wholly);
-    /// `NodeStraggle` multiplies the duration of grants at or after the
-    /// instant by `slowdown`. Link events have no optical meaning and are
-    /// ignored. With no relevant events the run delegates to the clean
-    /// grant loop and is **bit-exact** with [`RingSimulator::run_dag`] /
-    /// [`RingSimulator::run_dag_jobs`].
-    ///
-    /// Same-instant order: completions coalesced with a fault at a bit-
-    /// identical instant are applied **before** the fault — a transfer
-    /// finishing at exactly `t` is finished, not aborted, by a fault at
-    /// `t`. Transfers that can never complete are marked failed in the
-    /// report instead of erroring the run.
-    pub fn run_dag_faulted(
-        &mut self,
-        transfers: &[DagTransfer],
-        strategy: Strategy,
-        arb: Option<&JobArbitration>,
-        script: &FaultScript,
-        policy: FaultPolicy,
-    ) -> Result<FaultDagReport> {
-        if let Some(a) = arb {
-            if a.job_of.len() != transfers.len() {
-                return Err(OpticalError::BadConfig(
-                    "job tag list must match the transfer list",
-                ));
-            }
-            if a.job_of.iter().any(|&j| j >= a.rank.len()) {
-                return Err(OpticalError::BadConfig(
-                    "job tag out of range of the rank table",
-                ));
-            }
-        }
-        let limits = FaultLimits {
-            nodes: self.config.nodes,
-            wavelengths: Some(self.config.wavelengths),
-            links: None,
-        };
-        script.validate(&limits).map_err(OpticalError::Fault)?;
-        policy.validate().map_err(OpticalError::Fault)?;
-
-        use crate::wavelength::Wavelength;
-        #[derive(Debug, Clone, Copy)]
-        enum Fault {
-            LaneDown(Wavelength),
-            LaneUp(Wavelength),
-            NodeDown(usize),
-            Straggle(usize, f64),
-        }
-        let mut faults: Vec<(f64, Fault)> = Vec::new();
-        for ev in script.events() {
-            let kind = match ev.kind {
-                FaultKind::WavelengthDown { lane } => Fault::LaneDown(Wavelength(lane)),
-                FaultKind::WavelengthUp { lane } => Fault::LaneUp(Wavelength(lane)),
-                FaultKind::NodeDown { node } => Fault::NodeDown(node),
-                FaultKind::NodeStraggle { node, slowdown } => Fault::Straggle(node, slowdown),
-                // Link capacity is an electrical concept; no optical meaning.
-                FaultKind::LinkDegrade { .. } | FaultKind::LinkFlap { .. } => continue,
-            };
-            faults.push((ev.at_s, kind));
-        }
-        if faults.is_empty() {
-            // Zero relevant faults: the clean loop, bit-exactly.
-            let clean = self.run_dag_arbitrated(transfers, strategy, arb)?;
-            return Ok(FaultDagReport {
-                makespan_s: clean.makespan_s,
-                outcomes: clean
-                    .transfer_times
-                    .iter()
-                    .map(|&(start_s, finish_s)| FaultOutcome {
-                        start_s,
-                        finish_s,
-                        aborts: 0,
-                        completed: true,
-                    })
-                    .collect(),
-                peak_concurrency: clean.peak_concurrency,
-                peak_wavelength: clean.peak_wavelength,
-                events: clean.events,
-                first_impact_s: None,
-            });
-        }
-
-        #[derive(Debug)]
-        enum Ev {
-            Gate(usize),
-            Complete(usize),
-            Fault(usize),
-        }
-
-        let timing = self.config.timing();
-        let mut occ = Occupancy::new(self.topo.nodes(), self.config.wavelengths);
-
-        // Pre-resolve paths and validate feasibility in isolation (same
-        // checks as the clean loop).
-        let mut paths: Vec<LightPath> = Vec::with_capacity(transfers.len());
-        for (i, t) in transfers.iter().enumerate() {
-            if t.deps.iter().any(|&d| d >= i) {
-                return Err(OpticalError::BadConfig(
-                    "dependency must precede its transfer",
-                ));
-            }
-            if !t.release_s.is_finite() || t.release_s < 0.0 {
-                return Err(OpticalError::BadConfig(
-                    "release time must be finite and >= 0",
-                ));
-            }
-            let path = t.transfer.resolve(&self.topo)?;
-            if t.transfer.lanes > self.config.wavelengths {
-                return Err(OpticalError::WavelengthsExhausted {
-                    available: self.config.wavelengths,
-                    requested: t.transfer.lanes,
-                    step: 0,
-                });
-            }
-            paths.push(path);
-        }
-        let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); transfers.len()];
-        let mut missing: Vec<usize> = vec![0; transfers.len()];
-        for (i, t) in transfers.iter().enumerate() {
-            missing[i] = t.deps.len();
-            for &d in &t.deps {
-                dependents[d].push(i);
-            }
-        }
-
-        let mut queue: EventKernel<Ev> = EventKernel::with_capacity(transfers.len() + faults.len());
-        // Faults are scheduled before any gate, so within a same-instant
-        // batch they carry the lowest sequence numbers; the two-pass drain
-        // below nevertheless applies completions first (see the doc above).
-        for (fi, &(at_s, _)) in faults.iter().enumerate() {
-            queue
-                .schedule_at(at_s, Ev::Fault(fi))
-                .expect("validated fault time");
-        }
-        for (i, t) in transfers.iter().enumerate() {
-            if t.deps.is_empty() {
-                queue
-                    .schedule_at(t.release_s, Ev::Gate(i))
-                    .expect("validated release time");
-            }
-        }
-
-        let mut waiting: Vec<usize> = Vec::new();
-        let mut assigned: Vec<Vec<Wavelength>> = vec![Vec::new(); transfers.len()];
-        let mut times = vec![(f64::NAN, f64::NAN); transfers.len()];
-        let mut complete_ev: Vec<Option<EventId>> = vec![None; transfers.len()];
-        let mut aborts = vec![0u32; transfers.len()];
-        let mut failed = vec![false; transfers.len()];
-        let mut straggle = vec![1.0f64; self.config.nodes];
-        let mut first_impact: Option<f64> = None;
-        let mut active = 0usize;
-        let mut peak = 0usize;
-        let mut peak_wavelength = 0usize;
-        let mut makespan = 0.0f64;
-
-        fn enqueue(waiting: &mut Vec<usize>, id: usize) {
-            let pos = waiting.partition_point(|&w| w < id);
-            waiting.insert(pos, id);
-        }
-
-        let job_of = |id: usize| arb.map_or(0, |a| a.job_of[id]);
-        let jobs = arb.map_or(1, |a| a.rank.len());
-
-        let mut claimed = [
-            vec![false; self.topo.nodes()],
-            vec![false; self.topo.nodes()],
-        ];
-        let mut claimed_set: Vec<(usize, usize)> = Vec::new();
-        let mut service = vec![0.0f64; arb.map_or(0, |a| a.rank.len())];
-        let mut batch: Vec<Ev> = Vec::new();
-        let mut order: Vec<usize> = Vec::new();
-        let mut granted = vec![false; transfers.len()];
-        let mut jobs_to_fail: Vec<bool> = vec![false; jobs];
-
-        loop {
-            // The two-pass drain below iterates the batch by reference, so
-            // it must be emptied by hand (`pop_batch` only appends).
-            batch.clear();
-            let Some(now) = queue.pop_batch(&mut batch) else {
-                break;
-            };
-            // Pass 1: gates and completions. Applying completions before
-            // same-instant faults is the documented coalescing order.
-            for ev in &batch {
-                match *ev {
-                    Ev::Gate(id) => {
-                        if !failed[id] {
-                            enqueue(&mut waiting, id);
-                        }
-                    }
-                    Ev::Complete(id) => {
-                        complete_ev[id] = None;
-                        for &lambda in &assigned[id] {
-                            occ.release(&paths[id], lambda);
-                        }
-                        times[id].1 = now;
-                        makespan = makespan.max(now);
-                        active -= 1;
-                        for &dep in &dependents[id] {
-                            missing[dep] -= 1;
-                            if missing[dep] == 0 && !failed[dep] {
-                                if transfers[dep].release_s <= now {
-                                    enqueue(&mut waiting, dep);
-                                } else {
-                                    queue
-                                        .schedule_at(transfers[dep].release_s, Ev::Gate(dep))
-                                        .expect("validated release time after now");
-                                }
-                            }
-                        }
-                    }
-                    Ev::Fault(_) => {}
-                }
-            }
-            // Pass 2: apply the faults coalesced at this instant.
-            let mut any_fault = false;
-            for ev in &batch {
-                let Ev::Fault(fi) = *ev else { continue };
-                any_fault = true;
-                match faults[fi].1 {
-                    Fault::LaneDown(lambda) => {
-                        occ.set_lane_down(lambda);
-                        for id in 0..transfers.len() {
-                            if complete_ev[id].is_some() && assigned[id].contains(&lambda) {
-                                let ev_id = complete_ev[id].take().expect("checked in-flight");
-                                queue.cancel(ev_id);
-                                for &l in &assigned[id] {
-                                    occ.release(&paths[id], l);
-                                }
-                                assigned[id].clear();
-                                active -= 1;
-                                aborts[id] += 1;
-                                times[id].0 = f64::NAN;
-                                first_impact.get_or_insert(now);
-                                match policy {
-                                    FaultPolicy::FailJob => jobs_to_fail[job_of(id)] = true,
-                                    FaultPolicy::RetryAfter(backoff) => {
-                                        queue
-                                            .schedule_at(now + backoff, Ev::Gate(id))
-                                            .expect("finite non-negative backoff");
-                                    }
-                                    FaultPolicy::Replan => enqueue(&mut waiting, id),
-                                }
-                            }
-                        }
-                    }
-                    Fault::LaneUp(lambda) => occ.set_lane_up(lambda),
-                    Fault::NodeDown(node) => {
-                        // Every unfinished transfer touching the node fails
-                        // permanently (retrying a dead endpoint is futile).
-                        // Ascending index order lets failure cascade to
-                        // dependents that also touch the node in one sweep.
-                        for id in 0..transfers.len() {
-                            let tr = &transfers[id].transfer;
-                            if (tr.src.0 == node || tr.dst.0 == node)
-                                && times[id].1.is_nan()
-                                && !failed[id]
-                            {
-                                if let Some(ev_id) = complete_ev[id].take() {
-                                    queue.cancel(ev_id);
-                                    for &l in &assigned[id] {
-                                        occ.release(&paths[id], l);
-                                    }
-                                    assigned[id].clear();
-                                    active -= 1;
-                                    aborts[id] += 1;
-                                    times[id].0 = f64::NAN;
-                                }
-                                failed[id] = true;
-                                first_impact.get_or_insert(now);
-                                match policy {
-                                    FaultPolicy::FailJob => jobs_to_fail[job_of(id)] = true,
-                                    FaultPolicy::RetryAfter(_) | FaultPolicy::Replan => {
-                                        for &dep in &dependents[id] {
-                                            missing[dep] -= 1;
-                                            if missing[dep] == 0 && !failed[dep] {
-                                                if transfers[dep].release_s <= now {
-                                                    enqueue(&mut waiting, dep);
-                                                } else {
-                                                    queue
-                                                        .schedule_at(
-                                                            transfers[dep].release_s,
-                                                            Ev::Gate(dep),
-                                                        )
-                                                        .expect("validated release time");
-                                                }
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    Fault::Straggle(node, slowdown) => {
-                        straggle[node] = straggle[node].max(slowdown);
-                    }
-                }
-            }
-            if any_fault {
-                if jobs_to_fail.iter().any(|&f| f) {
-                    for id in 0..transfers.len() {
-                        if jobs_to_fail[job_of(id)] && times[id].1.is_nan() && !failed[id] {
-                            failed[id] = true;
-                            if let Some(ev_id) = complete_ev[id].take() {
-                                queue.cancel(ev_id);
-                                for &l in &assigned[id] {
-                                    occ.release(&paths[id], l);
-                                }
-                                assigned[id].clear();
-                                active -= 1;
-                                times[id].0 = f64::NAN;
-                            }
-                        }
-                    }
-                    jobs_to_fail.iter_mut().for_each(|f| *f = false);
-                }
-                waiting.retain(|&id| !failed[id]);
-            }
-            // Grant scan — identical to the clean loop, except grant
-            // durations stretch for straggling endpoints.
-            order.clear();
-            order.extend_from_slice(&waiting);
-            if let Some(a) = arb {
-                order.sort_by(|&x, &y| {
-                    let (jx, jy) = (a.job_of[x], a.job_of[y]);
-                    let (sx, sy) = if a.fair_share {
-                        (service[jx], service[jy])
-                    } else {
-                        (0.0, 0.0)
-                    };
-                    sx.total_cmp(&sy)
-                        .then(a.rank[jx].cmp(&a.rank[jy]))
-                        .then(x.cmp(&y))
-                });
-            }
-            let mut any_granted = false;
-            for &id in &order {
-                let tr = &transfers[id].transfer;
-                let d = usize::from(paths[id].direction == Direction::CounterClockwise);
-                let overtakes = paths[id].segments.iter().any(|&s| claimed[d][s]);
-                if !overtakes {
-                    if let Ok(lanes) = occ.assign(&paths[id], tr.lanes, strategy) {
-                        assigned[id] = lanes;
-                        let mut dur = timing.transfer_time(tr.bytes, tr.lanes, paths[id].hops());
-                        let slow = straggle[tr.src.0].max(straggle[tr.dst.0]);
-                        if slow > 1.0 {
-                            dur *= slow;
-                        }
-                        times[id].0 = queue.now();
-                        let ev_id = queue
-                            .schedule_in(dur, Ev::Complete(id))
-                            .expect("transfer duration is a finite forward delay");
-                        complete_ev[id] = Some(ev_id);
-                        active += 1;
-                        peak = peak.max(active);
-                        peak_wavelength = peak_wavelength.max(occ.peak_wavelengths_used());
-                        if let Some(a) = arb {
-                            service[a.job_of[id]] += dur * tr.lanes as f64;
-                        }
-                        granted[id] = true;
-                        any_granted = true;
-                        continue;
-                    }
-                }
-                for &s in &paths[id].segments {
-                    if !claimed[d][s] {
-                        claimed[d][s] = true;
-                        claimed_set.push((d, s));
-                    }
-                }
-            }
-            if any_granted {
-                waiting.retain(|&id| {
-                    let g = granted[id];
-                    if g {
-                        granted[id] = false;
-                    }
-                    !g
-                });
-            }
-            for &(d, s) in &claimed_set {
-                claimed[d][s] = false;
-            }
-            claimed_set.clear();
-        }
-
-        // Anything unfinished at drain (stuck waiters, dependents of failed
-        // transfers) is a casualty, not an error, under fault injection:
-        // it surfaces as `completed: false` below.
-        let outcomes = times
-            .iter()
-            .zip(&aborts)
-            .map(|(&(start_s, finish_s), &ab)| FaultOutcome {
-                start_s: if start_s.is_nan() { 0.0 } else { start_s },
-                finish_s: if finish_s.is_nan() { 0.0 } else { finish_s },
-                aborts: ab,
-                completed: !finish_s.is_nan(),
-            })
-            .collect();
-        Ok(FaultDagReport {
-            makespan_s: makespan,
-            outcomes,
-            peak_concurrency: peak,
-            peak_wavelength,
-            events: queue.events_processed(),
-            first_impact_s: first_impact,
-        })
+        // A lane demand that can never be met beside an earlier waiter
+        // surfaces as an error rather than a silently dropped transfer
+        // (under faults such waiters are reported as failed instead).
+        eng.check_stuck()?;
+        Ok(eng)
     }
 }
 

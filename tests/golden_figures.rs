@@ -10,11 +10,17 @@
 //! WRHT_BLESS=1 cargo test --test golden_figures
 //! ```
 
+use optical_sim::sim::StepSchedule;
+use optical_sim::{NodeId, OpticalConfig, Transfer};
 use std::fs;
 use std::path::PathBuf;
 use wrht_bench::report::to_json;
 use wrht_bench::timeline::timeline_table;
 use wrht_bench::{fig2_series, headline, ExperimentConfig};
+use wrht_core::dag::DepSchedule;
+use wrht_core::fault::{FaultKind, FaultPolicy, FaultRunReport, FaultScript};
+use wrht_core::substrate::{ElectricalSubstrate, OpticalSubstrate, Substrate};
+use wrht_core::tenancy::{Job, SchedPolicy, TenancySpec};
 
 /// A fixed reduced-scale grid: small enough to run in milliseconds, large
 /// enough to cover both substrates, the optimizer and the all-to-all stop.
@@ -74,7 +80,7 @@ fn train_timeline_json_matches_golden() {
 fn fault_campaign_json_matches_golden() {
     // The `faults` figure: per-job blast radius and recovery time for a
     // wavelength failure, a link degradation and a node failure (each at
-    // 25% of the clean makespan) under replan and fail-job recovery, on
+    // 50% of the clean makespan) under replan and fail-job recovery, on
     // both substrates. Pins the whole fault pipeline — script scheduling
     // through the shared kernel, abort/re-grant on the optical ring,
     // incremental re-solve on the electrical cluster, and the blast-radius
@@ -99,6 +105,177 @@ fn fault_campaign_json_matches_golden() {
         }
     }
     assert_matches_golden("faults_googlenet.json", &to_json(&report));
+}
+
+/// A ring reduce-scatter over `nodes`: `k - 1` steps of `k` neighbour
+/// transfers, with per-transfer sizes varied so completions do not all tie.
+fn ring_steps(nodes: &[usize], bytes: u64, lanes: usize) -> StepSchedule {
+    let k = nodes.len();
+    StepSchedule::from_steps(
+        (0..k - 1)
+            .map(|s| {
+                (0..k)
+                    .map(|i| {
+                        let size = bytes + i as u64 * 37_000 + s as u64 * 11_000;
+                        Transfer::shortest(NodeId(nodes[i]), NodeId(nodes[(i + 1) % k]), size)
+                            .with_lanes(lanes)
+                    })
+                    .collect()
+            })
+            .collect(),
+    )
+}
+
+/// One row of `fault_matrix.json`: compact JSON on a single line, so the
+/// golden diffs case by case.
+fn matrix_row(case: &str, report: &FaultRunReport) -> String {
+    format!(
+        "{{\"case\":{},\"report\":{}}}",
+        serde_json::to_string(&case).expect("label serializes"),
+        serde_json::to_string(report).expect("fault report serializes")
+    )
+}
+
+#[test]
+fn fault_matrix_json_matches_golden() {
+    // Every fault kind under every recovery policy on both flat substrates,
+    // each run as one job (`execute_dag_faulted`) and as two contending jobs
+    // (`execute_dag_jobs_faulted`) under FIFO and fair-share arbitration,
+    // plus a fault landing at the bit-identical instant of a clean-run
+    // completion. Pins the full per-transfer fault outcome (start, finish,
+    // aborts, completed), the event count and the first-impact instant.
+    // Job `a` is barrier-shaped (the electrical fast path serves it when
+    // no fault is relevant); job `b` is pipelined and stripes two lanes.
+    let job_a = ring_steps(&[0, 1, 2, 3], 400_000, 1);
+    let dag_a = DepSchedule::from_steps(&job_a);
+    let dag_b = DepSchedule::pipelined_from_steps(&ring_steps(&[2, 3, 4, 5], 300_000, 2));
+    let tenancy = |policy| {
+        TenancySpec::new(policy)
+            .with_job(Job::steps("a", 0.0, job_a.clone()))
+            .with_job(Job::dag("b", 0.0, dag_b.clone()))
+    };
+    let composed = tenancy(SchedPolicy::Fifo).compose().expect("jobs compose");
+    let arbs = [SchedPolicy::Fifo, SchedPolicy::FairShare]
+        .map(|p| (p.label(), tenancy(p).arbitration(&composed.job_of)));
+
+    let optical: fn() -> Box<dyn Substrate> = || {
+        Box::new(
+            OpticalSubstrate::new(
+                OpticalConfig::new(8, 2)
+                    .with_lambda_bandwidth(1e9)
+                    .with_message_overhead(2e-6)
+                    .with_hop_propagation(5e-9),
+            )
+            .expect("valid optical config"),
+        )
+    };
+    let electrical: fn() -> Box<dyn Substrate> = || {
+        Box::new(ElectricalSubstrate::new(
+            electrical_sim::topology::star_cluster(8, 1e9, 1e-6),
+            2e-6,
+        ))
+    };
+
+    let mut rows = Vec::new();
+    for (label, make) in [("optical", optical), ("electrical", electrical)] {
+        let mut sub = make();
+        let m = sub.execute_dag(&dag_a).expect("clean run").makespan_s;
+        let scripts = [
+            (
+                "wavelength-down",
+                FaultScript::new().with(0.3 * m, FaultKind::WavelengthDown { lane: 0 }),
+            ),
+            (
+                "wavelength-up",
+                FaultScript::new()
+                    .with(0.2 * m, FaultKind::WavelengthDown { lane: 0 })
+                    .with(0.5 * m, FaultKind::WavelengthUp { lane: 0 }),
+            ),
+            (
+                "link-degrade",
+                FaultScript::new().with(
+                    0.3 * m,
+                    FaultKind::LinkDegrade {
+                        link: 5,
+                        factor: 0.25,
+                    },
+                ),
+            ),
+            (
+                "link-flap",
+                FaultScript::new().with(
+                    0.3 * m,
+                    FaultKind::LinkFlap {
+                        link: 5,
+                        down_s: 0.2 * m,
+                    },
+                ),
+            ),
+            (
+                "node-straggle",
+                FaultScript::new().with(
+                    0.3 * m,
+                    FaultKind::NodeStraggle {
+                        node: 2,
+                        slowdown: 3.0,
+                    },
+                ),
+            ),
+            (
+                "node-down",
+                FaultScript::new().with(0.3 * m, FaultKind::NodeDown { node: 1 }),
+            ),
+        ];
+        let policies = [
+            FaultPolicy::FailJob,
+            FaultPolicy::RetryAfter(0.05 * m),
+            FaultPolicy::Replan,
+        ];
+        for (kind, script) in &scripts {
+            for &policy in &policies {
+                let tag = format!("{label}/{kind}/{}", policy.label());
+                let single = sub
+                    .execute_dag_faulted(&dag_a, script, policy)
+                    .expect("single-job faulted run");
+                rows.push(matrix_row(&format!("{tag}/single"), &single));
+                for (arb_label, arb) in &arbs {
+                    let run = sub
+                        .execute_dag_jobs_faulted(&composed.dag, arb, script, policy)
+                        .expect("two-job faulted run");
+                    rows.push(matrix_row(&format!("{tag}/{arb_label}"), &run));
+                }
+            }
+        }
+        // A fault at the bit-identical instant of a clean completion: the
+        // completion applies first, so the transfer finishes, not fails.
+        let clean = sub.execute_dag(&dag_b).expect("clean pipelined run");
+        let t = clean.transfers[0].finish_s;
+        let kind = if label == "optical" {
+            FaultKind::WavelengthDown { lane: 0 }
+        } else {
+            FaultKind::NodeDown {
+                node: dag_b.transfers()[0].transfer.src.0,
+            }
+        };
+        let script = FaultScript::new().with(t, kind);
+        for &policy in &policies {
+            let run = sub
+                .execute_dag_faulted(&dag_b, &script, policy)
+                .expect("coincident faulted run");
+            assert!(
+                run.transfers[0].completed
+                    && run.transfers[0].aborts == 0
+                    && run.transfers[0].finish_s.to_bits() == t.to_bits(),
+                "{label}: a completion coinciding with a fault must finish"
+            );
+            let tag = format!("{label}/coincident/{}/single", policy.label());
+            rows.push(matrix_row(&tag, &run));
+        }
+    }
+    assert_matches_golden(
+        "fault_matrix.json",
+        &format!("[\n{}\n]\n", rows.join(",\n")),
+    );
 }
 
 #[test]
