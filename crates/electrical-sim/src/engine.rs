@@ -24,9 +24,14 @@
 //!
 //! Bookkeeping is `O(total flows injected)` in memory (per-flow scalars are
 //! kept; routes, dependency and dependent lists are dropped when a flow
-//! completes), and an event costs work proportional to the *unsettled* and
-//! *active* flow sets plus the affected contention component — not to the
-//! number of flows ever injected.
+//! completes). An event costs work proportional to the flows in flight
+//! (transmitting, or waiting on a release or a latency timer), the flows
+//! it made ready, and the affected contention component — not to the
+//! number of flows ever injected or still blocked. A blocked flow is
+//! reached through its last settling dependency's dependent list and put
+//! on a ready list; the promotion pass merges that list into its ascending
+//! scan, so it visits the same flows in the same order as a scan of every
+//! unsettled flow, without visiting the blocked ones.
 //!
 //! # Faults
 //!
@@ -173,9 +178,11 @@ pub struct FluidEngine<'a> {
     last_update: Vec<f64>,
     cand: Vec<f64>,
     sched_cand: Vec<f64>,
-    // Index lists bounding per-event work: flows not yet transmitting
-    // (Blocked/Pending/Latency) and flows currently transmitting, both
-    // sorted ascending so scans visit flows in closed-path index order.
+    // Index lists bounding per-event work, both sorted ascending so scans
+    // visit flows in closed-path index order: flows waiting on a release or
+    // a latency timer (Pending/Latency), and flows transmitting. A Blocked
+    // flow is listed nowhere until its last dependency settles; it then
+    // waits on the ready list (`comp_stack`) for the next promotion pass.
     unsettled: Vec<usize>,
     active: Vec<usize>,
     n_done: usize,
@@ -207,6 +214,11 @@ pub struct FluidEngine<'a> {
     batch: Vec<Ev>,
     comp_links: Vec<usize>,
     comp_flows: Vec<usize>,
+    // The component search's stack, empty whenever `resolve_dirty` is not
+    // running. In between it is the ready list: Blocked flows with no
+    // missing dependency, in descending order during a promotion pass so
+    // the smallest index is on top. (A separate field would grow the
+    // engine, whose size the composed substrate's memory peak tracks.)
     comp_stack: Vec<usize>,
     job_agg_rate: Vec<f64>,
     job_busy: Vec<bool>,
@@ -362,7 +374,20 @@ impl<'a> FluidEngine<'a> {
     /// non-finite/negative releases and unroutable flows are rejected
     /// before any state changes.
     pub fn inject(&mut self, batch: &[EngineFlow]) -> Result<usize> {
-        let base = self.flows.len();
+        let (routes, latencies) = self.route_batch(batch)?;
+        Ok(self.admit(batch.iter().cloned(), routes, latencies))
+    }
+
+    /// [`FluidEngine::inject`] for a closed driver that owns its flow list:
+    /// the flows move into the engine instead of being cloned.
+    pub(crate) fn inject_owned(&mut self, batch: Vec<EngineFlow>) -> Result<usize> {
+        let (routes, latencies) = self.route_batch(&batch)?;
+        Ok(self.admit(batch, routes, latencies))
+    }
+
+    /// Validate a batch and route each flow once, in flow order and before
+    /// any state changes.
+    fn route_batch(&self, batch: &[EngineFlow]) -> Result<(Vec<Vec<LinkId>>, Vec<f64>)> {
         let mut routes: Vec<Vec<LinkId>> = Vec::with_capacity(batch.len());
         let mut latencies: Vec<f64> = Vec::with_capacity(batch.len());
         for (i, f) in batch.iter().enumerate() {
@@ -372,10 +397,24 @@ impl<'a> FluidEngine<'a> {
             if !f.release_s.is_finite() || f.release_s < 0.0 {
                 return Err(NetError::BadConfig("release time must be finite and >= 0"));
             }
-            routes.push(self.net.route(f.src, f.dst)?);
-            latencies.push(self.net.route_latency(f.src, f.dst)?);
+            let route = self.net.route(f.src, f.dst)?;
+            latencies.push(self.net.path_latency(&route));
+            routes.push(route);
         }
-        for (bi, f) in batch.iter().enumerate() {
+        Ok((routes, latencies))
+    }
+
+    /// Append a batch that passed [`FluidEngine::inject`]'s validation, with
+    /// its routes and route latencies. Returns the batch's first engine
+    /// index.
+    pub(crate) fn admit(
+        &mut self,
+        batch: impl IntoIterator<Item = EngineFlow>,
+        mut routes: Vec<Vec<LinkId>>,
+        mut latencies: Vec<f64>,
+    ) -> usize {
+        let base = self.flows.len();
+        for (bi, mut f) in batch.into_iter().enumerate() {
             let i = base + bi;
             self.missing.push(f.deps.len());
             self.dependents.push(Vec::new());
@@ -402,8 +441,11 @@ impl<'a> FluidEngine<'a> {
             self.flow_seen.push(false);
             self.flow_comp.push(0);
             // New indices are the largest yet, so pushing keeps the
-            // unsettled list sorted.
-            self.unsettled.push(i);
+            // unsettled list sorted. A blocked flow joins the ready list
+            // when its last dependency settles.
+            if f.deps.is_empty() {
+                self.unsettled.push(i);
+            }
             if f.job >= self.job_active_s.len() {
                 let jobs = f.job + 1;
                 self.job_active_s.resize(jobs, 0.0);
@@ -414,11 +456,10 @@ impl<'a> FluidEngine<'a> {
             }
             // Store deps rebased to engine indices so dependency edges stay
             // meaningful when later batches are appended.
-            let mut flow = f.clone();
-            for d in &mut flow.deps {
+            for d in &mut f.deps {
                 *d += base;
             }
-            self.flows.push(flow);
+            self.flows.push(f);
         }
         self.routes.append(&mut routes);
         self.latencies.append(&mut latencies);
@@ -426,7 +467,7 @@ impl<'a> FluidEngine<'a> {
             f.flow_slow.resize(self.flows.len(), 1.0);
             f.aborted.resize(self.flows.len(), 0);
         }
-        Ok(base)
+        base
     }
 
     /// Timestamp of the next pending event, if any — including the release
@@ -453,71 +494,53 @@ impl<'a> FluidEngine<'a> {
         self.pending_release = None;
         let now = self.kernel.now();
 
-        // Promote flows whose gates opened or timers expired. Completions
-        // of zero-byte flows can unblock dependents at the same instant,
-        // so iterate to a fixpoint (deps point backwards, so this
-        // terminates). Scanning the sorted unsettled list is equivalent to
-        // the closed path's full index scan: settled flows are no-ops there.
+        // Promote flows whose gates opened or timers expired. A pass visits,
+        // in ascending index order, the unsettled list merged with the
+        // ready list: exactly the flows the closed path's full index scan
+        // acts on, in its order (blocked flows still missing a dependency
+        // are no-ops there). Completions of zero-byte flows can unblock
+        // dependents at the same instant; those join the ready list ahead
+        // of the cursor (deps point backwards) and are visited in the same
+        // pass, and passes repeat to a fixpoint.
+        self.comp_stack.sort_unstable_by(|a, b| b.cmp(a));
         loop {
             let mut unblocked = false;
-            let mut settled = false;
-            for k in 0..self.unsettled.len() {
-                let i = self.unsettled[k];
-                match self.phase[i] {
-                    Phase::Pending if self.flows[i].release_s <= now + EPS => {
-                        self.start[i] = now;
-                        // Zero-byte control gates skip the latency pipe.
-                        let pipe = if self.remaining[i] <= EPS {
-                            self.flows[i].delay_s
-                        } else {
-                            self.flows[i].delay_s + self.latencies[i]
-                        };
-                        if pipe > 0.0 {
-                            self.phase[i] = Phase::Latency(now + pipe);
-                            self.kernel
-                                .schedule_at(now + pipe, Ev::Timer(i))
-                                .expect("latency expiry is ahead of the clock");
-                        } else if self.remaining[i] <= EPS {
-                            settled = true;
-                            unblocked |= self.settle_zero_byte(i, now);
-                        } else {
-                            settled = true;
-                            self.activate(i);
+            // Scanned flows still unsettled are compacted in place; ready
+            // flows still unsettled are appended after the scanned range.
+            let scanned = self.unsettled.len();
+            let (mut k, mut kept) = (0, 0);
+            loop {
+                let next = (k < scanned).then(|| self.unsettled[k]);
+                let (i, ready) = match self.comp_stack.last() {
+                    Some(&r) if next.is_none_or(|s| r < s) => {
+                        self.comp_stack.pop();
+                        (r, true)
+                    }
+                    _ => match next {
+                        Some(s) => {
+                            k += 1;
+                            (s, false)
                         }
+                        None => break,
+                    },
+                };
+                unblocked |= self.promote(i, now);
+                if matches!(self.phase[i], Phase::Pending | Phase::Latency(_)) {
+                    if ready {
+                        self.unsettled.push(i);
+                    } else {
+                        self.unsettled[kept] = i;
+                        kept += 1;
                     }
-                    Phase::Latency(t) if t <= now + EPS => {
-                        if self.remaining[i] <= EPS {
-                            settled = true;
-                            unblocked |= self.settle_zero_byte(i, now.max(t));
-                        } else {
-                            settled = true;
-                            self.activate(i);
-                        }
-                    }
-                    // Release still in the future: schedule its wake-up
-                    // once (see the closed path for the stale-event
-                    // tolerance).
-                    Phase::Pending if !self.release_scheduled[i] => {
-                        self.release_scheduled[i] = true;
-                        self.kernel
-                            .schedule_at(self.flows[i].release_s, Ev::Release(i))
-                            .expect("pending release is ahead of the clock");
-                    }
-                    Phase::Blocked if self.missing[i] == 0 => {
-                        self.phase[i] = Phase::Pending;
-                        unblocked = true;
-                    }
-                    _ => {}
                 }
             }
-            if settled {
-                let phase = &self.phase;
-                self.unsettled.retain(|&i| {
-                    matches!(
-                        phase[i],
-                        Phase::Blocked | Phase::Pending | Phase::Latency(_)
-                    )
-                });
+            // Both runs ascend; sort only when they interleave.
+            self.unsettled.drain(kept..scanned);
+            if kept > 0
+                && self.unsettled.len() > kept
+                && self.unsettled[kept - 1] > self.unsettled[kept]
+            {
+                self.unsettled.sort_unstable();
             }
             if !unblocked {
                 break;
@@ -613,10 +636,7 @@ impl<'a> FluidEngine<'a> {
                     self.flows_on_link[l.0].retain(|&f| f != i);
                     self.dirty.push(l.0);
                 }
-                for d in 0..self.dependents[i].len() {
-                    let dep = self.dependents[i][d];
-                    self.missing[dep] -= 1;
-                }
+                self.release_dependents(i);
                 // Done flows keep their scalars (outcomes, rates) but drop
                 // their route and edge lists — the O(total flows) residue
                 // of a long stream is a handful of scalars per flow.
@@ -637,6 +657,52 @@ impl<'a> FluidEngine<'a> {
         Ok(Some(next))
     }
 
+    /// Visit flow `i` in a promotion pass at `now`. Returns whether the
+    /// visit unblocked anything, which makes the pass repeat.
+    fn promote(&mut self, i: usize, now: f64) -> bool {
+        match self.phase[i] {
+            Phase::Pending if self.flows[i].release_s <= now + EPS => {
+                self.start[i] = now;
+                // Zero-byte control gates skip the latency pipe.
+                let pipe = if self.remaining[i] <= EPS {
+                    self.flows[i].delay_s
+                } else {
+                    self.flows[i].delay_s + self.latencies[i]
+                };
+                if pipe > 0.0 {
+                    self.phase[i] = Phase::Latency(now + pipe);
+                    self.kernel
+                        .schedule_at(now + pipe, Ev::Timer(i))
+                        .expect("latency expiry is ahead of the clock");
+                } else if self.remaining[i] <= EPS {
+                    return self.settle_zero_byte(i, now);
+                } else {
+                    self.activate(i);
+                }
+            }
+            Phase::Latency(t) if t <= now + EPS => {
+                if self.remaining[i] <= EPS {
+                    return self.settle_zero_byte(i, now.max(t));
+                }
+                self.activate(i);
+            }
+            // Release still in the future: schedule its wake-up once (see
+            // the closed path for the stale-event tolerance).
+            Phase::Pending if !self.release_scheduled[i] => {
+                self.release_scheduled[i] = true;
+                self.kernel
+                    .schedule_at(self.flows[i].release_s, Ev::Release(i))
+                    .expect("pending release is ahead of the clock");
+            }
+            Phase::Blocked if self.missing[i] == 0 => {
+                self.phase[i] = Phase::Pending;
+                return true;
+            }
+            _ => {}
+        }
+        false
+    }
+
     fn activate(&mut self, i: usize) {
         self.phase[i] = Phase::Active;
         for &l in &self.routes[i] {
@@ -646,17 +712,32 @@ impl<'a> FluidEngine<'a> {
         self.newly_active.push(i);
     }
 
-    /// Complete a zero-byte control gate at `finish`; returns whether any
-    /// dependent lost its last missing edge.
+    /// Count one settled predecessor for every dependent of `i`; each
+    /// dependent left with none joins the ready list, which the next
+    /// promotion pass sorts. Returns whether `i` has dependents.
+    fn release_dependents(&mut self, i: usize) -> bool {
+        for d in 0..self.dependents[i].len() {
+            let dep = self.dependents[i][d];
+            self.missing[dep] -= 1;
+            if self.missing[dep] == 0 {
+                self.comp_stack.push(dep);
+            }
+        }
+        !self.dependents[i].is_empty()
+    }
+
+    /// Complete a zero-byte control gate at `finish`, inside a promotion
+    /// pass; returns whether it had dependents.
     fn settle_zero_byte(&mut self, i: usize, finish: f64) -> bool {
         self.phase[i] = Phase::Done;
         self.finish[i] = finish;
         self.n_done += 1;
-        let mut unblocked = false;
-        for d in 0..self.dependents[i].len() {
-            let dep = self.dependents[i][d];
-            self.missing[dep] -= 1;
-            unblocked = true;
+        let listed = self.comp_stack.len();
+        let unblocked = self.release_dependents(i);
+        if self.comp_stack.len() > listed {
+            // The new entries lie ahead of the pass's cursor: restore the
+            // descending order so the pass reaches them at their index.
+            self.comp_stack.sort_unstable_by(|a, b| b.cmp(a));
         }
         self.routes[i] = Vec::new();
         self.dependents[i] = Vec::new();
@@ -718,10 +799,7 @@ impl<'a> FluidEngine<'a> {
                         if policy == FaultPolicy::FailJob {
                             fail_jobs.push(job);
                         } else {
-                            for d in 0..self.dependents[i].len() {
-                                let dep = self.dependents[i][d];
-                                self.missing[dep] -= 1;
-                            }
+                            self.release_dependents(i);
                         }
                     }
                 }
@@ -789,6 +867,7 @@ impl<'a> FluidEngine<'a> {
             }
         }
         self.unsettled.clear();
+        self.comp_stack.clear();
         self.active.clear();
         true
     }
@@ -1100,6 +1179,9 @@ impl<'a> FluidEngine<'a> {
         eng.pending_release = snap.pending_release.map(f64::from_bits);
         for (i, &phase) in eng.phase.iter().enumerate() {
             match phase {
+                // A blocked flow whose last dependency completed before the
+                // snapshot was on the ready list: the next pass visits it.
+                Phase::Blocked if eng.missing[i] > 0 => {}
                 Phase::Blocked | Phase::Pending | Phase::Latency(_) => eng.unsettled.push(i),
                 Phase::Active => {
                     eng.active.push(i);
@@ -1262,6 +1344,145 @@ mod tests {
         for i in 0..all.len() {
             assert_eq!(full.window(i).1.to_bits(), resumed.window(i).1.to_bits());
         }
+    }
+
+    /// Step `eng` to idle, appending every drained completion as
+    /// `(index, start bits, finish bits)`. The step that finds the engine
+    /// idle can still settle zero-byte gates in its promotion pass.
+    fn drain_to_idle(eng: &mut FluidEngine<'_>, out: &mut Vec<(usize, u64, u64)>) {
+        loop {
+            let more = eng.step().unwrap().is_some();
+            out.extend(
+                eng.drain_completions()
+                    .map(|c| (c.index, c.start_s.to_bits(), c.finish_s.to_bits())),
+            );
+            if !more {
+                break;
+            }
+        }
+    }
+
+    /// A zero-byte gate whose launch timer expires in the same batch as a
+    /// payload completion unblocks its dependent mid-pass, between two
+    /// gates the completion made ready. The pass visits all three at their
+    /// index, so they settle in index order: the order and windows a scan
+    /// of every unsettled flow produced.
+    #[test]
+    fn gates_unblocked_mid_pass_settle_in_index_order() {
+        let net = star_cluster(8, 1e9, 0.0);
+        let gate_timer = EngineFlow {
+            delay_s: 1e-3,
+            ..flow(2, 3, 0, 0.0, vec![])
+        };
+        let all = vec![
+            flow(0, 1, 1_000_000, 0.0, vec![]), // done at 1 ms
+            gate_timer,                         // settles at 1 ms, first pass
+            flow(3, 4, 0, 0.0, vec![0]),        // ready from 0's completion
+            flow(4, 5, 0, 0.0, vec![1]),        // unblocked mid-pass by 1
+            flow(5, 6, 0, 0.0, vec![0]),        // ready from 0's completion
+            flow(6, 7, 500_000, 0.0, vec![2, 3, 4]),
+        ];
+        let mut eng = FluidEngine::new(&net);
+        eng.inject(&all).unwrap();
+        let mut drained = Vec::new();
+        drain_to_idle(&mut eng, &mut drained);
+        let (ms, end) = (1e-3f64.to_bits(), 1.5e-3f64.to_bits());
+        assert_eq!(
+            drained,
+            vec![
+                (0, 0, ms),
+                (1, 0, ms),
+                (2, ms, ms),
+                (3, ms, ms),
+                (4, ms, ms),
+                (5, ms, end)
+            ]
+        );
+        assert_eq!(
+            (eng.events(), eng.rate_recomputations(), eng.solver_work()),
+            (3, 2, 8)
+        );
+    }
+
+    /// A flow made ready behind a higher-indexed flow that is waiting on
+    /// its timer joins the scan in index order, so when both timers expire
+    /// together the lower index settles first.
+    #[test]
+    fn ready_flows_join_the_scan_in_index_order() {
+        let net = star_cluster(8, 1e9, 0.0);
+        let gate = |src: usize, delay_s: f64, deps: Vec<usize>| EngineFlow {
+            delay_s,
+            ..flow(src, src + 1, 0, 0.0, deps)
+        };
+        let all = vec![
+            flow(0, 1, 1_000_000, 0.0, vec![]), // done at 1 ms
+            gate(1, 1e-3, vec![0]),             // ready at 1 ms, timer at 2 ms
+            gate(2, 2e-3, vec![]),              // timer at 2 ms from the start
+        ];
+        let mut eng = FluidEngine::new(&net);
+        eng.inject(&all).unwrap();
+        let mut drained = Vec::new();
+        drain_to_idle(&mut eng, &mut drained);
+        let (ms, two) = (1e-3f64.to_bits(), 2e-3f64.to_bits());
+        assert_eq!(drained, vec![(0, 0, ms), (1, ms, two), (2, 0, two)]);
+        assert_eq!(eng.events(), 3);
+    }
+
+    /// A snapshot taken right after a completion made dependents ready,
+    /// before any promotion pass visited them, resumes byte-identically:
+    /// restore puts those flows back on the scan.
+    #[test]
+    fn snapshot_before_the_pass_a_completion_readied_resumes_identically() {
+        let net = star_cluster(8, 1e9, 500e-9);
+        let all = vec![
+            flow(0, 1, 1_000_000, 0.0, vec![]),
+            flow(1, 2, 700_000, 0.0, vec![0]),
+            flow(2, 3, 0, 0.0, vec![0]),
+            flow(3, 4, 400_000, 0.0, vec![2]),
+            flow(5, 6, 2_000_000, 0.0, vec![]),
+        ];
+        let mut full = FluidEngine::new(&net);
+        full.inject(&all).unwrap();
+        let mut expected = Vec::new();
+        drain_to_idle(&mut full, &mut expected);
+
+        let mut eng = FluidEngine::new(&net);
+        eng.inject(&all).unwrap();
+        let mut drained = Vec::new();
+        while drained.is_empty() {
+            eng.step().unwrap();
+            drained.extend(
+                eng.drain_completions()
+                    .map(|c| (c.index, c.start_s.to_bits(), c.finish_s.to_bits())),
+            );
+        }
+        let snap = eng.snapshot();
+        assert_eq!(drained[0].0, 0);
+        for i in [1, 2] {
+            assert!(snap.phase[i] == Phase::Blocked && snap.missing[i] == 0);
+        }
+        let json = serde_json::to_string(&snap).unwrap();
+        let snap: FluidEngineSnapshot = serde_json::from_str(&json).unwrap();
+        let mut resumed = FluidEngine::restore(&net, &snap).unwrap();
+        drain_to_idle(&mut resumed, &mut drained);
+
+        assert_eq!(drained, expected);
+        assert_eq!(
+            (
+                resumed.events(),
+                resumed.rate_recomputations(),
+                resumed.solver_work()
+            ),
+            (
+                full.events(),
+                full.rate_recomputations(),
+                full.solver_work()
+            )
+        );
+        assert_eq!(
+            serde_json::to_string(&resumed.snapshot()).unwrap(),
+            serde_json::to_string(&full.snapshot()).unwrap()
+        );
     }
 
     #[test]

@@ -189,11 +189,14 @@ impl Network {
 
     /// Sum of one-way latencies along the route of a flow.
     pub fn route_latency(&self, src: usize, dst: usize) -> Result<f64> {
-        Ok(self
-            .route(src, dst)?
-            .iter()
-            .map(|&l| self.link(l).latency_s)
-            .sum())
+        Ok(self.path_latency(&self.route(src, dst)?))
+    }
+
+    /// Sum of one-way latencies along an already computed route: the fold
+    /// [`Network::route_latency`] takes, without routing again.
+    #[must_use]
+    pub fn path_latency(&self, route: &[LinkId]) -> f64 {
+        route.iter().map(|&l| self.link(l).latency_s).sum()
     }
 }
 

@@ -37,6 +37,11 @@ pub struct SteppedReport {
 /// Execute `steps` over `net`, paying `per_message_overhead_s` once per step
 /// (protocol/launch cost, analogous to the optical per-message overhead).
 ///
+/// Each step is one [`run_flows`] call. A step whose transfers cross
+/// pairwise disjoint links (every ring, halving-doubling,
+/// recursive-doubling and tree step on a star cluster) takes its closed
+/// form, so it costs one progressive fill rather than an engine run.
+///
 /// Zero-byte transfers are legal: the fluid model itself rejects empty
 /// flows, so they are skipped before solving, but a step that contains any
 /// transfer — even only zero-byte ones — still pays the per-step overhead
@@ -287,7 +292,7 @@ pub fn run_dag_jobs(
             job_peak_rate_bps: vec![0.0; jobs],
         });
     }
-    let r = run_engine(net, &engine_flows(flows, job_of, per_message_overhead_s))?;
+    let r = run_engine(net, engine_flows(flows, job_of, per_message_overhead_s))?;
     Ok(tenant_report(r, jobs))
 }
 
@@ -365,7 +370,7 @@ pub fn run_dag_jobs_faulted(
             tenant,
         });
     }
-    eng.inject(&engine_flows(flows, job_of, per_message_overhead_s))?;
+    eng.inject_owned(engine_flows(flows, job_of, per_message_overhead_s))?;
     // Stop the instant every flow settled: later fault events and stale
     // wake-ups have nothing left to act on.
     while eng.live_flows() > 0 && eng.step()?.is_some() {}
@@ -411,7 +416,7 @@ pub fn run_dag_event_driven(
 ) -> Result<DagRunReport> {
     let r = run_engine(
         net,
-        &engine_flows(flows, &vec![0; flows.len()], per_message_overhead_s),
+        engine_flows(flows, &vec![0; flows.len()], per_message_overhead_s),
     )?;
     Ok(tenant_report(r, 1).report)
 }

@@ -20,7 +20,14 @@
 //!   contention component (flows transitively sharing links) whose
 //!   active-flow set actually changed; disjoint flows keep their rates and
 //!   pending completion times. Because max-min components are independent,
-//!   the resulting rates are bit-identical to a full re-solve.
+//!   the resulting rates are bit-identical to a full re-solve. One shape
+//!   skips the engine: when every release is 0, every route latency is
+//!   bit-identical and the routes are pairwise link-disjoint (every ring,
+//!   halving-doubling, recursive-doubling and tree step on a star
+//!   cluster), each flow is its own component and the whole run has a
+//!   closed form — one progressive fill, then each flow's first completion
+//!   candidate. `run_flows` returns it directly, with the counters the
+//!   engine would report.
 //! * [`run_flows_full_resolve`] — the reference engine: every event
 //!   re-runs the full progressive-filling solve over all links × flows
 //!   (the pre-incremental behaviour). Kept for differential tests and the
@@ -34,10 +41,11 @@
 //! in [`crate::runner::run_dag`]: flows may declare predecessor edges and
 //! are released the instant their last predecessor completes.
 
+use crate::engine::FluidEngine;
 use crate::error::{NetError, Result};
 use crate::flow::FlowSpec;
 use crate::graph::{LinkId, Network};
-use crate::maxmin::maxmin_rates_counted;
+use crate::maxmin::{maxmin_rates_counted, progressive_fill};
 use serde::{Deserialize, Serialize};
 use wrht_kernel::EventKernel;
 
@@ -211,11 +219,11 @@ pub(crate) enum Phase {
 /// the event arithmetic is unchanged.
 ///
 /// Since the streaming refactor this is a thin closed-set driver over
-/// [`crate::engine::FluidEngine`]: the whole flow list is injected as one
-/// batch at time zero and the engine is pumped to idle.
-pub(crate) fn run_engine(net: &Network, flows: &[EngineFlow]) -> Result<EngineReport> {
-    let mut eng = crate::engine::FluidEngine::new(net);
-    eng.inject(flows)?;
+/// [`FluidEngine`]: the whole flow list moves into the engine as one batch
+/// at time zero and the engine is pumped to idle.
+pub(crate) fn run_engine(net: &Network, flows: Vec<EngineFlow>) -> Result<EngineReport> {
+    let mut eng = FluidEngine::new(net);
+    eng.inject_owned(flows)?;
     while eng.step()?.is_some() {}
     Ok(eng.into_report())
 }
@@ -224,7 +232,9 @@ pub(crate) fn run_engine(net: &Network, flows: &[EngineFlow]) -> Result<EngineRe
 ///
 /// Rates are re-solved incrementally per contention component (see the
 /// module docs); results are bit-identical to
-/// [`run_flows_full_resolve`], with less solver work.
+/// [`run_flows_full_resolve`], with less solver work. Link-disjoint runs
+/// (see the module docs) skip the engine: their result, counters
+/// included, is computed directly.
 pub fn run_flows(net: &Network, specs: &[FlowSpec]) -> Result<RunReport> {
     for s in specs {
         if s.bytes == 0 {
@@ -234,33 +244,131 @@ pub fn run_flows(net: &Network, specs: &[FlowSpec]) -> Result<RunReport> {
             });
         }
     }
-    let flows: Vec<EngineFlow> = specs
-        .iter()
-        .map(|s| EngineFlow {
-            src: s.src,
-            dst: s.dst,
-            bytes: s.bytes,
-            release_s: s.release_s(),
-            delay_s: 0.0,
-            deps: Vec::new(),
-            job: 0,
-        })
-        .collect();
-    let report = run_engine(net, &flows)?;
+    // Route every flow once, in flow order, so the first unroutable flow
+    // fails the run exactly as the engine's injection would.
+    let mut routes: Vec<Vec<LinkId>> = Vec::with_capacity(specs.len());
+    let mut latencies: Vec<f64> = Vec::with_capacity(specs.len());
+    for s in specs {
+        let route = net.route(s.src, s.dst)?;
+        latencies.push(net.path_latency(&route));
+        routes.push(route);
+    }
+    if let Some(report) = link_disjoint_run(net, specs, &routes, &latencies)? {
+        return Ok(report);
+    }
+    let mut eng = FluidEngine::new(net);
+    let flows = specs.iter().map(|s| EngineFlow {
+        src: s.src,
+        dst: s.dst,
+        bytes: s.bytes,
+        release_s: s.release_s(),
+        delay_s: 0.0,
+        deps: Vec::new(),
+        job: 0,
+    });
+    eng.admit(flows, routes, latencies);
+    while eng.step()?.is_some() {}
+    let r = eng.into_report();
     Ok(RunReport {
-        makespan_s: report.makespan_s,
+        makespan_s: r.makespan_s,
         flows: specs
             .iter()
-            .zip(&report.finish_s)
+            .zip(&r.finish_s)
             .map(|(s, &finish_s)| FlowOutcome {
                 release_s: s.release_s(),
                 finish_s,
             })
             .collect(),
-        rate_recomputations: report.rate_recomputations,
-        solver_work: report.solver_work,
-        events: report.events,
+        rate_recomputations: r.rate_recomputations,
+        solver_work: r.solver_work,
+        events: r.events,
     })
+}
+
+/// The engine's exact result for one shape of run, computed without the
+/// engine, or `None` for any other shape. The preconditions:
+///
+/// 1. every release is `0.0`;
+/// 2. every route latency `L` is bit-identical (and finite);
+/// 3. the routes are pairwise link-disjoint (no link is crossed twice).
+///
+/// Every ring, halving-doubling, recursive-doubling and tree step on a star
+/// cluster qualifies. The engine then promotes every flow in one pass
+/// (behind one shared latency timer when `L > 0`), solves all of them in
+/// one progressive fill in which each flow is its own contention
+/// component, and completes each flow at its first candidate,
+/// `(L + bytes/rate).max(L)`, with nothing left to re-solve. So the run
+/// reports one rate recomputation, that fill's solver work and `n` events
+/// (`2n` when `L > 0`: the timers, then the completions). A stalled flow
+/// fails the run as the engine's first solve does; a finish that
+/// overflows to infinity is left to the engine.
+fn link_disjoint_run(
+    net: &Network,
+    specs: &[FlowSpec],
+    routes: &[Vec<LinkId>],
+    latencies: &[f64],
+) -> Result<Option<RunReport>> {
+    let Some(&lat) = latencies.first() else {
+        return Ok(None);
+    };
+    if specs.iter().any(|s| s.release_s_ns != 0)
+        || !lat.is_finite()
+        || latencies.iter().any(|l| l.to_bits() != lat.to_bits())
+    {
+        return Ok(None);
+    }
+    let mut links: Vec<usize> = routes.iter().flatten().map(|l| l.0).collect();
+    links.sort_unstable();
+    if links.windows(2).any(|w| w[0] == w[1]) {
+        return Ok(None);
+    }
+    // The engine's one solve: every listed link carries exactly one flow.
+    let mut capacity = vec![0.0f64; net.links().len()];
+    let mut active = vec![0usize; net.links().len()];
+    for &l in &links {
+        capacity[l] = net.links()[l].capacity_bps;
+        active[l] = 1;
+    }
+    let ascending: Vec<usize> = (0..specs.len()).collect();
+    let mut rate = vec![0.0f64; specs.len()];
+    let mut solver_work = 0usize;
+    progressive_fill(
+        &links,
+        &ascending,
+        routes,
+        &mut capacity,
+        &mut active,
+        &mut rate,
+        &mut solver_work,
+    );
+    if let Some(k) = rate.iter().position(|&r| r.is_nan() || r <= 0.0) {
+        return Err(NetError::StalledFlow {
+            src: specs[k].src,
+            dst: specs[k].dst,
+        });
+    }
+    // A positive pipe parks every flow until its timer; otherwise flows
+    // start transmitting at once. Rates out of the fill are finite here.
+    let start = if lat > 0.0 { lat } else { 0.0 };
+    let mut outcomes = Vec::with_capacity(specs.len());
+    for (s, &r) in specs.iter().zip(&rate) {
+        let finish_s = (start + s.bytes as f64 / r).max(start);
+        if finish_s.is_infinite() {
+            return Ok(None);
+        }
+        outcomes.push(FlowOutcome {
+            release_s: 0.0,
+            finish_s,
+        });
+    }
+    let n = specs.len() as u64;
+    Ok(Some(RunReport {
+        makespan_s: outcomes.iter().map(|f| f.finish_s).fold(0.0f64, f64::max),
+        flows: outcomes,
+        rate_recomputations: 1,
+        solver_work,
+        events: if lat > 0.0 { 2 * n } else { n },
+    }))
 }
 
 /// The pre-incremental reference engine: every event re-runs the full
@@ -289,8 +397,9 @@ pub fn run_flows_full_resolve(net: &Network, specs: &[FlowSpec]) -> Result<RunRe
                 dst: s.dst,
             });
         }
-        routes.push(net.route(s.src, s.dst)?);
-        latencies.push(net.route_latency(s.src, s.dst)?);
+        let route = net.route(s.src, s.dst)?;
+        latencies.push(net.path_latency(&route));
+        routes.push(route);
     }
 
     #[derive(Debug, Clone, Copy, PartialEq)]
@@ -640,7 +749,7 @@ mod tests {
                 job: 0,
             },
         ];
-        let r = run_engine(&net, &flows).unwrap();
+        let r = run_engine(&net, flows).unwrap();
         assert!((r.finish_s[0] - 1e-3).abs() < 1e-12);
         assert!((r.start_s[1] - 1e-3).abs() < 1e-12);
         assert!((r.makespan_s - 2e-3).abs() < 1e-12);
@@ -669,7 +778,7 @@ mod tests {
                 job: 0,
             },
         ];
-        let r = run_engine(&net, &flows).unwrap();
+        let r = run_engine(&net, flows).unwrap();
         // The zero-byte flow completes instantly at its release; the
         // dependent starts right there.
         assert!((r.finish_s[0] - 1e-3).abs() < 1e-12);
@@ -690,7 +799,7 @@ mod tests {
             job: 0,
         }];
         assert!(matches!(
-            run_engine(&net, &flows),
+            run_engine(&net, flows),
             Err(NetError::BadConfig(_))
         ));
     }
@@ -707,7 +816,7 @@ mod tests {
             deps: vec![],
             job: 0,
         }];
-        let r = run_engine(&net, &flows).unwrap();
+        let r = run_engine(&net, flows).unwrap();
         assert!((r.makespan_s - (5e-6 + 1e-3)).abs() < 1e-12);
     }
 }

@@ -70,6 +70,19 @@ impl Occupancy {
         }
     }
 
+    /// Return to fully idle (every lane free on every segment, none
+    /// failed), keeping the allocations: a stepped run reuses one occupancy
+    /// for all its steps.
+    pub(crate) fn clear(&mut self) {
+        for set in self.used.iter_mut().flatten() {
+            set.clear();
+        }
+        for load in &mut self.load {
+            load.fill(0);
+        }
+        self.down.fill(false);
+    }
+
     /// Number of wavelengths per waveguide.
     #[must_use]
     pub fn wavelengths(&self) -> usize {
@@ -166,25 +179,16 @@ impl Occupancy {
         if lanes == 0 {
             return Err(OpticalError::ZeroLanes);
         }
-        let order: Vec<Wavelength> = match strategy {
-            Strategy::FirstFit => (0..self.wavelengths).map(Wavelength).collect(),
+        let picked = match strategy {
+            Strategy::FirstFit => self.first_free(path, lanes, 0..self.wavelengths),
             Strategy::BestFit => {
                 let d = dir_index(path.direction);
                 let mut idx: Vec<usize> = (0..self.wavelengths).collect();
                 // Busiest-elsewhere first; stable tie-break on index.
                 idx.sort_by(|&a, &b| self.load[d][b].cmp(&self.load[d][a]).then(a.cmp(&b)));
-                idx.into_iter().map(Wavelength).collect()
+                self.first_free(path, lanes, idx.into_iter())
             }
         };
-        let mut picked = Vec::with_capacity(lanes);
-        for lambda in order {
-            if picked.len() == lanes {
-                break;
-            }
-            if self.is_free(path, lambda) {
-                picked.push(lambda);
-            }
-        }
         if picked.len() < lanes {
             return Err(OpticalError::WavelengthsExhausted {
                 available: self.wavelengths,
@@ -196,6 +200,26 @@ impl Occupancy {
             self.occupy(path, lambda);
         }
         Ok(picked)
+    }
+
+    /// Up to `lanes` wavelengths free along `path`, the first ones in
+    /// `order`.
+    fn first_free(
+        &self,
+        path: &LightPath,
+        lanes: usize,
+        order: impl Iterator<Item = usize>,
+    ) -> Vec<Wavelength> {
+        let mut picked = Vec::with_capacity(lanes);
+        for lambda in order.map(Wavelength) {
+            if picked.len() == lanes {
+                break;
+            }
+            if self.is_free(path, lambda) {
+                picked.push(lambda);
+            }
+        }
+        picked
     }
 }
 

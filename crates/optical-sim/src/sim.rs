@@ -210,8 +210,9 @@ impl RingSimulator {
     ) -> Result<StepReport> {
         let timing = self.config.timing();
         let mut stats = RunStats::default();
+        let mut occ = Occupancy::new(self.topo.nodes(), self.config.wavelengths);
         for (index, step) in schedule.steps.iter().enumerate() {
-            let mut occ = Occupancy::new(self.topo.nodes(), self.config.wavelengths);
+            occ.clear();
             let mut duration = 0.0f64;
             let mut bytes = 0u64;
             let mut total_lanes = 0usize;
