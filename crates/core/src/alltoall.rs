@@ -46,8 +46,19 @@ pub fn alltoall_pairs(reps: &[usize]) -> Vec<(usize, usize)> {
 ///
 /// * the result is the **exact** peak wavelength index First-Fit reaches
 ///   when the pairs are assigned in slice order, each as one unit-lane
-///   lightpath on its shortest arc — not the Liang–Shen `⌈k²/8⌉` bound,
-///   which [`crate::steps::alltoall_wavelength_requirement`] provides;
+///   lightpath on its shortest arc of `topo` (clockwise on ties) — not the
+///   Liang–Shen `⌈k²/8⌉` bound, which
+///   [`crate::steps::alltoall_wavelength_requirement`] provides;
+/// * the trial runs on the **endpoint-compressed ring**, so its cost
+///   scales with the number `k` of distinct endpoints, not with
+///   `topo.nodes()`. With the endpoints sorted, `e_0 < … < e_{k−1}`, span
+///   `i` of the small ring stands for the whole arc from `e_i` clockwise
+///   to `e_{(i+1) mod k}`. The measurement is still exact: every path
+///   starts and ends at an endpoint, so it covers whole arcs, and all
+///   segments of one arc always carry the same wavelengths. A wavelength
+///   is therefore free along a path on the small ring exactly when it is
+///   free along the path on `topo`, and First-Fit picks the same lane for
+///   every pair. Directions come from `topo`, never from the small ring;
 /// * `w` is only a sizing hint: the trial occupancy is sized beyond
 ///   `max(w, pairs.len())`, so the measurement stays exact even when the
 ///   requirement exceeds the budget, and the caller compares the result
@@ -55,25 +66,44 @@ pub fn alltoall_pairs(reps: &[usize]) -> Vec<(usize, usize)> {
 /// * assignment order matters to First-Fit, so callers must pass pairs in
 ///   a canonical order ([`alltoall_pairs`] output) for reproducible
 ///   measurements;
-/// * empty `pairs` need zero wavelengths.
+/// * empty `pairs` need zero wavelengths, and a self-pair `(a, a)` adds
+///   nothing: it occupies no segment.
 ///
 /// # Errors
-/// Only if the generously-sized trial occupancy still cannot place a path
-/// (unreachable for unit lanes, kept as an error rather than a panic to
-/// honor the crate's no-panic rule).
+/// [`optical_sim::OpticalError::NodeOutOfRange`] (wrapped in
+/// [`crate::WrhtError::Optical`]) when a pair names a node that is not on
+/// `topo`, self-pairs included. The trial placement itself cannot fail:
+/// the occupancy has a spare wavelength for every pair.
 pub fn measured_alltoall_wavelengths(
     topo: &RingTopology,
     pairs: &[(usize, usize)],
     w: usize,
 ) -> Result<usize> {
-    if pairs.is_empty() {
+    if let Some(node) = pairs.iter().map(|&(a, b)| a.max(b)).max() {
+        topo.check_node(NodeId(node))?;
+    }
+    // Self-pairs occupy nothing, so only the other pairs' endpoints
+    // delimit spans.
+    let travels = |&&(a, b): &&(usize, usize)| a != b;
+    let mut ends: Vec<usize> = pairs
+        .iter()
+        .filter(travels)
+        .flat_map(|&(a, b)| [a, b])
+        .collect();
+    ends.sort_unstable();
+    ends.dedup();
+    if ends.is_empty() {
         return Ok(0);
     }
+    // Two endpoints at least: a pair that travels has two.
+    let spans = RingTopology::try_new(ends.len())?;
+    let span_of = |node: usize| NodeId(ends.partition_point(|&e| e < node));
     // Upper bound: every pair on its own wavelength.
     let headroom = w.max(pairs.len()) + 1;
-    let mut occ = Occupancy::new(topo.nodes(), headroom);
-    for &(src, dst) in pairs {
-        let path = LightPath::shortest(topo, NodeId(src), NodeId(dst));
+    let mut occ = Occupancy::new(spans.nodes(), headroom);
+    for &(src, dst) in pairs.iter().filter(travels) {
+        let direction = topo.shortest_direction(NodeId(src), NodeId(dst));
+        let path = LightPath::routed(&spans, span_of(src), span_of(dst), direction);
         occ.assign(&path, 1, Strategy::FirstFit)?;
     }
     Ok(occ.peak_wavelengths_used())
@@ -82,7 +112,9 @@ pub fn measured_alltoall_wavelengths(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::WrhtError;
     use crate::steps::alltoall_wavelength_requirement;
+    use optical_sim::OpticalError;
 
     #[test]
     fn pairs_are_all_ordered_pairs() {
@@ -125,6 +157,35 @@ mod tests {
     fn empty_pairs_need_nothing() {
         let topo = RingTopology::new(8);
         assert_eq!(measured_alltoall_wavelengths(&topo, &[], 4).unwrap(), 0);
+    }
+
+    #[test]
+    fn out_of_range_endpoint_is_a_typed_error() {
+        let topo = RingTopology::new(8);
+        let err = measured_alltoall_wavelengths(&topo, &[(9, 3)], 4).unwrap_err();
+        assert_eq!(
+            err,
+            WrhtError::Optical(OpticalError::NodeOutOfRange {
+                node: NodeId(9),
+                n: 8
+            })
+        );
+        // A self-pair is checked too, although it occupies nothing.
+        assert!(measured_alltoall_wavelengths(&topo, &[(1, 2), (8, 8)], 4).is_err());
+    }
+
+    #[test]
+    fn self_pairs_cost_nothing() {
+        let topo = RingTopology::new(8);
+        // No second endpoint at all.
+        assert_eq!(
+            measured_alltoall_wavelengths(&topo, &[(4, 4)], 4).unwrap(),
+            0
+        );
+        // Beside a pair that travels, a self-pair changes nothing.
+        let with = measured_alltoall_wavelengths(&topo, &[(0, 4), (4, 4), (1, 3)], 4).unwrap();
+        let without = measured_alltoall_wavelengths(&topo, &[(0, 4), (1, 3)], 4).unwrap();
+        assert_eq!((with, without), (2, 2));
     }
 
     #[test]

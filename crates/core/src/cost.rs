@@ -39,11 +39,10 @@ pub fn predict_time_s(plan: &WrhtPlan, config: &OpticalConfig, bytes: u64) -> Co
 
     let mut reduce_s = 0.0;
     for level in &plan.levels {
-        let hops = level.max_hop_span();
         let t = if level.groups.iter().all(|g| g.members.len() == 1) {
             0.0 // degenerate level: nothing to send
         } else {
-            timing.transfer_time(bytes, level.lanes, hops)
+            timing.transfer_time(bytes, level.lanes, level.max_hop_span())
         };
         reduce_s += t;
         per_step_s.push(t);
@@ -57,14 +56,8 @@ pub fn predict_time_s(plan: &WrhtPlan, config: &OpticalConfig, bytes: u64) -> Co
 
     // Broadcast mirrors the reduce stage, root-most level first.
     let broadcast_s = reduce_s;
-    for level in plan.levels.iter().rev() {
-        let hops = level.max_hop_span();
-        let t = if level.groups.iter().all(|g| g.members.len() == 1) {
-            0.0
-        } else {
-            timing.transfer_time(bytes, level.lanes, hops)
-        };
-        per_step_s.push(t);
+    for i in (0..plan.levels.len()).rev() {
+        per_step_s.push(per_step_s[i]);
     }
 
     CostBreakdown {

@@ -18,6 +18,22 @@ pub enum WrhtError {
     },
     /// The deployment has no nodes.
     NoNodes,
+    /// A participant list must hold strictly ascending ring positions:
+    /// `node` follows `previous` but is not larger (unsorted or duplicate).
+    ParticipantsNotAscending {
+        /// The participant before `node`.
+        previous: usize,
+        /// The first participant out of order.
+        node: usize,
+    },
+    /// Planner parameters and the substrate configuration describe rings
+    /// of different sizes.
+    NodeCountMismatch {
+        /// Node count of the planner parameters.
+        params: usize,
+        /// Node count of the substrate configuration.
+        config: usize,
+    },
     /// No feasible group size exists for the given wavelength budget.
     NoFeasiblePlan {
         /// Node count.
@@ -46,6 +62,14 @@ impl fmt::Display for WrhtError {
                 m / 2
             ),
             WrhtError::NoNodes => write!(f, "deployment has no nodes"),
+            WrhtError::ParticipantsNotAscending { previous, node } => write!(
+                f,
+                "participants must be strictly ascending ring positions, but {node} follows {previous}"
+            ),
+            WrhtError::NodeCountMismatch { params, config } => write!(
+                f,
+                "plan parameters are for {params} nodes but the substrate has {config}"
+            ),
             WrhtError::NoFeasiblePlan { n, wavelengths } => write!(
                 f,
                 "no feasible Wrht plan for n={n} with {wavelengths} wavelengths"

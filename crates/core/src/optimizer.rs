@@ -2,9 +2,10 @@
 //! pipeline.
 //!
 //! The search space is small (`m ∈ 2..=2w+1`, a handful of stop levels per
-//! `m`) but each candidate costs a plan construction including trial RWA;
-//! the sweep is embarrassingly parallel and fans out over std scoped
-//! threads for large rings.
+//! `m`) and each candidate costs one plan construction: the levels down to
+//! the stop, one trial First-Fit RWA on the ring compressed to the
+//! all-to-all's endpoints, and the cost model. The search runs on the
+//! caller's thread and starts none of its own.
 
 use crate::cost::{predict_time_s, CostBreakdown};
 use crate::error::{Result, WrhtError};
@@ -42,15 +43,20 @@ fn plans_for_m(m: usize, params: &WrhtParams) -> Vec<WrhtPlan> {
     }
 }
 
-/// Evaluate all candidates for a slice of group sizes; returns the best.
-fn best_in_range(
-    ms: &[usize],
+/// Search group sizes `2..=max_group_size` (and, under
+/// [`StopPolicy::BestDepth`], every stop level) for the plan minimizing
+/// predicted communication time for `bytes` per message.
+///
+/// The scan runs in ascending `m`, earliest stop first, and keeps a
+/// candidate only when its total is strictly lower, so ties go to the
+/// smallest `m` and then the shallowest plan.
+pub fn choose_group_size(
     params: &WrhtParams,
     config: &OpticalConfig,
     bytes: u64,
-) -> Option<(usize, WrhtPlan, CostBreakdown)> {
+) -> Result<(usize, WrhtPlan, CostBreakdown)> {
     let mut best: Option<(usize, WrhtPlan, CostBreakdown)> = None;
-    for &m in ms {
+    for m in 2..=params.max_group_size() {
         for plan in plans_for_m(m, params) {
             let cost = predict_time_s(&plan, config, bytes);
             let better = best
@@ -61,55 +67,6 @@ fn best_in_range(
             }
         }
     }
-    best
-}
-
-/// Search group sizes `2..=max_group_size` (and, under
-/// [`StopPolicy::BestDepth`], every stop level) for the plan minimizing
-/// predicted communication time for `bytes` per message.
-///
-/// The sweep parallelizes across std scoped threads when the ring is
-/// large enough for planning cost to matter.
-pub fn choose_group_size(
-    params: &WrhtParams,
-    config: &OpticalConfig,
-    bytes: u64,
-) -> Result<(usize, WrhtPlan, CostBreakdown)> {
-    let ms: Vec<usize> = (2..=params.max_group_size()).collect();
-
-    // Threshold chosen so tests and small rings stay single-threaded.
-    let best = if params.n >= 512 && ms.len() >= 8 {
-        let threads = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(4)
-            .min(ms.len());
-        let chunk = ms.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = ms
-                .chunks(chunk)
-                .map(|slice| scope.spawn(move || best_in_range(slice, params, config, bytes)))
-                .collect();
-            handles
-                .into_iter()
-                .filter_map(|h| match h.join() {
-                    Ok(found) => found,
-                    // Re-raise the worker's panic payload on the caller
-                    // thread instead of wrapping it in a second panic.
-                    Err(payload) => std::panic::resume_unwind(payload),
-                })
-                .min_by(|a, b| {
-                    // total_cmp: bit-identical to partial_cmp on the finite
-                    // costs predict_time_s produces, and totally ordered.
-                    a.2.total_s()
-                        .total_cmp(&b.2.total_s())
-                        // Deterministic tie-break on smaller m.
-                        .then(a.0.cmp(&b.0))
-                })
-        })
-    } else {
-        best_in_range(&ms, params, config, bytes)
-    };
-
     best.ok_or(WrhtError::NoFeasiblePlan {
         n: params.n,
         wavelengths: params.wavelengths,
@@ -118,15 +75,22 @@ pub fn choose_group_size(
 
 /// Build a plan per `params` (fixed or optimizer-chosen `m`), lower it and
 /// execute it on the stepped optical [`Substrate`] with First-Fit RWA.
+///
+/// # Errors
+/// [`WrhtError::NodeCountMismatch`] when `params` and `config` describe
+/// rings of different sizes; otherwise the planner's and the substrate's
+/// errors.
 pub fn plan_and_simulate(
     params: &WrhtParams,
     config: &OpticalConfig,
     bytes: u64,
 ) -> Result<PlanOutcome> {
-    debug_assert_eq!(
-        params.n, config.nodes,
-        "params and config disagree on node count"
-    );
+    if params.n != config.nodes {
+        return Err(WrhtError::NodeCountMismatch {
+            params: params.n,
+            config: config.nodes,
+        });
+    }
     let (m, plan, predicted) = match params.group_size {
         GroupSize::Fixed(m) => {
             let best = plans_for_m(m, params).into_iter().min_by(|a, b| {
@@ -229,8 +193,8 @@ mod tests {
 
     #[test]
     fn parallel_and_serial_sweeps_agree() {
-        // n >= 512 triggers the threaded path; compare against a manual
-        // serial scan.
+        // The optimizer's scan at a ring size that once fanned out over
+        // threads, against a manual serial scan.
         let n = 512;
         let w = 16;
         let bytes = 10 << 20;
@@ -265,6 +229,31 @@ mod tests {
         let outcome = plan_and_simulate(&WrhtParams::fixed(n, w, 4), &config, 1 << 20).unwrap();
         assert_eq!(outcome.m, 4);
         assert_eq!(outcome.plan.m, 4);
+    }
+
+    #[test]
+    fn ties_go_to_the_smallest_group_size() {
+        // With ample wavelengths every m stops at once with the same
+        // all-to-all among all 16 nodes, so every candidate costs the same.
+        let config = OpticalConfig::new(16, 64);
+        let (m, plan, _) = choose_group_size(&WrhtParams::auto(16, 64), &config, 1 << 20).unwrap();
+        assert_eq!((m, plan.depth()), (2, 0));
+    }
+
+    #[test]
+    fn node_count_mismatch_is_a_typed_error() {
+        for (params_n, config_n) in [(64usize, 128usize), (128, 64)] {
+            let config = OpticalConfig::new(config_n, 16);
+            let err =
+                plan_and_simulate(&WrhtParams::auto(params_n, 16), &config, 1 << 20).unwrap_err();
+            assert_eq!(
+                err,
+                WrhtError::NodeCountMismatch {
+                    params: params_n,
+                    config: config_n
+                }
+            );
+        }
     }
 
     #[test]

@@ -8,7 +8,8 @@
 use crate::alltoall::{alltoall_pairs, measured_alltoall_wavelengths};
 use crate::error::{Result, WrhtError};
 use crate::steps::{alltoall_wavelength_requirement, tree_wavelength_requirement};
-use optical_sim::topology::RingTopology;
+use optical_sim::topology::{NodeId, RingTopology};
+use optical_sim::OpticalError;
 use serde::{Deserialize, Serialize};
 
 /// One contiguous group at some tree level.
@@ -54,7 +55,9 @@ impl Group {
     /// Size of the larger side = wavelength groups this group needs.
     #[must_use]
     pub fn wavelength_requirement(&self) -> usize {
-        self.left_side().len().max(self.right_side().len())
+        let below = self.members.iter().filter(|&&p| p < self.rep).count();
+        let above = self.members.iter().filter(|&&p| p > self.rep).count();
+        below.max(above)
     }
 
     /// Longest member→representative hop distance in this group.
@@ -191,7 +194,8 @@ pub enum StopPolicy {
 /// Follows the paper: partition into contiguous groups of `m`, pick middle
 /// representatives, recurse **until the wavelengths suffice for an
 /// all-to-all among the survivors** (checked both against the `⌈m*²/8⌉`
-/// bound and an actual trial wavelength assignment).
+/// bound and an actual trial wavelength assignment). Levels past that stop
+/// are never built.
 ///
 /// ```
 /// use wrht_core::plan::build_plan;
@@ -202,9 +206,8 @@ pub enum StopPolicy {
 /// assert!(plan.step_count() >= 1);
 /// ```
 pub fn build_plan(n: usize, m: usize, w: usize) -> Result<WrhtPlan> {
-    let mut candidates = candidate_plans(n, m, w)?;
-    // candidate_plans returns earliest-stop first.
-    Ok(candidates.swap_remove(0))
+    let everyone: Vec<usize> = (0..n).collect();
+    build_plan_over(n, &everyone, m, w)
 }
 
 /// Enumerate every structurally distinct Wrht plan for `(n, m, w)`:
@@ -220,30 +223,67 @@ pub fn candidate_plans(n: usize, m: usize, w: usize) -> Result<Vec<WrhtPlan>> {
 /// fault-tolerance extension: when nodes fail, the all-reduce re-plans over
 /// the survivors (failed nodes' micro-rings keep bypassing light, so paths
 /// may pass through them).
+///
+/// # Errors
+/// As [`candidate_plans_over`].
 pub fn build_plan_over(
     ring_n: usize,
     participants: &[usize],
     m: usize,
     w: usize,
 ) -> Result<WrhtPlan> {
-    let mut candidates = candidate_plans_over(ring_n, participants, m, w)?;
-    Ok(candidates.swap_remove(0))
+    let mut plans = walk_levels(ring_n, participants, m, w, true)?;
+    // The walk always ends in at least the run-to-root plan.
+    Ok(plans.swap_remove(0))
 }
 
-/// [`candidate_plans`] over an explicit participant set (ascending,
-/// distinct ring positions `< ring_n`).
+/// [`candidate_plans`] over an explicit participant set.
+///
+/// # Errors
+/// - [`WrhtError::NoNodes`] for an empty participant set;
+/// - [`WrhtError::ParticipantsNotAscending`] unless the participants are
+///   strictly ascending (sorted, no duplicates);
+/// - [`optical_sim::OpticalError::NodeOutOfRange`] (wrapped in
+///   [`WrhtError::Optical`]) for a participant `>= ring_n`;
+/// - [`WrhtError::GroupSizeTooSmall`] and
+///   [`WrhtError::GroupSizeNeedsMoreWavelengths`] for an unusable `m`.
 pub fn candidate_plans_over(
     ring_n: usize,
     participants: &[usize],
     m: usize,
     w: usize,
 ) -> Result<Vec<WrhtPlan>> {
-    let n = participants.len();
-    if n == 0 {
+    walk_levels(ring_n, participants, m, w, false)
+}
+
+/// Walk the reduce levels over `participants`, collecting a plan for every
+/// feasible all-to-all stop (earliest first) and the run-to-root plan
+/// (last). With `stop_at_first` the walk returns the first of these alone.
+fn walk_levels(
+    ring_n: usize,
+    participants: &[usize],
+    m: usize,
+    w: usize,
+    stop_at_first: bool,
+) -> Result<Vec<WrhtPlan>> {
+    let Some(&last) = participants.last() else {
         return Err(WrhtError::NoNodes);
+    };
+    if let Some(pair) = participants.windows(2).find(|p| p[0] >= p[1]) {
+        return Err(WrhtError::ParticipantsNotAscending {
+            previous: pair[0],
+            node: pair[1],
+        });
     }
-    debug_assert!(participants.windows(2).all(|p| p[0] < p[1]));
-    debug_assert!(participants.iter().all(|&p| p < ring_n.max(1)));
+    // `RingTopology::check_node`'s test, spelled out: a one-node ring is a
+    // valid planning input, but a `RingTopology` needs two nodes.
+    if last >= ring_n {
+        return Err(OpticalError::NodeOutOfRange {
+            node: NodeId(last),
+            n: ring_n,
+        }
+        .into());
+    }
     if m < 2 {
         return Err(WrhtError::GroupSizeTooSmall(m));
     }
@@ -251,19 +291,21 @@ pub fn candidate_plans_over(
         return Err(WrhtError::GroupSizeNeedsMoreWavelengths { m, wavelengths: w });
     }
 
-    let base = WrhtPlan {
+    let plan = |levels, final_reps, alltoall| WrhtPlan {
         n: ring_n,
         m,
         wavelengths: w,
-        levels: Vec::new(),
-        alltoall: None,
-        final_reps: vec![participants[0]],
+        levels,
+        alltoall,
+        final_reps,
     };
-    if n == 1 {
-        return Ok(vec![base]);
+    if participants.len() == 1 {
+        return Ok(vec![plan(Vec::new(), vec![last], None)]);
     }
 
-    let topo = RingTopology::new(ring_n.max(2));
+    // Two distinct participants below `ring_n`: the ring has two nodes at
+    // least.
+    let topo = RingTopology::try_new(ring_n)?;
     let mut active: Vec<usize> = participants.to_vec();
     let mut levels: Vec<Level> = Vec::new();
     let mut candidates: Vec<WrhtPlan> = Vec::new();
@@ -271,10 +313,7 @@ pub fn candidate_plans_over(
     loop {
         if active.len() == 1 {
             // Run-to-root plan: reduce to one node, broadcast back.
-            let mut plan = base.clone();
-            plan.levels = levels;
-            plan.final_reps = active;
-            candidates.push(plan);
+            candidates.push(plan(levels, active, None));
             return Ok(candidates);
         }
         // Would stopping here (all-to-all among `active`) be feasible?
@@ -282,15 +321,15 @@ pub fn candidate_plans_over(
             let pairs = alltoall_pairs(&active);
             let measured = measured_alltoall_wavelengths(&topo, &pairs, w)?;
             if measured <= w {
-                let mut plan = base.clone();
-                plan.levels = levels.clone();
-                plan.final_reps = active.clone();
-                plan.alltoall = Some(AllToAll {
+                let alltoall = Some(AllToAll {
                     reps: active.clone(),
                     lambda_requirement: measured,
                     lanes: (w / measured).max(1),
                 });
-                candidates.push(plan);
+                if stop_at_first {
+                    return Ok(vec![plan(levels, active, alltoall)]);
+                }
+                candidates.push(plan(levels.clone(), active.clone(), alltoall));
             }
         }
         // Partition into contiguous groups of m and recurse on the middles.
@@ -526,6 +565,61 @@ mod tests {
             build_plan_over(8, &[], 2, 1),
             Err(WrhtError::NoNodes)
         ));
+    }
+
+    #[test]
+    fn subset_with_out_of_range_node_errors() {
+        assert_eq!(
+            build_plan_over(8, &[3, 9], 2, 4),
+            Err(WrhtError::Optical(OpticalError::NodeOutOfRange {
+                node: NodeId(9),
+                n: 8
+            }))
+        );
+    }
+
+    #[test]
+    fn unsorted_subset_errors() {
+        assert_eq!(
+            build_plan_over(16, &[9, 3, 5], 2, 4),
+            Err(WrhtError::ParticipantsNotAscending {
+                previous: 9,
+                node: 3
+            })
+        );
+    }
+
+    #[test]
+    fn duplicate_participant_errors() {
+        assert_eq!(
+            build_plan_over(16, &[3, 3, 5], 2, 4),
+            Err(WrhtError::ParticipantsNotAscending {
+                previous: 3,
+                node: 3
+            })
+        );
+    }
+
+    #[test]
+    fn build_plan_is_the_first_candidate() {
+        // Stopping the walk at the first feasible level builds the same
+        // plan the full enumeration lists first, on full rings and subsets.
+        for (n, m, w) in [
+            (64usize, 4usize, 4usize),
+            (100, 7, 16),
+            (256, 3, 8),
+            (1024, 2, 1),
+        ] {
+            assert_eq!(
+                build_plan(n, m, w).unwrap(),
+                candidate_plans(n, m, w).unwrap().swap_remove(0)
+            );
+            let odd: Vec<usize> = (1..n).step_by(2).collect();
+            assert_eq!(
+                build_plan_over(n, &odd, m, w).unwrap(),
+                candidate_plans_over(n, &odd, m, w).unwrap().swap_remove(0)
+            );
+        }
     }
 
     #[test]

@@ -21,6 +21,7 @@ use wrht_core::dag::DepSchedule;
 use wrht_core::fault::{FaultKind, FaultPolicy, FaultRunReport, FaultScript};
 use wrht_core::substrate::{ElectricalSubstrate, OpticalSubstrate, Substrate};
 use wrht_core::tenancy::{Job, SchedPolicy, TenancySpec};
+use wrht_core::{choose_group_size, StopPolicy, WrhtParams};
 
 /// A fixed reduced-scale grid: small enough to run in milliseconds, large
 /// enough to cover both substrates, the optimizer and the all-to-all stop.
@@ -341,6 +342,51 @@ fn parallelism_campaign_json_matches_golden() {
         "missing a mixed-domain MoE shape"
     );
     assert_matches_golden("parallelism_gpt2.json", &to_json(&report));
+}
+
+#[test]
+fn optimizer_choices_match_golden() {
+    // The group-size search at the paper's scales: every (n, w, model)
+    // cell of the Figure-2 grid under both stop policies, against the
+    // campaign's optical cost model. Pins the chosen m, the plan's shape
+    // (depth, all-to-all size and measured First-Fit requirement) and the
+    // predicted total to the bit, so a faster search cannot pick a
+    // different plan.
+    let base = ExperimentConfig::default();
+    let mut rows = Vec::new();
+    for n in [128usize, 256, 512, 1024] {
+        for w in [16usize, 32, 64] {
+            let optical = ExperimentConfig {
+                wavelengths: w,
+                ..base.clone()
+            }
+            .optical(n);
+            for model in dnn_models::paper_models() {
+                let bytes = model.gradient_bytes();
+                for policy in [StopPolicy::EarliestFeasible, StopPolicy::BestDepth] {
+                    let params = WrhtParams::auto(n, w).with_stop_policy(policy);
+                    let (m, plan, cost) =
+                        choose_group_size(&params, &optical, bytes).expect("feasible cell");
+                    let (ata_reps, ata_lambda) = plan
+                        .alltoall
+                        .as_ref()
+                        .map_or((0, 0), |a| (a.reps.len(), a.lambda_requirement));
+                    rows.push(format!(
+                        "{{\"n\":{n},\"w\":{w},\"model\":{},\"bytes\":{bytes},\"policy\":\"{policy:?}\",\
+                         \"m\":{m},\"depth\":{},\"alltoall_reps\":{ata_reps},\
+                         \"alltoall_lambda\":{ata_lambda},\"total_s_bits\":\"{:016x}\"}}",
+                        serde_json::to_string(&model.name).expect("name serializes"),
+                        plan.depth(),
+                        cost.total_s().to_bits(),
+                    ));
+                }
+            }
+        }
+    }
+    assert_matches_golden(
+        "optimizer_choices.json",
+        &format!("[\n{}\n]\n", rows.join(",\n")),
+    );
 }
 
 #[test]
