@@ -1,14 +1,15 @@
 //! Shared helpers for the Figure 2 Criterion benches.
 //!
 //! Each `fig2_*` bench regenerates one sub-figure of the paper: it times the
-//! full experiment cell (all four algorithms) and, as a side effect of the
-//! first iteration, prints the simulated communication times so running
-//! `cargo bench` reproduces the figure's numbers.
+//! four Figure-2 campaign cells of one scale (all four algorithms) and, as
+//! a side effect of the first iteration, prints the simulated
+//! communication times so running `cargo bench` reproduces the figure's
+//! numbers.
 
 use criterion::Criterion;
 use std::sync::Once;
 use wrht_bench::report::render_fig2;
-use wrht_bench::{fig2_row, fig2_series, ExperimentConfig};
+use wrht_bench::{fig2_spec, run_campaign, run_fig2, ExperimentConfig};
 
 /// Scales benched per model: the paper's two smallest keep Criterion
 /// iterations affordable; the full grid is produced by `repro-figures`.
@@ -23,17 +24,23 @@ pub fn bench_fig2_model(c: &mut Criterion, print_once: &'static Once, model: dnn
 
     // Print the actual figure series once, so bench output contains the
     // reproduced numbers alongside the harness timings.
+    let models = [model];
     print_once.call_once(|| {
-        let series = fig2_series(&cfg, &model);
-        println!("\n{}", render_fig2(&series));
+        for series in run_fig2(&cfg, &models, 1) {
+            println!("\n{}", render_fig2(&series));
+        }
     });
 
-    let mut group = c.benchmark_group(format!("fig2/{}", model.name));
+    let mut group = c.benchmark_group(format!("fig2/{}", models[0].name));
     group.sample_size(10);
     for &n in &BENCH_SCALES {
-        let bytes = model.gradient_bytes();
+        let one_scale = ExperimentConfig {
+            scales: vec![n],
+            ..cfg.clone()
+        };
+        let spec = fig2_spec(&one_scale, &models);
         group.bench_function(format!("cell/n{n}"), |b| {
-            b.iter(|| std::hint::black_box(fig2_row(&cfg, n, bytes)));
+            b.iter(|| std::hint::black_box(run_campaign(&spec, 1, None)));
         });
     }
     group.finish();

@@ -2,20 +2,31 @@
 //!
 //! A *campaign* is a declarative grid of experiment cells — node count ×
 //! wavelength budget × DNN model × algorithm × RWA strategy × substrate —
-//! executed through the unified [`Substrate`] API:
+//! executed through the unified [`Substrate`](wrht_core::substrate::Substrate)
+//! API. Every experiment axis (the Figure-2 sweep, training timelines,
+//! tenancy, faults, open-loop streams and mixed parallelism) is one cell
+//! type implementing [`Axis`]: how a cell runs, the row it produces, the
+//! prefix of its sink files and its CSV columns. One engine serves them all:
 //!
-//! * every cell is identified by a stable FNV-1a **config hash** and seeded
+//! * [`Campaign`] holds the cells, [`Report`] the rows, in grid order;
+//! * every cell is identified by a stable FNV-1a [`config_hash`] and seeded
 //!   deterministically from `campaign seed ⊕ cell hash`;
-//! * cells fan out over [`std::thread::scope`] workers pulling chunks from a
-//!   shared atomic cursor (chunked work-stealing), yet the collected result
-//!   vector is ordered by grid position, so a parallel run serializes
-//!   byte-identically to a serial one;
+//! * [`run_campaign`] fans cells out over [`std::thread::scope`] workers
+//!   pulling chunks from a shared atomic cursor (chunked work-stealing), yet
+//!   the collected rows are ordered by grid position, so a parallel run
+//!   serializes byte-identically to a serial one;
 //! * an optional **sink** directory receives one JSON file per finished
 //!   cell (keyed by the config hash) plus combined JSON/CSV tables;
 //!   interrupted campaigns resume by reloading finished cells from the sink
 //!   instead of recomputing them;
 //! * infeasible cells (e.g. Wrht under a starved wavelength budget) record
-//!   their error string instead of aborting the sweep.
+//!   their error string instead of aborting the sweep;
+//! * [`to_csv`] derives both the header and every row from the axis's
+//!   column table.
+//!
+//! Figure 2 ([`run_fig2`]) and the `train` table (`From<&TimelineCellResult>`
+//! for [`TimelineRow`]) are read off campaign rows, so every paper number
+//! comes out of this engine.
 //!
 //! ```
 //! use wrht_bench::campaign::{run_campaign, Algorithm, CampaignSpec};
@@ -38,10 +49,7 @@
 use crate::config::{ExperimentConfig, SubstrateKind};
 use crate::fig2::{Fig2Row, Fig2Series};
 use crate::report::to_json;
-use collectives::halving_doubling::halving_doubling;
-use collectives::rd::recursive_doubling;
-use collectives::ring::ring_allreduce;
-use collectives::tree::binomial_tree;
+use crate::timeline::{iteration_model, lower_allreduce, timeline_buckets, TimelineRow};
 use dnn_models::Model;
 use optical_sim::sim::StepSchedule;
 use optical_sim::Strategy;
@@ -50,7 +58,6 @@ use std::fs;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use wrht_core::baselines::lower_collective_to_optical;
 use wrht_core::dag::{DepSchedule, ExecMode};
 use wrht_core::fault::{
     fault_cluster_report, FaultClusterReport, FaultKind, FaultPolicy, FaultScript,
@@ -92,56 +99,34 @@ impl Algorithm {
     }
 }
 
-/// One grid point of a campaign.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CellConfig {
-    /// Fabric that executes the workload.
-    pub substrate: SubstrateKind,
-    /// Collective algorithm under test.
-    pub algorithm: Algorithm,
-    /// Workload label (DNN model name).
-    pub model: String,
-    /// Payload bytes per all-reduce.
-    pub gradient_bytes: u64,
-    /// Node count.
-    pub n: usize,
-    /// Wavelength budget (optical; recorded but unused electrically).
-    pub wavelengths: usize,
-    /// RWA strategy (optical; ignored electrically).
-    pub strategy: Strategy,
-    /// Fixed Wrht group size; `None` lets the optimizer choose.
-    pub group_size: Option<usize>,
-    /// Execution mode: step-synchronous barrier or dependency-aware
-    /// pipelined execution.
-    pub mode: ExecMode,
-}
+/// One CSV column of an axis: its header and a row's value in it.
+pub type Column<R> = (&'static str, fn(&R) -> String);
 
-/// Result of one executed (or failed) cell.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CellResult {
-    /// The cell's configuration.
-    pub cell: CellConfig,
-    /// FNV-1a hash of the configuration (the sink key).
-    pub config_hash: u64,
-    /// Deterministic per-cell seed: campaign seed ⊕ config hash.
-    pub seed: u64,
-    /// Simulated communication time, seconds (0 when `error` is set).
-    pub time_s: f64,
-    /// Executed step count.
-    pub steps: usize,
-    /// Total payload bytes moved.
-    pub total_bytes: u64,
-    /// Peak wavelength footprint (0 electrically).
-    pub peak_wavelengths: usize,
-    /// Group size Wrht used (0 for other algorithms).
-    pub wrht_m: usize,
-    /// Error string for infeasible cells.
-    pub error: Option<String>,
+/// One experiment axis: a cell configuration that runs itself into a row.
+///
+/// Adding an axis takes one impl of this trait (plus a `Campaign::grid`
+/// for its cells); hashing, seeding, the parallel runner, sink resume and
+/// CSV rendering come from the generic engine.
+pub trait Axis: Clone + PartialEq + Serialize + Sync {
+    /// The row one cell produces: its configuration, config hash and seed,
+    /// flat metric fields, and the error of an infeasible cell.
+    type Row: Clone + Send + Serialize + Deserialize + 'static;
+    /// Prefix of the per-cell sink files, `<PREFIX>-<key>.json`.
+    const PREFIX: &'static str;
+    /// The CSV columns in order; the header and every row derive from it.
+    const COLUMNS: &'static [Column<Self::Row>];
+    /// The row's `(cell, config_hash, seed)`: what a sink file must match
+    /// to be reused on resume.
+    fn key(row: &Self::Row) -> (&Self, u64, u64);
+    /// The error an infeasible cell recorded.
+    fn error(row: &Self::Row) -> Option<&str>;
+    /// Execute the cell against the campaign's physical constants and seed.
+    fn run(&self, base: &ExperimentConfig, seed: u64) -> Self::Row;
 }
 
 /// A declarative campaign: shared physical constants plus a cell list.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CampaignSpec {
+#[derive(Debug, Clone)]
+pub struct Campaign<C> {
     /// Campaign name (names the combined sink files).
     pub name: String,
     /// Physical constants shared by every cell.
@@ -149,61 +134,50 @@ pub struct CampaignSpec {
     /// Campaign-level seed, mixed into every cell seed.
     pub seed: u64,
     /// The cells, in grid order.
-    pub cells: Vec<CellConfig>,
+    pub cells: Vec<C>,
 }
 
-impl CampaignSpec {
-    /// Expand a full cross-product grid in deterministic nested order
-    /// (model → n → wavelengths → algorithm → substrate).
-    #[must_use]
-    pub fn grid(
-        name: &str,
-        base: ExperimentConfig,
-        models: &[(&str, u64)],
-        nodes: &[usize],
-        wavelengths: &[usize],
-        algorithms: &[Algorithm],
-        substrates: &[SubstrateKind],
-    ) -> Self {
-        let mut cells = Vec::new();
-        for &(model, gradient_bytes) in models {
-            for &n in nodes {
-                for &w in wavelengths {
-                    for &algorithm in algorithms {
-                        for &substrate in substrates {
-                            cells.push(CellConfig {
-                                substrate,
-                                algorithm,
-                                model: model.to_string(),
-                                gradient_bytes,
-                                n,
-                                wavelengths: w,
-                                strategy: Strategy::FirstFit,
-                                group_size: None,
-                                mode: ExecMode::Barrier,
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        Self {
-            name: name.to_string(),
-            base,
-            seed: 0,
-            cells,
-        }
+/// Executed campaign: one row per cell, in the same order as the cells.
+pub struct Report<C: Axis> {
+    /// Campaign name.
+    pub name: String,
+    /// One row per cell, in grid order.
+    pub results: Vec<C::Row>,
+}
+
+// Hand-written: the vendored derive rejects generic types. Same object as
+// a derived impl would emit.
+impl<C: Axis> Serialize for Report<C> {
+    fn to_value(&self) -> serde::Value {
+        serde::Value::Map(vec![
+            ("name".to_string(), self.name.to_value()),
+            ("results".to_string(), self.results.to_value()),
+        ])
     }
 }
 
-/// Executed campaign: results in the same order as `spec.cells`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CampaignReport {
-    /// Campaign name.
-    pub name: String,
-    /// One result per cell, in grid order.
-    pub results: Vec<CellResult>,
-}
+/// The Figure-2 sweep's spec and report.
+pub type CampaignSpec = Campaign<CellConfig>;
+/// See [`CampaignSpec`].
+pub type CampaignReport = Report<CellConfig>;
+/// The open-loop stream axis's spec and report, by the names `perfbench`
+/// uses.
+pub type StreamSweep = Campaign<StreamCellConfig>;
+/// See [`StreamSweep`].
+pub type StreamCampaignReport = Report<StreamCellConfig>;
+/// The mixed-parallelism axis's spec and report, by the names `perfbench`
+/// uses.
+pub type ParallelismSweep = Campaign<ParCellConfig>;
+/// See [`ParallelismSweep`].
+pub type ParallelismCampaignReport = Report<ParCellConfig>;
+
+// The per-axis function names `perfbench` still calls. They go when the
+// benchmark next changes.
+pub use self::{
+    config_hash as stream_config_hash, config_hash as parallelism_config_hash,
+    run_campaign as run_stream_campaign, run_campaign as run_parallelism_campaign,
+    to_csv as stream_to_csv, to_csv as parallelism_to_csv,
+};
 
 fn fnv1a(text: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -215,9 +189,9 @@ fn fnv1a(text: &str) -> u64 {
 }
 
 /// Stable FNV-1a hash of a cell configuration (over its compact JSON
-/// rendering, which is deterministic for this plain-data type).
+/// rendering, which is deterministic for these plain-data types).
 #[must_use]
-pub fn config_hash(cell: &CellConfig) -> u64 {
+pub fn config_hash<C: Axis>(cell: &C) -> u64 {
     fnv1a(&serde_json::to_string(cell).expect("cell configs serialize"))
 }
 
@@ -228,146 +202,6 @@ pub fn config_hash(cell: &CellConfig) -> u64 {
 fn context_hash(base: &ExperimentConfig, seed: u64) -> u64 {
     let base = serde_json::to_string(base).expect("experiment configs serialize");
     fnv1a(&format!("{base}#{seed}"))
-}
-
-/// Build a cell's Wrht plan: the fixed group size, or the optimizer's
-/// choice against the optical cost model (also when the schedule will
-/// execute electrically or pipelined, mirroring the Figure-2 cells).
-fn wrht_plan(
-    cell: &CellConfig,
-    local: &ExperimentConfig,
-) -> wrht_core::error::Result<wrht_core::WrhtPlan> {
-    match cell.group_size {
-        Some(m) => build_plan(cell.n, m, cell.wavelengths),
-        None => choose_group_size(
-            &WrhtParams::auto(cell.n, cell.wavelengths),
-            &local.optical(cell.n),
-            cell.gradient_bytes,
-        )
-        .map(|(_, plan, _)| plan),
-    }
-}
-
-/// Lower a cell's classic-collective schedule to the substrate IR.
-fn logical_schedule(cell: &CellConfig, local: &ExperimentConfig) -> StepSchedule {
-    let elems = (cell.gradient_bytes as usize).div_ceil(local.bytes_per_elem);
-    let schedule = match cell.algorithm {
-        Algorithm::Ring => ring_allreduce(cell.n, elems),
-        Algorithm::RecursiveDoubling => recursive_doubling(cell.n, elems),
-        Algorithm::HalvingDoubling => halving_doubling(cell.n, elems),
-        Algorithm::Tree => binomial_tree(cell.n, elems),
-        Algorithm::Wrht => unreachable!("Wrht cells lower via wrht_plan"),
-    };
-    lower_collective_to_optical(&schedule, local.bytes_per_elem, 1)
-}
-
-/// Condense a barrier-mode run into the cell-outcome tuple
-/// `(time_s, steps, total_bytes, peak_wavelengths)`.
-fn summarize(r: &wrht_core::RunReport) -> (f64, usize, u64, usize) {
-    (
-        r.total_time_s,
-        r.step_count(),
-        r.total_bytes(),
-        r.peak_wavelengths(),
-    )
-}
-
-/// Execute one cell against the campaign's physical constants.
-#[must_use]
-pub fn run_cell(base: &ExperimentConfig, seed: u64, cell: &CellConfig) -> CellResult {
-    let hash = config_hash(cell);
-    let mut result = CellResult {
-        cell: cell.clone(),
-        config_hash: hash,
-        seed: seed ^ hash,
-        time_s: 0.0,
-        steps: 0,
-        total_bytes: 0,
-        peak_wavelengths: 0,
-        wrht_m: 0,
-        error: None,
-    };
-
-    // Cell-local constants: the cell's wavelength budget overrides the base.
-    let mut local = base.clone();
-    local.wavelengths = cell.wavelengths;
-
-    // time_s, steps, total_bytes, peak_wavelengths of the executed cell.
-    type CellOutcome = wrht_core::error::Result<(f64, usize, u64, usize)>;
-
-    let outcome: CellOutcome = match cell.mode {
-        ExecMode::Barrier => match cell.algorithm {
-            Algorithm::Wrht => match cell.substrate {
-                // Plan and execute on the stepped optical substrate.
-                SubstrateKind::Optical => {
-                    let params = match cell.group_size {
-                        Some(m) => WrhtParams::fixed(cell.n, cell.wavelengths, m),
-                        None => WrhtParams::auto(cell.n, cell.wavelengths),
-                    };
-                    plan_and_simulate(&params, &local.optical(cell.n), cell.gradient_bytes).map(
-                        |planned| {
-                            result.wrht_m = planned.m;
-                            summarize(&planned.report)
-                        },
-                    )
-                }
-                // Plan against the optical cost model (no optical
-                // simulation), then execute the lowered schedule on the
-                // electrical fabric.
-                SubstrateKind::Electrical => wrht_plan(cell, &local).and_then(|plan| {
-                    result.wrht_m = plan.m;
-                    let r = local
-                        .try_substrate(cell.substrate, cell.n, cell.strategy)?
-                        .execute(&to_optical_schedule(&plan, cell.gradient_bytes))?;
-                    Ok(summarize(&r))
-                }),
-            },
-            _ => local
-                .try_substrate(cell.substrate, cell.n, cell.strategy)
-                .and_then(|mut substrate| substrate.execute(&logical_schedule(cell, &local)))
-                .map(|r| summarize(&r)),
-        },
-        // Pipelined: obtain the same schedule (Wrht plans against the
-        // optical cost model on both substrates, mirroring the electrical
-        // Wrht cells), lower to the per-node dependency DAG and execute
-        // event-driven — consecutive steps overlap on the wire.
-        ExecMode::Pipelined => {
-            let schedule = match cell.algorithm {
-                Algorithm::Wrht => wrht_plan(cell, &local).map(|plan| {
-                    result.wrht_m = plan.m;
-                    to_optical_schedule(&plan, cell.gradient_bytes)
-                }),
-                _ => Ok(logical_schedule(cell, &local)),
-            };
-            schedule.and_then(|schedule| {
-                let dag = DepSchedule::pipelined_from_steps(&schedule);
-                let report = local
-                    .try_substrate(cell.substrate, cell.n, cell.strategy)?
-                    .execute_dag(&dag)?;
-                Ok((
-                    report.makespan_s,
-                    schedule.len(),
-                    schedule.total_bytes(),
-                    report.peak_wavelength,
-                ))
-            })
-        }
-    };
-
-    match outcome {
-        Ok((time_s, steps, total_bytes, peak_wavelengths)) => {
-            result.time_s = time_s;
-            result.steps = steps;
-            result.total_bytes = total_bytes;
-            result.peak_wavelengths = peak_wavelengths;
-        }
-        Err(e) => result.error = Some(e.to_string()),
-    }
-    result
-}
-
-fn cell_file(sink: &Path, prefix: &str, hash: u64) -> std::path::PathBuf {
-    sink.join(format!("{prefix}-{hash:016x}.json"))
 }
 
 /// Load a previously finished cell of any result type from a sink file, if
@@ -428,16 +262,21 @@ fn run_slots<R: Clone + Send>(
         .collect()
 }
 
-/// Run a campaign over `threads` workers with chunked work-stealing.
+/// Run a campaign of any [`Axis`] over `threads` workers with chunked
+/// work-stealing.
 ///
 /// Passing a `sink` directory enables incremental persistence and resume:
-/// each finished cell lands in `cell-<hash>.json`, and cells whose file
-/// already exists are reloaded instead of recomputed. The returned results
-/// are in grid order regardless of thread interleaving, so
-/// `run_campaign(spec, 1, None)` and `run_campaign(spec, 8, None)` produce
-/// byte-identical JSON.
+/// each finished cell lands in `<prefix>-<key>.json` (`cell`, `tcell`,
+/// `jcell`, `fcell`, `scell` or `pcell`), cells whose file already exists
+/// are reloaded instead of recomputed, and the combined `<name>.json` /
+/// `<name>.csv` tables are written at the end. These writes are
+/// best-effort: a sink that cannot be written costs the resume, not the
+/// run, so a caller that needs the files creates the directory first and
+/// reports that error itself. The returned rows are in grid order
+/// regardless of thread interleaving, so `run_campaign(spec, 1, None)` and
+/// `run_campaign(spec, 8, None)` produce byte-identical JSON.
 #[must_use]
-pub fn run_campaign(spec: &CampaignSpec, threads: usize, sink: Option<&Path>) -> CampaignReport {
+pub fn run_campaign<C: Axis>(spec: &Campaign<C>, threads: usize, sink: Option<&Path>) -> Report<C> {
     if let Some(dir) = sink {
         let _ = fs::create_dir_all(dir);
     }
@@ -445,29 +284,31 @@ pub fn run_campaign(spec: &CampaignSpec, threads: usize, sink: Option<&Path>) ->
     // Sink keys mix the per-cell hash with the campaign context so resumes
     // never reuse cells computed under different physics or seed.
     let ctx = context_hash(&spec.base, spec.seed);
-    let keys: Vec<u64> = spec.cells.iter().map(|c| config_hash(c) ^ ctx).collect();
-    let mut prefilled: Vec<Option<CellResult>> = vec![None; spec.cells.len()];
-    for (i, cell) in spec.cells.iter().enumerate() {
-        let expected_seed = spec.seed ^ config_hash(cell);
-        prefilled[i] = sink.and_then(|dir| {
-            load_finished(&cell_file(dir, "cell", keys[i]), |r: &CellResult| {
-                r.cell == *cell && r.config_hash == config_hash(cell) && r.seed == expected_seed
-            })
-        });
-    }
+    let hashes: Vec<u64> = spec.cells.iter().map(config_hash).collect();
+    let cell_file =
+        |dir: &Path, i: usize| dir.join(format!("{}-{:016x}.json", C::PREFIX, hashes[i] ^ ctx));
+    let prefilled: Vec<Option<C::Row>> = spec
+        .cells
+        .iter()
+        .enumerate()
+        .map(|(i, cell)| {
+            let key = (cell, hashes[i], spec.seed ^ hashes[i]);
+            sink.and_then(|dir| load_finished(&cell_file(dir, i), |r| C::key(r) == key))
+        })
+        .collect();
 
     let results = run_slots(
         threads,
         prefilled,
-        |i| run_cell(&spec.base, spec.seed, &spec.cells[i]),
+        |i| spec.cells[i].run(&spec.base, spec.seed),
         |i, result| {
             if let Some(dir) = sink {
-                let _ = fs::write(cell_file(dir, "cell", keys[i]), to_json(result));
+                let _ = fs::write(cell_file(dir, i), to_json(result));
             }
         },
     );
 
-    let report = CampaignReport {
+    let report = Report {
         name: spec.name.clone(),
         results,
     };
@@ -480,46 +321,302 @@ pub fn run_campaign(spec: &CampaignSpec, threads: usize, sink: Option<&Path>) ->
 
 /// Quote a CSV field when it contains a delimiter, quote or newline
 /// (error strings routinely contain commas).
-fn csv_field(value: &str) -> String {
+fn csv_field(value: String) -> String {
     if value.contains([',', '"', '\n', '\r']) {
         format!("\"{}\"", value.replace('"', "\"\""))
     } else {
-        value.to_string()
+        value
     }
 }
 
-/// Render a campaign as CSV (stable column order, grid row order).
+/// Render a campaign as CSV: the axis's column table gives the header and
+/// every row, in grid order.
 #[must_use]
-pub fn to_csv(report: &CampaignReport) -> String {
-    let mut out = String::from(
-        "substrate,algorithm,mode,model,n,wavelengths,strategy,group_size,\
-         gradient_bytes,seed,time_s,steps,total_bytes,peak_wavelengths,wrht_m,error\n",
-    );
-    for r in &report.results {
-        let c = &r.cell;
-        out.push_str(&format!(
-            "{},{},{},{},{},{},{:?},{},{},{},{},{},{},{},{},{}\n",
-            c.substrate.label(),
-            c.algorithm.label(),
-            c.mode.label(),
-            csv_field(&c.model),
-            c.n,
-            c.wavelengths,
-            c.strategy,
-            c.group_size
-                .map_or_else(|| "auto".into(), |m| m.to_string()),
-            c.gradient_bytes,
-            r.seed,
-            r.time_s,
-            r.steps,
-            r.total_bytes,
-            r.peak_wavelengths,
-            r.wrht_m,
-            csv_field(r.error.as_deref().unwrap_or("")),
-        ));
+pub fn to_csv<C: Axis>(report: &Report<C>) -> String {
+    let header: Vec<&str> = C::COLUMNS.iter().map(|&(name, _)| name).collect();
+    let mut out = header.join(",");
+    out.push('\n');
+    for row in &report.results {
+        let fields: Vec<String> = C::COLUMNS
+            .iter()
+            .map(|(_, value)| csv_field(value(row)))
+            .collect();
+        out.push_str(&fields.join(","));
+        out.push('\n');
     }
     out
 }
+
+/// `(name, gradient bytes)` of each model, as the Figure-2 grid takes them.
+fn named(models: &[Model]) -> Vec<(&str, u64)> {
+    models
+        .iter()
+        .map(|m| (m.name.as_str(), m.gradient_bytes()))
+        .collect()
+}
+
+/// One grid point of a campaign.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct CellConfig {
+    /// Fabric that executes the workload.
+    pub substrate: SubstrateKind,
+    /// Collective algorithm under test.
+    pub algorithm: Algorithm,
+    /// Workload label (DNN model name).
+    pub model: String,
+    /// Payload bytes per all-reduce.
+    pub gradient_bytes: u64,
+    /// Node count.
+    pub n: usize,
+    /// Wavelength budget (optical; recorded but unused electrically).
+    pub wavelengths: usize,
+    /// RWA strategy (optical; ignored electrically).
+    pub strategy: Strategy,
+    /// Fixed Wrht group size; `None` lets the optimizer choose.
+    pub group_size: Option<usize>,
+    /// Execution mode: step-synchronous barrier or dependency-aware
+    /// pipelined execution.
+    pub mode: ExecMode,
+}
+
+/// Result of one executed (or failed) cell.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct CellResult {
+    /// The cell's configuration.
+    pub cell: CellConfig,
+    /// FNV-1a hash of the configuration (the sink key).
+    pub config_hash: u64,
+    /// Deterministic per-cell seed: campaign seed ⊕ config hash.
+    pub seed: u64,
+    /// Simulated communication time, seconds (0 when `error` is set).
+    pub time_s: f64,
+    /// Executed step count.
+    pub steps: usize,
+    /// Total payload bytes moved.
+    pub total_bytes: u64,
+    /// Peak wavelength footprint (0 electrically).
+    pub peak_wavelengths: usize,
+    /// Group size Wrht used (0 for other algorithms).
+    pub wrht_m: usize,
+    /// Error string for infeasible cells.
+    pub error: Option<String>,
+}
+
+impl Campaign<CellConfig> {
+    /// Expand a full cross-product grid in deterministic nested order
+    /// (model → n → wavelengths → algorithm → substrate).
+    #[must_use]
+    pub fn grid(
+        name: &str,
+        base: ExperimentConfig,
+        models: &[(&str, u64)],
+        nodes: &[usize],
+        wavelengths: &[usize],
+        algorithms: &[Algorithm],
+        substrates: &[SubstrateKind],
+    ) -> Self {
+        let mut cells = Vec::new();
+        for &(model, gradient_bytes) in models {
+            for &n in nodes {
+                for &w in wavelengths {
+                    for &algorithm in algorithms {
+                        for &substrate in substrates {
+                            cells.push(CellConfig {
+                                substrate,
+                                algorithm,
+                                model: model.to_string(),
+                                gradient_bytes,
+                                n,
+                                wavelengths: w,
+                                strategy: Strategy::FirstFit,
+                                group_size: None,
+                                mode: ExecMode::Barrier,
+                            });
+                        }
+                    }
+                }
+            }
+        }
+        Self {
+            name: name.to_string(),
+            base,
+            seed: 0,
+            cells,
+        }
+    }
+}
+
+/// Build a cell's Wrht plan: the fixed group size, or the optimizer's
+/// choice against the optical cost model (also when the schedule will
+/// execute electrically or pipelined, mirroring the Figure-2 cells).
+fn wrht_plan(
+    cell: &CellConfig,
+    local: &ExperimentConfig,
+) -> wrht_core::error::Result<wrht_core::WrhtPlan> {
+    match cell.group_size {
+        Some(m) => build_plan(cell.n, m, cell.wavelengths),
+        None => choose_group_size(
+            &WrhtParams::auto(cell.n, cell.wavelengths),
+            &local.optical(cell.n),
+            cell.gradient_bytes,
+        )
+        .map(|(_, plan, _)| plan),
+    }
+}
+
+/// Condense a barrier-mode run into the cell-outcome tuple
+/// `(time_s, steps, total_bytes, peak_wavelengths)`.
+fn summarize(r: &wrht_core::RunReport) -> (f64, usize, u64, usize) {
+    (
+        r.total_time_s,
+        r.step_count(),
+        r.total_bytes(),
+        r.peak_wavelengths(),
+    )
+}
+
+impl Axis for CellConfig {
+    type Row = CellResult;
+    const PREFIX: &'static str = "cell";
+    const COLUMNS: &'static [Column<CellResult>] = &[
+        ("substrate", |r| r.cell.substrate.label().into()),
+        ("algorithm", |r| r.cell.algorithm.label().into()),
+        ("mode", |r| r.cell.mode.label().into()),
+        ("model", |r| r.cell.model.clone()),
+        ("n", |r| r.cell.n.to_string()),
+        ("wavelengths", |r| r.cell.wavelengths.to_string()),
+        ("strategy", |r| format!("{:?}", r.cell.strategy)),
+        ("group_size", |r| {
+            r.cell
+                .group_size
+                .map_or_else(|| "auto".into(), |m| m.to_string())
+        }),
+        ("gradient_bytes", |r| r.cell.gradient_bytes.to_string()),
+        ("seed", |r| r.seed.to_string()),
+        ("time_s", |r| r.time_s.to_string()),
+        ("steps", |r| r.steps.to_string()),
+        ("total_bytes", |r| r.total_bytes.to_string()),
+        ("peak_wavelengths", |r| r.peak_wavelengths.to_string()),
+        ("wrht_m", |r| r.wrht_m.to_string()),
+        ("error", |r| r.error.clone().unwrap_or_default()),
+    ];
+
+    fn key(r: &CellResult) -> (&Self, u64, u64) {
+        (&r.cell, r.config_hash, r.seed)
+    }
+
+    fn error(r: &CellResult) -> Option<&str> {
+        r.error.as_deref()
+    }
+
+    fn run(&self, base: &ExperimentConfig, seed: u64) -> CellResult {
+        let hash = config_hash(self);
+        let mut result = CellResult {
+            cell: self.clone(),
+            config_hash: hash,
+            seed: seed ^ hash,
+            time_s: 0.0,
+            steps: 0,
+            total_bytes: 0,
+            peak_wavelengths: 0,
+            wrht_m: 0,
+            error: None,
+        };
+
+        // Cell-local constants: the cell's wavelength budget overrides the base.
+        let local = ExperimentConfig {
+            wavelengths: self.wavelengths,
+            ..base.clone()
+        };
+        // A classic collective lowered to the substrate IR.
+        let classic = || {
+            lower_allreduce(&local, self.algorithm, self.n, self.gradient_bytes)
+                .map(|(schedule, _)| schedule)
+        };
+
+        // time_s, steps, total_bytes, peak_wavelengths of the executed cell.
+        type CellOutcome = wrht_core::error::Result<(f64, usize, u64, usize)>;
+
+        let outcome: CellOutcome = match self.mode {
+            ExecMode::Barrier => match self.algorithm {
+                Algorithm::Wrht => match self.substrate {
+                    // Plan and execute on the stepped optical substrate.
+                    SubstrateKind::Optical => {
+                        let params = match self.group_size {
+                            Some(m) => WrhtParams::fixed(self.n, self.wavelengths, m),
+                            None => WrhtParams::auto(self.n, self.wavelengths),
+                        };
+                        plan_and_simulate(&params, &local.optical(self.n), self.gradient_bytes).map(
+                            |planned| {
+                                result.wrht_m = planned.m;
+                                summarize(&planned.report)
+                            },
+                        )
+                    }
+                    // Plan against the optical cost model (no optical
+                    // simulation), then execute the lowered schedule on the
+                    // electrical fabric.
+                    SubstrateKind::Electrical => wrht_plan(self, &local).and_then(|plan| {
+                        result.wrht_m = plan.m;
+                        let r = local
+                            .try_substrate(self.substrate, self.n, self.strategy)?
+                            .execute(&to_optical_schedule(&plan, self.gradient_bytes))?;
+                        Ok(summarize(&r))
+                    }),
+                },
+                _ => local
+                    .try_substrate(self.substrate, self.n, self.strategy)
+                    .and_then(|mut substrate| substrate.execute(&classic()?))
+                    .map(|r| summarize(&r)),
+            },
+            // Pipelined: obtain the same schedule (Wrht plans against the
+            // optical cost model on both substrates, mirroring the electrical
+            // Wrht cells), lower to the per-node dependency DAG and execute
+            // event-driven — consecutive steps overlap on the wire.
+            ExecMode::Pipelined => {
+                let schedule = match self.algorithm {
+                    Algorithm::Wrht => wrht_plan(self, &local).map(|plan| {
+                        result.wrht_m = plan.m;
+                        to_optical_schedule(&plan, self.gradient_bytes)
+                    }),
+                    _ => classic(),
+                };
+                schedule.and_then(|schedule| {
+                    let dag = DepSchedule::pipelined_from_steps(&schedule);
+                    let report = local
+                        .try_substrate(self.substrate, self.n, self.strategy)?
+                        .execute_dag(&dag)?;
+                    Ok((
+                        report.makespan_s,
+                        schedule.len(),
+                        schedule.total_bytes(),
+                        report.peak_wavelength,
+                    ))
+                })
+            }
+        };
+
+        match outcome {
+            Ok((time_s, steps, total_bytes, peak_wavelengths)) => {
+                result.time_s = time_s;
+                result.steps = steps;
+                result.total_bytes = total_bytes;
+                result.peak_wavelengths = peak_wavelengths;
+            }
+            Err(e) => result.error = Some(e.to_string()),
+        }
+        result
+    }
+}
+
+/// The Figure-2 series as `(algorithm, substrate)` cells: E-Ring, RD,
+/// O-Ring and WRHT.
+const FIG2_CELLS: [(Algorithm, SubstrateKind); 4] = [
+    (Algorithm::Ring, SubstrateKind::Electrical),
+    (Algorithm::RecursiveDoubling, SubstrateKind::Electrical),
+    (Algorithm::Ring, SubstrateKind::Optical),
+    (Algorithm::Wrht, SubstrateKind::Optical),
+];
 
 /// Find one finished Figure-2-grid cell by coordinates. The wavelength
 /// budget, First-Fit strategy and auto group size are part of the match so
@@ -530,8 +627,7 @@ fn lookup<'a>(
     model: &str,
     n: usize,
     wavelengths: usize,
-    algorithm: Algorithm,
-    substrate: SubstrateKind,
+    (algorithm, substrate): (Algorithm, SubstrateKind),
 ) -> Option<&'a CellResult> {
     results.iter().find(|r| {
         r.cell.model == model
@@ -561,40 +657,9 @@ pub fn fig2_from_campaign(
     for &(model, gradient_bytes) in models {
         let mut rows = Vec::new();
         for &n in scales {
-            let (Some(e_ring), Some(rd), Some(o_ring), Some(wrht)) = (
-                lookup(
-                    results,
-                    model,
-                    n,
-                    wavelengths,
-                    Algorithm::Ring,
-                    SubstrateKind::Electrical,
-                ),
-                lookup(
-                    results,
-                    model,
-                    n,
-                    wavelengths,
-                    Algorithm::RecursiveDoubling,
-                    SubstrateKind::Electrical,
-                ),
-                lookup(
-                    results,
-                    model,
-                    n,
-                    wavelengths,
-                    Algorithm::Ring,
-                    SubstrateKind::Optical,
-                ),
-                lookup(
-                    results,
-                    model,
-                    n,
-                    wavelengths,
-                    Algorithm::Wrht,
-                    SubstrateKind::Optical,
-                ),
-            ) else {
+            let [Some(e_ring), Some(rd), Some(o_ring), Some(wrht)] =
+                FIG2_CELLS.map(|cell| lookup(results, model, n, wavelengths, cell))
+            else {
                 continue;
             };
             rows.push(Fig2Row {
@@ -618,15 +683,48 @@ pub fn fig2_from_campaign(
     out
 }
 
+/// The Figure-2 cells alone: the four series of every model at every scale
+/// of `cfg`, at its wavelength budget. These are exactly the Figure-2 cells
+/// of [`sweep_spec`].
+#[must_use]
+pub fn fig2_spec(cfg: &ExperimentConfig, models: &[Model]) -> CampaignSpec {
+    let mut spec = CampaignSpec::grid(
+        "fig2",
+        cfg.clone(),
+        &named(models),
+        &cfg.scales,
+        &[cfg.wavelengths],
+        &[
+            Algorithm::Ring,
+            Algorithm::RecursiveDoubling,
+            Algorithm::Wrht,
+        ],
+        &[SubstrateKind::Electrical, SubstrateKind::Optical],
+    );
+    spec.cells
+        .retain(|c| FIG2_CELLS.contains(&(c.algorithm, c.substrate)));
+    spec
+}
+
+/// Figure 2 for `models` across `cfg.scales`: [`fig2_spec`] run over
+/// `threads` workers and reassembled by [`fig2_from_campaign`].
+#[must_use]
+pub fn run_fig2(cfg: &ExperimentConfig, models: &[Model], threads: usize) -> Vec<Fig2Series> {
+    let report = run_campaign(&fig2_spec(cfg, models), threads, None);
+    fig2_from_campaign(
+        &report.results,
+        &named(models),
+        &cfg.scales,
+        cfg.wavelengths,
+    )
+}
+
 /// The full reproduction sweep as **one campaign**: the Figure-2 grid on
 /// both substrates (every algorithm × model × scale), the group-size
 /// ablation, the wavelength-budget ablation and the RWA-strategy ablation.
 #[must_use]
 pub fn sweep_spec(cfg: &ExperimentConfig, models: &[Model], seed: u64) -> CampaignSpec {
-    let named: Vec<(&str, u64)> = models
-        .iter()
-        .map(|m| (m.name.as_str(), m.gradient_bytes()))
-        .collect();
+    let named = named(models);
     let algorithms = [
         Algorithm::Ring,
         Algorithm::RecursiveDoubling,
@@ -777,20 +875,7 @@ pub struct TimelineCellResult {
     pub error: Option<String>,
 }
 
-/// A declarative timeline campaign: shared physical constants plus cells.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TimelineSpec {
-    /// Campaign name (names the combined sink files).
-    pub name: String,
-    /// Physical constants shared by every cell.
-    pub base: ExperimentConfig,
-    /// Campaign-level seed, mixed into every cell seed.
-    pub seed: u64,
-    /// The cells, in grid order.
-    pub cells: Vec<TimelineCellConfig>,
-}
-
-impl TimelineSpec {
+impl Campaign<TimelineCellConfig> {
     /// Expand a full cross-product grid in deterministic nested order
     /// (model → bucket size → n → algorithm → mode → substrate), at the
     /// base config's wavelength budget.
@@ -839,174 +924,94 @@ impl TimelineSpec {
     }
 }
 
-/// Executed timeline campaign: results in the same order as `spec.cells`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TimelineReport {
-    /// Campaign name.
-    pub name: String,
-    /// One result per cell, in grid order.
-    pub results: Vec<TimelineCellResult>,
-}
+impl Axis for TimelineCellConfig {
+    type Row = TimelineCellResult;
+    const PREFIX: &'static str = "tcell";
+    const COLUMNS: &'static [Column<TimelineCellResult>] = &[
+        ("substrate", |r| r.cell.substrate.label().into()),
+        ("algorithm", |r| r.cell.algorithm.label().into()),
+        ("mode", |r| r.cell.mode.label().into()),
+        ("model", |r| r.cell.model.clone()),
+        ("n", |r| r.cell.n.to_string()),
+        ("wavelengths", |r| r.cell.wavelengths.to_string()),
+        ("strategy", |r| format!("{:?}", r.cell.strategy)),
+        ("bucket_bytes", |r| r.cell.bucket_bytes.to_string()),
+        ("seed", |r| r.seed.to_string()),
+        ("buckets", |r| r.buckets.to_string()),
+        ("compute_s", |r| r.compute_s.to_string()),
+        ("overlapped_s", |r| r.overlapped_s.to_string()),
+        ("sequential_s", |r| r.sequential_s.to_string()),
+        ("total_comm_s", |r| r.total_comm_s.to_string()),
+        ("exposed_comm_s", |r| r.exposed_comm_s.to_string()),
+        ("hidden_fraction", |r| r.hidden_fraction.to_string()),
+        ("steps", |r| r.steps.to_string()),
+        ("error", |r| r.error.clone().unwrap_or_default()),
+    ];
 
-/// Stable FNV-1a hash of a timeline cell configuration.
-#[must_use]
-pub fn timeline_config_hash(cell: &TimelineCellConfig) -> u64 {
-    fnv1a(&serde_json::to_string(cell).expect("cell configs serialize"))
-}
-
-/// Execute one timeline cell against the campaign's physical constants.
-#[must_use]
-pub fn run_timeline_cell(
-    base: &ExperimentConfig,
-    seed: u64,
-    cell: &TimelineCellConfig,
-) -> TimelineCellResult {
-    let hash = timeline_config_hash(cell);
-    let mut result = TimelineCellResult {
-        cell: cell.clone(),
-        config_hash: hash,
-        seed: seed ^ hash,
-        buckets: 0,
-        compute_s: 0.0,
-        overlapped_s: 0.0,
-        sequential_s: 0.0,
-        total_comm_s: 0.0,
-        exposed_comm_s: 0.0,
-        hidden_fraction: 0.0,
-        steps: 0,
-        error: None,
-    };
-
-    let Some(model) = dnn_models::model_by_name(&cell.model) else {
-        result.error = Some(format!("unknown model '{}'", cell.model));
-        return result;
-    };
-
-    // Cell-local constants: the cell's wavelength budget overrides the base.
-    let mut local = base.clone();
-    local.wavelengths = cell.wavelengths;
-
-    match crate::timeline::model_timeline(
-        &local,
-        &model,
-        cell.n,
-        cell.bucket_bytes,
-        cell.algorithm,
-        cell.substrate,
-        cell.strategy,
-        cell.mode,
-    ) {
-        Ok(t) => {
-            result.buckets = t.bucket_count();
-            result.compute_s = t.compute_s;
-            result.overlapped_s = t.overlapped_s;
-            result.sequential_s = t.sequential_s;
-            result.total_comm_s = t.total_comm_s;
-            result.exposed_comm_s = t.exposed_comm_s;
-            result.hidden_fraction = t.hidden_fraction;
-            result.steps = t.total_steps();
-        }
-        Err(e) => result.error = Some(e.to_string()),
-    }
-    result
-}
-
-/// Run a timeline campaign over `threads` workers — deterministic and
-/// resumable exactly like [`run_campaign`]: one `tcell-<hash>.json` per
-/// finished cell, grid-ordered results, byte-identical serial/parallel
-/// output, plus combined `<name>.json` / `<name>.csv` tables.
-#[must_use]
-pub fn run_timeline_campaign(
-    spec: &TimelineSpec,
-    threads: usize,
-    sink: Option<&Path>,
-) -> TimelineReport {
-    if let Some(dir) = sink {
-        let _ = fs::create_dir_all(dir);
+    fn key(r: &TimelineCellResult) -> (&Self, u64, u64) {
+        (&r.cell, r.config_hash, r.seed)
     }
 
-    let ctx = context_hash(&spec.base, spec.seed);
-    let keys: Vec<u64> = spec
-        .cells
-        .iter()
-        .map(|c| timeline_config_hash(c) ^ ctx)
-        .collect();
-    let mut prefilled: Vec<Option<TimelineCellResult>> = vec![None; spec.cells.len()];
-    for (i, cell) in spec.cells.iter().enumerate() {
-        let expected_seed = spec.seed ^ timeline_config_hash(cell);
-        prefilled[i] = sink.and_then(|dir| {
-            load_finished(
-                &cell_file(dir, "tcell", keys[i]),
-                |r: &TimelineCellResult| {
-                    r.cell == *cell
-                        && r.config_hash == timeline_config_hash(cell)
-                        && r.seed == expected_seed
-                },
-            )
-        });
+    fn error(r: &TimelineCellResult) -> Option<&str> {
+        r.error.as_deref()
     }
 
-    let results = run_slots(
-        threads,
-        prefilled,
-        |i| run_timeline_cell(&spec.base, spec.seed, &spec.cells[i]),
-        |i, result| {
-            if let Some(dir) = sink {
-                let _ = fs::write(cell_file(dir, "tcell", keys[i]), to_json(result));
+    fn run(&self, base: &ExperimentConfig, seed: u64) -> TimelineCellResult {
+        let hash = config_hash(self);
+        let mut result = TimelineCellResult {
+            cell: self.clone(),
+            config_hash: hash,
+            seed: seed ^ hash,
+            buckets: 0,
+            compute_s: 0.0,
+            overlapped_s: 0.0,
+            sequential_s: 0.0,
+            total_comm_s: 0.0,
+            exposed_comm_s: 0.0,
+            hidden_fraction: 0.0,
+            steps: 0,
+            error: None,
+        };
+
+        let Some(model) = dnn_models::model_by_name(&self.model) else {
+            result.error = Some(format!("unknown model '{}'", self.model));
+            return result;
+        };
+
+        // Cell-local constants: the cell's wavelength budget overrides the base.
+        let local = ExperimentConfig {
+            wavelengths: self.wavelengths,
+            ..base.clone()
+        };
+
+        match crate::timeline::model_timeline(
+            &local,
+            &model,
+            self.n,
+            self.bucket_bytes,
+            self.algorithm,
+            self.substrate,
+            self.strategy,
+            self.mode,
+        ) {
+            Ok(t) => {
+                result.buckets = t.bucket_count();
+                result.compute_s = t.compute_s;
+                result.overlapped_s = t.overlapped_s;
+                result.sequential_s = t.sequential_s;
+                result.total_comm_s = t.total_comm_s;
+                result.exposed_comm_s = t.exposed_comm_s;
+                result.hidden_fraction = t.hidden_fraction;
+                result.steps = t.total_steps();
             }
-        },
-    );
-
-    let report = TimelineReport {
-        name: spec.name.clone(),
-        results,
-    };
-    if let Some(dir) = sink {
-        let _ = fs::write(dir.join(format!("{}.json", spec.name)), to_json(&report));
-        let _ = fs::write(
-            dir.join(format!("{}.csv", spec.name)),
-            timeline_to_csv(&report),
-        );
+            Err(e) => result.error = Some(e.to_string()),
+        }
+        result
     }
-    report
 }
 
-/// Render a timeline campaign as CSV (stable column order, grid rows).
-#[must_use]
-pub fn timeline_to_csv(report: &TimelineReport) -> String {
-    let mut out = String::from(
-        "substrate,algorithm,mode,model,n,wavelengths,strategy,bucket_bytes,seed,\
-         buckets,compute_s,overlapped_s,sequential_s,total_comm_s,\
-         exposed_comm_s,hidden_fraction,steps,error\n",
-    );
-    for r in &report.results {
-        let c = &r.cell;
-        out.push_str(&format!(
-            "{},{},{},{},{},{},{:?},{},{},{},{},{},{},{},{},{},{},{}\n",
-            c.substrate.label(),
-            c.algorithm.label(),
-            c.mode.label(),
-            csv_field(&c.model),
-            c.n,
-            c.wavelengths,
-            c.strategy,
-            c.bucket_bytes,
-            r.seed,
-            r.buckets,
-            r.compute_s,
-            r.overlapped_s,
-            r.sequential_s,
-            r.total_comm_s,
-            r.exposed_comm_s,
-            r.hidden_fraction,
-            r.steps,
-            csv_field(r.error.as_deref().unwrap_or("")),
-        ));
-    }
-    out
-}
-
-impl From<&TimelineCellResult> for crate::timeline::TimelineRow {
+/// A row of the `repro-figures train` table.
+impl From<&TimelineCellResult> for TimelineRow {
     fn from(r: &TimelineCellResult) -> Self {
         Self {
             model: r.cell.model.clone(),
@@ -1039,9 +1044,9 @@ pub fn train_spec(
     n: usize,
     seed: u64,
     modes: &[ExecMode],
-) -> TimelineSpec {
+) -> Campaign<TimelineCellConfig> {
     let names: Vec<&str> = models.iter().map(|m| m.name.as_str()).collect();
-    let mut spec = TimelineSpec::grid(
+    let mut spec = Campaign::<TimelineCellConfig>::grid(
         "train",
         cfg.clone(),
         &names,
@@ -1052,6 +1057,50 @@ pub fn train_spec(
         &[SubstrateKind::Electrical, SubstrateKind::Optical],
     );
     spec.seed = seed;
+    spec
+}
+
+/// Lower a model's gradient buckets once, as the `(ready_s, schedule)`
+/// pairs every job of a tenancy, fault or stream cell replays.
+fn lower_buckets(
+    local: &ExperimentConfig,
+    model: &Model,
+    algorithm: Algorithm,
+    n: usize,
+    bucket_bytes: u64,
+) -> wrht_core::error::Result<Vec<(f64, StepSchedule)>> {
+    let buckets = timeline_buckets(model, bucket_bytes);
+    let mut lowered = Vec::with_capacity(buckets.len());
+    for b in &buckets {
+        let (schedule, _) = lower_allreduce(local, algorithm, n, b.bytes)?;
+        lowered.push((b.ready_s, schedule));
+    }
+    Ok(lowered)
+}
+
+/// `jobs` identical training iterations of `model` under `policy`: job `j`
+/// arrives at `j * stagger_s` with priority `j`.
+fn staggered_jobs(
+    policy: SchedPolicy,
+    model: &Model,
+    lowered: Vec<(f64, StepSchedule)>,
+    jobs: usize,
+    stagger_s: f64,
+) -> TenancySpec {
+    let im = iteration_model(model);
+    let compute_s = im.forward_s + im.backward_s;
+    let mut spec = TenancySpec::new(policy);
+    for j in 0..jobs {
+        spec = spec.with_job(
+            Job::training(
+                format!("{}#{j}", model.name),
+                j as f64 * stagger_s,
+                lowered.clone(),
+            )
+            .with_compute(compute_s)
+            .with_priority(j as u32),
+        );
+    }
     spec
 }
 
@@ -1119,20 +1168,7 @@ pub struct TenancyCellResult {
     pub error: Option<String>,
 }
 
-/// A declarative tenancy campaign: shared physical constants plus cells.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TenancySweep {
-    /// Campaign name (names the combined sink files).
-    pub name: String,
-    /// Physical constants shared by every cell.
-    pub base: ExperimentConfig,
-    /// Campaign-level seed, mixed into every cell seed.
-    pub seed: u64,
-    /// The cells, in grid order.
-    pub cells: Vec<TenancyCellConfig>,
-}
-
-impl TenancySweep {
+impl Campaign<TenancyCellConfig> {
     /// Expand a full cross-product grid in deterministic nested order
     /// (model → n → jobs → policy → substrate), at the base config's
     /// wavelength budget.
@@ -1182,218 +1218,129 @@ impl TenancySweep {
     }
 }
 
-/// Executed tenancy campaign: results in the same order as `spec.cells`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TenancyCampaignReport {
-    /// Campaign name.
-    pub name: String,
-    /// One result per cell, in grid order.
-    pub results: Vec<TenancyCellResult>,
-}
+impl Axis for TenancyCellConfig {
+    type Row = TenancyCellResult;
+    const PREFIX: &'static str = "jcell";
+    const COLUMNS: &'static [Column<TenancyCellResult>] = &[
+        ("substrate", |r| r.cell.substrate.label().into()),
+        ("policy", |r| r.cell.policy.label().into()),
+        ("jobs", |r| r.cell.jobs.to_string()),
+        ("algorithm", |r| r.cell.algorithm.label().into()),
+        ("model", |r| r.cell.model.clone()),
+        ("n", |r| r.cell.n.to_string()),
+        ("wavelengths", |r| r.cell.wavelengths.to_string()),
+        ("strategy", |r| format!("{:?}", r.cell.strategy)),
+        ("bucket_bytes", |r| r.cell.bucket_bytes.to_string()),
+        ("stagger_s", |r| r.cell.arrival_stagger_s.to_string()),
+        ("seed", |r| r.seed.to_string()),
+        ("makespan_s", |r| r.makespan_s.to_string()),
+        ("mean_slowdown", |r| r.mean_slowdown.to_string()),
+        ("max_slowdown", |r| r.max_slowdown.to_string()),
+        ("fairness_index", |r| r.fairness_index.to_string()),
+        ("slowdown_p50", |r| r.slowdown_p50.to_string()),
+        ("slowdown_p99", |r| r.slowdown_p99.to_string()),
+        ("slowdown_p999", |r| r.slowdown_p999.to_string()),
+        ("mean_hidden_fraction", |r| {
+            r.mean_hidden_fraction.to_string()
+        }),
+        ("peak_wavelengths", |r| r.peak_wavelengths.to_string()),
+        ("transfers", |r| r.transfers.to_string()),
+        ("error", |r| r.error.clone().unwrap_or_default()),
+    ];
 
-/// Stable FNV-1a hash of a tenancy cell configuration.
-#[must_use]
-pub fn tenancy_config_hash(cell: &TenancyCellConfig) -> u64 {
-    fnv1a(&serde_json::to_string(cell).expect("cell configs serialize"))
-}
-
-/// Execute one tenancy cell against the campaign's physical constants.
-#[must_use]
-pub fn run_tenancy_cell(
-    base: &ExperimentConfig,
-    seed: u64,
-    cell: &TenancyCellConfig,
-) -> TenancyCellResult {
-    let hash = tenancy_config_hash(cell);
-    let mut result = TenancyCellResult {
-        cell: cell.clone(),
-        config_hash: hash,
-        seed: seed ^ hash,
-        makespan_s: 0.0,
-        mean_slowdown: 0.0,
-        max_slowdown: 0.0,
-        fairness_index: 0.0,
-        slowdown_p50: 0.0,
-        slowdown_p99: 0.0,
-        slowdown_p999: 0.0,
-        mean_hidden_fraction: 0.0,
-        peak_wavelengths: 0,
-        transfers: 0,
-        error: None,
-    };
-
-    let Some(model) = dnn_models::model_by_name(&cell.model) else {
-        result.error = Some(format!("unknown model '{}'", cell.model));
-        return result;
-    };
-
-    // Cell-local constants: the cell's wavelength budget overrides the base.
-    let mut local = base.clone();
-    local.wavelengths = cell.wavelengths;
-
-    let outcome: wrht_core::error::Result<wrht_core::ClusterReport> = (|| {
-        // Lower the model's gradient buckets once; every job runs the same
-        // iteration, shifted by its arrival.
-        let buckets = crate::timeline::timeline_buckets(&model, cell.bucket_bytes);
-        let mut lowered: Vec<(f64, StepSchedule)> = Vec::with_capacity(buckets.len());
-        for b in &buckets {
-            let (schedule, _) =
-                crate::timeline::lower_allreduce(&local, cell.algorithm, cell.n, b.bytes)?;
-            lowered.push((b.ready_s, schedule));
-        }
-        let im = crate::timeline::iteration_model(&model);
-        let compute_s = im.forward_s + im.backward_s;
-        let mut spec = TenancySpec::new(cell.policy);
-        for j in 0..cell.jobs {
-            spec = spec.with_job(
-                Job::training(
-                    format!("{}#{j}", model.name),
-                    j as f64 * cell.arrival_stagger_s,
-                    lowered.clone(),
-                )
-                .with_compute(compute_s)
-                .with_priority(j as u32),
-            );
-        }
-        local
-            .try_substrate(cell.substrate, cell.n, cell.strategy)?
-            .execute_jobs(&spec)
-    })();
-
-    match outcome {
-        Ok(report) => {
-            result.makespan_s = report.makespan_s;
-            result.mean_slowdown = report.mean_slowdown();
-            result.max_slowdown = report.max_slowdown();
-            result.fairness_index = report.fairness_index;
-            result.slowdown_p50 = report.slowdown.p50;
-            result.slowdown_p99 = report.slowdown.p99;
-            result.slowdown_p999 = report.slowdown.p999;
-            result.mean_hidden_fraction = if report.jobs.is_empty() {
-                1.0
-            } else {
-                report.jobs.iter().map(|j| j.hidden_fraction).sum::<f64>()
-                    / report.jobs.len() as f64
-            };
-            result.peak_wavelengths = report.peak_wavelength;
-            result.transfers = report.jobs.iter().map(|j| j.transfers).sum();
-        }
-        Err(e) => result.error = Some(e.to_string()),
-    }
-    result
-}
-
-/// Run a tenancy campaign over `threads` workers — deterministic and
-/// resumable exactly like [`run_campaign`]: one `jcell-<hash>.json` per
-/// finished cell, grid-ordered results, byte-identical serial/parallel
-/// output, plus combined `<name>.json` / `<name>.csv` tables.
-#[must_use]
-pub fn run_tenancy_campaign(
-    spec: &TenancySweep,
-    threads: usize,
-    sink: Option<&Path>,
-) -> TenancyCampaignReport {
-    if let Some(dir) = sink {
-        let _ = fs::create_dir_all(dir);
+    fn key(r: &TenancyCellResult) -> (&Self, u64, u64) {
+        (&r.cell, r.config_hash, r.seed)
     }
 
-    let ctx = context_hash(&spec.base, spec.seed);
-    let keys: Vec<u64> = spec
-        .cells
-        .iter()
-        .map(|c| tenancy_config_hash(c) ^ ctx)
-        .collect();
-    let mut prefilled: Vec<Option<TenancyCellResult>> = vec![None; spec.cells.len()];
-    for (i, cell) in spec.cells.iter().enumerate() {
-        let expected_seed = spec.seed ^ tenancy_config_hash(cell);
-        prefilled[i] = sink.and_then(|dir| {
-            load_finished(
-                &cell_file(dir, "jcell", keys[i]),
-                |r: &TenancyCellResult| {
-                    r.cell == *cell
-                        && r.config_hash == tenancy_config_hash(cell)
-                        && r.seed == expected_seed
-                },
-            )
-        });
+    fn error(r: &TenancyCellResult) -> Option<&str> {
+        r.error.as_deref()
     }
 
-    let results = run_slots(
-        threads,
-        prefilled,
-        |i| run_tenancy_cell(&spec.base, spec.seed, &spec.cells[i]),
-        |i, result| {
-            if let Some(dir) = sink {
-                let _ = fs::write(cell_file(dir, "jcell", keys[i]), to_json(result));
+    fn run(&self, base: &ExperimentConfig, seed: u64) -> TenancyCellResult {
+        let hash = config_hash(self);
+        let mut result = TenancyCellResult {
+            cell: self.clone(),
+            config_hash: hash,
+            seed: seed ^ hash,
+            makespan_s: 0.0,
+            mean_slowdown: 0.0,
+            max_slowdown: 0.0,
+            fairness_index: 0.0,
+            slowdown_p50: 0.0,
+            slowdown_p99: 0.0,
+            slowdown_p999: 0.0,
+            mean_hidden_fraction: 0.0,
+            peak_wavelengths: 0,
+            transfers: 0,
+            error: None,
+        };
+
+        let Some(model) = dnn_models::model_by_name(&self.model) else {
+            result.error = Some(format!("unknown model '{}'", self.model));
+            return result;
+        };
+
+        // Cell-local constants: the cell's wavelength budget overrides the base.
+        let local = ExperimentConfig {
+            wavelengths: self.wavelengths,
+            ..base.clone()
+        };
+
+        // Every job runs the same iteration, shifted by its arrival.
+        let outcome = lower_buckets(&local, &model, self.algorithm, self.n, self.bucket_bytes)
+            .and_then(|lowered| {
+                let spec = staggered_jobs(
+                    self.policy,
+                    &model,
+                    lowered,
+                    self.jobs,
+                    self.arrival_stagger_s,
+                );
+                local
+                    .try_substrate(self.substrate, self.n, self.strategy)?
+                    .execute_jobs(&spec)
+            });
+
+        match outcome {
+            Ok(report) => {
+                result.makespan_s = report.makespan_s;
+                result.mean_slowdown = report.mean_slowdown();
+                result.max_slowdown = report.max_slowdown();
+                result.fairness_index = report.fairness_index;
+                result.slowdown_p50 = report.slowdown.p50;
+                result.slowdown_p99 = report.slowdown.p99;
+                result.slowdown_p999 = report.slowdown.p999;
+                result.mean_hidden_fraction = if report.jobs.is_empty() {
+                    1.0
+                } else {
+                    report.jobs.iter().map(|j| j.hidden_fraction).sum::<f64>()
+                        / report.jobs.len() as f64
+                };
+                result.peak_wavelengths = report.peak_wavelength;
+                result.transfers = report.jobs.iter().map(|j| j.transfers).sum();
             }
-        },
-    );
-
-    let report = TenancyCampaignReport {
-        name: spec.name.clone(),
-        results,
-    };
-    if let Some(dir) = sink {
-        let _ = fs::write(dir.join(format!("{}.json", spec.name)), to_json(&report));
-        let _ = fs::write(
-            dir.join(format!("{}.csv", spec.name)),
-            tenancy_to_csv(&report),
-        );
+            Err(e) => result.error = Some(e.to_string()),
+        }
+        result
     }
-    report
-}
-
-/// Render a tenancy campaign as CSV (stable column order, grid rows).
-#[must_use]
-pub fn tenancy_to_csv(report: &TenancyCampaignReport) -> String {
-    let mut out = String::from(
-        "substrate,policy,jobs,algorithm,model,n,wavelengths,strategy,bucket_bytes,\
-         stagger_s,seed,makespan_s,mean_slowdown,max_slowdown,fairness_index,\
-         slowdown_p50,slowdown_p99,slowdown_p999,\
-         mean_hidden_fraction,peak_wavelengths,transfers,error\n",
-    );
-    for r in &report.results {
-        let c = &r.cell;
-        out.push_str(&format!(
-            "{},{},{},{},{},{},{},{:?},{},{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
-            c.substrate.label(),
-            c.policy.label(),
-            c.jobs,
-            c.algorithm.label(),
-            csv_field(&c.model),
-            c.n,
-            c.wavelengths,
-            c.strategy,
-            c.bucket_bytes,
-            c.arrival_stagger_s,
-            r.seed,
-            r.makespan_s,
-            r.mean_slowdown,
-            r.max_slowdown,
-            r.fairness_index,
-            r.slowdown_p50,
-            r.slowdown_p99,
-            r.slowdown_p999,
-            r.mean_hidden_fraction,
-            r.peak_wavelengths,
-            r.transfers,
-            csv_field(r.error.as_deref().unwrap_or("")),
-        ));
-    }
-    out
 }
 
 /// The `repro-figures tenants` campaign: 1/2/4 concurrent training jobs of
 /// the first model under every [`SchedPolicy`] on both substrates at `n`
 /// nodes, arrivals 1 ms apart, DDP-default 25 MB buckets.
 #[must_use]
-pub fn tenants_spec(cfg: &ExperimentConfig, models: &[Model], n: usize, seed: u64) -> TenancySweep {
+pub fn tenants_spec(
+    cfg: &ExperimentConfig,
+    models: &[Model],
+    n: usize,
+    seed: u64,
+) -> Campaign<TenancyCellConfig> {
     let first: Vec<&str> = models
         .first()
         .map(|m| m.name.as_str())
         .into_iter()
         .collect();
-    let mut spec = TenancySweep::grid(
+    let mut spec = Campaign::<TenancyCellConfig>::grid(
         "tenants",
         cfg.clone(),
         &first,
@@ -1617,20 +1564,7 @@ pub struct FaultCellResult {
     pub error: Option<String>,
 }
 
-/// A declarative fault campaign: shared physical constants plus cells.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FaultSweep {
-    /// Campaign name (names the combined sink files).
-    pub name: String,
-    /// Physical constants shared by every cell.
-    pub base: ExperimentConfig,
-    /// Campaign-level seed, mixed into every cell seed.
-    pub seed: u64,
-    /// The cells, in grid order.
-    pub cells: Vec<FaultCellConfig>,
-}
-
-impl FaultSweep {
+impl Campaign<FaultCellConfig> {
     /// Expand a full cross-product grid in deterministic nested order
     /// (model → n → jobs → scenario → recovery policy → substrate), at the
     /// base config's wavelength budget.
@@ -1686,215 +1620,123 @@ impl FaultSweep {
     }
 }
 
-/// Executed fault campaign: results in the same order as `spec.cells`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FaultCampaignReport {
-    /// Campaign name.
-    pub name: String,
-    /// One result per cell, in grid order.
-    pub results: Vec<FaultCellResult>,
-}
+impl Axis for FaultCellConfig {
+    type Row = FaultCellResult;
+    const PREFIX: &'static str = "fcell";
+    const COLUMNS: &'static [Column<FaultCellResult>] = &[
+        ("substrate", |r| r.cell.substrate.label().into()),
+        ("sched_policy", |r| r.cell.policy.label().into()),
+        ("fault_policy", |r| r.cell.fault_policy.label()),
+        ("scenario", |r| r.cell.scenario.label()),
+        ("jobs", |r| r.cell.jobs.to_string()),
+        ("model", |r| r.cell.model.clone()),
+        ("n", |r| r.cell.n.to_string()),
+        ("wavelengths", |r| r.cell.wavelengths.to_string()),
+        ("bucket_bytes", |r| r.cell.bucket_bytes.to_string()),
+        ("stagger_s", |r| r.cell.arrival_stagger_s.to_string()),
+        ("seed", |r| r.seed.to_string()),
+        ("clean_makespan_s", |r| r.clean_makespan_s.to_string()),
+        ("makespan_s", |r| r.makespan_s.to_string()),
+        ("degraded_ratio", |r| r.degraded_ratio.to_string()),
+        ("recovery_s", |r| r.recovery_s.to_string()),
+        ("first_impact_s", |r| {
+            r.first_impact_s.map_or(String::new(), |t| t.to_string())
+        }),
+        ("delayed", |r| r.delayed.to_string()),
+        ("aborted", |r| r.aborted.to_string()),
+        ("failed", |r| r.failed.to_string()),
+        ("failed_jobs", |r| r.failed_jobs.to_string()),
+        ("transfers", |r| r.transfers.to_string()),
+        ("peak_wavelengths", |r| r.peak_wavelengths.to_string()),
+        ("error", |r| r.error.clone().unwrap_or_default()),
+    ];
 
-/// Stable FNV-1a hash of a fault cell configuration.
-#[must_use]
-pub fn fault_config_hash(cell: &FaultCellConfig) -> u64 {
-    fnv1a(&serde_json::to_string(cell).expect("cell configs serialize"))
-}
+    fn key(r: &FaultCellResult) -> (&Self, u64, u64) {
+        (&r.cell, r.config_hash, r.seed)
+    }
 
-/// Execute one fault cell against the campaign's physical constants.
-///
-/// The composed multi-job DAG is run **clean** first; the scenario's
-/// fractional fault instants are resolved against that measured makespan,
-/// and the same DAG is re-run **faulted**. The two runs are diffed into
-/// blast-radius and recovery metrics by
-/// [`wrht_core::fault::fault_cluster_report`].
-#[must_use]
-pub fn run_fault_cell(
-    base: &ExperimentConfig,
-    seed: u64,
-    cell: &FaultCellConfig,
-) -> FaultCellResult {
-    let hash = fault_config_hash(cell);
-    let mut result = FaultCellResult {
-        cell: cell.clone(),
-        config_hash: hash,
-        seed: seed ^ hash,
-        clean_makespan_s: 0.0,
-        makespan_s: 0.0,
-        degraded_ratio: 0.0,
-        recovery_s: 0.0,
-        first_impact_s: None,
-        delayed: 0,
-        aborted: 0,
-        failed: 0,
-        failed_jobs: 0,
-        transfers: 0,
-        peak_wavelengths: 0,
-        error: None,
-    };
+    fn error(r: &FaultCellResult) -> Option<&str> {
+        r.error.as_deref()
+    }
 
-    let Some(model) = dnn_models::model_by_name(&cell.model) else {
-        result.error = Some(format!("unknown model '{}'", cell.model));
-        return result;
-    };
+    /// The composed multi-job DAG is run **clean** first; the scenario's
+    /// fractional fault instants are resolved against that measured
+    /// makespan, and the same DAG is re-run **faulted**. The two runs are
+    /// diffed into blast-radius and recovery metrics by
+    /// [`wrht_core::fault::fault_cluster_report`].
+    fn run(&self, base: &ExperimentConfig, seed: u64) -> FaultCellResult {
+        let hash = config_hash(self);
+        let mut result = FaultCellResult {
+            cell: self.clone(),
+            config_hash: hash,
+            seed: seed ^ hash,
+            clean_makespan_s: 0.0,
+            makespan_s: 0.0,
+            degraded_ratio: 0.0,
+            recovery_s: 0.0,
+            first_impact_s: None,
+            delayed: 0,
+            aborted: 0,
+            failed: 0,
+            failed_jobs: 0,
+            transfers: 0,
+            peak_wavelengths: 0,
+            error: None,
+        };
 
-    // Cell-local constants: the cell's wavelength budget overrides the base.
-    let mut local = base.clone();
-    local.wavelengths = cell.wavelengths;
+        let Some(model) = dnn_models::model_by_name(&self.model) else {
+            result.error = Some(format!("unknown model '{}'", self.model));
+            return result;
+        };
 
-    let outcome: wrht_core::error::Result<FaultClusterReport> = (|| {
-        // Same job construction as `run_tenancy_cell`: every job runs one
-        // training iteration of the model, shifted by its arrival.
-        let buckets = crate::timeline::timeline_buckets(&model, cell.bucket_bytes);
-        let mut lowered: Vec<(f64, StepSchedule)> = Vec::with_capacity(buckets.len());
-        for b in &buckets {
-            let (schedule, _) =
-                crate::timeline::lower_allreduce(&local, cell.algorithm, cell.n, b.bytes)?;
-            lowered.push((b.ready_s, schedule));
-        }
-        let im = crate::timeline::iteration_model(&model);
-        let compute_s = im.forward_s + im.backward_s;
-        let mut spec = TenancySpec::new(cell.policy);
-        for j in 0..cell.jobs {
-            spec = spec.with_job(
-                Job::training(
-                    format!("{}#{j}", model.name),
-                    j as f64 * cell.arrival_stagger_s,
-                    lowered.clone(),
-                )
-                .with_compute(compute_s)
-                .with_priority(j as u32),
+        // Cell-local constants: the cell's wavelength budget overrides the base.
+        let local = ExperimentConfig {
+            wavelengths: self.wavelengths,
+            ..base.clone()
+        };
+
+        let outcome: wrht_core::error::Result<FaultClusterReport> =
+            lower_buckets(&local, &model, self.algorithm, self.n, self.bucket_bytes).and_then(
+                |lowered| {
+                    let spec = staggered_jobs(
+                        self.policy,
+                        &model,
+                        lowered,
+                        self.jobs,
+                        self.arrival_stagger_s,
+                    );
+                    let composed = spec.compose()?;
+                    let arb = spec.arbitration(&composed.job_of);
+                    let mut sub = local.try_substrate(self.substrate, self.n, self.strategy)?;
+                    let clean = sub.execute_dag_jobs(&composed.dag, &arb)?;
+                    let script = self.scenario.script(clean.dag.makespan_s);
+                    let policy = self.fault_policy.to_policy();
+                    let faulted =
+                        sub.execute_dag_jobs_faulted(&composed.dag, &arb, &script, policy)?;
+                    Ok(fault_cluster_report(
+                        &spec, &composed, &clean.dag, &faulted, policy,
+                    ))
+                },
             );
-        }
 
-        let composed = spec.compose()?;
-        let arb = spec.arbitration(&composed.job_of);
-        let mut sub = local.try_substrate(cell.substrate, cell.n, cell.strategy)?;
-        let clean = sub.execute_dag_jobs(&composed.dag, &arb)?;
-        let script = cell.scenario.script(clean.dag.makespan_s);
-        let policy = cell.fault_policy.to_policy();
-        let faulted = sub.execute_dag_jobs_faulted(&composed.dag, &arb, &script, policy)?;
-        Ok(fault_cluster_report(
-            &spec, &composed, &clean.dag, &faulted, policy,
-        ))
-    })();
-
-    match outcome {
-        Ok(report) => {
-            result.clean_makespan_s = report.clean_makespan_s;
-            result.makespan_s = report.makespan_s;
-            result.degraded_ratio = report.degraded_ratio;
-            result.recovery_s = report.recovery_s;
-            result.first_impact_s = report.first_impact_s;
-            result.delayed = report.transfers_delayed;
-            result.aborted = report.transfers_aborted;
-            result.failed = report.transfers_failed;
-            result.failed_jobs = report.failed_jobs();
-            result.transfers = report.jobs.iter().map(|j| j.transfers).sum();
-            result.peak_wavelengths = report.peak_wavelength;
-            result.error = None;
-        }
-        Err(e) => result.error = Some(e.to_string()),
-    }
-    result
-}
-
-/// Run a fault campaign over `threads` workers — deterministic and
-/// resumable exactly like [`run_campaign`]: one `fcell-<hash>.json` per
-/// finished cell, grid-ordered results, byte-identical serial/parallel
-/// output, plus combined `<name>.json` / `<name>.csv` tables.
-#[must_use]
-pub fn run_fault_campaign(
-    spec: &FaultSweep,
-    threads: usize,
-    sink: Option<&Path>,
-) -> FaultCampaignReport {
-    if let Some(dir) = sink {
-        let _ = fs::create_dir_all(dir);
-    }
-
-    let ctx = context_hash(&spec.base, spec.seed);
-    let keys: Vec<u64> = spec
-        .cells
-        .iter()
-        .map(|c| fault_config_hash(c) ^ ctx)
-        .collect();
-    let mut prefilled: Vec<Option<FaultCellResult>> = vec![None; spec.cells.len()];
-    for (i, cell) in spec.cells.iter().enumerate() {
-        let expected_seed = spec.seed ^ fault_config_hash(cell);
-        prefilled[i] = sink.and_then(|dir| {
-            load_finished(&cell_file(dir, "fcell", keys[i]), |r: &FaultCellResult| {
-                r.cell == *cell
-                    && r.config_hash == fault_config_hash(cell)
-                    && r.seed == expected_seed
-            })
-        });
-    }
-
-    let results = run_slots(
-        threads,
-        prefilled,
-        |i| run_fault_cell(&spec.base, spec.seed, &spec.cells[i]),
-        |i, result| {
-            if let Some(dir) = sink {
-                let _ = fs::write(cell_file(dir, "fcell", keys[i]), to_json(result));
+        match outcome {
+            Ok(report) => {
+                result.clean_makespan_s = report.clean_makespan_s;
+                result.makespan_s = report.makespan_s;
+                result.degraded_ratio = report.degraded_ratio;
+                result.recovery_s = report.recovery_s;
+                result.first_impact_s = report.first_impact_s;
+                result.delayed = report.transfers_delayed;
+                result.aborted = report.transfers_aborted;
+                result.failed = report.transfers_failed;
+                result.failed_jobs = report.failed_jobs();
+                result.transfers = report.jobs.iter().map(|j| j.transfers).sum();
+                result.peak_wavelengths = report.peak_wavelength;
             }
-        },
-    );
-
-    let report = FaultCampaignReport {
-        name: spec.name.clone(),
-        results,
-    };
-    if let Some(dir) = sink {
-        let _ = fs::write(dir.join(format!("{}.json", spec.name)), to_json(&report));
-        let _ = fs::write(
-            dir.join(format!("{}.csv", spec.name)),
-            fault_to_csv(&report),
-        );
+            Err(e) => result.error = Some(e.to_string()),
+        }
+        result
     }
-    report
-}
-
-/// Render a fault campaign as CSV (stable column order, grid rows).
-#[must_use]
-pub fn fault_to_csv(report: &FaultCampaignReport) -> String {
-    let mut out = String::from(
-        "substrate,sched_policy,fault_policy,scenario,jobs,model,n,wavelengths,\
-         bucket_bytes,stagger_s,seed,clean_makespan_s,makespan_s,degraded_ratio,\
-         recovery_s,first_impact_s,delayed,aborted,failed,failed_jobs,transfers,\
-         peak_wavelengths,error\n",
-    );
-    for r in &report.results {
-        let c = &r.cell;
-        out.push_str(&format!(
-            "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
-            c.substrate.label(),
-            c.policy.label(),
-            csv_field(&c.fault_policy.label()),
-            csv_field(&c.scenario.label()),
-            c.jobs,
-            csv_field(&c.model),
-            c.n,
-            c.wavelengths,
-            c.bucket_bytes,
-            c.arrival_stagger_s,
-            r.seed,
-            r.clean_makespan_s,
-            r.makespan_s,
-            r.degraded_ratio,
-            r.recovery_s,
-            r.first_impact_s.map_or(String::new(), |t| t.to_string()),
-            r.delayed,
-            r.aborted,
-            r.failed,
-            r.failed_jobs,
-            r.transfers,
-            r.peak_wavelengths,
-            csv_field(r.error.as_deref().unwrap_or("")),
-        ));
-    }
-    out
 }
 
 /// The `repro-figures faults` campaign: 2 concurrent training jobs of the
@@ -1902,7 +1744,12 @@ pub fn fault_to_csv(report: &FaultCampaignReport) -> String {
 /// link degradation and one node failure (each at 50% of the clean
 /// makespan) under `Replan` and `FailJob` recovery, on both substrates.
 #[must_use]
-pub fn faults_spec(cfg: &ExperimentConfig, models: &[Model], n: usize, seed: u64) -> FaultSweep {
+pub fn faults_spec(
+    cfg: &ExperimentConfig,
+    models: &[Model],
+    n: usize,
+    seed: u64,
+) -> Campaign<FaultCellConfig> {
     let first: Vec<&str> = models
         .first()
         .map(|m| m.name.as_str())
@@ -1927,7 +1774,7 @@ pub fn faults_spec(cfg: &ExperimentConfig, models: &[Model], n: usize, seed: u64
         },
     ];
     let policies = [RecoveryPolicy::Replan, RecoveryPolicy::FailJob];
-    let mut spec = FaultSweep::grid(
+    let mut spec = Campaign::<FaultCellConfig>::grid(
         "faults",
         cfg.clone(),
         &first,
@@ -2023,20 +1870,7 @@ pub struct StreamCellResult {
     pub error: Option<String>,
 }
 
-/// A declarative stream campaign: shared physical constants plus cells.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct StreamSweep {
-    /// Campaign name (names the combined sink files).
-    pub name: String,
-    /// Physical constants shared by every cell.
-    pub base: ExperimentConfig,
-    /// Campaign-level seed, mixed into every cell seed.
-    pub seed: u64,
-    /// The cells, in grid order.
-    pub cells: Vec<StreamCellConfig>,
-}
-
-impl StreamSweep {
+impl Campaign<StreamCellConfig> {
     /// Expand a full cross-product grid in deterministic nested order
     /// (model → n → rate → policy → admission → substrate), at the base
     /// config's wavelength budget.
@@ -2092,225 +1926,143 @@ impl StreamSweep {
     }
 }
 
-/// Executed stream campaign: results in the same order as `spec.cells`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct StreamCampaignReport {
-    /// Campaign name.
-    pub name: String,
-    /// One result per cell, in grid order.
-    pub results: Vec<StreamCellResult>,
-}
+impl Axis for StreamCellConfig {
+    type Row = StreamCellResult;
+    const PREFIX: &'static str = "scell";
+    const COLUMNS: &'static [Column<StreamCellResult>] = &[
+        ("substrate", |r| r.cell.substrate.label().into()),
+        ("policy", |r| r.cell.policy.label().into()),
+        ("admission", |r| r.cell.admission.label()),
+        ("rate_hz", |r| r.cell.rate_hz.to_string()),
+        ("arrivals", |r| r.cell.arrivals.to_string()),
+        ("algorithm", |r| r.cell.algorithm.label().into()),
+        ("model", |r| r.cell.model.clone()),
+        ("n", |r| r.cell.n.to_string()),
+        ("wavelengths", |r| r.cell.wavelengths.to_string()),
+        ("bucket_bytes", |r| r.cell.bucket_bytes.to_string()),
+        ("window_s", |r| r.cell.window_s.to_string()),
+        ("seed", |r| r.seed.to_string()),
+        ("admitted", |r| r.admitted.to_string()),
+        ("rejected", |r| r.rejected.to_string()),
+        ("completed", |r| r.completed.to_string()),
+        ("makespan_s", |r| r.makespan_s.to_string()),
+        ("events", |r| r.events.to_string()),
+        ("mean_utilization", |r| r.mean_utilization.to_string()),
+        ("mean_slowdown", |r| r.mean_slowdown.to_string()),
+        ("slowdown_p50", |r| r.slowdown_p50.to_string()),
+        ("slowdown_p99", |r| r.slowdown_p99.to_string()),
+        ("slowdown_p999", |r| r.slowdown_p999.to_string()),
+        ("fairness_index", |r| r.fairness_index.to_string()),
+        ("peak_queue_depth", |r| r.peak_queue_depth.to_string()),
+        ("peak_in_service", |r| r.peak_in_service.to_string()),
+        ("windows", |r| r.windows.to_string()),
+        ("error", |r| r.error.clone().unwrap_or_default()),
+    ];
 
-/// Stable FNV-1a hash of a stream cell configuration.
-#[must_use]
-pub fn stream_config_hash(cell: &StreamCellConfig) -> u64 {
-    fnv1a(&serde_json::to_string(cell).expect("cell configs serialize"))
-}
-
-/// Execute one stream cell against the campaign's physical constants.
-///
-/// The model's gradient buckets are lowered once into a training-iteration
-/// workload; the cell serves `arrivals` Poisson arrivals of that workload
-/// (alternating between a high- and a low-priority template, so the
-/// priority axis has something to bite on) through the online stream
-/// engine and keeps the scalar summary.
-#[must_use]
-pub fn run_stream_cell(
-    base: &ExperimentConfig,
-    seed: u64,
-    cell: &StreamCellConfig,
-) -> StreamCellResult {
-    let hash = stream_config_hash(cell);
-    let mut result = StreamCellResult {
-        cell: cell.clone(),
-        config_hash: hash,
-        seed: seed ^ hash,
-        arrivals: 0,
-        admitted: 0,
-        rejected: 0,
-        completed: 0,
-        makespan_s: 0.0,
-        events: 0,
-        mean_utilization: 0.0,
-        mean_slowdown: 0.0,
-        slowdown_p50: 0.0,
-        slowdown_p99: 0.0,
-        slowdown_p999: 0.0,
-        fairness_index: 0.0,
-        peak_queue_depth: 0,
-        peak_in_service: 0,
-        windows: 0,
-        error: None,
-    };
-
-    let Some(model) = dnn_models::model_by_name(&cell.model) else {
-        result.error = Some(format!("unknown model '{}'", cell.model));
-        return result;
-    };
-
-    // Cell-local constants: the cell's wavelength budget overrides the base.
-    let mut local = base.clone();
-    local.wavelengths = cell.wavelengths;
-
-    let outcome: wrht_core::error::Result<StreamReport> = (|| {
-        let buckets = crate::timeline::timeline_buckets(&model, cell.bucket_bytes);
-        let mut lowered: Vec<(f64, StepSchedule)> = Vec::with_capacity(buckets.len());
-        for b in &buckets {
-            let (schedule, _) =
-                crate::timeline::lower_allreduce(&local, cell.algorithm, cell.n, b.bytes)?;
-            lowered.push((b.ready_s, schedule));
-        }
-        let spec = StreamSpec::new(
-            ArrivalProcess::Poisson {
-                rate_hz: cell.rate_hz,
-                count: cell.arrivals,
-                seed: seed ^ hash,
-            },
-            cell.policy,
-        )
-        .with_template(
-            StreamTemplate::new(
-                format!("{}-hi", model.name),
-                JobWorkload::Buckets(lowered.clone()),
-            )
-            .with_priority(2),
-        )
-        .with_template(
-            StreamTemplate::new(format!("{}-lo", model.name), JobWorkload::Buckets(lowered))
-                .with_priority(1),
-        )
-        .with_admission(cell.admission)
-        .with_window(cell.window_s)
-        .with_reference_bps(local.lambda_bandwidth_bps * cell.wavelengths as f64);
-        local
-            .try_substrate(cell.substrate, cell.n, cell.strategy)?
-            .execute_stream(&spec)
-    })();
-
-    match outcome {
-        Ok(report) => {
-            result.arrivals = report.arrivals;
-            result.admitted = report.admitted;
-            result.rejected = report.rejected;
-            result.completed = report.completed;
-            result.makespan_s = report.makespan_s;
-            result.events = report.events;
-            result.mean_utilization = report.mean_utilization;
-            result.mean_slowdown = report.mean_slowdown;
-            result.slowdown_p50 = report.slowdown.p50;
-            result.slowdown_p99 = report.slowdown.p99;
-            result.slowdown_p999 = report.slowdown.p999;
-            result.fairness_index = report.fairness_index;
-            result.peak_queue_depth = report.peak_queue_depth;
-            result.peak_in_service = report.peak_in_service;
-            result.windows = report.windows.len();
-            result.error = None;
-        }
-        Err(e) => result.error = Some(e.to_string()),
-    }
-    result
-}
-
-/// Run a stream campaign over `threads` workers — deterministic and
-/// resumable exactly like [`run_campaign`]: one `scell-<hash>.json` per
-/// finished cell, grid-ordered results, byte-identical serial/parallel
-/// output, plus combined `<name>.json` / `<name>.csv` tables.
-#[must_use]
-pub fn run_stream_campaign(
-    spec: &StreamSweep,
-    threads: usize,
-    sink: Option<&Path>,
-) -> StreamCampaignReport {
-    if let Some(dir) = sink {
-        let _ = fs::create_dir_all(dir);
+    fn key(r: &StreamCellResult) -> (&Self, u64, u64) {
+        (&r.cell, r.config_hash, r.seed)
     }
 
-    let ctx = context_hash(&spec.base, spec.seed);
-    let keys: Vec<u64> = spec
-        .cells
-        .iter()
-        .map(|c| stream_config_hash(c) ^ ctx)
-        .collect();
-    let mut prefilled: Vec<Option<StreamCellResult>> = vec![None; spec.cells.len()];
-    for (i, cell) in spec.cells.iter().enumerate() {
-        let expected_seed = spec.seed ^ stream_config_hash(cell);
-        prefilled[i] = sink.and_then(|dir| {
-            load_finished(&cell_file(dir, "scell", keys[i]), |r: &StreamCellResult| {
-                r.cell == *cell
-                    && r.config_hash == stream_config_hash(cell)
-                    && r.seed == expected_seed
-            })
-        });
+    fn error(r: &StreamCellResult) -> Option<&str> {
+        r.error.as_deref()
     }
 
-    let results = run_slots(
-        threads,
-        prefilled,
-        |i| run_stream_cell(&spec.base, spec.seed, &spec.cells[i]),
-        |i, result| {
-            if let Some(dir) = sink {
-                let _ = fs::write(cell_file(dir, "scell", keys[i]), to_json(result));
+    /// The model's gradient buckets are lowered once into a
+    /// training-iteration workload; the cell serves `arrivals` Poisson
+    /// arrivals of that workload (alternating between a high- and a
+    /// low-priority template, so the priority axis has something to bite
+    /// on) through the online stream engine and keeps the scalar summary.
+    fn run(&self, base: &ExperimentConfig, seed: u64) -> StreamCellResult {
+        let hash = config_hash(self);
+        let mut result = StreamCellResult {
+            cell: self.clone(),
+            config_hash: hash,
+            seed: seed ^ hash,
+            arrivals: 0,
+            admitted: 0,
+            rejected: 0,
+            completed: 0,
+            makespan_s: 0.0,
+            events: 0,
+            mean_utilization: 0.0,
+            mean_slowdown: 0.0,
+            slowdown_p50: 0.0,
+            slowdown_p99: 0.0,
+            slowdown_p999: 0.0,
+            fairness_index: 0.0,
+            peak_queue_depth: 0,
+            peak_in_service: 0,
+            windows: 0,
+            error: None,
+        };
+
+        let Some(model) = dnn_models::model_by_name(&self.model) else {
+            result.error = Some(format!("unknown model '{}'", self.model));
+            return result;
+        };
+
+        // Cell-local constants: the cell's wavelength budget overrides the base.
+        let local = ExperimentConfig {
+            wavelengths: self.wavelengths,
+            ..base.clone()
+        };
+
+        let outcome: wrht_core::error::Result<StreamReport> =
+            lower_buckets(&local, &model, self.algorithm, self.n, self.bucket_bytes).and_then(
+                |lowered| {
+                    let spec = StreamSpec::new(
+                        ArrivalProcess::Poisson {
+                            rate_hz: self.rate_hz,
+                            count: self.arrivals,
+                            seed: seed ^ hash,
+                        },
+                        self.policy,
+                    )
+                    .with_template(
+                        StreamTemplate::new(
+                            format!("{}-hi", model.name),
+                            JobWorkload::Buckets(lowered.clone()),
+                        )
+                        .with_priority(2),
+                    )
+                    .with_template(
+                        StreamTemplate::new(
+                            format!("{}-lo", model.name),
+                            JobWorkload::Buckets(lowered),
+                        )
+                        .with_priority(1),
+                    )
+                    .with_admission(self.admission)
+                    .with_window(self.window_s)
+                    .with_reference_bps(local.lambda_bandwidth_bps * self.wavelengths as f64);
+                    local
+                        .try_substrate(self.substrate, self.n, self.strategy)?
+                        .execute_stream(&spec)
+                },
+            );
+
+        match outcome {
+            Ok(report) => {
+                result.arrivals = report.arrivals;
+                result.admitted = report.admitted;
+                result.rejected = report.rejected;
+                result.completed = report.completed;
+                result.makespan_s = report.makespan_s;
+                result.events = report.events;
+                result.mean_utilization = report.mean_utilization;
+                result.mean_slowdown = report.mean_slowdown;
+                result.slowdown_p50 = report.slowdown.p50;
+                result.slowdown_p99 = report.slowdown.p99;
+                result.slowdown_p999 = report.slowdown.p999;
+                result.fairness_index = report.fairness_index;
+                result.peak_queue_depth = report.peak_queue_depth;
+                result.peak_in_service = report.peak_in_service;
+                result.windows = report.windows.len();
             }
-        },
-    );
-
-    let report = StreamCampaignReport {
-        name: spec.name.clone(),
-        results,
-    };
-    if let Some(dir) = sink {
-        let _ = fs::write(dir.join(format!("{}.json", spec.name)), to_json(&report));
-        let _ = fs::write(
-            dir.join(format!("{}.csv", spec.name)),
-            stream_to_csv(&report),
-        );
+            Err(e) => result.error = Some(e.to_string()),
+        }
+        result
     }
-    report
-}
-
-/// Render a stream campaign as CSV (stable column order, grid rows).
-#[must_use]
-pub fn stream_to_csv(report: &StreamCampaignReport) -> String {
-    let mut out = String::from(
-        "substrate,policy,admission,rate_hz,arrivals,algorithm,model,n,wavelengths,\
-         bucket_bytes,window_s,seed,admitted,rejected,completed,makespan_s,events,\
-         mean_utilization,mean_slowdown,slowdown_p50,slowdown_p99,slowdown_p999,\
-         fairness_index,peak_queue_depth,peak_in_service,windows,error\n",
-    );
-    for r in &report.results {
-        let c = &r.cell;
-        out.push_str(&format!(
-            "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
-            c.substrate.label(),
-            c.policy.label(),
-            csv_field(&c.admission.label()),
-            c.rate_hz,
-            c.arrivals,
-            c.algorithm.label(),
-            csv_field(&c.model),
-            c.n,
-            c.wavelengths,
-            c.bucket_bytes,
-            c.window_s,
-            r.seed,
-            r.admitted,
-            r.rejected,
-            r.completed,
-            r.makespan_s,
-            r.events,
-            r.mean_utilization,
-            r.mean_slowdown,
-            r.slowdown_p50,
-            r.slowdown_p99,
-            r.slowdown_p999,
-            r.fairness_index,
-            r.peak_queue_depth,
-            r.peak_in_service,
-            r.windows,
-            csv_field(r.error.as_deref().unwrap_or("")),
-        ));
-    }
-    out
 }
 
 /// The `repro-figures serve` campaign: Poisson arrivals of the first
@@ -2414,20 +2166,7 @@ pub struct ParCellResult {
     pub error: Option<String>,
 }
 
-/// A declarative mixed-parallelism campaign.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ParallelismSweep {
-    /// Campaign name (names the combined sink files).
-    pub name: String,
-    /// Physical constants shared by every cell.
-    pub base: ExperimentConfig,
-    /// Campaign-level seed, mixed into every cell seed.
-    pub seed: u64,
-    /// The cells, in grid order.
-    pub cells: Vec<ParCellConfig>,
-}
-
-impl ParallelismSweep {
+impl Campaign<ParCellConfig> {
     /// Expand a grid in deterministic nested order (model → shape), at
     /// the base config's wavelength budget. Shapes are
     /// `(tp, pp, dp, moe_experts)` tuples.
@@ -2466,202 +2205,122 @@ impl ParallelismSweep {
     }
 }
 
-/// Executed parallelism campaign: results in the same order as
-/// `spec.cells`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ParallelismCampaignReport {
-    /// Campaign name.
-    pub name: String,
-    /// One result per cell, in grid order.
-    pub results: Vec<ParCellResult>,
-}
+impl Axis for ParCellConfig {
+    type Row = ParCellResult;
+    const PREFIX: &'static str = "pcell";
+    const COLUMNS: &'static [Column<ParCellResult>] = &[
+        ("model", |r| r.cell.model.clone()),
+        ("tp", |r| r.cell.tp.to_string()),
+        ("pp", |r| r.cell.pp.to_string()),
+        ("dp", |r| r.cell.dp.to_string()),
+        ("moe_experts", |r| r.cell.moe_experts.to_string()),
+        ("microbatches", |r| r.cell.microbatches.to_string()),
+        ("activation_bytes", |r| r.cell.activation_bytes.to_string()),
+        ("wavelengths", |r| r.cell.wavelengths.to_string()),
+        ("seed", |r| r.seed.to_string()),
+        ("nodes", |r| r.nodes.to_string()),
+        ("groups", |r| r.groups.to_string()),
+        ("transfers", |r| r.transfers.to_string()),
+        ("intra_transfers", |r| r.intra_transfers.to_string()),
+        ("inter_transfers", |r| r.inter_transfers.to_string()),
+        ("intra_bytes", |r| r.intra_bytes.to_string()),
+        ("inter_bytes", |r| r.inter_bytes.to_string()),
+        ("makespan_s", |r| r.makespan_s.to_string()),
+        ("peak_wavelength", |r| r.peak_wavelength.to_string()),
+        ("rate_recomputations", |r| r.rate_recomputations.to_string()),
+        ("solver_work", |r| r.solver_work.to_string()),
+        ("events", |r| r.events.to_string()),
+        ("error", |r| r.error.clone().unwrap_or_default()),
+    ];
 
-/// Stable FNV-1a hash of a parallelism cell configuration.
-#[must_use]
-pub fn parallelism_config_hash(cell: &ParCellConfig) -> u64 {
-    fnv1a(&serde_json::to_string(cell).expect("cell configs serialize"))
-}
+    fn key(r: &ParCellResult) -> (&Self, u64, u64) {
+        (&r.cell, r.config_hash, r.seed)
+    }
 
-/// Execute one parallelism cell against the campaign's physical constants.
-///
-/// The model's gradients are split evenly over the pipeline stages
-/// ([`wrht_core::parallelism::StageModel::split`]), the iteration is
-/// lowered to one dependency DAG
-/// ([`wrht_core::parallelism::lower_parallelism`]) and executed on the
-/// composed substrate; the result keeps the makespan plus the per-domain
-/// traffic split the hierarchy derived.
-#[must_use]
-pub fn run_parallelism_cell(
-    base: &ExperimentConfig,
-    seed: u64,
-    cell: &ParCellConfig,
-) -> ParCellResult {
-    let hash = parallelism_config_hash(cell);
-    let mut result = ParCellResult {
-        cell: cell.clone(),
-        config_hash: hash,
-        seed: seed ^ hash,
-        nodes: 0,
-        groups: 0,
-        transfers: 0,
-        intra_transfers: 0,
-        inter_transfers: 0,
-        intra_bytes: 0,
-        inter_bytes: 0,
-        makespan_s: 0.0,
-        peak_wavelength: 0,
-        rate_recomputations: 0,
-        solver_work: 0,
-        events: 0,
-        error: None,
-    };
+    fn error(r: &ParCellResult) -> Option<&str> {
+        r.error.as_deref()
+    }
 
-    let Some(model) = dnn_models::model_by_name(&cell.model) else {
-        result.error = Some(format!("unknown model '{}'", cell.model));
-        return result;
-    };
+    /// The model's gradients are split evenly over the pipeline stages
+    /// ([`wrht_core::parallelism::StageModel::split`]), the iteration is
+    /// lowered to one dependency DAG
+    /// ([`wrht_core::parallelism::lower_parallelism`]) and executed on the
+    /// composed substrate; the result keeps the makespan plus the
+    /// per-domain traffic split the hierarchy derived.
+    fn run(&self, base: &ExperimentConfig, seed: u64) -> ParCellResult {
+        let hash = config_hash(self);
+        let mut result = ParCellResult {
+            cell: self.clone(),
+            config_hash: hash,
+            seed: seed ^ hash,
+            nodes: 0,
+            groups: 0,
+            transfers: 0,
+            intra_transfers: 0,
+            inter_transfers: 0,
+            intra_bytes: 0,
+            inter_bytes: 0,
+            makespan_s: 0.0,
+            peak_wavelength: 0,
+            rate_recomputations: 0,
+            solver_work: 0,
+            events: 0,
+            error: None,
+        };
 
-    // Cell-local constants: the cell's wavelength budget overrides the base.
-    let mut local = base.clone();
-    local.wavelengths = cell.wavelengths;
+        let Some(model) = dnn_models::model_by_name(&self.model) else {
+            result.error = Some(format!("unknown model '{}'", self.model));
+            return result;
+        };
 
-    let outcome: wrht_core::error::Result<()> = (|| {
-        let spec = ParallelismSpec::new(
-            cell.tp,
-            cell.pp,
-            cell.dp,
-            cell.moe_experts,
-            cell.microbatches,
-        )?;
-        let stages = StageModel::split(model.gradient_bytes(), cell.pp, cell.activation_bytes);
-        let dag = lower_parallelism(&spec, &stages)?;
-        let hier = spec.hier()?;
-        let domains = hier.domains(&dag)?;
-        for (t, d) in dag.transfers().iter().zip(&domains) {
-            match d {
-                Domain::Intra { .. } => {
-                    result.intra_transfers += 1;
-                    result.intra_bytes += t.transfer.bytes;
-                }
-                Domain::Inter => {
-                    result.inter_transfers += 1;
-                    result.inter_bytes += t.transfer.bytes;
+        // Cell-local constants: the cell's wavelength budget overrides the base.
+        let local = ExperimentConfig {
+            wavelengths: self.wavelengths,
+            ..base.clone()
+        };
+
+        let outcome: wrht_core::error::Result<()> = (|| {
+            let spec = ParallelismSpec::new(
+                self.tp,
+                self.pp,
+                self.dp,
+                self.moe_experts,
+                self.microbatches,
+            )?;
+            let stages = StageModel::split(model.gradient_bytes(), self.pp, self.activation_bytes);
+            let dag = lower_parallelism(&spec, &stages)?;
+            let hier = spec.hier()?;
+            let domains = hier.domains(&dag)?;
+            for (t, d) in dag.transfers().iter().zip(&domains) {
+                match d {
+                    Domain::Intra { .. } => {
+                        result.intra_transfers += 1;
+                        result.intra_bytes += t.transfer.bytes;
+                    }
+                    Domain::Inter => {
+                        result.inter_transfers += 1;
+                        result.inter_bytes += t.transfer.bytes;
+                    }
                 }
             }
+            let mut sub = local.try_composed(hier, self.strategy)?;
+            let report = sub.execute_dag(&dag)?;
+            result.nodes = spec.nodes();
+            result.groups = spec.groups();
+            result.transfers = dag.len();
+            result.makespan_s = report.makespan_s;
+            result.peak_wavelength = report.peak_wavelength;
+            result.rate_recomputations = report.rate_recomputations;
+            result.solver_work = report.solver_work;
+            result.events = report.events;
+            Ok(())
+        })();
+
+        if let Err(e) = outcome {
+            result.error = Some(e.to_string());
         }
-        let mut sub = local.try_composed(hier, cell.strategy)?;
-        let report = sub.execute_dag(&dag)?;
-        result.nodes = spec.nodes();
-        result.groups = spec.groups();
-        result.transfers = dag.len();
-        result.makespan_s = report.makespan_s;
-        result.peak_wavelength = report.peak_wavelength;
-        result.rate_recomputations = report.rate_recomputations;
-        result.solver_work = report.solver_work;
-        result.events = report.events;
-        Ok(())
-    })();
-
-    if let Err(e) = outcome {
-        result.error = Some(e.to_string());
+        result
     }
-    result
-}
-
-/// Run a parallelism campaign over `threads` workers — deterministic and
-/// resumable exactly like [`run_campaign`]: one `pcell-<hash>.json` per
-/// finished cell, grid-ordered results, byte-identical serial/parallel
-/// output, plus combined `<name>.json` / `<name>.csv` tables.
-#[must_use]
-pub fn run_parallelism_campaign(
-    spec: &ParallelismSweep,
-    threads: usize,
-    sink: Option<&Path>,
-) -> ParallelismCampaignReport {
-    if let Some(dir) = sink {
-        let _ = fs::create_dir_all(dir);
-    }
-
-    let ctx = context_hash(&spec.base, spec.seed);
-    let keys: Vec<u64> = spec
-        .cells
-        .iter()
-        .map(|c| parallelism_config_hash(c) ^ ctx)
-        .collect();
-    let mut prefilled: Vec<Option<ParCellResult>> = vec![None; spec.cells.len()];
-    for (i, cell) in spec.cells.iter().enumerate() {
-        let expected_seed = spec.seed ^ parallelism_config_hash(cell);
-        prefilled[i] = sink.and_then(|dir| {
-            load_finished(&cell_file(dir, "pcell", keys[i]), |r: &ParCellResult| {
-                r.cell == *cell
-                    && r.config_hash == parallelism_config_hash(cell)
-                    && r.seed == expected_seed
-            })
-        });
-    }
-
-    let results = run_slots(
-        threads,
-        prefilled,
-        |i| run_parallelism_cell(&spec.base, spec.seed, &spec.cells[i]),
-        |i, result| {
-            if let Some(dir) = sink {
-                let _ = fs::write(cell_file(dir, "pcell", keys[i]), to_json(result));
-            }
-        },
-    );
-
-    let report = ParallelismCampaignReport {
-        name: spec.name.clone(),
-        results,
-    };
-    if let Some(dir) = sink {
-        let _ = fs::write(dir.join(format!("{}.json", spec.name)), to_json(&report));
-        let _ = fs::write(
-            dir.join(format!("{}.csv", spec.name)),
-            parallelism_to_csv(&report),
-        );
-    }
-    report
-}
-
-/// Render a parallelism campaign as CSV (stable column order, grid rows).
-#[must_use]
-pub fn parallelism_to_csv(report: &ParallelismCampaignReport) -> String {
-    let mut out = String::from(
-        "model,tp,pp,dp,moe_experts,microbatches,activation_bytes,wavelengths,seed,\
-         nodes,groups,transfers,intra_transfers,inter_transfers,intra_bytes,inter_bytes,\
-         makespan_s,peak_wavelength,rate_recomputations,solver_work,events,error\n",
-    );
-    for r in &report.results {
-        let c = &r.cell;
-        out.push_str(&format!(
-            "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
-            csv_field(&c.model),
-            c.tp,
-            c.pp,
-            c.dp,
-            c.moe_experts,
-            c.microbatches,
-            c.activation_bytes,
-            c.wavelengths,
-            r.seed,
-            r.nodes,
-            r.groups,
-            r.transfers,
-            r.intra_transfers,
-            r.inter_transfers,
-            r.intra_bytes,
-            r.inter_bytes,
-            r.makespan_s,
-            r.peak_wavelength,
-            r.rate_recomputations,
-            r.solver_work,
-            r.events,
-            csv_field(r.error.as_deref().unwrap_or("")),
-        ));
-    }
-    out
 }
 
 /// The `repro-figures parallelism` campaign: both transformer tables over
@@ -2766,7 +2425,7 @@ mod tests {
             group_size: Some(63), // needs 31 wavelengths, only 2 available
             mode: ExecMode::Barrier,
         };
-        let r = run_cell(&tiny_cfg(), 0, &cell);
+        let r = cell.run(&tiny_cfg(), 0);
         assert!(r.error.is_some());
         assert_eq!(r.time_s, 0.0);
     }
@@ -2787,14 +2446,14 @@ mod tests {
                 group_size: None,
                 mode: ExecMode::Barrier,
             };
-            let r = run_cell(&tiny_cfg(), 0, &cell);
+            let r = cell.run(&tiny_cfg(), 0);
             assert!(r.error.is_some(), "{algorithm:?} must record an error");
         }
     }
 
     #[test]
     fn csv_escapes_fields_containing_delimiters() {
-        let mut r = run_cell(&tiny_cfg(), 0, &tiny_spec().cells[0]);
+        let mut r = tiny_spec().cells[0].run(&tiny_cfg(), 0);
         r.error = Some("step 3: could not place, only 2 available".into());
         r.cell.model = "net \"v2\", large".into();
         let csv = to_csv(&CampaignReport {
@@ -2889,6 +2548,52 @@ mod tests {
     }
 
     #[test]
+    fn figure_2_has_one_path() {
+        let cfg = ExperimentConfig {
+            scales: vec![16, 32],
+            ..ExperimentConfig::default()
+        };
+        let models = [dnn_models::googlenet()];
+        let sweep = sweep_spec(&cfg, &models, 0);
+        // The sweep's Figure-2 cells, by the paper's definition (first
+        // occurrence: the wavelength ablation repeats the base budget).
+        let mut figure2: Vec<&CellConfig> = Vec::new();
+        for c in &sweep.cells {
+            let series = matches!(
+                (c.algorithm, c.substrate),
+                (Algorithm::Ring, _)
+                    | (Algorithm::RecursiveDoubling, SubstrateKind::Electrical)
+                    | (Algorithm::Wrht, SubstrateKind::Optical)
+            );
+            if series
+                && c.wavelengths == cfg.wavelengths
+                && c.strategy == Strategy::FirstFit
+                && c.group_size.is_none()
+                && c.mode == ExecMode::Barrier
+                && !figure2.contains(&c)
+            {
+                figure2.push(c);
+            }
+        }
+        let spec = fig2_spec(&cfg, &models);
+        assert_eq!(spec.cells.iter().collect::<Vec<_>>(), figure2);
+        let hashes =
+            |cells: &[&CellConfig]| -> Vec<u64> { cells.iter().map(|&c| config_hash(c)).collect() };
+        let own: Vec<&CellConfig> = spec.cells.iter().collect();
+        assert_eq!(hashes(&own), hashes(&figure2));
+
+        let swept = run_campaign(&sweep, 2, None);
+        let from_sweep = fig2_from_campaign(
+            &swept.results,
+            &named(&models),
+            &cfg.scales,
+            cfg.wavelengths,
+        );
+        assert_eq!(to_json(&run_fig2(&cfg, &models, 1)), to_json(&from_sweep));
+        assert_eq!(from_sweep[0].rows.len(), cfg.scales.len());
+    }
+
+    #[test]
     fn parallel_run_is_byte_identical_to_serial() {
         let spec = tiny_spec();
         let serial = run_campaign(&spec, 1, None);
@@ -2896,32 +2601,37 @@ mod tests {
         assert_eq!(to_json(&serial), to_json(&parallel));
     }
 
-    #[test]
-    fn sink_resumes_interrupted_campaigns() {
-        let dir = std::env::temp_dir().join(format!("wrht-campaign-{}", std::process::id()));
+    /// Run `spec` twice over one sink: the second run must reload every
+    /// row byte for byte, and the combined tables plus one
+    /// `<PREFIX>-*.json` file per cell must be there. Each axis's files
+    /// carry its own prefix, so campaigns of different kinds can share a
+    /// directory without key collisions. Returns the first report.
+    fn assert_resumes<C: Axis>(spec: &Campaign<C>) -> Report<C> {
+        let dir =
+            std::env::temp_dir().join(format!("wrht-sink-{}-{}", spec.name, std::process::id()));
         let _ = fs::remove_dir_all(&dir);
-        let spec = tiny_spec();
-        let first = run_campaign(&spec, 2, Some(&dir));
-        // All cell files exist; a resumed run must reuse them byte-for-byte.
-        let cells = fs::read_dir(&dir)
+        let first = run_campaign(spec, 2, Some(&dir));
+        let resumed = run_campaign(spec, 2, Some(&dir));
+        assert_eq!(to_json(&first), to_json(&resumed));
+        assert!(dir.join(format!("{}.json", spec.name)).exists());
+        let csv = fs::read_to_string(dir.join(format!("{}.csv", spec.name))).unwrap();
+        assert_eq!(csv.lines().count(), spec.cells.len() + 1);
+        let prefix = format!("{}-", C::PREFIX);
+        let files = fs::read_dir(&dir)
             .unwrap()
             .filter(|e| {
-                e.as_ref()
-                    .unwrap()
-                    .file_name()
-                    .to_string_lossy()
-                    .starts_with("cell-")
+                let name = e.as_ref().unwrap().file_name();
+                name.to_string_lossy().starts_with(&prefix)
             })
             .count();
-        assert_eq!(cells, spec.cells.len());
-        let resumed = run_campaign(&spec, 2, Some(&dir));
-        assert_eq!(to_json(&first), to_json(&resumed));
-        // Combined tables were written.
-        assert!(dir.join("tiny.json").exists());
-        assert!(dir.join("tiny.csv").exists());
-        let csv = fs::read_to_string(dir.join("tiny.csv")).unwrap();
-        assert_eq!(csv.lines().count(), spec.cells.len() + 1);
+        assert_eq!(files, spec.cells.len());
         let _ = fs::remove_dir_all(&dir);
+        first
+    }
+
+    #[test]
+    fn sink_resumes_interrupted_campaigns() {
+        assert_resumes(&tiny_spec());
     }
 
     #[test]
@@ -2937,8 +2647,8 @@ mod tests {
         }
     }
 
-    fn tiny_timeline_spec() -> TimelineSpec {
-        let mut spec = TimelineSpec::grid(
+    fn tiny_timeline_spec() -> Campaign<TimelineCellConfig> {
+        let mut spec = Campaign::<TimelineCellConfig>::grid(
             "tiny-train",
             tiny_cfg(),
             &["GoogLeNet"],
@@ -2959,7 +2669,7 @@ mod tests {
         assert_eq!(spec.cells[0].substrate, SubstrateKind::Electrical);
         assert_eq!(spec.cells[0].bucket_bytes, 4 << 20);
         assert_eq!(spec.cells.last().unwrap().bucket_bytes, 25 << 20);
-        let mut hashes: Vec<u64> = spec.cells.iter().map(timeline_config_hash).collect();
+        let mut hashes: Vec<u64> = spec.cells.iter().map(config_hash).collect();
         hashes.sort_unstable();
         hashes.dedup();
         assert_eq!(hashes.len(), spec.cells.len(), "hash collision");
@@ -2968,7 +2678,7 @@ mod tests {
     #[test]
     fn timeline_cells_execute_and_derive_seeds() {
         let spec = tiny_timeline_spec();
-        let report = run_timeline_campaign(&spec, 2, None);
+        let report = run_campaign(&spec, 2, None);
         assert_eq!(report.results.len(), spec.cells.len());
         for r in &report.results {
             assert!(r.error.is_none(), "{:?}: {:?}", r.cell, r.error);
@@ -2984,15 +2694,13 @@ mod tests {
     #[test]
     fn timeline_parallel_run_is_byte_identical_to_serial() {
         let spec = tiny_timeline_spec();
-        let serial = run_timeline_campaign(&spec, 1, None);
-        let parallel = run_timeline_campaign(&spec, 8, None);
+        let serial = run_campaign(&spec, 1, None);
+        let parallel = run_campaign(&spec, 8, None);
         assert_eq!(to_json(&serial), to_json(&parallel));
     }
 
     #[test]
     fn timeline_sink_resumes_and_rejects_unknown_models() {
-        let dir = std::env::temp_dir().join(format!("wrht-tl-campaign-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
         let mut spec = tiny_timeline_spec();
         spec.cells.truncate(4);
         spec.cells.push(TimelineCellConfig {
@@ -3005,27 +2713,8 @@ mod tests {
             strategy: Strategy::FirstFit,
             mode: ExecMode::Barrier,
         });
-        let first = run_timeline_campaign(&spec, 2, Some(&dir));
+        let first = assert_resumes(&spec);
         assert!(first.results.last().unwrap().error.is_some());
-        let resumed = run_timeline_campaign(&spec, 2, Some(&dir));
-        assert_eq!(to_json(&first), to_json(&resumed));
-        assert!(dir.join("tiny-train.json").exists());
-        let csv = fs::read_to_string(dir.join("tiny-train.csv")).unwrap();
-        assert_eq!(csv.lines().count(), spec.cells.len() + 1);
-        // Timeline sink files use their own prefix, so the two campaign
-        // kinds can share a directory without key collisions.
-        let tcells = fs::read_dir(&dir)
-            .unwrap()
-            .filter(|e| {
-                e.as_ref()
-                    .unwrap()
-                    .file_name()
-                    .to_string_lossy()
-                    .starts_with("tcell-")
-            })
-            .count();
-        assert_eq!(tcells, spec.cells.len());
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -3040,8 +2729,8 @@ mod tests {
         assert_eq!(spec.seed, 7);
     }
 
-    fn tiny_tenancy_spec() -> TenancySweep {
-        let mut spec = TenancySweep::grid(
+    fn tiny_tenancy_spec() -> Campaign<TenancyCellConfig> {
+        let mut spec = Campaign::<TenancyCellConfig>::grid(
             "tiny-tenants",
             tiny_cfg(),
             &["GoogLeNet"],
@@ -3063,7 +2752,7 @@ mod tests {
         assert_eq!(spec.cells[0].substrate, SubstrateKind::Electrical);
         assert_eq!(spec.cells[0].jobs, 1);
         assert_eq!(spec.cells.last().unwrap().jobs, 2);
-        let mut hashes: Vec<u64> = spec.cells.iter().map(tenancy_config_hash).collect();
+        let mut hashes: Vec<u64> = spec.cells.iter().map(config_hash).collect();
         hashes.sort_unstable();
         hashes.dedup();
         assert_eq!(hashes.len(), spec.cells.len(), "hash collision");
@@ -3072,7 +2761,7 @@ mod tests {
     #[test]
     fn tenancy_cells_execute_and_single_job_cells_are_unslowed() {
         let spec = tiny_tenancy_spec();
-        let report = run_tenancy_campaign(&spec, 2, None);
+        let report = run_campaign(&spec, 2, None);
         assert_eq!(report.results.len(), spec.cells.len());
         for r in &report.results {
             assert!(r.error.is_none(), "{:?}: {:?}", r.cell, r.error);
@@ -3094,15 +2783,13 @@ mod tests {
     #[test]
     fn tenancy_parallel_run_is_byte_identical_to_serial() {
         let spec = tiny_tenancy_spec();
-        let serial = run_tenancy_campaign(&spec, 1, None);
-        let parallel = run_tenancy_campaign(&spec, 8, None);
+        let serial = run_campaign(&spec, 1, None);
+        let parallel = run_campaign(&spec, 8, None);
         assert_eq!(to_json(&serial), to_json(&parallel));
     }
 
     #[test]
     fn tenancy_sink_resumes_and_rejects_unknown_models() {
-        let dir = std::env::temp_dir().join(format!("wrht-tn-campaign-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
         let mut spec = tiny_tenancy_spec();
         spec.cells.truncate(4);
         spec.cells.push(TenancyCellConfig {
@@ -3117,27 +2804,8 @@ mod tests {
             wavelengths: 64,
             strategy: Strategy::FirstFit,
         });
-        let first = run_tenancy_campaign(&spec, 2, Some(&dir));
+        let first = assert_resumes(&spec);
         assert!(first.results.last().unwrap().error.is_some());
-        let resumed = run_tenancy_campaign(&spec, 2, Some(&dir));
-        assert_eq!(to_json(&first), to_json(&resumed));
-        assert!(dir.join("tiny-tenants.json").exists());
-        let csv = fs::read_to_string(dir.join("tiny-tenants.csv")).unwrap();
-        assert_eq!(csv.lines().count(), spec.cells.len() + 1);
-        // Tenancy sink files use their own prefix, so all three campaign
-        // kinds can share a directory without key collisions.
-        let jcells = fs::read_dir(&dir)
-            .unwrap()
-            .filter(|e| {
-                e.as_ref()
-                    .unwrap()
-                    .file_name()
-                    .to_string_lossy()
-                    .starts_with("jcell-")
-            })
-            .count();
-        assert_eq!(jcells, spec.cells.len());
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -3152,7 +2820,7 @@ mod tests {
         assert_eq!(spec.seed, 7);
     }
 
-    fn tiny_fault_spec() -> FaultSweep {
+    fn tiny_fault_spec() -> Campaign<FaultCellConfig> {
         let scenarios = [
             FaultScenario::None,
             FaultScenario::WavelengthDown {
@@ -3169,7 +2837,7 @@ mod tests {
                 at_frac: 0.25,
             },
         ];
-        let mut spec = FaultSweep::grid(
+        let mut spec = Campaign::<FaultCellConfig>::grid(
             "tiny-faults",
             tiny_cfg(),
             &["GoogLeNet"],
@@ -3192,7 +2860,7 @@ mod tests {
         assert_eq!(spec.cells.len(), 4 * 2 * 2);
         assert_eq!(spec.cells[0].substrate, SubstrateKind::Electrical);
         assert_eq!(spec.cells[0].scenario, FaultScenario::None);
-        let mut hashes: Vec<u64> = spec.cells.iter().map(fault_config_hash).collect();
+        let mut hashes: Vec<u64> = spec.cells.iter().map(config_hash).collect();
         hashes.sort_unstable();
         hashes.dedup();
         assert_eq!(hashes.len(), spec.cells.len(), "hash collision");
@@ -3201,7 +2869,7 @@ mod tests {
     #[test]
     fn fault_cells_execute_and_empty_scripts_have_zero_blast_radius() {
         let spec = tiny_fault_spec();
-        let report = run_fault_campaign(&spec, 2, None);
+        let report = run_campaign(&spec, 2, None);
         assert_eq!(report.results.len(), spec.cells.len());
         for r in &report.results {
             assert!(r.error.is_none(), "{:?}: {:?}", r.cell, r.error);
@@ -3238,15 +2906,13 @@ mod tests {
     #[test]
     fn fault_parallel_run_is_byte_identical_to_serial() {
         let spec = tiny_fault_spec();
-        let serial = run_fault_campaign(&spec, 1, None);
-        let parallel = run_fault_campaign(&spec, 8, None);
+        let serial = run_campaign(&spec, 1, None);
+        let parallel = run_campaign(&spec, 8, None);
         assert_eq!(to_json(&serial), to_json(&parallel));
     }
 
     #[test]
     fn fault_sink_resumes_and_rejects_unknown_models() {
-        let dir = std::env::temp_dir().join(format!("wrht-ft-campaign-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
         let mut spec = tiny_fault_spec();
         spec.cells.truncate(4);
         spec.cells.push(FaultCellConfig {
@@ -3263,27 +2929,8 @@ mod tests {
             wavelengths: 64,
             strategy: Strategy::FirstFit,
         });
-        let first = run_fault_campaign(&spec, 2, Some(&dir));
+        let first = assert_resumes(&spec);
         assert!(first.results.last().unwrap().error.is_some());
-        let resumed = run_fault_campaign(&spec, 2, Some(&dir));
-        assert_eq!(to_json(&first), to_json(&resumed));
-        assert!(dir.join("tiny-faults.json").exists());
-        let csv = fs::read_to_string(dir.join("tiny-faults.csv")).unwrap();
-        assert_eq!(csv.lines().count(), spec.cells.len() + 1);
-        // Fault sink files use their own prefix, so all four campaign kinds
-        // can share a directory without key collisions.
-        let fcells = fs::read_dir(&dir)
-            .unwrap()
-            .filter(|e| {
-                e.as_ref()
-                    .unwrap()
-                    .file_name()
-                    .to_string_lossy()
-                    .starts_with("fcell-")
-            })
-            .count();
-        assert_eq!(fcells, spec.cells.len());
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -3336,7 +2983,7 @@ mod tests {
         assert_eq!(spec.cells.len(), 3 * 3 * 2);
         assert_eq!(spec.cells[0].substrate, SubstrateKind::Electrical);
         assert_eq!(spec.cells[0].admission, Admission::Immediate);
-        let mut hashes: Vec<u64> = spec.cells.iter().map(stream_config_hash).collect();
+        let mut hashes: Vec<u64> = spec.cells.iter().map(config_hash).collect();
         hashes.sort_unstable();
         hashes.dedup();
         assert_eq!(hashes.len(), spec.cells.len(), "hash collision");
@@ -3345,7 +2992,7 @@ mod tests {
     #[test]
     fn stream_cells_execute_and_account_for_every_arrival() {
         let spec = tiny_stream_spec();
-        let report = run_stream_campaign(&spec, 2, None);
+        let report = run_campaign(&spec, 2, None);
         assert_eq!(report.results.len(), spec.cells.len());
         for r in &report.results {
             assert!(r.error.is_none(), "{:?}: {:?}", r.cell, r.error);
@@ -3376,15 +3023,13 @@ mod tests {
     #[test]
     fn stream_parallel_run_is_byte_identical_to_serial() {
         let spec = tiny_stream_spec();
-        let serial = run_stream_campaign(&spec, 1, None);
-        let parallel = run_stream_campaign(&spec, 8, None);
+        let serial = run_campaign(&spec, 1, None);
+        let parallel = run_campaign(&spec, 8, None);
         assert_eq!(to_json(&serial), to_json(&parallel));
     }
 
     #[test]
     fn stream_sink_resumes_and_rejects_unknown_models() {
-        let dir = std::env::temp_dir().join(format!("wrht-st-campaign-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
         let mut spec = tiny_stream_spec();
         spec.cells.truncate(4);
         spec.cells.push(StreamCellConfig {
@@ -3401,27 +3046,8 @@ mod tests {
             wavelengths: 64,
             strategy: Strategy::FirstFit,
         });
-        let first = run_stream_campaign(&spec, 2, Some(&dir));
+        let first = assert_resumes(&spec);
         assert!(first.results.last().unwrap().error.is_some());
-        let resumed = run_stream_campaign(&spec, 2, Some(&dir));
-        assert_eq!(to_json(&first), to_json(&resumed));
-        assert!(dir.join("tiny-serve.json").exists());
-        let csv = fs::read_to_string(dir.join("tiny-serve.csv")).unwrap();
-        assert_eq!(csv.lines().count(), spec.cells.len() + 1);
-        // Stream sink files use their own prefix, so all five campaign
-        // kinds can share a directory without key collisions.
-        let scells = fs::read_dir(&dir)
-            .unwrap()
-            .filter(|e| {
-                e.as_ref()
-                    .unwrap()
-                    .file_name()
-                    .to_string_lossy()
-                    .starts_with("scell-")
-            })
-            .count();
-        assert_eq!(scells, spec.cells.len());
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -3461,7 +3087,7 @@ mod tests {
     #[test]
     fn parallelism_cells_execute_on_the_composed_substrate() {
         let spec = tiny_parallelism_spec();
-        let report = run_parallelism_campaign(&spec, 1, None);
+        let report = run_campaign(&spec, 1, None);
         assert_eq!(report.results.len(), 3);
         for r in &report.results {
             assert!(r.error.is_none(), "{:?}: {:?}", r.cell, r.error);
@@ -3484,41 +3110,21 @@ mod tests {
     #[test]
     fn parallelism_campaign_is_parallel_deterministic_and_resumable() {
         let spec = tiny_parallelism_spec();
-        let serial = run_parallelism_campaign(&spec, 1, None);
-        let parallel = run_parallelism_campaign(&spec, 8, None);
+        let serial = run_campaign(&spec, 1, None);
+        let parallel = run_campaign(&spec, 8, None);
         assert_eq!(to_json(&serial), to_json(&parallel));
-
-        let dir = std::env::temp_dir().join(format!("wrht-par-campaign-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        let first = run_parallelism_campaign(&spec, 2, Some(&dir));
-        let resumed = run_parallelism_campaign(&spec, 2, Some(&dir));
-        assert_eq!(to_json(&first), to_json(&resumed));
-        assert!(dir.join("tiny-par.json").exists());
-        let csv = fs::read_to_string(dir.join("tiny-par.csv")).unwrap();
-        assert_eq!(csv.lines().count(), spec.cells.len() + 1);
-        let pcells = fs::read_dir(&dir)
-            .unwrap()
-            .filter(|e| {
-                e.as_ref()
-                    .unwrap()
-                    .file_name()
-                    .to_string_lossy()
-                    .starts_with("pcell-")
-            })
-            .count();
-        assert_eq!(pcells, spec.cells.len());
-        let _ = fs::remove_dir_all(&dir);
+        assert_resumes(&spec);
     }
 
     #[test]
     fn parallelism_rejects_unknown_models_and_bad_shapes() {
         let mut cell = tiny_parallelism_spec().cells[0].clone();
         cell.model = "NotANet".into();
-        let r = run_parallelism_cell(&tiny_cfg(), 7, &cell);
+        let r = cell.run(&tiny_cfg(), 7);
         assert!(r.error.as_deref().unwrap().contains("unknown model"));
         let mut bad = tiny_parallelism_spec().cells[0].clone();
         bad.tp = 1;
-        let r = run_parallelism_cell(&tiny_cfg(), 7, &bad);
+        let r = bad.run(&tiny_cfg(), 7);
         assert!(r.error.is_some());
     }
 

@@ -1,14 +1,11 @@
 //! Figure 2: communication time of E-Ring, RD, O-Ring and WRHT for the
 //! four DNN models across node scales, plus the headline reductions.
+//!
+//! The series are read off campaign cells: [`crate::campaign::run_fig2`]
+//! runs the Figure-2 cells of the sweep ([`crate::campaign::fig2_spec`])
+//! through the campaign engine.
 
-use crate::config::{ExperimentConfig, SubstrateKind};
-use collectives::rd::recursive_doubling;
-use collectives::ring::ring_allreduce;
-use dnn_models::Model;
-use optical_sim::Strategy;
 use serde::{Deserialize, Serialize};
-use wrht_core::baselines::run_collective;
-use wrht_core::{plan_and_simulate, WrhtParams};
 
 /// One (model, node-count) grid cell.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -52,64 +49,6 @@ pub struct Headline {
     pub cells: usize,
 }
 
-/// Compute one grid cell. All four measurements run through the unified
-/// [`wrht_core::substrate::Substrate`] API.
-pub fn fig2_row(cfg: &ExperimentConfig, n: usize, gradient_bytes: u64) -> Fig2Row {
-    let elems = (gradient_bytes as usize).div_ceil(cfg.bytes_per_elem);
-    let mut electrical = cfg.substrate(SubstrateKind::Electrical, n, Strategy::FirstFit);
-    let mut optical = cfg.substrate(SubstrateKind::Optical, n, Strategy::FirstFit);
-
-    // E-Ring: chunked ring all-reduce over the switched cluster.
-    let ring = ring_allreduce(n, elems);
-    let e_ring = run_collective(electrical.as_mut(), &ring, cfg.bytes_per_elem, 1)
-        .expect("E-Ring fluid run");
-
-    // RD: recursive doubling over the same cluster.
-    let rd = run_collective(
-        electrical.as_mut(),
-        &recursive_doubling(n, elems),
-        cfg.bytes_per_elem,
-        1,
-    )
-    .expect("RD fluid run");
-
-    // O-Ring: the same ring all-reduce over the optical ring, 1 wavelength.
-    let o_ring =
-        run_collective(optical.as_mut(), &ring, cfg.bytes_per_elem, 1).expect("O-Ring optical run");
-
-    // WRHT with optimizer-chosen group size.
-    let wrht = plan_and_simulate(
-        &WrhtParams::auto(n, cfg.wavelengths),
-        &cfg.optical(n),
-        gradient_bytes,
-    )
-    .expect("Wrht plan");
-
-    Fig2Row {
-        n,
-        e_ring_s: e_ring.total_time_s,
-        rd_s: rd.total_time_s,
-        o_ring_s: o_ring.total_time_s,
-        wrht_s: wrht.simulated_time_s,
-        wrht_m: wrht.m,
-        wrht_steps: wrht.plan.step_count(),
-    }
-}
-
-/// Compute a full sub-figure for one model.
-pub fn fig2_series(cfg: &ExperimentConfig, model: &Model) -> Fig2Series {
-    let gradient_bytes = model.gradient_bytes();
-    Fig2Series {
-        model: model.name.clone(),
-        gradient_bytes,
-        rows: cfg
-            .scales
-            .iter()
-            .map(|&n| fig2_row(cfg, n, gradient_bytes))
-            .collect(),
-    }
-}
-
 /// Aggregate the headline reductions over a set of series.
 #[must_use]
 pub fn headline(series: &[Fig2Series]) -> Headline {
@@ -135,12 +74,16 @@ pub fn headline(series: &[Fig2Series]) -> Headline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::run_fig2;
+    use crate::config::ExperimentConfig;
+
+    fn googlenet_fig2(cfg: &ExperimentConfig) -> Fig2Series {
+        run_fig2(cfg, &[dnn_models::googlenet()], 1).remove(0)
+    }
 
     #[test]
     fn wrht_beats_oring_every_cell_and_electrical_at_scale() {
-        let cfg = ExperimentConfig::small();
-        let model = dnn_models::googlenet();
-        let series = fig2_series(&cfg, &model);
+        let series = googlenet_fig2(&ExperimentConfig::small());
         for r in &series.rows {
             assert!(
                 r.wrht_s < r.o_ring_s,
@@ -167,7 +110,7 @@ mod tests {
     #[test]
     fn headline_aggregates_reductions() {
         let cfg = ExperimentConfig::small();
-        let series = vec![fig2_series(&cfg, &dnn_models::googlenet())];
+        let series = vec![googlenet_fig2(&cfg)];
         let h = headline(&series);
         assert_eq!(h.cells, cfg.scales.len());
         assert!(h.vs_oring_pct > 0.0 && h.vs_oring_pct < 100.0);
@@ -178,8 +121,7 @@ mod tests {
     fn oring_grows_with_n_but_eringbandwidth_saturates() {
         // Shape check: O-Ring's per-step overheads accumulate with n while
         // E-Ring's bandwidth term is n-independent.
-        let cfg = ExperimentConfig::small();
-        let s = fig2_series(&cfg, &dnn_models::googlenet());
+        let s = googlenet_fig2(&ExperimentConfig::small());
         let first = &s.rows[0];
         let last = &s.rows[s.rows.len() - 1];
         assert!(last.o_ring_s >= first.o_ring_s * 0.9);

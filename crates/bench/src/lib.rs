@@ -11,18 +11,23 @@
 //! * [`ablations`] — group-size, wavelength-count, RWA-strategy and
 //!   overlap extension studies;
 //! * [`campaign`] — the declarative, parallel campaign-sweep engine over
-//!   the unified [`wrht_core::substrate::Substrate`] API, including the
-//!   timeline experiment axis (model × bucket size × algorithm ×
-//!   substrate);
+//!   the unified [`wrht_core::substrate::Substrate`] API: one generic
+//!   runner for every experiment axis ([`campaign::Axis`]: the sweep,
+//!   training timelines, tenancy, faults, streams and mixed parallelism),
+//!   through which Figure 2 and the `train` table are produced too;
 //! * [`timeline`] — simulator-backed training iterations of the zoo
 //!   models (the `repro-figures train` workload);
 //! * [`report`] — table/JSON rendering.
 //!
 //! ```
-//! use wrht_bench::{fig2_row, ExperimentConfig};
+//! use wrht_bench::{run_fig2, ExperimentConfig};
 //!
-//! let cfg = ExperimentConfig::small();
-//! let row = fig2_row(&cfg, 32, dnn_models::googlenet().gradient_bytes());
+//! let cfg = ExperimentConfig {
+//!     scales: vec![32],
+//!     ..ExperimentConfig::small()
+//! };
+//! let series = run_fig2(&cfg, &[dnn_models::googlenet()], 1);
+//! let row = &series[0].rows[0];
 //! assert!(row.wrht_s > 0.0 && row.wrht_s.is_finite());
 //! assert!(row.wrht_s < row.o_ring_s, "Wrht beats O-Ring in every cell");
 //! ```
@@ -40,11 +45,9 @@ pub mod report;
 pub mod timeline;
 
 pub use campaign::{
-    parallelism_spec, run_campaign, run_parallelism_campaign, run_tenancy_campaign,
-    run_timeline_campaign, sweep_spec, tenants_spec, train_spec, Algorithm, CampaignReport,
-    CampaignSpec, ParallelismCampaignReport, ParallelismSweep, TenancyCampaignReport, TenancySweep,
-    TimelineReport, TimelineSpec,
+    fig2_spec, parallelism_spec, run_campaign, run_fig2, sweep_spec, tenants_spec, train_spec,
+    Algorithm, Axis, Campaign, CampaignReport, CampaignSpec, Report,
 };
 pub use config::{ExperimentConfig, SubstrateKind};
-pub use fig2::{fig2_row, fig2_series, headline, Fig2Row, Fig2Series, Headline};
-pub use timeline::{model_timeline, timeline_table, TimelineRow};
+pub use fig2::{headline, Fig2Row, Fig2Series, Headline};
+pub use timeline::{model_timeline, TimelineRow};

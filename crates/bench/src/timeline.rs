@@ -126,7 +126,8 @@ pub fn model_timeline(
     }
 }
 
-/// One row of the `repro-figures train` table.
+/// One row of the `repro-figures train` table, read off a train-campaign
+/// row (`From<&TimelineCellResult>`).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TimelineRow {
     /// Model name.
@@ -149,54 +150,6 @@ pub struct TimelineRow {
     pub hidden_fraction: f64,
     /// Total substrate steps over all buckets.
     pub steps: usize,
-}
-
-impl TimelineRow {
-    /// Condense a full timeline into a table row.
-    #[must_use]
-    pub fn from_timeline(model: &str, t: &IterationTimeline) -> Self {
-        Self {
-            model: model.to_string(),
-            substrate: t.substrate.clone(),
-            buckets: t.bucket_count(),
-            compute_s: t.compute_s,
-            overlapped_s: t.overlapped_s,
-            sequential_s: t.sequential_s,
-            total_comm_s: t.total_comm_s,
-            exposed_comm_s: t.exposed_comm_s,
-            hidden_fraction: t.hidden_fraction,
-            steps: t.total_steps(),
-        }
-    }
-}
-
-/// The `train` table: every model's Wrht-backed iteration on **both**
-/// substrates at `n` nodes. Infeasible cells are skipped.
-#[must_use]
-pub fn timeline_table(
-    cfg: &ExperimentConfig,
-    models: &[Model],
-    n: usize,
-    bucket_bytes: u64,
-) -> Vec<TimelineRow> {
-    let mut rows = Vec::new();
-    for model in models {
-        for kind in [SubstrateKind::Electrical, SubstrateKind::Optical] {
-            if let Ok(t) = model_timeline(
-                cfg,
-                model,
-                n,
-                bucket_bytes,
-                Algorithm::Wrht,
-                kind,
-                Strategy::FirstFit,
-                ExecMode::Barrier,
-            ) {
-                rows.push(TimelineRow::from_timeline(&model.name, &t));
-            }
-        }
-    }
-    rows
 }
 
 #[cfg(test)]
@@ -312,7 +265,9 @@ mod tests {
     fn timeline_table_covers_every_model_on_both_substrates() {
         let cfg = tiny_cfg();
         let models = [dnn_models::googlenet(), dnn_models::alexnet()];
-        let rows = timeline_table(&cfg, &models, 16, 25 << 20);
+        let spec = crate::campaign::train_spec(&cfg, &models, 16, 0, &[ExecMode::Barrier]);
+        let report = crate::campaign::run_campaign(&spec, 1, None);
+        let rows: Vec<TimelineRow> = report.results.iter().map(TimelineRow::from).collect();
         assert_eq!(rows.len(), 4);
         for row in &rows {
             assert!(row.overlapped_s > 0.0);

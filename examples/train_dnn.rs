@@ -7,7 +7,7 @@
 //! ```
 
 use wrht_bench::ablations::overlap_study;
-use wrht_bench::{fig2_row, ExperimentConfig};
+use wrht_bench::{run_fig2, ExperimentConfig};
 
 fn main() {
     let mut cfg = ExperimentConfig::default();
@@ -19,12 +19,12 @@ fn main() {
         "{:>10} {:>10} {:>12} {:>12} {:>12} {:>12} {:>4}",
         "model", "grad MB", "E-Ring ms", "RD ms", "O-Ring ms", "WRHT ms", "m"
     );
-    for model in dnn_models::paper_models() {
-        let row = fig2_row(&cfg, n, model.gradient_bytes());
+    for series in run_fig2(&cfg, &dnn_models::paper_models(), 1) {
+        let row = &series.rows[0];
         println!(
             "{:>10} {:>10.1} {:>12.3} {:>12.3} {:>12.3} {:>12.3} {:>4}",
-            model.name,
-            model.gradient_bytes() as f64 / 1e6,
+            series.model,
+            series.gradient_bytes as f64 / 1e6,
             row.e_ring_s * 1e3,
             row.rd_s * 1e3,
             row.o_ring_s * 1e3,

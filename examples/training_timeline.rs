@@ -7,8 +7,8 @@
 //! cargo run --release --example training_timeline
 //! ```
 
-use wrht_bench::campaign::Algorithm;
-use wrht_bench::timeline::{model_timeline, timeline_table, TimelineRow};
+use wrht_bench::campaign::{run_campaign, train_spec, Algorithm};
+use wrht_bench::timeline::{model_timeline, TimelineRow};
 use wrht_bench::{ExperimentConfig, SubstrateKind};
 use wrht_core::dag::ExecMode;
 
@@ -23,8 +23,17 @@ fn main() {
         "{:>10} {:>11} {:>8} {:>14} {:>14} {:>8}",
         "model", "substrate", "buckets", "overlapped ms", "sequential ms", "hidden"
     );
-    let rows: Vec<TimelineRow> = timeline_table(&cfg, &dnn_models::paper_models(), n, bucket_bytes);
-    for r in &rows {
+    // The `repro-figures train` table: the train campaign's rows.
+    let spec = train_spec(
+        &cfg,
+        &dnn_models::paper_models(),
+        n,
+        0,
+        &[ExecMode::Barrier],
+    );
+    let report = run_campaign(&spec, 1, None);
+    let rows = report.results.iter().filter(|r| r.error.is_none());
+    for r in rows.map(TimelineRow::from) {
         println!(
             "{:>10} {:>11} {:>8} {:>14.3} {:>14.3} {:>7.1}%",
             r.model,

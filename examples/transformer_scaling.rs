@@ -6,10 +6,13 @@
 //! ```
 
 use dnn_models::transformer::{bert_large, gpt2_small};
-use wrht_bench::{fig2_row, ExperimentConfig};
+use wrht_bench::{run_fig2, ExperimentConfig};
 
 fn main() {
-    let cfg = ExperimentConfig::default();
+    let cfg = ExperimentConfig {
+        scales: vec![128, 512],
+        ..ExperimentConfig::default()
+    };
     for model in [gpt2_small(), bert_large()] {
         println!(
             "{} — {:.1} M params, {:.0} MB gradient",
@@ -21,11 +24,11 @@ fn main() {
             "{:>6} {:>12} {:>12} {:>12} {:>12} {:>4}",
             "nodes", "E-Ring ms", "RD ms", "O-Ring ms", "WRHT ms", "m"
         );
-        for &n in &[128usize, 512] {
-            let r = fig2_row(&cfg, n, model.gradient_bytes());
+        let series = run_fig2(&cfg, std::slice::from_ref(&model), 1);
+        for r in series.iter().flat_map(|s| &s.rows) {
             println!(
                 "{:>6} {:>12.3} {:>12.3} {:>12.3} {:>12.3} {:>4}",
-                n,
+                r.n,
                 r.e_ring_s * 1e3,
                 r.rd_s * 1e3,
                 r.o_ring_s * 1e3,

@@ -1,7 +1,7 @@
 //! Regenerate every figure and headline number of the Wrht paper.
 //!
 //! ```text
-//! repro-figures [command] [--small] [--threads=N] [--check=PATH]
+//! repro-figures [command] [--small] [--threads=N] [--mode=MODE] [--check=PATH] [--json]
 //!
 //! Commands:
 //!   fig2         Figure 2: E-Ring / RD / O-Ring / WRHT across models & scales
@@ -53,12 +53,16 @@
 //!                parallelism, serve, bench and analyze (default)
 //!
 //! `--small` shrinks the node scales for a fast smoke run. `--threads=N`
-//! caps the campaign worker count (default: available parallelism).
+//! caps the campaign worker count (default: available parallelism; 0
+//! means 1). Any other `--` flag, or a non-integer `--threads`, is a usage
+//! error (exit 2). A campaign command whose sink directory cannot be
+//! created fails before running any cell (exit 1).
 //! `--mode=barrier|pipelined|both` picks the `train` execution mode:
 //! barrier serializes bucket all-reduces on the network, pipelined
 //! overlaps them through the dependency-aware executor.
 //! JSON copies of every series are written to `results/`; campaign cells,
-//! combined JSON and CSV land in `results/campaign/`.
+//! combined JSON and CSV land in `results/<campaign>/`. `fig2`, `headline`
+//! and every campaign command run through the same campaign engine.
 //! ```
 
 use std::fs;
@@ -68,8 +72,8 @@ use wrht_bench::ablations::{
     group_size_sweep, overlap_study, rwa_strategy_compare, variant_study, wavelength_sweep,
 };
 use wrht_bench::campaign::{
-    fig2_from_campaign, run_campaign, run_fault_campaign, run_parallelism_campaign,
-    run_stream_campaign, run_tenancy_campaign, run_timeline_campaign, sweep_spec,
+    faults_spec, fig2_from_campaign, parallelism_spec, run_campaign, run_fig2, serve_spec,
+    sweep_spec, tenants_spec, train_spec, Axis, Campaign, Report,
 };
 use wrht_bench::contention::{run_contention, Pattern};
 use wrht_bench::perf::{run_suite, BenchSuiteResult, SuiteScale};
@@ -79,7 +83,7 @@ use wrht_bench::report::{
     render_variants, render_wavelengths, to_json,
 };
 use wrht_bench::timeline::TimelineRow;
-use wrht_bench::{fig2_series, headline, ExperimentConfig};
+use wrht_bench::{headline, ExperimentConfig};
 use wrht_core::dag::ExecMode;
 use wrht_core::steps::{
     alltoall_wavelength_requirement, paper_step_count, surviving_reps, tree_wavelength_requirement,
@@ -94,13 +98,11 @@ fn write_json(dir: &Path, name: &str, payload: &str) {
     }
 }
 
-fn cmd_fig2(cfg: &ExperimentConfig, results: &Path) {
-    let mut all = Vec::new();
-    for model in dnn_models::paper_models() {
-        let series = fig2_series(cfg, &model);
-        print!("{}", render_fig2(&series));
+fn cmd_fig2(cfg: &ExperimentConfig, results: &Path, threads: usize) {
+    let all = run_fig2(cfg, &dnn_models::paper_models(), threads);
+    for series in &all {
+        print!("{}", render_fig2(series));
         println!();
-        all.push(series);
     }
     write_json(results, "fig2.json", &to_json(&all));
     let h = headline(&all);
@@ -108,12 +110,8 @@ fn cmd_fig2(cfg: &ExperimentConfig, results: &Path) {
     write_json(results, "headline.json", &to_json(&h));
 }
 
-fn cmd_headline(cfg: &ExperimentConfig, results: &Path) {
-    let all: Vec<_> = dnn_models::paper_models()
-        .iter()
-        .map(|m| fig2_series(cfg, m))
-        .collect();
-    let h = headline(&all);
+fn cmd_headline(cfg: &ExperimentConfig, results: &Path, threads: usize) {
+    let h = headline(&run_fig2(cfg, &dnn_models::paper_models(), threads));
     print!("{}", render_headline(&h));
     write_json(results, "headline.json", &to_json(&h));
 }
@@ -225,23 +223,57 @@ fn cmd_variants(cfg: &ExperimentConfig, results: &Path) {
     write_json(results, "variants.json", &to_json(&points));
 }
 
-fn cmd_sweep(cfg: &ExperimentConfig, results: &Path, threads: usize, models: &[dnn_models::Model]) {
-    let spec = sweep_spec(cfg, models, 2023);
-    let sink = results.join("campaign");
+/// Why a command failed: bad usage exits 2 with the usage line, a failed
+/// run exits 1.
+#[derive(Debug)]
+enum Failure {
+    Usage(String),
+    Run(String),
+}
+
+/// Run one campaign command's spec with `sink` as its sink directory,
+/// which is created before any cell runs: a campaign whose rows cannot be
+/// written fails instead of computing them for nothing.
+fn run_into_sink<C: Axis>(
+    title: &str,
+    spec: &Campaign<C>,
+    threads: usize,
+    sink: &Path,
+) -> Result<Report<C>, Failure> {
+    fs::create_dir_all(sink).map_err(|e| {
+        Failure::Run(format!(
+            "cannot create campaign sink {}: {e}",
+            sink.display()
+        ))
+    })?;
     println!(
-        "== Campaign sweep: {} cells over {} worker thread(s) ==",
-        spec.cells.len(),
-        threads
+        "== {title}: {} cells over {threads} worker thread(s) ==",
+        spec.cells.len()
     );
-    let report = run_campaign(&spec, threads, Some(&sink));
-    let infeasible = report.results.iter().filter(|r| r.error.is_some()).count();
+    let report = run_campaign(spec, threads, Some(sink));
+    let infeasible = report
+        .results
+        .iter()
+        .filter(|r| C::error(r).is_some())
+        .count();
     println!(
         "{} cells finished ({infeasible} infeasible); sink: {}",
         report.results.len(),
         sink.display()
     );
     println!();
+    Ok(report)
+}
 
+fn cmd_sweep(
+    cfg: &ExperimentConfig,
+    results: &Path,
+    threads: usize,
+    models: &[dnn_models::Model],
+) -> Result<(), Failure> {
+    let sink = results.join("campaign");
+    let spec = sweep_spec(cfg, models, 2023);
+    let report = run_into_sink("Campaign sweep", &spec, threads, &sink)?;
     let named: Vec<(&str, u64)> = models
         .iter()
         .map(|m| (m.name.as_str(), m.gradient_bytes()))
@@ -255,6 +287,7 @@ fn cmd_sweep(cfg: &ExperimentConfig, results: &Path, threads: usize, models: &[d
     let h = headline(&series);
     print!("{}", render_headline(&h));
     write_json(&sink, "headline.json", &to_json(&h));
+    Ok(())
 }
 
 fn cmd_train(
@@ -263,26 +296,14 @@ fn cmd_train(
     threads: usize,
     models: &[dnn_models::Model],
     modes: &[ExecMode],
-) {
+) -> Result<(), Failure> {
     let n = *cfg.scales.first().expect("scales non-empty");
-    let spec = wrht_bench::campaign::train_spec(cfg, models, n, 2023, modes);
+    let spec = train_spec(cfg, models, n, 2023, modes);
     let bucket_bytes = spec.cells.first().map_or(25 << 20, |c| c.bucket_bytes);
     let sink = results.join("train");
     let mode_labels: Vec<&str> = modes.iter().map(|m| m.label()).collect();
-    println!(
-        "== Training-timeline campaign: {} cells ({}) over {} worker thread(s) ==",
-        spec.cells.len(),
-        mode_labels.join("+"),
-        threads
-    );
-    let report = run_timeline_campaign(&spec, threads, Some(&sink));
-    let infeasible = report.results.iter().filter(|r| r.error.is_some()).count();
-    println!(
-        "{} cells finished ({infeasible} infeasible); sink: {}",
-        report.results.len(),
-        sink.display()
-    );
-    println!();
+    let title = format!("Training-timeline campaign ({})", mode_labels.join("+"));
+    let report = run_into_sink(&title, &spec, threads, &sink)?;
     let rows: Vec<TimelineRow> = report
         .results
         .iter()
@@ -292,6 +313,7 @@ fn cmd_train(
     print!("{}", render_timeline(&rows, n, bucket_bytes));
     println!();
     write_json(&sink, "train_rows.json", &to_json(&rows));
+    Ok(())
 }
 
 fn cmd_tenants(
@@ -299,26 +321,15 @@ fn cmd_tenants(
     results: &Path,
     threads: usize,
     models: &[dnn_models::Model],
-) {
+) -> Result<(), Failure> {
     let n = *cfg.scales.first().expect("scales non-empty");
-    let spec = wrht_bench::campaign::tenants_spec(cfg, models, n, 2023);
+    let spec = tenants_spec(cfg, models, n, 2023);
     let sink = results.join("tenants");
-    println!(
-        "== Tenancy campaign: {} cells over {} worker thread(s) ==",
-        spec.cells.len(),
-        threads
-    );
-    let report = run_tenancy_campaign(&spec, threads, Some(&sink));
-    let infeasible = report.results.iter().filter(|r| r.error.is_some()).count();
-    println!(
-        "{} cells finished ({infeasible} infeasible); sink: {}",
-        report.results.len(),
-        sink.display()
-    );
-    println!();
+    let report = run_into_sink("Tenancy campaign", &spec, threads, &sink)?;
     print!("{}", render_tenants(&report.results, n));
     println!();
     write_json(&sink, "tenant_rows.json", &to_json(&report.results));
+    Ok(())
 }
 
 fn cmd_faults(
@@ -326,68 +337,41 @@ fn cmd_faults(
     results: &Path,
     threads: usize,
     models: &[dnn_models::Model],
-) {
+) -> Result<(), Failure> {
     let n = *cfg.scales.first().expect("scales non-empty");
-    let spec = wrht_bench::campaign::faults_spec(cfg, models, n, 2023);
+    let spec = faults_spec(cfg, models, n, 2023);
     let sink = results.join("faults");
-    println!(
-        "== Fault campaign: {} cells over {} worker thread(s) ==",
-        spec.cells.len(),
-        threads
-    );
-    let report = run_fault_campaign(&spec, threads, Some(&sink));
-    println!(
-        "   {} cells finished; sink: {}",
-        report.results.len(),
-        sink.display()
-    );
-    println!();
+    let report = run_into_sink("Fault campaign", &spec, threads, &sink)?;
     print!("{}", render_faults(&report.results, n));
     println!();
     write_json(&sink, "fault_rows.json", &to_json(&report.results));
+    Ok(())
 }
 
-fn cmd_parallelism(cfg: &ExperimentConfig, results: &Path, threads: usize) {
-    let spec = wrht_bench::campaign::parallelism_spec(cfg, 2023);
+fn cmd_parallelism(cfg: &ExperimentConfig, results: &Path, threads: usize) -> Result<(), Failure> {
+    let spec = parallelism_spec(cfg, 2023);
     let sink = results.join("parallelism");
-    println!(
-        "== Mixed-parallelism campaign: {} cells over {} worker thread(s) ==",
-        spec.cells.len(),
-        threads
-    );
-    let report = run_parallelism_campaign(&spec, threads, Some(&sink));
-    let infeasible = report.results.iter().filter(|r| r.error.is_some()).count();
-    println!(
-        "{} cells finished ({infeasible} infeasible); sink: {}",
-        report.results.len(),
-        sink.display()
-    );
-    println!();
+    let report = run_into_sink("Mixed-parallelism campaign", &spec, threads, &sink)?;
     print!("{}", render_parallelism(&report.results));
     println!();
     write_json(&sink, "parallelism_rows.json", &to_json(&report.results));
+    Ok(())
 }
 
-fn cmd_serve(cfg: &ExperimentConfig, results: &Path, threads: usize, models: &[dnn_models::Model]) {
+fn cmd_serve(
+    cfg: &ExperimentConfig,
+    results: &Path,
+    threads: usize,
+    models: &[dnn_models::Model],
+) -> Result<(), Failure> {
     let n = *cfg.scales.first().expect("scales non-empty");
-    let spec = wrht_bench::campaign::serve_spec(cfg, models, n, 2023);
+    let spec = serve_spec(cfg, models, n, 2023);
     let sink = results.join("serve");
-    println!(
-        "== Open-loop service campaign: {} cells over {} worker thread(s) ==",
-        spec.cells.len(),
-        threads
-    );
-    let report = run_stream_campaign(&spec, threads, Some(&sink));
-    let infeasible = report.results.iter().filter(|r| r.error.is_some()).count();
-    println!(
-        "{} cells finished ({infeasible} infeasible); sink: {}",
-        report.results.len(),
-        sink.display()
-    );
-    println!();
+    let report = run_into_sink("Open-loop service campaign", &spec, threads, &sink)?;
     print!("{}", render_streams(&report.results, n));
     println!();
     write_json(&sink, "stream_rows.json", &to_json(&report.results));
+    Ok(())
 }
 
 /// Run the fixed perf suite and write `BENCH_v6[.small].json` into
@@ -495,23 +479,23 @@ fn cmd_contention(cfg: &ExperimentConfig, results: &Path) {
     write_json(results, "contention.json", &to_json(&reports));
 }
 
-/// Dispatch one CLI command; returns `false` for unknown commands.
+/// Dispatch one CLI command.
 fn run_command(
     cmd: &str,
     cfg: &ExperimentConfig,
     results: &Path,
     threads: usize,
     modes: &[ExecMode],
-) -> bool {
+) -> Result<(), Failure> {
     match cmd {
-        "sweep" => cmd_sweep(cfg, results, threads, &dnn_models::paper_models()),
-        "train" => cmd_train(cfg, results, threads, &dnn_models::paper_models(), modes),
-        "tenants" => cmd_tenants(cfg, results, threads, &dnn_models::paper_models()),
-        "faults" => cmd_faults(cfg, results, threads, &dnn_models::paper_models()),
-        "serve" => cmd_serve(cfg, results, threads, &dnn_models::paper_models()),
-        "parallelism" => cmd_parallelism(cfg, results, threads),
-        "fig2" => cmd_fig2(cfg, results),
-        "headline" => cmd_headline(cfg, results),
+        "sweep" => cmd_sweep(cfg, results, threads, &dnn_models::paper_models())?,
+        "train" => cmd_train(cfg, results, threads, &dnn_models::paper_models(), modes)?,
+        "tenants" => cmd_tenants(cfg, results, threads, &dnn_models::paper_models())?,
+        "faults" => cmd_faults(cfg, results, threads, &dnn_models::paper_models())?,
+        "serve" => cmd_serve(cfg, results, threads, &dnn_models::paper_models())?,
+        "parallelism" => cmd_parallelism(cfg, results, threads)?,
+        "fig2" => cmd_fig2(cfg, results, threads),
+        "headline" => cmd_headline(cfg, results, threads),
         "steps" => cmd_steps(),
         "wavelengths" => cmd_wavelengths(),
         "ablation-m" => cmd_ablation_m(cfg, results),
@@ -521,7 +505,7 @@ fn run_command(
         "variants" => cmd_variants(cfg, results),
         "contention" => cmd_contention(cfg, results),
         "all" => {
-            cmd_fig2(cfg, results);
+            cmd_fig2(cfg, results, threads);
             println!();
             cmd_steps();
             cmd_wavelengths();
@@ -532,9 +516,9 @@ fn run_command(
             cmd_variants(cfg, results);
             cmd_contention(cfg, results);
         }
-        _ => return false,
+        _ => return Err(Failure::Usage(format!("unknown command '{cmd}'"))),
     }
-    true
+    Ok(())
 }
 
 /// Parse `--mode=barrier|pipelined|both` (default: barrier).
@@ -547,28 +531,49 @@ fn parse_modes(value: Option<&str>) -> Option<Vec<ExecMode>> {
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+const USAGE: &str = "usage: repro-figures [command] [--small] [--threads=N] \
+                     [--mode=barrier|pipelined|both] [--check=PATH] [--json]";
+
+/// Reject any `--` flag this binary does not know.
+fn check_flags(args: &[String]) -> Result<(), Failure> {
+    let known = |a: &str| {
+        ["--small", "--json"].contains(&a)
+            || ["--threads=", "--mode=", "--check="]
+                .iter()
+                .any(|p| a.starts_with(p))
+    };
+    match args.iter().find(|a| a.starts_with("--") && !known(a)) {
+        Some(flag) => Err(Failure::Usage(format!("unknown flag '{flag}'"))),
+        None => Ok(()),
+    }
+}
+
+/// `--threads=N`, where 0 means 1 (default: available parallelism).
+fn parse_threads(args: &[String]) -> Result<usize, Failure> {
+    let Some(v) = args.iter().find_map(|a| a.strip_prefix("--threads=")) else {
+        return Ok(std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get));
+    };
+    v.parse::<usize>()
+        .map(|threads| threads.max(1))
+        .map_err(|_| Failure::Usage(format!("--threads expects an integer, got '{v}'")))
+}
+
+/// Run the command line; `Ok(false)` when `analyze` or `bench` found
+/// problems (they print their own report).
+fn run(args: &[String]) -> Result<bool, Failure> {
+    check_flags(args)?;
+    let threads = parse_threads(args)?;
     let small = args.iter().any(|a| a == "--small");
-    let threads = args
-        .iter()
-        .find_map(|a| a.strip_prefix("--threads="))
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get)
-        })
-        .max(1);
     let mode_arg = args.iter().find_map(|a| a.strip_prefix("--mode="));
     let check = args
         .iter()
         .find_map(|a| a.strip_prefix("--check="))
         .map(Path::new);
     let Some(modes) = parse_modes(mode_arg) else {
-        eprintln!(
+        return Err(Failure::Usage(format!(
             "unknown --mode '{}'; expected barrier, pipelined or both",
             mode_arg.unwrap_or_default()
-        );
-        std::process::exit(2);
+        )));
     };
     let cmd = args
         .iter()
@@ -582,16 +587,10 @@ fn main() {
     }
     if cmd == "analyze" {
         let json = args.iter().any(|a| a == "--json");
-        if !cmd_analyze(Path::new("."), json) {
-            std::process::exit(1);
-        }
-        return;
+        return Ok(cmd_analyze(Path::new("."), json));
     }
     if cmd == "bench" {
-        if !cmd_bench(small, check, Path::new(".")) {
-            std::process::exit(1);
-        }
-        return;
+        return Ok(cmd_bench(small, check, Path::new(".")));
     }
     if check.is_some() {
         eprintln!("warning: --check only affects the `bench` command; `{cmd}` ignores it");
@@ -601,10 +600,23 @@ fn main() {
     } else {
         ExperimentConfig::default()
     };
+    run_command(cmd, &cfg, Path::new("results"), threads, &modes)?;
+    Ok(true)
+}
 
-    if !run_command(cmd, &cfg, Path::new("results"), threads, &modes) {
-        eprintln!("unknown command '{cmd}'; see the binary docs for usage");
-        std::process::exit(2);
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match run(&args) {
+        Ok(true) => {}
+        Ok(false) => std::process::exit(1),
+        Err(Failure::Usage(message)) => {
+            eprintln!("{message}\n{USAGE}");
+            std::process::exit(2);
+        }
+        Err(Failure::Run(message)) => {
+            eprintln!("error: {message}");
+            std::process::exit(1);
+        }
     }
 }
 
@@ -630,13 +642,7 @@ mod tests {
     #[test]
     fn headline_command_runs_and_writes_json_on_a_tiny_config() {
         let results = temp_results("headline");
-        assert!(run_command(
-            "headline",
-            &tiny_cfg(),
-            &results,
-            1,
-            &[ExecMode::Barrier]
-        ));
+        run_command("headline", &tiny_cfg(), &results, 1, &[ExecMode::Barrier]).unwrap();
         let json = fs::read_to_string(results.join("headline.json"))
             .expect("headline.json must be written");
         assert!(json.contains("vs_oring_pct"));
@@ -646,20 +652,9 @@ mod tests {
     #[test]
     fn steps_and_wavelengths_commands_run_without_config() {
         let results = temp_results("laws");
-        assert!(run_command(
-            "steps",
-            &tiny_cfg(),
-            &results,
-            1,
-            &[ExecMode::Barrier]
-        ));
-        assert!(run_command(
-            "wavelengths",
-            &tiny_cfg(),
-            &results,
-            1,
-            &[ExecMode::Barrier]
-        ));
+        for cmd in ["steps", "wavelengths"] {
+            run_command(cmd, &tiny_cfg(), &results, 1, &[ExecMode::Barrier]).unwrap();
+        }
         let _ = fs::remove_dir_all(&results);
     }
 
@@ -717,17 +712,75 @@ mod tests {
     #[test]
     fn unknown_commands_are_rejected() {
         let results = temp_results("unknown");
-        assert!(!run_command(
-            "not-a-command",
-            &tiny_cfg(),
-            &results,
-            1,
-            &[ExecMode::Barrier]
+        assert!(matches!(
+            run_command(
+                "not-a-command",
+                &tiny_cfg(),
+                &results,
+                1,
+                &[ExecMode::Barrier]
+            ),
+            Err(Failure::Usage(_))
         ));
         assert!(
             !results.exists(),
             "rejected commands must not create output directories"
         );
+    }
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn unknown_flags_and_non_integer_thread_counts_are_rejected() {
+        for bad in [
+            &["headline", "--smal"][..],
+            &["sweep", "--threads=abc"],
+            &["sweep", "--threads=-1"],
+            &["sweep", "--thread=2"],
+            &["--verbose"],
+        ] {
+            assert!(
+                matches!(run(&args(bad)), Err(Failure::Usage(_))),
+                "{bad:?} must be a usage error"
+            );
+        }
+        let known = [
+            "train",
+            "--small",
+            "--mode=both",
+            "--check=b.json",
+            "--json",
+        ];
+        assert!(check_flags(&args(&known)).is_ok());
+        assert_eq!(parse_threads(&args(&["--threads=0"])).unwrap(), 1);
+        assert_eq!(parse_threads(&args(&["sweep", "--threads=3"])).unwrap(), 3);
+    }
+
+    #[test]
+    fn campaign_commands_fail_before_running_when_the_sink_cannot_be_created() {
+        let dir = temp_results("sink-file");
+        fs::create_dir_all(&dir).unwrap();
+        let results = dir.join("results");
+        fs::write(&results, "a file, not a directory").unwrap();
+        for cmd in [
+            "sweep",
+            "train",
+            "tenants",
+            "faults",
+            "serve",
+            "parallelism",
+        ] {
+            match run_command(cmd, &tiny_cfg(), &results, 1, &[ExecMode::Barrier]) {
+                Err(Failure::Run(message)) => assert!(
+                    message.contains(&results.display().to_string()),
+                    "{cmd}: the error must name the sink: {message}"
+                ),
+                other => panic!("{cmd}: expected a run failure, got {other:?}"),
+            }
+        }
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -739,7 +792,8 @@ mod tests {
             2,
             &[dnn_models::googlenet()],
             &[ExecMode::Barrier],
-        );
+        )
+        .unwrap();
         let sink = results.join("train");
         let rows = fs::read_to_string(sink.join("train_rows.json")).expect("train_rows.json");
         assert!(rows.contains("GoogLeNet"));
@@ -754,7 +808,8 @@ mod tests {
             1,
             &[dnn_models::googlenet()],
             &[ExecMode::Barrier],
-        );
+        )
+        .unwrap();
         let rows2 = fs::read_to_string(sink.join("train_rows.json")).unwrap();
         assert_eq!(rows, rows2);
         let _ = fs::remove_dir_all(&results);
@@ -763,7 +818,7 @@ mod tests {
     #[test]
     fn tenants_command_runs_the_tenancy_campaign_and_resumes() {
         let results = temp_results("tenants");
-        cmd_tenants(&tiny_cfg(), &results, 2, &[dnn_models::googlenet()]);
+        cmd_tenants(&tiny_cfg(), &results, 2, &[dnn_models::googlenet()]).unwrap();
         let sink = results.join("tenants");
         let rows = fs::read_to_string(sink.join("tenant_rows.json")).expect("tenant_rows.json");
         assert!(rows.contains("GoogLeNet"));
@@ -773,7 +828,7 @@ mod tests {
         assert_eq!(csv.lines().count(), 19);
         assert!(csv.contains("fifo") && csv.contains("fair") && csv.contains("priority"));
         // Resumable: a second run reuses the sink without changing output.
-        cmd_tenants(&tiny_cfg(), &results, 1, &[dnn_models::googlenet()]);
+        cmd_tenants(&tiny_cfg(), &results, 1, &[dnn_models::googlenet()]).unwrap();
         let rows2 = fs::read_to_string(sink.join("tenant_rows.json")).unwrap();
         assert_eq!(rows, rows2);
         let _ = fs::remove_dir_all(&results);
@@ -782,7 +837,7 @@ mod tests {
     #[test]
     fn faults_command_runs_the_fault_campaign_and_resumes() {
         let results = temp_results("faults");
-        cmd_faults(&tiny_cfg(), &results, 2, &[dnn_models::googlenet()]);
+        cmd_faults(&tiny_cfg(), &results, 2, &[dnn_models::googlenet()]).unwrap();
         let sink = results.join("faults");
         let rows = fs::read_to_string(sink.join("fault_rows.json")).expect("fault_rows.json");
         assert!(rows.contains("GoogLeNet"));
@@ -794,7 +849,7 @@ mod tests {
         assert!(csv.contains("wavelength-down") && csv.contains("node-down"));
         assert!(csv.contains("replan") && csv.contains("fail-job"));
         // Resumable: a second run reuses the sink without changing output.
-        cmd_faults(&tiny_cfg(), &results, 1, &[dnn_models::googlenet()]);
+        cmd_faults(&tiny_cfg(), &results, 1, &[dnn_models::googlenet()]).unwrap();
         let rows2 = fs::read_to_string(sink.join("fault_rows.json")).unwrap();
         assert_eq!(rows, rows2);
         let _ = fs::remove_dir_all(&results);
@@ -803,7 +858,7 @@ mod tests {
     #[test]
     fn serve_command_runs_the_stream_campaign_and_resumes() {
         let results = temp_results("serve");
-        cmd_serve(&tiny_cfg(), &results, 2, &[dnn_models::googlenet()]);
+        cmd_serve(&tiny_cfg(), &results, 2, &[dnn_models::googlenet()]).unwrap();
         let sink = results.join("serve");
         let rows = fs::read_to_string(sink.join("stream_rows.json")).expect("stream_rows.json");
         assert!(rows.contains("GoogLeNet"));
@@ -814,7 +869,7 @@ mod tests {
         assert_eq!(csv.lines().count(), 37);
         assert!(csv.contains("immediate") && csv.contains("queue:2") && csv.contains("reject:4"));
         // Resumable: a second run reuses the sink without changing output.
-        cmd_serve(&tiny_cfg(), &results, 1, &[dnn_models::googlenet()]);
+        cmd_serve(&tiny_cfg(), &results, 1, &[dnn_models::googlenet()]).unwrap();
         let rows2 = fs::read_to_string(sink.join("stream_rows.json")).unwrap();
         assert_eq!(rows, rows2);
         let _ = fs::remove_dir_all(&results);
@@ -823,7 +878,7 @@ mod tests {
     #[test]
     fn parallelism_command_runs_the_composed_campaign_and_resumes() {
         let results = temp_results("parallelism");
-        cmd_parallelism(&tiny_cfg(), &results, 2);
+        cmd_parallelism(&tiny_cfg(), &results, 2).unwrap();
         let sink = results.join("parallelism");
         let rows =
             fs::read_to_string(sink.join("parallelism_rows.json")).expect("parallelism_rows.json");
@@ -834,7 +889,7 @@ mod tests {
         // 2 transformer models × 4 parallelism shapes + header.
         assert_eq!(csv.lines().count(), 9);
         // Resumable: a second run reuses the sink without changing output.
-        cmd_parallelism(&tiny_cfg(), &results, 1);
+        cmd_parallelism(&tiny_cfg(), &results, 1).unwrap();
         let rows2 = fs::read_to_string(sink.join("parallelism_rows.json")).unwrap();
         assert_eq!(rows, rows2);
         let _ = fs::remove_dir_all(&results);
@@ -843,7 +898,7 @@ mod tests {
     #[test]
     fn sweep_command_regenerates_fig2_through_the_campaign_engine() {
         let results = temp_results("sweep");
-        cmd_sweep(&tiny_cfg(), &results, 2, &[dnn_models::googlenet()]);
+        cmd_sweep(&tiny_cfg(), &results, 2, &[dnn_models::googlenet()]).unwrap();
         let sink = results.join("campaign");
         let fig2 = fs::read_to_string(sink.join("fig2.json")).expect("campaign fig2.json");
         assert!(fig2.contains("GoogLeNet"));

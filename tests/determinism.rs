@@ -3,7 +3,7 @@
 
 use optical_sim::{OpticalConfig, RingSimulator, Strategy};
 use wrht_bench::report::to_json;
-use wrht_bench::{fig2_row, ExperimentConfig};
+use wrht_bench::{run_fig2, ExperimentConfig};
 use wrht_core::lower::to_optical_schedule;
 use wrht_core::plan::build_plan;
 use wrht_core::{plan_and_simulate, WrhtParams};
@@ -39,11 +39,14 @@ fn end_to_end_outcomes_are_deterministic() {
 
 #[test]
 fn fig2_cells_are_deterministic() {
-    let cfg = ExperimentConfig::small();
-    let bytes = dnn_models::googlenet().gradient_bytes();
-    let a = fig2_row(&cfg, 32, bytes);
-    let b = fig2_row(&cfg, 32, bytes);
+    let cfg = ExperimentConfig {
+        scales: vec![32],
+        ..ExperimentConfig::small()
+    };
+    let models = [dnn_models::googlenet()];
+    let (a, b) = (run_fig2(&cfg, &models, 1), run_fig2(&cfg, &models, 2));
     assert_eq!(a, b);
+    let (a, b) = (&a[0].rows[0], &b[0].rows[0]);
     assert_eq!(a.e_ring_s.to_bits(), b.e_ring_s.to_bits());
     assert_eq!(a.wrht_s.to_bits(), b.wrht_s.to_bits());
 }

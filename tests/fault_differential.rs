@@ -25,7 +25,7 @@ use collectives::Schedule;
 use electrical_sim::topology::star_cluster;
 use optical_sim::OpticalConfig;
 use proptest::prelude::*;
-use wrht_bench::campaign::{faults_spec, run_fault_campaign};
+use wrht_bench::campaign::{faults_spec, run_campaign};
 use wrht_bench::report::to_json;
 use wrht_bench::ExperimentConfig;
 use wrht_core::baselines::lower_collective_to_optical;
@@ -308,14 +308,14 @@ fn fault_campaign_is_thread_count_invariant_and_resumable() {
         ..ExperimentConfig::default()
     };
     let spec = faults_spec(&cfg, &dnn_models::paper_models(), 8, 41);
-    let serial = run_fault_campaign(&spec, 1, None);
-    let parallel = run_fault_campaign(&spec, 8, None);
+    let serial = run_campaign(&spec, 1, None);
+    let parallel = run_campaign(&spec, 8, None);
     assert_eq!(to_json(&serial), to_json(&parallel));
 
     let dir = std::env::temp_dir().join(format!("wrht-fault-diff-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let first = run_fault_campaign(&spec, 4, Some(&dir));
-    let resumed = run_fault_campaign(&spec, 2, Some(&dir));
+    let first = run_campaign(&spec, 4, Some(&dir));
+    let resumed = run_campaign(&spec, 2, Some(&dir));
     assert_eq!(to_json(&first), to_json(&resumed));
     assert_eq!(to_json(&first), to_json(&serial));
     let _ = std::fs::remove_dir_all(&dir);

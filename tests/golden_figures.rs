@@ -1,8 +1,9 @@
-//! Golden-file regression tests for the `fig2` / `headline` JSON payloads.
+//! Golden-file regression tests for the `fig2` / `headline` JSON payloads
+//! and the campaigns' JSON and CSV tables.
 //!
 //! The simulators are pure IEEE-754 arithmetic with no platform-dependent
-//! ordering, so the rendered JSON is bit-stable; any drift in the timing
-//! models, lowering or serialization shows up as a golden diff.
+//! ordering, so the rendered JSON and CSV are bit-stable; any drift in the
+//! timing models, lowering or serialization shows up as a golden diff.
 //!
 //! To regenerate after an intentional change:
 //!
@@ -14,10 +15,14 @@ use optical_sim::sim::StepSchedule;
 use optical_sim::{NodeId, OpticalConfig, Transfer};
 use std::fs;
 use std::path::PathBuf;
+use wrht_bench::campaign::{
+    run_campaign, run_fig2, sweep_spec, tenants_spec, to_csv, train_spec, Algorithm, Campaign,
+    TimelineCellConfig,
+};
 use wrht_bench::report::to_json;
-use wrht_bench::timeline::timeline_table;
-use wrht_bench::{fig2_series, headline, ExperimentConfig};
-use wrht_core::dag::DepSchedule;
+use wrht_bench::timeline::TimelineRow;
+use wrht_bench::{headline, ExperimentConfig, SubstrateKind};
+use wrht_core::dag::{DepSchedule, ExecMode};
 use wrht_core::fault::{FaultKind, FaultPolicy, FaultRunReport, FaultScript};
 use wrht_core::substrate::{ElectricalSubstrate, OpticalSubstrate, Substrate};
 use wrht_core::tenancy::{Job, SchedPolicy, TenancySpec};
@@ -60,9 +65,38 @@ fn assert_matches_golden(name: &str, actual: &str) {
     );
 }
 
+/// The number of fields in one CSV line, counting a quoted comma as text.
+fn csv_fields(line: &str) -> usize {
+    let mut fields = 1;
+    let mut quoted = false;
+    for c in line.chars() {
+        match c {
+            '"' => quoted = !quoted,
+            ',' if !quoted => fields += 1,
+            _ => {}
+        }
+    }
+    fields
+}
+
+/// [`assert_matches_golden`] for a campaign CSV, which must also have as
+/// many quote-aware fields in every row as in its header.
+fn assert_csv_matches_golden(name: &str, csv: &str) {
+    let mut lines = csv.lines();
+    let header = csv_fields(lines.next().expect("a CSV header"));
+    for (i, row) in lines.enumerate() {
+        assert_eq!(
+            csv_fields(row),
+            header,
+            "{name}: row {i} does not match the header"
+        );
+    }
+    assert_matches_golden(name, csv);
+}
+
 #[test]
 fn fig2_json_matches_golden() {
-    let series = fig2_series(&golden_cfg(), &dnn_models::googlenet());
+    let series = run_fig2(&golden_cfg(), &[dnn_models::googlenet()], 1).remove(0);
     assert_matches_golden("fig2_googlenet.json", &to_json(&series));
 }
 
@@ -72,7 +106,23 @@ fn train_timeline_json_matches_golden() {
     // on both substrates at 16 nodes with 4 MB buckets. Bit-stable like
     // the fig2 payloads; re-bless with `WRHT_BLESS=1` after intentional
     // timing-model changes.
-    let rows = timeline_table(&golden_cfg(), &[dnn_models::googlenet()], 16, 4 << 20);
+    let spec = Campaign::<TimelineCellConfig>::grid(
+        "train",
+        golden_cfg(),
+        &["GoogLeNet"],
+        &[4 << 20],
+        &[16],
+        &[Algorithm::Wrht],
+        &[ExecMode::Barrier],
+        &[SubstrateKind::Electrical, SubstrateKind::Optical],
+    );
+    let report = run_campaign(&spec, 1, None);
+    let rows: Vec<TimelineRow> = report
+        .results
+        .iter()
+        .filter(|r| r.error.is_none())
+        .map(TimelineRow::from)
+        .collect();
     assert_eq!(rows.len(), 2, "both substrates must produce a row");
     assert_matches_golden("train_googlenet.json", &to_json(&rows));
 }
@@ -88,7 +138,7 @@ fn fault_campaign_json_matches_golden() {
     // diff — bit-exactly.
     let spec =
         wrht_bench::campaign::faults_spec(&golden_cfg(), &[dnn_models::googlenet()], 16, 2023);
-    let report = wrht_bench::campaign::run_fault_campaign(&spec, 1, None);
+    let report = run_campaign(&spec, 1, None);
     assert!(
         report.results.iter().all(|r| r.error.is_none()),
         "every golden fault cell must execute"
@@ -106,6 +156,40 @@ fn fault_campaign_json_matches_golden() {
         }
     }
     assert_matches_golden("faults_googlenet.json", &to_json(&report));
+    assert_csv_matches_golden("faults_googlenet.csv", &to_csv(&report));
+}
+
+#[test]
+fn sweep_campaign_csv_matches_golden() {
+    // The `sweep` campaign's CSV: the Figure-2 grid on both substrates plus
+    // the group-size, wavelength-budget, execution-mode and RWA-strategy
+    // ablations, for GoogLeNet.
+    let spec = sweep_spec(&golden_cfg(), &[dnn_models::googlenet()], 2023);
+    let report = run_campaign(&spec, 1, None);
+    assert_csv_matches_golden("sweep_googlenet.csv", &to_csv(&report));
+}
+
+#[test]
+fn train_campaign_csv_matches_golden() {
+    // The `train` campaign's CSV in both execution modes at 16 nodes.
+    let spec = train_spec(
+        &golden_cfg(),
+        &[dnn_models::googlenet()],
+        16,
+        2023,
+        &[ExecMode::Barrier, ExecMode::Pipelined],
+    );
+    let report = run_campaign(&spec, 1, None);
+    assert_csv_matches_golden("train_googlenet.csv", &to_csv(&report));
+}
+
+#[test]
+fn tenants_campaign_csv_matches_golden() {
+    // The `tenants` campaign's CSV: 1/2/4 jobs under every policy on both
+    // substrates at 16 nodes.
+    let spec = tenants_spec(&golden_cfg(), &[dnn_models::googlenet()], 16, 2023);
+    let report = run_campaign(&spec, 1, None);
+    assert_csv_matches_golden("tenants_googlenet.csv", &to_csv(&report));
 }
 
 /// A ring reduce-scatter over `nodes`: `k - 1` steps of `k` neighbour
@@ -294,7 +378,7 @@ fn stream_campaign_json_matches_golden() {
     for c in &mut spec.cells {
         c.arrivals = 6;
     }
-    let report = wrht_bench::campaign::run_stream_campaign(&spec, 1, None);
+    let report = run_campaign(&spec, 1, None);
     assert!(
         report.results.iter().all(|r| r.error.is_none()),
         "every golden stream cell must execute"
@@ -307,6 +391,7 @@ fn stream_campaign_json_matches_golden() {
         "the overload grid must shed load somewhere"
     );
     assert_matches_golden("serve_googlenet.json", &to_json(&report));
+    assert_csv_matches_golden("serve_googlenet.csv", &to_csv(&report));
 }
 
 #[test]
@@ -320,7 +405,7 @@ fn parallelism_campaign_json_matches_golden() {
     let mut spec = wrht_bench::campaign::parallelism_spec(&golden_cfg(), 2023);
     spec.cells.retain(|c| c.model == "GPT2-small");
     assert!(!spec.cells.is_empty(), "GPT-2 shapes must be in the grid");
-    let report = wrht_bench::campaign::run_parallelism_campaign(&spec, 1, None);
+    let report = run_campaign(&spec, 1, None);
     assert!(
         report.results.iter().all(|r| r.error.is_none()),
         "every golden parallelism cell must execute"
@@ -342,6 +427,7 @@ fn parallelism_campaign_json_matches_golden() {
         "missing a mixed-domain MoE shape"
     );
     assert_matches_golden("parallelism_gpt2.json", &to_json(&report));
+    assert_csv_matches_golden("parallelism_gpt2.csv", &to_csv(&report));
 }
 
 #[test]
@@ -391,10 +477,7 @@ fn optimizer_choices_match_golden() {
 
 #[test]
 fn headline_json_matches_golden() {
-    let cfg = golden_cfg();
-    let all: Vec<_> = [dnn_models::googlenet(), dnn_models::alexnet()]
-        .iter()
-        .map(|m| fig2_series(&cfg, m))
-        .collect();
+    let models = [dnn_models::googlenet(), dnn_models::alexnet()];
+    let all = run_fig2(&golden_cfg(), &models, 1);
     assert_matches_golden("headline.json", &to_json(&headline(&all)));
 }

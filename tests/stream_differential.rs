@@ -21,7 +21,7 @@ use collectives::Schedule;
 use electrical_sim::topology::star_cluster;
 use optical_sim::OpticalConfig;
 use proptest::prelude::*;
-use wrht_bench::campaign::{run_stream_campaign, serve_spec};
+use wrht_bench::campaign::{run_campaign, serve_spec};
 use wrht_bench::report::to_json;
 use wrht_bench::ExperimentConfig;
 use wrht_core::baselines::lower_collective_to_optical;
@@ -218,14 +218,14 @@ fn stream_campaign_is_thread_count_invariant_and_resumable() {
     for c in &mut spec.cells {
         c.arrivals = 4;
     }
-    let serial = run_stream_campaign(&spec, 1, None);
-    let parallel = run_stream_campaign(&spec, 8, None);
+    let serial = run_campaign(&spec, 1, None);
+    let parallel = run_campaign(&spec, 8, None);
     assert_eq!(to_json(&serial), to_json(&parallel));
 
     let dir = std::env::temp_dir().join(format!("wrht-stream-diff-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let first = run_stream_campaign(&spec, 4, Some(&dir));
-    let resumed = run_stream_campaign(&spec, 2, Some(&dir));
+    let first = run_campaign(&spec, 4, Some(&dir));
+    let resumed = run_campaign(&spec, 2, Some(&dir));
     assert_eq!(to_json(&first), to_json(&resumed));
     assert_eq!(to_json(&first), to_json(&serial));
     let _ = std::fs::remove_dir_all(&dir);

@@ -22,7 +22,7 @@ use collectives::Schedule;
 use electrical_sim::topology::star_cluster;
 use optical_sim::OpticalConfig;
 use proptest::prelude::*;
-use wrht_bench::campaign::{run_tenancy_campaign, tenants_spec};
+use wrht_bench::campaign::{run_campaign, tenants_spec};
 use wrht_bench::contention::{generate_traffic, Pattern};
 use wrht_bench::report::to_json;
 use wrht_bench::ExperimentConfig;
@@ -182,14 +182,14 @@ fn tenancy_campaign_is_thread_count_invariant_and_resumable() {
     // Trim to a fast but representative subset: every policy, both
     // substrates, 1 and 2 jobs.
     spec.cells.retain(|c| c.jobs <= 2);
-    let serial = run_tenancy_campaign(&spec, 1, None);
-    let parallel = run_tenancy_campaign(&spec, 8, None);
+    let serial = run_campaign(&spec, 1, None);
+    let parallel = run_campaign(&spec, 8, None);
     assert_eq!(to_json(&serial), to_json(&parallel));
 
     let dir = std::env::temp_dir().join(format!("wrht-tenancy-diff-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let first = run_tenancy_campaign(&spec, 4, Some(&dir));
-    let resumed = run_tenancy_campaign(&spec, 2, Some(&dir));
+    let first = run_campaign(&spec, 4, Some(&dir));
+    let resumed = run_campaign(&spec, 2, Some(&dir));
     assert_eq!(to_json(&first), to_json(&resumed));
     assert_eq!(to_json(&first), to_json(&serial));
     let _ = std::fs::remove_dir_all(&dir);
