@@ -58,6 +58,7 @@ use std::fs;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
+use wrht_core::baselines::RingSource;
 use wrht_core::dag::{DepSchedule, ExecMode};
 use wrht_core::fault::{
     fault_cluster_report, FaultClusterReport, FaultKind, FaultPolicy, FaultScript,
@@ -564,6 +565,19 @@ impl Axis for CellConfig {
                         Ok(summarize(&r))
                     }),
                 },
+                // The ring's 2(n-1) steps are generated as the runner
+                // reaches them, never materialized.
+                Algorithm::Ring => local
+                    .try_substrate(self.substrate, self.n, self.strategy)
+                    .and_then(|mut substrate| {
+                        substrate.execute(&RingSource {
+                            n: self.n,
+                            elems: local.elems(self.gradient_bytes),
+                            bytes_per_elem: local.bytes_per_elem,
+                            lanes: 1,
+                        })
+                    })
+                    .map(|r| summarize(&r)),
                 _ => local
                     .try_substrate(self.substrate, self.n, self.strategy)
                     .and_then(|mut substrate| substrate.execute(&classic()?))

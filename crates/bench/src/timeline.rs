@@ -62,7 +62,7 @@ pub fn lower_allreduce(
         )?;
         return Ok((to_optical_schedule(&plan, bytes), m));
     }
-    let elems = (bytes as usize).div_ceil(cfg.bytes_per_elem);
+    let elems = cfg.elems(bytes);
     let schedule = match algorithm {
         Algorithm::Ring => ring_allreduce(n, elems),
         Algorithm::RecursiveDoubling => recursive_doubling(n, elems),

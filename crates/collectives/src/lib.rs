@@ -6,8 +6,12 @@
 //!
 //! * executed *logically* over real `f64` buffers to prove it computes an
 //!   all-reduce ([`executor::execute`], [`executor::verify_allreduce`]);
-//! * lowered to per-step byte transfers for a network simulator
-//!   ([`schedule::Schedule::step_transfers`]).
+//! * lowered to per-step byte transfers for the network simulators (by
+//!   `wrht_core::baselines::lower_collective_to_optical`).
+//!
+//! The ring all-reduce is also available one step at a time
+//! ([`ring::ring_step`]), so a simulator can generate its `2(n-1)` steps
+//! as it runs them instead of holding the whole schedule.
 //!
 //! Implemented algorithms:
 //!
@@ -53,7 +57,7 @@ pub mod prelude {
         verify_reduce, verify_reduce_scatter,
     };
     pub use crate::rd::recursive_doubling;
-    pub use crate::ring::ring_allreduce;
+    pub use crate::ring::{ring_allreduce, ring_step, ring_steps};
     pub use crate::schedule::{Op, Schedule, ScheduleError, Step, TransferSpec};
     pub use crate::tree::binomial_tree;
 }

@@ -16,38 +16,44 @@ use crate::schedule::{Op, Schedule, Step, TransferSpec};
 #[must_use]
 pub fn ring_allreduce(n: usize, elems: usize) -> Schedule {
     let mut sched = Schedule::new(n, elems, format!("ring-allreduce(n={n})"));
-    if n < 2 {
-        return sched;
-    }
-    // Reduce-scatter: at step k node i forwards chunk (i - k) mod n.
-    for k in 0..n - 1 {
+    for k in 0..ring_steps(n) {
         let mut step = Step::default();
-        for i in 0..n {
-            let chunk = (i + n - (k % n)) % n;
-            let range = chunk_range(elems, n, chunk);
-            if range.is_empty() {
-                continue; // More chunks than elements: some are empty.
-            }
-            step.transfers
-                .push(TransferSpec::new(i, (i + 1) % n, range, Op::ReduceInto));
-        }
-        sched.push_step(step);
-    }
-    // All-gather: at step k node i forwards chunk (i + 1 - k) mod n.
-    for k in 0..n - 1 {
-        let mut step = Step::default();
-        for i in 0..n {
-            let chunk = (i + 1 + n - (k % n)) % n;
-            let range = chunk_range(elems, n, chunk);
-            if range.is_empty() {
-                continue;
-            }
-            step.transfers
-                .push(TransferSpec::new(i, (i + 1) % n, range, Op::Copy));
-        }
+        ring_step(n, elems, k, |t| step.transfers.push(t));
         sched.push_step(step);
     }
     sched
+}
+
+/// Number of steps of the ring all-reduce over `n` nodes: `2(n-1)`, or 0
+/// when `n < 2`.
+#[must_use]
+pub fn ring_steps(n: usize) -> usize {
+    2 * n.saturating_sub(1)
+}
+
+/// Emit step `k` (`< ring_steps(n)`) of the ring all-reduce over `n` nodes
+/// and `elems` elements, transfer by transfer in node order. Empty chunks
+/// (more nodes than elements) are skipped.
+///
+/// This is the one generator body behind [`ring_allreduce`], which
+/// collects every step into a [`Schedule`], and behind lazy consumers that
+/// write one step at a time: step `k` depends on nothing but `(n, elems,
+/// k)`.
+pub fn ring_step(n: usize, elems: usize, k: usize, mut emit: impl FnMut(TransferSpec)) {
+    // Reduce-scatter: at step k node i forwards chunk (i - k) mod n.
+    // All-gather: at step n-1+j node i forwards chunk (i + 1 - j) mod n.
+    let (shift, op) = if k < n - 1 {
+        (n - k, Op::ReduceInto)
+    } else {
+        (n + 1 - (k - (n - 1)), Op::Copy)
+    };
+    for i in 0..n {
+        let range = chunk_range(elems, n, (i + shift) % n);
+        if range.is_empty() {
+            continue; // More chunks than elements: some are empty.
+        }
+        emit(TransferSpec::new(i, (i + 1) % n, range, op));
+    }
 }
 
 #[cfg(test)]

@@ -180,21 +180,6 @@ impl Schedule {
         worst
     }
 
-    /// Per-step transfers as `(src, dst, bytes)` triples given an element
-    /// width — the lowering used by the network simulators.
-    #[must_use]
-    pub fn step_transfers(&self, bytes_per_elem: usize) -> Vec<Vec<(usize, usize, u64)>> {
-        self.steps
-            .iter()
-            .map(|s| {
-                s.transfers
-                    .iter()
-                    .map(|t| (t.src, t.dst, (t.elems() * bytes_per_elem) as u64))
-                    .collect()
-            })
-            .collect()
-    }
-
     /// The same schedule re-addressed onto `members`: rank `r` of this
     /// schedule becomes node `members[r]`. Used to embed a collective over
     /// a subgroup (a tensor-parallel group, a data-parallel slice) into a
@@ -313,13 +298,6 @@ mod tests {
         tiny().validate().unwrap();
         assert_eq!(tiny().step_count(), 2);
         assert_eq!(tiny().total_elems_moved(), 8);
-    }
-
-    #[test]
-    fn lowering_to_bytes() {
-        let lowered = tiny().step_transfers(4);
-        assert_eq!(lowered.len(), 2);
-        assert_eq!(lowered[0], vec![(0, 1, 16)]);
     }
 
     #[test]

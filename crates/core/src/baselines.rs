@@ -6,10 +6,21 @@
 
 use crate::error::Result;
 use crate::substrate::{RunReport, Substrate};
-use collectives::ring::ring_allreduce;
-use collectives::Schedule;
+use collectives::ring::{ring_allreduce, ring_step, ring_steps};
+use collectives::{Schedule, TransferSpec};
 use optical_sim::request::Transfer;
-use optical_sim::sim::StepSchedule;
+use optical_sim::sim::{StepSchedule, StepSource};
+
+/// One logical transfer in the substrate IR: a shortest path carrying
+/// `bytes_per_elem` bytes per element on `lanes` wavelengths.
+fn lower_transfer(t: &TransferSpec, bytes_per_elem: usize, lanes: usize) -> Transfer {
+    Transfer::shortest(
+        optical_sim::NodeId(t.src),
+        optical_sim::NodeId(t.dst),
+        (t.range.len() * bytes_per_elem) as u64,
+    )
+    .with_lanes(lanes)
+}
 
 /// Lower any logical collective schedule to the substrate IR: shortest
 /// paths, `lanes` wavelengths per transfer, `bytes_per_elem` element width.
@@ -27,18 +38,45 @@ pub fn lower_collective_to_optical(
             .transfers
             .iter()
             .filter(|t| !t.range.is_empty())
-            .map(|t| {
-                Transfer::shortest(
-                    optical_sim::NodeId(t.src),
-                    optical_sim::NodeId(t.dst),
-                    (t.range.len() * bytes_per_elem) as u64,
-                )
-                .with_lanes(lanes)
-            })
+            .map(|t| lower_transfer(t, bytes_per_elem, lanes))
             .collect();
         out.push_step(transfers);
     }
     out
+}
+
+/// The ring all-reduce lowered to the substrate IR one step at a time: the
+/// same steps, transfer for transfer, as
+/// `lower_collective_to_optical(&ring_allreduce(n, elems), bytes_per_elem,
+/// lanes)`, but each is written only when a runner reaches it (by
+/// [`ring_step`], the generator behind [`ring_allreduce`]). A stepped run
+/// of the E-Ring or O-Ring baseline then holds one step of `n` transfers
+/// instead of `2(n-1)` of them, and builds neither the collective
+/// [`Schedule`] nor the [`StepSchedule`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RingSource {
+    /// Ring size.
+    pub n: usize,
+    /// Elements per node buffer.
+    pub elems: usize,
+    /// Bytes per element.
+    pub bytes_per_elem: usize,
+    /// Wavelengths per transfer.
+    pub lanes: usize,
+}
+
+impl StepSource for RingSource {
+    fn step_count(&self) -> usize {
+        ring_steps(self.n)
+    }
+
+    fn step<'a>(&'a self, index: usize, buf: &'a mut Vec<Transfer>) -> &'a [Transfer] {
+        buf.clear();
+        ring_step(self.n, self.elems, index, |t| {
+            buf.push(lower_transfer(&t, self.bytes_per_elem, self.lanes));
+        });
+        buf
+    }
 }
 
 /// The O-Ring schedule: ring all-reduce over `n` optical nodes, moving

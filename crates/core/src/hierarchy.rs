@@ -96,7 +96,7 @@
 //! ```
 
 use electrical_sim::{FluidEngine, Network};
-use optical_sim::sim::StepSchedule;
+use optical_sim::sim::StepSource;
 use optical_sim::{GrantEngine, NodeId, OpticalConfig, OpticalError, Strategy, Transfer};
 use serde::{Deserialize, Serialize};
 
@@ -623,15 +623,16 @@ impl Substrate for ComposedSubstrate {
         self.spec.nodes()
     }
 
-    fn execute(&mut self, schedule: &StepSchedule) -> Result<RunReport> {
+    fn execute(&mut self, source: &dyn StepSource) -> Result<RunReport> {
         if self.is_flat() {
-            return self.flat()?.execute(schedule);
+            return self.flat()?.execute(source);
         }
         // Barrier steps across two fabrics: lower to the barrier DAG and
         // rebuild per-step durations from the stage frontier (a step's
         // transfers are gated on the whole previous step, so stage ends
         // are non-decreasing).
-        let dag = DepSchedule::from_steps(schedule);
+        let schedule = source.to_schedule();
+        let dag = DepSchedule::from_steps(&schedule);
         let run = self.run(&dag, None)?;
         let mut stage_end = vec![0.0f64; schedule.len()];
         for (t, timing) in dag.transfers().iter().zip(&run.transfers) {
@@ -733,6 +734,7 @@ impl Substrate for ComposedSubstrate {
 mod tests {
     use super::*;
     use crate::dag::DepTransfer;
+    use optical_sim::StepSchedule;
 
     fn optical_cfg(n: usize) -> OpticalConfig {
         OpticalConfig::new(n, 4)

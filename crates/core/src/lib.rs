@@ -117,7 +117,7 @@ pub mod timeline;
 
 /// Common re-exports.
 pub mod prelude {
-    pub use crate::baselines::{lower_collective_to_optical, oring_schedule};
+    pub use crate::baselines::{lower_collective_to_optical, oring_schedule, RingSource};
     pub use crate::cost::{predict_time_s, CostBreakdown};
     pub use crate::dag::{DepSchedule, DepTransfer, ExecMode};
     pub use crate::describe::describe_plan;

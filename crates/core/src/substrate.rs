@@ -7,11 +7,15 @@
 //! one of the two incompatible runner APIs; the [`Substrate`] trait gives
 //! them a single entry point.
 //!
-//! The workload IR is the optical [`StepSchedule`] — the richest of the two
-//! step formats (it carries payload bytes, ring direction and wavelength
-//! striping lanes). The electrical substrate simply ignores the optical-only
-//! fields: its fluid model has no wavelengths, and routing is decided by the
-//! [`electrical_sim::Network`] topology.
+//! The workload IR is the optical [`StepSchedule`](optical_sim::StepSchedule)
+//! — the richest of the two step formats (it carries payload bytes, ring
+//! direction and wavelength striping lanes). The electrical substrate simply
+//! ignores the optical-only fields: its fluid model has no wavelengths, and
+//! routing is decided by the [`electrical_sim::Network`] topology.
+//! [`Substrate::execute`] reads it one step at a time through
+//! [`StepSource`], which the materialized schedule implements and so does
+//! the lazy ring all-reduce ([`crate::baselines::RingSource`]): a stepped
+//! run then never holds more than one step.
 //!
 //! Both flat fabrics also compose: [`crate::hierarchy::ComposedSubstrate`]
 //! is a third [`Substrate`] implementation that co-simulates per-group
@@ -42,10 +46,10 @@ use crate::fault::{
 use crate::stream::{StreamCheckpoint, StreamOutcome, StreamReport, StreamSpec};
 use crate::tenancy::{ClusterReport, JobArbitration, TenancySpec, TenantDagRun};
 use electrical_sim::runner::{
-    run_dag, run_dag_jobs, run_dag_jobs_faulted, run_steps, DagFlow, StepTransfer,
+    run_dag, run_dag_jobs, run_dag_jobs_faulted, DagFlow, StepRunner, StepTransfer,
 };
 use electrical_sim::Network;
-use optical_sim::sim::{DagTransfer, StepReport, StepSchedule};
+use optical_sim::sim::{DagTransfer, StepReport, StepSource};
 use optical_sim::{OpticalConfig, RingSimulator, Strategy};
 use serde::{Deserialize, Serialize};
 
@@ -62,7 +66,7 @@ pub struct StepTiming {
     pub peak_wavelength: usize,
 }
 
-/// Substrate-independent result of executing a [`StepSchedule`].
+/// Substrate-independent result of executing a stepped schedule.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunReport {
     /// Name of the substrate that produced the report.
@@ -176,8 +180,11 @@ pub trait Substrate {
     /// Number of attached compute nodes.
     fn nodes(&self) -> usize;
 
-    /// Execute `schedule` and report per-step timing.
-    fn execute(&mut self, schedule: &StepSchedule) -> Result<RunReport>;
+    /// Execute a stepped schedule and report per-step timing. The source
+    /// is read one step at a time: a materialized
+    /// [`optical_sim::StepSchedule`], or a generator such as
+    /// [`crate::baselines::RingSource`] that writes each step on demand.
+    fn execute(&mut self, schedule: &dyn StepSource) -> Result<RunReport>;
 
     /// Execute a dependency-aware schedule event-driven: each transfer
     /// starts the instant its predecessors complete (and its release time
@@ -438,7 +445,7 @@ impl Substrate for OpticalSubstrate {
         self.config().nodes
     }
 
-    fn execute(&mut self, schedule: &StepSchedule) -> Result<RunReport> {
+    fn execute(&mut self, schedule: &dyn StepSource) -> Result<RunReport> {
         let report = self.sim.run_stepped(schedule, self.strategy)?;
         Ok(Self::report_from_stepped(&report))
     }
@@ -511,9 +518,10 @@ impl Substrate for OpticalSubstrate {
 ///
 /// Direction and lane fields of the optical IR are ignored. Zero-byte
 /// transfers are passed through and counted — the runner skips them when
-/// solving the fluid model but still charges the per-step launch overhead —
-/// so `transfers`/`bytes` accounting matches the optical substrate for the
-/// same schedule.
+/// solving the fluid model but still charges the per-step launch overhead
+/// and validates their endpoints — so `transfers`/`bytes` accounting
+/// matches the optical substrate for the same schedule. Stepped runs go
+/// through [`StepRunner`], one step at a time.
 #[derive(Debug, Clone)]
 pub struct ElectricalSubstrate {
     net: Network,
@@ -552,35 +560,28 @@ impl Substrate for ElectricalSubstrate {
         self.net.hosts()
     }
 
-    fn execute(&mut self, schedule: &StepSchedule) -> Result<RunReport> {
-        let steps: Vec<Vec<StepTransfer>> = schedule
-            .steps()
-            .iter()
-            .map(|step| {
-                step.iter()
-                    .map(|t| StepTransfer {
-                        src: t.src.0,
-                        dst: t.dst.0,
-                        bytes: t.bytes,
-                    })
-                    .collect()
-            })
-            .collect();
-        let report = run_steps(&self.net, &steps, self.step_overhead_s)?;
+    fn execute(&mut self, schedule: &dyn StepSource) -> Result<RunReport> {
+        let mut runner = StepRunner::new(&self.net, self.step_overhead_s);
+        let mut buf = Vec::new();
+        let mut steps = Vec::with_capacity(schedule.step_count());
+        for index in 0..schedule.step_count() {
+            let step = schedule.step(index, &mut buf);
+            let duration_s = runner.step(step.iter().map(|t| StepTransfer {
+                src: t.src.0,
+                dst: t.dst.0,
+                bytes: t.bytes,
+            }))?;
+            steps.push(StepTiming {
+                duration_s,
+                transfers: step.len(),
+                bytes: step.iter().map(|t| t.bytes).sum(),
+                peak_wavelength: 0,
+            });
+        }
         Ok(RunReport {
             substrate: "electrical".into(),
-            total_time_s: report.total_time_s,
-            steps: report
-                .step_times_s
-                .iter()
-                .zip(&steps)
-                .map(|(&duration_s, step)| StepTiming {
-                    duration_s,
-                    transfers: step.len(),
-                    bytes: step.iter().map(|t| t.bytes).sum(),
-                    peak_wavelength: 0,
-                })
-                .collect(),
+            total_time_s: steps.iter().map(|s| s.duration_s).sum(),
+            steps,
         })
     }
 
@@ -672,7 +673,7 @@ impl Substrate for ElectricalSubstrate {
 mod tests {
     use super::*;
     use crate::baselines::oring_schedule;
-    use optical_sim::{NodeId, Transfer};
+    use optical_sim::{NodeId, StepSchedule, Transfer};
 
     fn optical(n: usize, w: usize) -> OpticalSubstrate {
         OpticalSubstrate::new(
@@ -850,6 +851,40 @@ mod tests {
             .unwrap();
         assert_eq!(report.solver_work, 0);
         assert!(report.peak_wavelength >= 1);
+    }
+
+    #[test]
+    fn malformed_zero_byte_transfers_fail_alike_stepped_and_as_a_dag() {
+        use crate::error::WrhtError;
+        use electrical_sim::NetError;
+        // A zero-byte self-transfer and a zero-byte transfer to a host the
+        // 4-host star does not have: alone in a step, and beside a payload
+        // flow whose routing repeats the step before.
+        let payload = || Transfer::shortest(NodeId(0), NodeId(1), 1_000);
+        for (bad, want) in [
+            (
+                Transfer::shortest(NodeId(2), NodeId(2), 0),
+                NetError::SelfFlow(2),
+            ),
+            (
+                Transfer::shortest(NodeId(1), NodeId(9), 0),
+                NetError::HostOutOfRange { host: 9, hosts: 4 },
+            ),
+        ] {
+            for sched in [
+                StepSchedule::from_steps(vec![vec![bad.clone()]]),
+                StepSchedule::from_steps(vec![vec![payload()], vec![payload(), bad.clone()]]),
+            ] {
+                let mut e = electrical(4);
+                let stepped = e.execute(&sched).unwrap_err();
+                assert_eq!(stepped, WrhtError::Electrical(want.clone()));
+                let dag = e
+                    .execute_dag(&crate::dag::DepSchedule::from_steps(&sched))
+                    .unwrap_err();
+                assert_eq!(dag, stepped);
+                assert!(optical(4, 4).execute(&sched).is_err());
+            }
+        }
     }
 
     #[test]

@@ -282,6 +282,108 @@ impl<'a> FluidEngine<'a> {
         }
     }
 
+    /// Return to the state [`FluidEngine::new`] builds over the same
+    /// network, keeping every allocation: a caller that runs many
+    /// independent closed runs (the stepped runner's engine steps) then
+    /// does not rebuild the per-link arrays each time.
+    pub(crate) fn reset(&mut self) {
+        let Self {
+            net: _,
+            flows,
+            routes,
+            latencies,
+            dependents,
+            missing,
+            phase,
+            remaining,
+            start,
+            finish,
+            rate,
+            kernel,
+            release_scheduled,
+            last_update,
+            cand,
+            sched_cand,
+            unsettled,
+            active,
+            n_done,
+            completed,
+            flows_on_link,
+            dirty,
+            recomputations,
+            solver_work,
+            events_base,
+            job_active_s,
+            job_service_bytes,
+            job_peak_rate,
+            job_free,
+            next_job,
+            pending_release,
+            faults,
+            link_seen,
+            flow_seen,
+            flow_comp,
+            comp_min,
+            cap_scratch,
+            count_scratch,
+            old_rate_scratch,
+            batch,
+            comp_links,
+            comp_flows,
+            comp_stack,
+            job_agg_rate,
+            job_busy,
+            busy_jobs,
+            newly_active,
+        } = self;
+        flows.clear();
+        routes.clear();
+        latencies.clear();
+        dependents.clear();
+        missing.clear();
+        phase.clear();
+        remaining.clear();
+        start.clear();
+        finish.clear();
+        rate.clear();
+        kernel.clear();
+        release_scheduled.clear();
+        last_update.clear();
+        cand.clear();
+        sched_cand.clear();
+        unsettled.clear();
+        active.clear();
+        *n_done = 0;
+        completed.clear();
+        flows_on_link.iter_mut().for_each(Vec::clear);
+        dirty.clear();
+        *recomputations = 0;
+        *solver_work = 0;
+        *events_base = 0;
+        job_active_s.clear();
+        job_service_bytes.clear();
+        job_peak_rate.clear();
+        job_free.clear();
+        *next_job = 0;
+        *pending_release = None;
+        *faults = None;
+        link_seen.fill(false);
+        flow_seen.clear();
+        flow_comp.clear();
+        comp_min.clear();
+        cap_scratch.fill(0.0);
+        count_scratch.fill(0);
+        old_rate_scratch.clear();
+        batch.clear();
+        comp_links.clear();
+        comp_flows.clear();
+        comp_stack.clear();
+        job_agg_rate.clear();
+        job_busy.clear();
+        busy_jobs.clear();
+        newly_active.clear();
+    }
+
     /// Install a fault script and the policy failed work recovers under
     /// (see the module docs). A full-capacity degrade on a link no other
     /// event disturbs is dropped: an extra kernel instant would split fluid
@@ -1073,10 +1175,15 @@ impl<'a> FluidEngine<'a> {
         })
     }
 
+    /// Completion time of the last flow so far.
+    pub(crate) fn makespan_s(&self) -> f64 {
+        self.finish.iter().copied().fold(0.0f64, f64::max)
+    }
+
     /// Build the closed-set report (consumes the engine).
     pub(crate) fn into_report(self) -> EngineReport {
         EngineReport {
-            makespan_s: self.finish.iter().copied().fold(0.0f64, f64::max),
+            makespan_s: self.makespan_s(),
             start_s: self.start,
             finish_s: self.finish,
             rate_recomputations: self.recomputations,

@@ -16,9 +16,9 @@
 //! * [`maxmin`] — progressive-filling max-min fair allocation;
 //! * [`sim::FluidSimulator`] — the event loop, with incremental
 //!   per-component rate re-solves;
-//! * [`runner`] — barrier-stepped ([`runner::run_steps`]) and
-//!   dependency-aware ([`runner::run_dag`]) execution of collective
-//!   schedules.
+//! * [`runner`] — barrier-stepped ([`runner::run_steps`], one
+//!   [`runner::StepRunner`] step at a time) and dependency-aware
+//!   ([`runner::run_dag`]) execution of collective schedules.
 //!
 //! ```
 //! use electrical_sim::prelude::*;
@@ -51,7 +51,7 @@ pub mod prelude {
     pub use crate::graph::{LinkId, Network};
     pub use crate::runner::{
         run_dag, run_dag_jobs, run_dag_jobs_faulted, run_steps, DagFlow, DagRunReport,
-        FaultDagRunReport, StepTransfer, TenantDagReport,
+        FaultDagRunReport, StepRunner, StepTransfer, TenantDagReport,
     };
     pub use crate::sim::{EngineFlow, FluidSimulator, RunReport};
     pub use crate::stats::{offered_load, LoadReport};

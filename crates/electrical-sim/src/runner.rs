@@ -9,8 +9,8 @@
 use crate::engine::FluidEngine;
 use crate::error::{NetError, Result};
 use crate::flow::FlowSpec;
-use crate::graph::Network;
-use crate::sim::{run_engine, run_flows, EngineFlow, EngineReport};
+use crate::graph::{LinkId, Network};
+use crate::sim::{run_engine, run_flows, DisjointFill, EngineFlow, EngineReport};
 use serde::{Deserialize, Serialize};
 use wrht_kernel::{FaultPolicy, FaultScript};
 
@@ -37,44 +37,184 @@ pub struct SteppedReport {
 /// Execute `steps` over `net`, paying `per_message_overhead_s` once per step
 /// (protocol/launch cost, analogous to the optical per-message overhead).
 ///
-/// Each step is one [`run_flows`] call. A step whose transfers cross
-/// pairwise disjoint links (every ring, halving-doubling,
-/// recursive-doubling and tree step on a star cluster) takes its closed
-/// form, so it costs one progressive fill rather than an engine run.
+/// Each step goes through one [`StepRunner::step`]; see there for the
+/// closed form of link-disjoint steps (every ring, halving-doubling,
+/// recursive-doubling and tree step on a star cluster), the reuse of a
+/// repeated step's placement and the treatment of zero-byte transfers.
+/// The total is the sequential sum of the per-step times.
+pub fn run_steps(
+    net: &Network,
+    steps: &[Vec<StepTransfer>],
+    per_message_overhead_s: f64,
+) -> Result<SteppedReport> {
+    let mut runner = StepRunner::new(net, per_message_overhead_s);
+    let step_times = steps
+        .iter()
+        .map(|step| runner.step(step.iter().copied()))
+        .collect::<Result<Vec<f64>>>()?;
+    Ok(SteppedReport {
+        total_time_s: step_times.iter().sum(),
+        step_times_s: step_times,
+    })
+}
+
+/// The barrier-stepped runner, one step at a time: the per-step path of
+/// [`run_steps`] and of every stepped electrical execution.
+///
+/// A step's duration is the per-step overhead plus the makespan
+/// [`run_flows`] computes for its non-empty transfers. The placement half
+/// of that computation — the routes, the shared latency `L` and the
+/// progressive-fill rates of the link-disjoint closed form — depends only
+/// on the step's ordered routing list, never on bytes. So a step whose
+/// routing list equals the last placed step's (every step of a ring
+/// all-reduce) reuses that placement and redoes only each flow's
+/// `(L + bytes/rate).max(L)`. Any other step is routed and checked for
+/// link-disjointness once. A step the closed form does not cover (shared
+/// links, or a finish that overflows) hands its routes to the fluid engine
+/// and is not reused: the memo covers exactly the closed form's steps.
+/// The runner keeps one engine and resets it between such steps, so a run
+/// of them reuses the engine's per-link and per-flow arrays instead of
+/// allocating, and returning to the OS, a fresh set for every step.
 ///
 /// Zero-byte transfers are legal: the fluid model itself rejects empty
 /// flows, so they are skipped before solving, but a step that contains any
 /// transfer — even only zero-byte ones — still pays the per-step overhead
 /// (the launch happens regardless of payload). Only a literally empty step
 /// costs nothing. This mirrors the optical substrate, which charges its
-/// per-message overhead for zero-byte transfers too.
-pub fn run_steps(
-    net: &Network,
-    steps: &[Vec<StepTransfer>],
-    per_message_overhead_s: f64,
-) -> Result<SteppedReport> {
-    let mut step_times = Vec::with_capacity(steps.len());
-    for step in steps {
-        if step.is_empty() {
-            step_times.push(0.0);
-            continue;
+/// per-message overhead for zero-byte transfers too. Zero-byte transfers
+/// are still routed, after the payload flows, so a malformed one fails the
+/// step with the error [`run_dag`] reports for the same schedule.
+#[derive(Debug)]
+pub struct StepRunner<'n> {
+    net: &'n Network,
+    overhead_s: f64,
+    /// Routing list of the last placed step: `(src, dst, bytes > 0)` per
+    /// transfer, in step order.
+    key: Vec<(usize, usize, bool)>,
+    /// Routes and latencies of its payload flows, in step order.
+    routes: Vec<Vec<LinkId>>,
+    latencies: Vec<f64>,
+    /// Its closed-form placement: `None` when it has no payload flow (and
+    /// no routes), or when the closed form does not apply (and the key is
+    /// empty, so nothing is reused).
+    fill: Option<DisjointFill>,
+    /// The fluid engine of the steps the closed form does not cover, built
+    /// on the first one.
+    engine: Option<FluidEngine<'n>>,
+}
+
+impl<'n> StepRunner<'n> {
+    /// A runner over `net` that charges `per_message_overhead_s` per
+    /// non-empty step.
+    #[must_use]
+    pub fn new(net: &'n Network, per_message_overhead_s: f64) -> Self {
+        Self {
+            net,
+            overhead_s: per_message_overhead_s,
+            key: Vec::new(),
+            routes: Vec::new(),
+            latencies: Vec::new(),
+            fill: None,
+            engine: None,
         }
-        let flows: Vec<FlowSpec> = step
-            .iter()
-            .filter(|t| t.bytes > 0)
-            .map(|t| FlowSpec::new(t.src, t.dst, t.bytes))
-            .collect();
-        let makespan_s = if flows.is_empty() {
-            0.0
-        } else {
-            run_flows(net, &flows)?.makespan_s
-        };
-        step_times.push(per_message_overhead_s + makespan_s);
     }
-    Ok(SteppedReport {
-        total_time_s: step_times.iter().sum(),
-        step_times_s: step_times,
-    })
+
+    /// Execute one step and return its duration, seconds.
+    pub fn step<I>(&mut self, transfers: I) -> Result<f64>
+    where
+        I: Iterator<Item = StepTransfer> + Clone,
+    {
+        if transfers.clone().next().is_none() {
+            return Ok(0.0);
+        }
+        let placed = self.fits(transfers.clone());
+        if !placed {
+            self.place(transfers.clone())?;
+        }
+        let payload = transfers.clone().filter(|t| t.bytes > 0);
+        let closed_form = match &self.fill {
+            Some(fill) => payload
+                .clone()
+                .zip(&fill.rates)
+                .try_fold(0.0f64, |m, (t, &rate)| {
+                    Some(m.max(fill.finish(t.bytes, rate)?))
+                }),
+            None if self.routes.is_empty() => Some(0.0),
+            None => None,
+        };
+        let makespan_s = match closed_form {
+            Some(m) => m,
+            None => {
+                // The engine consumes the routes, so a step that needs it
+                // leaves no placement to reuse. Its flows are `run_flows`'
+                // engine flows: released at 0, no launch delay, no deps.
+                self.key.clear();
+                let net = self.net;
+                let engine = self.engine.get_or_insert_with(|| FluidEngine::new(net));
+                engine.reset();
+                let flows = payload.map(|t| EngineFlow {
+                    src: t.src,
+                    dst: t.dst,
+                    bytes: t.bytes,
+                    release_s: 0.0,
+                    delay_s: 0.0,
+                    deps: Vec::new(),
+                    job: 0,
+                });
+                let routes = std::mem::take(&mut self.routes);
+                let latencies = std::mem::take(&mut self.latencies);
+                engine.admit(flows, routes, latencies);
+                while engine.step()?.is_some() {}
+                engine.makespan_s()
+            }
+        };
+        if !placed {
+            for t in transfers.clone().filter(|t| t.bytes == 0) {
+                self.net.route(t.src, t.dst)?;
+            }
+            // Saved only once the step has fully succeeded, so a step that
+            // failed is never taken as placed.
+            if closed_form.is_some() {
+                self.key
+                    .extend(transfers.map(|t| (t.src, t.dst, t.bytes > 0)));
+            }
+        }
+        Ok(self.overhead_s + makespan_s)
+    }
+
+    /// Is the last placement the one of `transfers`' routing list?
+    fn fits(&self, transfers: impl Iterator<Item = StepTransfer>) -> bool {
+        let mut n = 0;
+        for t in transfers {
+            if self.key.get(n) != Some(&(t.src, t.dst, t.bytes > 0)) {
+                return false;
+            }
+            n += 1;
+        }
+        n == self.key.len()
+    }
+
+    /// Route the payload flows of `transfers` in order and solve their
+    /// closed-form placement, failing as [`run_flows`] would.
+    fn place(&mut self, transfers: impl Iterator<Item = StepTransfer> + Clone) -> Result<()> {
+        self.key.clear();
+        self.routes.clear();
+        self.latencies.clear();
+        self.fill = None;
+        let payload = transfers.filter(|t| t.bytes > 0);
+        let flows = payload.clone().count();
+        self.routes.reserve(flows);
+        self.latencies.reserve(flows);
+        for t in payload.clone() {
+            let route = self.net.route(t.src, t.dst)?;
+            self.latencies.push(self.net.path_latency(&route));
+            self.routes.push(route);
+        }
+        self.fill = DisjointFill::solve(self.net, &self.routes, &self.latencies, |k| {
+            payload.clone().nth(k).map_or((0, 0), |t| (t.src, t.dst))
+        })?;
+        Ok(())
+    }
 }
 
 /// One transfer of a dependency-aware schedule: a [`StepTransfer`] plus
@@ -758,6 +898,49 @@ mod tests {
         // Zero-byte gate completes after its 1 us launch; the dependent
         // pays its own launch then 1 ms of serialization.
         assert!((dag.makespan_s - (2e-6 + 1e-3)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn the_runner_recovers_after_a_failed_engine_step() {
+        use crate::graph::{Link, Router};
+        // Host 0's uplink is dark. Two flows out of host 0 share it, so the
+        // step runs on the engine and stalls mid-run; the engine's next
+        // step must start from a clean state.
+        let mut links = vec![
+            Link {
+                capacity_bps: 1e9,
+                latency_s: 5e-7,
+            };
+            8
+        ];
+        links[0].capacity_bps = 0.0;
+        let net = Network::from_parts(4, links, Router::Star);
+        let stalled = [(0, 1), (0, 2)];
+        let shared = [(1, 2), (1, 3), (2, 3)];
+        let step = |pairs: &[(usize, usize)]| -> Vec<StepTransfer> {
+            pairs
+                .iter()
+                .map(|&(src, dst)| StepTransfer {
+                    src,
+                    dst,
+                    bytes: 1_000_000,
+                })
+                .collect()
+        };
+        let mut runner = StepRunner::new(&net, 0.0);
+        assert!(matches!(
+            runner.step(step(&stalled).into_iter()),
+            Err(NetError::StalledFlow { .. })
+        ));
+        let flows: Vec<FlowSpec> = shared
+            .iter()
+            .map(|&(src, dst)| FlowSpec::new(src, dst, 1_000_000))
+            .collect();
+        let want = run_flows(&net, &flows).unwrap().makespan_s;
+        for _ in 0..2 {
+            let got = runner.step(step(&shared).into_iter()).unwrap();
+            assert_eq!(got.to_bits(), want.to_bits());
+        }
     }
 
     #[test]

@@ -308,54 +308,18 @@ fn link_disjoint_run(
     routes: &[Vec<LinkId>],
     latencies: &[f64],
 ) -> Result<Option<RunReport>> {
-    let Some(&lat) = latencies.first() else {
+    if specs.iter().any(|s| s.release_s_ns != 0) {
+        return Ok(None);
+    }
+    let Some(fill) = DisjointFill::solve(net, routes, latencies, |k| (specs[k].src, specs[k].dst))?
+    else {
         return Ok(None);
     };
-    if specs.iter().any(|s| s.release_s_ns != 0)
-        || !lat.is_finite()
-        || latencies.iter().any(|l| l.to_bits() != lat.to_bits())
-    {
-        return Ok(None);
-    }
-    let mut links: Vec<usize> = routes.iter().flatten().map(|l| l.0).collect();
-    links.sort_unstable();
-    if links.windows(2).any(|w| w[0] == w[1]) {
-        return Ok(None);
-    }
-    // The engine's one solve: every listed link carries exactly one flow.
-    let mut capacity = vec![0.0f64; net.links().len()];
-    let mut active = vec![0usize; net.links().len()];
-    for &l in &links {
-        capacity[l] = net.links()[l].capacity_bps;
-        active[l] = 1;
-    }
-    let ascending: Vec<usize> = (0..specs.len()).collect();
-    let mut rate = vec![0.0f64; specs.len()];
-    let mut solver_work = 0usize;
-    progressive_fill(
-        &links,
-        &ascending,
-        routes,
-        &mut capacity,
-        &mut active,
-        &mut rate,
-        &mut solver_work,
-    );
-    if let Some(k) = rate.iter().position(|&r| r.is_nan() || r <= 0.0) {
-        return Err(NetError::StalledFlow {
-            src: specs[k].src,
-            dst: specs[k].dst,
-        });
-    }
-    // A positive pipe parks every flow until its timer; otherwise flows
-    // start transmitting at once. Rates out of the fill are finite here.
-    let start = if lat > 0.0 { lat } else { 0.0 };
     let mut outcomes = Vec::with_capacity(specs.len());
-    for (s, &r) in specs.iter().zip(&rate) {
-        let finish_s = (start + s.bytes as f64 / r).max(start);
-        if finish_s.is_infinite() {
+    for (s, &rate) in specs.iter().zip(&fill.rates) {
+        let Some(finish_s) = fill.finish(s.bytes, rate) else {
             return Ok(None);
-        }
+        };
         outcomes.push(FlowOutcome {
             release_s: 0.0,
             finish_s,
@@ -366,9 +330,86 @@ fn link_disjoint_run(
         makespan_s: outcomes.iter().map(|f| f.finish_s).fold(0.0f64, f64::max),
         flows: outcomes,
         rate_recomputations: 1,
-        solver_work,
-        events: if lat > 0.0 { 2 * n } else { n },
+        solver_work: fill.solver_work,
+        events: if fill.start_s > 0.0 { 2 * n } else { n },
     }))
+}
+
+/// The placement half of [`link_disjoint_run`]: preconditions 2 and 3,
+/// the one progressive fill and its stall check. It reads routes and
+/// latencies only, never bytes, so it holds for every flow list with the
+/// same routes.
+#[derive(Debug)]
+pub(crate) struct DisjointFill {
+    /// Instant every flow starts transmitting: the shared latency when it
+    /// is positive, else 0.
+    pub start_s: f64,
+    /// Each flow's max-min rate, in flow order (finite and positive).
+    pub rates: Vec<f64>,
+    /// The fill's progressive-filling work.
+    pub solver_work: usize,
+}
+
+impl DisjointFill {
+    /// The fill of `routes`, or `None` when a latency differs (in bits) or
+    /// is not finite, or a link is crossed twice. A flow frozen at rate
+    /// zero fails with [`NetError::StalledFlow`] naming `endpoints(k)`.
+    pub(crate) fn solve(
+        net: &Network,
+        routes: &[Vec<LinkId>],
+        latencies: &[f64],
+        endpoints: impl Fn(usize) -> (usize, usize),
+    ) -> Result<Option<Self>> {
+        let Some(&lat) = latencies.first() else {
+            return Ok(None);
+        };
+        if !lat.is_finite() || latencies.iter().any(|l| l.to_bits() != lat.to_bits()) {
+            return Ok(None);
+        }
+        let mut links: Vec<usize> = routes.iter().flatten().map(|l| l.0).collect();
+        links.sort_unstable();
+        if links.windows(2).any(|w| w[0] == w[1]) {
+            return Ok(None);
+        }
+        // The engine's one solve: every listed link carries exactly one flow.
+        let mut capacity = vec![0.0f64; net.links().len()];
+        let mut active = vec![0usize; net.links().len()];
+        for &l in &links {
+            capacity[l] = net.links()[l].capacity_bps;
+            active[l] = 1;
+        }
+        let ascending: Vec<usize> = (0..routes.len()).collect();
+        let mut rates = vec![0.0f64; routes.len()];
+        let mut solver_work = 0usize;
+        progressive_fill(
+            &links,
+            &ascending,
+            routes,
+            &mut capacity,
+            &mut active,
+            &mut rates,
+            &mut solver_work,
+        );
+        if let Some(k) = rates.iter().position(|&r| r.is_nan() || r <= 0.0) {
+            let (src, dst) = endpoints(k);
+            return Err(NetError::StalledFlow { src, dst });
+        }
+        // A positive pipe parks every flow until its timer; otherwise flows
+        // start transmitting at once.
+        Ok(Some(Self {
+            start_s: if lat > 0.0 { lat } else { 0.0 },
+            rates,
+            solver_work,
+        }))
+    }
+
+    /// The closed-form finish of a flow of `bytes` at `rate` (one of
+    /// [`DisjointFill::rates`]), or `None` when it overflows to infinity
+    /// and the engine must decide.
+    pub(crate) fn finish(&self, bytes: u64, rate: f64) -> Option<f64> {
+        let finish_s = (self.start_s + bytes as f64 / rate).max(self.start_s);
+        (!finish_s.is_infinite()).then_some(finish_s)
+    }
 }
 
 /// The pre-incremental reference engine: every event re-runs the full

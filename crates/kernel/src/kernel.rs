@@ -188,6 +188,19 @@ impl<T> EventKernel<T> {
         }
     }
 
+    /// Return to an empty kernel at time zero with every counter reset,
+    /// keeping the allocations: the kernel then behaves exactly like
+    /// [`EventKernel::new`].
+    pub fn clear(&mut self) {
+        self.heap.clear();
+        self.payloads.clear();
+        self.clock = SimClock::new();
+        self.next_seq = 0;
+        self.processed = 0;
+        self.cancelled = 0;
+        self.compactions = 0;
+    }
+
     /// Current simulated time (the timestamp of the last popped event).
     #[must_use]
     pub fn now(&self) -> f64 {
@@ -376,6 +389,28 @@ impl<T> EventKernel<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn cleared_kernel_behaves_like_a_new_one() {
+        let run = |k: &mut EventKernel<u32>| {
+            let ids = [
+                k.schedule_at(2.0, 1).unwrap(),
+                k.schedule_at(1.0, 2).unwrap(),
+                k.schedule_at(1.0, 3).unwrap(),
+            ];
+            k.cancel(ids[0]);
+            let popped: Vec<_> = std::iter::from_fn(|| k.pop()).collect();
+            (ids, popped, k.now(), k.events_processed(), k.cancelled())
+        };
+        let mut used = EventKernel::new();
+        used.schedule_at(5.0, 9).unwrap();
+        used.pop();
+        used.schedule_at(7.0, 8).unwrap();
+        used.clear();
+        assert!(used.is_empty());
+        assert_eq!((used.now(), used.events_processed()), (0.0, 0));
+        assert_eq!(run(&mut used), run(&mut EventKernel::new()));
+    }
 
     #[test]
     fn empty_kernel_pops_none() {

@@ -66,6 +66,14 @@ impl<T> Slab<T> {
         }
     }
 
+    /// Remove every value and forget every key, keeping the allocations:
+    /// the slab is then indistinguishable from [`Slab::new`].
+    pub fn clear(&mut self) {
+        self.slots.clear();
+        self.free.clear();
+        self.len = 0;
+    }
+
     /// Number of live values.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -178,6 +186,21 @@ mod tests {
         assert_eq!(slab.get(a), None);
         assert_eq!(slab.remove(a), None);
         assert_eq!(slab.get(b), Some(&2));
+    }
+
+    #[test]
+    fn clear_forgets_every_key_and_restarts_like_new() {
+        let mut slab = Slab::new();
+        let a = slab.insert(1);
+        let b = slab.insert(2);
+        slab.remove(a);
+        slab.clear();
+        assert!(slab.is_empty());
+        assert_eq!(slab.get(b), None);
+        // Keys are handed out exactly as a fresh slab hands them out.
+        let mut fresh = Slab::new();
+        assert_eq!(slab.insert(3), fresh.insert(3));
+        assert_eq!(slab.insert(4), fresh.insert(4));
     }
 
     #[test]

@@ -81,6 +81,27 @@ impl std::error::Error for OpticalError {
     }
 }
 
+impl OpticalError {
+    /// Stamp a wavelength exhaustion with the index of the step it
+    /// happened in (the occupancy that detects it does not know the step);
+    /// every other error passes through unchanged.
+    #[must_use]
+    pub(crate) fn at_step(self, step: usize) -> Self {
+        match self {
+            OpticalError::WavelengthsExhausted {
+                available,
+                requested,
+                ..
+            } => OpticalError::WavelengthsExhausted {
+                available,
+                requested,
+                step,
+            },
+            other => other,
+        }
+    }
+}
+
 impl From<wrht_kernel::FaultError> for OpticalError {
     fn from(e: wrht_kernel::FaultError) -> Self {
         OpticalError::Fault(e)

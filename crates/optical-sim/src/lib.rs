@@ -14,7 +14,9 @@
 //!   the paper: a schedule is a sequence of steps, every transfer of a step
 //!   starts simultaneously, wavelengths are assigned per step by a
 //!   routing-and-wavelength-assignment (RWA) strategy ([`rwa::Strategy`]),
-//!   and the step lasts as long as its slowest transfer.
+//!   and the step lasts as long as its slowest transfer. It reads any
+//!   [`sim::StepSource`]: a materialized [`sim::StepSchedule`] or a
+//!   generator that writes each step on demand.
 //! * [`sim::RingSimulator::run_event_driven`] — a discrete-event model in
 //!   which transfers contend for wavelengths dynamically; used for the
 //!   contention ablations and as a cross-check of the stepped model.
@@ -69,7 +71,7 @@ pub mod prelude {
     pub use crate::rwa::{Occupancy, Strategy};
     pub use crate::sim::{
         DagReport, DagTransfer, FaultDagReport, FaultOutcome, JobArbitration, RingSimulator,
-        StepReport, StepSchedule,
+        StepReport, StepSchedule, StepSource,
     };
     pub use crate::timing::TimingModel;
     pub use crate::topology::{Direction, NodeId, RingTopology};
@@ -83,7 +85,7 @@ pub use error::OpticalError;
 pub use path::LightPath;
 pub use request::{DirectionChoice, Transfer};
 pub use rwa::{Occupancy, Strategy};
-pub use sim::{JobArbitration, RingSimulator, StepReport, StepSchedule};
+pub use sim::{JobArbitration, RingSimulator, StepReport, StepSchedule, StepSource};
 pub use timing::TimingModel;
 pub use topology::{Direction, NodeId, RingTopology};
 pub use wavelength::{Wavelength, WavelengthSet};

@@ -4,11 +4,12 @@ use crate::config::OpticalConfig;
 use crate::engine::{GrantEngine, GrantTransfer};
 use crate::error::{OpticalError, Result};
 use crate::path::LightPath;
-use crate::request::Transfer;
+use crate::request::{DirectionChoice, Transfer};
 use crate::rwa::{Occupancy, Strategy};
 use crate::stats::{RunStats, StepStats};
-use crate::topology::RingTopology;
+use crate::topology::{NodeId, RingTopology};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use wrht_kernel::{EventKernel, FaultPolicy, FaultScript};
 
 /// A step-synchronous communication schedule: every transfer of a step
@@ -58,6 +59,107 @@ impl StepSchedule {
     #[must_use]
     pub fn total_bytes(&self) -> u64 {
         self.steps.iter().flatten().map(|t| t.bytes).sum()
+    }
+}
+
+/// A stepped schedule read one step at a time, as the stepped runners
+/// consume it: the materialized [`StepSchedule`], or a generator that
+/// writes each step only when a runner reaches it, so a long schedule is
+/// never held in memory at once.
+pub trait StepSource {
+    /// Number of steps.
+    fn step_count(&self) -> usize;
+
+    /// Step `index` (`< step_count()`): borrowed from the source, or
+    /// written into `buf` and borrowed from there. A runner passes the same
+    /// buffer for every step, so a generator allocates once per run.
+    fn step<'a>(&'a self, index: usize, buf: &'a mut Vec<Transfer>) -> &'a [Transfer];
+
+    /// The whole schedule materialized, for consumers that need every step
+    /// at once (DAG lowering); borrowed when the source already is one.
+    fn to_schedule(&self) -> Cow<'_, StepSchedule> {
+        let mut buf = Vec::new();
+        Cow::Owned(StepSchedule::from_steps(
+            (0..self.step_count())
+                .map(|k| self.step(k, &mut buf).to_vec())
+                .collect(),
+        ))
+    }
+}
+
+impl StepSource for StepSchedule {
+    fn step_count(&self) -> usize {
+        self.steps.len()
+    }
+
+    fn step<'a>(&'a self, index: usize, _buf: &'a mut Vec<Transfer>) -> &'a [Transfer] {
+        &self.steps[index]
+    }
+
+    fn to_schedule(&self) -> Cow<'_, StepSchedule> {
+        Cow::Borrowed(self)
+    }
+}
+
+/// The placement half of one step of [`RingSimulator::run_stepped`]:
+/// everything the step derives from its ordered routing list — each
+/// transfer's `(src, dst, direction, lanes)` — and nothing it derives from
+/// bytes. Path resolution and First-Fit/Best-Fit lane assignment read only
+/// the routing list, run on an occupancy cleared every step and are
+/// deterministic, so a step whose routing list equals the last placed one
+/// has this placement exactly. The default is the empty step's placement.
+#[derive(Debug, Default)]
+struct StepPlacement {
+    /// The routing list this placement was made for.
+    key: Vec<(NodeId, NodeId, DirectionChoice, usize)>,
+    /// Hop count of each transfer's lightpath, in step order.
+    hops: Vec<usize>,
+    wavelengths_used: usize,
+    peak_wavelength: usize,
+    total_lanes: usize,
+    max_hops: usize,
+}
+
+impl StepPlacement {
+    fn routing(t: &Transfer) -> (NodeId, NodeId, DirectionChoice, usize) {
+        (t.src, t.dst, t.direction, t.lanes)
+    }
+
+    /// Is this the placement of `step`'s routing list?
+    fn fits(&self, step: &[Transfer]) -> bool {
+        self.key.len() == step.len()
+            && self
+                .key
+                .iter()
+                .zip(step)
+                .all(|(k, t)| *k == Self::routing(t))
+    }
+
+    /// Resolve and wavelength-assign `step` on the cleared occupancy, in
+    /// transfer order, failing on the first transfer that does not place.
+    fn place(
+        &mut self,
+        step: &[Transfer],
+        topo: &RingTopology,
+        occ: &mut Occupancy,
+        strategy: Strategy,
+    ) -> Result<()> {
+        self.key.clear();
+        self.hops.clear();
+        self.total_lanes = 0;
+        self.max_hops = 0;
+        occ.clear();
+        for tr in step {
+            let path = tr.resolve(topo)?;
+            occ.assign(&path, tr.lanes, strategy)?;
+            self.key.push(Self::routing(tr));
+            self.hops.push(path.hops());
+            self.total_lanes += tr.lanes;
+            self.max_hops = self.max_hops.max(path.hops());
+        }
+        self.wavelengths_used = occ.distinct_wavelengths_used();
+        self.peak_wavelength = occ.peak_wavelengths_used();
+        Ok(())
     }
 }
 
@@ -203,49 +305,43 @@ impl RingSimulator {
     ///
     /// Fails if any step cannot be wavelength-assigned within the configured
     /// channel count — Wrht plans are constructed to always fit.
-    pub fn run_stepped(
+    ///
+    /// A step whose routing list equals the last placed step's (every
+    /// step of a ring all-reduce) reuses that placement and only recomputes
+    /// `transfer_time(bytes, lanes, hops)` per transfer; any other step is
+    /// resolved and assigned afresh. The results are the same either way.
+    pub fn run_stepped<S: StepSource + ?Sized>(
         &mut self,
-        schedule: &StepSchedule,
+        schedule: &S,
         strategy: Strategy,
     ) -> Result<StepReport> {
         let timing = self.config.timing();
         let mut stats = RunStats::default();
         let mut occ = Occupancy::new(self.topo.nodes(), self.config.wavelengths);
-        for (index, step) in schedule.steps.iter().enumerate() {
-            occ.clear();
+        let mut placed = StepPlacement::default();
+        let mut buf = Vec::new();
+        for index in 0..schedule.step_count() {
+            let step = schedule.step(index, &mut buf);
+            if !placed.fits(step) {
+                placed
+                    .place(step, &self.topo, &mut occ, strategy)
+                    .map_err(|e| e.at_step(index))?;
+            }
             let mut duration = 0.0f64;
             let mut bytes = 0u64;
-            let mut total_lanes = 0usize;
-            let mut max_hops = 0usize;
-            for tr in step {
-                let path = tr.resolve(&self.topo)?;
-                occ.assign(&path, tr.lanes, strategy).map_err(|e| match e {
-                    OpticalError::WavelengthsExhausted {
-                        available,
-                        requested,
-                        ..
-                    } => OpticalError::WavelengthsExhausted {
-                        available,
-                        requested,
-                        step: index,
-                    },
-                    other => other,
-                })?;
-                let t = timing.transfer_time(tr.bytes, tr.lanes, path.hops());
-                duration = duration.max(t);
+            for (tr, &hops) in step.iter().zip(&placed.hops) {
+                duration = duration.max(timing.transfer_time(tr.bytes, tr.lanes, hops));
                 bytes += tr.bytes;
-                total_lanes += tr.lanes;
-                max_hops = max_hops.max(path.hops());
             }
             stats.steps.push(StepStats {
                 index,
                 transfers: step.len(),
                 duration_s: duration,
                 bytes,
-                wavelengths_used: occ.distinct_wavelengths_used(),
-                peak_wavelength: occ.peak_wavelengths_used(),
-                total_lanes,
-                max_hops,
+                wavelengths_used: placed.wavelengths_used,
+                peak_wavelength: placed.peak_wavelength,
+                total_lanes: placed.total_lanes,
+                max_hops: placed.max_hops,
             });
         }
         Ok(StepReport {

@@ -93,7 +93,9 @@ pub fn run_stepped_traced(
         let mut duration = 0.0f64;
         for tr in step {
             let path = tr.resolve(&topo)?;
-            let lambdas: Vec<Wavelength> = occ.assign(&path, tr.lanes, strategy)?;
+            let lambdas: Vec<Wavelength> = occ
+                .assign(&path, tr.lanes, strategy)
+                .map_err(|e| e.at_step(index))?;
             let t = timing.transfer_time(tr.bytes, tr.lanes, path.hops());
             trace.entries.push(TraceEntry {
                 step: index,
@@ -127,6 +129,7 @@ pub fn trace_step(
 mod tests {
     use super::*;
     use crate::config::OpticalConfig;
+    use crate::error::OpticalError;
     use crate::topology::NodeId;
 
     fn sim() -> RingSimulator {
@@ -150,6 +153,32 @@ mod tests {
         assert!((total - plain.total_time_s).abs() < 1e-15);
         assert_eq!(trace.entries.len(), 2);
         assert!((trace.makespan_s() - total).abs() < 1e-15);
+    }
+
+    #[test]
+    fn exhaustion_names_the_failing_step_like_run_stepped() {
+        // Step 0 fits; step 1 nests five paths into one receiver, one more
+        // than the ring's four wavelengths.
+        let nested: Vec<Transfer> = (0..5)
+            .map(|i| Transfer::directed(NodeId(i), NodeId(5), 100, Direction::Clockwise))
+            .collect();
+        let sched = StepSchedule::from_steps(vec![
+            vec![Transfer::shortest(NodeId(0), NodeId(1), 100)],
+            nested,
+        ]);
+        let expected = OpticalError::WavelengthsExhausted {
+            available: 4,
+            requested: 1,
+            step: 1,
+        };
+        for strategy in [Strategy::FirstFit, Strategy::BestFit] {
+            let mut s = sim();
+            assert_eq!(s.run_stepped(&sched, strategy).unwrap_err(), expected);
+            assert_eq!(
+                run_stepped_traced(&mut s, &sched, strategy).unwrap_err(),
+                expected
+            );
+        }
     }
 
     #[test]

@@ -11,6 +11,24 @@ use wrht_core::cost::predict_time_s;
 use wrht_core::lower::to_optical_schedule;
 use wrht_core::plan::build_plan;
 
+/// The ring all-reduce's steps as electrical `(src, dst, bytes)` transfers.
+fn ring_step_transfers(n: usize, elems: usize, bpe: usize) -> Vec<Vec<StepTransfer>> {
+    ring_allreduce(n, elems)
+        .steps
+        .iter()
+        .map(|s| {
+            s.transfers
+                .iter()
+                .map(|t| StepTransfer {
+                    src: t.src,
+                    dst: t.dst,
+                    bytes: (t.elems() * bpe) as u64,
+                })
+                .collect()
+        })
+        .collect()
+}
+
 /// O-Ring in the optical simulator equals the Patarasuk–Yuan closed form
 /// `2(n-1) (alpha + (S/n)/B + P)` when chunks divide evenly.
 #[test]
@@ -51,15 +69,7 @@ fn electrical_ring_matches_closed_form() {
     let lat = 5e-7;
     let overhead = 5e-6;
     let net = star_cluster(n, bw, lat);
-    let steps: Vec<Vec<StepTransfer>> = ring_allreduce(n, elems)
-        .step_transfers(bpe)
-        .into_iter()
-        .map(|s| {
-            s.into_iter()
-                .map(|(src, dst, bytes)| StepTransfer { src, dst, bytes })
-                .collect()
-        })
-        .collect();
+    let steps = ring_step_transfers(n, elems, bpe);
     let t = run_steps(&net, &steps, overhead).unwrap().total_time_s;
     let chunk = (elems / n * bpe) as f64;
     let expected = (2 * (n - 1)) as f64 * (overhead + 2.0 * lat + chunk / bw);
@@ -113,15 +123,7 @@ fn substrates_agree_on_identical_physics() {
         .total_time_s;
 
     let net = electrical_sim::topology::ring(n, bw, 0.0);
-    let steps: Vec<Vec<StepTransfer>> = ring_allreduce(n, elems)
-        .step_transfers(bpe)
-        .into_iter()
-        .map(|s| {
-            s.into_iter()
-                .map(|(src, dst, bytes)| StepTransfer { src, dst, bytes })
-                .collect()
-        })
-        .collect();
+    let steps = ring_step_transfers(n, elems, bpe);
     let electrical_t = run_steps(&net, &steps, 0.0).unwrap().total_time_s;
 
     assert!(

@@ -63,12 +63,13 @@ fn substrate_pair(cfg: &Config) -> (OpticalSubstrate, ElectricalSubstrate) {
 /// non-empty steps, 0 for empty ones (both runners skip them entirely).
 fn closed_form_steps(schedule: &Schedule, cfg: &Config) -> Vec<f64> {
     schedule
-        .step_transfers(BYTES_PER_ELEM)
+        .steps
         .iter()
         .map(|step| {
             let max_bytes = step
+                .transfers
                 .iter()
-                .map(|&(_, _, b)| b)
+                .map(|t| (t.elems() * BYTES_PER_ELEM) as u64)
                 .filter(|&b| b > 0)
                 .max()
                 .unwrap_or(0);
