@@ -29,6 +29,35 @@
 //!    scheduled before vs. after an injection therefore cannot change the
 //!    outcome — only the *set* of simultaneous events matters.
 //!
+//! # The grant scan
+//!
+//! Each batch ends with one scan of the waiting list. A waiter is granted
+//! if its lanes are free and no earlier *blocked* waiter in the scan claimed
+//! a same-direction segment of its arc; a waiter that is not granted claims
+//! its arc in turn. The scan order is order-key order, or under
+//! arbitration least-served job first (with fair share), then lowest rank,
+//! then order key.
+//!
+//! The waiting list is kept in scan order rather than sorted per batch.
+//! Each waiter is inserted at its position by a key that never changes
+//! while it waits: its order key, or under arbitration `(rank, order)` — a
+//! job slot's rank is fixed from [`GrantEngine::add_job`] until the job
+//! retires, and a retired job has no waiters. FIFO, priority and closed
+//! runs therefore scan the list as it is. Fair share adds the one key that
+//! moves, the job's accumulated service: the scan sorts only the distinct
+//! service values of the jobs present and places the waiters into one
+//! bucket per value with a stable counting sort. Within a bucket the
+//! list's `(rank, order)` order survives, so the result is exactly the
+//! `(service, rank, order)` order — also when several jobs share a rank or
+//! a service value.
+//!
+//! Every entry carries its arc (direction, first clockwise segment, hops),
+//! and the claimed segments are one bitset per direction, so skipping a
+//! blocked waiter is a few word operations and never reads its slot. Lanes
+//! come from [`Occupancy::assign`], which ORs the path's per-segment lane
+//! masks once. A grant's highest lane only ever raises the peak, so the
+//! engine's peak wavelength is the running maximum of granted lane + 1.
+//!
 //! # Faults
 //!
 //! [`GrantEngine::set_faults`] schedules a [`FaultScript`]'s optically
@@ -52,18 +81,21 @@
 //! The engine also supports [`GrantEngine::snapshot`] /
 //! [`GrantEngine::restore`]: a versioned, serializable image of the slots,
 //! pending kernel events and clock, pinned byte-identical by the stream
-//! checkpoint tests in `wrht-core`. Restore validates the image's indices
-//! and times, rejects corrupt ones with [`OpticalError::BadConfig`], and
-//! rebuilds the lane occupancy from the in-flight slots.
+//! checkpoint tests in `wrht-core`. The image lists the waiters in
+//! order-key order; restore puts them back into scan order. Restore
+//! validates the image's indices, times, routes and lane holdings, rejects
+//! corrupt ones with [`OpticalError::BadConfig`], and rebuilds the lane
+//! occupancy from the in-flight slots.
 
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 use wrht_kernel::{EventId, EventKernel, FaultKind, FaultLimits, FaultPolicy, FaultScript};
 
 use crate::config::OpticalConfig;
 use crate::error::{OpticalError, Result};
 use crate::path::LightPath;
 use crate::request::Transfer;
-use crate::rwa::{Occupancy, Strategy};
+use crate::rwa::{arc_runs, arc_start, Occupancy, Strategy};
 use crate::timing::TimingModel;
 use crate::topology::{Direction, RingTopology};
 use crate::wavelength::Wavelength;
@@ -135,6 +167,168 @@ struct JobSlot {
     service: f64,
 }
 
+/// One entry of the waiting list: what the grant scan needs to order a
+/// waiter, to skip it and to try its lanes without reading its slot.
+#[derive(Debug, Clone, Copy)]
+struct Waiter {
+    /// The order key: with the owning job's rank under arbitration, the
+    /// waiter's static scan key.
+    order: u64,
+    id: usize,
+    job: usize,
+    lanes: usize,
+    /// The arc: the segments `first..first + hops` (mod `n`), counted
+    /// clockwise, on the `direction` waveguide.
+    first: usize,
+    hops: usize,
+    direction: Direction,
+    /// Granted by the current scan; removed when it ends.
+    granted: bool,
+}
+
+impl Waiter {
+    fn new(id: usize, slot: &Slot) -> Self {
+        Self {
+            order: slot.order,
+            id,
+            job: slot.job,
+            lanes: slot.transfer.lanes,
+            first: arc_start(&slot.path),
+            hops: slot.path.hops(),
+            direction: slot.path.direction,
+            granted: false,
+        }
+    }
+}
+
+/// A set of ring segments, one bit each.
+#[derive(Debug)]
+struct SegmentSet(Vec<u64>);
+
+impl SegmentSet {
+    fn new(segments: usize) -> Self {
+        Self(vec![0; segments.div_ceil(64)])
+    }
+
+    /// Does the arc `first..first + hops` (mod `n`) share a segment with
+    /// the set?
+    fn meets(&self, first: usize, hops: usize, n: usize) -> bool {
+        arc_runs(first, hops, n).any(|run| self.meets_run(run))
+    }
+
+    /// Add the arc's segments.
+    fn insert(&mut self, first: usize, hops: usize, n: usize) {
+        for run in arc_runs(first, hops, n) {
+            self.insert_run(run);
+        }
+    }
+
+    fn meets_run(&self, Range { start, end }: Range<usize>) -> bool {
+        if start == end {
+            return false;
+        }
+        let ((a, head), (b, tail)) = range_ends(start, end);
+        if a == b {
+            return self.0[a] & head & tail != 0;
+        }
+        self.0[a] & head != 0 || self.0[a + 1..b].iter().any(|&w| w != 0) || self.0[b] & tail != 0
+    }
+
+    fn insert_run(&mut self, Range { start, end }: Range<usize>) {
+        if start == end {
+            return;
+        }
+        let ((a, head), (b, tail)) = range_ends(start, end);
+        if a == b {
+            self.0[a] |= head & tail;
+        } else {
+            self.0[a] |= head;
+            self.0[a + 1..b].fill(!0);
+            self.0[b] |= tail;
+        }
+    }
+}
+
+/// The first and last word of the non-empty bit range `lo..hi`, each with
+/// the bits from `lo` up, and up to `hi`, in it.
+fn range_ends(lo: usize, hi: usize) -> ((usize, u64), (usize, u64)) {
+    let last = hi - 1;
+    (
+        (lo / 64, !0 << (lo % 64)),
+        (last / 64, !0 >> (63 - last % 64)),
+    )
+}
+
+/// Scratch of the fair-share scan order, allocated once.
+#[derive(Debug, Default)]
+struct FairOrder {
+    /// Waiting-list positions in scan order.
+    perm: Vec<usize>,
+    /// The jobs with waiters, sorted by service.
+    present: Vec<usize>,
+    /// Each job's bucket; `usize::MAX` for a job without waiters.
+    bucket: Vec<usize>,
+    /// Per bucket, the next place in `perm`.
+    start: Vec<usize>,
+}
+
+impl FairOrder {
+    /// Fill `perm` with the positions of `waiting` (which is in
+    /// `(rank, order)` order) in `(service, rank, order)` order: sort the
+    /// distinct service values of the jobs present, then place the waiters
+    /// into one bucket per value with a stable counting sort, which keeps
+    /// the list's `(rank, order)` order within a bucket. Returns false,
+    /// leaving `perm` alone, when one value covers every waiter and
+    /// `waiting` already is in scan order.
+    fn order(&mut self, waiting: &[Waiter], jobs: &[JobSlot]) -> bool {
+        const ABSENT: usize = usize::MAX;
+        let Self {
+            perm,
+            present,
+            bucket,
+            start,
+        } = self;
+        bucket.resize(jobs.len(), ABSENT);
+        present.clear();
+        for w in waiting {
+            if bucket[w.job] == ABSENT {
+                bucket[w.job] = 0;
+                present.push(w.job);
+            }
+        }
+        let cmp = |a: usize, b: usize| jobs[a].service.total_cmp(&jobs[b].service);
+        present.sort_unstable_by(|&a, &b| cmp(a, b));
+        let mut buckets = 0;
+        for i in 0..present.len() {
+            if i == 0 || cmp(present[i - 1], present[i]).is_ne() {
+                buckets += 1;
+            }
+            bucket[present[i]] = buckets - 1;
+        }
+        if buckets > 1 {
+            start.clear();
+            start.resize(buckets, 0);
+            for w in waiting {
+                start[bucket[w.job]] += 1;
+            }
+            let mut sum = 0;
+            for place in start.iter_mut() {
+                sum += std::mem::replace(place, sum);
+            }
+            perm.resize(waiting.len(), 0);
+            for (pos, w) in waiting.iter().enumerate() {
+                let next = &mut start[bucket[w.job]];
+                perm[*next] = pos;
+                *next += 1;
+            }
+        }
+        for &j in present.iter() {
+            bucket[j] = ABSENT;
+        }
+        buckets > 1
+    }
+}
+
 /// Fault state, allocated only when [`GrantEngine::set_faults`] installs
 /// at least one relevant event.
 #[derive(Debug)]
@@ -195,7 +389,8 @@ pub struct GrantEngine {
     job_free: Vec<usize>,
     next_order: u64,
     queue: EventKernel<Ev>,
-    waiting: Vec<usize>,
+    /// Gated transfers not yet granted, in scan order (see module docs).
+    waiting: Vec<Waiter>,
     completions: Vec<GrantCompletion>,
     events_base: u64,
     active: usize,
@@ -205,10 +400,9 @@ pub struct GrantEngine {
     faults: Option<Box<Faults>>,
     // Per-step scratch, allocated once.
     batch: Vec<Ev>,
-    scan: Vec<usize>,
-    claimed: [Vec<bool>; 2],
-    claimed_set: Vec<(usize, usize)>,
-    granted: Vec<bool>,
+    /// Segments claimed by blocked waiters, per direction.
+    claimed: [SegmentSet; 2],
+    fair: FairOrder,
 }
 
 impl GrantEngine {
@@ -252,10 +446,8 @@ impl GrantEngine {
             makespan: 0.0,
             faults: None,
             batch: Vec::new(),
-            scan: Vec::new(),
-            claimed: [vec![false; nodes], vec![false; nodes]],
-            claimed_set: Vec::new(),
-            granted: Vec::new(),
+            claimed: [SegmentSet::new(nodes), SegmentSet::new(nodes)],
+            fair: FairOrder::default(),
             topo,
         })
     }
@@ -399,7 +591,6 @@ impl GrantEngine {
                 id
             } else {
                 self.slots.push(Some(slot));
-                self.granted.push(false);
                 self.slots.len() - 1
             };
             ids.push(id);
@@ -473,14 +664,18 @@ impl GrantEngine {
         Some(now)
     }
 
-    /// Insert `id` into the waiting list, keeping it sorted by order key.
+    /// Insert `id` into the waiting list at its scan position.
     fn enqueue_waiting(&mut self, id: usize) {
-        let ord = self.slots[id].as_ref().expect("gated slot is live").order;
-        let slots = &self.slots;
-        let pos = self
-            .waiting
-            .partition_point(|&w| slots[w].as_ref().expect("waiting slot is live").order < ord);
-        self.waiting.insert(pos, id);
+        let w = Waiter::new(id, self.slots[id].as_ref().expect("gated slot is live"));
+        let pos = if self.arbitrated {
+            let jobs = &self.jobs;
+            let key = (jobs[w.job].rank, w.order);
+            self.waiting
+                .partition_point(|x| (jobs[x.job].rank, x.order) < key)
+        } else {
+            self.waiting.partition_point(|x| x.order < w.order)
+        };
+        self.waiting.insert(pos, w);
     }
 
     fn complete(&mut self, id: usize, now: f64) {
@@ -612,7 +807,7 @@ impl GrantEngine {
             }
         }
         let slots = &self.slots;
-        self.waiting.retain(|&id| slots[id].is_some());
+        self.waiting.retain(|w| slots[w.id].is_some());
     }
 
     /// Tear down `id`'s grant if it is in flight: cancel its completion
@@ -661,61 +856,45 @@ impl GrantEngine {
         Some(slot)
     }
 
-    /// Start every waiter that now fits. Scan order is order-key (DAG)
-    /// order, or under arbitration least-served / lowest-ranked job first
-    /// with order-key tie-breaks. Segments of waiters that do NOT fit are
-    /// claimed so later waiters cannot overtake them on a shared span.
+    /// Start every waiter that now fits, in scan order (see module docs).
+    /// Segments of waiters that do NOT fit are claimed so later waiters
+    /// cannot overtake them on a shared span.
     fn grant_scan(&mut self) {
+        if self.waiting.is_empty() {
+            return;
+        }
+        let fair = self.arbitrated && self.fair_share && self.fair.order(&self.waiting, &self.jobs);
+        let n = self.topo.nodes();
         let Self {
             slots,
             jobs,
             occ,
             queue,
             waiting,
-            scan,
             claimed,
-            claimed_set,
-            granted,
+            fair: FairOrder { perm, .. },
             active,
             peak,
             peak_wavelength,
-            makespan: _,
             timing,
             strategy,
             arbitrated,
-            fair_share,
             faults,
             ..
         } = self;
-        scan.clear();
-        scan.extend_from_slice(waiting);
-        if *arbitrated {
-            scan.sort_by(|&x, &y| {
-                let sx = slots[x].as_ref().expect("waiting slot is live");
-                let sy = slots[y].as_ref().expect("waiting slot is live");
-                let (vx, vy) = if *fair_share {
-                    (jobs[sx.job].service, jobs[sy.job].service)
-                } else {
-                    (0.0, 0.0)
-                };
-                vx.total_cmp(&vy)
-                    .then(jobs[sx.job].rank.cmp(&jobs[sy.job].rank))
-                    .then(sx.order.cmp(&sy.order))
-            });
-        }
         let mut any_granted = false;
-        for &id in scan.iter() {
-            let slot = slots[id].as_mut().expect("waiting slot is live");
-            let d = usize::from(slot.path.direction == Direction::CounterClockwise);
-            let overtakes = slot.path.segments.iter().any(|&s| claimed[d][s]);
-            if !overtakes {
-                if let Ok(lanes) = occ.assign(&slot.path, slot.transfer.lanes, *strategy) {
+        for k in 0..waiting.len() {
+            let w = &mut waiting[if fair { perm[k] } else { k }];
+            let d = usize::from(w.direction == Direction::CounterClockwise);
+            if !claimed[d].meets(w.first, w.hops, n) {
+                let lanes = occ.assign_arc(w.direction, w.first, w.hops, w.lanes, *strategy);
+                if let Ok(lanes) = lanes {
+                    let slot = slots[w.id].as_mut().expect("waiting slot is live");
+                    let top = lanes.iter().fold(0, |top, l| top.max(l.0 + 1));
+                    *peak_wavelength = (*peak_wavelength).max(top);
                     slot.assigned = lanes;
-                    let mut dur = timing.transfer_time(
-                        slot.transfer.bytes,
-                        slot.transfer.lanes,
-                        slot.path.hops(),
-                    );
+                    let mut dur =
+                        timing.transfer_time(slot.transfer.bytes, slot.transfer.lanes, w.hops);
                     if let Some(f) = faults.as_deref() {
                         let slow =
                             f.straggle[slot.transfer.src.0].max(f.straggle[slot.transfer.dst.0]);
@@ -725,42 +904,29 @@ impl GrantEngine {
                     }
                     slot.started = Some(queue.now());
                     let ev = queue
-                        .schedule_in(dur, Ev::Complete(id))
+                        .schedule_in(dur, Ev::Complete(w.id))
                         .expect("transfer duration is a finite forward delay");
                     if let Some(f) = faults.as_deref_mut() {
-                        f.in_flight[id] = Some(ev);
+                        f.in_flight[w.id] = Some(ev);
                     }
                     *active += 1;
                     *peak = (*peak).max(*active);
-                    *peak_wavelength = (*peak_wavelength).max(occ.peak_wavelengths_used());
                     if *arbitrated {
                         jobs[slot.job].service += dur * slot.transfer.lanes as f64;
                     }
-                    granted[id] = true;
+                    w.granted = true;
                     any_granted = true;
                     continue;
                 }
             }
-            for &s in &slot.path.segments {
-                if !claimed[d][s] {
-                    claimed[d][s] = true;
-                    claimed_set.push((d, s));
-                }
-            }
+            claimed[d].insert(w.first, w.hops, n);
         }
         if any_granted {
-            waiting.retain(|&id| {
-                let g = granted[id];
-                if g {
-                    granted[id] = false;
-                }
-                !g
-            });
+            waiting.retain(|w| !w.granted);
         }
-        for &(d, s) in claimed_set.iter() {
-            claimed[d][s] = false;
+        for set in claimed {
+            set.0.fill(0);
         }
-        claimed_set.clear();
     }
 
     /// Drain the accumulated outcome records, oldest first.
@@ -800,10 +966,11 @@ impl GrantEngine {
 
     /// # Errors
     /// [`OpticalError::WavelengthsExhausted`] (the stepped path's error
-    /// value) when the engine went idle with a waiter whose lane demand can
-    /// never be granted.
+    /// value, naming the lowest-order-key waiter) when the engine went idle
+    /// with a waiter whose lane demand can never be granted.
     pub fn check_stuck(&self) -> Result<()> {
-        match self.waiting.first().and_then(|&id| self.slots[id].as_ref()) {
+        let first = self.waiting.iter().min_by_key(|w| w.order);
+        match first.and_then(|w| self.slots[w.id].as_ref()) {
             Some(s) => Err(OpticalError::WavelengthsExhausted {
                 available: self.wavelengths,
                 requested: s.transfer.lanes,
@@ -828,7 +995,7 @@ impl GrantEngine {
             jobs: self.jobs.clone(),
             job_free: self.job_free.clone(),
             next_order: self.next_order,
-            waiting: self.waiting.clone(),
+            waiting: self.waiting_by_order(),
             pending: self
                 .queue
                 .pending()
@@ -842,14 +1009,24 @@ impl GrantEngine {
         }
     }
 
+    /// The waiters' slots in order-key order, as snapshots list them.
+    fn waiting_by_order(&self) -> Vec<usize> {
+        let mut by_order: Vec<(u64, usize)> =
+            self.waiting.iter().map(|w| (w.order, w.id)).collect();
+        by_order.sort_unstable();
+        by_order.into_iter().map(|(_, id)| id).collect()
+    }
+
     /// Rebuild an engine from a snapshot taken on an identically configured
     /// engine. The resumed run is byte-identical to the uninterrupted one.
     ///
     /// # Errors
     /// Rejects unknown snapshot versions, invalid configurations and
-    /// images that do not fit the engine: out-of-range or dead slot, job,
-    /// lane and segment references, free and waiting lists that disagree
-    /// with the live slots, and in-flight transfers sharing a lane.
+    /// images that do not fit the engine: out-of-range or dead slot, job
+    /// and lane references, free and waiting lists that disagree with the
+    /// live slots, paths that are not their transfer's route, lane holdings
+    /// other than exactly `lanes` distinct lanes per in-flight transfer and
+    /// none otherwise, and in-flight transfers sharing a lane.
     pub fn restore(
         config: &OpticalConfig,
         strategy: Strategy,
@@ -890,13 +1067,14 @@ impl GrantEngine {
         eng.jobs = snap.jobs.clone();
         eng.job_free = snap.job_free.clone();
         eng.next_order = snap.next_order;
-        eng.waiting = snap.waiting.clone();
+        for &id in &snap.waiting {
+            eng.enqueue_waiting(id);
+        }
         eng.completions = snap.completions.clone();
         eng.events_base = snap.events;
         eng.peak = snap.peak;
         eng.peak_wavelength = snap.peak_wavelength;
         eng.makespan = snap.makespan;
-        eng.granted = vec![false; eng.slots.len()];
         Ok(eng)
     }
 }
@@ -909,37 +1087,58 @@ fn check_snapshot(
     eng: &GrantEngine,
     snap: &GrantEngineSnapshot,
 ) -> std::result::Result<(), &'static str> {
-    let (n, nodes) = (snap.slots.len(), eng.topo.nodes());
+    let n = snap.slots.len();
     let live = |id: usize| snap.slots.get(id).is_some_and(Option::is_some);
     let dead = (0..n).filter(|&id| !live(id)).count();
     if !distinct(&snap.free, n, |id| !live(id)) || snap.free.len() != dead {
         return Err("snapshot free list disagrees with the dead slots");
     }
-    if !distinct(&snap.waiting, n, live) || !distinct(&snap.job_free, snap.jobs.len(), |_| true) {
-        return Err("snapshot waiting or job free list names a dead or repeated entry");
+    // A live slot has at most one pending event: its gate, or its
+    // completion while it is in flight. A waiter has none.
+    let mut scheduled: Vec<Option<Ev>> = vec![None; n];
+    for &(_, ev) in &snap.pending {
+        let (Ev::Gate(id) | Ev::Complete(id)) = ev else {
+            return Err("snapshot event is a fault");
+        };
+        if !live(id) || scheduled[id].replace(ev).is_some() {
+            return Err("snapshot event names a dead slot, or a slot twice");
+        }
+    }
+    let idle = |id: usize| live(id) && scheduled[id].is_none();
+    if !distinct(&snap.waiting, n, idle) || !distinct(&snap.job_free, snap.jobs.len(), |_| true) {
+        return Err("snapshot waiting or job free list names a dead, scheduled or repeated entry");
     }
     let mut refs = vec![0usize; n];
-    for s in snap.slots.iter().flatten() {
+    for (id, s) in snap.slots.iter().enumerate() {
+        let Some(s) = s else { continue };
         if s.order >= snap.next_order
             || !(s.release_s.is_finite() && s.release_s >= 0.0)
             || (eng.arbitrated && s.job >= snap.jobs.len())
             || s.transfer.lanes == 0
             || s.transfer.lanes > eng.wavelengths
-            || s.assigned.iter().any(|l| l.0 >= eng.wavelengths)
-            || s.path.segments.iter().any(|&seg| seg >= nodes)
             || !s.dependents.iter().all(|&d| live(d))
         {
-            return Err("snapshot slot has a bad release or names an unknown order key, job, lane, segment or slot");
+            return Err(
+                "snapshot slot has a bad release or names an unknown order key, job or slot",
+            );
+        }
+        if s.transfer.resolve(&eng.topo).ok().as_ref() != Some(&s.path) {
+            return Err("snapshot slot's path is not its transfer's route");
+        }
+        let lanes: Vec<usize> = s.assigned.iter().map(|l| l.0).collect();
+        let held = if matches!(scheduled[id], Some(Ev::Complete(_))) {
+            s.transfer.lanes
+        } else {
+            0
+        };
+        if lanes.len() != held || !distinct(&lanes, eng.wavelengths, |_| true) {
+            return Err("snapshot slot holds other than its transfer's lanes while in flight, or lanes while not");
         }
         s.dependents.iter().for_each(|&d| refs[d] += 1);
     }
     let over = |(slot, &r): (&Option<Slot>, &usize)| slot.as_ref().is_some_and(|s| r > s.missing);
     if snap.slots.iter().zip(&refs).any(over) {
         return Err("snapshot slot has more live predecessors than missing edges");
-    }
-    let event_ok = |(_, ev): &(f64, Ev)| matches!(*ev, Ev::Gate(id) | Ev::Complete(id) if live(id));
-    if !snap.pending.iter().all(event_ok) {
-        return Err("snapshot event names a dead slot or a fault");
     }
     Ok(())
 }
@@ -1085,13 +1284,36 @@ mod tests {
         ])
         .unwrap();
         eng.step();
+        // Slot 0 (0 -> 2 clockwise, one lane) is in flight; slot 1 waits
+        // for it.
         let good = eng.snapshot();
-        let corruptions: [fn(&mut GrantEngineSnapshot); 5] = [
+        fn slot(s: &mut GrantEngineSnapshot, id: usize) -> &mut Slot {
+            s.slots[id].as_mut().unwrap()
+        }
+        let corruptions: [fn(&mut GrantEngineSnapshot); 16] = [
             |s| s.waiting.push(999),
             |s| s.free.push(0),
             |s| s.pending.push((1.0, Ev::Complete(7))),
-            |s| s.slots[0].as_mut().unwrap().assigned.push(Wavelength(9)),
-            |s| s.slots[1].as_mut().unwrap().dependents.push(0),
+            |s| slot(s, 0).assigned.push(Wavelength(9)),
+            |s| slot(s, 1).dependents.push(0),
+            // Paths that are not the transfer's route.
+            |s| slot(s, 0).path.segments = vec![0, 2],
+            |s| slot(s, 0).path.segments = vec![1, 2],
+            |s| slot(s, 0).path.segments.clear(),
+            |s| slot(s, 0).path.direction = Direction::CounterClockwise,
+            // In flight without exactly `lanes` distinct lanes.
+            |s| slot(s, 0).assigned.clear(),
+            |s| slot(s, 0).assigned.push(Wavelength(1)),
+            |s| {
+                slot(s, 0).transfer.lanes = 2;
+                slot(s, 0).assigned.push(Wavelength(0));
+            },
+            // Lanes held while not in flight.
+            |s| slot(s, 1).assigned.push(Wavelength(1)),
+            // A waiter or a slot with a second pending event.
+            |s| s.waiting.push(0),
+            |s| s.pending.push((1.0, Ev::Gate(0))),
+            |s| s.pending.push((1.0, Ev::Fault(0))),
         ];
         for corrupt in corruptions {
             let mut snap = good.clone();

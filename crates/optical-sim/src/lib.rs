@@ -76,7 +76,7 @@ pub mod prelude {
     pub use crate::timing::TimingModel;
     pub use crate::topology::{Direction, NodeId, RingTopology};
     pub use crate::trace::{run_stepped_traced, RunTrace, TraceEntry};
-    pub use crate::wavelength::{Wavelength, WavelengthSet};
+    pub use crate::wavelength::Wavelength;
 }
 
 pub use config::OpticalConfig;
@@ -88,4 +88,4 @@ pub use rwa::{Occupancy, Strategy};
 pub use sim::{JobArbitration, RingSimulator, StepReport, StepSchedule, StepSource};
 pub use timing::TimingModel;
 pub use topology::{Direction, NodeId, RingTopology};
-pub use wavelength::{Wavelength, WavelengthSet};
+pub use wavelength::Wavelength;

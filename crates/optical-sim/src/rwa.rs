@@ -15,8 +15,9 @@
 use crate::error::{OpticalError, Result};
 use crate::path::LightPath;
 use crate::topology::Direction;
-use crate::wavelength::{Wavelength, WavelengthSet};
+use crate::wavelength::Wavelength;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Wavelength assignment heuristic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -37,16 +38,33 @@ impl std::fmt::Display for Strategy {
 }
 
 /// Per-direction, per-segment wavelength occupancy for one scheduling round.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Lanes are bit masks: each direction holds one flat array of
+/// `words × segments` 64-bit words (`words = ⌈w / 64⌉`), where word `k` of
+/// segment `s`, at `k * segments + s`, marks lanes `64k..64k + 63` busy on
+/// that span. Failed lanes form one more mask. [`Occupancy::assign`] ORs
+/// the path's segment words once per word it needs, so a path costs `hops`
+/// word loads per 64 lanes instead of one membership test per lane per
+/// hop, and on an arc those loads are one or two contiguous runs.
+#[derive(Debug, Clone)]
 pub struct Occupancy {
+    segments: usize,
     wavelengths: usize,
-    /// `used[dir][segment]` = set of wavelengths busy on that segment.
-    used: [Vec<WavelengthSet>; 2],
+    /// 64-bit words per lane mask.
+    words: usize,
+    /// `used[dir][k * segments + segment]` = word `k` of the lanes busy on
+    /// that segment.
+    used: [Vec<u64>; 2],
     /// `load[dir][lambda]` = number of segments where lambda is busy.
     load: [Vec<usize>; 2],
-    /// `down[lambda]` = the wavelength is administratively failed and admits
-    /// no new lightpaths (fault injection; always all-false on clean runs).
-    down: Vec<bool>,
+    /// Lanes administratively failed, which admit no new lightpaths (fault
+    /// injection; all clear on clean runs).
+    down: Vec<u64>,
+    /// Scratch of [`Occupancy::assign`]: the lanes blocked on the path
+    /// (busy on some segment, or failed), one word per mask word.
+    blocked: Vec<u64>,
+    /// Scratch of Best-Fit: the path's free lanes, sorted into load order.
+    order: Vec<usize>,
 }
 
 fn dir_index(d: Direction) -> usize {
@@ -56,17 +74,67 @@ fn dir_index(d: Direction) -> usize {
     }
 }
 
+/// The segments of `path`, as runs of consecutive segment indices.
+fn path_runs(path: &LightPath) -> impl Iterator<Item = Range<usize>> + Clone + '_ {
+    path.segments.iter().map(|&s| s..s + 1)
+}
+
+/// The first segment, counted clockwise, of the routed `path`: the source
+/// going clockwise, the destination going counter-clockwise. With its hop
+/// count it names the path's arc (see [`Occupancy::assign_arc`]).
+pub(crate) fn arc_start(path: &LightPath) -> usize {
+    match path.direction {
+        Direction::Clockwise => path.src.0,
+        Direction::CounterClockwise => path.dst.0,
+    }
+}
+
+/// The segments of the arc `first..first + hops` on a ring of `n`
+/// segments, counted clockwise from `first` and wrapping past `n - 1`: one
+/// run, or two when it wraps.
+pub(crate) fn arc_runs(
+    first: usize,
+    hops: usize,
+    n: usize,
+) -> impl Iterator<Item = Range<usize>> + Clone {
+    let end = first + hops;
+    [first..end.min(n), 0..end.saturating_sub(n)].into_iter()
+}
+
+/// The clear bits of the lane mask `mask`, lowest first, as lane indices.
+fn clear_bits(mask: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    mask.iter().enumerate().flat_map(|(k, &word)| {
+        let mut bits = !word;
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let b = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                64 * k + b
+            })
+        })
+    })
+}
+
+/// Word index and bit of `lambda` in a lane mask.
+fn lane_bit(lambda: Wavelength) -> (usize, u64) {
+    (lambda.0 / 64, 1 << (lambda.0 % 64))
+}
+
 impl Occupancy {
     /// Fresh, fully idle occupancy for a ring with `segments` spans and
     /// `wavelengths` channels per waveguide.
     #[must_use]
     pub fn new(segments: usize, wavelengths: usize) -> Self {
-        let mk = || vec![WavelengthSet::with_capacity(wavelengths); segments];
+        let words = wavelengths.div_ceil(64);
         Self {
+            segments,
             wavelengths,
-            used: [mk(), mk()],
+            words,
+            used: [vec![0; segments * words], vec![0; segments * words]],
             load: [vec![0; wavelengths], vec![0; wavelengths]],
-            down: vec![false; wavelengths],
+            down: vec![0; words],
+            blocked: vec![0; words],
+            order: Vec::new(),
         }
     }
 
@@ -74,13 +142,13 @@ impl Occupancy {
     /// failed), keeping the allocations: a stepped run reuses one occupancy
     /// for all its steps.
     pub(crate) fn clear(&mut self) {
-        for set in self.used.iter_mut().flatten() {
-            set.clear();
+        for used in &mut self.used {
+            used.fill(0);
         }
         for load in &mut self.load {
             load.fill(0);
         }
-        self.down.fill(false);
+        self.down.fill(0);
     }
 
     /// Number of wavelengths per waveguide.
@@ -92,51 +160,68 @@ impl Occupancy {
     /// Is `lambda` free on every segment of `path`?
     #[must_use]
     pub fn is_free(&self, path: &LightPath, lambda: Wavelength) -> bool {
-        if self.down[lambda.0] {
-            return false;
-        }
-        let d = dir_index(path.direction);
-        path.segments
-            .iter()
-            .all(|&s| !self.used[d][s].contains(lambda))
+        let (k, bit) = lane_bit(lambda);
+        let row = self.row(dir_index(path.direction), k);
+        self.down[k] & bit == 0 && path.segments.iter().all(|&s| row[s] & bit == 0)
+    }
+
+    /// Word `k` of the lane masks of every segment, in direction `d`.
+    fn row(&self, d: usize, k: usize) -> &[u64] {
+        &self.used[d][k * self.segments..(k + 1) * self.segments]
     }
 
     /// Mark `lambda` failed: it admits no new lightpaths until
     /// [`Occupancy::set_lane_up`]. Existing occupancy is untouched — the
     /// caller decides what happens to in-flight holders.
     pub fn set_lane_down(&mut self, lambda: Wavelength) {
-        self.down[lambda.0] = true;
+        let (k, bit) = lane_bit(lambda);
+        self.down[k] |= bit;
     }
 
     /// Repair `lambda` after a [`Occupancy::set_lane_down`].
     pub fn set_lane_up(&mut self, lambda: Wavelength) {
-        self.down[lambda.0] = false;
+        let (k, bit) = lane_bit(lambda);
+        self.down[k] &= !bit;
     }
 
     /// Is `lambda` currently failed?
     #[must_use]
     pub fn is_lane_down(&self, lambda: Wavelength) -> bool {
-        self.down[lambda.0]
+        let (k, bit) = lane_bit(lambda);
+        self.down[k] & bit != 0
     }
 
     /// Mark `lambda` busy along `path`.
     pub fn occupy(&mut self, path: &LightPath, lambda: Wavelength) {
-        let d = dir_index(path.direction);
-        for &s in &path.segments {
-            debug_assert!(
-                !self.used[d][s].contains(lambda),
-                "double-occupying {lambda} on segment {s}"
-            );
-            self.used[d][s].insert(lambda);
+        self.occupy_on(dir_index(path.direction), path_runs(path), lambda);
+    }
+
+    fn occupy_on(
+        &mut self,
+        d: usize,
+        runs: impl Iterator<Item = Range<usize>>,
+        lambda: Wavelength,
+    ) {
+        let (k, bit) = lane_bit(lambda);
+        let row = &mut self.used[d][k * self.segments..(k + 1) * self.segments];
+        let mut hops = 0;
+        for run in runs {
+            hops += run.len();
+            for word in &mut row[run] {
+                debug_assert!(*word & bit == 0, "double-occupying {lambda}");
+                *word |= bit;
+            }
         }
-        self.load[d][lambda.0] += path.segments.len();
+        self.load[d][lambda.0] += hops;
     }
 
     /// Release `lambda` along `path` (event-driven mode).
     pub fn release(&mut self, path: &LightPath, lambda: Wavelength) {
         let d = dir_index(path.direction);
+        let (k, bit) = lane_bit(lambda);
+        let row = &mut self.used[d][k * self.segments..(k + 1) * self.segments];
         for &s in &path.segments {
-            self.used[d][s].remove(lambda);
+            row[s] &= !bit;
         }
         self.load[d][lambda.0] = self.load[d][lambda.0].saturating_sub(path.segments.len());
     }
@@ -169,73 +254,103 @@ impl Occupancy {
     ///
     /// On success the lanes are recorded as busy and returned in assignment
     /// order. Fails with [`OpticalError::WavelengthsExhausted`] when fewer
-    /// than `lanes` channels are free along the whole path.
+    /// than `lanes` channels are free along the whole path; a failed call
+    /// allocates nothing and changes nothing.
     pub fn assign(
         &mut self,
         path: &LightPath,
         lanes: usize,
         strategy: Strategy,
     ) -> Result<Vec<Wavelength>> {
+        self.assign_on(dir_index(path.direction), path_runs(path), lanes, strategy)
+    }
+
+    /// [`Occupancy::assign`] on the arc of `hops` segments clockwise from
+    /// segment `first` on the `direction` waveguide — the segments of a
+    /// routed lightpath, which need not be at hand.
+    pub(crate) fn assign_arc(
+        &mut self,
+        direction: Direction,
+        first: usize,
+        hops: usize,
+        lanes: usize,
+        strategy: Strategy,
+    ) -> Result<Vec<Wavelength>> {
+        let runs = arc_runs(first, hops, self.segments);
+        self.assign_on(dir_index(direction), runs, lanes, strategy)
+    }
+
+    fn assign_on(
+        &mut self,
+        d: usize,
+        runs: impl Iterator<Item = Range<usize>> + Clone,
+        lanes: usize,
+        strategy: Strategy,
+    ) -> Result<Vec<Wavelength>> {
         if lanes == 0 {
             return Err(OpticalError::ZeroLanes);
         }
-        let picked = match strategy {
-            Strategy::FirstFit => self.first_free(path, lanes, 0..self.wavelengths),
-            Strategy::BestFit => {
-                let d = dir_index(path.direction);
-                let mut idx: Vec<usize> = (0..self.wavelengths).collect();
-                // Busiest-elsewhere first; stable tie-break on index.
-                idx.sort_by(|&a, &b| self.load[d][b].cmp(&self.load[d][a]).then(a.cmp(&b)));
-                self.first_free(path, lanes, idx.into_iter())
-            }
+        // First Fit needs only the words up to its `lanes`-th free lane;
+        // Best Fit ranks every free lane.
+        let needed = match strategy {
+            Strategy::FirstFit => lanes,
+            Strategy::BestFit => usize::MAX,
         };
-        if picked.len() < lanes {
+        let (words, free) = self.block(d, runs.clone(), needed);
+        if free < lanes {
             return Err(OpticalError::WavelengthsExhausted {
                 available: self.wavelengths,
                 requested: lanes,
                 step: 0,
             });
         }
+        let free_lanes = clear_bits(&self.blocked[..words]);
+        let mut picked = Vec::with_capacity(lanes);
+        match strategy {
+            Strategy::FirstFit => picked.extend(free_lanes.take(lanes).map(Wavelength)),
+            Strategy::BestFit => {
+                let load = &self.load[d];
+                self.order.clear();
+                self.order.extend(free_lanes);
+                // Busiest-elsewhere first; tie-break on index.
+                self.order
+                    .sort_unstable_by(|&a, &b| load[b].cmp(&load[a]).then(a.cmp(&b)));
+                picked.extend(self.order[..lanes].iter().copied().map(Wavelength));
+            }
+        }
         for &lambda in &picked {
-            self.occupy(path, lambda);
+            self.occupy_on(d, runs.clone(), lambda);
         }
         Ok(picked)
     }
 
-    /// Up to `lanes` wavelengths free along `path`, the first ones in
-    /// `order`.
-    fn first_free(
-        &self,
-        path: &LightPath,
-        lanes: usize,
-        order: impl Iterator<Item = usize>,
-    ) -> Vec<Wavelength> {
-        let mut picked = Vec::with_capacity(lanes);
-        for lambda in order.map(Wavelength) {
-            if picked.len() == lanes {
-                break;
-            }
-            if self.is_free(path, lambda) {
-                picked.push(lambda);
+    /// Fill `blocked` with the lanes unusable on the segment `runs` of
+    /// direction `d` — busy on any of them, failed, or past the channel
+    /// count — word by word, stopping once `needed` free lanes are found.
+    /// Returns the words filled and the free lanes they hold.
+    fn block(
+        &mut self,
+        d: usize,
+        runs: impl Iterator<Item = Range<usize>> + Clone,
+        needed: usize,
+    ) -> (usize, usize) {
+        let words = self.words;
+        let mut free = 0;
+        for k in 0..words {
+            let tail = self.wavelengths - 64 * k;
+            let edge = if tail < 64 { !0 << tail } else { 0 };
+            let row = self.row(d, k);
+            let blocked = runs.clone().fold(self.down[k] | edge, |acc, run| {
+                row[run].iter().fold(acc, |acc, &word| acc | word)
+            });
+            self.blocked[k] = blocked;
+            free += blocked.count_zeros() as usize;
+            if free >= needed {
+                return (k + 1, free);
             }
         }
-        picked
+        (words, free)
     }
-}
-
-/// Assign every path of a batch, returning per-path lane lists.
-///
-/// All paths are placed into one shared occupancy — this is exactly one
-/// communication *step* of a stepped schedule.
-pub fn assign_batch(
-    occ: &mut Occupancy,
-    paths: &[(LightPath, usize)],
-    strategy: Strategy,
-) -> Result<Vec<Vec<Wavelength>>> {
-    paths
-        .iter()
-        .map(|(p, lanes)| occ.assign(p, *lanes, strategy))
-        .collect()
 }
 
 #[cfg(test)]
@@ -347,6 +462,27 @@ mod tests {
     }
 
     #[test]
+    fn arcs_cover_exactly_the_routed_segments() {
+        for n in 2..12 {
+            let t = RingTopology::new(n);
+            for (a, b) in (0..n).flat_map(|a| (0..n).map(move |b| (a, b))) {
+                for d in Direction::BOTH {
+                    if a == b {
+                        continue;
+                    }
+                    let p = path(&t, a, b, d);
+                    let mut arc: Vec<usize> =
+                        arc_runs(arc_start(&p), p.hops(), n).flatten().collect();
+                    let mut routed = p.segments.clone();
+                    arc.sort_unstable();
+                    routed.sort_unstable();
+                    assert_eq!(arc, routed, "{a} -> {b} {d:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn down_lanes_admit_no_new_paths_until_repaired() {
         let t = RingTopology::new(8);
         let mut occ = Occupancy::new(8, 2);
@@ -362,20 +498,5 @@ mod tests {
         occ.set_lane_up(Wavelength(0));
         assert!(!occ.is_lane_down(Wavelength(0)));
         occ.assign(&q, 2, Strategy::FirstFit).unwrap();
-    }
-
-    #[test]
-    fn assign_batch_matches_sequential() {
-        let t = RingTopology::new(16);
-        let mut occ = Occupancy::new(16, 8);
-        let batch = vec![
-            (path(&t, 0, 4, Direction::Clockwise), 1),
-            (path(&t, 1, 3, Direction::Clockwise), 2),
-            (path(&t, 8, 12, Direction::Clockwise), 1),
-        ];
-        let lanes = assign_batch(&mut occ, &batch, Strategy::FirstFit).unwrap();
-        assert_eq!(lanes[0], vec![Wavelength(0)]);
-        assert_eq!(lanes[1], vec![Wavelength(1), Wavelength(2)]);
-        assert_eq!(lanes[2], vec![Wavelength(0)]);
     }
 }

@@ -4,8 +4,94 @@ use optical_sim::conflict::{congestion_lower_bound, greedy_wavelength_bound, val
 use optical_sim::path::LightPath;
 use optical_sim::rwa::{Occupancy, Strategy as Rwa};
 use optical_sim::topology::{Direction, NodeId, RingTopology};
-use optical_sim::{OpticalConfig, RingSimulator, StepSchedule, Transfer};
+use optical_sim::{OpticalConfig, OpticalError, RingSimulator, StepSchedule, Transfer, Wavelength};
 use proptest::prelude::*;
+
+/// Per-lane reference for [`Occupancy`]: one flag per direction, segment
+/// and lane, and an assignment that tests one lane at a time — in index
+/// order for First Fit, in load order (busiest first, index on ties) for
+/// Best Fit.
+struct LaneGrid {
+    w: usize,
+    /// `busy[dir][segment][lane]`.
+    busy: [Vec<Vec<bool>>; 2],
+    /// `load[dir][lane]` = segments where the lane is busy.
+    load: [Vec<usize>; 2],
+    down: Vec<bool>,
+}
+
+impl LaneGrid {
+    fn new(n: usize, w: usize) -> Self {
+        let grid = || vec![vec![false; w]; n];
+        Self {
+            w,
+            busy: [grid(), grid()],
+            load: [vec![0; w], vec![0; w]],
+            down: vec![false; w],
+        }
+    }
+
+    fn dir(path: &LightPath) -> usize {
+        usize::from(path.direction == Direction::CounterClockwise)
+    }
+
+    fn is_free(&self, path: &LightPath, lane: usize) -> bool {
+        let d = Self::dir(path);
+        !self.down[lane] && path.segments.iter().all(|&s| !self.busy[d][s][lane])
+    }
+
+    fn set(&mut self, path: &LightPath, lane: usize, busy: bool) {
+        let d = Self::dir(path);
+        for &s in &path.segments {
+            self.busy[d][s][lane] = busy;
+        }
+        if busy {
+            self.load[d][lane] += path.hops();
+        } else {
+            self.load[d][lane] -= path.hops();
+        }
+    }
+
+    fn assign(
+        &mut self,
+        path: &LightPath,
+        lanes: usize,
+        strategy: Rwa,
+    ) -> Result<Vec<Wavelength>, OpticalError> {
+        if lanes == 0 {
+            return Err(OpticalError::ZeroLanes);
+        }
+        let mut order: Vec<usize> = (0..self.w).collect();
+        if strategy == Rwa::BestFit {
+            let load = &self.load[Self::dir(path)];
+            order.sort_by(|&a, &b| load[b].cmp(&load[a]).then(a.cmp(&b)));
+        }
+        let picked: Vec<usize> = order
+            .into_iter()
+            .filter(|&l| self.is_free(path, l))
+            .take(lanes)
+            .collect();
+        if picked.len() < lanes {
+            return Err(OpticalError::WavelengthsExhausted {
+                available: self.w,
+                requested: lanes,
+                step: 0,
+            });
+        }
+        for &l in &picked {
+            self.set(path, l, true);
+        }
+        Ok(picked.into_iter().map(Wavelength).collect())
+    }
+
+    fn peak(&self) -> usize {
+        (0..self.w)
+            .filter(|&l| self.load[0][l] + self.load[1][l] > 0)
+            .map(|l| l + 1)
+            .max()
+            .unwrap_or(0)
+    }
+}
 
 fn arb_direction() -> impl Strategy<Value = Direction> {
     prop_oneof![
@@ -158,5 +244,63 @@ proptest! {
         let r = sim.run_event_driven(&released).unwrap();
         prop_assert!(r.makespan_s >= longest - 1e-12);
         prop_assert!(r.makespan_s <= serial + 1e-12);
+    }
+
+    /// The lane-mask occupancy picks the same lanes as the per-lane
+    /// reference, or fails with the same error, through random occupy,
+    /// release and lane-down sequences. Lane counts straddle the 64-bit
+    /// word boundary, arcs wrap in both directions, and demands run from
+    /// one lane to one more than the ring has.
+    #[test]
+    fn lane_masks_match_the_per_lane_reference(
+        n in 2usize..40,
+        w in prop_oneof![Just(1usize), Just(63usize), Just(64usize), Just(65usize), Just(130usize)],
+        ops in proptest::collection::vec(
+            (0usize..10, 0usize..40, 0usize..40, arb_direction(), 0usize..1000, proptest::bool::ANY),
+            1..60,
+        ),
+    ) {
+        let t = RingTopology::new(n);
+        let mut occ = Occupancy::new(n, w);
+        let mut grid = LaneGrid::new(n, w);
+        let mut held: Vec<(LightPath, Vec<Wavelength>)> = Vec::new();
+        for (kind, a, b, dir, x, best_fit) in ops {
+            let (a, b) = (a % n, (a + 1 + b % (n - 1)) % n);
+            let path = LightPath::routed(&t, NodeId(a), NodeId(b), dir);
+            match kind {
+                0..=5 => {
+                    let lanes = 1 + x % (w + 1);
+                    let strategy = if best_fit { Rwa::BestFit } else { Rwa::FirstFit };
+                    let got = occ.assign(&path, lanes, strategy);
+                    prop_assert_eq!(&got, &grid.assign(&path, lanes, strategy));
+                    if let Ok(lambdas) = got {
+                        held.push((path.clone(), lambdas));
+                    }
+                }
+                6 | 7 => {
+                    if !held.is_empty() {
+                        let (p, lambdas) = held.swap_remove(x % held.len());
+                        for l in lambdas {
+                            occ.release(&p, l);
+                            grid.set(&p, l.0, false);
+                        }
+                    }
+                }
+                _ => {
+                    let lane = Wavelength(x % w);
+                    if kind == 8 {
+                        occ.set_lane_down(lane);
+                    } else {
+                        occ.set_lane_up(lane);
+                    }
+                    grid.down[lane.0] = kind == 8;
+                }
+            }
+            for l in 0..w {
+                prop_assert_eq!(occ.is_free(&path, Wavelength(l)), grid.is_free(&path, l));
+                prop_assert_eq!(occ.is_lane_down(Wavelength(l)), grid.down[l]);
+            }
+            prop_assert_eq!(occ.peak_wavelengths_used(), grid.peak());
+        }
     }
 }
