@@ -35,10 +35,12 @@
 
 use std::time::Instant; // wrht-analyze: allow(r2, reason = "the perf harness is the one sanctioned wall-clock site; wall time is measured, never fed back into simulation state")
 
+use electrical_sim::FluidEngine;
 use optical_sim::sim::StepSchedule;
 use optical_sim::{NodeId, Transfer};
 use serde::{Deserialize, Serialize};
 use wrht_core::dag::DepSchedule;
+use wrht_core::engine::run_closed;
 use wrht_core::error::Result;
 use wrht_core::stream::{ArrivalProcess, StreamSpec, StreamTemplate};
 use wrht_core::tenancy::{Job, JobWorkload, SchedPolicy, TenancySpec};
@@ -229,24 +231,18 @@ pub fn tenancy_workload(n: usize) -> (ExperimentConfig, TenancySpec) {
 /// The frozen incast workload: `waves` staggered waves of 127 flows into
 /// host 0 on a 128-host star.
 #[must_use]
-pub fn incast_flows(waves: usize, bytes: u64) -> Vec<electrical_sim::runner::DagFlow> {
+pub fn incast_flows(waves: usize, bytes: u64) -> DepSchedule {
     let hosts = 128usize;
     let mut flows = Vec::with_capacity(waves * (hosts - 1));
     for w in 0..waves {
         for src in 1..hosts {
-            flows.push(electrical_sim::runner::DagFlow {
-                src,
-                dst: 0,
-                bytes,
-                // Waves 20 ms apart; sources staggered 100 us within a wave
-                // so arrivals trickle in instead of coalescing to one event.
-                release_s: w as f64 * 20e-3 + (src - 1) as f64 * 100e-6,
-                deps: Vec::new(),
-                stage: w,
-            });
+            // Waves 20 ms apart; sources staggered 100 us within a wave so
+            // arrivals trickle in instead of coalescing to one event.
+            let release_s = w as f64 * 20e-3 + (src - 1) as f64 * 100e-6;
+            flows.push((release_s, Transfer::shortest(NodeId(src), NodeId(0), bytes)));
         }
     }
-    flows
+    DepSchedule::from_released(&flows)
 }
 
 /// The frozen pipelined-training workload: one VGG16 iteration's bucket
@@ -366,13 +362,12 @@ pub fn run_suite(scale: SuiteScale, suite: &str, milestone: &str) -> Result<Benc
         let cfg = ExperimentConfig::default();
         let net = cfg.electrical(128);
         let flows = incast_flows(scale.incast_waves, scale.incast_bytes);
-        let (wall_s, report) = time_best(scale.iters, || {
-            electrical_sim::runner::run_dag_event_driven(
-                &net,
-                &flows,
-                cfg.electrical_step_overhead_s,
-            )
-            .expect("frozen incast workload executes")
+        let (wall_s, (makespan_s, events)) = time_best(scale.iters, || {
+            let mut eng = FluidEngine::new(&net).with_launch_delay(cfg.electrical_step_overhead_s);
+            let outcomes =
+                run_closed(&mut eng, &flows, None).expect("frozen incast workload executes");
+            let makespan_s = outcomes.iter().fold(0.0f64, |m, o| m.max(o.finish_s));
+            (makespan_s, eng.events())
         });
         cases.push(case_result(
             "incast128/electrical".to_string(),
@@ -380,8 +375,8 @@ pub fn run_suite(scale: SuiteScale, suite: &str, milestone: &str) -> Result<Benc
             flows.len(),
             scale.iters,
             wall_s,
-            report.makespan_s,
-            report.events,
+            makespan_s,
+            events,
         ));
     }
 

@@ -38,9 +38,19 @@ use serde::{Deserialize, Serialize};
 
 pub use wrht_kernel::{FaultError, FaultEvent, FaultKind, FaultLimits, FaultPolicy, FaultScript};
 
-/// Per-transfer outcome of a faulted run, common to both substrates. One
-/// shared definition — the optical closed driver already reports it.
-pub use optical_sim::sim::FaultOutcome as FaultTiming;
+/// Per-transfer outcome of a faulted run, common to every substrate (on the
+/// optical ring, the start is the last wavelength grant).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+pub struct FaultTiming {
+    /// Instant of the (last) start, seconds; 0 if never started.
+    pub start_s: f64,
+    /// Completion instant, seconds; 0 if the transfer never completed.
+    pub finish_s: f64,
+    /// Times the transfer was aborted mid-flight by a fault.
+    pub aborts: u32,
+    /// Did the transfer complete?
+    pub completed: bool,
+}
 
 /// Substrate-independent result of executing a [`crate::dag::DepSchedule`]
 /// under a [`FaultScript`].

@@ -41,11 +41,15 @@
 //! # Flat collapse
 //!
 //! A [`HierSpec`] with `groups == 1` has no inter-group traffic at all —
-//! every transfer's endpoints share the single group. Every execution
-//! method then delegates verbatim to the flat intra substrate, so a
-//! single-group composed run is **bit-exact** with today's flat runs (the
-//! report carries the flat substrate's own label). This collapse is
+//! every transfer's endpoints share the single group. The composed
+//! substrate is then the flat intra substrate: it carries that
+//! substrate's name, its stepped and closed DAG runs delegate to it, and
+//! its engine is the intra fabric's engine, so fault and stream runs drive
+//! exactly the engine the flat substrate would. A single-group composed run
+//! is **bit-exact** with the flat run, label included; this collapse is
 //! pinned by `tests/hierarchy_differential.rs` on both fabric orders.
+//! With several groups there is no single engine: fault and stream runs
+//! are rejected with one typed error.
 //!
 //! # Determinism
 //!
@@ -95,19 +99,17 @@
 //! assert!(report.transfers[1].start_s >= report.transfers[0].finish_s);
 //! ```
 
-use electrical_sim::{FluidEngine, Network};
+use electrical_sim::Network;
 use optical_sim::sim::StepSource;
-use optical_sim::{GrantEngine, NodeId, OpticalConfig, OpticalError, Strategy, Transfer};
-use serde::{Deserialize, Serialize};
+use optical_sim::{NodeId, OpticalConfig, OpticalError, Strategy, Transfer};
+use serde::{Deserialize, Serialize, Value};
 
 use crate::dag::{DepSchedule, DepTransfer};
-use crate::engine::{Completion, FabricEngine};
+use crate::engine::{check_jobs, Completion, FabricEngine};
 use crate::error::Result;
-use crate::fault::{FaultPolicy, FaultRunReport, FaultScript};
-use crate::stream::{StreamCheckpoint, StreamOutcome, StreamSpec};
 use crate::substrate::{
-    DagRunReport, DagTiming, ElectricalSubstrate, OpticalSubstrate, RunReport, StepTiming,
-    Substrate,
+    fluid_engine, grant_engine, DagRunReport, DagTiming, ElectricalSubstrate, OpticalSubstrate,
+    RunReport, StepTiming, Substrate,
 };
 use crate::tenancy::{JobArbitration, TenantDagRun};
 
@@ -316,8 +318,6 @@ struct Member<'a> {
     /// Global id of the fabric's host 0 (group * group_size; 0 for the
     /// inter fabric).
     node_base: usize,
-    /// Launch overhead charged per transfer (see [`FabricEngine::inject`]).
-    delay_s: f64,
     /// Instant of the engine's last processed event. Cross-fabric gates
     /// can lie (slightly) in this engine's past — the fluid engines surface
     /// completions through tolerated stale events, so a finish instant may
@@ -343,32 +343,39 @@ impl Member<'_> {
         };
         let release_s = gate_s.max(self.clock_s);
         self.eng
-            .inject(std::slice::from_ref(&local), release_s, self.delay_s, job)?;
+            .inject(std::slice::from_ref(&local), release_s, &|_| job)?;
         self.dag_index.push(idx);
         Ok(())
     }
 }
 
 impl FabricSpec {
+    /// A fresh engine for one instance of this fabric (the electrical one
+    /// charging its launch overhead), or one restored from a stream
+    /// checkpoint's engine `image`; `arbitrated` and `fair_share` as in
+    /// [`Substrate::engine`].
+    fn engine(
+        &self,
+        arbitrated: bool,
+        fair_share: bool,
+        image: Option<&Value>,
+    ) -> Result<Box<dyn FabricEngine + '_>> {
+        Ok(match self {
+            FabricSpec::Optical { config, strategy } => Box::new(grant_engine(
+                config, *strategy, arbitrated, fair_share, image,
+            )?),
+            FabricSpec::Electrical {
+                network,
+                step_overhead_s,
+            } => Box::new(fluid_engine(network, *step_overhead_s, image)?),
+        })
+    }
+
     /// A fresh engine for one instance of this fabric, with hosts from
     /// global id `node_base` on. `arb` registers the jobs' grant ranks
     /// (arbitrating the optical grant order).
     fn member(&self, node_base: usize, arb: Option<&JobArbitration>) -> Result<Member<'_>> {
-        let (mut eng, delay_s): (Box<dyn FabricEngine + '_>, f64) = match self {
-            FabricSpec::Optical { config, strategy } => (
-                Box::new(GrantEngine::new(
-                    config,
-                    *strategy,
-                    arb.is_some(),
-                    arb.is_some_and(|a| a.fair_share),
-                )?),
-                0.0,
-            ),
-            FabricSpec::Electrical {
-                network,
-                step_overhead_s,
-            } => (Box::new(FluidEngine::new(network)), *step_overhead_s),
-        };
+        let mut eng = self.engine(arb.is_some(), arb.is_some_and(|a| a.fair_share), None)?;
         for &r in arb.map_or(&[][..], |a| &a.rank) {
             eng.add_job(r);
         }
@@ -376,7 +383,6 @@ impl FabricSpec {
             eng,
             dag_index: Vec::new(),
             node_base,
-            delay_s,
             clock_s: 0.0,
         })
     }
@@ -415,7 +421,11 @@ impl ComposedSubstrate {
         if inter.nodes() != spec.nodes() {
             return Err(cfg_err("inter fabric must span every host"));
         }
-        let name = format!("composed({}+{})", intra.label(), inter.label());
+        let name = if spec.groups == 1 {
+            intra.label().to_string()
+        } else {
+            format!("composed({}+{})", intra.label(), inter.label())
+        };
         Ok(Self {
             spec,
             intra,
@@ -442,8 +452,8 @@ impl ComposedSubstrate {
         &self.inter
     }
 
-    /// True when the spec is flat (one group): every execution method
-    /// delegates verbatim to the intra substrate.
+    /// True when the spec is flat (one group): the substrate is the intra
+    /// substrate (see the module docs).
     #[must_use]
     pub fn is_flat(&self) -> bool {
         self.spec.groups == 1
@@ -467,14 +477,7 @@ impl ComposedSubstrate {
                 Domain::Inter => self.spec.groups,
             })
             .collect();
-        if let Some(a) = arb {
-            if a.job_of.len() != dag.len() {
-                return Err(cfg_err("job tags do not cover the schedule"));
-            }
-            if a.job_of.iter().any(|&j| j >= a.rank.len()) {
-                return Err(cfg_err("job tag out of range of the rank table"));
-            }
-        }
+        check_jobs(dag.len(), arb)?;
 
         let mut fabrics: Vec<Member<'_>> = Vec::with_capacity(self.spec.groups + 1);
         for g in 0..self.spec.groups {
@@ -657,76 +660,33 @@ impl Substrate for ComposedSubstrate {
         })
     }
 
-    fn execute_dag(&mut self, dag: &DepSchedule) -> Result<DagRunReport> {
-        if self.is_flat() {
-            return self.flat()?.execute_dag(dag);
+    fn engine(
+        &self,
+        arbitrated: bool,
+        fair_share: bool,
+        image: Option<&Value>,
+    ) -> Result<Box<dyn FabricEngine + '_>> {
+        if !self.is_flat() {
+            return Err(cfg_err(
+                "faults and streams on a multi-group composed substrate are not supported",
+            ));
         }
-        self.run(dag, None)
+        self.intra.engine(arbitrated, fair_share, image)
     }
 
-    fn execute_dag_jobs(
+    /// The composed event loop; a flat substrate delegates to the intra
+    /// substrate. Like the flat optical path, the loop has no fractional
+    /// rate attribution to report (the fluid rates live inside the inter
+    /// engine).
+    fn execute_closed(
         &mut self,
         dag: &DepSchedule,
-        arb: &JobArbitration,
+        arb: Option<&JobArbitration>,
     ) -> Result<TenantDagRun> {
         if self.is_flat() {
-            return self.flat()?.execute_dag_jobs(dag, arb);
+            return self.flat()?.execute_closed(dag, arb);
         }
-        // Like the flat optical path (the fluid rates live inside the
-        // inter engine): no fractional rate attribution to report.
-        Ok(TenantDagRun::unattributed(
-            self.run(dag, Some(arb))?,
-            dag,
-            arb,
-        ))
-    }
-
-    fn execute_dag_jobs_faulted(
-        &mut self,
-        dag: &DepSchedule,
-        arb: &JobArbitration,
-        script: &FaultScript,
-        policy: FaultPolicy,
-    ) -> Result<FaultRunReport> {
-        if self.is_flat() {
-            return self
-                .flat()?
-                .execute_dag_jobs_faulted(dag, arb, script, policy);
-        }
-        Err(cfg_err(
-            "fault injection on a multi-group composed substrate is not supported yet",
-        ))
-    }
-
-    fn execute_stream_until(
-        &mut self,
-        spec: &StreamSpec,
-        pause_after_arrivals: Option<u64>,
-    ) -> Result<StreamOutcome> {
-        if self.is_flat() {
-            return self
-                .flat()?
-                .execute_stream_until(spec, pause_after_arrivals);
-        }
-        Err(cfg_err(
-            "streams on a multi-group composed substrate are not supported yet",
-        ))
-    }
-
-    fn resume_stream(
-        &mut self,
-        spec: &StreamSpec,
-        checkpoint: &StreamCheckpoint,
-        pause_after_arrivals: Option<u64>,
-    ) -> Result<StreamOutcome> {
-        if self.is_flat() {
-            return self
-                .flat()?
-                .resume_stream(spec, checkpoint, pause_after_arrivals);
-        }
-        Err(cfg_err(
-            "streams on a multi-group composed substrate are not supported yet",
-        ))
+        Ok(TenantDagRun::unattributed(self.run(dag, arb)?, dag, arb))
     }
 }
 
@@ -734,6 +694,9 @@ impl Substrate for ComposedSubstrate {
 mod tests {
     use super::*;
     use crate::dag::DepTransfer;
+    use crate::fault::{FaultPolicy, FaultScript};
+    use crate::stream::{ArrivalProcess, StreamSpec, StreamTemplate};
+    use crate::tenancy::{JobWorkload, SchedPolicy};
     use optical_sim::StepSchedule;
 
     fn optical_cfg(n: usize) -> OpticalConfig {
@@ -898,9 +861,30 @@ mod tests {
     fn multi_group_faults_and_streams_are_rejected() {
         let mut comp = composed(2, 4);
         let dag = DepSchedule::from_transfers(vec![dep(t(0, 1, 1), vec![], 0)]).unwrap();
-        assert!(comp
-            .execute_dag_faulted(&dag, &FaultScript::default(), FaultPolicy::FailJob)
-            .is_err());
+        let unsupported =
+            cfg_err("faults and streams on a multi-group composed substrate are not supported");
+        let faulted = comp.execute_dag_faulted(&dag, &FaultScript::default(), FaultPolicy::FailJob);
+        assert_eq!(faulted.unwrap_err(), unsupported);
+        let spec = StreamSpec::new(
+            ArrivalProcess::Trace {
+                arrivals_s: vec![0.0, 1e-3],
+            },
+            SchedPolicy::Fifo,
+        )
+        .with_template(StreamTemplate::new("job", JobWorkload::Dag(dag)));
+        assert_eq!(comp.execute_stream(&spec).unwrap_err(), unsupported);
+        let paused = comp.execute_stream_until(&spec, Some(1));
+        assert_eq!(paused.unwrap_err(), unsupported);
+        // A checkpoint the one-group hierarchy wrote, relabelled so that
+        // only the missing engine can reject it.
+        let mut checkpoint = composed(1, 4)
+            .execute_stream_until(&spec, Some(1))
+            .unwrap()
+            .checkpoint()
+            .unwrap();
+        checkpoint.substrate = comp.name().to_string();
+        let resumed = comp.resume_stream(&spec, &checkpoint, None);
+        assert_eq!(resumed.unwrap_err(), unsupported);
     }
 
     #[test]

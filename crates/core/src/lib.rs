@@ -50,8 +50,9 @@
 //!   and recovery time in a [`fault::FaultClusterReport`]
 //!   ([`substrate::Substrate::execute_jobs_faulted`]);
 //! * [`engine`] — the one streaming-engine interface
-//!   ([`engine::FabricEngine`]) the stream and composed drivers drive on
-//!   both fabrics;
+//!   ([`engine::FabricEngine`]) every driver drives on both fabrics, and
+//!   the closed driver ([`engine::run_closed`]) behind every DAG, tenancy
+//!   and fault run;
 //! * [`stream`] — the open-loop cluster service: arrival streams
 //!   ([`stream::ArrivalProcess`]) admitted into the *running* engines
 //!   ([`substrate::Substrate::execute_stream`]), windowed metrics with

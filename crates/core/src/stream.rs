@@ -63,10 +63,9 @@ use crate::dag::DepSchedule;
 use crate::engine::{Completion, FabricEngine};
 use crate::error::Result;
 use crate::quantile::{PercentileSet, Percentiles};
-use crate::substrate::{ElectricalSubstrate, OpticalSubstrate, Substrate};
+use crate::substrate::Substrate;
 use crate::tenancy::{JobWorkload, SchedPolicy};
-use electrical_sim::{FluidEngine, FluidEngineSnapshot};
-use optical_sim::{GrantEngine, GrantEngineSnapshot, OpticalError};
+use optical_sim::OpticalError;
 
 /// Version tag of [`StreamCheckpoint`]; bump on any layout change.
 pub const STREAM_CHECKPOINT_VERSION: u32 = 2;
@@ -845,17 +844,14 @@ fn lower_templates<S: Substrate + ?Sized>(
 // The service driver
 // ---------------------------------------------------------------------------
 
-struct Driver<'a, E: FabricEngine> {
+struct Driver<'a, E: FabricEngine + ?Sized> {
     eng: &'a mut E,
-    /// Launch overhead charged per injected transfer (see
-    /// [`FabricEngine::inject`]).
-    delay_s: f64,
     spec: &'a StreamSpec,
     lowered: &'a [LoweredTemplate],
     st: &'a mut ServiceState,
 }
 
-impl<E: FabricEngine> Driver<'_, E> {
+impl<E: FabricEngine + ?Sized> Driver<'_, E> {
     /// Pump the service loop. Returns `true` when paused at the requested
     /// arrival count, `false` when the stream ran dry and drained.
     fn run(&mut self, pause_after_arrivals: Option<u64>) -> Result<bool> {
@@ -970,7 +966,7 @@ impl<E: FabricEngine> Driver<'_, E> {
         );
         let slot = self.eng.add_job(rank);
         self.eng
-            .inject(lowered.dag.transfers(), admit_s, self.delay_s, slot)?;
+            .inject(lowered.dag.transfers(), admit_s, &|_| slot)?;
         if slot >= self.st.live.len() {
             self.st.live.resize(slot + 1, None);
         }
@@ -1119,16 +1115,15 @@ fn finish_report(
 }
 
 /// Run or resume a stream on `sub`: lower the templates, restore the
-/// service state, pump the service loop over the engine `engine` builds
-/// (fresh, or from a checkpoint's engine image, with the launch overhead
-/// it charges per transfer), and wrap the result — the final report, or a
-/// checkpoint of the engine and service state when paused.
-fn run_stream<'a, S: Substrate, E: FabricEngine>(
-    sub: &'a mut S,
+/// service state, pump the service loop over the substrate's engine
+/// (fresh, or restored from the checkpoint's engine image), and wrap the
+/// result — the final report, or a checkpoint of the engine and service
+/// state when paused.
+pub(crate) fn run_stream<S: Substrate + ?Sized>(
+    sub: &mut S,
     spec: &StreamSpec,
     resume: Option<&StreamCheckpoint>,
     pause_after_arrivals: Option<u64>,
-    engine: impl FnOnce(&'a S, Option<&Value>) -> Result<(E, f64)>,
 ) -> Result<StreamOutcome> {
     spec.validate()?;
     let lowered = lower_templates(sub, spec)?;
@@ -1140,10 +1135,10 @@ fn run_stream<'a, S: Substrate, E: FabricEngine>(
             ck.state.clone()
         }
     };
-    let (mut eng, delay_s) = engine(sub, resume.map(|ck| &ck.engine))?;
+    let fair_share = spec.policy == SchedPolicy::FairShare;
+    let mut eng = sub.engine(true, fair_share, resume.map(|ck| &ck.engine))?;
     let paused = Driver {
-        eng: &mut eng,
-        delay_s,
+        eng: &mut *eng,
         spec,
         lowered: &lowered,
         st: &mut st,
@@ -1164,49 +1159,10 @@ fn run_stream<'a, S: Substrate, E: FabricEngine>(
     })
 }
 
-pub(crate) fn optical_stream(
-    sub: &mut OpticalSubstrate,
-    spec: &StreamSpec,
-    resume: Option<&StreamCheckpoint>,
-    pause_after_arrivals: Option<u64>,
-) -> Result<StreamOutcome> {
-    let fair_share = spec.policy == SchedPolicy::FairShare;
-    run_stream(sub, spec, resume, pause_after_arrivals, |sub, image| {
-        let (config, strategy) = (sub.config(), sub.strategy());
-        let eng = match image {
-            None => GrantEngine::new(config, strategy, true, fair_share)?,
-            Some(v) => {
-                let snap = GrantEngineSnapshot::from_value(v)
-                    .map_err(|_| cfg_err("malformed stream checkpoint"))?;
-                GrantEngine::restore(config, strategy, true, fair_share, &snap)?
-            }
-        };
-        Ok((eng, 0.0))
-    })
-}
-
-pub(crate) fn electrical_stream(
-    sub: &mut ElectricalSubstrate,
-    spec: &StreamSpec,
-    resume: Option<&StreamCheckpoint>,
-    pause_after_arrivals: Option<u64>,
-) -> Result<StreamOutcome> {
-    run_stream(sub, spec, resume, pause_after_arrivals, |sub, image| {
-        let eng = match image {
-            None => FluidEngine::new(sub.network()),
-            Some(v) => {
-                let snap = FluidEngineSnapshot::from_value(v)
-                    .map_err(|_| cfg_err("malformed stream checkpoint"))?;
-                FluidEngine::restore(sub.network(), &snap)?
-            }
-        };
-        Ok((eng, sub.step_overhead_s()))
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::substrate::{ElectricalSubstrate, OpticalSubstrate};
     use crate::tenancy::{Job, TenancySpec};
     use optical_sim::sim::StepSchedule;
     use optical_sim::{NodeId, OpticalConfig, Transfer};

@@ -17,6 +17,15 @@
 //! the lazy ring all-reduce ([`crate::baselines::RingSource`]): a stepped
 //! run then never holds more than one step.
 //!
+//! Everything event-driven is written once, on top of each substrate's
+//! event engine ([`Substrate::engine`]): the DAG, tenancy and fault methods
+//! run the closed driver ([`crate::engine::run_closed`]) through
+//! [`Substrate::execute_closed`], and the stream methods run the stream
+//! driver ([`crate::stream`]). A substrate implements only its name, its
+//! size, the stepped [`Substrate::execute`] and its engine; the electrical
+//! substrate also overrides [`Substrate::execute_closed`] with its barrier
+//! fast path.
+//!
 //! Both flat fabrics also compose: [`crate::hierarchy::ComposedSubstrate`]
 //! is a third [`Substrate`] implementation that co-simulates per-group
 //! optical rings with an electrical inter-group cluster in one event loop,
@@ -39,19 +48,18 @@
 //! ```
 
 use crate::dag::DepSchedule;
+use crate::engine::{check_jobs, makespan_s, run_closed, FabricEngine};
 use crate::error::Result;
 use crate::fault::{
     fault_cluster_report, FaultClusterReport, FaultPolicy, FaultRunReport, FaultScript, FaultTiming,
 };
 use crate::stream::{StreamCheckpoint, StreamOutcome, StreamReport, StreamSpec};
 use crate::tenancy::{ClusterReport, JobArbitration, TenancySpec, TenantDagRun};
-use electrical_sim::runner::{
-    run_dag, run_dag_jobs, run_dag_jobs_faulted, DagFlow, StepRunner, StepTransfer,
-};
-use electrical_sim::Network;
-use optical_sim::sim::{DagTransfer, StepReport, StepSource};
-use optical_sim::{OpticalConfig, RingSimulator, Strategy};
-use serde::{Deserialize, Serialize};
+use electrical_sim::runner::{BarrierRun, StepRunner, StepTransfer};
+use electrical_sim::{FluidEngine, FluidEngineSnapshot, Network};
+use optical_sim::sim::{StepReport, StepSource};
+use optical_sim::{GrantEngine, GrantEngineSnapshot, OpticalConfig, RingSimulator, Strategy};
+use serde::{Deserialize, Serialize, Value};
 
 /// Timing and accounting for one executed step, common to both substrates.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -171,6 +179,13 @@ pub struct DagRunReport {
 
 /// A fabric that can execute step-synchronous communication schedules.
 ///
+/// An implementation supplies its name and size, the stepped
+/// [`Substrate::execute`], and its event engine
+/// ([`Substrate::engine`]). Every dependency-aware method — DAG, tenancy,
+/// fault and stream — is provided: it drives that engine through the
+/// closed driver ([`crate::engine::run_closed`]) or the stream driver
+/// ([`crate::stream`]).
+///
 /// Implementations must be deterministic: executing the same schedule twice
 /// yields bit-identical reports.
 pub trait Substrate {
@@ -186,6 +201,34 @@ pub trait Substrate {
     /// [`crate::baselines::RingSource`] that writes each step on demand.
     fn execute(&mut self, schedule: &dyn StepSource) -> Result<RunReport>;
 
+    /// A fresh event engine for this fabric, or — given a stream
+    /// checkpoint's engine `image` — the engine restored from it.
+    /// `arbitrated` and `fair_share` select the grant order as in
+    /// [`optical_sim::GrantEngine::new`] (fabrics without a grant order
+    /// ignore them).
+    ///
+    /// # Errors
+    /// Invalid configurations, malformed images, and substrates that are
+    /// not one engine (a multi-group composed substrate).
+    fn engine(
+        &self,
+        arbitrated: bool,
+        fair_share: bool,
+        image: Option<&Value>,
+    ) -> Result<Box<dyn FabricEngine + '_>>;
+
+    /// The closed dependency-aware run every DAG and tenancy method goes
+    /// through: `dag` on this substrate's engine, its transfers tagged with
+    /// `arb`'s jobs and arbitrated across them, or without `arb` as one
+    /// unarbitrated job (and no per-job vectors in the report).
+    fn execute_closed(
+        &mut self,
+        dag: &DepSchedule,
+        arb: Option<&JobArbitration>,
+    ) -> Result<TenantDagRun> {
+        closed_run(self, dag, arb)
+    }
+
     /// Execute a dependency-aware schedule event-driven: each transfer
     /// starts the instant its predecessors complete (and its release time
     /// has passed). On a barrier-shaped DAG
@@ -193,7 +236,9 @@ pub trait Substrate {
     /// stepped [`Substrate::execute`] total bit-exactly on both
     /// substrates; on general DAGs consecutive steps and buckets overlap
     /// on the wire.
-    fn execute_dag(&mut self, dag: &DepSchedule) -> Result<DagRunReport>;
+    fn execute_dag(&mut self, dag: &DepSchedule) -> Result<DagRunReport> {
+        Ok(self.execute_closed(dag, None)?.dag)
+    }
 
     /// Execute a **multi-job** composed DAG (see
     /// [`crate::tenancy::TenancySpec::compose`]): transfers carry job tags
@@ -202,8 +247,13 @@ pub trait Substrate {
     /// the electrical fluid model keeps max-min rates (inherently
     /// fair-shared) but attributes the rate solution to jobs. With a single
     /// job this is bit-exact with [`Substrate::execute_dag`].
-    fn execute_dag_jobs(&mut self, dag: &DepSchedule, arb: &JobArbitration)
-        -> Result<TenantDagRun>;
+    fn execute_dag_jobs(
+        &mut self,
+        dag: &DepSchedule,
+        arb: &JobArbitration,
+    ) -> Result<TenantDagRun> {
+        self.execute_closed(dag, Some(arb))
+    }
 
     /// Execute a set of concurrent jobs sharing this substrate under the
     /// spec's scheduling policy, and price the outcome per tenant: the
@@ -258,7 +308,41 @@ pub trait Substrate {
         arb: &JobArbitration,
         script: &FaultScript,
         policy: FaultPolicy,
-    ) -> Result<FaultRunReport>;
+    ) -> Result<FaultRunReport> {
+        let mut eng = self.engine(true, arb.fair_share, None)?;
+        if !eng.set_faults(script, policy)? {
+            // Nothing concerns this fabric: the clean closed run, which
+            // may be a substrate's own (the electrical fast path).
+            drop(eng);
+            let clean = self.execute_closed(dag, Some(arb))?.dag;
+            return Ok(FaultRunReport {
+                substrate: clean.substrate,
+                makespan_s: clean.makespan_s,
+                transfers: clean
+                    .transfers
+                    .iter()
+                    .map(|t| FaultTiming {
+                        start_s: t.start_s,
+                        finish_s: t.finish_s,
+                        aborts: 0,
+                        completed: true,
+                    })
+                    .collect(),
+                peak_wavelength: clean.peak_wavelength,
+                events: clean.events,
+                first_impact_s: None,
+            });
+        }
+        let transfers = run_closed(&mut *eng, dag, Some(arb))?;
+        Ok(FaultRunReport {
+            substrate: self.name().into(),
+            makespan_s: makespan_s(&transfers),
+            transfers,
+            peak_wavelength: eng.peak_wavelength(),
+            events: eng.events(),
+            first_impact_s: eng.first_impact_s(),
+        })
+    }
 
     /// Execute a set of concurrent jobs under a fault script and measure
     /// the blast radius: the composed DAG is run **clean**
@@ -307,7 +391,9 @@ pub trait Substrate {
         &mut self,
         spec: &StreamSpec,
         pause_after_arrivals: Option<u64>,
-    ) -> Result<StreamOutcome>;
+    ) -> Result<StreamOutcome> {
+        crate::stream::run_stream(self, spec, None, pause_after_arrivals)
+    }
 
     /// Resume a paused stream from a [`StreamCheckpoint`] taken on an
     /// identically configured substrate with the identical spec. The
@@ -317,69 +403,52 @@ pub trait Substrate {
         spec: &StreamSpec,
         checkpoint: &StreamCheckpoint,
         pause_after_arrivals: Option<u64>,
-    ) -> Result<StreamOutcome>;
-}
-
-/// The optical closed-path input of a dependency-aware schedule.
-fn dag_transfers(dag: &DepSchedule) -> Vec<DagTransfer> {
-    dag.transfers()
-        .iter()
-        .map(|t| DagTransfer {
-            transfer: t.transfer.clone(),
-            release_s: t.release_s,
-            deps: t.deps.clone(),
-        })
-        .collect()
-}
-
-/// The electrical closed-path input of a dependency-aware schedule
-/// (direction and lane fields of the optical IR are ignored).
-fn dag_flows(dag: &DepSchedule) -> Vec<DagFlow> {
-    dag.transfers()
-        .iter()
-        .map(|t| DagFlow {
-            src: t.transfer.src.0,
-            dst: t.transfer.dst.0,
-            bytes: t.transfer.bytes,
-            release_s: t.release_s,
-            deps: t.deps.clone(),
-            stage: t.stage,
-        })
-        .collect()
-}
-
-/// The common report of an optical DAG run.
-fn optical_dag_report(report: &optical_sim::sim::DagReport) -> DagRunReport {
-    DagRunReport {
-        substrate: "optical".into(),
-        makespan_s: report.makespan_s,
-        transfers: report
-            .transfer_times
-            .iter()
-            .map(|&(start_s, finish_s)| DagTiming { start_s, finish_s })
-            .collect(),
-        peak_wavelength: report.peak_wavelength,
-        rate_recomputations: 0,
-        solver_work: 0,
-        events: report.events,
+    ) -> Result<StreamOutcome> {
+        crate::stream::run_stream(self, spec, Some(checkpoint), pause_after_arrivals)
     }
 }
 
-/// The common report of an electrical DAG run.
-fn electrical_dag_report(report: &electrical_sim::runner::DagRunReport) -> DagRunReport {
-    DagRunReport {
-        substrate: "electrical".into(),
-        makespan_s: report.makespan_s,
-        transfers: report
-            .windows
+/// The provided [`Substrate::execute_closed`]: the closed driver on a fresh
+/// engine of `sub`, and the run's report.
+fn closed_run<S: Substrate + ?Sized>(
+    sub: &S,
+    dag: &DepSchedule,
+    arb: Option<&JobArbitration>,
+) -> Result<TenantDagRun> {
+    let mut eng = sub.engine(arb.is_some(), arb.is_some_and(|a| a.fair_share), None)?;
+    let outcomes = run_closed(&mut *eng, dag, arb)?;
+    let (rate_recomputations, solver_work) = eng.solver_stats();
+    let report = DagRunReport {
+        substrate: sub.name().into(),
+        makespan_s: makespan_s(&outcomes),
+        transfers: outcomes
             .iter()
-            .map(|&(start_s, finish_s)| DagTiming { start_s, finish_s })
+            .map(|o| DagTiming {
+                start_s: o.start_s,
+                finish_s: o.finish_s,
+            })
             .collect(),
-        peak_wavelength: 0,
-        rate_recomputations: report.rate_recomputations,
-        solver_work: report.solver_work,
-        events: report.events,
-    }
+        peak_wavelength: eng.peak_wavelength(),
+        rate_recomputations,
+        solver_work,
+        events: eng.events(),
+    };
+    Ok(match (arb, eng.job_rates()) {
+        (Some(arb), Some(rates)) => {
+            let [active, service, peak] = rates.map(|v| {
+                let mut v = v.to_vec();
+                v.resize(arb.rank.len(), 0.0);
+                v
+            });
+            TenantDagRun {
+                dag: report,
+                job_active_s: active,
+                job_service_bytes: service,
+                job_peak_rate_bps: peak,
+            }
+        }
+        _ => TenantDagRun::unattributed(report, dag, arb),
+    })
 }
 
 /// The WDM optical ring as an execution substrate.
@@ -407,12 +476,6 @@ impl OpticalSubstrate {
     #[must_use]
     pub fn config(&self) -> &OpticalConfig {
         self.sim.config()
-    }
-
-    /// The RWA strategy applied per step.
-    #[must_use]
-    pub fn strategy(&self) -> Strategy {
-        self.strategy
     }
 
     /// Convert a stepped optical report into the common shape.
@@ -450,68 +513,59 @@ impl Substrate for OpticalSubstrate {
         Ok(Self::report_from_stepped(&report))
     }
 
-    fn execute_dag(&mut self, dag: &DepSchedule) -> Result<DagRunReport> {
-        let report = self.sim.run_dag(&dag_transfers(dag), self.strategy)?;
-        Ok(optical_dag_report(&report))
-    }
-
-    fn execute_dag_jobs(
-        &mut self,
-        dag: &DepSchedule,
-        arb: &JobArbitration,
-    ) -> Result<TenantDagRun> {
-        let report = self
-            .sim
-            .run_dag_jobs(&dag_transfers(dag), arb, self.strategy)?;
-        // Wavelengths are granted whole — there is no fractional rate
-        // solution to attribute on the optical ring.
-        Ok(TenantDagRun::unattributed(
-            optical_dag_report(&report),
-            dag,
-            arb,
-        ))
-    }
-
-    fn execute_dag_jobs_faulted(
-        &mut self,
-        dag: &DepSchedule,
-        arb: &JobArbitration,
-        script: &FaultScript,
-        policy: FaultPolicy,
-    ) -> Result<FaultRunReport> {
-        let report = self.sim.run_dag_faulted(
-            &dag_transfers(dag),
+    fn engine(
+        &self,
+        arbitrated: bool,
+        fair_share: bool,
+        image: Option<&Value>,
+    ) -> Result<Box<dyn FabricEngine + '_>> {
+        Ok(Box::new(grant_engine(
+            self.config(),
             self.strategy,
-            Some(arb),
-            script,
-            policy,
-        )?;
-        Ok(FaultRunReport {
-            substrate: "optical".into(),
-            makespan_s: report.makespan_s,
-            transfers: report.outcomes,
-            peak_wavelength: report.peak_wavelength,
-            events: report.events,
-            first_impact_s: report.first_impact_s,
-        })
+            arbitrated,
+            fair_share,
+            image,
+        )?))
     }
+}
 
-    fn execute_stream_until(
-        &mut self,
-        spec: &StreamSpec,
-        pause_after_arrivals: Option<u64>,
-    ) -> Result<StreamOutcome> {
-        crate::stream::optical_stream(self, spec, None, pause_after_arrivals)
-    }
+/// A grant engine over `config`, fresh or restored from a stream
+/// checkpoint's engine `image`.
+pub(crate) fn grant_engine(
+    config: &OpticalConfig,
+    strategy: Strategy,
+    arbitrated: bool,
+    fair_share: bool,
+    image: Option<&Value>,
+) -> Result<GrantEngine> {
+    Ok(match image {
+        None => GrantEngine::new(config, strategy, arbitrated, fair_share)?,
+        Some(v) => {
+            let snap = GrantEngineSnapshot::from_value(v).map_err(|_| malformed())?;
+            GrantEngine::restore(config, strategy, arbitrated, fair_share, &snap)?
+        }
+    })
+}
 
-    fn resume_stream(
-        &mut self,
-        spec: &StreamSpec,
-        checkpoint: &StreamCheckpoint,
-        pause_after_arrivals: Option<u64>,
-    ) -> Result<StreamOutcome> {
-        crate::stream::optical_stream(self, spec, Some(checkpoint), pause_after_arrivals)
-    }
+/// A fluid engine over `net` charging `launch_s` per injected flow, fresh
+/// or restored from a stream checkpoint's engine `image`.
+pub(crate) fn fluid_engine<'n>(
+    net: &'n Network,
+    launch_s: f64,
+    image: Option<&Value>,
+) -> Result<FluidEngine<'n>> {
+    let eng = match image {
+        None => FluidEngine::new(net),
+        Some(v) => {
+            let snap = FluidEngineSnapshot::from_value(v).map_err(|_| malformed())?;
+            FluidEngine::restore(net, &snap)?
+        }
+    };
+    Ok(eng.with_launch_delay(launch_s))
+}
+
+fn malformed() -> crate::error::WrhtError {
+    optical_sim::OpticalError::BadConfig("malformed stream checkpoint").into()
 }
 
 /// The electrical switched cluster (fluid model) as an execution substrate.
@@ -537,18 +591,6 @@ impl ElectricalSubstrate {
             step_overhead_s,
         }
     }
-
-    /// The underlying network.
-    #[must_use]
-    pub fn network(&self) -> &Network {
-        &self.net
-    }
-
-    /// The per-step protocol overhead charged to every transfer, seconds.
-    #[must_use]
-    pub fn step_overhead_s(&self) -> f64 {
-        self.step_overhead_s
-    }
 }
 
 impl Substrate for ElectricalSubstrate {
@@ -566,11 +608,7 @@ impl Substrate for ElectricalSubstrate {
         let mut steps = Vec::with_capacity(schedule.step_count());
         for index in 0..schedule.step_count() {
             let step = schedule.step(index, &mut buf);
-            let duration_s = runner.step(step.iter().map(|t| StepTransfer {
-                src: t.src.0,
-                dst: t.dst.0,
-                bytes: t.bytes,
-            }))?;
+            let duration_s = runner.step(step.iter().map(step_transfer))?;
             steps.push(StepTiming {
                 duration_s,
                 transfers: step.len(),
@@ -585,87 +623,63 @@ impl Substrate for ElectricalSubstrate {
         })
     }
 
-    fn execute_dag(&mut self, dag: &DepSchedule) -> Result<DagRunReport> {
-        let report = run_dag(&self.net, &dag_flows(dag), self.step_overhead_s)?;
-        Ok(electrical_dag_report(&report))
+    fn engine(
+        &self,
+        _arbitrated: bool,
+        _fair_share: bool,
+        image: Option<&Value>,
+    ) -> Result<Box<dyn FabricEngine + '_>> {
+        Ok(Box::new(fluid_engine(
+            &self.net,
+            self.step_overhead_s,
+            image,
+        )?))
     }
 
-    fn execute_dag_jobs(
+    /// A barrier-shaped DAG takes the fast path: one fluid solve per stage,
+    /// composed like [`Substrate::execute`], so the makespan is the stepped
+    /// total bit-exactly. Delivered bytes per job are the payload sums; the
+    /// stage composition has no per-interval rate solution to attribute.
+    /// Every other DAG runs on the engine.
+    fn execute_closed(
         &mut self,
         dag: &DepSchedule,
-        arb: &JobArbitration,
+        arb: Option<&JobArbitration>,
     ) -> Result<TenantDagRun> {
-        // The max-min fluid model is inherently fair-shared: ranks do not
-        // change electrical rates, but the solver attributes its solution
-        // to the job tags so tenants' bandwidth can be priced.
-        let tenant = run_dag_jobs(
-            &self.net,
-            &dag_flows(dag),
-            &arb.job_of,
-            arb.rank.len(),
-            self.step_overhead_s,
-        )?;
-        Ok(TenantDagRun {
-            dag: electrical_dag_report(&tenant.report),
-            job_active_s: tenant.job_active_s,
-            job_service_bytes: tenant.job_service_bytes,
-            job_peak_rate_bps: tenant.job_peak_rate_bps,
-        })
-    }
-
-    fn execute_dag_jobs_faulted(
-        &mut self,
-        dag: &DepSchedule,
-        arb: &JobArbitration,
-        script: &FaultScript,
-        policy: FaultPolicy,
-    ) -> Result<FaultRunReport> {
-        let report = run_dag_jobs_faulted(
-            &self.net,
-            &dag_flows(dag),
-            &arb.job_of,
-            arb.rank.len(),
-            self.step_overhead_s,
-            script,
-            policy,
-        )?;
-        Ok(FaultRunReport {
+        if !dag.is_barrier_shaped() {
+            return closed_run(self, dag, arb);
+        }
+        check_jobs(dag.len(), arb)?;
+        let mut run = BarrierRun::new(&self.net, self.step_overhead_s);
+        let mut stage = Vec::new();
+        for transfers in dag.transfers().chunk_by(|a, b| a.stage == b.stage) {
+            stage.clear();
+            stage.extend(transfers.iter().map(|t| step_transfer(&t.transfer)));
+            run.stage(&stage)?;
+        }
+        let report = DagRunReport {
             substrate: "electrical".into(),
-            makespan_s: report.tenant.report.makespan_s,
-            transfers: report
-                .tenant
-                .report
+            makespan_s: run.makespan_s,
+            transfers: run
                 .windows
                 .iter()
-                .zip(report.failed.iter().zip(&report.aborted))
-                .map(|(&(start_s, finish_s), (&failed, &aborts))| FaultTiming {
-                    start_s,
-                    finish_s,
-                    aborts,
-                    completed: !failed,
-                })
+                .map(|&(start_s, finish_s)| DagTiming { start_s, finish_s })
                 .collect(),
             peak_wavelength: 0,
-            events: report.tenant.report.events,
-            first_impact_s: report.first_impact_s,
-        })
+            rate_recomputations: run.rate_recomputations,
+            solver_work: run.solver_work,
+            events: run.events,
+        };
+        Ok(TenantDagRun::unattributed(report, dag, arb))
     }
+}
 
-    fn execute_stream_until(
-        &mut self,
-        spec: &StreamSpec,
-        pause_after_arrivals: Option<u64>,
-    ) -> Result<StreamOutcome> {
-        crate::stream::electrical_stream(self, spec, None, pause_after_arrivals)
-    }
-
-    fn resume_stream(
-        &mut self,
-        spec: &StreamSpec,
-        checkpoint: &StreamCheckpoint,
-        pause_after_arrivals: Option<u64>,
-    ) -> Result<StreamOutcome> {
-        crate::stream::electrical_stream(self, spec, Some(checkpoint), pause_after_arrivals)
+/// The electrical view of a transfer (direction and lanes are optical).
+fn step_transfer(t: &optical_sim::Transfer) -> StepTransfer {
+    StepTransfer {
+        src: t.src.0,
+        dst: t.dst.0,
+        bytes: t.bytes,
     }
 }
 

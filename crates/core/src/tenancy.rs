@@ -21,7 +21,7 @@
 //! The two fabrics honour the policy differently. The **optical** grant
 //! loop arbitrates contended wavelengths across jobs: FIFO and priority
 //! order jobs statically, fair share serves the least-served job first
-//! (see [`optical_sim::JobArbitration`]). Waiters from different jobs are
+//! (see [`JobArbitration`]). Waiters from different jobs are
 //! only ranked in the *same* arbitration scan when their release instants
 //! are **bit-identical** `f64`s — the event kernel coalesces same-instant
 //! events by bit equality, not by epsilon — so policies tie-break across
@@ -242,11 +242,29 @@ pub struct ComposedTenancy {
 }
 
 /// Cross-job arbitration handed to
-/// [`crate::substrate::Substrate::execute_dag_jobs`]. The optical grant
-/// loop consumes it directly; the electrical substrate reads the job tags
-/// and job count for rate attribution (max-min rates are policy-free).
-/// One shared definition — the workload IR is already the optical crate's.
-pub use optical_sim::JobArbitration;
+/// [`crate::substrate::Substrate::execute_dag_jobs`].
+///
+/// A multi-tenant DAG is a concatenation of per-job transfer lists; serving
+/// waiters in plain DAG order would hand every contended wavelength to the
+/// job that happens to come first in the list. This struct tells the
+/// optical grant order which job each transfer belongs to and how jobs are
+/// ordered when they compete for lanes; the electrical substrate reads the
+/// job tags and job count for rate attribution (max-min rates are
+/// policy-free).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct JobArbitration {
+    /// Job index of every transfer, parallel to the transfer list. Every
+    /// entry must be `< rank.len()`.
+    pub job_of: Vec<usize>,
+    /// Static grant rank per job — when two jobs' waiters compete for the
+    /// same lanes, the lower-ranked job is served first (e.g. FIFO by
+    /// arrival, or by priority).
+    pub rank: Vec<u64>,
+    /// When set, the job with the least accumulated service (granted
+    /// lane-seconds) is served first and `rank` only breaks ties —
+    /// a deterministic fair-share discipline.
+    pub fair_share: bool,
+}
 
 /// Result of a raw multi-job DAG run: per-transfer windows plus per-job
 /// bandwidth attribution (all zeros on fabrics without rate attribution —
@@ -266,12 +284,21 @@ pub struct TenantDagRun {
 impl TenantDagRun {
     /// A run on a fabric without fractional rate attribution: delivered
     /// bytes are the exact per-job payload sums (as on the electrical
-    /// barrier fast path), active time and peak rate are zeros.
+    /// barrier fast path), active time and peak rate are zeros. A run
+    /// without `arb` has no per-job vectors.
     #[must_use]
-    pub fn unattributed(dag: DagRunReport, sched: &DepSchedule, arb: &JobArbitration) -> Self {
-        let jobs = arb.rank.len();
+    pub fn unattributed(
+        dag: DagRunReport,
+        sched: &DepSchedule,
+        arb: Option<&JobArbitration>,
+    ) -> Self {
+        let jobs = arb.map_or(0, |a| a.rank.len());
         let mut service = vec![0.0f64; jobs];
-        for (t, &j) in sched.transfers().iter().zip(&arb.job_of) {
+        for (t, &j) in sched
+            .transfers()
+            .iter()
+            .zip(arb.map_or(&[][..], |a| &a.job_of))
+        {
             service[j] += t.transfer.bytes as f64;
         }
         Self {

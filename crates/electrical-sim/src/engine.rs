@@ -1,13 +1,12 @@
 //! The streaming fluid engine.
 //!
 //! [`FluidEngine`] is the single execution engine behind every dependency-
-//! aware electrical run: the closed-set entry points
-//! ([`crate::sim::run_engine`], reached through [`crate::runner::run_dag`]
-//! and friends, and [`crate::runner::run_dag_jobs_faulted`]) inject the
-//! whole flow list at time zero and pump the engine to idle, while
-//! open-loop cluster services [`FluidEngine::inject`] each arriving job's
-//! flows into the *running* engine. The incremental per-component max-min
-//! re-solve, the lazy `remaining` bookkeeping and the
+//! aware electrical run. A closed run injects the whole flow list at time
+//! zero and pumps the engine to idle (the closed driver in `wrht-core`,
+//! and [`crate::sim::run_flows`] for plain flow sets), while open-loop
+//! cluster services [`FluidEngine::inject`] each arriving job's flows into
+//! the *running* engine. The incremental per-component max-min re-solve,
+//! the lazy `remaining` bookkeeping and the
 //! one-completion-event-per-component discipline are shared, so a stream
 //! whose arrivals are all known up front is bit-exact with the closed path.
 //!
@@ -49,8 +48,10 @@
 //! progress, so the two coincide here). Wavelength events have no
 //! electrical meaning. A batch applies its completions before its faults,
 //! so a flow finishing at exactly the fault instant is finished, not
-//! failed. Without a relevant fault the engine allocates no fault state and
-//! runs the clean arithmetic.
+//! failed. Failed flows are drained like completions, with `failed` set;
+//! and once no flow is live the engine is idle, whatever fault events
+//! remain. Without a relevant fault the engine allocates no fault state
+//! and runs the clean arithmetic.
 //!
 //! The engine supports [`FluidEngine::snapshot`] /
 //! [`FluidEngine::restore`]: a versioned, serializable image of the flow
@@ -63,7 +64,7 @@
 use crate::error::{NetError, Result};
 use crate::graph::{LinkId, Network};
 use crate::maxmin::progressive_fill;
-use crate::sim::{EngineFlow, EngineReport, Phase, EPS};
+use crate::sim::{EngineFlow, Phase, EPS};
 use serde::{Deserialize, Serialize};
 use wrht_kernel::{EventKernel, FaultKind, FaultLimits, FaultPolicy, FaultScript};
 
@@ -78,17 +79,22 @@ enum Ev {
     Fault(usize),
 }
 
-/// One flow completion drained via [`FluidEngine::drain_completions`].
+/// One flow outcome drained via [`FluidEngine::drain_completions`]: a
+/// completion, or under faults a failure.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlowCompletion {
     /// Engine flow index (sequential in injection order).
     pub index: usize,
     /// Owning job ([`EngineFlow::job`]).
     pub job: usize,
-    /// Instant the flow's gates opened, seconds.
+    /// Instant the flow's gates opened, seconds (0 if they never did).
     pub start_s: f64,
-    /// Completion instant, seconds.
+    /// Completion instant, seconds (0 for a failed flow).
     pub finish_s: f64,
+    /// Times a fault killed the flow while it was transmitting.
+    pub aborts: u32,
+    /// A fault failed the flow, or stranded it behind a failed one.
+    pub failed: bool,
 }
 
 /// Fault state, allocated only when [`FluidEngine::set_faults`] installs
@@ -202,6 +208,9 @@ pub struct FluidEngine<'a> {
     /// scan, so [`FluidEngine::peek_time`] folds this in to stay truthful
     /// right after an injection.
     pending_release: Option<f64>,
+    /// Launch overhead [`crate::sim::EngineFlow::delay_s`] of the flows a
+    /// driver injects through the fabric-independent interface, seconds.
+    launch_s: f64,
     faults: Option<Box<Faults>>,
     // Scratch, allocated once (not part of snapshots).
     link_seen: Vec<bool>,
@@ -263,6 +272,7 @@ impl<'a> FluidEngine<'a> {
             job_free: Vec::new(),
             next_job: 0,
             pending_release: None,
+            launch_s: 0.0,
             faults: None,
             link_seen: vec![false; n_links],
             flow_seen: Vec::new(),
@@ -319,6 +329,7 @@ impl<'a> FluidEngine<'a> {
             job_free,
             next_job,
             pending_release,
+            launch_s: _,
             faults,
             link_seen,
             flow_seen,
@@ -450,6 +461,22 @@ impl<'a> FluidEngine<'a> {
         Ok(true)
     }
 
+    /// Charge `launch_s` as the launch delay of every flow injected through
+    /// the fabric-independent interface (see [`FluidEngine::launch_delay_s`]).
+    #[must_use]
+    pub fn with_launch_delay(mut self, launch_s: f64) -> Self {
+        self.launch_s = launch_s;
+        self
+    }
+
+    /// The launch delay a driver charges each flow it injects: the
+    /// electrical substrate's per-flow protocol overhead, seconds. Not part
+    /// of snapshots (each injected flow carries its own delay).
+    #[must_use]
+    pub fn launch_delay_s(&self) -> f64 {
+        self.launch_s
+    }
+
     /// Allocate a job tag for [`EngineFlow::job`], reusing the tags of
     /// [`FluidEngine::retire_job`]d jobs. Max-min rates are policy-free, so
     /// the tag only attributes flows (and their rate solution) to the job.
@@ -480,10 +507,17 @@ impl<'a> FluidEngine<'a> {
         Ok(self.admit(batch.iter().cloned(), routes, latencies))
     }
 
-    /// [`FluidEngine::inject`] for a closed driver that owns its flow list:
-    /// the flows move into the engine instead of being cloned.
-    pub(crate) fn inject_owned(&mut self, batch: Vec<EngineFlow>) -> Result<usize> {
-        let (routes, latencies) = self.route_batch(&batch)?;
+    /// [`FluidEngine::inject`] for a driver that owns its batch (a `Vec`,
+    /// or an array on the stack): the flows move into the engine instead
+    /// of being cloned.
+    ///
+    /// # Errors
+    /// As [`FluidEngine::inject`].
+    pub fn inject_owned<B>(&mut self, batch: B) -> Result<usize>
+    where
+        B: AsRef<[EngineFlow]> + IntoIterator<Item = EngineFlow>,
+    {
+        let (routes, latencies) = self.route_batch(batch.as_ref())?;
         Ok(self.admit(batch, routes, latencies))
     }
 
@@ -587,12 +621,17 @@ impl<'a> FluidEngine<'a> {
     /// apply its completions, then its faults. Returns the batch instant,
     /// or `None` when the engine is idle (every injected flow settled;
     /// under faults, flows stranded behind failed ones are failed too).
+    /// Under faults the engine is idle as soon as no flow is live: later
+    /// fault events and stale wake-ups have nothing left to act on.
     ///
     /// # Errors
     /// [`NetError::StalledFlow`] when a flow is frozen at rate zero (other
-    /// than suspended on a dark link), and the closed path's "unreachable
-    /// flows" error when the queue drains with unfinished flows.
+    /// than suspended on a dark link), and the "unreachable flows" error
+    /// when the queue drains with unfinished flows.
     pub fn step(&mut self) -> Result<Option<f64>> {
+        if self.faults.is_some() && self.live_flows() == 0 {
+            return Ok(None);
+        }
         self.pending_release = None;
         let now = self.kernel.now();
 
@@ -944,6 +983,7 @@ impl<'a> FluidEngine<'a> {
             }
         }
         self.phase[i] = Phase::Failed;
+        self.completed.push(i);
         if let Some(f) = self.faults.as_deref_mut() {
             f.failed += 1;
             f.first_impact_s.get_or_insert(now);
@@ -962,10 +1002,11 @@ impl<'a> FluidEngine<'a> {
         if f.failed == 0 {
             return false;
         }
-        for p in &mut self.phase {
+        for (i, p) in self.phase.iter_mut().enumerate() {
             if !matches!(*p, Phase::Done | Phase::Failed) {
                 *p = Phase::Failed;
                 f.failed += 1;
+                self.completed.push(i);
             }
         }
         self.unsettled.clear();
@@ -1164,14 +1205,18 @@ impl<'a> FluidEngine<'a> {
         self.solver_work
     }
 
-    /// Drain the flows completed since the last call, in completion order.
+    /// Drain the flows settled since the last call — completed, or under
+    /// faults failed — in settling order.
     pub fn drain_completions(&mut self) -> impl Iterator<Item = FlowCompletion> + '_ {
-        let (flows, start, finish) = (&self.flows, &self.start, &self.finish);
+        let (flows, phase, start, finish) = (&self.flows, &self.phase, &self.start, &self.finish);
+        let aborted = self.faults.as_deref().map(|f| &f.aborted);
         self.completed.drain(..).map(move |i| FlowCompletion {
             index: i,
             job: flows[i].job,
             start_s: start[i],
             finish_s: finish[i],
+            aborts: aborted.map_or(0, |a| a[i]),
+            failed: phase[i] == Phase::Failed,
         })
     }
 
@@ -1180,19 +1225,19 @@ impl<'a> FluidEngine<'a> {
         self.finish.iter().copied().fold(0.0f64, f64::max)
     }
 
-    /// Build the closed-set report (consumes the engine).
-    pub(crate) fn into_report(self) -> EngineReport {
-        EngineReport {
-            makespan_s: self.makespan_s(),
-            start_s: self.start,
-            finish_s: self.finish,
-            rate_recomputations: self.recomputations,
-            solver_work: self.solver_work,
-            events: self.events_base + self.kernel.events_processed(),
-            job_active_s: self.job_active_s,
-            job_service_bytes: self.job_service_bytes,
-            job_peak_rate_bps: self.job_peak_rate,
-        }
+    /// The rate solution attributed to jobs, indexed by job tag (the
+    /// largest tag injected + 1 entries): per job, the time with at least
+    /// one transmitting flow, seconds; the bytes delivered (`∫ aggregate
+    /// rate dt`); and the largest aggregate max-min allocation ever held,
+    /// bytes/s. Between two events every job's aggregate rate is known
+    /// exactly, so the engine integrates it over the interval.
+    #[must_use]
+    pub fn job_rates(&self) -> [&[f64]; 3] {
+        [
+            &self.job_active_s,
+            &self.job_service_bytes,
+            &self.job_peak_rate,
+        ]
     }
 
     /// Capture the full mutable state as a versioned snapshot. Completions

@@ -14,19 +14,20 @@
 //! * [`topology`] — builders for switched star ("cluster"), ring, full mesh
 //!   and two-level fat-tree networks;
 //! * [`maxmin`] — progressive-filling max-min fair allocation;
-//! * [`sim::FluidSimulator`] — the event loop, with incremental
+//! * [`sim::run_flows`] — the fluid run of a flow set, with incremental
 //!   per-component rate re-solves;
-//! * [`runner`] — barrier-stepped ([`runner::run_steps`], one
-//!   [`runner::StepRunner`] step at a time) and dependency-aware
-//!   ([`runner::run_dag`]) execution of collective schedules.
+//! * [`engine::FluidEngine`] — the streaming engine behind every
+//!   dependency-aware run;
+//! * [`runner`] — barrier-stepped execution of collective schedules
+//!   ([`runner::run_steps`], one [`runner::StepRunner`] step at a time) and
+//!   the barrier fast path of dependency-aware ones
+//!   ([`runner::BarrierRun`]).
 //!
 //! ```
 //! use electrical_sim::prelude::*;
 //!
 //! let net = star_cluster(4, 12.5e9, 500e-9); // 4 hosts, 100 Gb/s, 0.5 us
-//! let mut sim = FluidSimulator::new(net);
-//! sim.submit(FlowSpec::new(0, 1, 1_000_000));
-//! let report = sim.run().unwrap();
+//! let report = run_flows(&net, &[FlowSpec::new(0, 1, 1_000_000)]).unwrap();
 //! assert!(report.makespan_s > 0.0);
 //! ```
 
@@ -49,11 +50,8 @@ pub mod prelude {
     pub use crate::error::NetError;
     pub use crate::flow::FlowSpec;
     pub use crate::graph::{LinkId, Network};
-    pub use crate::runner::{
-        run_dag, run_dag_jobs, run_dag_jobs_faulted, run_steps, DagFlow, DagRunReport,
-        FaultDagRunReport, StepRunner, StepTransfer, TenantDagReport,
-    };
-    pub use crate::sim::{EngineFlow, FluidSimulator, RunReport};
+    pub use crate::runner::{run_steps, BarrierRun, StepRunner, StepTransfer};
+    pub use crate::sim::{run_flows, EngineFlow, RunReport};
     pub use crate::stats::{offered_load, LoadReport};
     pub use crate::topology::{fat_tree_two_level, full_mesh, ring, star_cluster, torus_2d};
 }
@@ -62,4 +60,4 @@ pub use engine::{FluidEngine, FluidEngineSnapshot};
 pub use error::NetError;
 pub use flow::FlowSpec;
 pub use graph::{LinkId, Network};
-pub use sim::{EngineFlow, FluidSimulator, RunReport};
+pub use sim::{EngineFlow, RunReport};

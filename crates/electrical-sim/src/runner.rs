@@ -7,12 +7,11 @@
 //! SimGrid baselines.
 
 use crate::engine::FluidEngine;
-use crate::error::{NetError, Result};
+use crate::error::Result;
 use crate::flow::FlowSpec;
 use crate::graph::{LinkId, Network};
-use crate::sim::{run_engine, run_flows, DisjointFill, EngineFlow, EngineReport};
+use crate::sim::{run_flows, DisjointFill, EngineFlow};
 use serde::{Deserialize, Serialize};
-use wrht_kernel::{FaultPolicy, FaultScript};
 
 /// One transfer inside a step (sizes in bytes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -83,7 +82,8 @@ pub fn run_steps(
 /// costs nothing. This mirrors the optical substrate, which charges its
 /// per-message overhead for zero-byte transfers too. Zero-byte transfers
 /// are still routed, after the payload flows, so a malformed one fails the
-/// step with the error [`run_dag`] reports for the same schedule.
+/// step with the error a dependency-aware run of the same schedule
+/// reports.
 #[derive(Debug)]
 pub struct StepRunner<'n> {
     net: &'n Network,
@@ -217,353 +217,92 @@ impl<'n> StepRunner<'n> {
     }
 }
 
-/// One transfer of a dependency-aware schedule: a [`StepTransfer`] plus
-/// explicit predecessor edges, an absolute release time and the source
-/// stage (step or bucket-step) it was lowered from.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DagFlow {
-    /// Source host.
-    pub src: usize,
-    /// Destination host.
-    pub dst: usize,
-    /// Payload bytes. 0 is legal and makes the transfer a pure control
-    /// gate: it completes after the launch overhead alone — no latency,
-    /// no bandwidth competition — but still gates its dependents. This
-    /// mirrors the stepped runner, which skips zero-byte flows while
-    /// charging the launch overhead.
-    pub bytes: u64,
-    /// Earliest release time, seconds (gradient-ready instants and the
-    /// like); 0 for purely dependency-driven transfers.
-    pub release_s: f64,
-    /// Indices of transfers that must complete first (each `<` own index,
-    /// so the list is a DAG in topological order by construction).
-    pub deps: Vec<usize>,
-    /// Source stage the transfer was lowered from (used to detect
-    /// barrier-shaped DAGs and for per-stage reporting). Must be
-    /// non-decreasing along the transfer list.
-    pub stage: usize,
-}
-
-/// Timing report for a dependency-aware run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DagRunReport {
-    /// Completion time of the last transfer, seconds.
+/// The barrier fast path of a dependency-aware schedule: a DAG whose every
+/// transfer depends on exactly the whole previous non-empty stage, with no
+/// release times. Each stage runs as one fluid solve, and stage times
+/// compose exactly like [`run_steps`] — so such a DAG reproduces the
+/// stepped runner's total **bit-exactly**. Feed the stages in order with
+/// [`BarrierRun::stage`]; the fields accumulate over the stages fed.
+#[derive(Debug)]
+pub struct BarrierRun<'n> {
+    net: &'n Network,
+    overhead_s: f64,
+    /// Completion time of the last stage: the left-fold sum of
+    /// `overhead + stage makespan` over the non-empty stages, seconds.
     pub makespan_s: f64,
-    /// Per-transfer `(start, finish)` windows in submission order. `start`
-    /// is the instant the transfer's gates opened (dependencies and
-    /// release satisfied), before its launch overhead.
+    /// Per transfer, in feed order: `(start, finish)`. `start` is its
+    /// stage's start, before the launch overhead.
     pub windows: Vec<(f64, f64)>,
-    /// Rate solver invocations (see [`crate::sim::RunReport`]).
+    /// Rate solver invocations, summed over the per-stage fluid runs.
     pub rate_recomputations: usize,
-    /// Progressive-filling work units (see [`crate::sim::RunReport`]).
+    /// Progressive-filling work units, summed likewise.
     pub solver_work: usize,
-    /// Discrete events processed by the shared kernel (summed over the
-    /// per-stage fluid runs on the barrier fast path).
+    /// Discrete events of the per-stage fluid runs, summed likewise.
     pub events: u64,
-    /// Whether the run took the barrier fast path (per-stage fluid runs
-    /// composed exactly like [`run_steps`]) instead of the event engine.
-    pub barrier_fast_path: bool,
 }
 
-/// If `flows` encodes full step barriers — stages non-decreasing, every
-/// release at 0, and every transfer depending on exactly the previous
-/// non-empty stage — return the per-stage index lists.
-fn barrier_stages(flows: &[DagFlow]) -> Option<Vec<Vec<usize>>> {
-    // wrht-analyze: allow(r6, reason = "exact-zero sentinel: barrier DAGs carry the literal 0.0 release, never a computed value")
-    if flows.iter().any(|f| f.release_s != 0.0) {
-        return None;
-    }
-    let mut stages: Vec<Vec<usize>> = Vec::new();
-    for (i, f) in flows.iter().enumerate() {
-        if f.stage + 1 < stages.len() {
-            return None; // stages must be non-decreasing
-        }
-        if f.stage >= stages.len() {
-            stages.resize_with(f.stage + 1, Vec::new);
-        }
-        stages[f.stage].push(i);
-    }
-    let mut prev: &[usize] = &[];
-    for stage in &stages {
-        for &i in stage {
-            if flows[i].deps != prev {
-                return None;
-            }
-        }
-        if !stage.is_empty() {
-            prev = stage;
+impl<'n> BarrierRun<'n> {
+    /// An empty run over `net` that charges `per_message_overhead_s` once
+    /// per non-empty stage.
+    #[must_use]
+    pub fn new(net: &'n Network, per_message_overhead_s: f64) -> Self {
+        Self {
+            net,
+            overhead_s: per_message_overhead_s,
+            makespan_s: 0.0,
+            windows: Vec::new(),
+            rate_recomputations: 0,
+            solver_work: 0,
+            events: 0,
         }
     }
-    Some(stages)
-}
 
-/// Execute a dependency-aware schedule over `net`.
-///
-/// Barrier-shaped inputs (each transfer gated on the whole previous
-/// stage, no release times) take a fast path that runs one fluid solve
-/// per stage and composes stage times exactly like [`run_steps`] — so a
-/// DAG encoding full step barriers reproduces the stepped runner's total
-/// **bit-exactly**. Everything else goes through the event-driven engine:
-/// transfers released the instant their last predecessor completes, rates
-/// re-solved incrementally only over the contention component whose
-/// active-flow set changed.
-///
-/// `per_message_overhead_s` is charged once per transfer after its gates
-/// open (per non-empty stage on the fast path, matching [`run_steps`]).
-pub fn run_dag(
-    net: &Network,
-    flows: &[DagFlow],
-    per_message_overhead_s: f64,
-) -> Result<DagRunReport> {
-    if let Some(stages) = barrier_stages(flows) {
-        return run_dag_barrier(net, flows, &stages, per_message_overhead_s);
-    }
-    run_dag_event_driven(net, flows, per_message_overhead_s)
-}
-
-/// The barrier fast path: per-stage fluid runs composed like [`run_steps`].
-fn run_dag_barrier(
-    net: &Network,
-    flows: &[DagFlow],
-    stages: &[Vec<usize>],
-    per_message_overhead_s: f64,
-) -> Result<DagRunReport> {
-    let mut windows = vec![(0.0, 0.0); flows.len()];
-    let mut recomputations = 0usize;
-    let mut solver_work = 0usize;
-    let mut events = 0u64;
-    let mut base = 0.0f64;
-    for stage in stages {
-        if stage.is_empty() {
-            continue;
+    /// Run the next stage: its payload flows in one [`run_flows`] solve,
+    /// then its zero-byte transfers, which are routed (and so validated) as
+    /// every flow is, and finish after the launch alone — within the
+    /// stage's overhead slot, so the next stage never starts before them.
+    /// An empty stage costs nothing.
+    pub fn stage(&mut self, transfers: &[StepTransfer]) -> Result<()> {
+        if transfers.is_empty() {
+            return Ok(());
         }
-        let payload: Vec<usize> = stage
-            .iter()
-            .copied()
-            .filter(|&i| flows[i].bytes > 0)
+        let base = self.makespan_s;
+        let first = self.windows.len();
+        self.windows
+            .resize(first + transfers.len(), (base, base + self.overhead_s));
+        let payload: Vec<usize> = (0..transfers.len())
+            .filter(|&k| transfers[k].bytes > 0)
             .collect();
         let specs: Vec<FlowSpec> = payload
             .iter()
-            .map(|&i| FlowSpec::new(flows[i].src, flows[i].dst, flows[i].bytes))
+            .map(|&k| FlowSpec::new(transfers[k].src, transfers[k].dst, transfers[k].bytes))
             .collect();
         let makespan_s = if specs.is_empty() {
             0.0
         } else {
-            let report = run_flows(net, &specs)?;
-            recomputations += report.rate_recomputations;
-            solver_work += report.solver_work;
-            events += report.events;
-            for (&i, outcome) in payload.iter().zip(&report.flows) {
-                windows[i] = (base, base + per_message_overhead_s + outcome.finish_s);
+            let report = run_flows(self.net, &specs)?;
+            self.rate_recomputations += report.rate_recomputations;
+            self.solver_work += report.solver_work;
+            self.events += report.events;
+            for (&k, outcome) in payload.iter().zip(&report.flows) {
+                self.windows[first + k].1 = base + self.overhead_s + outcome.finish_s;
             }
             report.makespan_s
         };
-        for &i in stage {
-            if flows[i].bytes == 0 {
-                // Zero-byte control gates are validated like every other
-                // flow (the event engine routes them too) and finish after
-                // the launch only — within the stage's overhead slot, so
-                // the next stage's base never precedes them.
-                net.route(flows[i].src, flows[i].dst)?;
-                windows[i] = (base, base + per_message_overhead_s);
-            }
+        for t in transfers.iter().filter(|t| t.bytes == 0) {
+            self.net.route(t.src, t.dst)?;
         }
         // The exact arithmetic of run_steps: each non-empty stage adds
         // fl(overhead + makespan) to a left-fold running total.
-        base += per_message_overhead_s + makespan_s;
+        self.makespan_s += self.overhead_s + makespan_s;
+        Ok(())
     }
-    Ok(DagRunReport {
-        makespan_s: base,
-        windows,
-        rate_recomputations: recomputations,
-        solver_work,
-        events,
-        barrier_fast_path: true,
-    })
-}
-
-/// A [`DagRunReport`] plus per-tenant rate attribution from the max-min
-/// solver (see [`run_dag_jobs`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TenantDagReport {
-    /// The underlying dependency-aware run.
-    pub report: DagRunReport,
-    /// Per job: total time with at least one transmitting flow, seconds.
-    /// Zeros when the run took the barrier fast path (the stepped
-    /// composition has no per-interval rate solution to attribute).
-    pub job_active_s: Vec<f64>,
-    /// Per job: bytes delivered over the fabric (`∫ aggregate rate dt` on
-    /// the event engine; the exact payload sum on the barrier fast path).
-    pub job_service_bytes: Vec<f64>,
-    /// Per job: largest aggregate max-min allocation ever held, bytes/s
-    /// (0 on the barrier fast path).
-    pub job_peak_rate_bps: Vec<f64>,
-}
-
-/// Execute a **multi-job** dependency-aware schedule over `net`.
-///
-/// Timing is identical to [`run_dag`] on the same flows — the max-min fluid
-/// model is inherently fair-shared, so tenancy policies do not change
-/// electrical rates — but every flow carries a job tag (`job_of[i]`, each
-/// `< jobs`) and the incremental solver attributes its rate solution to
-/// jobs: aggregate allocated bandwidth integrated between events, active
-/// transmission time and peak aggregate allocation per tenant.
-pub fn run_dag_jobs(
-    net: &Network,
-    flows: &[DagFlow],
-    job_of: &[usize],
-    jobs: usize,
-    per_message_overhead_s: f64,
-) -> Result<TenantDagReport> {
-    check_jobs(flows, job_of, jobs)?;
-    if let Some(stages) = barrier_stages(flows) {
-        // Keep the stepped fast path so single-tenant barrier DAGs stay
-        // bit-exact with `run_dag`/`run_steps`; delivered bytes are exact,
-        // rates are reported as zeros (documented on the fields).
-        let report = run_dag_barrier(net, flows, &stages, per_message_overhead_s)?;
-        let mut service = vec![0.0f64; jobs];
-        for (f, &j) in flows.iter().zip(job_of) {
-            service[j] += f.bytes as f64;
-        }
-        return Ok(TenantDagReport {
-            report,
-            job_active_s: vec![0.0; jobs],
-            job_service_bytes: service,
-            job_peak_rate_bps: vec![0.0; jobs],
-        });
-    }
-    let r = run_engine(net, engine_flows(flows, job_of, per_message_overhead_s))?;
-    Ok(tenant_report(r, jobs))
-}
-
-fn check_jobs(flows: &[DagFlow], job_of: &[usize], jobs: usize) -> Result<()> {
-    if job_of.len() != flows.len() {
-        return Err(NetError::BadConfig("job tag list must match the flow list"));
-    }
-    if job_of.iter().any(|&j| j >= jobs) {
-        return Err(NetError::BadConfig("job tag out of range of the job count"));
-    }
-    Ok(())
-}
-
-/// The report of an event-engine run, per-job vectors padded to `jobs`.
-fn tenant_report(r: EngineReport, jobs: usize) -> TenantDagReport {
-    let pad = |mut v: Vec<f64>| {
-        v.resize(jobs, 0.0);
-        v
-    };
-    TenantDagReport {
-        report: DagRunReport {
-            makespan_s: r.makespan_s,
-            windows: r.start_s.into_iter().zip(r.finish_s).collect(),
-            rate_recomputations: r.rate_recomputations,
-            solver_work: r.solver_work,
-            events: r.events,
-            barrier_fast_path: false,
-        },
-        job_active_s: pad(r.job_active_s),
-        job_service_bytes: pad(r.job_service_bytes),
-        job_peak_rate_bps: pad(r.job_peak_rate_bps),
-    }
-}
-
-/// Result of a faulted dependency-aware run ([`run_dag_jobs_faulted`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FaultDagRunReport {
-    /// The clean report shape. Failed transfers keep a zero finish in
-    /// their window and are excluded from the makespan.
-    pub tenant: TenantDagReport,
-    /// Per-transfer: permanently failed by a fault.
-    pub failed: Vec<bool>,
-    /// Per-transfer: times the transfer was killed while actively
-    /// transmitting.
-    pub aborted: Vec<u32>,
-    /// Instant the first transfer was failed by a fault, if any.
-    pub first_impact_s: Option<f64>,
-}
-
-/// Execute a (multi-job) dependency-aware schedule under a [`FaultScript`]
-/// with the given recovery [`FaultPolicy`]: a closed driver over the
-/// [`FluidEngine`], which schedules the faults on its own kernel (see
-/// [`crate::engine`] for the per-kind semantics). With no relevant events the run delegates to [`run_dag_jobs`] —
-/// including its barrier fast path — and is **bit-exact** with the clean
-/// entry points. Single-job callers pass `job_of = [0; n], jobs = 1`.
-pub fn run_dag_jobs_faulted(
-    net: &Network,
-    flows: &[DagFlow],
-    job_of: &[usize],
-    jobs: usize,
-    per_message_overhead_s: f64,
-    script: &FaultScript,
-    policy: FaultPolicy,
-) -> Result<FaultDagRunReport> {
-    check_jobs(flows, job_of, jobs)?;
-    let mut eng = FluidEngine::new(net);
-    if !eng.set_faults(script, policy)? {
-        // Zero relevant faults: the clean entry point (barrier fast path
-        // included), bit-exactly.
-        let tenant = run_dag_jobs(net, flows, job_of, jobs, per_message_overhead_s)?;
-        return Ok(FaultDagRunReport {
-            failed: vec![false; flows.len()],
-            aborted: vec![0; flows.len()],
-            first_impact_s: None,
-            tenant,
-        });
-    }
-    eng.inject_owned(engine_flows(flows, job_of, per_message_overhead_s))?;
-    // Stop the instant every flow settled: later fault events and stale
-    // wake-ups have nothing left to act on.
-    while eng.live_flows() > 0 && eng.step()?.is_some() {}
-    let failed = (0..flows.len()).map(|i| eng.failed(i)).collect();
-    let aborted = (0..flows.len()).map(|i| eng.aborts(i)).collect();
-    let first_impact_s = eng.first_impact_s();
-    Ok(FaultDagRunReport {
-        tenant: tenant_report(eng.into_report(), jobs),
-        failed,
-        aborted,
-        first_impact_s,
-    })
-}
-
-/// The engine flows of a tagged dependency-aware schedule.
-fn engine_flows(
-    flows: &[DagFlow],
-    job_of: &[usize],
-    per_message_overhead_s: f64,
-) -> Vec<EngineFlow> {
-    flows
-        .iter()
-        .zip(job_of)
-        .map(|(f, &job)| EngineFlow {
-            src: f.src,
-            dst: f.dst,
-            bytes: f.bytes,
-            release_s: f.release_s,
-            delay_s: per_message_overhead_s,
-            deps: f.deps.clone(),
-            job,
-        })
-        .collect()
-}
-
-/// Execute a dependency-aware schedule strictly through the event-driven
-/// engine, bypassing the barrier fast path. Used by differential tests and
-/// benchmarks; [`run_dag`] is the production entry point.
-pub fn run_dag_event_driven(
-    net: &Network,
-    flows: &[DagFlow],
-    per_message_overhead_s: f64,
-) -> Result<DagRunReport> {
-    let r = run_engine(
-        net,
-        engine_flows(flows, &vec![0; flows.len()], per_message_overhead_s),
-    )?;
-    Ok(tenant_report(r, 1).report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::NetError;
     use crate::topology::star_cluster;
 
     #[test]
@@ -664,21 +403,40 @@ mod tests {
         assert!((r.step_times_s[1] - 1e-6).abs() < 1e-15);
     }
 
-    /// Lower `steps` to the barrier-shaped DAG (every transfer gated on
-    /// the whole previous non-empty step).
-    fn barrier_dag(steps: &[Vec<StepTransfer>]) -> Vec<DagFlow> {
+    fn transfer(src: usize, dst: usize, bytes: u64) -> StepTransfer {
+        StepTransfer { src, dst, bytes }
+    }
+
+    /// Run `steps` on the barrier fast path, one stage per step.
+    fn barrier_run<'n>(
+        net: &'n Network,
+        steps: &[Vec<StepTransfer>],
+        overhead_s: f64,
+    ) -> Result<BarrierRun<'n>> {
+        let mut run = BarrierRun::new(net, overhead_s);
+        for step in steps {
+            run.stage(step)?;
+        }
+        Ok(run)
+    }
+
+    /// Lower `steps` to the barrier-shaped engine flows (every transfer
+    /// gated on the whole previous non-empty step), each charged the launch
+    /// delay `delay_s`.
+    fn barrier_flows(steps: &[Vec<StepTransfer>], delay_s: f64) -> Vec<EngineFlow> {
         let mut flows = Vec::new();
         let mut prev: Vec<usize> = Vec::new();
-        for (stage, step) in steps.iter().enumerate() {
+        for step in steps {
             let first = flows.len();
             for t in step {
-                flows.push(DagFlow {
+                flows.push(EngineFlow {
                     src: t.src,
                     dst: t.dst,
                     bytes: t.bytes,
                     release_s: 0.0,
+                    delay_s,
                     deps: prev.clone(),
-                    stage,
+                    job: 0,
                 });
             }
             if !step.is_empty() {
@@ -688,109 +446,72 @@ mod tests {
         flows
     }
 
+    /// Run `flows` to idle on the event-driven fluid engine: the makespan
+    /// and every flow's `(start, finish)` window.
+    fn engine_run(net: &Network, flows: Vec<EngineFlow>) -> Result<(f64, Vec<(f64, f64)>)> {
+        let n = flows.len();
+        let mut eng = FluidEngine::new(net);
+        eng.inject_owned(flows)?;
+        while eng.step()?.is_some() {}
+        Ok((eng.makespan_s(), (0..n).map(|i| eng.window(i)).collect()))
+    }
+
     #[test]
     fn barrier_dag_matches_run_steps_bit_exactly() {
         let net = star_cluster(8, 1e9, 500e-9);
         let steps = vec![
-            vec![
-                StepTransfer {
-                    src: 0,
-                    dst: 1,
-                    bytes: 1_000_000,
-                },
-                StepTransfer {
-                    src: 0,
-                    dst: 2,
-                    bytes: 700_000,
-                },
-            ],
+            vec![transfer(0, 1, 1_000_000), transfer(0, 2, 700_000)],
             vec![],
-            vec![StepTransfer {
-                src: 2,
-                dst: 3,
-                bytes: 2_000_000,
-            }],
+            vec![transfer(2, 3, 2_000_000)],
         ];
         let stepped = run_steps(&net, &steps, 5e-6).unwrap();
-        let dag = run_dag(&net, &barrier_dag(&steps), 5e-6).unwrap();
-        assert!(dag.barrier_fast_path);
-        assert_eq!(dag.makespan_s.to_bits(), stepped.total_time_s.to_bits());
+        let fast = barrier_run(&net, &steps, 5e-6).unwrap();
+        assert_eq!(fast.makespan_s.to_bits(), stepped.total_time_s.to_bits());
+        assert_eq!(fast.windows.len(), 3);
     }
 
     #[test]
     fn pipelined_dag_is_never_slower_than_the_barrier() {
         let net = star_cluster(8, 1e9, 0.0);
         let steps = vec![
-            vec![StepTransfer {
-                src: 0,
-                dst: 1,
-                bytes: 1_000_000,
-            }],
-            vec![StepTransfer {
-                src: 2,
-                dst: 3,
-                bytes: 1_000_000,
-            }],
+            vec![transfer(0, 1, 1_000_000)],
+            vec![transfer(2, 3, 1_000_000)],
         ];
         let barrier = run_steps(&net, &steps, 0.0).unwrap();
         // Drop the cross-step edge: the two disjoint transfers overlap.
-        let mut flows = barrier_dag(&steps);
+        let mut flows = barrier_flows(&steps, 0.0);
         flows[1].deps.clear();
-        let dag = run_dag(&net, &flows, 0.0).unwrap();
-        assert!(!dag.barrier_fast_path);
-        assert!((dag.makespan_s - 1e-3).abs() < 1e-12);
-        assert!(dag.makespan_s <= barrier.total_time_s);
+        let (makespan_s, _) = engine_run(&net, flows).unwrap();
+        assert!((makespan_s - 1e-3).abs() < 1e-12);
+        assert!(makespan_s <= barrier.total_time_s);
     }
 
     #[test]
     fn event_driven_barrier_dag_agrees_with_fast_path() {
         let net = star_cluster(8, 1e9, 500e-9);
         let steps = vec![
-            vec![
-                StepTransfer {
-                    src: 0,
-                    dst: 1,
-                    bytes: 1_000_000,
-                },
-                StepTransfer {
-                    src: 2,
-                    dst: 1,
-                    bytes: 500_000,
-                },
-            ],
-            vec![StepTransfer {
-                src: 1,
-                dst: 4,
-                bytes: 1_500_000,
-            }],
+            vec![transfer(0, 1, 1_000_000), transfer(2, 1, 500_000)],
+            vec![transfer(1, 4, 1_500_000)],
         ];
-        let flows = barrier_dag(&steps);
-        let fast = run_dag(&net, &flows, 5e-6).unwrap();
-        let event = run_dag_event_driven(&net, &flows, 5e-6).unwrap();
-        assert!(fast.barrier_fast_path && !event.barrier_fast_path);
+        let fast = barrier_run(&net, &steps, 5e-6).unwrap();
+        let (event, _) = engine_run(&net, barrier_flows(&steps, 5e-6)).unwrap();
         assert!(
-            (fast.makespan_s - event.makespan_s).abs() / fast.makespan_s < 1e-9,
-            "fast {} vs event {}",
-            fast.makespan_s,
-            event.makespan_s
+            (fast.makespan_s - event).abs() / fast.makespan_s < 1e-9,
+            "fast {} vs event {event}",
+            fast.makespan_s
         );
     }
 
     #[test]
     fn dag_release_times_gate_transfers() {
         let net = star_cluster(4, 1e9, 0.0);
-        let flows = vec![DagFlow {
-            src: 0,
-            dst: 1,
-            bytes: 1_000_000,
+        let flows = vec![EngineFlow {
             release_s: 2e-3,
-            deps: vec![],
-            stage: 0,
+            ..barrier_flows(&[vec![transfer(0, 1, 1_000_000)]], 0.0)[0].clone()
         }];
-        let dag = run_dag(&net, &flows, 0.0).unwrap();
-        assert!(!dag.barrier_fast_path);
-        assert!((dag.makespan_s - 3e-3).abs() < 1e-12);
-        assert!((dag.windows[0].0 - 2e-3).abs() < 1e-12);
+        let (makespan_s, windows) = engine_run(&net, flows).unwrap();
+        assert!((makespan_s - 3e-3).abs() < 1e-12);
+        assert!((windows[0].0 - 2e-3).abs() < 1e-12);
     }
 
     /// Regression (review finding): with latency links and zero-byte
@@ -800,45 +521,27 @@ mod tests {
     #[test]
     fn zero_byte_gates_on_latency_links_keep_engines_and_causality_consistent() {
         let net = star_cluster(4, 1e9, 1e-6);
-        let flows = vec![
-            DagFlow {
-                src: 0,
-                dst: 1,
-                bytes: 0,
-                release_s: 0.0,
-                deps: vec![],
-                stage: 0,
-            },
-            DagFlow {
-                src: 1,
-                dst: 2,
-                bytes: 1_000_000,
-                release_s: 0.0,
-                deps: vec![0],
-                stage: 1,
-            },
-        ];
+        let steps = vec![vec![transfer(0, 1, 0)], vec![transfer(1, 2, 1_000_000)]];
         for overhead in [0.0, 5e-6] {
-            let fast = run_dag(&net, &flows, overhead).unwrap();
-            let event = run_dag_event_driven(&net, &flows, overhead).unwrap();
-            assert!(fast.barrier_fast_path && !event.barrier_fast_path);
-            for r in [&fast, &event] {
+            let fast = barrier_run(&net, &steps, overhead).unwrap();
+            let event = engine_run(&net, barrier_flows(&steps, overhead)).unwrap();
+            for (makespan_s, windows) in [(fast.makespan_s, &fast.windows), (event.0, &event.1)] {
                 assert!(
-                    r.windows[1].0 >= r.windows[0].1 - 1e-15,
+                    windows[1].0 >= windows[0].1 - 1e-15,
                     "dependent starts at {} before its gate finishes at {}",
-                    r.windows[1].0,
-                    r.windows[0].1
+                    windows[1].0,
+                    windows[0].1
                 );
-                for &(_, finish) in &r.windows {
-                    assert!(finish <= r.makespan_s + 1e-15);
+                for &(_, finish) in windows {
+                    assert!(finish <= makespan_s + 1e-15);
                 }
             }
             let scale = fast.makespan_s.max(1e-30);
             assert!(
-                (fast.makespan_s - event.makespan_s).abs() / scale < 1e-9,
+                (fast.makespan_s - event.0).abs() / scale < 1e-9,
                 "overhead {overhead}: fast {} vs event {}",
                 fast.makespan_s,
-                event.makespan_s
+                event.0
             );
         }
     }
@@ -849,26 +552,10 @@ mod tests {
     #[test]
     fn fast_path_validates_zero_byte_routes_in_mixed_stages() {
         let net = star_cluster(4, 1e9, 0.0);
-        let flows = vec![
-            DagFlow {
-                src: 0,
-                dst: 1,
-                bytes: 1_000_000,
-                release_s: 0.0,
-                deps: vec![],
-                stage: 0,
-            },
-            DagFlow {
-                src: 2,
-                dst: 2, // self-flow: unroutable
-                bytes: 0,
-                release_s: 0.0,
-                deps: vec![],
-                stage: 0,
-            },
-        ];
-        let fast = run_dag(&net, &flows, 0.0);
-        let event = run_dag_event_driven(&net, &flows, 0.0);
+        // The second transfer is a self-flow: unroutable.
+        let steps = vec![vec![transfer(0, 1, 1_000_000), transfer(2, 2, 0)]];
+        let fast = barrier_run(&net, &steps, 0.0);
+        let event = engine_run(&net, barrier_flows(&steps, 0.0));
         assert_eq!(fast.unwrap_err(), crate::error::NetError::SelfFlow(2));
         assert_eq!(event.unwrap_err(), crate::error::NetError::SelfFlow(2));
     }
@@ -876,28 +563,11 @@ mod tests {
     #[test]
     fn zero_byte_dag_transfers_gate_but_cost_only_overhead() {
         let net = star_cluster(4, 1e9, 0.0);
-        let flows = vec![
-            DagFlow {
-                src: 0,
-                dst: 1,
-                bytes: 0,
-                release_s: 0.0,
-                deps: vec![],
-                stage: 0,
-            },
-            DagFlow {
-                src: 1,
-                dst: 2,
-                bytes: 1_000_000,
-                release_s: 0.0,
-                deps: vec![0],
-                stage: 1,
-            },
-        ];
-        let dag = run_dag(&net, &flows, 1e-6).unwrap();
+        let steps = vec![vec![transfer(0, 1, 0)], vec![transfer(1, 2, 1_000_000)]];
+        let fast = barrier_run(&net, &steps, 1e-6).unwrap();
         // Zero-byte gate completes after its 1 us launch; the dependent
         // pays its own launch then 1 ms of serialization.
-        assert!((dag.makespan_s - (2e-6 + 1e-3)).abs() < 1e-12);
+        assert!((fast.makespan_s - (2e-6 + 1e-3)).abs() < 1e-12);
     }
 
     #[test]

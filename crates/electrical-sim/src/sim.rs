@@ -37,9 +37,10 @@
 //! frozen at rate zero (its route crosses a zero-capacity link) instead of
 //! looping or reporting an infinite/zero makespan.
 //!
-//! The incremental engine also powers the dependency-aware DAG execution
-//! in [`crate::runner::run_dag`]: flows may declare predecessor edges and
-//! are released the instant their last predecessor completes.
+//! The incremental engine is [`crate::engine::FluidEngine`], which also
+//! runs dependency-aware flows ([`EngineFlow`]): flows may declare
+//! predecessor edges and are released the instant their last predecessor
+//! completes.
 
 use crate::engine::FluidEngine;
 use crate::error::{NetError, Result};
@@ -97,46 +98,6 @@ pub struct RunReport {
     pub events: u64,
 }
 
-/// Flow-level simulator over a [`Network`].
-#[derive(Debug, Clone)]
-pub struct FluidSimulator {
-    net: Network,
-    specs: Vec<FlowSpec>,
-}
-
-impl FluidSimulator {
-    /// New simulator with no flows submitted.
-    #[must_use]
-    pub fn new(net: Network) -> Self {
-        Self {
-            net,
-            specs: Vec::new(),
-        }
-    }
-
-    /// The underlying network.
-    #[must_use]
-    pub fn network(&self) -> &Network {
-        &self.net
-    }
-
-    /// Queue a flow for the next [`FluidSimulator::run`].
-    pub fn submit(&mut self, spec: FlowSpec) {
-        self.specs.push(spec);
-    }
-
-    /// Queue many flows.
-    pub fn submit_all<I: IntoIterator<Item = FlowSpec>>(&mut self, specs: I) {
-        self.specs.extend(specs);
-    }
-
-    /// Run all submitted flows to completion and drain the queue.
-    pub fn run(&mut self) -> Result<RunReport> {
-        let specs = std::mem::take(&mut self.specs);
-        run_flows(&self.net, &specs)
-    }
-}
-
 /// Absolute tolerance used for time comparisons (seconds) and residual
 /// payload (bytes): events within `EPS` coincide and residues below `EPS`
 /// complete.
@@ -164,33 +125,9 @@ pub struct EngineFlow {
     /// Indices of flows that must complete first (each `<` own index).
     pub deps: Vec<usize>,
     /// Tenant job the flow belongs to (0 for single-job runs). Drives the
-    /// per-job rate attribution in [`EngineReport`].
+    /// engine's per-job rate attribution
+    /// ([`crate::engine::FluidEngine::job_rates`]).
     pub job: usize,
-}
-
-/// Result of a dependency-aware engine run.
-///
-/// The three `job_*` vectors are indexed by [`EngineFlow::job`] (length =
-/// max job + 1) and attribute the max-min rate solution to tenants: between
-/// two events every job's aggregate allocated rate is known exactly, so the
-/// engine integrates it over the interval (`job_service_bytes`), accumulates
-/// the time the job had at least one transmitting flow (`job_active_s`) and
-/// records the largest aggregate allocation it ever held
-/// (`job_peak_rate_bps`).
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct EngineReport {
-    pub makespan_s: f64,
-    /// Per flow: instant its gates opened (deps + release satisfied).
-    pub start_s: Vec<f64>,
-    /// Per flow: completion instant (0 for a failed flow).
-    pub finish_s: Vec<f64>,
-    pub rate_recomputations: usize,
-    pub solver_work: usize,
-    /// Discrete events processed by the kernel (wake-ups + completions).
-    pub events: u64,
-    pub job_active_s: Vec<f64>,
-    pub job_service_bytes: Vec<f64>,
-    pub job_peak_rate_bps: Vec<f64>,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -207,25 +144,6 @@ pub(crate) enum Phase {
     /// Permanently failed by a fault (only under an installed fault
     /// script): terminal like `Done`, but with no completion instant.
     Failed,
-}
-
-/// The dependency-aware fluid engine with incremental max-min re-solves.
-///
-/// Generalizes the classic flow loop: flows may declare predecessor edges
-/// (released the instant the last predecessor completes), an absolute
-/// release time and a launch delay. With no deps and no delay this is
-/// bit-identical to [`run_flows_full_resolve`] on the same specs — the
-/// incremental component solve yields the same rates as a full solve, and
-/// the event arithmetic is unchanged.
-///
-/// Since the streaming refactor this is a thin closed-set driver over
-/// [`FluidEngine`]: the whole flow list moves into the engine as one batch
-/// at time zero and the engine is pumped to idle.
-pub(crate) fn run_engine(net: &Network, flows: Vec<EngineFlow>) -> Result<EngineReport> {
-    let mut eng = FluidEngine::new(net);
-    eng.inject_owned(flows)?;
-    while eng.step()?.is_some() {}
-    Ok(eng.into_report())
 }
 
 /// Simulate `specs` over `net` and report completion times.
@@ -268,20 +186,19 @@ pub fn run_flows(net: &Network, specs: &[FlowSpec]) -> Result<RunReport> {
     });
     eng.admit(flows, routes, latencies);
     while eng.step()?.is_some() {}
-    let r = eng.into_report();
     Ok(RunReport {
-        makespan_s: r.makespan_s,
+        makespan_s: eng.makespan_s(),
         flows: specs
             .iter()
-            .zip(&r.finish_s)
-            .map(|(s, &finish_s)| FlowOutcome {
+            .enumerate()
+            .map(|(i, s)| FlowOutcome {
                 release_s: s.release_s(),
-                finish_s,
+                finish_s: eng.window(i).1,
             })
             .collect(),
-        rate_recomputations: r.rate_recomputations,
-        solver_work: r.solver_work,
-        events: r.events,
+        rate_recomputations: eng.rate_recomputations(),
+        solver_work: eng.solver_work(),
+        events: eng.events(),
     })
 }
 
@@ -459,11 +376,11 @@ pub fn run_flows_full_resolve(net: &Network, specs: &[FlowSpec]) -> Result<RunRe
     let mut recomputations = 0usize;
     let mut solver_work = 0usize;
 
-    // Same event-kernel discipline as `run_engine` — lazy `remaining`,
+    // Same event-kernel discipline as the engine — lazy `remaining`,
     // candidates recomputed only when a flow's rate changes bits, and a
     // single pending `Complete` event at the earliest candidate (the full
     // solve treats all active flows as one component, so the global
-    // minimum is the right granularity where `run_engine` uses one event
+    // minimum is the right granularity where the engine uses one event
     // per true component). Because max-min components are independent, the
     // full solve changes exactly the same rate bits at exactly the same
     // instants as the incremental component solve, which is what keeps the
@@ -547,7 +464,7 @@ pub fn run_flows_full_resolve(net: &Network, specs: &[FlowSpec]) -> Result<RunRe
 
         // Next batch of same-instant events; stale wake-ups (flows promoted
         // EPS-early) and superseded candidates only advance the kernel
-        // clock. Same validation-on-pop as `run_engine`.
+        // clock. Same validation-on-pop as the engine.
         let batch_time = loop {
             batch.clear();
             match kernel.pop_batch(&mut batch) {
@@ -579,7 +496,7 @@ pub fn run_flows_full_resolve(net: &Network, specs: &[FlowSpec]) -> Result<RunRe
             break; // All done (no dependencies, so the queue only drains).
         };
 
-        // Completions by candidate, not by carrier (see `run_engine`).
+        // Completions by candidate, not by carrier (see the engine).
         batch.clear();
         for i in 0..n {
             if phase[i] == SimplePhase::Active && cand[i].to_bits() == next.to_bits() {
@@ -620,33 +537,29 @@ mod tests {
     #[test]
     fn single_flow_latency_plus_serialization() {
         let net = star_cluster(2, 1e9, 1e-6);
-        let mut sim = FluidSimulator::new(net);
-        sim.submit(FlowSpec::new(0, 1, 1_000_000)); // 1 MB
-        let r = sim.run().unwrap();
-        // 2 links of 1 us latency, then 1 MB at 1 GB/s = 1 ms.
+        let r = run_flows(&net, &[FlowSpec::new(0, 1, 1_000_000)]).unwrap(); // 1 MB
+                                                                             // 2 links of 1 us latency, then 1 MB at 1 GB/s = 1 ms.
         assert!((r.makespan_s - (2e-6 + 1e-3)).abs() < 1e-9);
     }
 
     #[test]
     fn sharing_doubles_completion() {
         let net = star_cluster(4, 1e9, 0.0);
-        let mut sim = FluidSimulator::new(net);
-        sim.submit_all([
+        let specs = [
             FlowSpec::new(0, 1, 1_000_000),
             FlowSpec::new(0, 2, 1_000_000),
-        ]);
-        let r = sim.run().unwrap();
+        ];
+        let r = run_flows(&net, &specs).unwrap();
         assert!((r.makespan_s - 2e-3).abs() < 1e-9);
     }
 
     #[test]
     fn freed_bandwidth_speeds_up_survivors() {
         let net = star_cluster(4, 1e9, 0.0);
-        let mut sim = FluidSimulator::new(net);
         // Short and long flow share an uplink; after the short one finishes
         // the long one runs at full rate.
-        sim.submit_all([FlowSpec::new(0, 1, 500_000), FlowSpec::new(0, 2, 1_500_000)]);
-        let r = sim.run().unwrap();
+        let specs = [FlowSpec::new(0, 1, 500_000), FlowSpec::new(0, 2, 1_500_000)];
+        let r = run_flows(&net, &specs).unwrap();
         // Phase 1: both at 0.5 GB/s until the short flow ends at t=1ms
         // (0.5 MB each transferred). Phase 2: 1.0 MB left at 1 GB/s = 1 ms.
         assert!((r.flows[0].finish_s - 1e-3).abs() < 1e-9);
@@ -656,12 +569,11 @@ mod tests {
     #[test]
     fn staggered_release() {
         let net = star_cluster(4, 1e9, 0.0);
-        let mut sim = FluidSimulator::new(net);
-        sim.submit_all([
+        let specs = [
             FlowSpec::new(0, 1, 1_000_000),
             FlowSpec::released_at(0, 2, 1_000_000, 2e-3),
-        ]);
-        let r = sim.run().unwrap();
+        ];
+        let r = run_flows(&net, &specs).unwrap();
         // First finishes alone at 1 ms; second starts at 2 ms, alone, ends 3 ms.
         assert!((r.flows[0].finish_s - 1e-3).abs() < 1e-9);
         assert!((r.flows[1].finish_s - 3e-3).abs() < 1e-9);
@@ -670,36 +582,33 @@ mod tests {
     #[test]
     fn ring_neighbor_exchange_is_contention_free() {
         let net = ring(8, 1e9, 0.0);
-        let mut sim = FluidSimulator::new(net);
-        sim.submit_all((0..8).map(|i| FlowSpec::new(i, (i + 1) % 8, 1_000_000)));
-        let r = sim.run().unwrap();
+        let specs: Vec<FlowSpec> = (0..8)
+            .map(|i| FlowSpec::new(i, (i + 1) % 8, 1_000_000))
+            .collect();
+        let r = run_flows(&net, &specs).unwrap();
         assert!((r.makespan_s - 1e-3).abs() < 1e-9);
     }
 
     #[test]
     fn empty_run() {
         let net = star_cluster(2, 1e9, 0.0);
-        let mut sim = FluidSimulator::new(net);
-        let r = sim.run().unwrap();
+        let r = run_flows(&net, &[]).unwrap();
         assert_eq!(r.makespan_s, 0.0);
     }
 
     #[test]
     fn zero_byte_flow_rejected() {
         let net = star_cluster(2, 1e9, 0.0);
-        let mut sim = FluidSimulator::new(net);
-        sim.submit(FlowSpec::new(0, 1, 0));
-        assert!(sim.run().is_err());
+        assert!(run_flows(&net, &[FlowSpec::new(0, 1, 0)]).is_err());
     }
 
     #[test]
     fn submitting_after_run_starts_fresh() {
+        // Runs over one network are independent: a second run reports only
+        // its own flows.
         let net = star_cluster(2, 1e9, 0.0);
-        let mut sim = FluidSimulator::new(net);
-        sim.submit(FlowSpec::new(0, 1, 1_000));
-        sim.run().unwrap();
-        sim.submit(FlowSpec::new(1, 0, 1_000));
-        let r = sim.run().unwrap();
+        run_flows(&net, &[FlowSpec::new(0, 1, 1_000)]).unwrap();
+        let r = run_flows(&net, &[FlowSpec::new(1, 0, 1_000)]).unwrap();
         assert_eq!(r.flows.len(), 1);
     }
 
@@ -767,6 +676,14 @@ mod tests {
         );
     }
 
+    /// Inject `flows` into a fresh engine as one batch and step it to idle.
+    fn engine_run(net: &Network, flows: Vec<EngineFlow>) -> Result<FluidEngine<'_>> {
+        let mut eng = FluidEngine::new(net);
+        eng.inject_owned(flows)?;
+        while eng.step()?.is_some() {}
+        Ok(eng)
+    }
+
     #[test]
     fn dependency_chain_serializes_flows() {
         let net = star_cluster(4, 1e9, 0.0);
@@ -790,10 +707,10 @@ mod tests {
                 job: 0,
             },
         ];
-        let r = run_engine(&net, flows).unwrap();
-        assert!((r.finish_s[0] - 1e-3).abs() < 1e-12);
-        assert!((r.start_s[1] - 1e-3).abs() < 1e-12);
-        assert!((r.makespan_s - 2e-3).abs() < 1e-12);
+        let r = engine_run(&net, flows).unwrap();
+        assert!((r.window(0).1 - 1e-3).abs() < 1e-12);
+        assert!((r.window(1).0 - 1e-3).abs() < 1e-12);
+        assert!((r.makespan_s() - 2e-3).abs() < 1e-12);
     }
 
     #[test]
@@ -819,12 +736,12 @@ mod tests {
                 job: 0,
             },
         ];
-        let r = run_engine(&net, flows).unwrap();
+        let r = engine_run(&net, flows).unwrap();
         // The zero-byte flow completes instantly at its release; the
         // dependent starts right there.
-        assert!((r.finish_s[0] - 1e-3).abs() < 1e-12);
-        assert!((r.start_s[1] - 1e-3).abs() < 1e-12);
-        assert!((r.makespan_s - 2e-3).abs() < 1e-12);
+        assert!((r.window(0).1 - 1e-3).abs() < 1e-12);
+        assert!((r.window(1).0 - 1e-3).abs() < 1e-12);
+        assert!((r.makespan_s() - 2e-3).abs() < 1e-12);
     }
 
     #[test]
@@ -840,7 +757,7 @@ mod tests {
             job: 0,
         }];
         assert!(matches!(
-            run_engine(&net, flows),
+            engine_run(&net, flows),
             Err(NetError::BadConfig(_))
         ));
     }
@@ -857,7 +774,7 @@ mod tests {
             deps: vec![],
             job: 0,
         }];
-        let r = run_engine(&net, flows).unwrap();
-        assert!((r.makespan_s - (5e-6 + 1e-3)).abs() < 1e-12);
+        let r = engine_run(&net, flows).unwrap();
+        assert!((r.makespan_s() - (5e-6 + 1e-3)).abs() < 1e-12);
     }
 }

@@ -1,11 +1,8 @@
 //! The streaming wavelength-grant engine.
 //!
 //! [`GrantEngine`] is the single execution engine behind every dependency-
-//! aware optical run. The closed-set entry points
-//! ([`crate::sim::RingSimulator::run_dag`],
-//! [`crate::sim::RingSimulator::run_dag_jobs`] and
-//! [`crate::sim::RingSimulator::run_dag_faulted`]) are thin drivers over it:
-//! they inject the whole transfer DAG at time zero and pump the engine to
+//! aware optical run. A closed run (the closed driver in `wrht-core`)
+//! injects the whole transfer DAG at time zero and pumps the engine to
 //! idle. Open-loop cluster services instead [`GrantEngine::inject`] each
 //! arriving job's transfers into the *running* engine — the grant loop,
 //! arbitration and event kernel are shared, so a stream whose arrivals are

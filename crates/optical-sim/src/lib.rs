@@ -17,14 +17,16 @@
 //!   and the step lasts as long as its slowest transfer. It reads any
 //!   [`sim::StepSource`]: a materialized [`sim::StepSchedule`] or a
 //!   generator that writes each step on demand.
-//! * [`sim::RingSimulator::run_event_driven`] — a discrete-event model in
-//!   which transfers contend for wavelengths dynamically; used for the
-//!   contention ablations and as a cross-check of the stepped model.
-//! * [`sim::RingSimulator::run_dag`] — the dependency-aware model: each
-//!   transfer carries predecessor edges and a release time, starts the
-//!   instant its gates open, and frees its wavelengths on completion
+//! * [`sim::RingSimulator::run_event_driven`] — a discrete-event FIFO model
+//!   in which released transfers contend for wavelengths dynamically; used
+//!   for the contention ablations and as a cross-check of the stepped
+//!   model.
+//! * [`engine::GrantEngine`] — the dependency-aware streaming engine: each
+//!   transfer carries predecessor edges and a release time, is granted its
+//!   lanes once its gates open, and frees its wavelengths on completion
 //!   rather than at a step barrier. On barrier-shaped DAGs it agrees
-//!   bit-exactly with the stepped model.
+//!   bit-exactly with the stepped model. `wrht-core` drives it for closed
+//!   DAG, tenancy, fault and stream runs.
 //!
 //! Transfers may be *striped* across several wavelengths
 //! ([`request::Transfer::lanes`]) which is how Wrht exploits WDM parallelism.
@@ -50,7 +52,6 @@ pub mod engine;
 pub mod error;
 pub mod path;
 pub mod physical;
-pub mod power;
 pub mod request;
 pub mod rwa;
 pub mod sim;
@@ -69,10 +70,7 @@ pub mod prelude {
     pub use crate::physical::PhysicalModel;
     pub use crate::request::{DirectionChoice, Transfer};
     pub use crate::rwa::{Occupancy, Strategy};
-    pub use crate::sim::{
-        DagReport, DagTransfer, FaultDagReport, FaultOutcome, JobArbitration, RingSimulator,
-        StepReport, StepSchedule, StepSource,
-    };
+    pub use crate::sim::{RingSimulator, StepReport, StepSchedule, StepSource};
     pub use crate::timing::TimingModel;
     pub use crate::topology::{Direction, NodeId, RingTopology};
     pub use crate::trace::{run_stepped_traced, RunTrace, TraceEntry};
@@ -85,7 +83,7 @@ pub use error::OpticalError;
 pub use path::LightPath;
 pub use request::{DirectionChoice, Transfer};
 pub use rwa::{Occupancy, Strategy};
-pub use sim::{JobArbitration, RingSimulator, StepReport, StepSchedule, StepSource};
+pub use sim::{RingSimulator, StepReport, StepSchedule, StepSource};
 pub use timing::TimingModel;
 pub use topology::{Direction, NodeId, RingTopology};
 pub use wavelength::Wavelength;

@@ -1,7 +1,7 @@
-//! The ring simulator: stepped and event-driven execution of schedules.
+//! The ring simulator: stepped execution of schedules, and the FIFO
+//! contention model of released transfers.
 
 use crate::config::OpticalConfig;
-use crate::engine::{GrantEngine, GrantTransfer};
 use crate::error::{OpticalError, Result};
 use crate::path::LightPath;
 use crate::request::{DirectionChoice, Transfer};
@@ -10,7 +10,7 @@ use crate::stats::{RunStats, StepStats};
 use crate::topology::{NodeId, RingTopology};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
-use wrht_kernel::{EventKernel, FaultPolicy, FaultScript};
+use wrht_kernel::EventKernel;
 
 /// A step-synchronous communication schedule: every transfer of a step
 /// starts together, and a step ends when its slowest transfer completes.
@@ -185,88 +185,6 @@ pub struct EventReport {
     pub events: u64,
 }
 
-/// A dependency-aware transfer submitted to [`RingSimulator::run_dag`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DagTransfer {
-    /// The transfer itself (route, payload, striping lanes).
-    pub transfer: Transfer,
-    /// Earliest release time, seconds; 0 for dependency-driven transfers.
-    pub release_s: f64,
-    /// Indices of transfers that must complete first (each `<` own index).
-    pub deps: Vec<usize>,
-}
-
-/// Cross-job wavelength arbitration for [`RingSimulator::run_dag_jobs`].
-///
-/// A multi-tenant DAG is a concatenation of per-job transfer lists; serving
-/// waiters in plain DAG order would hand every contended wavelength to the
-/// job that happens to come first in the list. This struct tells the grant
-/// loop which job each transfer belongs to and how jobs are ordered when
-/// they compete for lanes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct JobArbitration {
-    /// Job index of every transfer, parallel to the transfer list. Every
-    /// entry must be `< rank.len()`.
-    pub job_of: Vec<usize>,
-    /// Static grant rank per job — when two jobs' waiters compete for the
-    /// same lanes, the lower-ranked job is served first (e.g. FIFO by
-    /// arrival, or by priority).
-    pub rank: Vec<u64>,
-    /// When set, the job with the least accumulated service (granted
-    /// lane-seconds) is served first and `rank` only breaks ties —
-    /// a deterministic fair-share discipline.
-    pub fair_share: bool,
-}
-
-/// Result of a dependency-aware run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DagReport {
-    /// Completion time of the last transfer, seconds.
-    pub makespan_s: f64,
-    /// Per-transfer (start, finish) times in submission order. `start` is
-    /// the instant the transfer's wavelengths were granted (gates open
-    /// *and* lanes free along the path).
-    pub transfer_times: Vec<(f64, f64)>,
-    /// Peak number of concurrently active transfers.
-    pub peak_concurrency: usize,
-    /// Highest wavelength index in use at any instant, plus one.
-    pub peak_wavelength: usize,
-    /// Events processed by the event kernel during the run.
-    pub events: u64,
-}
-
-/// Per-transfer outcome of a faulted DAG run (on the optical ring, the
-/// start is the last wavelength grant).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct FaultOutcome {
-    /// Instant of the (last) start, seconds; 0 if never started.
-    pub start_s: f64,
-    /// Completion instant, seconds; 0 if the transfer never completed.
-    pub finish_s: f64,
-    /// Times the transfer was aborted mid-flight by a fault.
-    pub aborts: u32,
-    /// Did the transfer complete?
-    pub completed: bool,
-}
-
-/// Result of a dependency-aware run under a fault script
-/// ([`RingSimulator::run_dag_faulted`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FaultDagReport {
-    /// Completion time of the last *completed* transfer, seconds.
-    pub makespan_s: f64,
-    /// Per-transfer outcomes in submission order.
-    pub outcomes: Vec<FaultOutcome>,
-    /// Peak number of concurrently active transfers.
-    pub peak_concurrency: usize,
-    /// Highest wavelength index in use at any instant, plus one.
-    pub peak_wavelength: usize,
-    /// Events processed by the event kernel during the run.
-    pub events: u64,
-    /// Instant the first transfer was aborted or failed by a fault, if any.
-    pub first_impact_s: Option<f64>,
-}
-
 /// Simulator for one optical ring deployment.
 #[derive(Debug, Clone)]
 pub struct RingSimulator {
@@ -356,6 +274,14 @@ impl RingSimulator {
     ///
     /// This mode exposes wavelength *contention* that the stepped model hides
     /// and is used by the contention ablation and cross-checking tests.
+    ///
+    /// It is a model of its own, not a run of the grant engine
+    /// ([`crate::engine::GrantEngine`]): here a later waiter whose lanes are
+    /// free starts at once, past an earlier blocked one, while the grant
+    /// scan holds any waiter whose arc meets the arc of a blocked earlier
+    /// waiter. On one lane, 0→2, 1→3 and 2→4 released together finish in
+    /// two transfer times here (2→4 runs beside 0→2) and in three on the
+    /// grant engine. The ablation keeps this FIFO model.
     pub fn run_event_driven(&mut self, released: &[(f64, Transfer)]) -> Result<EventReport> {
         #[derive(Debug)]
         enum Ev {
@@ -478,166 +404,12 @@ impl RingSimulator {
             events: queue.events_processed(),
         })
     }
-
-    /// Execute a dependency-aware transfer DAG: each transfer is released
-    /// the instant its last predecessor completes (and its `release_s` has
-    /// passed), waits for its lanes along its path, transmits, then
-    /// **releases its wavelengths immediately** — not at a step barrier.
-    /// Waiters are served in **DAG order** (ascending transfer index, not
-    /// arrival order), and a waiter whose path shares a same-direction
-    /// segment with an earlier *blocked* waiter is held back too: later
-    /// transfers never steal lanes out from under the critical chain, so
-    /// wavelength-saturated schedules degrade to clean serialization
-    /// instead of fragmenting the budget.
-    ///
-    /// For a DAG encoding full step barriers (every transfer of a step
-    /// depending on the whole previous step) the makespan equals
-    /// [`RingSimulator::run_stepped`]'s total **bit-exactly**: with all of
-    /// a step's predecessors finishing at the same barrier instant `T`,
-    /// each transfer finishes at `T ⊕ dᵢ`, and IEEE-754 addition is
-    /// monotone, so `max(T ⊕ dᵢ) = T ⊕ max dᵢ` — the stepped left-fold sum.
-    /// Unlike the stepped mode, a transfer that momentarily cannot get its
-    /// lanes waits instead of failing, so contention shows up as time.
-    pub fn run_dag(&mut self, transfers: &[DagTransfer], strategy: Strategy) -> Result<DagReport> {
-        self.run_dag_arbitrated(transfers, strategy, None)
-    }
-
-    /// Execute a **multi-job** transfer DAG: like [`RingSimulator::run_dag`],
-    /// but waiters competing for wavelengths are served in the order the
-    /// [`JobArbitration`] dictates (static per-job rank, optionally
-    /// least-service-first fair sharing) instead of pure DAG order. Within
-    /// a job, waiters keep their DAG order. With a single job (all tags
-    /// equal, one rank) this is **bit-exact** with [`RingSimulator::run_dag`]
-    /// — the arbitration key degenerates to the transfer index.
-    pub fn run_dag_jobs(
-        &mut self,
-        transfers: &[DagTransfer],
-        arb: &JobArbitration,
-        strategy: Strategy,
-    ) -> Result<DagReport> {
-        self.run_dag_arbitrated(transfers, strategy, Some(arb))
-    }
-
-    /// Shared body of [`RingSimulator::run_dag`] (no arbitration: waiters
-    /// served in DAG order) and [`RingSimulator::run_dag_jobs`].
-    fn run_dag_arbitrated(
-        &mut self,
-        transfers: &[DagTransfer],
-        strategy: Strategy,
-        arb: Option<&JobArbitration>,
-    ) -> Result<DagReport> {
-        let mut eng = self.drive(transfers, strategy, arb, None)?;
-        let mut times = vec![(f64::NAN, f64::NAN); transfers.len()];
-        for c in eng.drain_completions() {
-            times[c.order as usize] = (c.start_s, c.finish_s);
-        }
-        Ok(DagReport {
-            makespan_s: eng.makespan(),
-            transfer_times: times,
-            peak_concurrency: eng.peak_concurrency(),
-            peak_wavelength: eng.peak_wavelength(),
-            events: eng.events(),
-        })
-    }
-
-    /// Execute a transfer DAG under a [`FaultScript`] with the given
-    /// recovery [`FaultPolicy`]: the [`GrantEngine`] schedules the faults on
-    /// its own kernel (see [`crate::engine`] for the per-kind semantics and
-    /// the completion-before-fault order at a shared instant). With no
-    /// optically relevant event the run is **bit-exact** with
-    /// [`RingSimulator::run_dag`] / [`RingSimulator::run_dag_jobs`].
-    /// Transfers that can never complete are marked failed in the report
-    /// instead of erroring the run.
-    pub fn run_dag_faulted(
-        &mut self,
-        transfers: &[DagTransfer],
-        strategy: Strategy,
-        arb: Option<&JobArbitration>,
-        script: &FaultScript,
-        policy: FaultPolicy,
-    ) -> Result<FaultDagReport> {
-        let mut eng = self.drive(transfers, strategy, arb, Some((script, policy)))?;
-        let mut outcomes = vec![FaultOutcome::default(); transfers.len()];
-        for c in eng.drain_completions() {
-            outcomes[c.order as usize] = FaultOutcome {
-                start_s: c.start_s,
-                finish_s: c.finish_s,
-                aborts: c.aborts,
-                completed: !c.failed,
-            };
-        }
-        Ok(FaultDagReport {
-            makespan_s: eng.makespan(),
-            outcomes,
-            peak_concurrency: eng.peak_concurrency(),
-            peak_wavelength: eng.peak_wavelength(),
-            events: eng.events(),
-            first_impact_s: eng.first_impact_s(),
-        })
-    }
-
-    /// The closed-set driver over the streaming [`GrantEngine`]: the whole
-    /// DAG is injected as one batch at time zero (so order keys equal
-    /// transfer indices and arbitration tie-breaks match the historical DAG
-    /// order) and the engine is pumped to idle. Returns the idle engine, its
-    /// outcome records (keyed by order key, i.e. transfer index) not yet
-    /// drained.
-    fn drive(
-        &self,
-        transfers: &[DagTransfer],
-        strategy: Strategy,
-        arb: Option<&JobArbitration>,
-        faults: Option<(&FaultScript, FaultPolicy)>,
-    ) -> Result<GrantEngine> {
-        if let Some(a) = arb {
-            if a.job_of.len() != transfers.len() {
-                return Err(OpticalError::BadConfig(
-                    "job tag list must match the transfer list",
-                ));
-            }
-            if a.job_of.iter().any(|&j| j >= a.rank.len()) {
-                return Err(OpticalError::BadConfig(
-                    "job tag out of range of the rank table",
-                ));
-            }
-        }
-        let mut eng = GrantEngine::new(
-            &self.config,
-            strategy,
-            arb.is_some(),
-            arb.is_some_and(|a| a.fair_share),
-        )?;
-        if let Some(a) = arb {
-            for &r in &a.rank {
-                eng.add_job(r);
-            }
-        }
-        if let Some((script, policy)) = faults {
-            eng.set_faults(script, policy)?;
-        }
-        let items: Vec<GrantTransfer> = transfers
-            .iter()
-            .enumerate()
-            .map(|(i, t)| GrantTransfer {
-                transfer: t.transfer.clone(),
-                release_s: t.release_s,
-                deps: t.deps.clone(),
-                job: arb.map_or(0, |a| a.job_of[i]),
-            })
-            .collect();
-        eng.inject(&items)?;
-        while eng.step().is_some() {}
-        // A lane demand that can never be met beside an earlier waiter
-        // surfaces as an error rather than a silently dropped transfer
-        // (under faults such waiters are reported as failed instead).
-        eng.check_stuck()?;
-        Ok(eng)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{GrantEngine, GrantTransfer};
     use crate::topology::{Direction, NodeId};
 
     fn small_cfg() -> OpticalConfig {
@@ -909,19 +681,71 @@ mod tests {
         assert!(sim.run_event_driven(&released).is_err());
     }
 
+    /// The FIFO contention model and the grant engine differ: a waiter
+    /// past a blocked one takes free lanes here, and is held there.
+    #[test]
+    fn fifo_loop_lets_a_later_waiter_pass_a_blocked_one() {
+        let cfg = OpticalConfig::new(8, 1)
+            .with_lambda_bandwidth(1e9)
+            .with_message_overhead(0.0)
+            .with_hop_propagation(0.0);
+        let hop2 = |src: usize| {
+            Transfer::directed(
+                NodeId(src),
+                NodeId(src + 2),
+                1_000_000,
+                Direction::Clockwise,
+            )
+        };
+        let released: Vec<_> = (0..3).map(|src| (0.0, hop2(src))).collect();
+        let fifo = RingSimulator::new(cfg.clone())
+            .run_event_driven(&released)
+            .unwrap();
+        assert!((fifo.makespan_s - 2e-3).abs() < 1e-12);
+        // 2 -> 4 runs beside 0 -> 2.
+        assert_eq!(fifo.transfer_times[2].0, 0.0);
+        let dag: Vec<_> = (0..3).map(|src| item(hop2(src), 0.0, vec![])).collect();
+        let (grant, times) = closed_run(&cfg, &dag).unwrap();
+        assert!((grant.makespan() - 3e-3).abs() < 1e-12);
+        assert!((times[2].0 - 2e-3).abs() < 1e-12);
+    }
+
+    fn item(transfer: Transfer, release_s: f64, deps: Vec<usize>) -> GrantTransfer {
+        GrantTransfer {
+            transfer,
+            release_s,
+            deps,
+            job: 0,
+        }
+    }
+
+    /// Run `dag` as a closed run does: one batch at time zero on a fresh
+    /// unarbitrated First-Fit engine, stepped to idle. Returns the engine
+    /// and every transfer's `(start, finish)`.
+    fn closed_run(
+        cfg: &OpticalConfig,
+        dag: &[GrantTransfer],
+    ) -> Result<(GrantEngine, Vec<(f64, f64)>)> {
+        let mut eng = GrantEngine::new(cfg, Strategy::FirstFit, false, false)?;
+        eng.inject(dag)?;
+        while eng.step().is_some() {}
+        eng.check_stuck()?;
+        let mut times = vec![(f64::NAN, f64::NAN); dag.len()];
+        for c in eng.drain_completions() {
+            times[c.order as usize] = (c.start_s, c.finish_s);
+        }
+        Ok((eng, times))
+    }
+
     /// Lower a schedule to its barrier-shaped DAG (each transfer gated on
     /// the whole previous non-empty step).
-    fn barrier_dag(sched: &StepSchedule) -> Vec<DagTransfer> {
-        let mut out: Vec<DagTransfer> = Vec::new();
+    fn barrier_dag(sched: &StepSchedule) -> Vec<GrantTransfer> {
+        let mut out: Vec<GrantTransfer> = Vec::new();
         let mut prev: Vec<usize> = Vec::new();
         for step in sched.steps() {
             let first = out.len();
             for tr in step {
-                out.push(DagTransfer {
-                    transfer: tr.clone(),
-                    release_s: 0.0,
-                    deps: prev.clone(),
-                });
+                out.push(item(tr.clone(), 0.0, prev.clone()));
             }
             if !step.is_empty() {
                 prev = (first..out.len()).collect();
@@ -936,7 +760,7 @@ mod tests {
             .with_lambda_bandwidth(1e9)
             .with_message_overhead(1e-6)
             .with_hop_propagation(1e-8);
-        let mut sim = RingSimulator::new(cfg);
+        let mut sim = RingSimulator::new(cfg.clone());
         let sched = StepSchedule::from_steps(vec![
             vec![
                 Transfer::shortest(NodeId(0), NodeId(1), 1_000_000),
@@ -946,11 +770,9 @@ mod tests {
             vec![Transfer::shortest(NodeId(1), NodeId(2), 700_000).with_lanes(2)],
         ]);
         let stepped = sim.run_stepped(&sched, Strategy::FirstFit).unwrap();
-        let dag = sim
-            .run_dag(&barrier_dag(&sched), Strategy::FirstFit)
-            .unwrap();
-        assert_eq!(dag.makespan_s.to_bits(), stepped.total_time_s.to_bits());
-        assert_eq!(dag.peak_wavelength, stepped.stats.peak_wavelengths());
+        let (dag, _) = closed_run(&cfg, &barrier_dag(&sched)).unwrap();
+        assert_eq!(dag.makespan().to_bits(), stepped.total_time_s.to_bits());
+        assert_eq!(dag.peak_wavelength(), stepped.stats.peak_wavelengths());
     }
 
     #[test]
@@ -964,7 +786,7 @@ mod tests {
             .with_lambda_bandwidth(1e9)
             .with_message_overhead(0.0)
             .with_hop_propagation(0.0);
-        let mut sim = RingSimulator::new(cfg);
+        let mut sim = RingSimulator::new(cfg.clone());
         let long = Transfer::directed(NodeId(4), NodeId(6), 4_000_000, Direction::Clockwise);
         let short = Transfer::directed(NodeId(0), NodeId(2), 1_000_000, Direction::Clockwise);
         let next = Transfer::directed(NodeId(0), NodeId(2), 1_000_000, Direction::Clockwise);
@@ -973,27 +795,15 @@ mod tests {
         let stepped = sim.run_stepped(&sched, Strategy::FirstFit).unwrap();
         assert!((stepped.total_time_s - 5e-3).abs() < 1e-12);
         let dag = vec![
-            DagTransfer {
-                transfer: long,
-                release_s: 0.0,
-                deps: vec![],
-            },
-            DagTransfer {
-                transfer: short,
-                release_s: 0.0,
-                deps: vec![],
-            },
-            DagTransfer {
-                transfer: next,
-                release_s: 0.0,
-                deps: vec![1],
-            },
+            item(long, 0.0, vec![]),
+            item(short, 0.0, vec![]),
+            item(next, 0.0, vec![1]),
         ];
-        let r = sim.run_dag(&dag, Strategy::FirstFit).unwrap();
+        let (eng, times) = closed_run(&cfg, &dag).unwrap();
         // The dependent starts at 1 ms and ends at 2 ms, hidden behind the
         // 4 ms transfer.
-        assert!((r.transfer_times[2].0 - 1e-3).abs() < 1e-12);
-        assert!((r.makespan_s - 4e-3).abs() < 1e-12);
+        assert!((times[2].0 - 1e-3).abs() < 1e-12);
+        assert!((eng.makespan() - 4e-3).abs() < 1e-12);
     }
 
     #[test]
@@ -1002,72 +812,54 @@ mod tests {
             .with_lambda_bandwidth(1e9)
             .with_message_overhead(0.0)
             .with_hop_propagation(0.0);
-        let mut sim = RingSimulator::new(cfg);
         let dag = vec![
-            DagTransfer {
-                transfer: Transfer::directed(NodeId(0), NodeId(2), 1_000_000, Direction::Clockwise),
-                release_s: 0.0,
-                deps: vec![],
-            },
-            DagTransfer {
-                transfer: Transfer::directed(NodeId(1), NodeId(3), 1_000_000, Direction::Clockwise),
-                release_s: 0.0,
-                deps: vec![],
-            },
+            item(
+                Transfer::directed(NodeId(0), NodeId(2), 1_000_000, Direction::Clockwise),
+                0.0,
+                vec![],
+            ),
+            item(
+                Transfer::directed(NodeId(1), NodeId(3), 1_000_000, Direction::Clockwise),
+                0.0,
+                vec![],
+            ),
         ];
-        let r = sim.run_dag(&dag, Strategy::FirstFit).unwrap();
-        assert!((r.makespan_s - 2e-3).abs() < 1e-12);
-        assert_eq!(r.peak_concurrency, 1);
-        assert_eq!(r.peak_wavelength, 1);
+        let (eng, _) = closed_run(&cfg, &dag).unwrap();
+        assert!((eng.makespan() - 2e-3).abs() < 1e-12);
+        assert_eq!(eng.peak_concurrency(), 1);
+        assert_eq!(eng.peak_wavelength(), 1);
     }
 
     #[test]
     fn dag_release_times_gate_transfers() {
-        let mut sim = RingSimulator::new(small_cfg());
-        let dag = vec![DagTransfer {
-            transfer: Transfer::shortest(NodeId(0), NodeId(1), 1_000_000),
-            release_s: 2e-3,
-            deps: vec![],
-        }];
-        let r = sim.run_dag(&dag, Strategy::FirstFit).unwrap();
-        assert!((r.transfer_times[0].0 - 2e-3).abs() < 1e-12);
-        assert!((r.makespan_s - 3e-3).abs() < 1e-12);
+        let dag = vec![item(
+            Transfer::shortest(NodeId(0), NodeId(1), 1_000_000),
+            2e-3,
+            vec![],
+        )];
+        let (eng, times) = closed_run(&small_cfg(), &dag).unwrap();
+        assert!((times[0].0 - 2e-3).abs() < 1e-12);
+        assert!((eng.makespan() - 3e-3).abs() < 1e-12);
     }
 
     #[test]
     fn dag_rejects_forward_deps_and_bad_releases() {
-        let mut sim = RingSimulator::new(small_cfg());
         let t = Transfer::shortest(NodeId(0), NodeId(1), 100);
         assert!(matches!(
-            sim.run_dag(
-                &[DagTransfer {
-                    transfer: t.clone(),
-                    release_s: 0.0,
-                    deps: vec![0],
-                }],
-                Strategy::FirstFit
-            ),
+            closed_run(&small_cfg(), &[item(t.clone(), 0.0, vec![0])]),
             Err(OpticalError::BadConfig(_))
         ));
         assert!(matches!(
-            sim.run_dag(
-                &[DagTransfer {
-                    transfer: t,
-                    release_s: f64::NAN,
-                    deps: vec![],
-                }],
-                Strategy::FirstFit
-            ),
+            closed_run(&small_cfg(), &[item(t, f64::NAN, vec![])]),
             Err(OpticalError::BadConfig(_))
         ));
     }
 
     #[test]
     fn dag_empty_input_is_a_noop() {
-        let mut sim = RingSimulator::new(small_cfg());
-        let r = sim.run_dag(&[], Strategy::FirstFit).unwrap();
-        assert_eq!(r.makespan_s, 0.0);
-        assert_eq!(r.peak_wavelength, 0);
+        let (eng, _) = closed_run(&small_cfg(), &[]).unwrap();
+        assert_eq!(eng.makespan(), 0.0);
+        assert_eq!(eng.peak_wavelength(), 0);
     }
 
     #[test]

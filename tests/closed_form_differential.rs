@@ -2,19 +2,23 @@
 //!
 //! When every release is 0, every route latency is bit-identical and the
 //! routes are pairwise link-disjoint, `run_flows` computes the engine's
-//! result directly instead of stepping the fluid engine.
-//! `run_dag_event_driven` with zero overhead always steps the engine on the
-//! same flows, so the two must agree bit for bit: makespan, per-flow
-//! finish, rate recomputations, solver work, events and error values.
-//! Near misses, which break exactly one precondition, must fall back to the
-//! engine and agree too.
+//! result directly instead of stepping the fluid engine. The closed driver
+//! ([`wrht_core::engine::run_closed`]) on a fluid engine with zero launch
+//! delay always steps the engine on the same flows, so the two must agree
+//! bit for bit: makespan, per-flow finish, rate recomputations, solver
+//! work, events and error values. Near misses, which break exactly one
+//! precondition, must fall back to the engine and agree too.
 
 use electrical_sim::flow::FlowSpec;
 use electrical_sim::graph::{Link, Network, Router};
-use electrical_sim::runner::{run_dag_event_driven, DagFlow};
 use electrical_sim::sim::run_flows;
 use electrical_sim::topology::ring;
+use electrical_sim::FluidEngine;
+use optical_sim::{NodeId, Transfer};
 use proptest::prelude::*;
+use wrht_core::dag::DepSchedule;
+use wrht_core::engine::{run_closed, FabricEngine};
+use wrht_core::error::WrhtError;
 
 /// Link capacities, bytes/s: three within the solver's relative tie
 /// tolerance of 1e9, where the joint solve freezes them together, and
@@ -88,38 +92,37 @@ fn sharing_one_link(net: &Network, specs: &[FlowSpec]) -> Option<FlowSpec> {
 
 /// `run_flows` and the engine agree bit for bit on `specs`.
 fn same_as_engine(net: &Network, specs: &[FlowSpec]) -> Result<(), String> {
-    let flows: Vec<DagFlow> = specs
+    let released: Vec<(f64, Transfer)> = specs
         .iter()
-        .map(|s| DagFlow {
-            src: s.src,
-            dst: s.dst,
-            bytes: s.bytes,
-            release_s: s.release_s(),
-            deps: Vec::new(),
-            stage: 0,
+        .map(|s| {
+            let transfer = Transfer::shortest(NodeId(s.src), NodeId(s.dst), s.bytes);
+            (s.release_s(), transfer)
         })
         .collect();
+    let mut eng = FluidEngine::new(net);
     match (
         run_flows(net, specs),
-        run_dag_event_driven(net, &flows, 0.0),
+        run_closed(&mut eng, &DepSchedule::from_released(&released), None),
     ) {
         (Ok(closed), Ok(engine)) => {
-            prop_assert_eq!(closed.makespan_s.to_bits(), engine.makespan_s.to_bits());
-            for (k, (flow, window)) in closed.flows.iter().zip(&engine.windows).enumerate() {
+            let makespan_s = engine.iter().fold(0.0f64, |m, o| m.max(o.finish_s));
+            prop_assert_eq!(closed.makespan_s.to_bits(), makespan_s.to_bits());
+            for (k, (flow, outcome)) in closed.flows.iter().zip(&engine).enumerate() {
                 prop_assert_eq!(
                     flow.finish_s.to_bits(),
-                    window.1.to_bits(),
+                    outcome.finish_s.to_bits(),
                     "flow {}: {} vs {}",
                     k,
                     flow.finish_s,
-                    window.1
+                    outcome.finish_s
                 );
             }
-            prop_assert_eq!(closed.rate_recomputations, engine.rate_recomputations);
-            prop_assert_eq!(closed.solver_work, engine.solver_work);
-            prop_assert_eq!(closed.events, engine.events);
+            let (rate_recomputations, solver_work) = eng.solver_stats();
+            prop_assert_eq!(closed.rate_recomputations, rate_recomputations);
+            prop_assert_eq!(closed.solver_work, solver_work);
+            prop_assert_eq!(closed.events, FabricEngine::events(&eng));
         }
-        (closed, engine) => prop_assert_eq!(closed.err(), engine.err()),
+        (closed, engine) => prop_assert_eq!(closed.err().map(WrhtError::from), engine.err()),
     }
     Ok(())
 }

@@ -20,13 +20,14 @@ use collectives::rd::recursive_doubling;
 use collectives::ring::ring_allreduce;
 use collectives::Schedule;
 use electrical_sim::flow::FlowSpec;
-use electrical_sim::runner::{run_dag, run_dag_event_driven, DagFlow};
 use electrical_sim::sim::{run_flows, run_flows_full_resolve};
 use electrical_sim::topology::star_cluster;
+use electrical_sim::FluidEngine;
 use optical_sim::OpticalConfig;
 use proptest::prelude::*;
 use wrht_core::baselines::lower_collective_to_optical;
 use wrht_core::dag::DepSchedule;
+use wrht_core::engine::run_closed;
 use wrht_core::substrate::{ElectricalSubstrate, OpticalSubstrate, Substrate};
 
 const BYTES_PER_ELEM: usize = 4;
@@ -142,25 +143,19 @@ proptest! {
         let net = star_cluster(n, 1e9, 0.0);
         let sched = lower_collective_to_optical(&ring_allreduce(n, elems), BYTES_PER_ELEM, 1);
         let dag = DepSchedule::from_steps(&sched);
-        let flows: Vec<DagFlow> = dag
-            .transfers()
+        prop_assert!(dag.is_barrier_shaped());
+        let fast = ElectricalSubstrate::new(net.clone(), 1e-6)
+            .execute_dag(&dag)
+            .expect("fast path");
+        let mut eng = FluidEngine::new(&net).with_launch_delay(1e-6);
+        let event = run_closed(&mut eng, &dag, None)
+            .expect("event engine")
             .iter()
-            .map(|t| DagFlow {
-                src: t.transfer.src.0,
-                dst: t.transfer.dst.0,
-                bytes: t.transfer.bytes,
-                release_s: t.release_s,
-                deps: t.deps.clone(),
-                stage: t.stage,
-            })
-            .collect();
-        let fast = run_dag(&net, &flows, 1e-6).expect("fast path");
-        let event = run_dag_event_driven(&net, &flows, 1e-6).expect("event engine");
-        prop_assert!(fast.barrier_fast_path && !event.barrier_fast_path);
+            .fold(0.0f64, |m, o| m.max(o.finish_s));
         let scale = fast.makespan_s.max(1e-30);
         prop_assert!(
-            (fast.makespan_s - event.makespan_s).abs() / scale < 1e-9,
-            "fast {} vs event {}", fast.makespan_s, event.makespan_s
+            (fast.makespan_s - event).abs() / scale < 1e-9,
+            "fast {} vs event {}", fast.makespan_s, event
         );
     }
 

@@ -60,9 +60,10 @@ fn electrical_rejects_bad_flows() {
         net.route(0, 9),
         Err(NetError::HostOutOfRange { .. })
     ));
-    let mut sim = FluidSimulator::new(net);
-    sim.submit(FlowSpec::new(2, 2, 10));
-    assert!(matches!(sim.run(), Err(NetError::SelfFlow(2))));
+    assert!(matches!(
+        run_flows(&net, &[FlowSpec::new(2, 2, 10)]),
+        Err(NetError::SelfFlow(2))
+    ));
 }
 
 #[test]

@@ -1,8 +1,9 @@
 //! Golden oracle for the optical grant engine: grant order and lane choice.
 //!
-//! Seeded [`RingSimulator::run_dag`], [`RingSimulator::run_dag_jobs`] and
-//! [`RingSimulator::run_dag_faulted`] runs over rings of 5 to 130 nodes with
-//! 1 to 130 wavelengths, on both sides of the 64-lane word boundary. The
+//! Seeded closed runs ([`wrht_core::engine::run_closed`]) of a [`GrantEngine`] —
+//! plain DAG order, arbitrated across jobs, and under faults — over rings
+//! of 5 to 130 nodes with 1 to 130 wavelengths, on both sides of the
+//! 64-lane word boundary. The
 //! transfers take shortest and forced routes and stripe 1–4 lanes. Jobs
 //! compete under rank tables with ties, with fair share on and off, under
 //! First-Fit and Best-Fit. The faulted runs take a lane down and up again
@@ -20,12 +21,14 @@
 //! WRHT_BLESS=1 cargo test --test grant_arbitration
 //! ```
 
-use optical_sim::sim::{DagReport, DagTransfer, FaultDagReport, JobArbitration};
 use optical_sim::Transfer;
-use optical_sim::{Direction, DirectionChoice, NodeId, OpticalConfig, RingSimulator, Strategy};
+use optical_sim::{Direction, DirectionChoice, GrantEngine, NodeId, OpticalConfig, Strategy};
 use std::fs;
 use std::path::PathBuf;
-use wrht_core::fault::{FaultKind, FaultPolicy, FaultScript};
+use wrht_core::dag::{DepSchedule, DepTransfer};
+use wrht_core::engine::run_closed;
+use wrht_core::fault::{FaultKind, FaultPolicy, FaultScript, FaultTiming};
+use wrht_core::tenancy::JobArbitration;
 
 const RINGS: [usize; 4] = [5, 13, 70, 130];
 const LANES: [usize; 5] = [1, 3, 64, 65, 130];
@@ -71,14 +74,14 @@ fn config(n: usize, w: usize) -> OpticalConfig {
 /// bit-identical instant and the grant scan sees them as one batch. Odd
 /// seeds are heavy: more transfers, released together, routed long,
 /// so wide rings fill lanes past the first 64-bit word.
-fn random_dag(rng: &mut Rng, n: usize, w: usize, heavy: bool) -> Vec<DagTransfer> {
+fn random_dag(rng: &mut Rng, n: usize, w: usize, heavy: bool) -> DepSchedule {
     let count = if heavy {
         120 + rng.below(40)
     } else {
         40 + rng.below(40)
     };
     let max_lanes = w.min(4);
-    (0..count)
+    let transfers = (0..count)
         .map(|i| {
             let src = rng.below(n);
             let dst = (src + 1 + rng.below(n - 1)) % n;
@@ -107,33 +110,56 @@ fn random_dag(rng: &mut Rng, n: usize, w: usize, heavy: bool) -> Vec<DagTransfer
                     }
                 }
             }
-            DagTransfer {
+            DepTransfer {
                 transfer,
-                release_s,
                 deps,
+                release_s,
+                stage: 0,
             }
         })
-        .collect()
+        .collect();
+    DepSchedule::from_transfers(transfers).expect("generated DAG is topologically ordered")
 }
 
-fn dag_line(case: &str, r: &DagReport) -> String {
+/// One closed run of `dag` on a fresh grant engine of its own, under
+/// `faults` (recovering by `Replan`) if given. Returns the idle engine,
+/// for its statistics, and every transfer's outcome.
+fn run(
+    config: &OpticalConfig,
+    strategy: Strategy,
+    dag: &DepSchedule,
+    arb: Option<&JobArbitration>,
+    faults: Option<&FaultScript>,
+) -> (GrantEngine, Vec<FaultTiming>) {
+    let fair_share = arb.is_some_and(|a| a.fair_share);
+    let mut eng =
+        GrantEngine::new(config, strategy, arb.is_some(), fair_share).expect("valid ring");
+    if let Some(script) = faults {
+        eng.set_faults(script, FaultPolicy::Replan)
+            .expect("valid script");
+    }
+    let outcomes = run_closed(&mut eng, dag, arb).expect("lanes fit the ring");
+    (eng, outcomes)
+}
+
+fn dag_line(case: &str, eng: &GrantEngine, outcomes: &[FaultTiming]) -> String {
     let times = digest(
-        r.transfer_times
+        outcomes
             .iter()
-            .flat_map(|&(s, f)| [s.to_bits(), f.to_bits()]),
+            .flat_map(|o| [o.start_s.to_bits(), o.finish_s.to_bits()]),
     );
     format!(
         "{{\"case\":\"{case}\",\"makespan\":\"{:#018x}\",\"times\":\"{times:#018x}\",\
          \"events\":{},\"peak_concurrency\":{},\"peak_wavelength\":{}}}",
-        r.makespan_s.to_bits(),
-        r.events,
-        r.peak_concurrency,
-        r.peak_wavelength
+        eng.makespan().to_bits(),
+        eng.events(),
+        eng.peak_concurrency(),
+        eng.peak_wavelength()
     )
 }
 
-fn fault_line(case: &str, r: &FaultDagReport) -> String {
-    let times = digest(r.outcomes.iter().flat_map(|o| {
+fn fault_line(case: &str, eng: &GrantEngine, outcomes: &[FaultTiming]) -> String {
+    let times = digest(outcomes.iter().flat_map(|o| {
         [
             o.start_s.to_bits(),
             o.finish_s.to_bits(),
@@ -144,11 +170,11 @@ fn fault_line(case: &str, r: &FaultDagReport) -> String {
     format!(
         "{{\"case\":\"{case}\",\"makespan\":\"{:#018x}\",\"times\":\"{times:#018x}\",\
          \"events\":{},\"peak_concurrency\":{},\"peak_wavelength\":{},\"first_impact\":\"{:#018x}\"}}",
-        r.makespan_s.to_bits(),
-        r.events,
-        r.peak_concurrency,
-        r.peak_wavelength,
-        r.first_impact_s.map_or(u64::MAX, f64::to_bits)
+        eng.makespan().to_bits(),
+        eng.events(),
+        eng.peak_concurrency(),
+        eng.peak_wavelength(),
+        eng.first_impact_s().map_or(u64::MAX, f64::to_bits)
     )
 }
 
@@ -159,7 +185,7 @@ fn point_lines(n: usize, w: usize, seed: u64, peak_max: &mut usize) -> Vec<Strin
     let mut rng = Rng(seed.wrapping_mul(0x5851_f42d_4c95_7f2d) ^ ((n as u64) << 32) ^ w as u64);
     let dag = random_dag(&mut rng, n, w, seed % 2 == 1);
     let jobs = 2 + rng.below(3);
-    let job_of: Vec<usize> = dag.iter().map(|_| rng.below(jobs)).collect();
+    let job_of: Vec<usize> = dag.transfers().iter().map(|_| rng.below(jobs)).collect();
     let tied: Vec<u64> = (0..jobs).map(|_| rng.below(2) as u64).collect();
     let arbs = [
         ("tied", tied.clone(), false),
@@ -177,33 +203,37 @@ fn point_lines(n: usize, w: usize, seed: u64, peak_max: &mut usize) -> Vec<Strin
             },
         )
     });
-    let mut sim = RingSimulator::new(config(n, w));
+    let config = config(n, w);
     let mut lines = Vec::new();
     let tag = format!("n{n}/w{w}/s{seed}");
     for strategy in STRATEGIES {
-        let r = sim.run_dag(&dag, strategy).expect("lanes fit the ring");
-        *peak_max = (*peak_max).max(r.peak_wavelength);
-        lines.push(dag_line(&format!("{tag}/dag/{strategy}"), &r));
+        let (eng, outcomes) = run(&config, strategy, &dag, None, None);
+        *peak_max = (*peak_max).max(eng.peak_wavelength());
+        lines.push(dag_line(&format!("{tag}/dag/{strategy}"), &eng, &outcomes));
         for (label, arb) in &arbs {
-            let r = sim
-                .run_dag_jobs(&dag, arb, strategy)
-                .expect("lanes fit the ring");
-            *peak_max = (*peak_max).max(r.peak_wavelength);
-            lines.push(dag_line(&format!("{tag}/{label}/{strategy}"), &r));
+            let (eng, outcomes) = run(&config, strategy, &dag, Some(arb), None);
+            *peak_max = (*peak_max).max(eng.peak_wavelength());
+            lines.push(dag_line(
+                &format!("{tag}/{label}/{strategy}"),
+                &eng,
+                &outcomes,
+            ));
         }
     }
     // A lane goes down mid-run and is repaired later; its holders are
     // aborted and re-granted over the surviving lanes.
-    let clean = sim.run_dag(&dag, Strategy::FirstFit).expect("clean run");
+    let (clean, _) = run(&config, Strategy::FirstFit, &dag, None, None);
     let lane = rng.below(w);
     let script = FaultScript::new()
-        .with(0.25 * clean.makespan_s, FaultKind::WavelengthDown { lane })
-        .with(0.6 * clean.makespan_s, FaultKind::WavelengthUp { lane });
+        .with(0.25 * clean.makespan(), FaultKind::WavelengthDown { lane })
+        .with(0.6 * clean.makespan(), FaultKind::WavelengthUp { lane });
     for (label, arb) in [("dag", None), ("tied-fair", Some(&arbs[1].1))] {
-        let r = sim
-            .run_dag_faulted(&dag, Strategy::FirstFit, arb, &script, FaultPolicy::Replan)
-            .expect("faulted run");
-        lines.push(fault_line(&format!("{tag}/fault-lane{lane}/{label}"), &r));
+        let (eng, outcomes) = run(&config, Strategy::FirstFit, &dag, arb, Some(&script));
+        lines.push(fault_line(
+            &format!("{tag}/fault-lane{lane}/{label}"),
+            &eng,
+            &outcomes,
+        ));
     }
     lines
 }

@@ -16,7 +16,11 @@
 //!   path**: the longest dependency chain priced with each transfer's
 //!   *uncontended, isolated* duration on its own fabric (contention and
 //!   cross-fabric stitching can only add time);
-//! * composed execution is deterministic: same DAG, bit-identical reports.
+//! * composed execution is deterministic: same DAG, bit-identical reports;
+//! * a **single-group** hierarchy streams exactly as the flat substrate:
+//!   the stream report, the checkpoint of a paused stream and the resumed
+//!   run's report serialize byte for byte alike, label included, on both
+//!   substrate orders.
 
 use collectives::halving_doubling::halving_doubling;
 use collectives::rd::recursive_doubling;
@@ -28,7 +32,9 @@ use proptest::prelude::*;
 use wrht_core::baselines::lower_collective_to_optical;
 use wrht_core::dag::{DepSchedule, DepTransfer};
 use wrht_core::hierarchy::{ComposedSubstrate, Domain, FabricSpec, HierSpec};
+use wrht_core::stream::{ArrivalProcess, StreamSpec, StreamTemplate};
 use wrht_core::substrate::{ElectricalSubstrate, OpticalSubstrate, Substrate};
+use wrht_core::tenancy::{JobWorkload, SchedPolicy};
 
 const BYTES_PER_ELEM: usize = 4;
 
@@ -282,5 +288,74 @@ proptest! {
         let mut again = ComposedSubstrate::new(spec, intra, inter).expect("valid substrate");
         let report2 = again.execute_dag(&dag).expect("deterministic rerun");
         prop_assert_eq!(report, report2);
+    }
+
+    /// A one-group hierarchy is the flat substrate for streams too: on
+    /// both substrate orders the stream report, the checkpoint of a paused
+    /// stream and the report of its resumed run serialize byte for byte
+    /// like the flat substrate's, label included.
+    #[test]
+    fn single_group_streams_match_flat_runs_on_both_orders(
+        n in 2usize..10,
+        elems in 1usize..5_000,
+        ov_idx in 0usize..3,
+        count in 2u64..10,
+        pause_seed in 0u64..1_000,
+        seed in 0u64..1_000,
+        fair in proptest::bool::ANY,
+    ) {
+        let (bandwidth, overhead) = (1e9, [0.0, 1e-6, 5e-6][ov_idx]);
+        let hier = HierSpec::new(1, n).expect("valid one-group spec");
+        let sched = lower_collective_to_optical(&ring_allreduce(n, elems), BYTES_PER_ELEM, 1);
+        let policy = if fair { SchedPolicy::FairShare } else { SchedPolicy::Priority };
+        let spec = StreamSpec::new(
+            ArrivalProcess::Poisson { rate_hz: 5e3, count, seed },
+            policy,
+        )
+        .with_template(StreamTemplate::new("ring", JobWorkload::Steps(sched.clone())))
+        .with_template(
+            StreamTemplate::new("pipelined", JobWorkload::Dag(DepSchedule::pipelined_from_steps(&sched)))
+                .with_priority(1),
+        )
+        .with_retained_jobs(true);
+        let pause = 1 + pause_seed % (count - 1);
+
+        let optical = optical_spec(n, bandwidth, overhead);
+        let electrical = electrical_spec(n, bandwidth, overhead);
+        for (intra, inter) in [(&optical, &electrical), (&electrical, &optical)] {
+            let mut composed = ComposedSubstrate::new(hier, intra.clone(), inter.clone())
+                .expect("valid composed substrate");
+            let mut flat = intra.substrate().expect("flat substrate");
+            let report = composed.execute_stream(&spec).expect("composed stream");
+            let flat_report = flat.execute_stream(&spec).expect("flat stream");
+            let report_json = serde_json::to_string(&report).expect("report json");
+            prop_assert_eq!(&report_json, &serde_json::to_string(&flat_report).expect("json"));
+
+            let paused = |sub: &mut dyn Substrate| {
+                sub.execute_stream_until(&spec, Some(pause))
+                    .expect("paused stream")
+                    .checkpoint()
+                    .expect("a checkpoint")
+            };
+            let checkpoint = paused(&mut composed);
+            let flat_checkpoint = paused(&mut *flat);
+            prop_assert_eq!(
+                serde_json::to_string(&checkpoint).expect("checkpoint json"),
+                serde_json::to_string(&flat_checkpoint).expect("checkpoint json")
+            );
+            let resumed = composed
+                .resume_stream(&spec, &checkpoint, None)
+                .expect("resumed stream")
+                .report()
+                .expect("a report");
+            let flat_resumed = flat
+                .resume_stream(&spec, &flat_checkpoint, None)
+                .expect("resumed stream")
+                .report()
+                .expect("a report");
+            let resumed_json = serde_json::to_string(&resumed).expect("report json");
+            prop_assert_eq!(&resumed_json, &serde_json::to_string(&flat_resumed).expect("json"));
+            prop_assert_eq!(&resumed_json, &report_json);
+        }
     }
 }

@@ -90,7 +90,7 @@ fn reference_optical(
 }
 
 /// One electrical step without the memo: the payload flows run as one
-/// `run_flows` call, then the zero-byte transfers are routed (as `run_dag`
+/// `run_flows` call, then the zero-byte transfers are routed (as `BarrierRun`
 /// routes a barrier stage's zero-byte gates after its payload).
 fn reference_electrical_step(
     net: &Network,
