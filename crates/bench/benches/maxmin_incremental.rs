@@ -2,15 +2,20 @@
 //!
 //! The incremental engine ([`run_flows`]) re-solves progressive filling
 //! only over the contention component whose active-flow set changed and
-//! never re-clones routes; the reference ([`run_flows_full_resolve`])
-//! re-runs the full links × flows solve at every event. Both produce
-//! bit-identical schedules (pinned by `tests/dag_differential.rs`); this
+//! never re-clones routes; the reference ([`run_flows_full_resolve`], the
+//! test oracle included from electrical-sim's test support) re-runs the
+//! full links × flows solve at every event. Both produce bit-identical
+//! schedules (pinned by electrical-sim's `tests/full_resolve.rs`); this
 //! bench measures the wall-clock and solver-work gap.
+
+#[path = "../../electrical-sim/tests/support/full_resolve.rs"]
+mod full_resolve;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use electrical_sim::flow::FlowSpec;
-use electrical_sim::sim::{run_flows, run_flows_full_resolve};
+use electrical_sim::sim::run_flows;
 use electrical_sim::topology::star_cluster;
+use full_resolve::run_flows_full_resolve;
 
 /// 127 flows into host 0 with staggered sizes: one completion event per
 /// flow, each re-solving the shared-downlink component.

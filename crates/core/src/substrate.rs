@@ -55,7 +55,7 @@ use crate::fault::{
 };
 use crate::stream::{StreamCheckpoint, StreamOutcome, StreamReport, StreamSpec};
 use crate::tenancy::{ClusterReport, JobArbitration, TenancySpec, TenantDagRun};
-use electrical_sim::runner::{BarrierRun, StepRunner, StepTransfer};
+use electrical_sim::runner::{StepRunner, StepTransfer};
 use electrical_sim::{FluidEngine, FluidEngineSnapshot, Network};
 use optical_sim::sim::{StepReport, StepSource};
 use optical_sim::{GrantEngine, GrantEngineSnapshot, OpticalConfig, RingSimulator, Strategy};
@@ -618,7 +618,7 @@ impl Substrate for ElectricalSubstrate {
         }
         Ok(RunReport {
             substrate: "electrical".into(),
-            total_time_s: steps.iter().map(|s| s.duration_s).sum(),
+            total_time_s: steps.iter().fold(0.0, |total, s| total + s.duration_s),
             steps,
         })
     }
@@ -636,11 +636,13 @@ impl Substrate for ElectricalSubstrate {
         )?))
     }
 
-    /// A barrier-shaped DAG takes the fast path: one fluid solve per stage,
-    /// composed like [`Substrate::execute`], so the makespan is the stepped
-    /// total bit-exactly. Delivered bytes per job are the payload sums; the
-    /// stage composition has no per-interval rate solution to attribute.
-    /// Every other DAG runs on the engine.
+    /// A barrier-shaped DAG takes the fast path: one [`StepRunner`] step
+    /// per stage, composed like [`Substrate::execute`], so the makespan is
+    /// the stepped total bit-exactly. A payload transfer finishes at its
+    /// stage's start plus the overhead plus its finish in the step, a
+    /// zero-byte one after the overhead alone. Delivered bytes per job are
+    /// the payload sums; the stage composition has no per-interval rate
+    /// solution to attribute. Every other DAG runs on the engine.
     fn execute_closed(
         &mut self,
         dag: &DepSchedule,
@@ -650,25 +652,31 @@ impl Substrate for ElectricalSubstrate {
             return closed_run(self, dag, arb);
         }
         check_jobs(dag.len(), arb)?;
-        let mut run = BarrierRun::new(&self.net, self.step_overhead_s);
-        let mut stage = Vec::new();
-        for transfers in dag.transfers().chunk_by(|a, b| a.stage == b.stage) {
-            stage.clear();
-            stage.extend(transfers.iter().map(|t| step_transfer(&t.transfer)));
-            run.stage(&stage)?;
+        let mut runner = StepRunner::new(&self.net, self.step_overhead_s).recording();
+        let mut makespan_s = 0.0;
+        let mut transfers = Vec::with_capacity(dag.len());
+        for stage in dag.transfers().chunk_by(|a, b| a.stage == b.stage) {
+            let start_s = makespan_s;
+            makespan_s += runner.step(stage.iter().map(|t| step_transfer(&t.transfer)))?;
+            let launched_s = start_s + self.step_overhead_s;
+            let mut finishes = runner.finishes().iter();
+            transfers.extend(stage.iter().map(|t| DagTiming {
+                start_s,
+                finish_s: match t.transfer.bytes {
+                    0 => launched_s,
+                    _ => finishes.next().map_or(launched_s, |f| launched_s + f),
+                },
+            }));
         }
+        let (rate_recomputations, solver_work, events) = runner.counters();
         let report = DagRunReport {
             substrate: "electrical".into(),
-            makespan_s: run.makespan_s,
-            transfers: run
-                .windows
-                .iter()
-                .map(|&(start_s, finish_s)| DagTiming { start_s, finish_s })
-                .collect(),
+            makespan_s,
+            transfers,
             peak_wavelength: 0,
-            rate_recomputations: run.rate_recomputations,
-            solver_work: run.solver_work,
-            events: run.events,
+            rate_recomputations,
+            solver_work,
+            events,
         };
         Ok(TenantDagRun::unattributed(report, dag, arb))
     }
@@ -710,11 +718,28 @@ mod tests {
             optical(8, 4).execute(&sched).unwrap(),
             electrical(8).execute(&sched).unwrap(),
         ] {
-            assert_eq!(report.total_time_s, 0.0);
+            // +0.0, not the -0.0 an empty `f64` sum starts from.
+            assert_eq!(report.total_time_s.to_bits(), 0.0f64.to_bits());
             assert_eq!(report.step_count(), 0);
             assert_eq!(report.total_bytes(), 0);
             assert_eq!(report.mean_goodput_bps(), 0.0);
             assert_eq!(report.peak_wavelengths(), 0);
+        }
+    }
+
+    /// The barrier contract holds on the empty schedule too, sign bit
+    /// included.
+    #[test]
+    fn empty_execute_and_execute_dag_agree_bit_for_bit() {
+        let sched = StepSchedule::default();
+        let dag = crate::dag::DepSchedule::from_steps(&sched);
+        assert!(dag.is_barrier_shaped());
+        let mut o = optical(8, 4);
+        let mut e = electrical(8);
+        for sub in [&mut o as &mut dyn Substrate, &mut e] {
+            let stepped = sub.execute(&sched).unwrap();
+            let event = sub.execute_dag(&dag).unwrap();
+            assert_eq!(event.makespan_s.to_bits(), stepped.total_time_s.to_bits());
         }
     }
 

@@ -543,7 +543,9 @@ pub fn cluster_report(
         } else {
             1.0
         };
-        let total_comm_s: f64 = windows.iter().map(|w| w.finish_s - w.start_s).sum();
+        let total_comm_s = windows
+            .iter()
+            .fold(0.0, |total, w| total + (w.finish_s - w.start_s));
         let exposed_comm_s = (finish_s - job.arrival_s - job.compute_s).max(0.0);
         let active = run.job_active_s.get(j).copied().unwrap_or(0.0);
         let service = run.job_service_bytes.get(j).copied().unwrap_or(0.0);
@@ -848,6 +850,8 @@ mod tests {
         assert_eq!(report.jobs[0].makespan_s, 0.0);
         assert_eq!(report.jobs[0].slowdown, 1.0);
         assert_eq!(report.jobs[0].hidden_fraction, 1.0);
+        // +0.0, not the -0.0 an empty `f64` sum starts from.
+        assert_eq!(report.jobs[0].total_comm_s.to_bits(), 0.0f64.to_bits());
     }
 
     #[test]

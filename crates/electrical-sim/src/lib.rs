@@ -14,14 +14,13 @@
 //! * [`topology`] — builders for switched star ("cluster"), ring, full mesh
 //!   and two-level fat-tree networks;
 //! * [`maxmin`] — progressive-filling max-min fair allocation;
-//! * [`sim::run_flows`] — the fluid run of a flow set, with incremental
-//!   per-component rate re-solves;
 //! * [`engine::FluidEngine`] — the streaming engine behind every
-//!   dependency-aware run;
-//! * [`runner`] — barrier-stepped execution of collective schedules
-//!   ([`runner::run_steps`], one [`runner::StepRunner`] step at a time) and
-//!   the barrier fast path of dependency-aware ones
-//!   ([`runner::BarrierRun`]).
+//!   dependency-aware run, with incremental per-component rate re-solves;
+//! * [`sim::run_flows`] — that engine's run of a plain flow set;
+//! * [`runner::StepRunner`] — barrier-stepped execution, one step at a
+//!   time, with the closed form of link-disjoint steps: the stepped runs of
+//!   collective schedules and the barrier fast path of dependency-aware
+//!   ones.
 //!
 //! ```
 //! use electrical_sim::prelude::*;
@@ -41,7 +40,6 @@ pub mod graph;
 pub mod maxmin;
 pub mod runner;
 pub mod sim;
-pub mod stats;
 pub mod topology;
 
 /// Common re-exports.
@@ -50,9 +48,8 @@ pub mod prelude {
     pub use crate::error::NetError;
     pub use crate::flow::FlowSpec;
     pub use crate::graph::{LinkId, Network};
-    pub use crate::runner::{run_steps, BarrierRun, StepRunner, StepTransfer};
+    pub use crate::runner::{StepRunner, StepTransfer};
     pub use crate::sim::{run_flows, EngineFlow, RunReport};
-    pub use crate::stats::{offered_load, LoadReport};
     pub use crate::topology::{fat_tree_two_level, full_mesh, ring, star_cluster, torus_2d};
 }
 

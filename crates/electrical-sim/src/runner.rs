@@ -7,10 +7,10 @@
 //! SimGrid baselines.
 
 use crate::engine::FluidEngine;
-use crate::error::Result;
-use crate::flow::FlowSpec;
+use crate::error::{NetError, Result};
 use crate::graph::{LinkId, Network};
-use crate::sim::{run_flows, DisjointFill, EngineFlow};
+use crate::maxmin::progressive_fill;
+use crate::sim::EngineFlow;
 use serde::{Deserialize, Serialize};
 
 /// One transfer inside a step (sizes in bytes).
@@ -24,50 +24,26 @@ pub struct StepTransfer {
     pub bytes: u64,
 }
 
-/// Timing report for a stepped collective run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SteppedReport {
-    /// Total time, seconds.
-    pub total_time_s: f64,
-    /// Per-step durations, seconds.
-    pub step_times_s: Vec<f64>,
-}
-
-/// Execute `steps` over `net`, paying `per_message_overhead_s` once per step
-/// (protocol/launch cost, analogous to the optical per-message overhead).
+/// The barrier-stepped runner, one step at a time: the path of every
+/// stepped electrical execution and of the barrier fast path of
+/// dependency-aware ones.
 ///
-/// Each step goes through one [`StepRunner::step`]; see there for the
-/// closed form of link-disjoint steps (every ring, halving-doubling,
-/// recursive-doubling and tree step on a star cluster), the reuse of a
-/// repeated step's placement and the treatment of zero-byte transfers.
-/// The total is the sequential sum of the per-step times.
-pub fn run_steps(
-    net: &Network,
-    steps: &[Vec<StepTransfer>],
-    per_message_overhead_s: f64,
-) -> Result<SteppedReport> {
-    let mut runner = StepRunner::new(net, per_message_overhead_s);
-    let step_times = steps
-        .iter()
-        .map(|step| runner.step(step.iter().copied()))
-        .collect::<Result<Vec<f64>>>()?;
-    Ok(SteppedReport {
-        total_time_s: step_times.iter().sum(),
-        step_times_s: step_times,
-    })
-}
-
-/// The barrier-stepped runner, one step at a time: the per-step path of
-/// [`run_steps`] and of every stepped electrical execution.
+/// A step's duration is the per-step overhead plus the makespan of its
+/// non-empty transfers on the fluid engine, all released at once. One
+/// shape of step has a closed form instead: when every payload route
+/// latency `L` is bit-identical (and finite) and the routes are pairwise
+/// link-disjoint (every ring, halving-doubling, recursive-doubling and
+/// tree step on a star cluster), each flow is its own contention component.
+/// The engine would then promote every flow in one pass (behind one shared
+/// latency timer when `L > 0`), solve all of them in one progressive fill
+/// and complete each at its first candidate, `(L + bytes/rate).max(L)`,
+/// with nothing left to re-solve; the runner computes exactly that.
 ///
-/// A step's duration is the per-step overhead plus the makespan
-/// [`run_flows`] computes for its non-empty transfers. The placement half
-/// of that computation — the routes, the shared latency `L` and the
-/// progressive-fill rates of the link-disjoint closed form — depends only
-/// on the step's ordered routing list, never on bytes. So a step whose
-/// routing list equals the last placed step's (every step of a ring
-/// all-reduce) reuses that placement and redoes only each flow's
-/// `(L + bytes/rate).max(L)`. Any other step is routed and checked for
+/// The placement half of the closed form — the routes, `L` and the fill's
+/// rates — depends only on the step's ordered routing list, never on
+/// bytes. So a step whose routing list equals the last placed step's
+/// (every step of a ring all-reduce) reuses that placement and redoes only
+/// each flow's finish. Any other step is routed and checked for
 /// link-disjointness once. A step the closed form does not cover (shared
 /// links, or a finish that overflows) hands its routes to the fluid engine
 /// and is not reused: the memo covers exactly the closed form's steps.
@@ -101,6 +77,10 @@ pub struct StepRunner<'n> {
     /// The fluid engine of the steps the closed form does not cover, built
     /// on the first one.
     engine: Option<FluidEngine<'n>>,
+    /// The last step's payload finishes, when recording.
+    finishes: Option<Vec<f64>>,
+    /// Rate recomputations, solver work and events over the steps run.
+    counters: (usize, usize, u64),
 }
 
 impl<'n> StepRunner<'n> {
@@ -116,7 +96,36 @@ impl<'n> StepRunner<'n> {
             latencies: Vec::new(),
             fill: None,
             engine: None,
+            finishes: None,
+            counters: (0, 0, 0),
         }
+    }
+
+    /// The runner, also recording each step's payload finishes
+    /// ([`StepRunner::finishes`]).
+    #[must_use]
+    pub fn recording(mut self) -> Self {
+        self.finishes = Some(Vec::new());
+        self
+    }
+
+    /// The last step's payload (non-zero-byte) transfers' finishes, in step
+    /// order: seconds after the step's overhead, so a step that starts at
+    /// `t` delivers one at `(t + overhead) + finish`. Empty unless
+    /// [`StepRunner::recording`].
+    #[must_use]
+    pub fn finishes(&self) -> &[f64] {
+        self.finishes.as_deref().unwrap_or(&[])
+    }
+
+    /// Rate recomputations, progressive-filling work and events, summed
+    /// over the steps run: the fluid engine's counters of each step's
+    /// payload flows. A closed-form step counts what the engine would: one
+    /// recomputation, the fill's work and one event per flow (two when the
+    /// shared latency is positive: the timers, then the completions).
+    #[must_use]
+    pub fn counters(&self) -> (usize, usize, u64) {
+        self.counters
     }
 
     /// Execute one step and return its duration, seconds.
@@ -124,6 +133,9 @@ impl<'n> StepRunner<'n> {
     where
         I: Iterator<Item = StepTransfer> + Clone,
     {
+        if let Some(finishes) = &mut self.finishes {
+            finishes.clear();
+        }
         if transfers.clone().next().is_none() {
             return Ok(0.0);
         }
@@ -142,12 +154,28 @@ impl<'n> StepRunner<'n> {
             None if self.routes.is_empty() => Some(0.0),
             None => None,
         };
-        let makespan_s = match closed_form {
-            Some(m) => m,
-            None => {
+        let makespan_s = match (closed_form, &self.fill) {
+            (Some(m), None) => m,
+            (Some(m), Some(fill)) => {
+                // Recorded in a pass of its own, so the loop above stays
+                // the same for a runner that does not record. No finish
+                // overflows here.
+                if let Some(finishes) = &mut self.finishes {
+                    let each = payload
+                        .zip(&fill.rates)
+                        .map(|(t, &r)| fill.finish(t.bytes, r));
+                    finishes.extend(each.flatten());
+                }
+                let flows = fill.rates.len() as u64;
+                self.counters.0 += 1;
+                self.counters.1 += fill.solver_work;
+                self.counters.2 += if fill.start_s > 0.0 { 2 * flows } else { flows };
+                m
+            }
+            (None, _) => {
                 // The engine consumes the routes, so a step that needs it
-                // leaves no placement to reuse. Its flows are `run_flows`'
-                // engine flows: released at 0, no launch delay, no deps.
+                // leaves no placement to reuse. Its flows are released at
+                // 0, with no launch delay and no deps.
                 self.key.clear();
                 let net = self.net;
                 let engine = self.engine.get_or_insert_with(|| FluidEngine::new(net));
@@ -163,8 +191,15 @@ impl<'n> StepRunner<'n> {
                 });
                 let routes = std::mem::take(&mut self.routes);
                 let latencies = std::mem::take(&mut self.latencies);
+                let n = routes.len();
                 engine.admit(flows, routes, latencies);
                 while engine.step()?.is_some() {}
+                if let Some(finishes) = &mut self.finishes {
+                    finishes.extend((0..n).map(|i| engine.window(i).1));
+                }
+                self.counters.0 += engine.rate_recomputations();
+                self.counters.1 += engine.solver_work();
+                self.counters.2 += engine.events();
                 engine.makespan_s()
             }
         };
@@ -195,7 +230,8 @@ impl<'n> StepRunner<'n> {
     }
 
     /// Route the payload flows of `transfers` in order and solve their
-    /// closed-form placement, failing as [`run_flows`] would.
+    /// closed-form placement, failing as the engine's injection and first
+    /// solve would.
     fn place(&mut self, transfers: impl Iterator<Item = StepTransfer> + Clone) -> Result<()> {
         self.key.clear();
         self.routes.clear();
@@ -217,140 +253,167 @@ impl<'n> StepRunner<'n> {
     }
 }
 
-/// The barrier fast path of a dependency-aware schedule: a DAG whose every
-/// transfer depends on exactly the whole previous non-empty stage, with no
-/// release times. Each stage runs as one fluid solve, and stage times
-/// compose exactly like [`run_steps`] — so such a DAG reproduces the
-/// stepped runner's total **bit-exactly**. Feed the stages in order with
-/// [`BarrierRun::stage`]; the fields accumulate over the stages fed.
+/// The placement half of the closed form: its two preconditions, the one
+/// progressive fill and its stall check. It reads routes and latencies
+/// only, never bytes, so it holds for every flow list with the same
+/// routes.
 #[derive(Debug)]
-pub struct BarrierRun<'n> {
-    net: &'n Network,
-    overhead_s: f64,
-    /// Completion time of the last stage: the left-fold sum of
-    /// `overhead + stage makespan` over the non-empty stages, seconds.
-    pub makespan_s: f64,
-    /// Per transfer, in feed order: `(start, finish)`. `start` is its
-    /// stage's start, before the launch overhead.
-    pub windows: Vec<(f64, f64)>,
-    /// Rate solver invocations, summed over the per-stage fluid runs.
-    pub rate_recomputations: usize,
-    /// Progressive-filling work units, summed likewise.
-    pub solver_work: usize,
-    /// Discrete events of the per-stage fluid runs, summed likewise.
-    pub events: u64,
+struct DisjointFill {
+    /// Instant every flow starts transmitting: the shared latency when it
+    /// is positive, else 0.
+    start_s: f64,
+    /// Each flow's max-min rate, in flow order (finite and positive).
+    rates: Vec<f64>,
+    /// The fill's progressive-filling work.
+    solver_work: usize,
 }
 
-impl<'n> BarrierRun<'n> {
-    /// An empty run over `net` that charges `per_message_overhead_s` once
-    /// per non-empty stage.
-    #[must_use]
-    pub fn new(net: &'n Network, per_message_overhead_s: f64) -> Self {
-        Self {
-            net,
-            overhead_s: per_message_overhead_s,
-            makespan_s: 0.0,
-            windows: Vec::new(),
-            rate_recomputations: 0,
-            solver_work: 0,
-            events: 0,
+impl DisjointFill {
+    /// The fill of `routes`, or `None` when there is no route, a latency
+    /// differs (in bits) or is not finite, or a link is crossed twice. A
+    /// flow frozen at rate zero fails with [`NetError::StalledFlow`] naming
+    /// `endpoints(k)`, as the engine's first solve does.
+    fn solve(
+        net: &Network,
+        routes: &[Vec<LinkId>],
+        latencies: &[f64],
+        endpoints: impl Fn(usize) -> (usize, usize),
+    ) -> Result<Option<Self>> {
+        let Some(&lat) = latencies.first() else {
+            return Ok(None);
+        };
+        if !lat.is_finite() || latencies.iter().any(|l| l.to_bits() != lat.to_bits()) {
+            return Ok(None);
         }
+        let mut links: Vec<usize> = routes.iter().flatten().map(|l| l.0).collect();
+        links.sort_unstable();
+        if links.windows(2).any(|w| w[0] == w[1]) {
+            return Ok(None);
+        }
+        // The engine's one solve: every listed link carries exactly one flow.
+        let mut capacity = vec![0.0f64; net.links().len()];
+        let mut active = vec![0usize; net.links().len()];
+        for &l in &links {
+            capacity[l] = net.links()[l].capacity_bps;
+            active[l] = 1;
+        }
+        let ascending: Vec<usize> = (0..routes.len()).collect();
+        let mut rates = vec![0.0f64; routes.len()];
+        let mut solver_work = 0usize;
+        progressive_fill(
+            &links,
+            &ascending,
+            routes,
+            &mut capacity,
+            &mut active,
+            &mut rates,
+            &mut solver_work,
+        );
+        if let Some(k) = rates.iter().position(|&r| r.is_nan() || r <= 0.0) {
+            let (src, dst) = endpoints(k);
+            return Err(NetError::StalledFlow { src, dst });
+        }
+        // A positive pipe parks every flow until its timer; otherwise flows
+        // start transmitting at once.
+        Ok(Some(Self {
+            start_s: if lat > 0.0 { lat } else { 0.0 },
+            rates,
+            solver_work,
+        }))
     }
 
-    /// Run the next stage: its payload flows in one [`run_flows`] solve,
-    /// then its zero-byte transfers, which are routed (and so validated) as
-    /// every flow is, and finish after the launch alone — within the
-    /// stage's overhead slot, so the next stage never starts before them.
-    /// An empty stage costs nothing.
-    pub fn stage(&mut self, transfers: &[StepTransfer]) -> Result<()> {
-        if transfers.is_empty() {
-            return Ok(());
-        }
-        let base = self.makespan_s;
-        let first = self.windows.len();
-        self.windows
-            .resize(first + transfers.len(), (base, base + self.overhead_s));
-        let payload: Vec<usize> = (0..transfers.len())
-            .filter(|&k| transfers[k].bytes > 0)
-            .collect();
-        let specs: Vec<FlowSpec> = payload
-            .iter()
-            .map(|&k| FlowSpec::new(transfers[k].src, transfers[k].dst, transfers[k].bytes))
-            .collect();
-        let makespan_s = if specs.is_empty() {
-            0.0
-        } else {
-            let report = run_flows(self.net, &specs)?;
-            self.rate_recomputations += report.rate_recomputations;
-            self.solver_work += report.solver_work;
-            self.events += report.events;
-            for (&k, outcome) in payload.iter().zip(&report.flows) {
-                self.windows[first + k].1 = base + self.overhead_s + outcome.finish_s;
-            }
-            report.makespan_s
-        };
-        for t in transfers.iter().filter(|t| t.bytes == 0) {
-            self.net.route(t.src, t.dst)?;
-        }
-        // The exact arithmetic of run_steps: each non-empty stage adds
-        // fl(overhead + makespan) to a left-fold running total.
-        self.makespan_s += self.overhead_s + makespan_s;
-        Ok(())
+    /// The closed-form finish of a flow of `bytes` at `rate` (one of
+    /// [`DisjointFill::rates`]), or `None` when it overflows to infinity
+    /// and the engine must decide.
+    fn finish(&self, bytes: u64, rate: f64) -> Option<f64> {
+        let finish_s = (self.start_s + bytes as f64 / rate).max(self.start_s);
+        (!finish_s.is_infinite()).then_some(finish_s)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::NetError;
+    use crate::flow::FlowSpec;
+    use crate::sim::run_flows;
     use crate::topology::star_cluster;
+
+    fn transfer(src: usize, dst: usize, bytes: u64) -> StepTransfer {
+        StepTransfer { src, dst, bytes }
+    }
+
+    /// Each step's duration on one runner, in step order.
+    fn step_times(net: &Network, steps: &[Vec<StepTransfer>], overhead_s: f64) -> Result<Vec<f64>> {
+        let mut runner = StepRunner::new(net, overhead_s);
+        steps
+            .iter()
+            .map(|step| runner.step(step.iter().copied()))
+            .collect()
+    }
+
+    /// Run `steps` as the barrier fast path of a dependency-aware run does,
+    /// one recorded runner step per stage: the makespan and every
+    /// transfer's `(start, finish)` window.
+    fn barrier_run(
+        net: &Network,
+        steps: &[Vec<StepTransfer>],
+        overhead_s: f64,
+    ) -> Result<(f64, Vec<(f64, f64)>)> {
+        let mut runner = StepRunner::new(net, overhead_s).recording();
+        let mut makespan_s = 0.0;
+        let mut windows = Vec::new();
+        for step in steps {
+            let start_s = makespan_s;
+            makespan_s += runner.step(step.iter().copied())?;
+            let launched_s = start_s + overhead_s;
+            let mut finishes = runner.finishes().iter();
+            windows.extend(step.iter().map(|t| {
+                let finish_s = match t.bytes {
+                    0 => launched_s,
+                    _ => launched_s + finishes.next().copied().unwrap_or(f64::NAN),
+                };
+                (start_s, finish_s)
+            }));
+        }
+        Ok((makespan_s, windows))
+    }
 
     #[test]
     fn steps_are_sequential_and_overhead_is_per_step() {
         let net = star_cluster(4, 1e9, 0.0);
         let steps = vec![
-            vec![StepTransfer {
-                src: 0,
-                dst: 1,
-                bytes: 1_000_000,
-            }],
-            vec![StepTransfer {
-                src: 1,
-                dst: 2,
-                bytes: 1_000_000,
-            }],
+            vec![transfer(0, 1, 1_000_000)],
+            vec![transfer(1, 2, 1_000_000)],
         ];
-        let r = run_steps(&net, &steps, 1e-6).unwrap();
-        assert_eq!(r.step_times_s.len(), 2);
-        assert!((r.total_time_s - (2e-3 + 2e-6)).abs() < 1e-9);
+        let times = step_times(&net, &steps, 1e-6).unwrap();
+        assert_eq!(times.len(), 2);
+        assert!((times.iter().sum::<f64>() - (2e-3 + 2e-6)).abs() < 1e-9);
     }
 
     #[test]
     fn empty_steps_cost_nothing() {
         let net = star_cluster(4, 1e9, 0.0);
-        let r = run_steps(&net, &[vec![]], 1e-6).unwrap();
-        assert_eq!(r.total_time_s, 0.0);
+        let mut runner = StepRunner::new(&net, 1e-6).recording();
+        assert_eq!(runner.step(std::iter::empty()).unwrap(), 0.0);
+        assert!(runner.finishes().is_empty());
+        assert_eq!(runner.counters(), (0, 0, 0));
     }
 
     #[test]
     fn empty_schedule_is_a_noop() {
         let net = star_cluster(4, 1e9, 0.0);
-        let r = run_steps(&net, &[], 1e-6).unwrap();
-        assert_eq!(r.total_time_s, 0.0);
-        assert!(r.step_times_s.is_empty());
+        assert!(step_times(&net, &[], 1e-6).unwrap().is_empty());
+        let runner = StepRunner::new(&net, 1e-6);
+        assert!(runner.finishes().is_empty());
+        assert_eq!(runner.counters(), (0, 0, 0));
     }
 
     #[test]
     fn single_step_matches_flow_closed_form() {
         let net = star_cluster(4, 1e9, 0.0);
-        let steps = vec![vec![StepTransfer {
-            src: 0,
-            dst: 1,
-            bytes: 3_000_000,
-        }]];
-        let r = run_steps(&net, &steps, 1e-6).unwrap();
-        assert_eq!(r.step_times_s.len(), 1);
-        assert!((r.total_time_s - (3e-3 + 1e-6)).abs() < 1e-9);
+        let times = step_times(&net, &[vec![transfer(0, 1, 3_000_000)]], 1e-6).unwrap();
+        assert_eq!(times.len(), 1);
+        assert!((times[0] - (3e-3 + 1e-6)).abs() < 1e-9);
     }
 
     #[test]
@@ -358,66 +421,26 @@ mod tests {
         // Campaign and differential consumers zip per-step times against
         // the schedule, so empty steps must keep their slot.
         let net = star_cluster(4, 1e9, 0.0);
-        let steps = vec![
-            vec![],
-            vec![StepTransfer {
-                src: 0,
-                dst: 1,
-                bytes: 1_000_000,
-            }],
-            vec![],
-        ];
-        let r = run_steps(&net, &steps, 1e-6).unwrap();
-        assert_eq!(r.step_times_s.len(), 3);
-        assert_eq!(r.step_times_s[0], 0.0);
-        assert_eq!(r.step_times_s[2], 0.0);
-        assert!((r.step_times_s[1] - (1e-3 + 1e-6)).abs() < 1e-9);
+        let steps = vec![vec![], vec![transfer(0, 1, 1_000_000)], vec![]];
+        let times = step_times(&net, &steps, 1e-6).unwrap();
+        assert_eq!(times.len(), 3);
+        assert_eq!(times[0], 0.0);
+        assert_eq!(times[2], 0.0);
+        assert!((times[1] - (1e-3 + 1e-6)).abs() < 1e-9);
     }
 
     #[test]
     fn zero_byte_transfers_are_skipped_but_pay_the_step_overhead() {
         let net = star_cluster(4, 1e9, 0.0);
-        // Mixed step: the zero-byte transfer adds no serialization time.
         let mixed = vec![
-            vec![
-                StepTransfer {
-                    src: 0,
-                    dst: 1,
-                    bytes: 0,
-                },
-                StepTransfer {
-                    src: 2,
-                    dst: 3,
-                    bytes: 1_000_000,
-                },
-            ],
+            // Mixed step: the zero-byte transfer adds no serialization time.
+            vec![transfer(0, 1, 0), transfer(2, 3, 1_000_000)],
             // All-zero step: the launch overhead is still paid.
-            vec![StepTransfer {
-                src: 1,
-                dst: 2,
-                bytes: 0,
-            }],
+            vec![transfer(1, 2, 0)],
         ];
-        let r = run_steps(&net, &mixed, 1e-6).unwrap();
-        assert!((r.step_times_s[0] - (1e-3 + 1e-6)).abs() < 1e-9);
-        assert!((r.step_times_s[1] - 1e-6).abs() < 1e-15);
-    }
-
-    fn transfer(src: usize, dst: usize, bytes: u64) -> StepTransfer {
-        StepTransfer { src, dst, bytes }
-    }
-
-    /// Run `steps` on the barrier fast path, one stage per step.
-    fn barrier_run<'n>(
-        net: &'n Network,
-        steps: &[Vec<StepTransfer>],
-        overhead_s: f64,
-    ) -> Result<BarrierRun<'n>> {
-        let mut run = BarrierRun::new(net, overhead_s);
-        for step in steps {
-            run.stage(step)?;
-        }
-        Ok(run)
+        let times = step_times(&net, &mixed, 1e-6).unwrap();
+        assert!((times[0] - (1e-3 + 1e-6)).abs() < 1e-9);
+        assert!((times[1] - 1e-6).abs() < 1e-15);
     }
 
     /// Lower `steps` to the barrier-shaped engine flows (every transfer
@@ -458,16 +481,22 @@ mod tests {
 
     #[test]
     fn barrier_dag_matches_run_steps_bit_exactly() {
+        // Recording the finishes changes no step time: the barrier
+        // composition's makespan is the plain runner's left-fold total.
         let net = star_cluster(8, 1e9, 500e-9);
         let steps = vec![
             vec![transfer(0, 1, 1_000_000), transfer(0, 2, 700_000)],
             vec![],
             vec![transfer(2, 3, 2_000_000)],
         ];
-        let stepped = run_steps(&net, &steps, 5e-6).unwrap();
-        let fast = barrier_run(&net, &steps, 5e-6).unwrap();
-        assert_eq!(fast.makespan_s.to_bits(), stepped.total_time_s.to_bits());
-        assert_eq!(fast.windows.len(), 3);
+        let total = step_times(&net, &steps, 5e-6)
+            .unwrap()
+            .iter()
+            .fold(0.0, |sum, t| sum + t);
+        let (makespan_s, windows) = barrier_run(&net, &steps, 5e-6).unwrap();
+        assert_eq!(makespan_s.to_bits(), total.to_bits());
+        assert_eq!(windows.len(), 3);
+        assert_eq!(windows[2].1.to_bits(), makespan_s.to_bits());
     }
 
     #[test]
@@ -477,13 +506,13 @@ mod tests {
             vec![transfer(0, 1, 1_000_000)],
             vec![transfer(2, 3, 1_000_000)],
         ];
-        let barrier = run_steps(&net, &steps, 0.0).unwrap();
+        let (barrier_s, _) = barrier_run(&net, &steps, 0.0).unwrap();
         // Drop the cross-step edge: the two disjoint transfers overlap.
         let mut flows = barrier_flows(&steps, 0.0);
         flows[1].deps.clear();
         let (makespan_s, _) = engine_run(&net, flows).unwrap();
         assert!((makespan_s - 1e-3).abs() < 1e-12);
-        assert!(makespan_s <= barrier.total_time_s);
+        assert!(makespan_s <= barrier_s);
     }
 
     #[test]
@@ -493,12 +522,11 @@ mod tests {
             vec![transfer(0, 1, 1_000_000), transfer(2, 1, 500_000)],
             vec![transfer(1, 4, 1_500_000)],
         ];
-        let fast = barrier_run(&net, &steps, 5e-6).unwrap();
+        let (fast, _) = barrier_run(&net, &steps, 5e-6).unwrap();
         let (event, _) = engine_run(&net, barrier_flows(&steps, 5e-6)).unwrap();
         assert!(
-            (fast.makespan_s - event).abs() / fast.makespan_s < 1e-9,
-            "fast {} vs event {event}",
-            fast.makespan_s
+            (fast - event).abs() / fast < 1e-9,
+            "fast {fast} vs event {event}"
         );
     }
 
@@ -525,7 +553,7 @@ mod tests {
         for overhead in [0.0, 5e-6] {
             let fast = barrier_run(&net, &steps, overhead).unwrap();
             let event = engine_run(&net, barrier_flows(&steps, overhead)).unwrap();
-            for (makespan_s, windows) in [(fast.makespan_s, &fast.windows), (event.0, &event.1)] {
+            for (makespan_s, windows) in [&fast, &event] {
                 assert!(
                     windows[1].0 >= windows[0].1 - 1e-15,
                     "dependent starts at {} before its gate finishes at {}",
@@ -536,11 +564,11 @@ mod tests {
                     assert!(finish <= makespan_s + 1e-15);
                 }
             }
-            let scale = fast.makespan_s.max(1e-30);
+            let scale = fast.0.max(1e-30);
             assert!(
-                (fast.makespan_s - event.0).abs() / scale < 1e-9,
+                (fast.0 - event.0).abs() / scale < 1e-9,
                 "overhead {overhead}: fast {} vs event {}",
-                fast.makespan_s,
+                fast.0,
                 event.0
             );
         }
@@ -556,18 +584,18 @@ mod tests {
         let steps = vec![vec![transfer(0, 1, 1_000_000), transfer(2, 2, 0)]];
         let fast = barrier_run(&net, &steps, 0.0);
         let event = engine_run(&net, barrier_flows(&steps, 0.0));
-        assert_eq!(fast.unwrap_err(), crate::error::NetError::SelfFlow(2));
-        assert_eq!(event.unwrap_err(), crate::error::NetError::SelfFlow(2));
+        assert_eq!(fast.unwrap_err(), NetError::SelfFlow(2));
+        assert_eq!(event.unwrap_err(), NetError::SelfFlow(2));
     }
 
     #[test]
     fn zero_byte_dag_transfers_gate_but_cost_only_overhead() {
         let net = star_cluster(4, 1e9, 0.0);
         let steps = vec![vec![transfer(0, 1, 0)], vec![transfer(1, 2, 1_000_000)]];
-        let fast = barrier_run(&net, &steps, 1e-6).unwrap();
+        let (makespan_s, _) = barrier_run(&net, &steps, 1e-6).unwrap();
         // Zero-byte gate completes after its 1 us launch; the dependent
         // pays its own launch then 1 ms of serialization.
-        assert!((fast.makespan_s - (2e-6 + 1e-3)).abs() < 1e-12);
+        assert!((makespan_s - (2e-6 + 1e-3)).abs() < 1e-12);
     }
 
     #[test]
@@ -590,11 +618,7 @@ mod tests {
         let step = |pairs: &[(usize, usize)]| -> Vec<StepTransfer> {
             pairs
                 .iter()
-                .map(|&(src, dst)| StepTransfer {
-                    src,
-                    dst,
-                    bytes: 1_000_000,
-                })
+                .map(|&(src, dst)| transfer(src, dst, 1_000_000))
                 .collect()
         };
         let mut runner = StepRunner::new(&net, 0.0);
@@ -616,19 +640,8 @@ mod tests {
     #[test]
     fn parallel_transfers_within_a_step() {
         let net = star_cluster(4, 1e9, 0.0);
-        let step = vec![
-            StepTransfer {
-                src: 0,
-                dst: 1,
-                bytes: 1_000_000,
-            },
-            StepTransfer {
-                src: 2,
-                dst: 3,
-                bytes: 1_000_000,
-            },
-        ];
-        let r = run_steps(&net, &[step], 0.0).unwrap();
-        assert!((r.total_time_s - 1e-3).abs() < 1e-9);
+        let step = vec![transfer(0, 1, 1_000_000), transfer(2, 3, 1_000_000)];
+        let times = step_times(&net, &[step], 0.0).unwrap();
+        assert!((times[0] - 1e-3).abs() < 1e-9);
     }
 }

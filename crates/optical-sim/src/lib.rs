@@ -47,7 +47,6 @@
 #![forbid(unsafe_code)]
 
 pub mod config;
-pub mod conflict;
 pub mod engine;
 pub mod error;
 pub mod path;
@@ -58,7 +57,6 @@ pub mod sim;
 pub mod stats;
 pub mod timing;
 pub mod topology;
-pub mod trace;
 pub mod wavelength;
 
 /// Convenient re-exports of the most commonly used items.
@@ -73,7 +71,6 @@ pub mod prelude {
     pub use crate::sim::{RingSimulator, StepReport, StepSchedule, StepSource};
     pub use crate::timing::TimingModel;
     pub use crate::topology::{Direction, NodeId, RingTopology};
-    pub use crate::trace::{run_stepped_traced, RunTrace, TraceEntry};
     pub use crate::wavelength::Wavelength;
 }
 

@@ -34,7 +34,7 @@ impl RunStats {
     /// Total simulated time, seconds.
     #[must_use]
     pub fn total_time_s(&self) -> f64 {
-        self.steps.iter().map(|s| s.duration_s).sum()
+        self.steps.iter().fold(0.0, |total, s| total + s.duration_s)
     }
 
     /// Total bytes moved across all steps.

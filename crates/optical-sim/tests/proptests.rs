@@ -1,6 +1,9 @@
 //! Property tests for the optical substrate.
 
-use optical_sim::conflict::{congestion_lower_bound, greedy_wavelength_bound, validate_assignment};
+#[path = "support/conflict.rs"]
+mod conflict;
+
+use conflict::{congestion_lower_bound, greedy_wavelength_bound, validate_assignment};
 use optical_sim::path::LightPath;
 use optical_sim::rwa::{Occupancy, Strategy as Rwa};
 use optical_sim::topology::{Direction, NodeId, RingTopology};

@@ -4,11 +4,13 @@
 //! number of the *conflict graph* whose vertices are (path, lane) units and
 //! whose edges join same-direction paths sharing a segment. We provide a
 //! greedy colouring (an upper bound that is exact for interval-like conflict
-//! structures such as the nested sides of Wrht groups) and an assignment
-//! validator used by tests and by the simulator's debug checks.
+//! structures such as the nested sides of Wrht groups), the segment
+//! congestion lower bound and an assignment validator: the oracles the
+//! property tests hold the RWA heuristics to.
 
-use crate::path::LightPath;
-use crate::wavelength::Wavelength;
+use optical_sim::path::LightPath;
+use optical_sim::topology::Direction;
+use optical_sim::wavelength::Wavelength;
 
 /// Build the adjacency of the conflict graph for a set of weighted paths,
 /// where `weight` = number of lanes the path occupies.
@@ -85,8 +87,8 @@ pub fn congestion_lower_bound(paths: &[(LightPath, usize)]) -> usize {
     let mut seg_load: BTreeMap<(u8, usize), usize> = BTreeMap::new();
     for (p, lanes) in paths {
         let d = match p.direction {
-            crate::topology::Direction::Clockwise => 0u8,
-            crate::topology::Direction::CounterClockwise => 1u8,
+            Direction::Clockwise => 0u8,
+            Direction::CounterClockwise => 1u8,
         };
         for &s in &p.segments {
             *seg_load.entry((d, s)).or_insert(0) += lanes;
@@ -113,7 +115,7 @@ pub fn validate_assignment(paths: &[LightPath], lanes: &[Vec<Wavelength>]) -> bo
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topology::{Direction, NodeId, RingTopology};
+    use optical_sim::topology::{NodeId, RingTopology};
 
     fn p(t: &RingTopology, a: usize, b: usize, d: Direction) -> LightPath {
         LightPath::routed(t, NodeId(a), NodeId(b), d)

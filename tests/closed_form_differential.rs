@@ -1,17 +1,19 @@
-//! Differential test of `run_flows`' closed form for link-disjoint runs.
+//! Differential test of the stepped runner's closed form for link-disjoint
+//! steps.
 //!
-//! When every release is 0, every route latency is bit-identical and the
-//! routes are pairwise link-disjoint, `run_flows` computes the engine's
-//! result directly instead of stepping the fluid engine. The closed driver
-//! ([`wrht_core::engine::run_closed`]) on a fluid engine with zero launch
-//! delay always steps the engine on the same flows, so the two must agree
-//! bit for bit: makespan, per-flow finish, rate recomputations, solver
-//! work, events and error values. Near misses, which break exactly one
-//! precondition, must fall back to the engine and agree too.
+//! When every route latency of a step's payload flows is bit-identical and
+//! the routes are pairwise link-disjoint, [`StepRunner::step`] computes the
+//! fluid engine's result directly instead of stepping the engine. The
+//! closed driver ([`wrht_core::engine::run_closed`]) on a fluid engine with
+//! zero launch delay always steps the engine on the same flows, so the two
+//! must agree bit for bit: makespan, per-flow finish, rate recomputations,
+//! solver work, events and error values. Near misses, which break exactly
+//! one precondition, must fall back to the engine and agree too, and so
+//! must the step repeated, which reuses its placement.
 
 use electrical_sim::flow::FlowSpec;
 use electrical_sim::graph::{Link, Network, Router};
-use electrical_sim::sim::run_flows;
+use electrical_sim::runner::{StepRunner, StepTransfer};
 use electrical_sim::topology::ring;
 use electrical_sim::FluidEngine;
 use optical_sim::{NodeId, Transfer};
@@ -90,39 +92,64 @@ fn sharing_one_link(net: &Network, specs: &[FlowSpec]) -> Option<FlowSpec> {
     })
 }
 
-/// `run_flows` and the engine agree bit for bit on `specs`.
+/// One step of `specs` on `runner`: its duration and each flow's finish.
+fn step(runner: &mut StepRunner, specs: &[FlowSpec]) -> Result<(f64, Vec<f64>), WrhtError> {
+    let transfers = specs.iter().map(|s| StepTransfer {
+        src: s.src,
+        dst: s.dst,
+        bytes: s.bytes,
+    });
+    let makespan_s = runner.step(transfers)?;
+    Ok((makespan_s, runner.finishes().to_vec()))
+}
+
+/// The runner's step and the engine agree bit for bit on `specs`, and so
+/// does the step run again on the same runner.
 fn same_as_engine(net: &Network, specs: &[FlowSpec]) -> Result<(), String> {
     let released: Vec<(f64, Transfer)> = specs
         .iter()
         .map(|s| {
-            let transfer = Transfer::shortest(NodeId(s.src), NodeId(s.dst), s.bytes);
-            (s.release_s(), transfer)
+            (
+                0.0,
+                Transfer::shortest(NodeId(s.src), NodeId(s.dst), s.bytes),
+            )
         })
         .collect();
     let mut eng = FluidEngine::new(net);
-    match (
-        run_flows(net, specs),
-        run_closed(&mut eng, &DepSchedule::from_released(&released), None),
-    ) {
-        (Ok(closed), Ok(engine)) => {
-            let makespan_s = engine.iter().fold(0.0f64, |m, o| m.max(o.finish_s));
-            prop_assert_eq!(closed.makespan_s.to_bits(), makespan_s.to_bits());
-            for (k, (flow, outcome)) in closed.flows.iter().zip(&engine).enumerate() {
+    let engine = run_closed(&mut eng, &DepSchedule::from_released(&released), None);
+    let mut runner = StepRunner::new(net, 0.0).recording();
+    for repeat in 1..=2 {
+        match (step(&mut runner, specs), &engine) {
+            (Ok((makespan_s, finishes)), Ok(engine)) => {
+                let want = engine.iter().fold(0.0f64, |m, o| m.max(o.finish_s));
+                prop_assert_eq!(makespan_s.to_bits(), want.to_bits());
+                prop_assert_eq!(finishes.len(), engine.len());
+                for (k, (finish_s, outcome)) in finishes.iter().zip(engine).enumerate() {
+                    prop_assert_eq!(
+                        finish_s.to_bits(),
+                        outcome.finish_s.to_bits(),
+                        "flow {}: {} vs {}",
+                        k,
+                        finish_s,
+                        outcome.finish_s
+                    );
+                }
+                let (rate_recomputations, solver_work) = eng.solver_stats();
+                let events = FabricEngine::events(&eng);
                 prop_assert_eq!(
-                    flow.finish_s.to_bits(),
-                    outcome.finish_s.to_bits(),
-                    "flow {}: {} vs {}",
-                    k,
-                    flow.finish_s,
-                    outcome.finish_s
+                    runner.counters(),
+                    (
+                        repeat * rate_recomputations,
+                        repeat * solver_work,
+                        repeat as u64 * events
+                    )
                 );
             }
-            let (rate_recomputations, solver_work) = eng.solver_stats();
-            prop_assert_eq!(closed.rate_recomputations, rate_recomputations);
-            prop_assert_eq!(closed.solver_work, solver_work);
-            prop_assert_eq!(closed.events, FabricEngine::events(&eng));
+            (closed, engine) => {
+                prop_assert_eq!(closed.err(), engine.as_ref().err().cloned());
+                break;
+            }
         }
-        (closed, engine) => prop_assert_eq!(closed.err().map(WrhtError::from), engine.err()),
     }
     Ok(())
 }
@@ -133,8 +160,7 @@ proptest! {
     /// Random link-disjoint steps on the four topologies, with
     /// heterogeneous capacities, zero or positive latency and, in every
     /// fourth case, one dark (zero-capacity) link; then the same step
-    /// with one shared link, one non-zero release and one latency nudged
-    /// an ulp up.
+    /// with one shared link and with one latency nudged an ulp up.
     #[test]
     fn link_disjoint_runs_match_the_engine(
         topo in 0usize..4,
@@ -165,11 +191,6 @@ proptest! {
             same_as_engine(&net, &shared)?;
         }
 
-        let mut late = specs.clone();
-        let last = late.len() - 1;
-        late[last] = FlowSpec::released_at(late[last].src, late[last].dst, late[last].bytes, 1e-4);
-        same_as_engine(&net, &late)?;
-
         let first = net.route(specs[0].src, specs[0].dst).expect("routable")[0];
         links[first.0].latency_s = links[first.0].latency_s.next_up();
         same_as_engine(&network(topo, links), &specs)?;
@@ -177,8 +198,8 @@ proptest! {
 }
 
 /// A ring neighbour step whose first route latency is one ulp above the
-/// others': the flows share no link and no release, so only the latency
-/// precondition sends the run to the engine. The engine promotes flow 0
+/// others': the flows share no link, so only the latency precondition
+/// sends the step to the engine. The engine promotes flow 0
 /// together with the others (its timer is within `EPS`), so a closed form
 /// that started every flow at flow 0's latency would finish each an ulp
 /// late.
@@ -190,14 +211,11 @@ fn an_ulp_off_route_latency_falls_back_to_the_engine() {
     let net = Network::from_parts(8, links, Router::Ring);
     let specs: Vec<FlowSpec> = (0..8).map(|i| FlowSpec::new(i, (i + 1) % 8, 1)).collect();
     same_as_engine(&net, &specs).unwrap();
-    let report = run_flows(&net, &specs).unwrap();
-    for flow in &report.flows {
-        assert_eq!(flow.finish_s.to_bits(), (lat + 1.0 / 1e9).to_bits());
+    let (_, finishes) = step(&mut StepRunner::new(&net, 0.0).recording(), &specs).unwrap();
+    for finish_s in &finishes {
+        assert_eq!(finish_s.to_bits(), (lat + 1.0 / 1e9).to_bits());
     }
-    assert_ne!(
-        report.flows[0].finish_s.to_bits(),
-        (lat.next_up() + 1.0 / 1e9).to_bits()
-    );
+    assert_ne!(finishes[0].to_bits(), (lat.next_up() + 1.0 / 1e9).to_bits());
 }
 
 /// Disjoint flows whose links differ by less than the solver's relative
@@ -221,11 +239,10 @@ fn the_joint_solve_ties_capacities_within_its_tolerance() {
         FlowSpec::new(2, 3, 3_000_000),
     ];
     same_as_engine(&net, &specs).unwrap();
-    let report = run_flows(&net, &specs).unwrap();
-    assert_eq!(
-        report.flows[0].finish_s.to_bits(),
-        report.flows[1].finish_s.to_bits()
-    );
-    assert_eq!(report.rate_recomputations, 1);
-    assert_eq!(report.events, 2);
+    let mut runner = StepRunner::new(&net, 0.0).recording();
+    let (_, finishes) = step(&mut runner, &specs).unwrap();
+    assert_eq!(finishes[0].to_bits(), finishes[1].to_bits());
+    let (rate_recomputations, _, events) = runner.counters();
+    assert_eq!(rate_recomputations, 1);
+    assert_eq!(events, 2);
 }

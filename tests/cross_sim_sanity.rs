@@ -2,32 +2,13 @@
 //! discrete simulators, and the two substrates must agree with each other
 //! where their models coincide.
 
-use collectives::ring::ring_allreduce;
-use electrical_sim::runner::{run_steps, StepTransfer};
 use electrical_sim::topology::star_cluster;
 use optical_sim::{OpticalConfig, RingSimulator, Strategy};
 use wrht_core::baselines::oring_schedule;
 use wrht_core::cost::predict_time_s;
 use wrht_core::lower::to_optical_schedule;
 use wrht_core::plan::build_plan;
-
-/// The ring all-reduce's steps as electrical `(src, dst, bytes)` transfers.
-fn ring_step_transfers(n: usize, elems: usize, bpe: usize) -> Vec<Vec<StepTransfer>> {
-    ring_allreduce(n, elems)
-        .steps
-        .iter()
-        .map(|s| {
-            s.transfers
-                .iter()
-                .map(|t| StepTransfer {
-                    src: t.src,
-                    dst: t.dst,
-                    bytes: (t.elems() * bpe) as u64,
-                })
-                .collect()
-        })
-        .collect()
-}
+use wrht_core::substrate::{ElectricalSubstrate, Substrate};
 
 /// O-Ring in the optical simulator equals the Patarasuk–Yuan closed form
 /// `2(n-1) (alpha + (S/n)/B + P)` when chunks divide evenly.
@@ -68,9 +49,10 @@ fn electrical_ring_matches_closed_form() {
     let bw = 12.5e9;
     let lat = 5e-7;
     let overhead = 5e-6;
-    let net = star_cluster(n, bw, lat);
-    let steps = ring_step_transfers(n, elems, bpe);
-    let t = run_steps(&net, &steps, overhead).unwrap().total_time_s;
+    let t = ElectricalSubstrate::new(star_cluster(n, bw, lat), overhead)
+        .execute(&oring_schedule(n, elems, bpe))
+        .unwrap()
+        .total_time_s;
     let chunk = (elems / n * bpe) as f64;
     let expected = (2 * (n - 1)) as f64 * (overhead + 2.0 * lat + chunk / bw);
     assert!((t - expected).abs() / expected < 1e-9, "{t} vs {expected}");
@@ -122,9 +104,10 @@ fn substrates_agree_on_identical_physics() {
         .unwrap()
         .total_time_s;
 
-    let net = electrical_sim::topology::ring(n, bw, 0.0);
-    let steps = ring_step_transfers(n, elems, bpe);
-    let electrical_t = run_steps(&net, &steps, 0.0).unwrap().total_time_s;
+    let electrical_t = ElectricalSubstrate::new(electrical_sim::topology::ring(n, bw, 0.0), 0.0)
+        .execute(&oring_schedule(n, elems, bpe))
+        .unwrap()
+        .total_time_s;
 
     assert!(
         (optical_t - electrical_t).abs() / electrical_t < 1e-9,

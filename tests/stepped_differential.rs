@@ -19,7 +19,7 @@
 use collectives::ring::ring_allreduce;
 use electrical_sim::flow::FlowSpec;
 use electrical_sim::graph::{Link, Network, Router};
-use electrical_sim::runner::{run_steps, StepRunner, StepTransfer};
+use electrical_sim::runner::{StepRunner, StepTransfer};
 use electrical_sim::sim::run_flows;
 use electrical_sim::NetError;
 use optical_sim::stats::{RunStats, StepStats};
@@ -31,6 +31,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use wrht_core::baselines::{lower_collective_to_optical, RingSource};
+use wrht_core::error::WrhtError;
 use wrht_core::substrate::{ElectricalSubstrate, OpticalSubstrate, RunReport, Substrate};
 
 // ---- references: the un-memoized stepped loops --------------------------
@@ -89,9 +90,10 @@ fn reference_optical(
     })
 }
 
-/// One electrical step without the memo: the payload flows run as one
-/// `run_flows` call, then the zero-byte transfers are routed (as `BarrierRun`
-/// routes a barrier stage's zero-byte gates after its payload).
+/// One electrical step without the memo or the closed form: the payload
+/// flows run as one `run_flows` call on the fluid engine, then the
+/// zero-byte transfers are routed (as the runner routes a step's zero-byte
+/// transfers after its payload).
 fn reference_electrical_step(
     net: &Network,
     step: &[StepTransfer],
@@ -315,7 +317,8 @@ proptest! {
 
     /// Every step of the electrical `StepRunner` equals the un-memoized
     /// step — the same time bits, or the same error in the same step — and
-    /// `run_steps` reports the sequential sum of those times.
+    /// the electrical substrate's stepped run reports those times and their
+    /// sequential sum, or the first step's error.
     #[test]
     fn memoized_electrical_steps_match_the_unmemoized_step(
         hosts in 3usize..10,
@@ -356,27 +359,39 @@ proptest! {
         let overhead_s = 5e-6;
         let mut runner = StepRunner::new(&net, overhead_s);
         let mut times = Vec::new();
+        let mut failed = None;
         for (k, step) in steps.iter().enumerate() {
             let got = runner.step(step.iter().copied());
             let want = reference_electrical_step(&net, step, overhead_s);
             match (&got, &want) {
                 (Ok(g), Ok(w)) => prop_assert_eq!(g.to_bits(), w.to_bits(), "step {}", k),
                 _ => {
-                    prop_assert_eq!(got.err(), want.err(), "step {}", k);
+                    prop_assert_eq!(got.as_ref().err(), want.as_ref().err(), "step {}", k);
+                    failed = want.err();
                     break;
                 }
             }
             times.push(want.expect("checked above"));
         }
-        match run_steps(&net, &steps, overhead_s) {
+        let schedule = StepSchedule::from_steps(
+            steps
+                .iter()
+                .map(|step| {
+                    step.iter()
+                        .map(|t| Transfer::shortest(NodeId(t.src), NodeId(t.dst), t.bytes))
+                        .collect()
+                })
+                .collect(),
+        );
+        match ElectricalSubstrate::new(net.clone(), overhead_s).execute(&schedule) {
             Ok(report) => {
                 prop_assert_eq!(times.len(), steps.len());
                 let bits = |v: &[f64]| v.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
-                prop_assert_eq!(bits(&report.step_times_s), bits(&times));
-                let total: f64 = times.iter().sum();
+                prop_assert_eq!(bits(&report.per_step_s()), bits(&times));
+                let total = times.iter().fold(0.0, |sum, t| sum + t);
                 prop_assert_eq!(report.total_time_s.to_bits(), total.to_bits());
             }
-            Err(_) => prop_assert!(times.len() < steps.len()),
+            Err(e) => prop_assert_eq!(Some(e), failed.map(WrhtError::from)),
         }
     }
 }
@@ -410,8 +425,8 @@ fn exhaustion_after_reused_steps_names_the_failing_step() {
 
 /// On a link of 1e-303 B/s a 1 kB flow finishes at a finite 1e306 s, but
 /// a 1 MB flow's closed-form finish overflows to infinity. A step that
-/// reuses the placement and overflows goes to the engine, as `run_flows`
-/// does, and the step after it is placed afresh.
+/// reuses the placement and overflows goes to the engine, as the reference
+/// step does, and the step after it is placed afresh.
 #[test]
 fn an_overflowing_finish_falls_back_to_the_engine_on_reuse() {
     let mut links = vec![
