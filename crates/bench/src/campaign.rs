@@ -51,7 +51,7 @@ use crate::fig2::{Fig2Row, Fig2Series};
 use crate::report::to_json;
 use crate::timeline::{iteration_model, lower_allreduce, timeline_buckets, TimelineRow};
 use dnn_models::Model;
-use optical_sim::sim::StepSchedule;
+use optical_sim::sim::{StepSchedule, StepSource};
 use optical_sim::Strategy;
 use serde::{Deserialize, Serialize};
 use std::fs;
@@ -59,7 +59,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use wrht_core::baselines::RingSource;
-use wrht_core::dag::{DepSchedule, ExecMode};
+use wrht_core::dag::{ExecMode, PipelinedSource};
 use wrht_core::fault::{
     fault_cluster_report, FaultClusterReport, FaultKind, FaultPolicy, FaultScript,
 };
@@ -583,30 +583,38 @@ impl Axis for CellConfig {
                     .and_then(|mut substrate| substrate.execute(&classic()?))
                     .map(|r| summarize(&r)),
             },
-            // Pipelined: obtain the same schedule (Wrht plans against the
+            // Pipelined: lower the same schedule (Wrht plans against the
             // optical cost model on both substrates, mirroring the electrical
-            // Wrht cells), lower to the per-node dependency DAG and execute
-            // event-driven — consecutive steps overlap on the wire.
+            // Wrht cells) to the per-node dependency DAG and execute it
+            // event-driven — consecutive steps overlap on the wire. The DAG
+            // is lowered lazily and streams into the engine stage by stage;
+            // the ring's steps are written only as the lowering reads them.
             ExecMode::Pipelined => {
-                let schedule = match self.algorithm {
-                    Algorithm::Wrht => wrht_plan(self, &local).map(|plan| {
-                        result.wrht_m = plan.m;
-                        to_optical_schedule(&plan, self.gradient_bytes)
-                    }),
-                    _ => classic(),
-                };
-                schedule.and_then(|schedule| {
-                    let dag = DepSchedule::pipelined_from_steps(&schedule);
+                let run = |steps: &dyn StepSource| -> CellOutcome {
+                    let dag = PipelinedSource::new(steps);
                     let report = local
                         .try_substrate(self.substrate, self.n, self.strategy)?
                         .execute_dag(&dag)?;
                     Ok((
                         report.makespan_s,
-                        schedule.len(),
-                        schedule.total_bytes(),
+                        steps.step_count(),
+                        dag.total_bytes(),
                         report.peak_wavelength,
                     ))
-                })
+                };
+                match self.algorithm {
+                    Algorithm::Wrht => wrht_plan(self, &local).and_then(|plan| {
+                        result.wrht_m = plan.m;
+                        run(&to_optical_schedule(&plan, self.gradient_bytes))
+                    }),
+                    Algorithm::Ring => run(&RingSource {
+                        n: self.n,
+                        elems: local.elems(self.gradient_bytes),
+                        bytes_per_elem: local.bytes_per_elem,
+                        lanes: 1,
+                    }),
+                    _ => classic().and_then(|schedule| run(&schedule)),
+                }
             }
         };
 

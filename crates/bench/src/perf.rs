@@ -47,7 +47,7 @@ use wrht_core::tenancy::{Job, JobWorkload, SchedPolicy, TenancySpec};
 
 use wrht_core::hierarchy::HierSpec;
 use wrht_core::parallelism::{lower_parallelism, ParallelismSpec, StageModel};
-use wrht_core::substrate::Substrate as _;
+use wrht_core::substrate::{DagTiming, Substrate as _};
 
 use crate::campaign::Algorithm;
 use crate::contention::{generate_traffic, Pattern};
@@ -364,8 +364,8 @@ pub fn run_suite(scale: SuiteScale, suite: &str, milestone: &str) -> Result<Benc
         let flows = incast_flows(scale.incast_waves, scale.incast_bytes);
         let (wall_s, (makespan_s, events)) = time_best(scale.iters, || {
             let mut eng = FluidEngine::new(&net).with_launch_delay(cfg.electrical_step_overhead_s);
-            let outcomes =
-                run_closed(&mut eng, &flows, None).expect("frozen incast workload executes");
+            let outcomes = run_closed(&mut eng, &flows, None, DagTiming::from)
+                .expect("frozen incast workload executes");
             let makespan_s = outcomes.iter().fold(0.0f64, |m, o| m.max(o.finish_s));
             (makespan_s, eng.events())
         });

@@ -27,6 +27,17 @@
 //!   and a bucket's first transfers are gated on its gradient-ready time —
 //!   so consecutive buckets overlap on the wire.
 //!
+//! The closed driver ([`crate::engine::run_closed`]) reads a DAG through
+//! [`DepSource`], one stage at a time, as a stepped run reads a
+//! [`StepSource`]. A [`DepSchedule`] is one stage holding every transfer,
+//! injected whole. [`PipelinedSource`] is the pipelined lowering done
+//! lazily over any [`StepSource`]: it writes each step's transfers only
+//! when the driver reads them, keeping one list of transfer indices per
+//! node (the node's most recent step), and its horizon — the lowest index
+//! a transfer not yet written can depend on — tells the driver how far
+//! ahead of the engine it must read. [`DepSchedule::pipelined_from_steps`]
+//! is its collected form: both run the one lowering body.
+//!
 //! ```
 //! use wrht_core::dag::DepSchedule;
 //! use wrht_core::baselines::oring_schedule;
@@ -42,8 +53,9 @@
 //! ```
 
 use optical_sim::request::Transfer;
-use optical_sim::sim::StepSchedule;
+use optical_sim::sim::{StepSchedule, StepSource};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// How a schedule is executed on a substrate — the campaign axis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -183,48 +195,10 @@ impl DepSchedule {
     /// the data flow of reduce/broadcast/ring collectives — a node cannot
     /// forward a buffer it has not received, and a node's own sends stay
     /// ordered — while letting independent branches of consecutive steps
-    /// overlap on the wire.
+    /// overlap on the wire. The collected form of [`PipelinedSource`].
     #[must_use]
     pub fn pipelined_from_steps(schedule: &StepSchedule) -> Self {
-        let nodes = schedule
-            .steps()
-            .iter()
-            .flatten()
-            .map(|t| t.src.0.max(t.dst.0) + 1)
-            .max()
-            .unwrap_or(0);
-        // For each node: the transfer indices of the most recent step in
-        // which it appeared.
-        let mut last_involved: Vec<Vec<usize>> = vec![Vec::new(); nodes];
-        let mut transfers: Vec<DepTransfer> = Vec::with_capacity(schedule.transfer_count());
-        for (stage, step) in schedule.steps().iter().enumerate() {
-            let first = transfers.len();
-            for tr in step {
-                transfers.push(DepTransfer {
-                    transfer: tr.clone(),
-                    deps: last_involved[tr.src.0].clone(),
-                    release_s: 0.0,
-                    stage,
-                });
-            }
-            if step.is_empty() {
-                continue;
-            }
-            let mut involved: Vec<Vec<usize>> = vec![Vec::new(); nodes];
-            for (k, tr) in step.iter().enumerate() {
-                involved[tr.src.0].push(first + k);
-                involved[tr.dst.0].push(first + k);
-            }
-            for (node, list) in involved.into_iter().enumerate() {
-                if !list.is_empty() {
-                    last_involved[node] = list;
-                }
-            }
-        }
-        Self {
-            transfers,
-            stages: schedule.len(),
-        }
+        PipelinedSource::new(schedule).collect()
     }
 
     /// Chain per-bucket schedules: each bucket keeps internal barrier
@@ -318,27 +292,262 @@ impl DepSchedule {
     /// Substrates pin `execute_dag == execute` bit-exactly on such DAGs.
     #[must_use]
     pub fn is_barrier_shaped(&self) -> bool {
-        // wrht-analyze: allow(r6, reason = "exact-zero sentinel: from_steps writes the literal 0.0, never a computed value")
-        if self.transfers.iter().any(|t| t.release_s != 0.0) {
-            return false;
-        }
-        let mut prev: Vec<usize> = Vec::new();
-        let mut current: Vec<usize> = Vec::new();
+        DepSource::is_barrier_shaped(self)
+    }
+}
+
+/// A dependency-aware schedule read one stage at a time, the DAG
+/// counterpart of [`StepSource`]: a materialized [`DepSchedule`], or a
+/// lowering such as [`PipelinedSource`] that writes each stage only when
+/// the closed driver reads it.
+pub trait DepSource {
+    /// Number of transfers.
+    fn len(&self) -> usize;
+
+    /// True when the schedule has no transfers.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// A reader positioned before the first stage.
+    fn stages(&self) -> Box<dyn DepReader + '_>;
+
+    /// The whole DAG materialized; borrowed when the source already is one.
+    fn to_dag(&self) -> Cow<'_, DepSchedule>;
+
+    /// [`DepSchedule::is_barrier_shaped`], reading the stages only until
+    /// the first one that breaks the shape.
+    fn is_barrier_shaped(&self) -> bool {
+        let mut stages = self.stages();
+        let (mut prev, mut current) = (Vec::new(), Vec::new());
         let mut stage = usize::MAX;
-        for (i, t) in self.transfers.iter().enumerate() {
-            if t.stage != stage {
-                if !current.is_empty() {
-                    prev = std::mem::take(&mut current);
+        let mut index = 0;
+        while let Some(transfers) = stages.next_stage() {
+            for t in transfers {
+                // wrht-analyze: allow(r6, reason = "exact-zero sentinel: from_steps writes the literal 0.0, never a computed value")
+                if t.release_s != 0.0 {
+                    return false;
                 }
-                current.clear();
-                stage = t.stage;
+                if t.stage != stage {
+                    if !current.is_empty() {
+                        prev = std::mem::take(&mut current);
+                    }
+                    stage = t.stage;
+                }
+                if t.deps != prev {
+                    return false;
+                }
+                current.push(index);
+                index += 1;
             }
-            if t.deps != prev {
-                return false;
-            }
-            current.push(i);
         }
         true
+    }
+}
+
+/// A sequential reader of a [`DepSource`].
+pub trait DepReader {
+    /// The next stage (or several at once) in schedule order, with
+    /// dependencies as indices into the whole schedule; `None` once every
+    /// transfer was read. A stage never spans two reads.
+    fn next_stage(&mut self) -> Option<&[DepTransfer]>;
+
+    /// The lowest index a transfer not yet read can depend on: every
+    /// unread transfer has at least one dependency, all at or above it.
+    /// `None` while an unread transfer may have no dependency, which a
+    /// driver must read before its first event. Once `Some`, it never
+    /// falls.
+    fn horizon(&self) -> Option<usize>;
+}
+
+impl DepSource for DepSchedule {
+    fn len(&self) -> usize {
+        self.transfers.len()
+    }
+
+    /// One read of every transfer.
+    fn stages(&self) -> Box<dyn DepReader + '_> {
+        Box::new(Whole(Some(&self.transfers)))
+    }
+
+    fn to_dag(&self) -> Cow<'_, DepSchedule> {
+        Cow::Borrowed(self)
+    }
+}
+
+/// The reader of a materialized schedule: everything in one read.
+struct Whole<'a>(Option<&'a [DepTransfer]>);
+
+impl DepReader for Whole<'_> {
+    fn next_stage(&mut self) -> Option<&[DepTransfer]> {
+        self.0.take()
+    }
+
+    fn horizon(&self) -> Option<usize> {
+        None
+    }
+}
+
+/// [`DepSchedule::pipelined_from_steps`] done lazily over any
+/// [`StepSource`]: each step is written, lowered and handed to the reader
+/// only when it is read, so a closed run of the pipelined ring holds a few
+/// stages of transfers instead of the whole DAG and never materializes the
+/// [`StepSchedule`]. A reader keeps, per node, the indices of the
+/// transfers of the node's most recent step.
+pub struct PipelinedSource<'a> {
+    steps: &'a dyn StepSource,
+    len: usize,
+    nodes: usize,
+    bytes: u64,
+}
+
+impl<'a> PipelinedSource<'a> {
+    /// Lower `steps` lazily. One pass over the steps counts the transfers,
+    /// payload bytes and nodes (the highest endpoint + 1).
+    #[must_use]
+    pub fn new(steps: &'a dyn StepSource) -> Self {
+        let (mut len, mut nodes, mut bytes) = (0, 0, 0);
+        let mut buf = Vec::new();
+        for index in 0..steps.step_count() {
+            for t in steps.step(index, &mut buf) {
+                len += 1;
+                nodes = nodes.max(t.src.0.max(t.dst.0) + 1);
+                bytes += t.bytes;
+            }
+        }
+        Self {
+            steps,
+            len,
+            nodes,
+            bytes,
+        }
+    }
+
+    /// Total payload bytes.
+    #[must_use]
+    pub fn total_bytes(&self) -> u64 {
+        self.bytes
+    }
+
+    /// The whole lowering at once.
+    fn collect(&self) -> DepSchedule {
+        let mut last = vec![Vec::new(); self.nodes];
+        let mut transfers = Vec::with_capacity(self.len);
+        let mut buf = Vec::new();
+        for stage in 0..self.steps.step_count() {
+            let step = self.steps.step(stage, &mut buf);
+            let first = transfers.len();
+            push_pipelined_step(&mut last, step, stage, first, &mut transfers);
+        }
+        DepSchedule {
+            transfers,
+            stages: self.steps.step_count(),
+        }
+    }
+}
+
+impl DepSource for PipelinedSource<'_> {
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn stages(&self) -> Box<dyn DepReader + '_> {
+        Box::new(PipelinedReader {
+            steps: self.steps,
+            next: 0,
+            written: 0,
+            last: vec![Vec::new(); self.nodes],
+            horizon: None,
+            step: Vec::new(),
+            out: Vec::new(),
+        })
+    }
+
+    fn to_dag(&self) -> Cow<'_, DepSchedule> {
+        Cow::Owned(self.collect())
+    }
+}
+
+/// The reader of a [`PipelinedSource`].
+struct PipelinedReader<'a> {
+    steps: &'a dyn StepSource,
+    /// The next step to lower.
+    next: usize,
+    /// Transfers written so far: the index of the next one.
+    written: usize,
+    /// Per node, the indices of the transfers of its most recent step.
+    last: Vec<Vec<usize>>,
+    horizon: Option<usize>,
+    step: Vec<Transfer>,
+    out: Vec<DepTransfer>,
+}
+
+impl DepReader for PipelinedReader<'_> {
+    /// The next non-empty step, lowered.
+    fn next_stage(&mut self) -> Option<&[DepTransfer]> {
+        let Self {
+            steps,
+            next,
+            written,
+            last,
+            horizon,
+            step,
+            out,
+        } = self;
+        while *next < steps.step_count() {
+            let stage = *next;
+            *next += 1;
+            let transfers = steps.step(stage, step);
+            if transfers.is_empty() {
+                continue;
+            }
+            out.clear();
+            push_pipelined_step(last, transfers, stage, *written, out);
+            *written += transfers.len();
+            // A future transfer depends on its source's latest step; a
+            // node not seen yet would give it no dependency at all.
+            *horizon = last
+                .iter()
+                .try_fold(usize::MAX, |low, keys| keys.first().map(|&k| low.min(k)));
+            return Some(out);
+        }
+        None
+    }
+
+    fn horizon(&self) -> Option<usize> {
+        self.horizon
+    }
+}
+
+/// Append `step` (source stage `stage`, whose first transfer is the
+/// schedule's transfer `first`) to `out`, lowered with per-node ordering
+/// edges, and record in `last` each node's involvement in it. The one
+/// lowering body of [`DepSchedule::pipelined_from_steps`] and
+/// [`PipelinedSource`].
+fn push_pipelined_step(
+    last: &mut [Vec<usize>],
+    step: &[Transfer],
+    stage: usize,
+    first: usize,
+    out: &mut Vec<DepTransfer>,
+) {
+    for tr in step {
+        out.push(DepTransfer {
+            transfer: tr.clone(),
+            deps: last[tr.src.0].clone(),
+            release_s: 0.0,
+            stage,
+        });
+    }
+    // Each node the step touches now last took part in this step: its
+    // transfers, in step order, sender before receiver.
+    for tr in step {
+        last[tr.src.0].clear();
+        last[tr.dst.0].clear();
+    }
+    for (k, tr) in step.iter().enumerate() {
+        last[tr.src.0].push(first + k);
+        last[tr.dst.0].push(first + k);
     }
 }
 
@@ -396,6 +605,45 @@ mod tests {
         ]);
         let dag = DepSchedule::pipelined_from_steps(&sched);
         assert_eq!(dag.transfers()[2].deps, vec![0]);
+    }
+
+    #[test]
+    fn lazy_pipelined_stages_concatenate_to_the_collected_lowering() {
+        // Node 3 first appears in step 2, and step 1 is empty.
+        let sched = StepSchedule::from_steps(vec![
+            vec![t(0, 1, 10), t(2, 1, 20)],
+            vec![],
+            vec![t(1, 3, 30), t(0, 2, 40)],
+            vec![t(3, 0, 50), t(2, 1, 60), t(1, 2, 70)],
+        ]);
+        let lazy = PipelinedSource::new(&sched);
+        assert_eq!((lazy.len(), lazy.total_bytes()), (7, 280));
+        let mut stages = lazy.stages();
+        assert_eq!(stages.horizon(), None);
+        let mut read = Vec::new();
+        let mut horizons = Vec::new();
+        while let Some(stage) = stages.next_stage() {
+            assert!(stage.windows(2).all(|w| w[0].stage == w[1].stage));
+            read.extend_from_slice(stage);
+            horizons.push(stages.horizon());
+        }
+        let whole = DepSchedule::pipelined_from_steps(&sched);
+        assert_eq!(read, whole.transfers());
+        assert_eq!(lazy.to_dag().as_ref(), &whole);
+        // Unknown until node 3 took part; then each node's latest step.
+        assert_eq!(horizons, vec![None, Some(2), Some(4)]);
+    }
+
+    #[test]
+    fn a_materialized_schedule_is_read_whole() {
+        let dag = DepSchedule::pipelined_from_steps(&StepSchedule::from_steps(vec![
+            vec![t(0, 1, 10)],
+            vec![t(1, 0, 10)],
+        ]));
+        let mut stages = dag.stages();
+        assert_eq!(stages.next_stage().map(<[_]>::len), Some(2));
+        assert!(stages.next_stage().is_none());
+        assert!(matches!(dag.to_dag(), Cow::Borrowed(_)));
     }
 
     #[test]

@@ -14,10 +14,17 @@
 //! keys and the fluid engine's flow indices both count injected transfers
 //! from zero — so a driver that needs to map completions back to its own
 //! transfers keeps a plain vector indexed by key.
+//!
+//! The closed driver streams: it reads its [`DepSource`] one stage at a
+//! time and injects a stage only when the engine could need it, so a
+//! lazily lowered DAG ([`crate::dag::PipelinedSource`]) runs in a few
+//! stages of engine state. A transfer injected before any of its
+//! dependencies settles behaves exactly as if it had been injected at time
+//! zero, so the streamed run is bit-identical to the materialized one.
 
 use serde::{Serialize, Value};
 
-use crate::dag::{DepSchedule, DepTransfer};
+use crate::dag::{DepSource, DepTransfer};
 use crate::error::Result;
 use crate::fault::{FaultPolicy, FaultScript, FaultTiming};
 use crate::tenancy::JobArbitration;
@@ -74,19 +81,39 @@ pub trait FabricEngine {
     /// installation after the first injection.
     fn set_faults(&mut self, script: &FaultScript, policy: FaultPolicy) -> Result<bool>;
 
-    /// Inject transfers (dependencies batch-local) with every release
-    /// offset by `offset_s`; transfer `i` of the batch belongs to job
-    /// `job(i)`. The electrical engine charges its launch overhead on top.
+    /// Inject transfers with every release offset by `offset_s`;
+    /// transfer `i` of the batch belongs to job `job(i)`. The batch
+    /// continues a DAG: `transfers[i]` is the DAG's transfer `first + i`,
+    /// the DAG's transfers `0..first` are the engine's last `first` keys,
+    /// and dependencies are DAG indices, each naming an earlier transfer
+    /// of the batch or one of the DAG's earlier transfers that has not
+    /// settled. A whole DAG is one batch with `first` 0. The electrical
+    /// engine charges its launch overhead on top.
     ///
     /// # Errors
-    /// The engine's own validation errors (forward dependencies, bad
-    /// releases, unroutable transfers).
+    /// The engine's own validation errors (forward dependencies,
+    /// dependencies on settled transfers, bad releases, unroutable
+    /// transfers), and a `first` beyond the engine's keys.
     fn inject(
         &mut self,
         transfers: &[DepTransfer],
+        first: usize,
         offset_s: f64,
         job: &dyn Fn(usize) -> usize,
     ) -> Result<()>;
+
+    /// One past the highest key the next [`FabricEngine::step`] could
+    /// settle: a key whose dependencies are all met, or that can settle
+    /// in the step that meets them. A driver that injects a DAG stage by
+    /// stage has injected a transfer in time as long as this has not
+    /// passed all its dependencies.
+    fn frontier(&self) -> usize;
+
+    /// Let the engine drop the state of settled transfers whose outcomes
+    /// were drained: the closed driver calls this after every drain, since
+    /// it keeps each outcome itself. Afterwards the engine has no
+    /// [`FabricEngine::snapshot`].
+    fn forget_settled(&mut self) {}
 
     /// Process the next event instant; `None` when idle.
     ///
@@ -151,53 +178,93 @@ pub(crate) fn check_jobs(len: usize, arb: Option<&JobArbitration>) -> Result<()>
     Ok(())
 }
 
-/// The closed driver: register `arb`'s jobs, inject the whole `dag` as one
-/// batch at time zero (so completion keys are DAG indices and arbitration
-/// ties break in DAG order), step `eng` until it is idle, and return every
-/// transfer's outcome in DAG order. Without `arb` the run is one job, tag
-/// 0. Faults, if any, are installed beforehand
-/// ([`FabricEngine::set_faults`]); the engine's statistics stay readable
-/// on `eng`.
+/// The closed driver: register `arb`'s jobs, run `dag` on `eng` until it
+/// is idle, and return every transfer's outcome, mapped by `outcome`, in
+/// DAG order (completion keys are DAG indices, so `eng` must be fresh).
+/// Without `arb` the run is one job, tag 0. Faults, if any, are installed
+/// beforehand ([`FabricEngine::set_faults`]); the engine's statistics stay
+/// readable on `eng`.
+///
+/// The DAG is read one stage at a time. Before each step the driver
+/// injects stages until the source's horizon — the lowest index a
+/// transfer not yet read can depend on — lies at or above the engine's
+/// [`FabricEngine::frontier`]: every dependency of an unread transfer is
+/// then a key the step cannot settle, so each transfer is injected before
+/// any of its dependencies settles and the run is bit-identical to
+/// injecting the whole DAG at time zero. A materialized
+/// [`crate::dag::DepSchedule`] is one stage and is injected whole.
 ///
 /// # Errors
 /// Job tags that do not fit the schedule, the engine's validation and
 /// run-time errors, and its stall diagnostic when it went idle with a
 /// transfer unfinished.
-pub fn run_closed<E: FabricEngine + ?Sized>(
+pub fn run_closed<E, T>(
     eng: &mut E,
-    dag: &DepSchedule,
+    dag: &dyn DepSource,
     arb: Option<&JobArbitration>,
-) -> Result<Vec<FaultTiming>> {
+    outcome: fn(Completion) -> T,
+) -> Result<Vec<T>>
+where
+    E: FabricEngine + ?Sized,
+    T: Clone + Default,
+{
     check_jobs(dag.len(), arb)?;
     let tags: Vec<usize> = arb.map_or_else(Vec::new, |a| {
         a.rank.iter().map(|&rank| eng.add_job(rank)).collect()
     });
-    eng.inject(dag.transfers(), 0.0, &|i| {
-        arb.map_or(0, |a| tags[a.job_of[i]])
-    })?;
-    let mut outcomes = vec![FaultTiming::default(); dag.len()];
+    let mut outcomes = vec![T::default(); dag.len()];
+    let mut stages = dag.stages();
+    let (mut written, mut reading, mut idle) = (0, true, false);
     let mut done = Vec::new();
     loop {
-        let more = eng.step()?.is_some();
+        // An idle engine needs the next stage whatever the horizon says.
+        while reading && (idle || stages.horizon().is_none_or(|h| h < eng.frontier())) {
+            match stages.next_stage() {
+                Some(stage) => {
+                    eng.inject(stage, written, 0.0, &|i| {
+                        arb.map_or(0, |a| tags[a.job_of[written + i]])
+                    })?;
+                    written += stage.len();
+                    idle = false;
+                }
+                None => reading = false,
+            }
+        }
+        if idle {
+            break;
+        }
+        idle = eng.step()?.is_none();
         done.clear();
         eng.drain(&mut done);
         for c in &done {
             let Some(slot) = outcomes.get_mut(c.key) else {
                 return Err(OpticalError::BadConfig("completion key outside the schedule").into());
             };
-            *slot = FaultTiming {
-                start_s: c.start_s,
-                finish_s: c.finish_s,
-                aborts: c.aborts,
-                completed: !c.failed,
-            };
+            *slot = outcome(*c);
         }
-        if !more {
-            break;
-        }
+        eng.forget_settled();
     }
     eng.stall_diagnostic()?;
     Ok(outcomes)
+}
+
+impl From<Completion> for FaultTiming {
+    fn from(c: Completion) -> Self {
+        Self {
+            start_s: c.start_s,
+            finish_s: c.finish_s,
+            aborts: c.aborts,
+            completed: !c.failed,
+        }
+    }
+}
+
+/// The engine key of a DAG's transfer 0, for a batch that continues the
+/// DAG at its transfer `first` on an engine whose next key is `next`.
+fn dag_base(next: usize, first: usize) -> Result<usize> {
+    next.checked_sub(first).ok_or_else(|| {
+        OpticalError::BadConfig("batch continues more transfers than the engine holds").into()
+    })
 }
 
 /// Completion instant of the last completed transfer (failed transfers
@@ -226,13 +293,15 @@ impl FabricEngine for GrantEngine {
     fn inject(
         &mut self,
         transfers: &[DepTransfer],
+        first: usize,
         offset_s: f64,
         job: &dyn Fn(usize) -> usize,
     ) -> Result<()> {
+        let base = dag_base(self.next_key() as usize, first)?;
         let item = |i: usize, t: &DepTransfer| GrantTransfer {
             transfer: t.transfer.clone(),
             release_s: offset_s + t.release_s,
-            deps: t.deps.clone(),
+            deps: t.deps.iter().map(|&d| base + d).collect(),
             job: job(i),
         };
         // The composed loop injects one transfer at a time; that case goes
@@ -251,6 +320,10 @@ impl FabricEngine for GrantEngine {
             }
         }?;
         Ok(())
+    }
+
+    fn frontier(&self) -> usize {
+        usize::try_from(GrantEngine::frontier(self)).unwrap_or(usize::MAX)
     }
 
     fn step(&mut self) -> Result<Option<f64>> {
@@ -314,17 +387,19 @@ impl FabricEngine for FluidEngine<'_> {
     fn inject(
         &mut self,
         transfers: &[DepTransfer],
+        first: usize,
         offset_s: f64,
         job: &dyn Fn(usize) -> usize,
     ) -> Result<()> {
         let delay_s = self.launch_delay_s();
+        let base = dag_base(self.next_key(), first)?;
         let item = |i: usize, t: &DepTransfer| EngineFlow {
             src: t.transfer.src.0,
             dst: t.transfer.dst.0,
             bytes: t.transfer.bytes,
             release_s: offset_s + t.release_s,
             delay_s,
-            deps: t.deps.clone(),
+            deps: t.deps.iter().map(|&d| base + d).collect(),
             job: job(i),
         };
         // The converted batch moves into the engine; one transfer stays on
@@ -340,6 +415,14 @@ impl FabricEngine for FluidEngine<'_> {
             ),
         }?;
         Ok(())
+    }
+
+    fn frontier(&self) -> usize {
+        FluidEngine::frontier(self)
+    }
+
+    fn forget_settled(&mut self) {
+        FluidEngine::forget_settled(self);
     }
 
     fn step(&mut self) -> Result<Option<f64>> {

@@ -104,7 +104,7 @@ use optical_sim::sim::StepSource;
 use optical_sim::{NodeId, OpticalConfig, OpticalError, Strategy, Transfer};
 use serde::{Deserialize, Serialize, Value};
 
-use crate::dag::{DepSchedule, DepTransfer};
+use crate::dag::{DepSchedule, DepSource, DepTransfer};
 use crate::engine::{check_jobs, Completion, FabricEngine};
 use crate::error::Result;
 use crate::substrate::{
@@ -343,7 +343,7 @@ impl Member<'_> {
         };
         let release_s = gate_s.max(self.clock_s);
         self.eng
-            .inject(std::slice::from_ref(&local), release_s, &|_| job)?;
+            .inject(std::slice::from_ref(&local), 0, release_s, &|_| job)?;
         self.dag_index.push(idx);
         Ok(())
     }
@@ -680,13 +680,14 @@ impl Substrate for ComposedSubstrate {
     /// engine).
     fn execute_closed(
         &mut self,
-        dag: &DepSchedule,
+        dag: &dyn DepSource,
         arb: Option<&JobArbitration>,
     ) -> Result<TenantDagRun> {
         if self.is_flat() {
             return self.flat()?.execute_closed(dag, arb);
         }
-        Ok(TenantDagRun::unattributed(self.run(dag, arb)?, dag, arb))
+        let dag = dag.to_dag();
+        Ok(TenantDagRun::unattributed(self.run(&dag, arb)?, &*dag, arb))
     }
 }
 

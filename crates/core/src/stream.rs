@@ -966,7 +966,7 @@ impl<E: FabricEngine + ?Sized> Driver<'_, E> {
         );
         let slot = self.eng.add_job(rank);
         self.eng
-            .inject(lowered.dag.transfers(), admit_s, &|_| slot)?;
+            .inject(lowered.dag.transfers(), 0, admit_s, &|_| slot)?;
         if slot >= self.st.live.len() {
             self.st.live.resize(slot + 1, None);
         }

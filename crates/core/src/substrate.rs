@@ -47,8 +47,8 @@
 //! assert_eq!(o.step_count(), e.step_count());
 //! ```
 
-use crate::dag::DepSchedule;
-use crate::engine::{check_jobs, makespan_s, run_closed, FabricEngine};
+use crate::dag::{DepSchedule, DepSource};
+use crate::engine::{check_jobs, makespan_s, run_closed, Completion, FabricEngine};
 use crate::error::Result;
 use crate::fault::{
     fault_cluster_report, FaultClusterReport, FaultPolicy, FaultRunReport, FaultScript, FaultTiming,
@@ -143,7 +143,7 @@ impl RunReport {
 }
 
 /// Per-transfer timing of a dependency-aware run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct DagTiming {
     /// Instant the transfer's gates opened (dependencies, release time
     /// and — optically — wavelengths satisfied), seconds.
@@ -220,10 +220,13 @@ pub trait Substrate {
     /// The closed dependency-aware run every DAG and tenancy method goes
     /// through: `dag` on this substrate's engine, its transfers tagged with
     /// `arb`'s jobs and arbitrated across them, or without `arb` as one
-    /// unarbitrated job (and no per-job vectors in the report).
+    /// unarbitrated job (and no per-job vectors in the report). A
+    /// materialized [`DepSchedule`] is injected whole; a lazy source such
+    /// as [`crate::dag::PipelinedSource`] streams into the engine stage by
+    /// stage, bit-identical to its materialized form.
     fn execute_closed(
         &mut self,
-        dag: &DepSchedule,
+        dag: &dyn DepSource,
         arb: Option<&JobArbitration>,
     ) -> Result<TenantDagRun> {
         closed_run(self, dag, arb)
@@ -236,7 +239,7 @@ pub trait Substrate {
     /// stepped [`Substrate::execute`] total bit-exactly on both
     /// substrates; on general DAGs consecutive steps and buckets overlap
     /// on the wire.
-    fn execute_dag(&mut self, dag: &DepSchedule) -> Result<DagRunReport> {
+    fn execute_dag(&mut self, dag: &dyn DepSource) -> Result<DagRunReport> {
         Ok(self.execute_closed(dag, None)?.dag)
     }
 
@@ -333,7 +336,7 @@ pub trait Substrate {
                 first_impact_s: None,
             });
         }
-        let transfers = run_closed(&mut *eng, dag, Some(arb))?;
+        let transfers = run_closed(&mut *eng, dag, Some(arb), FaultTiming::from)?;
         Ok(FaultRunReport {
             substrate: self.name().into(),
             makespan_s: makespan_s(&transfers),
@@ -412,22 +415,16 @@ pub trait Substrate {
 /// engine of `sub`, and the run's report.
 fn closed_run<S: Substrate + ?Sized>(
     sub: &S,
-    dag: &DepSchedule,
+    dag: &dyn DepSource,
     arb: Option<&JobArbitration>,
 ) -> Result<TenantDagRun> {
     let mut eng = sub.engine(arb.is_some(), arb.is_some_and(|a| a.fair_share), None)?;
-    let outcomes = run_closed(&mut *eng, dag, arb)?;
+    let transfers = run_closed(&mut *eng, dag, arb, DagTiming::from)?;
     let (rate_recomputations, solver_work) = eng.solver_stats();
     let report = DagRunReport {
         substrate: sub.name().into(),
-        makespan_s: makespan_s(&outcomes),
-        transfers: outcomes
-            .iter()
-            .map(|o| DagTiming {
-                start_s: o.start_s,
-                finish_s: o.finish_s,
-            })
-            .collect(),
+        makespan_s: transfers.iter().fold(0.0f64, |m, t| m.max(t.finish_s)),
+        transfers,
         peak_wavelength: eng.peak_wavelength(),
         rate_recomputations,
         solver_work,
@@ -449,6 +446,15 @@ fn closed_run<S: Substrate + ?Sized>(
         }
         _ => TenantDagRun::unattributed(report, dag, arb),
     })
+}
+
+impl From<Completion> for DagTiming {
+    fn from(c: Completion) -> Self {
+        Self {
+            start_s: c.start_s,
+            finish_s: c.finish_s,
+        }
+    }
 }
 
 /// The WDM optical ring as an execution substrate.
@@ -645,7 +651,7 @@ impl Substrate for ElectricalSubstrate {
     /// solution to attribute. Every other DAG runs on the engine.
     fn execute_closed(
         &mut self,
-        dag: &DepSchedule,
+        dag: &dyn DepSource,
         arb: Option<&JobArbitration>,
     ) -> Result<TenantDagRun> {
         if !dag.is_barrier_shaped() {
@@ -655,18 +661,21 @@ impl Substrate for ElectricalSubstrate {
         let mut runner = StepRunner::new(&self.net, self.step_overhead_s).recording();
         let mut makespan_s = 0.0;
         let mut transfers = Vec::with_capacity(dag.len());
-        for stage in dag.transfers().chunk_by(|a, b| a.stage == b.stage) {
-            let start_s = makespan_s;
-            makespan_s += runner.step(stage.iter().map(|t| step_transfer(&t.transfer)))?;
-            let launched_s = start_s + self.step_overhead_s;
-            let mut finishes = runner.finishes().iter();
-            transfers.extend(stage.iter().map(|t| DagTiming {
-                start_s,
-                finish_s: match t.transfer.bytes {
-                    0 => launched_s,
-                    _ => finishes.next().map_or(launched_s, |f| launched_s + f),
-                },
-            }));
+        let mut stages = dag.stages();
+        while let Some(read) = stages.next_stage() {
+            for stage in read.chunk_by(|a, b| a.stage == b.stage) {
+                let start_s = makespan_s;
+                makespan_s += runner.step(stage.iter().map(|t| step_transfer(&t.transfer)))?;
+                let launched_s = start_s + self.step_overhead_s;
+                let mut finishes = runner.finishes().iter();
+                transfers.extend(stage.iter().map(|t| DagTiming {
+                    start_s,
+                    finish_s: match t.transfer.bytes {
+                        0 => launched_s,
+                        _ => finishes.next().map_or(launched_s, |f| launched_s + f),
+                    },
+                }));
+            }
         }
         let (rate_recomputations, solver_work, events) = runner.counters();
         let report = DagRunReport {

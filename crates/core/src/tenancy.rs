@@ -54,7 +54,7 @@
 //! assert!(report.fairness_index > 0.0 && report.fairness_index <= 1.0);
 //! ```
 
-use crate::dag::{DepSchedule, DepTransfer};
+use crate::dag::{DepSchedule, DepSource, DepTransfer};
 use crate::error::Result;
 use crate::substrate::DagRunReport;
 use crate::timeline::hidden_comm_fraction;
@@ -289,17 +289,19 @@ impl TenantDagRun {
     #[must_use]
     pub fn unattributed(
         dag: DagRunReport,
-        sched: &DepSchedule,
+        sched: &dyn DepSource,
         arb: Option<&JobArbitration>,
     ) -> Self {
         let jobs = arb.map_or(0, |a| a.rank.len());
         let mut service = vec![0.0f64; jobs];
-        for (t, &j) in sched
-            .transfers()
-            .iter()
-            .zip(arb.map_or(&[][..], |a| &a.job_of))
-        {
-            service[j] += t.transfer.bytes as f64;
+        if let Some(arb) = arb {
+            let mut job_of = arb.job_of.iter();
+            let mut stages = sched.stages();
+            while let Some(stage) = stages.next_stage() {
+                for (t, &j) in stage.iter().zip(&mut job_of) {
+                    service[j] += t.transfer.bytes as f64;
+                }
+            }
         }
         Self {
             dag,

@@ -2,10 +2,11 @@
 //!
 //! [`FluidEngine`] is the single execution engine behind every dependency-
 //! aware electrical run. A closed run injects the whole flow list at time
-//! zero and pumps the engine to idle (the closed driver in `wrht-core`,
-//! and [`crate::sim::run_flows`] for plain flow sets), while open-loop
-//! cluster services [`FluidEngine::inject`] each arriving job's flows into
-//! the *running* engine. The incremental per-component max-min re-solve,
+//! zero, or a lazily lowered DAG stage by stage, and pumps the engine to
+//! idle (the closed driver in `wrht-core`, and [`crate::sim::run_flows`]
+//! for plain flow sets), while open-loop cluster services
+//! [`FluidEngine::inject`] each arriving job's flows into the *running*
+//! engine. The incremental per-component max-min re-solve,
 //! the lazy `remaining` bookkeeping and the
 //! one-completion-event-per-component discipline are shared, so a stream
 //! whose arrivals are all known up front is bit-exact with the closed path.
@@ -21,9 +22,25 @@
 //! are processed as sets: liveness is an `|=` accumulation and completions
 //! are found by candidate bits in index order, not in pop order.
 //!
-//! Bookkeeping is `O(total flows injected)` in memory (per-flow scalars are
-//! kept; routes, dependency and dependent lists are dropped when a flow
-//! completes). An event costs work proportional to the flows in flight
+//! Dependencies name flow indices, so a batch may depend on live flows of
+//! earlier batches; a flow injected before any of its dependencies settles
+//! behaves exactly as if it had been injected at time zero.
+//! [`FluidEngine::frontier`] tells a streaming driver how far ahead it must
+//! have injected.
+//!
+//! Bookkeeping is `O(total flows injected)` in memory for streams, whose
+//! snapshots list every flow (per-flow scalars are kept; routes,
+//! dependency and dependent lists are dropped when a flow completes). A
+//! closed driver that keeps every outcome itself lets the engine drop the
+//! per-flow state of its settled, drained prefix
+//! ([`FluidEngine::forget_settled`]), so a DAG streamed stage by stage runs
+//! in memory proportional to the flows between the lowest unsettled one
+//! and the last injected. The per-flow tables and index lists hold
+//! positions from the first flow kept; kernel events, completions and the
+//! injection interface name flow indices, and a stale kernel event that
+//! names a dropped flow is dead, like one that names a settled flow.
+//!
+//! An event costs work proportional to the flows in flight
 //! (transmitting, or waiting on a release or a latency timer), the flows
 //! it made ready, and the affected contention component — not to the
 //! number of flows ever injected or still blocked. A blocked flow is
@@ -192,6 +209,21 @@ pub struct FluidEngine<'a> {
     unsettled: Vec<usize>,
     active: Vec<usize>,
     n_done: usize,
+    /// Flow index of the first flow the tables hold. The tables, lists and
+    /// dependency lists use positions in the tables; a closed driver that
+    /// keeps every outcome itself lets the engine drop the settled prefix
+    /// of the tables ([`FluidEngine::forget_settled`]), which moves this
+    /// base. Kernel events, completions and the injection interface use
+    /// flow indices, so they never change.
+    key_base: usize,
+    /// Every flow below this position has settled.
+    settled_below: usize,
+    /// One past the highest position that is gated (its dependencies all
+    /// settled) or could settle inside the promotion pass that gates it
+    /// (see [`FluidEngine::frontier`]).
+    gated: usize,
+    /// Most flows the tables ever held at once.
+    peak_held: usize,
     completed: Vec<usize>,
     flows_on_link: Vec<Vec<usize>>,
     dirty: Vec<usize>,
@@ -260,6 +292,10 @@ impl<'a> FluidEngine<'a> {
             unsettled: Vec::new(),
             active: Vec::new(),
             n_done: 0,
+            key_base: 0,
+            settled_below: 0,
+            gated: 0,
+            peak_held: 0,
             completed: Vec::new(),
             flows_on_link: vec![Vec::new(); n_links],
             dirty: Vec::new(),
@@ -317,6 +353,10 @@ impl<'a> FluidEngine<'a> {
             unsettled,
             active,
             n_done,
+            key_base,
+            settled_below,
+            gated,
+            peak_held,
             completed,
             flows_on_link,
             dirty,
@@ -365,6 +405,10 @@ impl<'a> FluidEngine<'a> {
         unsettled.clear();
         active.clear();
         *n_done = 0;
+        *key_base = 0;
+        *settled_below = 0;
+        *gated = 0;
+        *peak_held = 0;
         completed.clear();
         flows_on_link.iter_mut().for_each(Vec::clear);
         dirty.clear();
@@ -492,16 +536,18 @@ impl<'a> FluidEngine<'a> {
         self.job_free.push(job);
     }
 
-    /// Inject a flow batch (one job's DAG) into the running engine.
-    /// Dependency indices are **batch-local** (each `<` own position within
-    /// the batch); a job's DAG is injected atomically. Returns the engine
-    /// index of the batch's first flow — batch flows get sequential indices
-    /// from there, and those indices identify completions.
+    /// Inject a flow batch (one job's DAG, or the next stages of a closed
+    /// DAG) into the running engine. Batch flows get sequential indices
+    /// from [`FluidEngine::next_key`] on; those indices identify
+    /// completions, and dependencies name them: each dependency is an
+    /// earlier flow of the batch or a live flow of an earlier batch.
+    /// Returns the engine index of the batch's first flow.
     ///
     /// # Errors
     /// Same validation (and error values) as the closed path: forward deps,
     /// non-finite/negative releases and unroutable flows are rejected
-    /// before any state changes.
+    /// before any state changes, and so are dependencies on flows that
+    /// already settled ([`NetError::BadConfig`]).
     pub fn inject(&mut self, batch: &[EngineFlow]) -> Result<usize> {
         let (routes, latencies) = self.route_batch(batch)?;
         Ok(self.admit(batch.iter().cloned(), routes, latencies))
@@ -521,14 +567,32 @@ impl<'a> FluidEngine<'a> {
         Ok(self.admit(batch, routes, latencies))
     }
 
+    /// Index the next injected flow gets.
+    #[must_use]
+    pub fn next_key(&self) -> usize {
+        self.key_base + self.flows.len()
+    }
+
     /// Validate a batch and route each flow once, in flow order and before
     /// any state changes.
     fn route_batch(&self, batch: &[EngineFlow]) -> Result<(Vec<Vec<LinkId>>, Vec<f64>)> {
+        let first = self.next_key();
+        let settled = |d: usize| {
+            !matches!(
+                d.checked_sub(self.key_base).and_then(|d| self.phase.get(d)),
+                Some(Phase::Blocked | Phase::Pending | Phase::Latency(_) | Phase::Active)
+            )
+        };
         let mut routes: Vec<Vec<LinkId>> = Vec::with_capacity(batch.len());
         let mut latencies: Vec<f64> = Vec::with_capacity(batch.len());
         for (i, f) in batch.iter().enumerate() {
-            if f.deps.iter().any(|&d| d >= i) {
+            if f.deps.iter().any(|&d| d >= first + i) {
                 return Err(NetError::BadConfig("dependency must precede its flow"));
+            }
+            if f.deps.iter().any(|&d| d < first && settled(d)) {
+                return Err(NetError::BadConfig(
+                    "dependency names a flow that already settled",
+                ));
             }
             if !f.release_s.is_finite() || f.release_s < 0.0 {
                 return Err(NetError::BadConfig("release time must be finite and >= 0"));
@@ -541,7 +605,7 @@ impl<'a> FluidEngine<'a> {
     }
 
     /// Append a batch that passed [`FluidEngine::inject`]'s validation, with
-    /// its routes and route latencies. Returns the batch's first engine
+    /// its routes and route latencies. Returns the batch's first flow
     /// index.
     pub(crate) fn admit(
         &mut self,
@@ -550,12 +614,23 @@ impl<'a> FluidEngine<'a> {
         mut latencies: Vec<f64>,
     ) -> usize {
         let base = self.flows.len();
-        for (bi, mut f) in batch.into_iter().enumerate() {
+        for (bi, f) in batch.into_iter().enumerate() {
             let i = base + bi;
             self.missing.push(f.deps.len());
             self.dependents.push(Vec::new());
             for &d in &f.deps {
-                self.dependents[base + d].push(i);
+                self.dependents[d - self.key_base].push(i);
+            }
+            // A flow whose launch pipe is within the coincidence tolerance
+            // can settle in the very promotion pass that gates it, so it
+            // counts as gated from the start (see `frontier`).
+            let pipe = if f.bytes == 0 {
+                f.delay_s
+            } else {
+                f.delay_s + latencies[bi]
+            };
+            if f.deps.is_empty() || pipe <= EPS {
+                self.gated = self.gated.max(i + 1);
             }
             self.phase.push(if f.deps.is_empty() {
                 self.pending_release = Some(
@@ -590,20 +665,92 @@ impl<'a> FluidEngine<'a> {
                 self.job_agg_rate.resize(jobs, 0.0);
                 self.job_busy.resize(jobs, false);
             }
-            // Store deps rebased to engine indices so dependency edges stay
-            // meaningful when later batches are appended.
-            for d in &mut f.deps {
-                *d += base;
-            }
             self.flows.push(f);
         }
         self.routes.append(&mut routes);
         self.latencies.append(&mut latencies);
+        self.peak_held = self.peak_held.max(self.flows.len());
         if let Some(f) = self.faults.as_deref_mut() {
             f.flow_slow.resize(self.flows.len(), 1.0);
             f.aborted.resize(self.flows.len(), 0);
         }
-        base
+        self.key_base + base
+    }
+
+    /// One past the highest flow index the next [`FluidEngine::step`]
+    /// could settle: every flow whose dependencies all settled, and every
+    /// flow whose launch pipe is within the coincidence tolerance, which
+    /// the promotion pass that gates it can also settle (a zero-byte gate)
+    /// or activate in time to complete at the step's instant. A driver
+    /// that injects a DAG stage by stage only needs to have injected a
+    /// flow before this passes all its dependencies. Under faults, which
+    /// can fail blocked flows, every index counts.
+    #[must_use]
+    pub fn frontier(&self) -> usize {
+        if self.faults.is_some() {
+            usize::MAX
+        } else {
+            self.key_base + self.gated
+        }
+    }
+
+    /// Most flows the engine ever held at once: every flow injected, unless
+    /// a closed driver let it drop its settled prefix
+    /// ([`FluidEngine::forget_settled`]).
+    #[must_use]
+    pub fn peak_held(&self) -> usize {
+        self.peak_held
+    }
+
+    /// Drop the state of the settled prefix of the flow tables, once it is
+    /// at least half of them and every outcome has been drained. For a
+    /// closed driver that keeps each outcome itself: afterwards
+    /// [`FluidEngine::window`], [`FluidEngine::failed`] and
+    /// [`FluidEngine::aborts`] know only the flows from the lowest
+    /// unsettled one on, and a snapshot is no longer possible. Runs under
+    /// faults keep every flow.
+    pub fn forget_settled(&mut self) {
+        if self.faults.is_some() || !self.completed.is_empty() {
+            return;
+        }
+        let held = self.flows.len();
+        while self.settled_below < held
+            && matches!(self.phase[self.settled_below], Phase::Done | Phase::Failed)
+        {
+            self.settled_below += 1;
+        }
+        let low = self.settled_below;
+        if low == 0 || 2 * low < held {
+            return;
+        }
+        self.flows.drain(..low);
+        self.routes.drain(..low);
+        self.latencies.drain(..low);
+        self.dependents.drain(..low);
+        self.missing.drain(..low);
+        self.phase.drain(..low);
+        self.remaining.drain(..low);
+        self.start.drain(..low);
+        self.finish.drain(..low);
+        self.rate.drain(..low);
+        self.release_scheduled.drain(..low);
+        self.last_update.drain(..low);
+        self.cand.drain(..low);
+        self.sched_cand.drain(..low);
+        self.flow_seen.drain(..low);
+        self.flow_comp.drain(..low);
+        // Between steps the lists hold live flows only, all at or above
+        // `low`: the unsettled, active and ready lists, each link's
+        // transmitting flows and each flow's dependents.
+        let shift = |list: &mut Vec<usize>| list.iter_mut().for_each(|i| *i -= low);
+        shift(&mut self.unsettled);
+        shift(&mut self.active);
+        shift(&mut self.comp_stack);
+        self.flows_on_link.iter_mut().for_each(shift);
+        self.dependents.iter_mut().for_each(shift);
+        self.settled_below = 0;
+        self.gated -= low;
+        self.key_base += low;
     }
 
     /// Timestamp of the next pending event, if any — including the release
@@ -707,11 +854,21 @@ impl<'a> FluidEngine<'a> {
                 None => break None,
                 Some(t) => {
                     let mut live = false;
+                    // Events name flow indices. A stale one can name a flow
+                    // whose state a closed driver let the engine drop: it
+                    // settled, so the event is dead.
                     for ev in &self.batch {
+                        let at = |i: usize| i.checked_sub(self.key_base);
                         match *ev {
-                            Ev::Release(i) => live |= self.phase[i] == Phase::Pending,
-                            Ev::Timer(i) => live |= matches!(self.phase[i], Phase::Latency(_)),
+                            Ev::Release(i) => {
+                                live |= at(i).is_some_and(|i| self.phase[i] == Phase::Pending);
+                            }
+                            Ev::Timer(i) => {
+                                live |= at(i)
+                                    .is_some_and(|i| matches!(self.phase[i], Phase::Latency(_)));
+                            }
                             Ev::Complete(i) => {
+                                let Some(i) = at(i) else { continue };
                                 if self.sched_cand[i].to_bits() == t.to_bits() {
                                     self.sched_cand[i] = f64::INFINITY;
                                 }
@@ -813,7 +970,7 @@ impl<'a> FluidEngine<'a> {
                 if pipe > 0.0 {
                     self.phase[i] = Phase::Latency(now + pipe);
                     self.kernel
-                        .schedule_at(now + pipe, Ev::Timer(i))
+                        .schedule_at(now + pipe, Ev::Timer(self.key_base + i))
                         .expect("latency expiry is ahead of the clock");
                 } else if self.remaining[i] <= EPS {
                     return self.settle_zero_byte(i, now);
@@ -832,7 +989,7 @@ impl<'a> FluidEngine<'a> {
             Phase::Pending if !self.release_scheduled[i] => {
                 self.release_scheduled[i] = true;
                 self.kernel
-                    .schedule_at(self.flows[i].release_s, Ev::Release(i))
+                    .schedule_at(self.flows[i].release_s, Ev::Release(self.key_base + i))
                     .expect("pending release is ahead of the clock");
             }
             Phase::Blocked if self.missing[i] == 0 => {
@@ -861,6 +1018,7 @@ impl<'a> FluidEngine<'a> {
             let dep = self.dependents[i][d];
             self.missing[dep] -= 1;
             if self.missing[dep] == 0 {
+                self.gated = self.gated.max(dep + 1);
                 self.comp_stack.push(dep);
             }
         }
@@ -1141,7 +1299,7 @@ impl<'a> FluidEngine<'a> {
                 if f != usize::MAX && self.sched_cand[f].to_bits() != t.to_bits() {
                     self.sched_cand[f] = t;
                     self.kernel
-                        .schedule_at(t, Ev::Complete(f))
+                        .schedule_at(t, Ev::Complete(self.key_base + f))
                         .expect("completion candidate is ahead of the clock");
                 }
             }
@@ -1165,23 +1323,25 @@ impl<'a> FluidEngine<'a> {
     /// Flows neither done nor failed.
     #[must_use]
     pub fn live_flows(&self) -> usize {
-        self.flows.len() - self.n_done - self.faults.as_ref().map_or(0, |f| f.failed)
+        self.next_key() - self.n_done - self.faults.as_ref().map_or(0, |f| f.failed)
     }
 
     /// `(start, finish)` window of flow `i` (zeros until settled; a failed
     /// flow keeps a zero finish).
     #[must_use]
     pub fn window(&self, i: usize) -> (f64, f64) {
+        let i = i - self.key_base;
         (self.start[i], self.finish[i])
     }
 
     /// Did a fault fail flow `i` (or strand it behind a failed flow)?
     #[must_use]
     pub fn failed(&self, i: usize) -> bool {
-        self.phase[i] == Phase::Failed
+        self.phase[i - self.key_base] == Phase::Failed
     }
 
-    /// Times a fault killed flow `i` while it was transmitting.
+    /// Times a fault killed flow `i` while it was transmitting. Runs under
+    /// faults keep every flow's state.
     #[must_use]
     pub fn aborts(&self, i: usize) -> u32 {
         self.faults.as_ref().map_or(0, |f| f.aborted[i])
@@ -1210,8 +1370,9 @@ impl<'a> FluidEngine<'a> {
     pub fn drain_completions(&mut self) -> impl Iterator<Item = FlowCompletion> + '_ {
         let (flows, phase, start, finish) = (&self.flows, &self.phase, &self.start, &self.finish);
         let aborted = self.faults.as_deref().map(|f| &f.aborted);
+        let key_base = self.key_base;
         self.completed.drain(..).map(move |i| FlowCompletion {
-            index: i,
+            index: key_base + i,
             job: flows[i].job,
             start_s: start[i],
             finish_s: finish[i],
@@ -1241,9 +1402,12 @@ impl<'a> FluidEngine<'a> {
     }
 
     /// Capture the full mutable state as a versioned snapshot. Completions
-    /// not yet drained are included and survive the round-trip.
+    /// not yet drained are included and survive the round-trip. An engine
+    /// that dropped a settled prefix ([`FluidEngine::forget_settled`]) has
+    /// no image.
     #[must_use]
     pub fn snapshot(&self) -> FluidEngineSnapshot {
+        debug_assert_eq!(self.key_base, 0, "snapshot of a forgetful engine");
         FluidEngineSnapshot {
             version: SNAPSHOT_VERSION,
             now: self.kernel.now().to_bits(),
@@ -1348,6 +1512,9 @@ impl<'a> FluidEngine<'a> {
         let n = eng.flows.len();
         eng.flow_seen = vec![false; n];
         eng.flow_comp = vec![0; n];
+        eng.peak_held = n;
+        // Streams never ask for the frontier: every flow counts.
+        eng.gated = n;
         let jobs = eng.job_active_s.len();
         eng.job_agg_rate = vec![0.0; jobs];
         eng.job_busy = vec![false; jobs];
@@ -1467,6 +1634,161 @@ mod tests {
         for i in 0..all.len() {
             assert_eq!(up.window(i).1.to_bits(), inc.window(i).1.to_bits());
         }
+    }
+
+    /// Step `eng` to idle, draining after every step and letting it drop
+    /// its settled prefix, as the closed driver does.
+    fn drain_forgetting(eng: &mut FluidEngine<'_>, out: &mut Vec<(usize, u64, u64)>) {
+        loop {
+            let more = eng.step().unwrap().is_some();
+            out.extend(
+                eng.drain_completions()
+                    .map(|c| (c.index, c.start_s.to_bits(), c.finish_s.to_bits())),
+            );
+            eng.forget_settled();
+            if !more {
+                break;
+            }
+        }
+    }
+
+    #[test]
+    fn cross_batch_dependencies_match_one_batch_and_prefixes_drop() {
+        // A chain of stages: each flow depends on the previous stage's
+        // flows with its source as an endpoint. Stage k+1 is injected
+        // once stage k is gated, as a streaming driver does.
+        let net = star_cluster(4, 1e9, 500e-9);
+        let n = 4;
+        let stages = 12;
+        let all: Vec<EngineFlow> = (0..stages * n)
+            .map(|i| {
+                let (stage, src) = (i / n, i % n);
+                let deps = if stage == 0 {
+                    vec![]
+                } else {
+                    vec![i - n, (stage - 1) * n + (src + n - 1) % n]
+                };
+                flow(
+                    src,
+                    (src + 1) % n,
+                    100_000 * (1 + (i % 3) as u64),
+                    0.0,
+                    deps,
+                )
+            })
+            .collect();
+        let mut whole = FluidEngine::new(&net);
+        whole.inject(&all).unwrap();
+        let mut expected = Vec::new();
+        drain_to_idle(&mut whole, &mut expected);
+        expected.sort_unstable();
+
+        let mut eng = FluidEngine::new(&net);
+        let mut got = Vec::new();
+        let mut written = 0;
+        loop {
+            while written < all.len() && written < eng.frontier() + n {
+                eng.inject(&all[written..written + n]).unwrap();
+                written += n;
+            }
+            let more = eng.step().unwrap().is_some();
+            got.extend(
+                eng.drain_completions()
+                    .map(|c| (c.index, c.start_s.to_bits(), c.finish_s.to_bits())),
+            );
+            eng.forget_settled();
+            if !more && written == all.len() {
+                break;
+            }
+        }
+        got.sort_unstable();
+        assert_eq!(got, expected);
+        assert_eq!(
+            (eng.events(), eng.rate_recomputations(), eng.solver_work()),
+            (
+                whole.events(),
+                whole.rate_recomputations(),
+                whole.solver_work()
+            )
+        );
+        assert_eq!(whole.peak_held(), all.len());
+        // A few stages, not all twelve.
+        assert!(eng.peak_held() <= 6 * n, "held {}", eng.peak_held());
+    }
+
+    /// A flow that completes earlier than a completion event already
+    /// scheduled for it leaves that event stale; when it pops, the flow's
+    /// state may have been dropped. Flow 0 shares host 1's downlink with
+    /// flow 3 until flows 4 and 5 squeeze flow 3 on host 2's uplink: flow 0
+    /// speeds up, completes at 475 us, and is dropped with the short flows
+    /// 1 and 2 before its stale event at 600 us pops.
+    #[test]
+    fn stale_events_of_dropped_flows_are_dead() {
+        let net = star_cluster(6, 1e9, 0.0);
+        let all = vec![
+            flow(0, 1, 300_000, 0.0, vec![]),
+            flow(4, 5, 1_000, 0.0, vec![]),
+            flow(5, 4, 1_000, 0.0, vec![]),
+            flow(2, 1, 3_000_000, 0.0, vec![]),
+            flow(2, 3, 3_000_000, 100e-6, vec![]),
+            flow(2, 4, 3_000_000, 100e-6, vec![]),
+        ];
+        let mut whole = FluidEngine::new(&net);
+        whole.inject(&all).unwrap();
+        let mut expected = Vec::new();
+        drain_to_idle(&mut whole, &mut expected);
+
+        let mut eng = FluidEngine::new(&net);
+        eng.inject(&all).unwrap();
+        let mut got = Vec::new();
+        let mut dropped_before_600us = false;
+        loop {
+            let at = eng.step().unwrap();
+            got.extend(
+                eng.drain_completions()
+                    .map(|c| (c.index, c.start_s.to_bits(), c.finish_s.to_bits())),
+            );
+            eng.forget_settled();
+            dropped_before_600us |= eng.key_base == 3 && at.is_some_and(|t| t < 600e-6);
+            if at.is_none() {
+                break;
+            }
+        }
+        assert!(dropped_before_600us);
+        assert_eq!(got, expected);
+        assert_eq!(eng.events(), whole.events());
+    }
+
+    #[test]
+    fn bad_dependencies_are_typed_errors_before_any_state_change() {
+        let net = star_cluster(4, 1e9, 0.0);
+        let mut eng = FluidEngine::new(&net);
+        eng.inject(&[
+            flow(0, 1, 1_000, 0.0, vec![]),
+            flow(2, 3, 9_000_000, 0.0, vec![]),
+        ])
+        .unwrap();
+        let mut drained = Vec::new();
+        while drained.is_empty() {
+            eng.step().unwrap();
+            drained.extend(eng.drain_completions().map(|c| c.index));
+        }
+        // Flow 0 has settled; flow 1 is still transmitting.
+        assert_eq!(drained, vec![0]);
+        let events = eng.events();
+        for deps in [vec![7], vec![2], vec![0]] {
+            // Out of range, not yet injected (the flow itself), settled.
+            assert!(matches!(
+                eng.inject(&[flow(1, 2, 1_000, 0.0, deps)]),
+                Err(NetError::BadConfig(_))
+            ));
+            assert_eq!((eng.next_key(), eng.peak_held()), (2, 2));
+        }
+        assert_eq!(eng.frontier(), 2);
+        eng.inject(&[flow(1, 2, 1_000, 0.0, vec![1])]).unwrap();
+        drain_forgetting(&mut eng, &mut Vec::new());
+        assert_eq!(eng.events(), events + 2);
+        assert_eq!(eng.live_flows(), 0);
     }
 
     #[test]

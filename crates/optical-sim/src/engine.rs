@@ -2,11 +2,20 @@
 //!
 //! [`GrantEngine`] is the single execution engine behind every dependency-
 //! aware optical run. A closed run (the closed driver in `wrht-core`)
-//! injects the whole transfer DAG at time zero and pumps the engine to
-//! idle. Open-loop cluster services instead [`GrantEngine::inject`] each
-//! arriving job's transfers into the *running* engine — the grant loop,
-//! arbitration and event kernel are shared, so a stream whose arrivals are
-//! all known up front is bit-exact with the closed path.
+//! injects a materialized transfer DAG at time zero, or a lazily lowered
+//! one stage at a time, and pumps the engine to idle. Open-loop cluster
+//! services instead [`GrantEngine::inject`] each arriving job's transfers
+//! into the *running* engine — the grant loop, arbitration and event
+//! kernel are shared, so a stream whose arrivals are all known up front is
+//! bit-exact with the closed path.
+//!
+//! Dependencies name order keys, so a batch may depend on live transfers
+//! of earlier batches. A transfer injected before any of its dependencies
+//! completes behaves exactly as if it had been injected at time zero: it
+//! is gated when its last dependency completes, whenever it arrived.
+//! [`GrantEngine::frontier`] tells a streaming driver how far ahead it
+//! must have injected: no transfer at or above it can complete in the next
+//! step.
 //!
 //! # Determinism across injection times
 //!
@@ -85,6 +94,7 @@
 //! occupancy from the in-flight slots.
 
 use serde::{Deserialize, Serialize};
+use std::collections::VecDeque;
 use std::ops::Range;
 use wrht_kernel::{EventId, EventKernel, FaultKind, FaultLimits, FaultPolicy, FaultScript};
 
@@ -100,17 +110,21 @@ use crate::wavelength::Wavelength;
 /// Version tag of [`GrantEngineSnapshot`]; bump on any layout change.
 pub const SNAPSHOT_VERSION: u32 = 2;
 
+/// Entry of [`GrantEngine`]'s key table for a key whose transfer settled.
+const SETTLED: usize = usize::MAX;
+
 /// One transfer submitted to [`GrantEngine::inject`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GrantTransfer {
     /// The transfer itself (route, payload, striping lanes).
     pub transfer: Transfer,
-    /// Earliest start instant, **absolute** simulated seconds. Must not
-    /// precede the engine clock at injection time.
+    /// Earliest start instant, **absolute** simulated seconds. A transfer
+    /// without dependencies must not be released before the engine clock
+    /// at injection time.
     pub release_s: f64,
-    /// Dependencies as indices **within the injected batch** (each `<` own
-    /// position). Cross-batch dependencies are not expressible — a job's
-    /// DAG is injected atomically.
+    /// Dependencies as order keys (the `k`-th transfer ever injected has
+    /// key `k`): each names an earlier transfer of the same batch, or a
+    /// transfer of an earlier batch that has not completed yet.
     pub deps: Vec<usize>,
     /// Owning job slot (from [`GrantEngine::add_job`]); ignored (use 0)
     /// when the engine is not arbitrated.
@@ -382,6 +396,14 @@ pub struct GrantEngine {
     occ: Occupancy,
     slots: Vec<Option<Slot>>,
     free: Vec<usize>,
+    /// Slot of every order key from the lowest unsettled one on
+    /// ([`SETTLED`] once its transfer completed or failed), so a batch can
+    /// depend on live transfers of earlier batches. Built from the live
+    /// slots when the first such batch arrives; runs that inject whole
+    /// DAGs never build it.
+    keys: Option<VecDeque<usize>>,
+    /// One past the highest order key whose dependencies are all met.
+    gated: u64,
     jobs: Vec<JobSlot>,
     job_free: Vec<usize>,
     next_order: u64,
@@ -430,6 +452,8 @@ impl GrantEngine {
             occ: Occupancy::new(nodes, config.wavelengths),
             slots: Vec::new(),
             free: Vec::new(),
+            keys: None,
+            gated: 0,
             jobs: Vec::new(),
             job_free: Vec::new(),
             next_order: 0,
@@ -521,33 +545,51 @@ impl GrantEngine {
         self.job_free.push(job);
     }
 
-    /// Inject a transfer batch (one job's DAG) into the running engine.
+    /// Inject a transfer batch (one job's DAG, or the next stages of a
+    /// closed DAG) into the running engine.
     ///
-    /// Dependencies are batch-local; release times are absolute and must
-    /// not precede the engine clock. Returns nothing — completions surface
-    /// through [`GrantEngine::drain_completions`], identified by order key
-    /// and job.
+    /// Dependencies are order keys: the batch's transfers get the keys
+    /// from [`GrantEngine::next_key`] on, and each dependency names an
+    /// earlier transfer of the batch or a live transfer of an earlier
+    /// batch. Release times are absolute; a transfer without dependencies
+    /// must not be released before the engine clock. Returns nothing —
+    /// completions surface through [`GrantEngine::drain_completions`],
+    /// identified by order key and job.
     ///
     /// # Errors
     /// Same validation (and error values) as the closed DAG path: forward
     /// deps, non-finite/negative releases, unroutable transfers and lane
     /// demands exceeding the channel count are rejected before any state
-    /// changes.
+    /// changes, and so are dependencies on transfers that already
+    /// completed or failed ([`OpticalError::BadConfig`]).
     pub fn inject(&mut self, transfers: &[GrantTransfer]) -> Result<()> {
         let now = self.queue.now();
+        let first = self.next_order;
+        let earlier = |t: &GrantTransfer| t.deps.iter().any(|&d| (d as u64) < first);
+        if self.keys.is_none() && transfers.iter().any(earlier) {
+            self.keys = Some(self.key_table());
+        }
         let mut paths: Vec<LightPath> = Vec::with_capacity(transfers.len());
         for (i, t) in transfers.iter().enumerate() {
-            if t.deps.iter().any(|&d| d >= i) {
-                return Err(OpticalError::BadConfig(
-                    "dependency must precede its transfer",
-                ));
+            let key = first + i as u64;
+            for &d in &t.deps {
+                if d as u64 >= key {
+                    return Err(OpticalError::BadConfig(
+                        "dependency must precede its transfer",
+                    ));
+                }
+                if (d as u64) < first && self.slot_of(d as u64).is_none() {
+                    return Err(OpticalError::BadConfig(
+                        "dependency names a transfer that already settled",
+                    ));
+                }
             }
             if !t.release_s.is_finite() || t.release_s < 0.0 {
                 return Err(OpticalError::BadConfig(
                     "release time must be finite and >= 0",
                 ));
             }
-            if t.release_s < now {
+            if t.deps.is_empty() && t.release_s < now {
                 return Err(OpticalError::BadConfig(
                     "release time must not precede the engine clock",
                 ));
@@ -592,6 +634,9 @@ impl GrantEngine {
             };
             ids.push(id);
         }
+        if let Some(keys) = self.keys.as_mut() {
+            keys.extend(&ids);
+        }
         if let Some(f) = self.faults.as_deref_mut() {
             f.in_flight.resize(self.slots.len(), None);
             f.aborts.resize(self.slots.len(), 0);
@@ -599,19 +644,93 @@ impl GrantEngine {
         for (bi, t) in transfers.iter().enumerate() {
             let id = ids[bi];
             for &d in &t.deps {
-                self.slots[ids[d]]
-                    .as_mut()
-                    .expect("freshly injected slot")
-                    .dependents
-                    .push(id);
+                // Validated above: an earlier transfer of the batch, or a
+                // live one of an earlier batch.
+                let dep = match (d as u64).checked_sub(first) {
+                    Some(k) => Some(ids[k as usize]),
+                    None => self.slot_of(d as u64),
+                };
+                if let Some(slot) = dep.and_then(|dep| self.slots[dep].as_mut()) {
+                    slot.dependents.push(id);
+                }
             }
             if t.deps.is_empty() {
+                self.gated = self.gated.max(first + bi as u64 + 1);
                 self.queue
                     .schedule_at(t.release_s, Ev::Gate(id))
                     .expect("validated release time");
             }
         }
         Ok(())
+    }
+
+    /// Order key the next injected transfer gets.
+    #[must_use]
+    pub fn next_key(&self) -> u64 {
+        self.next_order
+    }
+
+    /// One past the highest order key whose dependencies are all met, so
+    /// no transfer at or above it can complete in the next
+    /// [`GrantEngine::step`] (a grant's completion is always a later
+    /// batch). A driver that injects a DAG stage by stage only needs to
+    /// have injected a transfer before this passes all its dependencies.
+    /// Under faults, which can fail waiting transfers, every key counts.
+    #[must_use]
+    pub fn frontier(&self) -> u64 {
+        if self.faults.is_some() {
+            u64::MAX
+        } else {
+            self.gated
+        }
+    }
+
+    /// Transfer slots allocated so far: the most transfers the engine
+    /// ever held at once, since completed slots are reused first.
+    #[must_use]
+    pub fn peak_slots(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// The key table of the live slots.
+    fn key_table(&self) -> VecDeque<usize> {
+        let live = || self.slots.iter().flatten();
+        let front = live().map(|s| s.order).min().unwrap_or(self.next_order);
+        let mut keys = VecDeque::from(vec![SETTLED; (self.next_order - front) as usize]);
+        for (id, slot) in self.slots.iter().enumerate() {
+            if let Some(s) = slot {
+                keys[(s.order - front) as usize] = id;
+            }
+        }
+        keys
+    }
+
+    /// Slot of an injected key whose transfer has not settled, once the
+    /// key table exists.
+    fn slot_of(&self, key: u64) -> Option<usize> {
+        let keys = self.keys.as_ref()?;
+        let k = key.checked_sub(self.next_order - keys.len() as u64)?;
+        keys.get(usize::try_from(k).ok()?)
+            .copied()
+            .filter(|&id| id != SETTLED)
+    }
+
+    /// Mark `key`'s transfer settled in the key table, if there is one,
+    /// and trim the table's settled front.
+    fn settle_key(&mut self, key: u64) {
+        let Some(keys) = self.keys.as_mut() else {
+            return;
+        };
+        let front = self.next_order - keys.len() as u64;
+        if let Some(entry) = key
+            .checked_sub(front)
+            .and_then(|k| keys.get_mut(usize::try_from(k).ok()?))
+        {
+            *entry = SETTLED;
+        }
+        while keys.front() == Some(&SETTLED) {
+            keys.pop_front();
+        }
     }
 
     /// Timestamp of the next pending event, if any.
@@ -682,6 +801,7 @@ impl GrantEngine {
         // *live* transfers, not total transfers ever injected.
         let slot = self.slots[id].take().expect("completed slot is live");
         self.free.push(id);
+        self.settle_key(slot.order);
         for &lambda in &slot.assigned {
             self.occ.release(&slot.path, lambda);
         }
@@ -711,6 +831,7 @@ impl GrantEngine {
             };
             d.missing -= 1;
             if d.missing == 0 {
+                self.gated = self.gated.max(d.order + 1);
                 let rel = d.release_s;
                 if rel <= now {
                     self.enqueue_waiting(dep);
@@ -842,12 +963,14 @@ impl GrantEngine {
         if let Some(now) = impact {
             f.first_impact_s.get_or_insert(now);
         }
+        let aborts = std::mem::take(&mut f.aborts[id]);
+        self.settle_key(slot.order);
         self.completions.push(GrantCompletion {
             order: slot.order,
             job: slot.job,
             start_s: 0.0,
             finish_s: 0.0,
-            aborts: std::mem::take(&mut f.aborts[id]),
+            aborts,
             failed: true,
         });
         Some(slot)
@@ -1064,6 +1187,8 @@ impl GrantEngine {
         eng.jobs = snap.jobs.clone();
         eng.job_free = snap.job_free.clone();
         eng.next_order = snap.next_order;
+        // Streams never ask for the frontier: every key counts.
+        eng.gated = snap.next_order;
         for &id in &snap.waiting {
             eng.enqueue_waiting(id);
         }
@@ -1218,6 +1343,56 @@ mod tests {
 
     fn peek_at_least(eng: &mut GrantEngine, t: f64) -> bool {
         eng.peek_time().is_none_or(|p| p >= t)
+    }
+
+    #[test]
+    fn cross_batch_dependencies_match_one_batch() {
+        // The dependent of a live transfer injected a step later gates at
+        // the same instant as when the whole DAG is one batch.
+        let dag = [
+            item(0, 2, 1_000_000, 0.0, vec![]),
+            item(4, 6, 3_000_000, 0.0, vec![]),
+            item(2, 4, 1_000_000, 0.0, vec![0]),
+            item(6, 0, 1_000_000, 0.0, vec![1, 2]),
+        ];
+        let run = |split: usize| {
+            let mut eng = GrantEngine::new(&cfg(), Strategy::FirstFit, false, false).unwrap();
+            eng.inject(&dag[..split]).unwrap();
+            eng.step();
+            eng.inject(&dag[split..]).unwrap();
+            while eng.step().is_some() {}
+            let mut out: Vec<GrantCompletion> = eng.drain_completions().collect();
+            out.sort_by_key(|c| c.order);
+            (out, eng.events())
+        };
+        assert_eq!(run(2), run(4));
+    }
+
+    #[test]
+    fn bad_dependencies_are_typed_errors_before_any_state_change() {
+        let mut eng = GrantEngine::new(&cfg(), Strategy::FirstFit, false, false).unwrap();
+        eng.inject(&[
+            item(0, 1, 1_000, 0.0, vec![]),
+            item(4, 6, 9_000_000, 0.0, vec![]),
+        ])
+        .unwrap();
+        while eng.frontier() <= 1 || eng.drain_completions().next().is_none() {
+            eng.step();
+        }
+        // Key 0 has completed; key 1 is still in flight.
+        let events = eng.events();
+        for deps in [vec![7], vec![2], vec![0]] {
+            // Out of range, not yet injected (the transfer itself), settled.
+            assert!(matches!(
+                eng.inject(&[item(1, 2, 1_000, 0.0, deps)]),
+                Err(OpticalError::BadConfig(_))
+            ));
+            assert_eq!((eng.next_key(), eng.peak_slots()), (2, 2));
+        }
+        eng.inject(&[item(1, 2, 1_000, 0.0, vec![1])]).unwrap();
+        while eng.step().is_some() {}
+        assert_eq!(eng.events(), events + 2);
+        assert_eq!(eng.drain_completions().count(), 2);
     }
 
     #[test]

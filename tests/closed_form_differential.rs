@@ -21,6 +21,7 @@ use proptest::prelude::*;
 use wrht_core::dag::DepSchedule;
 use wrht_core::engine::{run_closed, FabricEngine};
 use wrht_core::error::WrhtError;
+use wrht_core::substrate::DagTiming;
 
 /// Link capacities, bytes/s: three within the solver's relative tie
 /// tolerance of 1e9, where the joint solve freezes them together, and
@@ -116,7 +117,12 @@ fn same_as_engine(net: &Network, specs: &[FlowSpec]) -> Result<(), String> {
         })
         .collect();
     let mut eng = FluidEngine::new(net);
-    let engine = run_closed(&mut eng, &DepSchedule::from_released(&released), None);
+    let engine = run_closed(
+        &mut eng,
+        &DepSchedule::from_released(&released),
+        None,
+        DagTiming::from,
+    );
     let mut runner = StepRunner::new(net, 0.0).recording();
     for repeat in 1..=2 {
         match (step(&mut runner, specs), &engine) {

@@ -26,7 +26,7 @@ use proptest::prelude::*;
 use wrht_core::baselines::lower_collective_to_optical;
 use wrht_core::dag::DepSchedule;
 use wrht_core::engine::run_closed;
-use wrht_core::substrate::{ElectricalSubstrate, OpticalSubstrate, Substrate};
+use wrht_core::substrate::{DagTiming, ElectricalSubstrate, OpticalSubstrate, Substrate};
 
 const BYTES_PER_ELEM: usize = 4;
 
@@ -146,7 +146,7 @@ proptest! {
             .execute_dag(&dag)
             .expect("fast path");
         let mut eng = FluidEngine::new(&net).with_launch_delay(1e-6);
-        let event = run_closed(&mut eng, &dag, None)
+        let event = run_closed(&mut eng, &dag, None, DagTiming::from)
             .expect("event engine")
             .iter()
             .fold(0.0f64, |m, o| m.max(o.finish_s));

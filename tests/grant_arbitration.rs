@@ -138,7 +138,7 @@ fn run(
         eng.set_faults(script, FaultPolicy::Replan)
             .expect("valid script");
     }
-    let outcomes = run_closed(&mut eng, dag, arb).expect("lanes fit the ring");
+    let outcomes = run_closed(&mut eng, dag, arb, FaultTiming::from).expect("lanes fit the ring");
     (eng, outcomes)
 }
 

@@ -1,0 +1,342 @@
+//! Differential oracle for the streamed closed driver.
+//!
+//! `engine::run_closed` reads a lazily lowered DAG ([`PipelinedSource`])
+//! one stage at a time and injects a stage only when the engine could need
+//! it. These suites pin that the streamed run equals the materialized one,
+//! `execute_dag(&DepSchedule::pipelined_from_steps(..))` injected whole, in
+//! every `DagTiming` bit, in `events`, `rate_recomputations`,
+//! `solver_work` and `peak_wavelength`, and in the error value, on both
+//! fabrics:
+//!
+//! * over random stage-structured step schedules whose generator makes
+//!   nodes sit idle for several stages (the horizon stays pinned), mixes in
+//!   zero-byte transfers (the fluid engine settles a chain of them inside
+//!   one promotion pass) and equal payloads (simultaneous completions),
+//!   uses non-zero latencies (stale kernel events name flows the fluid
+//!   engine has dropped), draws `n = 2` (a barrier-shaped pipelined DAG,
+//!   which the electrical fast path runs) and puts an out-of-range
+//!   endpoint into a late stage (the run returns the materialized run's
+//!   validation error);
+//! * over the real pipelined lowerings of all five algorithms.
+//!
+//! The last test bounds the window: the streamed n = 512 pipelined ring
+//! holds a few stages of transfers in either engine, where the
+//! materialized run holds all of them.
+
+use electrical_sim::topology::star_cluster;
+use electrical_sim::{FluidEngine, Network};
+use optical_sim::{
+    GrantEngine, NodeId, OpticalConfig, StepSchedule, StepSource, Strategy, Transfer,
+};
+use proptest::prelude::*;
+use wrht_bench::campaign::Algorithm;
+use wrht_bench::config::{ExperimentConfig, SubstrateKind};
+use wrht_bench::timeline::lower_allreduce;
+use wrht_core::baselines::RingSource;
+use wrht_core::dag::{DepSchedule, DepSource, PipelinedSource};
+use wrht_core::engine::{run_closed, FabricEngine};
+use wrht_core::error::Result;
+use wrht_core::substrate::{
+    DagRunReport, DagTiming, ElectricalSubstrate, OpticalSubstrate, Substrate,
+};
+
+/// xorshift64* draws for the schedule generator.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 >> 12;
+        self.0 ^= self.0 << 25;
+        self.0 ^= self.0 >> 27;
+        self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
+    }
+
+    fn below(&mut self, bound: usize) -> usize {
+        (self.next() % bound as u64) as usize
+    }
+
+    fn chance(&mut self, percent: usize) -> bool {
+        self.below(100) < percent
+    }
+}
+
+/// Payload sizes: zero-byte gates, repeated sizes (equal transfers
+/// complete at one instant) and one large enough to outlive several
+/// stages, so rates change under it and leave stale completion events.
+const BYTES: [u64; 8] = [0, 0, 4_096, 4_096, 4_096, 10_000, 123_457, 1_000_003];
+
+/// A random stage-structured schedule and the physics of the two fabrics
+/// it runs on.
+struct Case {
+    steps: StepSchedule,
+    optical: OpticalConfig,
+    net: Network,
+    overhead_s: f64,
+}
+
+impl Case {
+    fn optical(&self) -> OpticalSubstrate {
+        OpticalSubstrate::new(self.optical.clone()).expect("valid optical config")
+    }
+
+    fn electrical(&self) -> ElectricalSubstrate {
+        ElectricalSubstrate::new(self.net.clone(), self.overhead_s)
+    }
+}
+
+fn case(seed: u64) -> Case {
+    let mut rng = Rng(seed | 1);
+    let n = if rng.chance(25) { 2 } else { 3 + rng.below(8) };
+    let stages = 1 + rng.below(12);
+    // Each node sits out runs of stages: some from the start (the horizon
+    // is unknown until every node took part), some in the middle (its
+    // last step pins the horizon). Active nodes send one to three
+    // transfers a stage.
+    let idle: Vec<(usize, usize)> = (0..n)
+        .map(|_| {
+            let from = if rng.chance(30) { 0 } else { rng.below(stages) };
+            (from, from + rng.below(5))
+        })
+        .collect();
+    let exchange = n == 2 && rng.chance(60);
+    let mut steps = Vec::with_capacity(stages);
+    for stage in 0..stages {
+        let mut step = Vec::new();
+        if exchange {
+            // Both nodes every stage, equal payloads: barrier-shaped.
+            let bytes = BYTES[rng.below(BYTES.len())];
+            step.push(Transfer::shortest(NodeId(0), NodeId(1), bytes));
+            step.push(Transfer::shortest(NodeId(1), NodeId(0), bytes));
+        } else {
+            for (src, &(from, to)) in idle.iter().enumerate() {
+                if (from..to).contains(&stage) || !rng.chance(70) {
+                    continue;
+                }
+                for _ in 0..1 + rng.below(3) {
+                    let dst = (src + 1 + rng.below(n - 1)) % n;
+                    let bytes = BYTES[rng.below(BYTES.len())];
+                    let lanes = 1 + rng.below(2);
+                    step.push(
+                        Transfer::shortest(NodeId(src), NodeId(dst), bytes).with_lanes(lanes),
+                    );
+                }
+            }
+        }
+        steps.push(step);
+    }
+    if stages >= 3 && rng.chance(15) {
+        // An endpoint past the last node, late in the schedule.
+        let src = rng.below(n);
+        let bad = if rng.chance(50) {
+            Transfer::shortest(NodeId(src), NodeId(n), 4_096)
+        } else {
+            Transfer::shortest(NodeId(n), NodeId(src), 4_096)
+        };
+        steps[stages - 1 - rng.below(2)].push(bad);
+    }
+    Case {
+        steps: StepSchedule::from_steps(steps),
+        optical: OpticalConfig::new(n, 2 + rng.below(3))
+            .with_lambda_bandwidth([1e9, 2.5e9][rng.below(2)])
+            .with_message_overhead([0.0, 1e-6][rng.below(2)])
+            .with_hop_propagation([0.0, 5e-9][rng.below(2)]),
+        net: star_cluster(n, [1e9, 2.5e9][rng.below(2)], [0.0, 500e-9][rng.below(2)]),
+        overhead_s: [0.0, 0.0, 2e-6][rng.below(3)],
+    }
+}
+
+/// Do two runs agree bit for bit (or fail with the same error)?
+fn same(
+    streamed: Result<DagRunReport>,
+    whole: Result<DagRunReport>,
+) -> std::result::Result<(), String> {
+    let (s, w) = match (streamed, whole) {
+        (Ok(s), Ok(w)) => (s, w),
+        (Err(s), Err(w)) if s == w => return Ok(()),
+        (s, w) => return Err(format!("streamed {s:?} vs materialized {w:?}")),
+    };
+    let bits = |r: &DagRunReport| -> Vec<(u64, u64)> {
+        r.transfers
+            .iter()
+            .map(|t| (t.start_s.to_bits(), t.finish_s.to_bits()))
+            .collect()
+    };
+    let counters = |r: &DagRunReport| {
+        (
+            r.makespan_s.to_bits(),
+            r.events,
+            r.rate_recomputations,
+            r.solver_work,
+            r.peak_wavelength,
+        )
+    };
+    if bits(&s) != bits(&w) || counters(&s) != counters(&w) {
+        return Err(format!(
+            "{}: streamed {:?} vs materialized {:?}",
+            s.substrate,
+            counters(&s),
+            counters(&w)
+        ));
+    }
+    Ok(())
+}
+
+/// The streamed and the materialized pipelined run of `steps` on `sub`.
+fn differential(sub: &mut dyn Substrate, steps: &StepSchedule) -> std::result::Result<(), String> {
+    let streamed = sub.execute_dag(&PipelinedSource::new(steps));
+    let whole = sub.execute_dag(&DepSchedule::pipelined_from_steps(steps));
+    same(streamed, whole)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(300))]
+
+    /// Random stage-structured schedules stream bit-identically on both
+    /// fabrics, errors included.
+    #[test]
+    fn streamed_run_equals_materialized(seed in 0u64..u64::MAX) {
+        let case = case(seed);
+        let optical = differential(&mut case.optical(), &case.steps);
+        prop_assert!(optical.is_ok(), "{:?}", optical);
+        let electrical = differential(&mut case.electrical(), &case.steps);
+        prop_assert!(electrical.is_ok(), "{:?}", electrical);
+    }
+}
+
+/// The generator reaches every shape the oracle is meant to cover, and the
+/// driver streams: runs in which an engine held fewer transfers than the
+/// schedule has, zero-byte gates included.
+#[test]
+fn generator_covers_the_edge_cases() {
+    let (mut barrier, mut errors, mut chains) = (0, 0, 0);
+    let (mut optical_streamed, mut fluid_streamed) = (0, 0);
+    for seed in 0..300u64 {
+        let case = case(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let source = PipelinedSource::new(&case.steps);
+        barrier += usize::from(source.is_barrier_shaped() && source.len() > 2);
+        if case.electrical().execute_dag(&source).is_err() {
+            errors += 1;
+            continue;
+        }
+        let mut grant = GrantEngine::new(&case.optical, Strategy::FirstFit, false, false)
+            .expect("valid optical config");
+        run_closed(&mut grant, &source, None, DagTiming::from).expect("optical run");
+        optical_streamed += usize::from(grant.peak_slots() < source.len());
+        let mut fluid = FluidEngine::new(&case.net).with_launch_delay(case.overhead_s);
+        run_closed(&mut fluid, &source, None, DagTiming::from).expect("fluid run");
+        let streamed = fluid.peak_held() < source.len();
+        fluid_streamed += usize::from(streamed);
+        let gates = case.steps.steps().iter().flatten().any(|t| t.bytes == 0);
+        chains += usize::from(streamed && gates && case.overhead_s == 0.0);
+    }
+    assert!(
+        barrier > 10 && errors > 10,
+        "{barrier} barrier, {errors} errors"
+    );
+    assert!(
+        optical_streamed > 50 && fluid_streamed > 25 && chains > 10,
+        "streamed {optical_streamed} optically, {fluid_streamed} electrically, {chains} with gates"
+    );
+}
+
+/// The real pipelined lowerings of all five algorithms stream
+/// bit-identically at n ∈ {8, 64} on both fabrics, and so does the lazy
+/// ring the campaign's pipelined cells run.
+#[test]
+fn real_lowerings_stream_bit_identically() {
+    let cfg = ExperimentConfig::default();
+    let bytes = 3 << 20;
+    for n in [8, 64] {
+        for algorithm in [
+            Algorithm::Ring,
+            Algorithm::RecursiveDoubling,
+            Algorithm::HalvingDoubling,
+            Algorithm::Tree,
+            Algorithm::Wrht,
+        ] {
+            let (steps, _) = lower_allreduce(&cfg, algorithm, n, bytes).expect("lowering");
+            for kind in [SubstrateKind::Electrical, SubstrateKind::Optical] {
+                let mut sub = cfg
+                    .try_substrate(kind, n, Strategy::FirstFit)
+                    .expect("substrate");
+                if let Err(e) = differential(&mut *sub, &steps) {
+                    panic!("{algorithm:?} n={n}: {e}");
+                }
+                if algorithm == Algorithm::Ring {
+                    let ring = RingSource {
+                        n,
+                        elems: cfg.elems(bytes),
+                        bytes_per_elem: cfg.bytes_per_elem,
+                        lanes: 1,
+                    };
+                    let lazy = sub.execute_dag(&PipelinedSource::new(&ring));
+                    let whole = sub.execute_dag(&DepSchedule::pipelined_from_steps(&steps));
+                    if let Err(e) = same(lazy, whole) {
+                        panic!("lazy ring n={n}: {e}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The engines of the n = 512 pipelined ring of AlexNet's gradient, as
+/// the campaign's execution-mode ablation builds them.
+fn alexnet_ring() -> (ExperimentConfig, RingSource) {
+    let cfg = ExperimentConfig::default();
+    let alexnet = dnn_models::paper_models()
+        .into_iter()
+        .find(|m| m.name == "AlexNet")
+        .expect("AlexNet in the zoo");
+    let ring = RingSource {
+        n: 512,
+        elems: cfg.elems(alexnet.gradient_bytes()),
+        bytes_per_elem: cfg.bytes_per_elem,
+        lanes: 1,
+    };
+    (cfg, ring)
+}
+
+/// At most this many transfers — eight stages of the n = 512 ring — in
+/// either engine at any step of the streamed run.
+const WINDOW: usize = 8 * 512;
+
+/// Streamed, the n = 512 pipelined ring never holds more than eight stages
+/// of transfers in either engine (slots the grant engine allocated, flows
+/// the fluid engine retained); injected whole, it holds all 523,264.
+#[test]
+fn pipelined_ring_streams_in_a_few_stages() {
+    let (cfg, ring) = alexnet_ring();
+    let source = PipelinedSource::new(&ring);
+    assert_eq!(source.len(), 1022 * 512);
+    let whole = DepSchedule::pipelined_from_steps(&ring.to_schedule());
+
+    let mut grant =
+        GrantEngine::new(&cfg.optical(512), Strategy::FirstFit, false, false).expect("valid ring");
+    let optical = run_closed(&mut grant, &source, None, DagTiming::from).expect("optical run");
+    assert!(
+        grant.peak_slots() <= WINDOW,
+        "grant slots {}",
+        grant.peak_slots()
+    );
+    assert_eq!(optical.len(), source.len());
+
+    let net = cfg.electrical(512);
+    let mut fluid = FluidEngine::new(&net).with_launch_delay(cfg.electrical_step_overhead_s);
+    let electrical = run_closed(&mut fluid, &source, None, DagTiming::from).expect("fluid run");
+    assert!(
+        fluid.peak_held() <= WINDOW,
+        "fluid flows {}",
+        fluid.peak_held()
+    );
+    assert_eq!(electrical.len(), source.len());
+
+    // Injected whole, both engines hold every transfer at once.
+    let mut grant =
+        GrantEngine::new(&cfg.optical(512), Strategy::FirstFit, false, false).expect("valid ring");
+    FabricEngine::inject(&mut grant, whole.transfers(), 0, 0.0, &|_| 0).expect("inject");
+    assert_eq!(grant.peak_slots(), whole.len());
+    let mut fluid = FluidEngine::new(&net).with_launch_delay(cfg.electrical_step_overhead_s);
+    FabricEngine::inject(&mut fluid, whole.transfers(), 0, 0.0, &|_| 0).expect("inject");
+    assert_eq!(fluid.peak_held(), whole.len());
+}
