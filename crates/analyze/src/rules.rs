@@ -19,7 +19,8 @@ pub enum RuleId {
     RawThreadSpawn,
     /// R4: float-order hazards — `partial_cmp` chains and `f32` state.
     FloatOrder,
-    /// R5: no `unwrap`/`expect`/`panic!` in `wrht-kernel`/`wrht-core`.
+    /// R5: no `unwrap`/`expect`/`panic!` in `wrht-kernel`/`wrht-core` and
+    /// the optical grant engine (`optical-sim/src/engine.rs`).
     NoPanic,
     /// R6: bare f64 `==`/`!=` outside the documented bit-equality sites.
     FloatEq,
@@ -130,8 +131,9 @@ pub fn rule_table() -> [RuleInfo; 6] {
         RuleInfo {
             id: "R5",
             name: "no-panic",
-            summary: "wrht-kernel and wrht-core return typed errors; \
-                      unwrap/expect/panic! are reserved for documented invariants",
+            summary: "wrht-kernel, wrht-core and the optical grant engine return \
+                      typed errors; unwrap/expect/panic! are reserved for documented \
+                      invariants",
         },
         RuleInfo {
             id: "R6",
@@ -143,8 +145,12 @@ pub fn rule_table() -> [RuleInfo; 6] {
 }
 
 /// Paths (workspace-relative, forward slashes) where R5 applies: the crates
-/// whose public contract is typed errors.
-const NO_PANIC_SCOPE: [&str; 2] = ["crates/kernel/src/", "crates/core/src/"];
+/// and files whose public contract is typed errors.
+const NO_PANIC_SCOPE: [&str; 3] = [
+    "crates/kernel/src/",
+    "crates/core/src/",
+    "crates/optical-sim/src/engine.rs",
+];
 
 /// Paths where `f32` in state is an R4 hazard: everything that feeds the
 /// bit-exact differential and golden suites.

@@ -67,7 +67,6 @@ use wrht_core::hierarchy::Domain;
 use wrht_core::lower::to_optical_schedule;
 use wrht_core::parallelism::{lower_parallelism, ParallelismSpec, StageModel};
 use wrht_core::stream::{Admission, ArrivalProcess, StreamReport, StreamSpec, StreamTemplate};
-use wrht_core::substrate::Substrate as _;
 use wrht_core::tenancy::{Job, JobWorkload, SchedPolicy, TenancySpec};
 use wrht_core::{build_plan, choose_group_size, plan_and_simulate, WrhtParams};
 

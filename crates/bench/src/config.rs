@@ -17,7 +17,7 @@
 
 use optical_sim::{OpticalConfig, Strategy};
 use serde::{Deserialize, Serialize};
-use wrht_core::hierarchy::{ComposedSubstrate, FabricSpec, HierSpec};
+use wrht_core::hierarchy::{compose, HierSpec};
 use wrht_core::substrate::{ElectricalSubstrate, OpticalSubstrate, Substrate};
 
 /// Which simulated fabric executes a workload.
@@ -137,26 +137,26 @@ impl ExperimentConfig {
         })
     }
 
-    /// Build the canonical hierarchical substrate for `spec`: one optical
-    /// ring per group (this campaign's optical constants at
-    /// [`HierSpec::group_size`] nodes, RWA `strategy`) stitched by the
-    /// electrical switched cluster over all [`HierSpec::nodes`] hosts.
+    /// Build the canonical hierarchical substrate for `spec`
+    /// ([`compose`]): one optical ring per group (this campaign's optical
+    /// constants at [`HierSpec::group_size`] nodes, RWA `strategy`)
+    /// stitched by the electrical switched cluster over all
+    /// [`HierSpec::nodes`] hosts.
     ///
     /// # Errors
-    /// Propagates invalid hierarchy shapes and optical configurations so
-    /// campaign cells can record the failure.
+    /// Propagates invalid hierarchy shapes and optical configurations, at
+    /// construction, so campaign cells can record the failure.
     pub fn try_composed(
         &self,
         spec: HierSpec,
         strategy: Strategy,
-    ) -> wrht_core::error::Result<ComposedSubstrate> {
-        ComposedSubstrate::new(
+    ) -> wrht_core::error::Result<Box<dyn Substrate>> {
+        // Checked before `spec.nodes()` sizes the inter fabric.
+        let spec = HierSpec::new(spec.groups, spec.group_size)?;
+        compose(
             spec,
-            FabricSpec::optical_with(self.optical(spec.group_size), strategy),
-            FabricSpec::electrical(
-                self.electrical(spec.nodes()),
-                self.electrical_step_overhead_s,
-            ),
+            self.try_substrate(SubstrateKind::Optical, spec.group_size, strategy)?,
+            self.try_substrate(SubstrateKind::Electrical, spec.nodes(), strategy)?,
         )
     }
 
@@ -202,9 +202,27 @@ mod tests {
         let c = ExperimentConfig::small();
         let spec = HierSpec::new(4, 4).unwrap();
         let sub = c.try_composed(spec, Strategy::FirstFit).unwrap();
-        assert_eq!(wrht_core::substrate::Substrate::nodes(&sub), 16);
-        assert_eq!(sub.intra().nodes(), 4);
-        assert_eq!(sub.inter().nodes(), 16);
+        assert_eq!(sub.nodes(), 16);
+        assert_eq!(sub.name(), "composed(optical+electrical)");
+        // One group is the optical ring itself.
+        let flat = c
+            .try_composed(HierSpec::new(1, 4).unwrap(), Strategy::FirstFit)
+            .unwrap();
+        assert_eq!((flat.name(), flat.nodes()), ("optical", 4));
+    }
+
+    #[test]
+    fn composed_factory_rejects_a_zero_wavelength_budget_at_construction() {
+        let c = ExperimentConfig {
+            wavelengths: 0,
+            ..ExperimentConfig::small()
+        };
+        let spec = HierSpec::new(2, 4).unwrap();
+        let built = c.try_composed(spec, Strategy::FirstFit);
+        let want = wrht_core::WrhtError::from(optical_sim::OpticalError::BadConfig(
+            "wavelengths must be >= 1",
+        ));
+        assert_eq!(built.err(), Some(want));
     }
 
     #[test]

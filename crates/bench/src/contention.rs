@@ -150,7 +150,7 @@ pub fn wrht_barrier_sensitivity(config: &OpticalConfig, plan: &WrhtPlan, bytes: 
         for tr in step {
             released.push((t, tr.clone()));
         }
-        t += stepped.stats.steps[i].duration_s;
+        t += stepped.steps[i].duration_s;
     }
     let event = RingSimulator::new(config.clone())
         .run_event_driven(&released)
@@ -273,7 +273,7 @@ mod tests {
             for tr in step {
                 released.push((t, tr.clone()));
             }
-            t += reference.stats.steps[i].duration_s;
+            t += reference.steps[i].duration_s;
         }
         let event_b = RingSimulator::new(c.clone())
             .run_event_driven(&released)

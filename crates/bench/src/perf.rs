@@ -47,7 +47,7 @@ use wrht_core::tenancy::{Job, JobWorkload, SchedPolicy, TenancySpec};
 
 use wrht_core::hierarchy::HierSpec;
 use wrht_core::parallelism::{lower_parallelism, ParallelismSpec, StageModel};
-use wrht_core::substrate::{DagTiming, Substrate as _};
+use wrht_core::substrate::DagTiming;
 
 use crate::campaign::Algorithm;
 use crate::contention::{generate_traffic, Pattern};

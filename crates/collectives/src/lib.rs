@@ -40,7 +40,6 @@ pub mod analysis;
 pub mod chunks;
 pub mod executor;
 pub mod halving_doubling;
-pub mod primitives;
 pub mod rd;
 pub mod ring;
 pub mod schedule;
@@ -52,10 +51,6 @@ pub mod prelude {
     pub use crate::chunks::chunk_range;
     pub use crate::executor::{execute, verify_allreduce};
     pub use crate::halving_doubling::halving_doubling;
-    pub use crate::primitives::{
-        concat, ring_allgather, ring_reduce_scatter, tree_broadcast, tree_reduce, verify_broadcast,
-        verify_reduce, verify_reduce_scatter,
-    };
     pub use crate::rd::recursive_doubling;
     pub use crate::ring::{ring_allreduce, ring_step, ring_steps};
     pub use crate::schedule::{Op, Schedule, ScheduleError, Step, TransferSpec};

@@ -112,8 +112,8 @@ mod tests {
         let sched = oring_schedule(n, 1600, 4);
         let mut sim = RingSimulator::new(OpticalConfig::new(n, 8));
         let report = sim.run_stepped(&sched, Strategy::FirstFit).unwrap();
-        assert_eq!(report.stats.peak_wavelengths(), 1);
-        assert_eq!(report.stats.step_count(), 2 * (n - 1));
+        assert_eq!(report.peak_wavelengths(), 1);
+        assert_eq!(report.step_count(), 2 * (n - 1));
     }
 
     #[test]

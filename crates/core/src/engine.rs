@@ -327,7 +327,7 @@ impl FabricEngine for GrantEngine {
     }
 
     fn step(&mut self) -> Result<Option<f64>> {
-        Ok(GrantEngine::step(self))
+        Ok(GrantEngine::step(self)?)
     }
 
     fn drain(&mut self, out: &mut Vec<Completion>) {

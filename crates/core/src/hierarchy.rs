@@ -21,14 +21,13 @@
 //!   [`Domain::Inter`]. [`HierSpec::domains`] tags a whole
 //!   [`DepSchedule`]; there is no per-transfer freedom, so a tagged DAG
 //!   can never disagree with the topology.
-//! * [`FabricSpec`] — a buildable description of one fabric (the optical
-//!   ring config + RWA strategy, or the electrical network + per-flow
-//!   launch overhead). The intra spec describes **one group's** fabric and
-//!   is replicated per group; the inter spec spans all
-//!   `groups * group_size` hosts.
-//! * [`ComposedSubstrate`] — a [`Substrate`] over the composed topology.
-//!   [`Substrate::execute_dag`] partitions the DAG by domain and drives
-//!   one streaming engine per fabric — [`optical_sim::GrantEngine`] for
+//! * [`compose`] — the one constructor of a composed [`Substrate`]. It
+//!   takes two built substrates: the intra substrate describes **one
+//!   group's** fabric and is instantiated once per group (through its
+//!   engine factory, [`Substrate::engine`]); the inter substrate spans all
+//!   `groups * group_size` hosts. With several groups the result's
+//!   [`Substrate::execute_dag`] partitions the DAG by domain and drives one
+//!   streaming engine per fabric — [`optical_sim::GrantEngine`] for
 //!   optical fabrics, [`electrical_sim::FluidEngine`] for electrical ones,
 //!   both running on the shared [`wrht_kernel::EventKernel`] semantics —
 //!   in a single event loop: at every iteration the engine with the
@@ -41,15 +40,13 @@
 //! # Flat collapse
 //!
 //! A [`HierSpec`] with `groups == 1` has no inter-group traffic at all —
-//! every transfer's endpoints share the single group. The composed
-//! substrate is then the flat intra substrate: it carries that
-//! substrate's name, its stepped and closed DAG runs delegate to it, and
-//! its engine is the intra fabric's engine, so fault and stream runs drive
-//! exactly the engine the flat substrate would. A single-group composed run
-//! is **bit-exact** with the flat run, label included; this collapse is
-//! pinned by `tests/hierarchy_differential.rs` on both fabric orders.
-//! With several groups there is no single engine: fault and stream runs
-//! are rejected with one typed error.
+//! every transfer's endpoints share the single group — so [`compose`]
+//! returns the intra substrate itself: its name, stepped and closed runs
+//! and engine, so fault and stream runs too, are the flat substrate's. A
+//! single-group composed run is **bit-exact** with the flat run, label
+//! included; this collapse is pinned by `tests/hierarchy_differential.rs`
+//! on both fabric orders. With several groups there is no single engine:
+//! fault and stream runs are rejected with one typed error.
 //!
 //! # Determinism
 //!
@@ -63,21 +60,22 @@
 //! ```
 //! use optical_sim::{NodeId, OpticalConfig, Transfer};
 //! use wrht_core::dag::{DepSchedule, DepTransfer};
-//! use wrht_core::hierarchy::{ComposedSubstrate, FabricSpec, HierSpec};
-//! use wrht_core::substrate::Substrate;
+//! use wrht_core::hierarchy::{compose, HierSpec};
+//! use wrht_core::substrate::{ElectricalSubstrate, OpticalSubstrate};
 //!
 //! // Two groups of 4: an intra transfer in group 0, then a dependent
 //! // inter transfer from group 0 to group 1.
 //! let spec = HierSpec::new(2, 4).unwrap();
-//! let mut sub = ComposedSubstrate::new(
+//! let mut sub = compose(
 //!     spec,
-//!     FabricSpec::optical(OpticalConfig::new(4, 4)),
-//!     FabricSpec::electrical(
+//!     Box::new(OpticalSubstrate::new(OpticalConfig::new(4, 4)).unwrap()),
+//!     Box::new(ElectricalSubstrate::new(
 //!         electrical_sim::topology::star_cluster(8, 12.5e9, 500e-9),
 //!         5e-6,
-//!     ),
+//!     )),
 //! )
 //! .unwrap();
+//! assert_eq!(sub.name(), "composed(optical+electrical)");
 //! let dag = DepSchedule::from_transfers(vec![
 //!     DepTransfer {
 //!         transfer: Transfer::shortest(NodeId(0), NodeId(1), 1 << 20),
@@ -99,18 +97,14 @@
 //! assert!(report.transfers[1].start_s >= report.transfers[0].finish_s);
 //! ```
 
-use electrical_sim::Network;
 use optical_sim::sim::StepSource;
-use optical_sim::{NodeId, OpticalConfig, OpticalError, Strategy, Transfer};
+use optical_sim::{NodeId, OpticalError, Transfer};
 use serde::{Deserialize, Serialize, Value};
 
 use crate::dag::{DepSchedule, DepSource, DepTransfer};
 use crate::engine::{check_jobs, Completion, FabricEngine};
 use crate::error::Result;
-use crate::substrate::{
-    fluid_engine, grant_engine, DagRunReport, DagTiming, ElectricalSubstrate, OpticalSubstrate,
-    RunReport, StepTiming, Substrate,
-};
+use crate::substrate::{DagRunReport, DagTiming, RunReport, StepTiming, Substrate};
 use crate::tenancy::{JobArbitration, TenantDagRun};
 
 fn cfg_err(msg: &'static str) -> crate::error::WrhtError {
@@ -165,13 +159,17 @@ impl HierSpec {
     /// Validated constructor.
     ///
     /// # Errors
-    /// Rejects zero groups and groups smaller than two hosts.
+    /// Rejects zero groups, groups smaller than two hosts and shapes whose
+    /// host count overflows `usize`.
     pub fn new(groups: usize, group_size: usize) -> Result<Self> {
         if groups == 0 {
             return Err(cfg_err("hierarchy needs at least one group"));
         }
         if group_size < 2 {
             return Err(cfg_err("hierarchy groups need at least two hosts"));
+        }
+        if groups.checked_mul(group_size).is_none() {
+            return Err(cfg_err("hierarchy host count overflows"));
         }
         Ok(Self { groups, group_size })
     }
@@ -224,91 +222,6 @@ impl HierSpec {
     }
 }
 
-/// A buildable description of one fabric of a [`ComposedSubstrate`].
-///
-/// The intra spec describes a **single group's** fabric (its node count
-/// must equal [`HierSpec::group_size`]) and is instantiated once per
-/// group; the inter spec spans every host ([`HierSpec::nodes`]).
-#[derive(Debug, Clone)]
-pub enum FabricSpec {
-    /// A WDM optical ring driven by the wavelength-grant loop.
-    Optical {
-        /// Ring deployment (nodes, wavelengths, timing).
-        config: OpticalConfig,
-        /// RWA strategy applied at every grant.
-        strategy: Strategy,
-    },
-    /// An electrical switched cluster driven by the incremental max-min
-    /// fluid engine.
-    Electrical {
-        /// Topology with link capacities and routing.
-        network: Network,
-        /// Launch overhead charged once per flow, seconds.
-        step_overhead_s: f64,
-    },
-}
-
-impl FabricSpec {
-    /// Optical fabric with First-Fit RWA.
-    #[must_use]
-    pub fn optical(config: OpticalConfig) -> Self {
-        FabricSpec::Optical {
-            config,
-            strategy: Strategy::FirstFit,
-        }
-    }
-
-    /// Optical fabric with an explicit RWA strategy.
-    #[must_use]
-    pub fn optical_with(config: OpticalConfig, strategy: Strategy) -> Self {
-        FabricSpec::Optical { config, strategy }
-    }
-
-    /// Electrical fabric.
-    #[must_use]
-    pub fn electrical(network: Network, step_overhead_s: f64) -> Self {
-        FabricSpec::Electrical {
-            network,
-            step_overhead_s,
-        }
-    }
-
-    /// Number of hosts the fabric attaches.
-    #[must_use]
-    pub fn nodes(&self) -> usize {
-        match self {
-            FabricSpec::Optical { config, .. } => config.nodes,
-            FabricSpec::Electrical { network, .. } => network.hosts(),
-        }
-    }
-
-    /// Stable lowercase label ("optical" / "electrical").
-    #[must_use]
-    pub fn label(&self) -> &'static str {
-        match self {
-            FabricSpec::Optical { .. } => "optical",
-            FabricSpec::Electrical { .. } => "electrical",
-        }
-    }
-
-    /// Build the flat substrate this spec describes.
-    ///
-    /// # Errors
-    /// Invalid optical configurations are rejected as by
-    /// [`OpticalSubstrate::with_strategy`].
-    pub fn substrate(&self) -> Result<Box<dyn Substrate>> {
-        Ok(match self {
-            FabricSpec::Optical { config, strategy } => {
-                Box::new(OpticalSubstrate::with_strategy(config.clone(), *strategy)?)
-            }
-            FabricSpec::Electrical {
-                network,
-                step_overhead_s,
-            } => Box::new(ElectricalSubstrate::new(network.clone(), *step_overhead_s)),
-        })
-    }
-}
-
 /// One fabric engine of the composed loop plus the loop's bookkeeping for
 /// it.
 struct Member<'a> {
@@ -327,7 +240,27 @@ struct Member<'a> {
     clock_s: f64,
 }
 
-impl Member<'_> {
+impl<'a> Member<'a> {
+    /// A fresh engine of `fabric` for one instance of it, with hosts from
+    /// global id `node_base` on. `arb` registers the jobs' grant ranks
+    /// (arbitrating the optical grant order).
+    fn new(
+        fabric: &'a dyn Substrate,
+        node_base: usize,
+        arb: Option<&JobArbitration>,
+    ) -> Result<Self> {
+        let mut eng = fabric.engine(arb.is_some(), arb.is_some_and(|a| a.fair_share), None)?;
+        for &r in arb.map_or(&[][..], |a| &a.rank) {
+            eng.add_job(r);
+        }
+        Ok(Self {
+            eng,
+            dag_index: Vec::new(),
+            node_base,
+            clock_s: 0.0,
+        })
+    }
+
     /// Inject one transfer, released at `gate_s` (raised to the fabric's
     /// clock), with its global endpoints rebased to the fabric's hosts.
     fn inject(&mut self, idx: usize, t: &DepTransfer, gate_s: f64, job: usize) -> Result<()> {
@@ -349,120 +282,58 @@ impl Member<'_> {
     }
 }
 
-impl FabricSpec {
-    /// A fresh engine for one instance of this fabric (the electrical one
-    /// charging its launch overhead), or one restored from a stream
-    /// checkpoint's engine `image`; `arbitrated` and `fair_share` as in
-    /// [`Substrate::engine`].
-    fn engine(
-        &self,
-        arbitrated: bool,
-        fair_share: bool,
-        image: Option<&Value>,
-    ) -> Result<Box<dyn FabricEngine + '_>> {
-        Ok(match self {
-            FabricSpec::Optical { config, strategy } => Box::new(grant_engine(
-                config, *strategy, arbitrated, fair_share, image,
-            )?),
-            FabricSpec::Electrical {
-                network,
-                step_overhead_s,
-            } => Box::new(fluid_engine(network, *step_overhead_s, image)?),
-        })
-    }
-
-    /// A fresh engine for one instance of this fabric, with hosts from
-    /// global id `node_base` on. `arb` registers the jobs' grant ranks
-    /// (arbitrating the optical grant order).
-    fn member(&self, node_base: usize, arb: Option<&JobArbitration>) -> Result<Member<'_>> {
-        let mut eng = self.engine(arb.is_some(), arb.is_some_and(|a| a.fair_share), None)?;
-        for &r in arb.map_or(&[][..], |a| &a.rank) {
-            eng.add_job(r);
-        }
-        Ok(Member {
-            eng,
-            dag_index: Vec::new(),
-            node_base,
-            clock_s: 0.0,
-        })
-    }
-}
-
 // ---------------------------------------------------------------------------
 // The composed substrate
 // ---------------------------------------------------------------------------
 
-/// A hierarchical [`Substrate`]: per-group intra fabrics plus one
-/// inter-group fabric, executing one domain-tagged DAG in a single event
-/// loop (see module docs).
+/// Compose a hierarchical [`Substrate`] from `intra`, **one group's**
+/// fabric (instantiated once per group through its engine factory), and
+/// `inter`, the fabric between groups, which spans every host. A
+/// one-group spec is the intra substrate itself (see the module docs);
+/// otherwise the result is the composed event loop.
 ///
 /// Hosts are dual-homed: every host has a port on its group's intra
 /// fabric and a port on the inter fabric, so the two fabrics carry load
 /// independently and contend only through dependency edges.
-#[derive(Debug, Clone)]
-pub struct ComposedSubstrate {
+///
+/// # Errors
+/// Invalid shapes ([`HierSpec::new`]); the intra fabric must attach
+/// exactly [`HierSpec::group_size`] hosts and the inter fabric exactly
+/// [`HierSpec::nodes`].
+pub fn compose(
     spec: HierSpec,
-    intra: FabricSpec,
-    inter: FabricSpec,
+    intra: Box<dyn Substrate>,
+    inter: Box<dyn Substrate>,
+) -> Result<Box<dyn Substrate>> {
+    let spec = HierSpec::new(spec.groups, spec.group_size)?;
+    if intra.nodes() != spec.group_size {
+        return Err(cfg_err("intra fabric size must equal the group size"));
+    }
+    if inter.nodes() != spec.nodes() {
+        return Err(cfg_err("inter fabric must span every host"));
+    }
+    if spec.groups == 1 {
+        return Ok(intra);
+    }
+    let name = format!("composed({}+{})", intra.name(), inter.name());
+    Ok(Box::new(ComposedSubstrate {
+        spec,
+        intra,
+        inter,
+        name,
+    }))
+}
+
+/// Several groups' intra fabrics plus one inter-group fabric, executing
+/// one domain-tagged DAG in a single event loop (see module docs).
+struct ComposedSubstrate {
+    spec: HierSpec,
+    intra: Box<dyn Substrate>,
+    inter: Box<dyn Substrate>,
     name: String,
 }
 
 impl ComposedSubstrate {
-    /// Build a composed substrate.
-    ///
-    /// # Errors
-    /// The intra fabric must attach exactly [`HierSpec::group_size`]
-    /// hosts and the inter fabric exactly [`HierSpec::nodes`].
-    pub fn new(spec: HierSpec, intra: FabricSpec, inter: FabricSpec) -> Result<Self> {
-        HierSpec::new(spec.groups, spec.group_size)?;
-        if intra.nodes() != spec.group_size {
-            return Err(cfg_err("intra fabric size must equal the group size"));
-        }
-        if inter.nodes() != spec.nodes() {
-            return Err(cfg_err("inter fabric must span every host"));
-        }
-        let name = if spec.groups == 1 {
-            intra.label().to_string()
-        } else {
-            format!("composed({}+{})", intra.label(), inter.label())
-        };
-        Ok(Self {
-            spec,
-            intra,
-            inter,
-            name,
-        })
-    }
-
-    /// The hierarchy shape.
-    #[must_use]
-    pub fn spec(&self) -> &HierSpec {
-        &self.spec
-    }
-
-    /// The per-group intra fabric description.
-    #[must_use]
-    pub fn intra(&self) -> &FabricSpec {
-        &self.intra
-    }
-
-    /// The inter-group fabric description.
-    #[must_use]
-    pub fn inter(&self) -> &FabricSpec {
-        &self.inter
-    }
-
-    /// True when the spec is flat (one group): the substrate is the intra
-    /// substrate (see the module docs).
-    #[must_use]
-    pub fn is_flat(&self) -> bool {
-        self.spec.groups == 1
-    }
-
-    fn flat(&self) -> Result<Box<dyn Substrate>> {
-        self.intra.substrate()
-    }
-
     /// The composed event loop (see module docs for the determinism
     /// contract). `arb` switches the optical fabrics into arbitrated
     /// (multi-job) grant order and tags electrical flows with jobs.
@@ -481,9 +352,9 @@ impl ComposedSubstrate {
 
         let mut fabrics: Vec<Member<'_>> = Vec::with_capacity(self.spec.groups + 1);
         for g in 0..self.spec.groups {
-            fabrics.push(self.intra.member(g * self.spec.group_size, arb)?);
+            fabrics.push(Member::new(&*self.intra, g * self.spec.group_size, arb)?);
         }
-        fabrics.push(self.inter.member(0, arb)?);
+        fabrics.push(Member::new(&*self.inter, 0, arb)?);
 
         let transfers = dag.transfers();
         let n = transfers.len();
@@ -627,9 +498,6 @@ impl Substrate for ComposedSubstrate {
     }
 
     fn execute(&mut self, source: &dyn StepSource) -> Result<RunReport> {
-        if self.is_flat() {
-            return self.flat()?.execute(source);
-        }
         // Barrier steps across two fabrics: lower to the barrier DAG and
         // rebuild per-step durations from the stage frontier (a step's
         // transfers are gated on the whole previous step, so stage ends
@@ -662,30 +530,23 @@ impl Substrate for ComposedSubstrate {
 
     fn engine(
         &self,
-        arbitrated: bool,
-        fair_share: bool,
-        image: Option<&Value>,
+        _arbitrated: bool,
+        _fair_share: bool,
+        _image: Option<&Value>,
     ) -> Result<Box<dyn FabricEngine + '_>> {
-        if !self.is_flat() {
-            return Err(cfg_err(
-                "faults and streams on a multi-group composed substrate are not supported",
-            ));
-        }
-        self.intra.engine(arbitrated, fair_share, image)
+        Err(cfg_err(
+            "faults and streams on a multi-group composed substrate are not supported",
+        ))
     }
 
-    /// The composed event loop; a flat substrate delegates to the intra
-    /// substrate. Like the flat optical path, the loop has no fractional
-    /// rate attribution to report (the fluid rates live inside the inter
-    /// engine).
+    /// The composed event loop. Like the flat optical path, the loop has
+    /// no fractional rate attribution to report (the fluid rates live
+    /// inside the inter engine).
     fn execute_closed(
         &mut self,
         dag: &dyn DepSource,
         arb: Option<&JobArbitration>,
     ) -> Result<TenantDagRun> {
-        if self.is_flat() {
-            return self.flat()?.execute_closed(dag, arb);
-        }
         let dag = dag.to_dag();
         Ok(TenantDagRun::unattributed(self.run(&dag, arb)?, &*dag, arb))
     }
@@ -697,8 +558,9 @@ mod tests {
     use crate::dag::DepTransfer;
     use crate::fault::{FaultPolicy, FaultScript};
     use crate::stream::{ArrivalProcess, StreamSpec, StreamTemplate};
+    use crate::substrate::{ElectricalSubstrate, OpticalSubstrate};
     use crate::tenancy::{JobWorkload, SchedPolicy};
-    use optical_sim::StepSchedule;
+    use optical_sim::{OpticalConfig, StepSchedule};
 
     fn optical_cfg(n: usize) -> OpticalConfig {
         OpticalConfig::new(n, 4)
@@ -707,15 +569,22 @@ mod tests {
             .with_hop_propagation(0.0)
     }
 
-    fn electrical_net(n: usize) -> Network {
-        electrical_sim::topology::star_cluster(n, 1e9, 0.0)
+    fn optical(n: usize) -> Box<dyn Substrate> {
+        Box::new(OpticalSubstrate::new(optical_cfg(n)).unwrap())
     }
 
-    fn composed(groups: usize, group_size: usize) -> ComposedSubstrate {
-        ComposedSubstrate::new(
+    fn electrical(n: usize) -> Box<dyn Substrate> {
+        Box::new(ElectricalSubstrate::new(
+            electrical_sim::topology::star_cluster(n, 1e9, 0.0),
+            0.0,
+        ))
+    }
+
+    fn composed(groups: usize, group_size: usize) -> Box<dyn Substrate> {
+        compose(
             HierSpec::new(groups, group_size).unwrap(),
-            FabricSpec::optical(optical_cfg(group_size)),
-            FabricSpec::electrical(electrical_net(groups * group_size), 0.0),
+            optical(group_size),
+            electrical(groups * group_size),
         )
         .unwrap()
     }
@@ -744,6 +613,22 @@ mod tests {
     }
 
     #[test]
+    fn spec_rejects_host_counts_that_overflow() {
+        let overflows = cfg_err("hierarchy host count overflows");
+        assert_eq!(HierSpec::new(usize::MAX, 2).unwrap_err(), overflows);
+        assert_eq!(HierSpec::new(2, usize::MAX / 2 + 1).unwrap_err(), overflows);
+        let widest = HierSpec::new(2, usize::MAX / 2).unwrap();
+        assert_eq!(widest.nodes(), usize::MAX - 1);
+        // `compose` re-validates a shape written field by field.
+        let literal = HierSpec {
+            groups: usize::MAX,
+            group_size: 2,
+        };
+        let built = compose(literal, optical(2), electrical(4));
+        assert_eq!(built.err(), Some(overflows));
+    }
+
+    #[test]
     fn domains_derive_from_endpoints() {
         let spec = HierSpec::new(2, 4).unwrap();
         assert_eq!(spec.domain_of(0, 3), Domain::Intra { group: 0 });
@@ -763,25 +648,30 @@ mod tests {
     #[test]
     fn new_rejects_mismatched_fabric_sizes() {
         let spec = HierSpec::new(2, 4).unwrap();
-        assert!(ComposedSubstrate::new(
-            spec,
-            FabricSpec::optical(optical_cfg(8)),
-            FabricSpec::electrical(electrical_net(8), 0.0),
-        )
-        .is_err());
-        assert!(ComposedSubstrate::new(
-            spec,
-            FabricSpec::optical(optical_cfg(4)),
-            FabricSpec::electrical(electrical_net(4), 0.0),
-        )
-        .is_err());
+        let built = compose(spec, optical(8), electrical(8));
+        let want = cfg_err("intra fabric size must equal the group size");
+        assert_eq!(built.err(), Some(want));
+        let built = compose(spec, optical(4), electrical(4));
+        assert_eq!(
+            built.err(),
+            Some(cfg_err("inter fabric must span every host"))
+        );
+        let shapeless = HierSpec {
+            groups: 0,
+            group_size: 4,
+        };
+        let built = compose(shapeless, optical(4), electrical(4));
+        let want = cfg_err("hierarchy needs at least one group");
+        assert_eq!(built.err(), Some(want));
+        assert_eq!(composed(2, 4).nodes(), 8);
     }
 
     #[test]
     fn flat_spec_delegates_bit_exactly_to_the_intra_substrate() {
         let mut flat = OpticalSubstrate::new(optical_cfg(4)).unwrap();
         let mut comp = composed(1, 4);
-        assert!(comp.is_flat());
+        assert_eq!(comp.name(), "optical");
+        assert_eq!(comp.nodes(), 4);
         let dag = DepSchedule::from_transfers(vec![
             dep(t(0, 1, 1 << 20), vec![], 0),
             dep(t(2, 3, 1 << 20), vec![], 0),

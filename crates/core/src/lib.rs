@@ -61,8 +61,9 @@
 //! * [`hierarchy`] — hierarchical composed substrates: per-group intra
 //!   fabrics (optical grant loop) plus an inter-group fabric (incremental
 //!   max-min engine) executing one domain-tagged [`dag::DepSchedule`] in a
-//!   single event loop ([`hierarchy::ComposedSubstrate`]), with
-//!   single-group specs collapsing bit-exactly to flat runs;
+//!   single event loop, built by [`hierarchy::compose`] from two flat
+//!   substrates, with single-group specs collapsing to the intra substrate
+//!   itself;
 //! * [`parallelism`] — the mixed-parallelism IR
 //!   ([`parallelism::ParallelismSpec`]: TP × PP × DP × MoE) lowering
 //!   transformer stage models to one hierarchical traffic DAG;
@@ -127,7 +128,7 @@ pub mod prelude {
         FaultClusterReport, FaultError, FaultEvent, FaultKind, FaultPolicy, FaultRunReport,
         FaultScript, FaultTiming, JobBlastRadius,
     };
-    pub use crate::hierarchy::{ComposedSubstrate, Domain, FabricSpec, HierSpec};
+    pub use crate::hierarchy::{compose, Domain, HierSpec};
     pub use crate::lower::{
         to_logical_schedule, to_optical_schedule, to_optical_schedule_with, BroadcastMode,
     };
@@ -161,7 +162,7 @@ pub mod prelude {
 pub use dag::{DepSchedule, DepTransfer, ExecMode};
 pub use error::WrhtError;
 pub use fault::{FaultClusterReport, FaultPolicy, FaultRunReport, FaultScript};
-pub use hierarchy::{ComposedSubstrate, Domain, FabricSpec, HierSpec};
+pub use hierarchy::{compose, Domain, HierSpec};
 pub use optimizer::{choose_group_size, plan_and_simulate, PlanOutcome};
 pub use parallelism::{lower_parallelism, ParallelismSpec, StageModel};
 pub use params::{GroupSize, WrhtParams};

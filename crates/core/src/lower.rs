@@ -251,7 +251,7 @@ mod tests {
             let report = sim
                 .run_stepped(&sched, Strategy::FirstFit)
                 .unwrap_or_else(|e| panic!("n={n} m={m} w={w}: {e}"));
-            assert!(report.stats.peak_wavelengths() <= w);
+            assert!(report.peak_wavelengths() <= w);
         }
     }
 
@@ -330,7 +330,7 @@ mod tests {
                 Strategy::FirstFit,
             )
             .unwrap();
-        assert!(mc.stats.peak_wavelengths() <= w);
+        assert!(mc.peak_wavelengths() <= w);
         assert!(
             mc.total_time_s < uni.total_time_s,
             "multicast {} vs unicast {}",

@@ -21,8 +21,8 @@
 //! [`ParallelismSpec`] names the degrees, [`StageModel`] carries the byte
 //! counts, and [`lower_parallelism`] emits one [`DepSchedule`] whose
 //! transfers the hierarchy layer tags by endpoint
-//! ([`crate::hierarchy::HierSpec::domains`]) and executes on a
-//! [`crate::hierarchy::ComposedSubstrate`].
+//! ([`crate::hierarchy::HierSpec::domains`]) and executes on a composed
+//! substrate ([`crate::hierarchy::compose`]).
 //!
 //! # Rank layout
 //!
@@ -102,7 +102,8 @@ impl ParallelismSpec {
     /// Check the degree constraints without consuming the spec.
     ///
     /// # Errors
-    /// Rejects degenerate degrees (see field docs).
+    /// Rejects degenerate degrees (see field docs) and shapes whose host
+    /// count overflows `usize`.
     pub fn validate(&self) -> Result<()> {
         if self.tp < 2 {
             return Err(cfg_err("tensor parallelism needs tp >= 2"));
@@ -111,6 +112,10 @@ impl ParallelismSpec {
             return Err(cfg_err(
                 "pipeline and data parallelism degrees must be >= 1",
             ));
+        }
+        let groups = self.pp.checked_mul(self.dp);
+        if groups.and_then(|g| g.checked_mul(self.tp)).is_none() {
+            return Err(cfg_err("parallelism host count overflows"));
         }
         if self.microbatches == 0 {
             return Err(cfg_err("at least one microbatch per iteration"));
@@ -378,6 +383,24 @@ mod tests {
         assert!(ParallelismSpec::new(2, 1, 1, 1, 1).is_err());
         assert!(ParallelismSpec::new(2, 1, 2, 5, 1).is_err());
         assert!(ParallelismSpec::new(2, 1, 2, 4, 1).is_ok());
+    }
+
+    #[test]
+    fn spec_validation_rejects_host_counts_that_overflow() {
+        let overflows = cfg_err("parallelism host count overflows");
+        for (tp, pp, dp) in [
+            (1 << 40, 1, 1 << 40),
+            (2, usize::MAX, 2),
+            (usize::MAX, 1, 2),
+            (2, 1 << 40, 1 << 40),
+        ] {
+            assert_eq!(
+                ParallelismSpec::new(tp, pp, dp, 0, 1).unwrap_err(),
+                overflows
+            );
+        }
+        // The largest host count that fits is a valid shape.
+        assert!(ParallelismSpec::new(usize::MAX / 2, 1, 2, 0, 1).is_ok());
     }
 
     #[test]

@@ -26,10 +26,16 @@
 //! substrate also overrides [`Substrate::execute_closed`] with its barrier
 //! fast path.
 //!
-//! Both flat fabrics also compose: [`crate::hierarchy::ComposedSubstrate`]
-//! is a third [`Substrate`] implementation that co-simulates per-group
-//! optical rings with an electrical inter-group cluster in one event loop,
-//! and collapses bit-exactly to the flat substrates when `groups == 1`.
+//! Both flat fabrics also compose: [`crate::hierarchy::compose`] builds a
+//! third [`Substrate`] from two of them, which co-simulates per-group
+//! intra fabrics with an inter-group fabric in one event loop, taking each
+//! member engine from [`Substrate::engine`]; with `groups == 1` it is the
+//! intra substrate itself.
+//!
+//! Every stepped run reports in one shape, [`RunReport`] of per-step
+//! [`StepTiming`]s, defined beside the step IR in [`optical_sim::sim`]
+//! and re-exported here: the optical ring's [`RingSimulator::run_stepped`]
+//! returns it directly.
 //!
 //! ```
 //! use wrht_core::substrate::{ElectricalSubstrate, OpticalSubstrate, Substrate};
@@ -57,90 +63,14 @@ use crate::stream::{StreamCheckpoint, StreamOutcome, StreamReport, StreamSpec};
 use crate::tenancy::{ClusterReport, JobArbitration, TenancySpec, TenantDagRun};
 use electrical_sim::runner::{StepRunner, StepTransfer};
 use electrical_sim::{FluidEngine, FluidEngineSnapshot, Network};
-use optical_sim::sim::{StepReport, StepSource};
+use optical_sim::sim::StepSource;
 use optical_sim::{GrantEngine, GrantEngineSnapshot, OpticalConfig, RingSimulator, Strategy};
 use serde::{Deserialize, Serialize, Value};
 
-/// Timing and accounting for one executed step, common to both substrates.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct StepTiming {
-    /// Wall-clock duration of the step, seconds.
-    pub duration_s: f64,
-    /// Number of transfers executed in the step.
-    pub transfers: usize,
-    /// Payload bytes moved in the step.
-    pub bytes: u64,
-    /// Highest wavelength index used + 1 (0 on substrates without WDM).
-    pub peak_wavelength: usize,
-}
-
-/// Substrate-independent result of executing a stepped schedule.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RunReport {
-    /// Name of the substrate that produced the report.
-    pub substrate: String,
-    /// Total simulated communication time, seconds.
-    pub total_time_s: f64,
-    /// Per-step breakdown in execution order.
-    pub steps: Vec<StepTiming>,
-}
-
-impl RunReport {
-    /// Number of executed steps.
-    #[must_use]
-    pub fn step_count(&self) -> usize {
-        self.steps.len()
-    }
-
-    /// Per-step durations in execution order, seconds.
-    #[must_use]
-    pub fn per_step_s(&self) -> Vec<f64> {
-        self.steps.iter().map(|s| s.duration_s).collect()
-    }
-
-    /// Total payload bytes moved.
-    #[must_use]
-    pub fn total_bytes(&self) -> u64 {
-        self.steps.iter().map(|s| s.bytes).sum()
-    }
-
-    /// Total transfers across all steps.
-    #[must_use]
-    pub fn transfer_count(&self) -> usize {
-        self.steps.iter().map(|s| s.transfers).sum()
-    }
-
-    /// Largest wavelength footprint over all steps (0 without WDM).
-    #[must_use]
-    pub fn peak_wavelengths(&self) -> usize {
-        self.steps
-            .iter()
-            .map(|s| s.peak_wavelength)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Mean goodput over the run, bytes/s (0 for empty or zero-time runs).
-    #[must_use]
-    pub fn mean_goodput_bps(&self) -> f64 {
-        if self.total_time_s > 0.0 {
-            self.total_bytes() as f64 / self.total_time_s
-        } else {
-            0.0
-        }
-    }
-
-    /// Utilization of a reference capacity: mean goodput divided by
-    /// `peak_bps` (e.g. `w * B` for the optical ring). 0 for empty runs.
-    #[must_use]
-    pub fn utilization(&self, peak_bps: f64) -> f64 {
-        if peak_bps > 0.0 {
-            self.mean_goodput_bps() / peak_bps
-        } else {
-            0.0
-        }
-    }
-}
+/// The stepped report every substrate's [`Substrate::execute`] returns,
+/// and its per-step entry; defined beside the step IR in
+/// [`optical_sim::sim`].
+pub use optical_sim::sim::{RunReport, StepTiming};
 
 /// Per-transfer timing of a dependency-aware run.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
@@ -483,26 +413,6 @@ impl OpticalSubstrate {
     pub fn config(&self) -> &OpticalConfig {
         self.sim.config()
     }
-
-    /// Convert a stepped optical report into the common shape.
-    #[must_use]
-    pub fn report_from_stepped(report: &StepReport) -> RunReport {
-        RunReport {
-            substrate: "optical".into(),
-            total_time_s: report.total_time_s,
-            steps: report
-                .stats
-                .steps
-                .iter()
-                .map(|s| StepTiming {
-                    duration_s: s.duration_s,
-                    transfers: s.transfers,
-                    bytes: s.bytes,
-                    peak_wavelength: s.peak_wavelength,
-                })
-                .collect(),
-        }
-    }
 }
 
 impl Substrate for OpticalSubstrate {
@@ -515,8 +425,7 @@ impl Substrate for OpticalSubstrate {
     }
 
     fn execute(&mut self, schedule: &dyn StepSource) -> Result<RunReport> {
-        let report = self.sim.run_stepped(schedule, self.strategy)?;
-        Ok(Self::report_from_stepped(&report))
+        Ok(self.sim.run_stepped(schedule, self.strategy)?)
     }
 
     fn engine(
@@ -525,49 +434,15 @@ impl Substrate for OpticalSubstrate {
         fair_share: bool,
         image: Option<&Value>,
     ) -> Result<Box<dyn FabricEngine + '_>> {
-        Ok(Box::new(grant_engine(
-            self.config(),
-            self.strategy,
-            arbitrated,
-            fair_share,
-            image,
-        )?))
+        let (config, strategy) = (self.config(), self.strategy);
+        Ok(Box::new(match image {
+            None => GrantEngine::new(config, strategy, arbitrated, fair_share)?,
+            Some(v) => {
+                let snap = GrantEngineSnapshot::from_value(v).map_err(|_| malformed())?;
+                GrantEngine::restore(config, strategy, arbitrated, fair_share, &snap)?
+            }
+        }))
     }
-}
-
-/// A grant engine over `config`, fresh or restored from a stream
-/// checkpoint's engine `image`.
-pub(crate) fn grant_engine(
-    config: &OpticalConfig,
-    strategy: Strategy,
-    arbitrated: bool,
-    fair_share: bool,
-    image: Option<&Value>,
-) -> Result<GrantEngine> {
-    Ok(match image {
-        None => GrantEngine::new(config, strategy, arbitrated, fair_share)?,
-        Some(v) => {
-            let snap = GrantEngineSnapshot::from_value(v).map_err(|_| malformed())?;
-            GrantEngine::restore(config, strategy, arbitrated, fair_share, &snap)?
-        }
-    })
-}
-
-/// A fluid engine over `net` charging `launch_s` per injected flow, fresh
-/// or restored from a stream checkpoint's engine `image`.
-pub(crate) fn fluid_engine<'n>(
-    net: &'n Network,
-    launch_s: f64,
-    image: Option<&Value>,
-) -> Result<FluidEngine<'n>> {
-    let eng = match image {
-        None => FluidEngine::new(net),
-        Some(v) => {
-            let snap = FluidEngineSnapshot::from_value(v).map_err(|_| malformed())?;
-            FluidEngine::restore(net, &snap)?
-        }
-    };
-    Ok(eng.with_launch_delay(launch_s))
 }
 
 fn malformed() -> crate::error::WrhtError {
@@ -635,11 +510,14 @@ impl Substrate for ElectricalSubstrate {
         _fair_share: bool,
         image: Option<&Value>,
     ) -> Result<Box<dyn FabricEngine + '_>> {
-        Ok(Box::new(fluid_engine(
-            &self.net,
-            self.step_overhead_s,
-            image,
-        )?))
+        let eng = match image {
+            None => FluidEngine::new(&self.net),
+            Some(v) => {
+                let snap = FluidEngineSnapshot::from_value(v).map_err(|_| malformed())?;
+                FluidEngine::restore(&self.net, &snap)?
+            }
+        };
+        Ok(Box::new(eng.with_launch_delay(self.step_overhead_s)))
     }
 
     /// A barrier-shaped DAG takes the fast path: one [`StepRunner`] step

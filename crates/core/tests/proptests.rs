@@ -91,7 +91,7 @@ proptest! {
         let sched = to_optical_schedule(&plan, 1 << 16);
         let mut sim = RingSimulator::new(OpticalConfig::new(n.max(2), w));
         let report = sim.run_stepped(&sched, Strategy::FirstFit).unwrap();
-        prop_assert!(report.stats.peak_wavelengths() <= w);
+        prop_assert!(report.peak_wavelengths() <= w);
     }
 
     /// Logical and optical lowerings always agree on step structure.
@@ -158,7 +158,7 @@ proptest! {
                 Strategy::FirstFit,
             )
             .unwrap();
-        prop_assert!(mc.stats.peak_wavelengths() <= w);
+        prop_assert!(mc.peak_wavelengths() <= w);
         prop_assert!(mc.total_time_s <= uni.total_time_s * (1.0 + 1e-9));
     }
 

@@ -658,7 +658,7 @@ impl GrantEngine {
                 self.gated = self.gated.max(first + bi as u64 + 1);
                 self.queue
                     .schedule_at(t.release_s, Ev::Gate(id))
-                    .expect("validated release time");
+                    .map_err(|_| bad("release time must be finite and >= 0"))?;
             }
         }
         Ok(())
@@ -742,7 +742,12 @@ impl GrantEngine {
     /// instant) and run one grant scan. Returns the batch instant, or
     /// `None` when the engine is idle. Under faults, going idle fails every
     /// transfer still unfinished.
-    pub fn step(&mut self) -> Option<f64> {
+    ///
+    /// # Errors
+    /// [`OpticalError::BadConfig`] when an event names a retired transfer
+    /// or a grant or gate cannot be scheduled (a non-finite duration or
+    /// release); the engine is then unusable.
+    pub fn step(&mut self) -> Result<Option<f64>> {
         self.batch.clear();
         let Some(now) = self.queue.pop_batch(&mut self.batch) else {
             // Under faults, an idle engine can still hold unfinished
@@ -754,7 +759,7 @@ impl GrantEngine {
                 }
                 self.waiting.clear();
             }
-            return None;
+            return Ok(None);
         };
         // The kernel coalesces every event at this exact instant before
         // granting: cross-job arbitration must see all simultaneous waiters
@@ -766,23 +771,24 @@ impl GrantEngine {
                 // A failed transfer's slot is retired; its gate is stale.
                 Ev::Gate(id) => {
                     if self.slots[id].is_some() {
-                        self.enqueue_waiting(id);
+                        self.enqueue_waiting(id)?;
                     }
                 }
-                Ev::Complete(id) => self.complete(id, now),
+                Ev::Complete(id) => self.complete(id, now)?,
                 Ev::Fault(_) => {}
             }
         }
         if self.faults.is_some() {
-            self.apply_faults(now);
+            self.apply_faults(now)?;
         }
-        self.grant_scan();
-        Some(now)
+        self.grant_scan()?;
+        Ok(Some(now))
     }
 
     /// Insert `id` into the waiting list at its scan position.
-    fn enqueue_waiting(&mut self, id: usize) {
-        let w = Waiter::new(id, self.slots[id].as_ref().expect("gated slot is live"));
+    fn enqueue_waiting(&mut self, id: usize) -> Result<()> {
+        let slot = self.slots[id].as_ref();
+        let w = Waiter::new(id, slot.ok_or(bad("gated transfer has no live slot"))?);
         let pos = if self.arbitrated {
             let jobs = &self.jobs;
             let key = (jobs[w.job].rank, w.order);
@@ -792,14 +798,17 @@ impl GrantEngine {
             self.waiting.partition_point(|x| x.order < w.order)
         };
         self.waiting.insert(pos, w);
+        Ok(())
     }
 
-    fn complete(&mut self, id: usize, now: f64) {
+    fn complete(&mut self, id: usize, now: f64) -> Result<()> {
         // The slot is retired here — its only two events (one gate, one
         // completion) have both fired, and dependents hold no references
         // past the `missing` decrement below — so the slot count tracks
         // *live* transfers, not total transfers ever injected.
-        let slot = self.slots[id].take().expect("completed slot is live");
+        let slot = self.slots[id]
+            .take()
+            .ok_or(bad("completed transfer has no live slot"))?;
         self.free.push(id);
         self.settle_key(slot.order);
         for &lambda in &slot.assigned {
@@ -807,7 +816,7 @@ impl GrantEngine {
         }
         self.makespan = self.makespan.max(now);
         self.active -= 1;
-        self.release_dependents(&slot.dependents, now);
+        self.release_dependents(&slot.dependents, now)?;
         let aborts = self.faults.as_deref_mut().map_or(0, |f| {
             f.in_flight[id] = None;
             std::mem::take(&mut f.aborts[id])
@@ -820,11 +829,12 @@ impl GrantEngine {
             aborts,
             failed: false,
         });
+        Ok(())
     }
 
     /// Retire one dependency edge of each of `dependents`, gating those
     /// whose last predecessor this was (failed dependents are skipped).
-    fn release_dependents(&mut self, dependents: &[usize], now: f64) {
+    fn release_dependents(&mut self, dependents: &[usize], now: f64) -> Result<()> {
         for &dep in dependents {
             let Some(d) = self.slots[dep].as_mut() else {
                 continue;
@@ -834,20 +844,21 @@ impl GrantEngine {
                 self.gated = self.gated.max(d.order + 1);
                 let rel = d.release_s;
                 if rel <= now {
-                    self.enqueue_waiting(dep);
+                    self.enqueue_waiting(dep)?;
                 } else {
                     self.queue
                         .schedule_at(rel, Ev::Gate(dep))
-                        .expect("validated release time after now");
+                        .map_err(|_| bad("release time must be finite and >= 0"))?;
                 }
             }
         }
+        Ok(())
     }
 
     /// Apply the faults of the current batch, after its completions.
-    fn apply_faults(&mut self, now: f64) {
+    fn apply_faults(&mut self, now: f64) -> Result<()> {
         let Some(policy) = self.faults.as_deref().map(|f| f.policy) else {
-            return;
+            return Ok(());
         };
         let mut any = false;
         let mut fail_jobs: Vec<usize> = Vec::new();
@@ -874,9 +885,9 @@ impl GrantEngine {
                             FaultPolicy::RetryAfter(backoff) => {
                                 self.queue
                                     .schedule_at(now + backoff, Ev::Gate(id))
-                                    .expect("finite non-negative backoff");
+                                    .map_err(|_| bad("retry backoff must be finite and >= 0"))?;
                             }
-                            FaultPolicy::Replan => self.enqueue_waiting(id),
+                            FaultPolicy::Replan => self.enqueue_waiting(id)?,
                         }
                     }
                 }
@@ -900,7 +911,7 @@ impl GrantEngine {
                         if policy == FaultPolicy::FailJob {
                             fail_jobs.push(slot.job);
                         } else {
-                            self.release_dependents(&slot.dependents, now);
+                            self.release_dependents(&slot.dependents, now)?;
                         }
                     }
                 }
@@ -911,7 +922,7 @@ impl GrantEngine {
             }
         }
         if !any {
-            return;
+            return Ok(());
         }
         if !fail_jobs.is_empty() {
             for id in 0..self.slots.len() {
@@ -926,6 +937,7 @@ impl GrantEngine {
         }
         let slots = &self.slots;
         self.waiting.retain(|w| slots[w.id].is_some());
+        Ok(())
     }
 
     /// Tear down `id`'s grant if it is in flight: cancel its completion
@@ -979,9 +991,9 @@ impl GrantEngine {
     /// Start every waiter that now fits, in scan order (see module docs).
     /// Segments of waiters that do NOT fit are claimed so later waiters
     /// cannot overtake them on a shared span.
-    fn grant_scan(&mut self) {
+    fn grant_scan(&mut self) -> Result<()> {
         if self.waiting.is_empty() {
-            return;
+            return Ok(());
         }
         let fair = self.arbitrated && self.fair_share && self.fair.order(&self.waiting, &self.jobs);
         let n = self.topo.nodes();
@@ -1009,7 +1021,9 @@ impl GrantEngine {
             if !claimed[d].meets(w.first, w.hops, n) {
                 let lanes = occ.assign_arc(w.direction, w.first, w.hops, w.lanes, *strategy);
                 if let Ok(lanes) = lanes {
-                    let slot = slots[w.id].as_mut().expect("waiting slot is live");
+                    let slot = slots[w.id]
+                        .as_mut()
+                        .ok_or(bad("waiting transfer has no live slot"))?;
                     let top = lanes.iter().fold(0, |top, l| top.max(l.0 + 1));
                     *peak_wavelength = (*peak_wavelength).max(top);
                     slot.assigned = lanes;
@@ -1025,7 +1039,7 @@ impl GrantEngine {
                     slot.started = Some(queue.now());
                     let ev = queue
                         .schedule_in(dur, Ev::Complete(w.id))
-                        .expect("transfer duration is a finite forward delay");
+                        .map_err(|_| bad("transfer duration must be finite and >= 0"))?;
                     if let Some(f) = faults.as_deref_mut() {
                         f.in_flight[w.id] = Some(ev);
                     }
@@ -1047,6 +1061,7 @@ impl GrantEngine {
         for set in claimed {
             set.0.fill(0);
         }
+        Ok(())
     }
 
     /// Drain the accumulated outcome records, oldest first.
@@ -1190,7 +1205,7 @@ impl GrantEngine {
         // Streams never ask for the frontier: every key counts.
         eng.gated = snap.next_order;
         for &id in &snap.waiting {
-            eng.enqueue_waiting(id);
+            eng.enqueue_waiting(id)?;
         }
         eng.completions = snap.completions.clone();
         eng.events_base = snap.events;
@@ -1265,6 +1280,11 @@ fn check_snapshot(
     Ok(())
 }
 
+/// The error of a broken engine invariant or an unschedulable instant.
+fn bad(what: &'static str) -> OpticalError {
+    OpticalError::BadConfig(what)
+}
+
 /// Are `list`'s entries distinct, below `bound` and accepted by `ok`?
 fn distinct(list: &[usize], bound: usize, ok: impl Fn(usize) -> bool) -> bool {
     let mut seen = vec![false; bound];
@@ -1306,7 +1326,7 @@ mod tests {
                 item(1, 3, 2_000_000, 5e-4, vec![]),
             ])
             .unwrap();
-            while eng.step().is_some() {}
+            while eng.step().unwrap().is_some() {}
             (eng.makespan(), eng.events())
         };
         let run_incremental = || {
@@ -1324,7 +1344,7 @@ mod tests {
                         .unwrap();
                     injected = true;
                 }
-                if eng.step().is_none() {
+                if eng.step().unwrap().is_none() {
                     if injected {
                         break;
                     }
@@ -1358,9 +1378,9 @@ mod tests {
         let run = |split: usize| {
             let mut eng = GrantEngine::new(&cfg(), Strategy::FirstFit, false, false).unwrap();
             eng.inject(&dag[..split]).unwrap();
-            eng.step();
+            eng.step().unwrap();
             eng.inject(&dag[split..]).unwrap();
-            while eng.step().is_some() {}
+            while eng.step().unwrap().is_some() {}
             let mut out: Vec<GrantCompletion> = eng.drain_completions().collect();
             out.sort_by_key(|c| c.order);
             (out, eng.events())
@@ -1377,7 +1397,7 @@ mod tests {
         ])
         .unwrap();
         while eng.frontier() <= 1 || eng.drain_completions().next().is_none() {
-            eng.step();
+            eng.step().unwrap();
         }
         // Key 0 has completed; key 1 is still in flight.
         let events = eng.events();
@@ -1390,7 +1410,7 @@ mod tests {
             assert_eq!((eng.next_key(), eng.peak_slots()), (2, 2));
         }
         eng.inject(&[item(1, 2, 1_000, 0.0, vec![1])]).unwrap();
-        while eng.step().is_some() {}
+        while eng.step().unwrap().is_some() {}
         assert_eq!(eng.events(), events + 2);
         assert_eq!(eng.drain_completions().count(), 2);
     }
@@ -1402,10 +1422,10 @@ mod tests {
             let t = f64::from(round) * 1.0;
             // Drain to the arrival instant, then inject one transfer.
             while eng.peek_time().is_some_and(|p| p < t) {
-                eng.step();
+                eng.step().unwrap();
             }
             eng.inject(&[item(0, 1, 1_000_000, t, vec![])]).unwrap();
-            while eng.step().is_some() {}
+            while eng.step().unwrap().is_some() {}
         }
         assert!(
             eng.slots.len() <= 2,
@@ -1427,17 +1447,17 @@ mod tests {
         // Uninterrupted reference.
         let mut full = GrantEngine::new(&cfgv, Strategy::FirstFit, false, false).unwrap();
         full.inject(&items).unwrap();
-        while full.step().is_some() {}
+        while full.step().unwrap().is_some() {}
         // Interrupted at the second batch: snapshot, serialize, restore.
         let mut eng = GrantEngine::new(&cfgv, Strategy::FirstFit, false, false).unwrap();
         eng.inject(&items).unwrap();
-        eng.step();
-        eng.step();
+        eng.step().unwrap();
+        eng.step().unwrap();
         let json = serde_json::to_string(&eng.snapshot()).unwrap();
         let snap: GrantEngineSnapshot = serde_json::from_str(&json).unwrap();
         let mut resumed =
             GrantEngine::restore(&cfgv, Strategy::FirstFit, false, false, &snap).unwrap();
-        while resumed.step().is_some() {}
+        while resumed.step().unwrap().is_some() {}
         assert_eq!(full.makespan().to_bits(), resumed.makespan().to_bits());
         assert_eq!(full.events(), resumed.events());
         let (mut a, mut b) = (Vec::new(), Vec::new());
@@ -1455,7 +1475,7 @@ mod tests {
             item(0, 2, 1_000_000, 0.0, vec![0]),
         ])
         .unwrap();
-        eng.step();
+        eng.step().unwrap();
         // Slot 0 (0 -> 2 clockwise, one lane) is in flight; slot 1 waits
         // for it.
         let good = eng.snapshot();
@@ -1496,6 +1516,22 @@ mod tests {
             ));
         }
         assert!(GrantEngine::restore(&cfg(), Strategy::FirstFit, false, false, &good).is_ok());
+    }
+
+    /// A grant whose duration overflows to infinity (a valid but tiny
+    /// bandwidth and the largest payload) cannot be scheduled: the step
+    /// fails with a typed error instead of panicking.
+    #[test]
+    fn an_unschedulable_grant_fails_the_step() {
+        let tiny = cfg().with_lambda_bandwidth(1e-300);
+        let mut eng = GrantEngine::new(&tiny, Strategy::FirstFit, false, false).unwrap();
+        eng.inject(&[item(0, 1, u64::MAX, 0.0, vec![])]).unwrap();
+        assert_eq!(
+            eng.step(),
+            Err(OpticalError::BadConfig(
+                "transfer duration must be finite and >= 0"
+            ))
+        );
     }
 
     #[test]

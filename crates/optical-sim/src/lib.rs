@@ -16,7 +16,8 @@
 //!   routing-and-wavelength-assignment (RWA) strategy ([`rwa::Strategy`]),
 //!   and the step lasts as long as its slowest transfer. It reads any
 //!   [`sim::StepSource`]: a materialized [`sim::StepSchedule`] or a
-//!   generator that writes each step on demand.
+//!   generator that writes each step on demand, and returns the
+//!   [`sim::RunReport`] every stepped substrate reports in.
 //! * [`sim::RingSimulator::run_event_driven`] — a discrete-event FIFO model
 //!   in which released transfers contend for wavelengths dynamically; used
 //!   for the contention ablations and as a cross-check of the stepped
@@ -54,7 +55,6 @@ pub mod physical;
 pub mod request;
 pub mod rwa;
 pub mod sim;
-pub mod stats;
 pub mod timing;
 pub mod topology;
 pub mod wavelength;
@@ -68,7 +68,7 @@ pub mod prelude {
     pub use crate::physical::PhysicalModel;
     pub use crate::request::{DirectionChoice, Transfer};
     pub use crate::rwa::{Occupancy, Strategy};
-    pub use crate::sim::{RingSimulator, StepReport, StepSchedule, StepSource};
+    pub use crate::sim::{RingSimulator, RunReport, StepSchedule, StepSource, StepTiming};
     pub use crate::timing::TimingModel;
     pub use crate::topology::{Direction, NodeId, RingTopology};
     pub use crate::wavelength::Wavelength;
@@ -80,7 +80,7 @@ pub use error::OpticalError;
 pub use path::LightPath;
 pub use request::{DirectionChoice, Transfer};
 pub use rwa::{Occupancy, Strategy};
-pub use sim::{RingSimulator, StepReport, StepSchedule, StepSource};
+pub use sim::{RingSimulator, RunReport, StepSchedule, StepSource, StepTiming};
 pub use timing::TimingModel;
 pub use topology::{Direction, NodeId, RingTopology};
 pub use wavelength::Wavelength;

@@ -242,14 +242,6 @@ impl Occupancy {
         peak
     }
 
-    /// Number of distinct wavelengths carrying at least one path.
-    #[must_use]
-    pub fn distinct_wavelengths_used(&self) -> usize {
-        (0..self.wavelengths)
-            .filter(|&l| self.load[0][l] > 0 || self.load[1][l] > 0)
-            .count()
-    }
-
     /// Assign `lanes` wavelengths to `path` with the given heuristic.
     ///
     /// On success the lanes are recorded as busy and returned in assignment
@@ -395,7 +387,7 @@ mod tests {
         let p = path(&t, 0, 3, Direction::Clockwise);
         let lanes = occ.assign(&p, 3, Strategy::FirstFit).unwrap();
         assert_eq!(lanes, vec![Wavelength(0), Wavelength(1), Wavelength(2)]);
-        assert_eq!(occ.distinct_wavelengths_used(), 3);
+        assert_eq!(occ.peak_wavelengths_used(), 3);
     }
 
     #[test]
@@ -405,7 +397,7 @@ mod tests {
         let p = path(&t, 0, 4, Direction::Clockwise);
         assert!(occ.assign(&p, 3, Strategy::FirstFit).is_err());
         // Partial failure must not leak occupancy.
-        assert_eq!(occ.distinct_wavelengths_used(), 0);
+        assert_eq!(occ.peak_wavelengths_used(), 0);
         occ.assign(&p, 2, Strategy::FirstFit).unwrap();
         let q = path(&t, 2, 6, Direction::Clockwise);
         assert!(occ.assign(&q, 1, Strategy::FirstFit).is_err());

@@ -1,12 +1,16 @@
 //! The ring simulator: stepped execution of schedules, and the FIFO
 //! contention model of released transfers.
+//!
+//! A stepped schedule is read through [`StepSource`] and reported as a
+//! [`RunReport`] of per-step [`StepTiming`]s. Both report types are shared
+//! by every stepped substrate: `wrht-core` re-exports them, and its
+//! electrical substrate fills them with zero wavelengths.
 
 use crate::config::OpticalConfig;
 use crate::error::{OpticalError, Result};
 use crate::path::LightPath;
 use crate::request::{DirectionChoice, Transfer};
 use crate::rwa::{Occupancy, Strategy};
-use crate::stats::{RunStats, StepStats};
 use crate::topology::{NodeId, RingTopology};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
@@ -101,6 +105,90 @@ impl StepSource for StepSchedule {
     }
 }
 
+/// Timing and accounting for one executed step, common to every stepped
+/// substrate.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct StepTiming {
+    /// Wall-clock duration of the step, seconds.
+    pub duration_s: f64,
+    /// Number of transfers executed in the step.
+    pub transfers: usize,
+    /// Payload bytes moved in the step.
+    pub bytes: u64,
+    /// Highest wavelength index used + 1 (0 on substrates without WDM).
+    pub peak_wavelength: usize,
+}
+
+/// Result of executing a stepped schedule, common to every stepped
+/// substrate.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct RunReport {
+    /// Name of the substrate that produced the report.
+    pub substrate: String,
+    /// Total simulated communication time, seconds.
+    pub total_time_s: f64,
+    /// Per-step breakdown in execution order, one entry per schedule step
+    /// (empty steps included).
+    pub steps: Vec<StepTiming>,
+}
+
+impl RunReport {
+    /// Number of executed steps.
+    #[must_use]
+    pub fn step_count(&self) -> usize {
+        self.steps.len()
+    }
+
+    /// Per-step durations in execution order, seconds.
+    #[must_use]
+    pub fn per_step_s(&self) -> Vec<f64> {
+        self.steps.iter().map(|s| s.duration_s).collect()
+    }
+
+    /// Total payload bytes moved.
+    #[must_use]
+    pub fn total_bytes(&self) -> u64 {
+        self.steps.iter().map(|s| s.bytes).sum()
+    }
+
+    /// Total transfers across all steps.
+    #[must_use]
+    pub fn transfer_count(&self) -> usize {
+        self.steps.iter().map(|s| s.transfers).sum()
+    }
+
+    /// Largest wavelength footprint over all steps (0 without WDM).
+    #[must_use]
+    pub fn peak_wavelengths(&self) -> usize {
+        self.steps
+            .iter()
+            .map(|s| s.peak_wavelength)
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Mean goodput over the run, bytes/s (0 for empty or zero-time runs).
+    #[must_use]
+    pub fn mean_goodput_bps(&self) -> f64 {
+        if self.total_time_s > 0.0 {
+            self.total_bytes() as f64 / self.total_time_s
+        } else {
+            0.0
+        }
+    }
+
+    /// Utilization of a reference capacity: mean goodput divided by
+    /// `peak_bps` (e.g. `w * B` for the optical ring). 0 for empty runs.
+    #[must_use]
+    pub fn utilization(&self, peak_bps: f64) -> f64 {
+        if peak_bps > 0.0 {
+            self.mean_goodput_bps() / peak_bps
+        } else {
+            0.0
+        }
+    }
+}
+
 /// The placement half of one step of [`RingSimulator::run_stepped`]:
 /// everything the step derives from its ordered routing list — each
 /// transfer's `(src, dst, direction, lanes)` — and nothing it derives from
@@ -114,10 +202,8 @@ struct StepPlacement {
     key: Vec<(NodeId, NodeId, DirectionChoice, usize)>,
     /// Hop count of each transfer's lightpath, in step order.
     hops: Vec<usize>,
-    wavelengths_used: usize,
+    /// Highest wavelength index the step uses, plus one.
     peak_wavelength: usize,
-    total_lanes: usize,
-    max_hops: usize,
 }
 
 impl StepPlacement {
@@ -146,30 +232,16 @@ impl StepPlacement {
     ) -> Result<()> {
         self.key.clear();
         self.hops.clear();
-        self.total_lanes = 0;
-        self.max_hops = 0;
         occ.clear();
         for tr in step {
             let path = tr.resolve(topo)?;
             occ.assign(&path, tr.lanes, strategy)?;
             self.key.push(Self::routing(tr));
             self.hops.push(path.hops());
-            self.total_lanes += tr.lanes;
-            self.max_hops = self.max_hops.max(path.hops());
         }
-        self.wavelengths_used = occ.distinct_wavelengths_used();
         self.peak_wavelength = occ.peak_wavelengths_used();
         Ok(())
     }
-}
-
-/// Result of a stepped run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct StepReport {
-    /// Total simulated communication time, seconds.
-    pub total_time_s: f64,
-    /// Per-step statistics.
-    pub stats: RunStats,
 }
 
 /// Result of an event-driven run.
@@ -232,9 +304,9 @@ impl RingSimulator {
         &mut self,
         schedule: &S,
         strategy: Strategy,
-    ) -> Result<StepReport> {
+    ) -> Result<RunReport> {
         let timing = self.config.timing();
-        let mut stats = RunStats::default();
+        let mut steps = Vec::with_capacity(schedule.step_count());
         let mut occ = Occupancy::new(self.topo.nodes(), self.config.wavelengths);
         let mut placed = StepPlacement::default();
         let mut buf = Vec::new();
@@ -251,20 +323,17 @@ impl RingSimulator {
                 duration = duration.max(timing.transfer_time(tr.bytes, tr.lanes, hops));
                 bytes += tr.bytes;
             }
-            stats.steps.push(StepStats {
-                index,
-                transfers: step.len(),
+            steps.push(StepTiming {
                 duration_s: duration,
+                transfers: step.len(),
                 bytes,
-                wavelengths_used: placed.wavelengths_used,
                 peak_wavelength: placed.peak_wavelength,
-                total_lanes: placed.total_lanes,
-                max_hops: placed.max_hops,
             });
         }
-        Ok(StepReport {
-            total_time_s: stats.total_time_s(),
-            stats,
+        Ok(RunReport {
+            substrate: "optical".into(),
+            total_time_s: steps.iter().fold(0.0, |total, s| total + s.duration_s),
+            steps,
         })
     }
 
@@ -425,15 +494,16 @@ mod tests {
         let r = sim
             .run_stepped(&StepSchedule::default(), Strategy::FirstFit)
             .unwrap();
-        assert_eq!(r.total_time_s, 0.0);
-        assert_eq!(r.stats.step_count(), 0);
+        assert_eq!(r.total_time_s.to_bits(), 0.0f64.to_bits());
+        assert_eq!(r.step_count(), 0);
+        assert_eq!(r.substrate, "optical");
     }
 
     #[test]
     fn empty_steps_inside_a_schedule_cost_nothing_but_keep_alignment() {
-        // Consumers index `stats.steps` by schedule position (e.g. the
-        // barrier-sensitivity study), so empty steps must produce stats
-        // rows, not be skipped.
+        // Consumers index `steps` by schedule position (e.g. the
+        // barrier-sensitivity study), so empty steps must produce rows,
+        // not be skipped.
         let mut sim = RingSimulator::new(small_cfg());
         let sched = StepSchedule::from_steps(vec![
             vec![],
@@ -441,10 +511,10 @@ mod tests {
             vec![],
         ]);
         let r = sim.run_stepped(&sched, Strategy::FirstFit).unwrap();
-        assert_eq!(r.stats.step_count(), 3);
-        assert_eq!(r.stats.steps[0].duration_s, 0.0);
-        assert_eq!(r.stats.steps[0].transfers, 0);
-        assert_eq!(r.stats.steps[2].wavelengths_used, 0);
+        assert_eq!(r.step_count(), 3);
+        assert_eq!(r.steps[0].duration_s, 0.0);
+        assert_eq!(r.steps[0].transfers, 0);
+        assert_eq!(r.steps[2].peak_wavelength, 0);
         assert!((r.total_time_s - 1e-3).abs() < 1e-12);
     }
 
@@ -457,7 +527,7 @@ mod tests {
             3_000_000,
         )]]);
         let r = sim.run_stepped(&sched, Strategy::FirstFit).unwrap();
-        assert_eq!(r.stats.step_count(), 1);
+        assert_eq!(r.step_count(), 1);
         let expected = sim.config().timing().transfer_time(3_000_000, 1, 1);
         assert!((r.total_time_s - expected).abs() < 1e-15);
     }
@@ -494,9 +564,9 @@ mod tests {
         let sched =
             StepSchedule::from_steps(vec![vec![Transfer::shortest(NodeId(0), NodeId(1), 0)]]);
         let r = sim.run_stepped(&sched, Strategy::FirstFit).unwrap();
-        assert_eq!(r.stats.steps[0].transfers, 1);
-        assert_eq!(r.stats.steps[0].bytes, 0);
-        assert!(r.stats.steps[0].peak_wavelength >= 1);
+        assert_eq!(r.steps[0].transfers, 1);
+        assert_eq!(r.steps[0].bytes, 0);
+        assert!(r.steps[0].peak_wavelength >= 1);
         assert!((r.total_time_s - (1e-6 + 1e-8)).abs() < 1e-15);
     }
 
@@ -522,7 +592,7 @@ mod tests {
             .run_stepped(&StepSchedule::from_steps(vec![s1, s2]), Strategy::FirstFit)
             .unwrap();
         assert!((r.total_time_s - 2e-3).abs() < 1e-12);
-        assert_eq!(r.stats.step_count(), 2);
+        assert_eq!(r.step_count(), 2);
     }
 
     #[test]
@@ -728,7 +798,7 @@ mod tests {
     ) -> Result<(GrantEngine, Vec<(f64, f64)>)> {
         let mut eng = GrantEngine::new(cfg, Strategy::FirstFit, false, false)?;
         eng.inject(dag)?;
-        while eng.step().is_some() {}
+        while eng.step()?.is_some() {}
         eng.check_stuck()?;
         let mut times = vec![(f64::NAN, f64::NAN); dag.len()];
         for c in eng.drain_completions() {
@@ -772,7 +842,7 @@ mod tests {
         let stepped = sim.run_stepped(&sched, Strategy::FirstFit).unwrap();
         let (dag, _) = closed_run(&cfg, &barrier_dag(&sched)).unwrap();
         assert_eq!(dag.makespan().to_bits(), stepped.total_time_s.to_bits());
-        assert_eq!(dag.peak_wavelength(), stepped.stats.peak_wavelengths());
+        assert_eq!(dag.peak_wavelength(), stepped.peak_wavelengths());
     }
 
     #[test]
@@ -860,6 +930,44 @@ mod tests {
         let (eng, _) = closed_run(&small_cfg(), &[]).unwrap();
         assert_eq!(eng.makespan(), 0.0);
         assert_eq!(eng.peak_wavelength(), 0);
+    }
+
+    fn timing(duration_s: f64, bytes: u64, peak_wavelength: usize) -> StepTiming {
+        StepTiming {
+            duration_s,
+            transfers: 1,
+            bytes,
+            peak_wavelength,
+        }
+    }
+
+    #[test]
+    fn run_report_aggregates() {
+        let report = RunReport {
+            substrate: "optical".into(),
+            total_time_s: 3.0,
+            steps: vec![timing(1.0, 100, 2), timing(2.0, 300, 5)],
+        };
+        assert_eq!(report.per_step_s(), vec![1.0, 2.0]);
+        assert_eq!(report.total_bytes(), 400);
+        assert_eq!(report.transfer_count(), 2);
+        assert_eq!(report.peak_wavelengths(), 5);
+        assert_eq!(report.step_count(), 2);
+        assert!((report.mean_goodput_bps() - 400.0 / 3.0).abs() < 1e-12);
+        assert!((report.utilization(400.0 / 3.0) - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn empty_run_report_is_zero() {
+        let report = RunReport {
+            substrate: "optical".into(),
+            total_time_s: 0.0,
+            steps: Vec::new(),
+        };
+        assert_eq!(report.total_bytes(), 0);
+        assert_eq!(report.mean_goodput_bps(), 0.0);
+        assert_eq!(report.peak_wavelengths(), 0);
+        assert_eq!(report.utilization(0.0), 0.0);
     }
 
     #[test]

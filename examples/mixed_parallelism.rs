@@ -12,7 +12,6 @@ use optical_sim::Strategy;
 use wrht_bench::ExperimentConfig;
 use wrht_core::hierarchy::Domain;
 use wrht_core::parallelism::{lower_parallelism, ParallelismSpec, StageModel};
-use wrht_core::substrate::Substrate;
 
 fn main() {
     let cfg = ExperimentConfig::default();

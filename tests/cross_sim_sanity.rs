@@ -136,7 +136,7 @@ fn event_driven_agrees_with_stepped_for_sequential_release() {
         for tr in step {
             released.push((t, tr.clone()));
         }
-        t += stepped.stats.steps[i].duration_s;
+        t += stepped.steps[i].duration_s;
     }
     let event = sim.run_event_driven(&released).unwrap();
     assert!(

@@ -66,7 +66,7 @@ fn survivor_plans_simulate_within_budget() {
     let sched = to_optical_schedule(&plan, 1 << 20);
     let mut sim = RingSimulator::new(OpticalConfig::new(64, w));
     let report = sim.run_stepped(&sched, Strategy::FirstFit).unwrap();
-    assert!(report.stats.peak_wavelengths() <= w);
+    assert!(report.peak_wavelengths() <= w);
     assert!(report.total_time_s > 0.0);
 }
 

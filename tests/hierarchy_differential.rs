@@ -1,8 +1,9 @@
 //! Differential testing of the composed hierarchical substrate.
 //!
-//! Pins the tentpole contracts of [`wrht_core::hierarchy::ComposedSubstrate`]:
+//! Pins the contracts of the composed substrates
+//! [`wrht_core::hierarchy::compose`] builds:
 //!
-//! * a **single-group** hierarchy collapses to today's flat runs
+//! * a **single-group** hierarchy collapses to the flat runs
 //!   **bit-exactly**, on BOTH substrate orders (optical-intra /
 //!   electrical-inter and the reverse), for random collective DAGs and
 //!   random physics — the composed layer must be a pure refactor when
@@ -31,7 +32,7 @@ use optical_sim::{NodeId, OpticalConfig, Transfer};
 use proptest::prelude::*;
 use wrht_core::baselines::lower_collective_to_optical;
 use wrht_core::dag::{DepSchedule, DepTransfer};
-use wrht_core::hierarchy::{ComposedSubstrate, Domain, FabricSpec, HierSpec};
+use wrht_core::hierarchy::{compose, Domain, HierSpec};
 use wrht_core::stream::{ArrivalProcess, StreamSpec, StreamTemplate};
 use wrht_core::substrate::{ElectricalSubstrate, OpticalSubstrate, Substrate};
 use wrht_core::tenancy::{JobWorkload, SchedPolicy};
@@ -46,17 +47,23 @@ const ALGORITHMS: [(&str, Builder); 3] = [
     ("rd", recursive_doubling as Builder),
 ];
 
-fn optical_spec(n: usize, bandwidth_bps: f64, overhead_s: f64) -> FabricSpec {
-    FabricSpec::optical(
-        OpticalConfig::new(n, n.max(2))
-            .with_lambda_bandwidth(bandwidth_bps)
-            .with_message_overhead(overhead_s)
-            .with_hop_propagation(0.0),
-    )
+/// Builds one fabric of `n` hosts with the given link bandwidth and
+/// per-transfer overhead.
+type Fabric = fn(usize, f64, f64) -> Box<dyn Substrate>;
+
+fn optical(n: usize, bandwidth_bps: f64, overhead_s: f64) -> Box<dyn Substrate> {
+    let config = OpticalConfig::new(n, n.max(2))
+        .with_lambda_bandwidth(bandwidth_bps)
+        .with_message_overhead(overhead_s)
+        .with_hop_propagation(0.0);
+    Box::new(OpticalSubstrate::new(config).expect("valid optical config"))
 }
 
-fn electrical_spec(n: usize, bandwidth_bps: f64, overhead_s: f64) -> FabricSpec {
-    FabricSpec::electrical(star_cluster(n, bandwidth_bps, 0.0), overhead_s)
+fn electrical(n: usize, bandwidth_bps: f64, overhead_s: f64) -> Box<dyn Substrate> {
+    Box::new(ElectricalSubstrate::new(
+        star_cluster(n, bandwidth_bps, 0.0),
+        overhead_s,
+    ))
 }
 
 /// A random mixed-domain DAG over `spec`: endpoints drawn from the seed
@@ -173,17 +180,14 @@ proptest! {
 
             // Order 1: optical intra, electrical inter — collapses to the
             // flat optical substrate.
-            let mut composed = ComposedSubstrate::new(
+            let mut composed = compose(
                 spec,
-                optical_spec(n, bandwidth, overhead),
-                electrical_spec(n, bandwidth, overhead),
+                optical(n, bandwidth, overhead),
+                electrical(n, bandwidth, overhead),
             )
             .expect("valid composed substrate");
-            let FabricSpec::Optical { config, .. } = optical_spec(n, bandwidth, overhead) else {
-                unreachable!()
-            };
-            let mut flat_optical =
-                OpticalSubstrate::new(config).expect("valid optical config");
+            prop_assert_eq!(composed.name(), "optical");
+            let mut flat_optical = optical(n, bandwidth, overhead);
             prop_assert_eq!(
                 composed.execute_dag(&dag).expect("composed optical-intra"),
                 flat_optical.execute_dag(&dag).expect("flat optical"),
@@ -192,14 +196,14 @@ proptest! {
 
             // Order 2: electrical intra, optical inter — collapses to the
             // flat electrical substrate.
-            let mut composed = ComposedSubstrate::new(
+            let mut composed = compose(
                 spec,
-                electrical_spec(n, bandwidth, overhead),
-                optical_spec(n, bandwidth, overhead),
+                electrical(n, bandwidth, overhead),
+                optical(n, bandwidth, overhead),
             )
             .expect("valid composed substrate");
-            let mut flat_electrical =
-                ElectricalSubstrate::new(star_cluster(n, bandwidth, 0.0), overhead);
+            prop_assert_eq!(composed.name(), "electrical");
+            let mut flat_electrical = electrical(n, bandwidth, overhead);
             prop_assert_eq!(
                 composed.execute_dag(&dag).expect("composed electrical-intra"),
                 flat_electrical.execute_dag(&dag).expect("flat electrical"),
@@ -229,19 +233,20 @@ proptest! {
         let domains = spec.domains(&dag).expect("endpoints in range");
         let (bandwidth, overhead) = (1e9, 1e-6);
 
-        let (intra, inter) = if electrical_intra {
-            (
-                electrical_spec(group_size, bandwidth, overhead),
-                optical_spec(nodes, bandwidth, overhead),
-            )
+        let (intra, inter): (Fabric, Fabric) = if electrical_intra {
+            (electrical, optical)
         } else {
-            (
-                optical_spec(group_size, bandwidth, overhead),
-                electrical_spec(nodes, bandwidth, overhead),
-            )
+            (optical, electrical)
         };
-        let mut composed = ComposedSubstrate::new(spec, intra.clone(), inter.clone())
-            .expect("valid composed substrate");
+        let build = || {
+            compose(
+                spec,
+                intra(group_size, bandwidth, overhead),
+                inter(nodes, bandwidth, overhead),
+            )
+            .expect("valid composed substrate")
+        };
+        let mut composed = build();
         let report = composed.execute_dag(&dag).expect("co-sim must not deadlock");
         prop_assert_eq!(report.transfers.len(), dag.len());
 
@@ -275,8 +280,8 @@ proptest! {
             spec,
             &dag,
             &domains,
-            &|| intra.substrate().expect("intra fabric builds"),
-            &|| inter.substrate().expect("inter fabric builds"),
+            &|| intra(group_size, bandwidth, overhead),
+            &|| inter(nodes, bandwidth, overhead),
         );
         let bound = critical_path_lower_bound(&dag, &iso);
         prop_assert!(
@@ -285,7 +290,7 @@ proptest! {
         );
 
         // Bit-determinism on a fresh composed substrate.
-        let mut again = ComposedSubstrate::new(spec, intra, inter).expect("valid substrate");
+        let mut again = build();
         let report2 = again.execute_dag(&dag).expect("deterministic rerun");
         prop_assert_eq!(report, report2);
     }
@@ -320,12 +325,15 @@ proptest! {
         .with_retained_jobs(true);
         let pause = 1 + pause_seed % (count - 1);
 
-        let optical = optical_spec(n, bandwidth, overhead);
-        let electrical = electrical_spec(n, bandwidth, overhead);
-        for (intra, inter) in [(&optical, &electrical), (&electrical, &optical)] {
-            let mut composed = ComposedSubstrate::new(hier, intra.clone(), inter.clone())
-                .expect("valid composed substrate");
-            let mut flat = intra.substrate().expect("flat substrate");
+        let orders: [(Fabric, Fabric); 2] = [(optical, electrical), (electrical, optical)];
+        for (intra, inter) in orders {
+            let mut composed = compose(
+                hier,
+                intra(n, bandwidth, overhead),
+                inter(n, bandwidth, overhead),
+            )
+            .expect("valid composed substrate");
+            let mut flat = intra(n, bandwidth, overhead);
             let report = composed.execute_stream(&spec).expect("composed stream");
             let flat_report = flat.execute_stream(&spec).expect("flat stream");
             let report_json = serde_json::to_string(&report).expect("report json");
@@ -337,7 +345,7 @@ proptest! {
                     .checkpoint()
                     .expect("a checkpoint")
             };
-            let checkpoint = paused(&mut composed);
+            let checkpoint = paused(&mut *composed);
             let flat_checkpoint = paused(&mut *flat);
             prop_assert_eq!(
                 serde_json::to_string(&checkpoint).expect("checkpoint json"),

@@ -22,10 +22,9 @@ use electrical_sim::graph::{Link, Network, Router};
 use electrical_sim::runner::{StepRunner, StepTransfer};
 use electrical_sim::sim::run_flows;
 use electrical_sim::NetError;
-use optical_sim::stats::{RunStats, StepStats};
 use optical_sim::{
     Direction, DirectionChoice, NodeId, Occupancy, OpticalConfig, OpticalError, RingSimulator,
-    StepReport, StepSchedule, StepSource, Strategy, Transfer,
+    StepSchedule, StepSource, StepTiming, Strategy, Transfer,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -42,17 +41,15 @@ fn reference_optical(
     sim: &RingSimulator,
     schedule: &StepSchedule,
     strategy: Strategy,
-) -> Result<StepReport, OpticalError> {
+) -> Result<RunReport, OpticalError> {
     let topo = sim.topology();
     let config = sim.config();
     let timing = config.timing();
-    let mut stats = RunStats::default();
+    let mut steps = Vec::new();
     for (index, step) in schedule.steps().iter().enumerate() {
         let mut occ = Occupancy::new(topo.nodes(), config.wavelengths);
         let mut duration = 0.0f64;
         let mut bytes = 0u64;
-        let mut total_lanes = 0usize;
-        let mut max_hops = 0usize;
         for tr in step {
             let path = tr.resolve(topo)?;
             occ.assign(&path, tr.lanes, strategy).map_err(|e| match e {
@@ -70,23 +67,18 @@ fn reference_optical(
             let t = timing.transfer_time(tr.bytes, tr.lanes, path.hops());
             duration = duration.max(t);
             bytes += tr.bytes;
-            total_lanes += tr.lanes;
-            max_hops = max_hops.max(path.hops());
         }
-        stats.steps.push(StepStats {
-            index,
-            transfers: step.len(),
+        steps.push(StepTiming {
             duration_s: duration,
+            transfers: step.len(),
             bytes,
-            wavelengths_used: occ.distinct_wavelengths_used(),
             peak_wavelength: occ.peak_wavelengths_used(),
-            total_lanes,
-            max_hops,
         });
     }
-    Ok(StepReport {
-        total_time_s: stats.total_time_s(),
-        stats,
+    Ok(RunReport {
+        substrate: "optical".into(),
+        total_time_s: steps.iter().fold(0.0, |total, s| total + s.duration_s),
+        steps,
     })
 }
 
@@ -205,27 +197,26 @@ fn perturb_optical(rng: &mut StdRng, step: &mut Vec<Transfer>, kind: usize, n: u
 }
 
 fn same_optical(
-    got: &Result<StepReport, OpticalError>,
-    want: &Result<StepReport, OpticalError>,
+    got: &Result<RunReport, OpticalError>,
+    want: &Result<RunReport, OpticalError>,
 ) -> Result<(), String> {
     match (got, want) {
         (Ok(got), Ok(want)) => {
+            prop_assert_eq!(&got.substrate, &want.substrate);
             prop_assert_eq!(got.total_time_s.to_bits(), want.total_time_s.to_bits());
-            prop_assert_eq!(got.stats.steps.len(), want.stats.steps.len());
-            for (g, w) in got.stats.steps.iter().zip(&want.stats.steps) {
+            prop_assert_eq!(got.steps.len(), want.steps.len());
+            for (index, (g, w)) in got.steps.iter().zip(&want.steps).enumerate() {
                 prop_assert_eq!(
                     g.duration_s.to_bits(),
                     w.duration_s.to_bits(),
                     "step {}",
-                    w.index
+                    index
                 );
                 prop_assert_eq!(
-                    (g.index, g.transfers, g.bytes, g.wavelengths_used),
-                    (w.index, w.transfers, w.bytes, w.wavelengths_used)
-                );
-                prop_assert_eq!(
-                    (g.peak_wavelength, g.total_lanes, g.max_hops),
-                    (w.peak_wavelength, w.total_lanes, w.max_hops)
+                    (g.transfers, g.bytes, g.peak_wavelength),
+                    (w.transfers, w.bytes, w.peak_wavelength),
+                    "step {}",
+                    index
                 );
             }
         }
