@@ -55,7 +55,6 @@
 use optical_sim::request::Transfer;
 use optical_sim::sim::{StepSchedule, StepSource};
 use serde::{Deserialize, Serialize};
-use std::borrow::Cow;
 
 /// How a schedule is executed on a substrate — the campaign axis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -312,9 +311,6 @@ pub trait DepSource {
     /// A reader positioned before the first stage.
     fn stages(&self) -> Box<dyn DepReader + '_>;
 
-    /// The whole DAG materialized; borrowed when the source already is one.
-    fn to_dag(&self) -> Cow<'_, DepSchedule>;
-
     /// [`DepSchedule::is_barrier_shaped`], reading the stages only until
     /// the first one that breaks the shape.
     fn is_barrier_shaped(&self) -> bool {
@@ -368,10 +364,6 @@ impl DepSource for DepSchedule {
     /// One read of every transfer.
     fn stages(&self) -> Box<dyn DepReader + '_> {
         Box::new(Whole(Some(&self.transfers)))
-    }
-
-    fn to_dag(&self) -> Cow<'_, DepSchedule> {
-        Cow::Borrowed(self)
     }
 }
 
@@ -461,10 +453,6 @@ impl DepSource for PipelinedSource<'_> {
             step: Vec::new(),
             out: Vec::new(),
         })
-    }
-
-    fn to_dag(&self) -> Cow<'_, DepSchedule> {
-        Cow::Owned(self.collect())
     }
 }
 
@@ -629,7 +617,6 @@ mod tests {
         }
         let whole = DepSchedule::pipelined_from_steps(&sched);
         assert_eq!(read, whole.transfers());
-        assert_eq!(lazy.to_dag().as_ref(), &whole);
         // Unknown until node 3 took part; then each node's latest step.
         assert_eq!(horizons, vec![None, Some(2), Some(4)]);
     }
@@ -643,7 +630,6 @@ mod tests {
         let mut stages = dag.stages();
         assert_eq!(stages.next_stage().map(<[_]>::len), Some(2));
         assert!(stages.next_stage().is_none());
-        assert!(matches!(dag.to_dag(), Cow::Borrowed(_)));
     }
 
     #[test]

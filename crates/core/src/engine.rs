@@ -1,14 +1,15 @@
-//! One streaming-engine interface over both fabrics, and the closed driver.
+//! One streaming-engine interface over every fabric, and the closed driver.
 //!
 //! Each fabric has exactly one event engine: [`GrantEngine`] for the WDM
-//! optical ring and [`FluidEngine`] for the electrical cluster. A substrate
-//! supplies its engine ([`crate::substrate::Substrate::engine`]), and every
-//! dependency-aware run drives it through [`FabricEngine`]: the closed
-//! driver [`run_closed`] behind every DAG, tenancy and fault run, the
-//! open-loop service loop ([`crate::stream`]) and the composed
-//! co-simulation loop ([`crate::hierarchy`]). [`FabricEngine`] is the
-//! surface they share: peek at the next instant, inject transfers, step one
-//! instant, drain completions.
+//! optical ring, [`FluidEngine`] for the electrical cluster, and for a
+//! multi-group hierarchy the composed engine over one engine per member
+//! fabric ([`crate::hierarchy`]). A substrate supplies its engine
+//! ([`crate::substrate::Substrate::engine`]), and every dependency-aware
+//! run drives it through [`FabricEngine`] with one of two drivers: the
+//! closed driver [`run_closed`] behind every DAG, tenancy and fault run,
+//! and the open-loop service loop ([`crate::stream`]). [`FabricEngine`] is
+//! the surface they share: peek at the next instant, inject transfers,
+//! step one instant, drain completions.
 //!
 //! Completion keys are sequential per engine — the grant engine's order
 //! keys and the fluid engine's flow indices both count injected transfers
@@ -22,7 +23,7 @@
 //! dependencies settles behaves exactly as if it had been injected at time
 //! zero, so the streamed run is bit-identical to the materialized one.
 
-use serde::{Serialize, Value};
+use serde::{Deserialize, Serialize, Value};
 
 use crate::dag::{DepSource, DepTransfer};
 use crate::error::Result;
@@ -33,7 +34,7 @@ use optical_sim::{GrantEngine, GrantTransfer, OpticalError};
 
 /// One transfer outcome drained from a [`FabricEngine`]: a completion, or
 /// under faults a failure.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Completion {
     /// Sequential engine key: the `k`-th transfer injected has key `k`.
     pub key: usize,
@@ -261,7 +262,7 @@ impl From<Completion> for FaultTiming {
 
 /// The engine key of a DAG's transfer 0, for a batch that continues the
 /// DAG at its transfer `first` on an engine whose next key is `next`.
-fn dag_base(next: usize, first: usize) -> Result<usize> {
+pub(crate) fn dag_base(next: usize, first: usize) -> Result<usize> {
     next.checked_sub(first).ok_or_else(|| {
         OpticalError::BadConfig("batch continues more transfers than the engine holds").into()
     })
@@ -304,7 +305,7 @@ impl FabricEngine for GrantEngine {
             deps: t.deps.iter().map(|&d| base + d).collect(),
             job: job(i),
         };
-        // The composed loop injects one transfer at a time; that case goes
+        // The composed engine injects one transfer at a time; that case goes
         // through the stack, because a heap temporary per injection
         // fragments a campaign worker's heap enough to raise its peak
         // resident memory measurably.

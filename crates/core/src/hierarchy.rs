@@ -1,5 +1,5 @@
 //! Hierarchical composed substrates: intra-group and inter-group fabrics
-//! executing one DAG together.
+//! executing one DAG or stream together.
 //!
 //! The flat [`crate::substrate::Substrate`] implementations answer "how
 //! long does this schedule take on *one* fabric". A production-scale
@@ -25,17 +25,22 @@
 //!   takes two built substrates: the intra substrate describes **one
 //!   group's** fabric and is instantiated once per group (through its
 //!   engine factory, [`Substrate::engine`]); the inter substrate spans all
-//!   `groups * group_size` hosts. With several groups the result's
-//!   [`Substrate::execute_dag`] partitions the DAG by domain and drives one
-//!   streaming engine per fabric — [`optical_sim::GrantEngine`] for
-//!   optical fabrics, [`electrical_sim::FluidEngine`] for electrical ones,
-//!   both running on the shared [`wrht_kernel::EventKernel`] semantics —
-//!   in a single event loop: at every iteration the engine with the
+//!   `groups * group_size` hosts. With several groups the result's engine
+//!   is the composed engine: one streaming engine per member fabric —
+//!   [`optical_sim::GrantEngine`] for optical fabrics,
+//!   [`electrical_sim::FluidEngine`] for electrical ones, both running on
+//!   the shared [`wrht_kernel::EventKernel`] semantics — behind one
+//!   [`FabricEngine`]. Injected transfers wait in the composed engine until
+//!   their last dependency settles; each step, the member with the
 //!   earliest pending event steps, its completions retire dependency
 //!   edges, and transfers whose last predecessor just finished are
-//!   injected into *their* fabric's engine released at the bit-exact
+//!   launched into *their* fabric's engine released at the bit-exact
 //!   completion instant. Cross-fabric dependencies are therefore honored
-//!   at kernel event granularity, not at phase barriers.
+//!   at kernel event granularity, not at phase barriers. The closed driver
+//!   ([`crate::engine::run_closed`]) drives it for every DAG and tenancy
+//!   run and the stream driver ([`crate::stream`]) for streams, pause and
+//!   resume included: a checkpoint carries every member's own image and
+//!   the composed per-transfer state.
 //!
 //! # Flat collapse
 //!
@@ -45,17 +50,17 @@
 //! and engine, so fault and stream runs too, are the flat substrate's. A
 //! single-group composed run is **bit-exact** with the flat run, label
 //! included; this collapse is pinned by `tests/hierarchy_differential.rs`
-//! on both fabric orders. With several groups there is no single engine:
-//! fault and stream runs are rejected with one typed error.
+//! on both fabric orders. With several groups, fault runs are rejected
+//! with one typed error: faults are not routed to member fabrics.
 //!
 //! # Determinism
 //!
-//! The event loop is deterministic: engines are ordered (group 0 .. group
-//! G-1, then inter), the next engine to step is the minimum of the
-//! engines' next-event instants under IEEE-754 total order with ties
-//! broken by engine index, completions drain in engine order, and newly
-//! unblocked transfers are injected in ascending DAG index. Same DAG →
-//! bit-identical report.
+//! The composed engine is deterministic: members are ordered (group 0 ..
+//! group G-1, then inter), the next member to step is the minimum of the
+//! members' next-event instants under IEEE-754 total order with ties
+//! broken by member index, completions drain in member order, and newly
+//! unblocked transfers are launched in ascending key (DAG) order. Same DAG
+//! → bit-identical report.
 //!
 //! ```
 //! use optical_sim::{NodeId, OpticalConfig, Transfer};
@@ -97,15 +102,17 @@
 //! assert!(report.transfers[1].start_s >= report.transfers[0].finish_s);
 //! ```
 
+use std::collections::BTreeMap;
+
 use optical_sim::sim::StepSource;
 use optical_sim::{NodeId, OpticalError, Transfer};
 use serde::{Deserialize, Serialize, Value};
 
-use crate::dag::{DepSchedule, DepSource, DepTransfer};
-use crate::engine::{check_jobs, Completion, FabricEngine};
+use crate::dag::{DepSchedule, DepTransfer};
+use crate::engine::{dag_base, Completion, FabricEngine};
 use crate::error::Result;
-use crate::substrate::{DagRunReport, DagTiming, RunReport, StepTiming, Substrate};
-use crate::tenancy::{JobArbitration, TenantDagRun};
+use crate::fault::{FaultPolicy, FaultScript};
+use crate::substrate::{malformed, RunReport, StepTiming, Substrate};
 
 fn cfg_err(msg: &'static str) -> crate::error::WrhtError {
     OpticalError::BadConfig(msg).into()
@@ -222,12 +229,20 @@ impl HierSpec {
     }
 }
 
-/// One fabric engine of the composed loop plus the loop's bookkeeping for
-/// it.
+// ---------------------------------------------------------------------------
+// The composed engine
+// ---------------------------------------------------------------------------
+
+/// Most keys a [`ComposedEngine`] holds: keys are stored in 32 bits (the
+/// per-key state of more would not fit in memory anyway).
+const MAX_KEYS: usize = u32::MAX as usize;
+
+/// One member fabric of a [`ComposedEngine`]: its engine and the composed
+/// engine's bookkeeping for it.
 struct Member<'a> {
     eng: Box<dyn FabricEngine + 'a>,
-    /// Global DAG index of each engine completion key.
-    dag_index: Vec<usize>,
+    /// Composed key of each of the engine's own keys.
+    keys: Vec<usize>,
     /// Global id of the fabric's host 0 (group * group_size; 0 for the
     /// inter fabric).
     node_base: usize,
@@ -235,50 +250,452 @@ struct Member<'a> {
     /// can lie (slightly) in this engine's past — the fluid engines surface
     /// completions through tolerated stale events, so a finish instant may
     /// only become known after other engines advanced beyond it.
-    /// Injections clamp their release to this clock: the transfer still
+    /// Launches clamp their release to this clock: the transfer still
     /// starts no earlier than its gate.
     clock_s: f64,
 }
 
-impl<'a> Member<'a> {
-    /// A fresh engine of `fabric` for one instance of it, with hosts from
-    /// global id `node_base` on. `arb` registers the jobs' grant ranks
-    /// (arbitrating the optical grant order).
-    fn new(
-        fabric: &'a dyn Substrate,
-        node_base: usize,
-        arb: Option<&JobArbitration>,
-    ) -> Result<Self> {
-        let mut eng = fabric.engine(arb.is_some(), arb.is_some_and(|a| a.fair_share), None)?;
-        for &r in arb.map_or(&[][..], |a| &a.rank) {
-            eng.add_job(r);
-        }
-        Ok(Self {
-            eng,
-            dag_index: Vec::new(),
-            node_base,
-            clock_s: 0.0,
-        })
-    }
-
-    /// Inject one transfer, released at `gate_s` (raised to the fabric's
-    /// clock), with its global endpoints rebased to the fabric's hosts.
-    fn inject(&mut self, idx: usize, t: &DepTransfer, gate_s: f64, job: usize) -> Result<()> {
+impl Member<'_> {
+    /// Launch composed key `key`: inject its transfer alone, released at
+    /// `gate_s` (raised to the fabric's clock), with its global endpoints
+    /// rebased to the fabric's hosts.
+    fn launch(&mut self, key: usize, t: &Transfer, gate_s: f64, job: usize) -> Result<()> {
         let local = DepTransfer {
             transfer: Transfer {
-                src: NodeId(t.transfer.src.0 - self.node_base),
-                dst: NodeId(t.transfer.dst.0 - self.node_base),
-                ..t.transfer.clone()
+                src: NodeId(t.src.0 - self.node_base),
+                dst: NodeId(t.dst.0 - self.node_base),
+                ..t.clone()
             },
             deps: Vec::new(),
             release_s: 0.0,
-            stage: t.stage,
+            stage: 0,
         };
         let release_s = gate_s.max(self.clock_s);
         self.eng
             .inject(std::slice::from_ref(&local), 0, release_s, &|_| job)?;
-        self.dag_index.push(idx);
+        self.keys.push(key);
         Ok(())
+    }
+}
+
+/// The composed hierarchy as one [`FabricEngine`]: the engines of the G
+/// groups' intra fabrics and of the inter fabric, in that order, and per
+/// composed key the state that holds the key back until its last
+/// dependency settled (see the module docs for the event loop).
+struct ComposedEngine<'a> {
+    spec: HierSpec,
+    members: Vec<Member<'a>>,
+    /// Per key: the transfer, with global endpoints.
+    transfers: Vec<Transfer>,
+    /// Per key: the job tag it was injected with.
+    jobs: Vec<usize>,
+    /// Per key: the earliest legal start — its release, raised to the
+    /// completion instant of the latest dependency as dependencies settle.
+    gate_s: Vec<f64>,
+    /// Per key: dependencies not settled yet. The key launches into its
+    /// member when the count reaches zero.
+    missing: Vec<usize>,
+    /// Dependents inside each key's batch, in compressed rows (one
+    /// allocation per batch, not one list per key): those of key `k` are
+    /// `dependents[row[k]..row[k + 1]]`, ascending. Keys are stored in 32
+    /// bits, which halves the largest table.
+    row: Vec<usize>,
+    dependents: Vec<u32>,
+    /// Dependents injected in a later batch than their dependency (a
+    /// closed DAG streamed stage by stage), per dependency.
+    later: BTreeMap<usize, Vec<usize>>,
+    /// Keys settled so far.
+    settled: usize,
+    /// One past the highest key launched into a member.
+    launched: usize,
+    /// Outcomes of previous steps, by composed key, not drained yet.
+    done: Vec<Completion>,
+    /// Keys one step unblocked.
+    ready: Vec<usize>,
+}
+
+/// A [`ComposedEngine`]'s checkpoint image: each member's own image, key
+/// map and clock, and the per-key state (every time in it is finite, so
+/// JSON carries it exactly).
+#[derive(Default, Serialize, Deserialize)]
+struct ComposedImage {
+    members: Vec<MemberImage>,
+    transfers: Vec<Transfer>,
+    jobs: Vec<usize>,
+    gate_s: Vec<f64>,
+    missing: Vec<usize>,
+    row: Vec<usize>,
+    dependents: Vec<u32>,
+    later: Vec<(usize, Vec<usize>)>,
+    settled: usize,
+    done: Vec<Completion>,
+}
+
+/// One member's part of a [`ComposedImage`].
+#[derive(Serialize, Deserialize)]
+struct MemberImage {
+    engine: Value,
+    keys: Vec<usize>,
+    clock_s: f64,
+}
+
+impl ComposedImage {
+    /// Does every index the engine dereferences name an existing member,
+    /// key or host? A job tag must also be below the key count: a stream
+    /// registers a job only with at least one transfer and reuses retired
+    /// tags first.
+    fn fits(&self, spec: HierSpec) -> bool {
+        let n = self.transfers.len();
+        let key = |k: &usize| *k < n;
+        let nodes = spec.nodes();
+        self.members.len() == spec.groups + 1
+            && self.jobs.len() == n
+            && self.gate_s.len() == n
+            && self.missing.len() == n
+            && self.row.len() == n + 1
+            && self.row.first() == Some(&0)
+            && self.row.windows(2).all(|w| w[0] <= w[1])
+            && self.row.last() == Some(&self.dependents.len())
+            && self.settled <= n
+            && self
+                .transfers
+                .iter()
+                .all(|t| t.src.0 < nodes && t.dst.0 < nodes)
+            && self.jobs.iter().all(key)
+            && self.dependents.iter().all(|&d| key(&(d as usize)))
+            && self.later.iter().all(|(k, v)| key(k) && v.iter().all(key))
+            && self.members.iter().all(|m| m.keys.iter().all(key))
+            && self.done.iter().all(|c| key(&c.key))
+    }
+}
+
+impl<'a> ComposedEngine<'a> {
+    /// The engine over `members` (intra groups, then inter) in the state
+    /// of `image`, whose member images the members were restored from.
+    fn new(spec: HierSpec, members: Vec<Member<'a>>, image: ComposedImage) -> Self {
+        Self {
+            spec,
+            members,
+            launched: image.transfers.len(),
+            transfers: image.transfers,
+            jobs: image.jobs,
+            gate_s: image.gate_s,
+            missing: image.missing,
+            row: image.row,
+            dependents: image.dependents,
+            later: image.later.into_iter().collect(),
+            settled: image.settled,
+            done: image.done,
+            ready: Vec::new(),
+        }
+    }
+
+    /// Validate `batch` and append each transfer's per-key state, counting
+    /// its in-batch dependencies into `row`.
+    fn record(
+        &mut self,
+        batch: &[DepTransfer],
+        first: usize,
+        base: usize,
+        offset_s: f64,
+        job: &dyn Fn(usize) -> usize,
+    ) -> Result<()> {
+        let nodes = self.spec.nodes();
+        for (i, t) in batch.iter().enumerate() {
+            if t.transfer.src.0 >= nodes || t.transfer.dst.0 >= nodes {
+                return Err(cfg_err("transfer endpoint outside the hierarchy"));
+            }
+            let release_s = offset_s + t.release_s;
+            if !release_s.is_finite() || release_s < 0.0 {
+                return Err(cfg_err("release time must be finite and >= 0"));
+            }
+            for &d in &t.deps {
+                if d >= first + i {
+                    return Err(cfg_err("dependency must precede its transfer"));
+                }
+                if d >= first {
+                    self.row[base + d] += 1;
+                }
+            }
+            self.transfers.push(t.transfer.clone());
+            self.jobs.push(job(i));
+            self.gate_s.push(release_s);
+            self.missing.push(t.deps.len());
+        }
+        Ok(())
+    }
+
+    /// Inject key `key` into the member its endpoints name.
+    fn launch(&mut self, key: usize) -> Result<()> {
+        let t = &self.transfers[key];
+        let member = match self.spec.domain_of(t.src.0, t.dst.0) {
+            Domain::Intra { group } => group,
+            Domain::Inter => self.spec.groups,
+        };
+        self.members[member].launch(key, t, self.gate_s[key], self.jobs[key])?;
+        self.launched = self.launched.max(key + 1);
+        Ok(())
+    }
+}
+
+impl FabricEngine for ComposedEngine<'_> {
+    /// The widest member slack: an arrival injected early joins a member
+    /// that batches exact instants only no earlier than its release.
+    fn admit_slack(&self) -> f64 {
+        self.members
+            .iter()
+            .fold(0.0, |slack, m| m.eng.admit_slack().max(slack))
+    }
+
+    /// The earliest member event while a key is unsettled. Once every key
+    /// settled, events members still hold are stale, and [`Self::step`]
+    /// steps no member.
+    fn peek_time(&mut self) -> Option<f64> {
+        if self.settled >= self.transfers.len() {
+            return None;
+        }
+        self.members
+            .iter_mut()
+            .filter_map(|m| m.eng.peek_time())
+            .min_by(f64::total_cmp)
+    }
+
+    /// Every member registers the job; members see the same registrations
+    /// and retirements, so they hand out the same tag.
+    fn add_job(&mut self, rank: u64) -> usize {
+        let mut tag = 0;
+        for m in &mut self.members {
+            tag = m.eng.add_job(rank);
+        }
+        tag
+    }
+
+    fn retire_job(&mut self, job: usize) {
+        for m in &mut self.members {
+            m.eng.retire_job(job);
+        }
+    }
+
+    /// Faults are not routed to member fabrics.
+    fn set_faults(&mut self, _script: &FaultScript, _policy: FaultPolicy) -> Result<bool> {
+        Err(cfg_err(
+            "faults on a multi-group composed substrate are not supported",
+        ))
+    }
+
+    /// Record each transfer's job, gate and unsettled-dependency count and
+    /// its dependents' rows, then launch the dependency-free transfers in
+    /// key order. A batch that fails validation leaves no trace.
+    fn inject(
+        &mut self,
+        batch: &[DepTransfer],
+        first: usize,
+        offset_s: f64,
+        job: &dyn Fn(usize) -> usize,
+    ) -> Result<()> {
+        let n = self.transfers.len();
+        let base = dag_base(n, first)?;
+        let len = batch.len();
+        if n + len > MAX_KEYS {
+            return Err(cfg_err("composed engine keys exhausted"));
+        }
+        self.transfers.reserve(len);
+        self.jobs.reserve(len);
+        self.gate_s.reserve(len);
+        self.missing.reserve(len);
+        // The batch's rows follow the earlier batches' (`row[n]` is where
+        // they end): count each key's dependents, sum, then fill back to
+        // front, so `row[k]` ends at the start of its row.
+        self.row.resize(n + len + 1, 0);
+        if let Err(e) = self.record(batch, first, base, offset_s, job) {
+            self.transfers.truncate(n);
+            self.jobs.truncate(n);
+            self.gate_s.truncate(n);
+            self.missing.truncate(n);
+            self.row.truncate(n + 1);
+            self.row[n] = self.dependents.len();
+            return Err(e);
+        }
+        for k in n + 1..=n + len {
+            self.row[k] += self.row[k - 1];
+        }
+        self.dependents.resize(self.row[n + len], 0);
+        for (i, t) in batch.iter().enumerate().rev() {
+            for &d in &t.deps {
+                if d >= first {
+                    self.row[base + d] -= 1;
+                    // In range: `MAX_KEYS` bounds every key.
+                    self.dependents[self.row[base + d]] = (n + i) as u32;
+                } else {
+                    self.later.entry(base + d).or_default().push(n + i);
+                }
+            }
+        }
+        for k in n..n + len {
+            if self.missing[k] == 0 {
+                self.launch(k)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// A key can settle in the next step only once it was launched.
+    fn frontier(&self) -> usize {
+        self.launched
+    }
+
+    /// The member with the earliest pending event steps (ties go to the
+    /// lowest member index); with none pending, every member steps once,
+    /// since the fluid engine promotes released flows lazily inside its
+    /// step. Settled keys release their dependents, and those whose last
+    /// dependency settled launch in key order. `None` once every key
+    /// settled, or when no member made progress.
+    fn step(&mut self) -> Result<Option<f64>> {
+        if self.settled >= self.transfers.len() {
+            return Ok(None);
+        }
+        let mut best: Option<(f64, usize)> = None;
+        for (k, m) in self.members.iter_mut().enumerate() {
+            if let Some(t) = m.eng.peek_time() {
+                best = Some(match best {
+                    Some((bt, bk)) if bt.total_cmp(&t).is_le() => (bt, bk),
+                    _ => (t, k),
+                });
+            }
+        }
+        let stepping = match best {
+            Some((_, k)) => k..k + 1,
+            None => 0..self.members.len(),
+        };
+        let before = if best.is_none() { self.events() } else { 0 };
+        let first = self.done.len();
+        let mut now = 0.0f64;
+        for m in &mut self.members[stepping] {
+            if let Some(t) = m.eng.step()? {
+                m.clock_s = m.clock_s.max(t);
+            }
+            now = now.max(m.clock_s);
+            // Completion keys are resolved to composed keys in place.
+            let from = self.done.len();
+            m.eng.drain(&mut self.done);
+            for c in &mut self.done[from..] {
+                c.key = *m
+                    .keys
+                    .get(c.key)
+                    .ok_or_else(|| cfg_err("member completion outside the composed keys"))?;
+            }
+        }
+        if best.is_none() && self.done.len() == first && before == self.events() {
+            return Ok(None);
+        }
+        let Self {
+            done,
+            row,
+            dependents,
+            later,
+            gate_s,
+            missing,
+            ready,
+            settled,
+            ..
+        } = self;
+        ready.clear();
+        let mut unblock = |j: usize, finish_s: f64| -> Result<()> {
+            if finish_s > gate_s[j] {
+                gate_s[j] = finish_s;
+            }
+            missing[j] = missing[j]
+                .checked_sub(1)
+                .ok_or_else(|| cfg_err("dependent released more often than it has dependencies"))?;
+            if missing[j] == 0 {
+                ready.push(j);
+            }
+            Ok(())
+        };
+        for c in &done[first..] {
+            *settled += 1;
+            for &j in &dependents[row[c.key]..row[c.key + 1]] {
+                unblock(j as usize, c.finish_s)?;
+            }
+            if !later.is_empty() {
+                for j in later.remove(&c.key).into_iter().flatten() {
+                    unblock(j, c.finish_s)?;
+                }
+            }
+        }
+        // Unblocked keys enter their member in key order, released at the
+        // bit-exact instant their last dependency finished (raised to
+        // their own release time if later).
+        ready.sort_unstable();
+        let ready = std::mem::take(&mut self.ready);
+        for &j in &ready {
+            self.launch(j)?;
+        }
+        self.ready = ready;
+        Ok(Some(now))
+    }
+
+    fn drain(&mut self, out: &mut Vec<Completion>) {
+        out.append(&mut self.done);
+    }
+
+    fn events(&self) -> u64 {
+        self.members.iter().map(|m| m.eng.events()).sum()
+    }
+
+    /// The first member diagnostic, or the composed one, when a key is
+    /// unsettled.
+    fn stall_diagnostic(&mut self) -> Result<()> {
+        if self.settled >= self.transfers.len() {
+            return Ok(());
+        }
+        for m in &mut self.members {
+            m.eng.stall_diagnostic()?;
+        }
+        Err(cfg_err("composed run stalled with unfinished transfers"))
+    }
+
+    fn peak_wavelength(&self) -> usize {
+        self.members
+            .iter()
+            .map(|m| m.eng.peak_wavelength())
+            .max()
+            .unwrap_or(0)
+    }
+
+    fn solver_stats(&self) -> (usize, usize) {
+        self.members.iter().fold((0, 0), |(r, w), m| {
+            let (mr, mw) = m.eng.solver_stats();
+            (r + mr, w + mw)
+        })
+    }
+
+    fn first_impact_s(&self) -> Option<f64> {
+        None
+    }
+
+    fn snapshot(&self) -> Value {
+        ComposedImage {
+            members: self
+                .members
+                .iter()
+                .map(|m| MemberImage {
+                    engine: m.eng.snapshot(),
+                    keys: m.keys.clone(),
+                    clock_s: m.clock_s,
+                })
+                .collect(),
+            transfers: self.transfers.clone(),
+            jobs: self.jobs.clone(),
+            gate_s: self.gate_s.clone(),
+            missing: self.missing.clone(),
+            row: self.row.clone(),
+            dependents: self.dependents.clone(),
+            later: self.later.iter().map(|(&k, v)| (k, v.clone())).collect(),
+            settled: self.settled,
+            done: self.done.clone(),
+        }
+        .to_value()
     }
 }
 
@@ -290,7 +707,8 @@ impl<'a> Member<'a> {
 /// fabric (instantiated once per group through its engine factory), and
 /// `inter`, the fabric between groups, which spans every host. A
 /// one-group spec is the intra substrate itself (see the module docs);
-/// otherwise the result is the composed event loop.
+/// otherwise the result's engine is the composed engine over one engine
+/// per group and one for the inter fabric.
 ///
 /// Hosts are dual-homed: every host has a port on its group's intra
 /// fabric and a port on the inter fabric, so the two fabrics carry load
@@ -324,168 +742,13 @@ pub fn compose(
     }))
 }
 
-/// Several groups' intra fabrics plus one inter-group fabric, executing
-/// one domain-tagged DAG in a single event loop (see module docs).
+/// Several groups' intra fabrics plus one inter-group fabric, whose engine
+/// is the [`ComposedEngine`] over theirs (see module docs).
 struct ComposedSubstrate {
     spec: HierSpec,
     intra: Box<dyn Substrate>,
     inter: Box<dyn Substrate>,
     name: String,
-}
-
-impl ComposedSubstrate {
-    /// The composed event loop (see module docs for the determinism
-    /// contract). `arb` switches the optical fabrics into arbitrated
-    /// (multi-job) grant order and tags electrical flows with jobs.
-    fn run(&self, dag: &DepSchedule, arb: Option<&JobArbitration>) -> Result<DagRunReport> {
-        // Engines in fixed order: intra group 0 .. G-1, then inter.
-        let engine_of: Vec<usize> = self
-            .spec
-            .domains(dag)?
-            .into_iter()
-            .map(|d| match d {
-                Domain::Intra { group } => group,
-                Domain::Inter => self.spec.groups,
-            })
-            .collect();
-        check_jobs(dag.len(), arb)?;
-
-        let mut fabrics: Vec<Member<'_>> = Vec::with_capacity(self.spec.groups + 1);
-        for g in 0..self.spec.groups {
-            fabrics.push(Member::new(&*self.intra, g * self.spec.group_size, arb)?);
-        }
-        fabrics.push(Member::new(&*self.inter, 0, arb)?);
-
-        let transfers = dag.transfers();
-        let n = transfers.len();
-        let mut missing: Vec<usize> = transfers.iter().map(|t| t.deps.len()).collect();
-        // Dependents in compressed rows (one allocation, not one list per
-        // transfer): those of `d` are `dependents[row[d]..row[d + 1]]`,
-        // ascending.
-        let mut row = vec![0usize; n + 1];
-        for (i, t) in transfers.iter().enumerate() {
-            if t.deps.iter().any(|&d| d >= i) {
-                return Err(cfg_err("dependency must precede its transfer"));
-            }
-            t.deps.iter().for_each(|&d| row[d] += 1);
-        }
-        for d in 1..=n {
-            row[d] += row[d - 1];
-        }
-        // Filled back to front, so `row[d]` ends at the start of its row.
-        let mut dependents = vec![0usize; row[n]];
-        for (i, t) in transfers.iter().enumerate().rev() {
-            for &d in &t.deps {
-                row[d] -= 1;
-                dependents[row[d]] = i;
-            }
-        }
-        // Earliest legal start: own release, raised to the completion
-        // instant of the latest predecessor as predecessors finish.
-        let mut gate_s: Vec<f64> = transfers.iter().map(|t| t.release_s).collect();
-        let job_of = |i: usize| arb.map_or(0, |a| a.job_of[i]);
-
-        for i in 0..n {
-            if missing[i] == 0 {
-                fabrics[engine_of[i]].inject(i, &transfers[i], gate_s[i], job_of(i))?;
-            }
-        }
-
-        let mut timings = vec![
-            DagTiming {
-                start_s: 0.0,
-                finish_s: 0.0,
-            };
-            n
-        ];
-        let mut completed = 0usize;
-        let mut done: Vec<Completion> = Vec::new();
-        let mut ready: Vec<usize> = Vec::new();
-        while completed < n {
-            // The engine with the earliest pending event steps next;
-            // ties go to the lowest engine index.
-            let mut best: Option<(f64, usize)> = None;
-            for (k, f) in fabrics.iter_mut().enumerate() {
-                if let Some(t) = f.eng.peek_time() {
-                    best = Some(match best {
-                        Some((bt, bk)) if bt.total_cmp(&t).is_le() => (bt, bk),
-                        _ => (t, k),
-                    });
-                }
-            }
-            done.clear();
-            // The fluid engine promotes released flows lazily inside
-            // `step`; with nothing pending, give every fabric one chance
-            // to make progress before declaring the run stuck.
-            let stepping = match best {
-                Some((_, k)) => k..k + 1,
-                None => 0..fabrics.len(),
-            };
-            let events =
-                |fabrics: &[Member<'_>]| fabrics.iter().map(|f| f.eng.events()).sum::<u64>();
-            let before = if best.is_none() { events(&fabrics) } else { 0 };
-            for f in &mut fabrics[stepping] {
-                if let Some(t) = f.eng.step()? {
-                    f.clock_s = f.clock_s.max(t);
-                }
-                // Completion keys are resolved to DAG indices in place.
-                let first = done.len();
-                f.eng.drain(&mut done);
-                for c in &mut done[first..] {
-                    c.key = f.dag_index[c.key];
-                }
-            }
-            if best.is_none() && done.is_empty() && before == events(&fabrics) {
-                for f in &mut fabrics {
-                    f.eng.stall_diagnostic()?;
-                }
-                return Err(cfg_err("composed run stalled with unfinished transfers"));
-            }
-            ready.clear();
-            for c in &done {
-                let idx = c.key;
-                timings[idx] = DagTiming {
-                    start_s: c.start_s,
-                    finish_s: c.finish_s,
-                };
-                completed += 1;
-                for &j in &dependents[row[idx]..row[idx + 1]] {
-                    if c.finish_s > gate_s[j] {
-                        gate_s[j] = c.finish_s;
-                    }
-                    missing[j] -= 1;
-                    if missing[j] == 0 {
-                        ready.push(j);
-                    }
-                }
-            }
-            // Unblocked transfers enter their fabric in DAG order,
-            // released at the bit-exact instant their last predecessor
-            // finished (raised to their own release time if later).
-            ready.sort_unstable();
-            for &j in &ready {
-                fabrics[engine_of[j]].inject(j, &transfers[j], gate_s[j], job_of(j))?;
-            }
-        }
-
-        let mut report = DagRunReport {
-            substrate: self.name.clone(),
-            makespan_s: timings.iter().fold(0.0f64, |m, t| m.max(t.finish_s)),
-            transfers: timings,
-            peak_wavelength: 0,
-            rate_recomputations: 0,
-            solver_work: 0,
-            events: 0,
-        };
-        for f in &fabrics {
-            report.peak_wavelength = report.peak_wavelength.max(f.eng.peak_wavelength());
-            let (r, w) = f.eng.solver_stats();
-            report.rate_recomputations += r;
-            report.solver_work += w;
-            report.events += f.eng.events();
-        }
-        Ok(report)
-    }
 }
 
 impl Substrate for ComposedSubstrate {
@@ -504,7 +767,7 @@ impl Substrate for ComposedSubstrate {
         // are non-decreasing).
         let schedule = source.to_schedule();
         let dag = DepSchedule::from_steps(&schedule);
-        let run = self.run(&dag, None)?;
+        let run = self.execute_dag(&dag)?;
         let mut stage_end = vec![0.0f64; schedule.len()];
         for (t, timing) in dag.transfers().iter().zip(&run.transfers) {
             stage_end[t.stage] = stage_end[t.stage].max(timing.finish_s);
@@ -528,27 +791,44 @@ impl Substrate for ComposedSubstrate {
         })
     }
 
+    /// The composed engine over a fresh engine of each member fabric, or —
+    /// given a checkpoint image — over the members restored from their
+    /// images, in the image's state.
     fn engine(
         &self,
-        _arbitrated: bool,
-        _fair_share: bool,
-        _image: Option<&Value>,
+        arbitrated: bool,
+        fair_share: bool,
+        image: Option<&Value>,
     ) -> Result<Box<dyn FabricEngine + '_>> {
-        Err(cfg_err(
-            "faults and streams on a multi-group composed substrate are not supported",
-        ))
-    }
-
-    /// The composed event loop. Like the flat optical path, the loop has
-    /// no fractional rate attribution to report (the fluid rates live
-    /// inside the inter engine).
-    fn execute_closed(
-        &mut self,
-        dag: &dyn DepSource,
-        arb: Option<&JobArbitration>,
-    ) -> Result<TenantDagRun> {
-        let dag = dag.to_dag();
-        Ok(TenantDagRun::unattributed(self.run(&dag, arb)?, &*dag, arb))
+        let mut restored = ComposedImage {
+            row: vec![0],
+            ..ComposedImage::default()
+        };
+        if let Some(v) = image {
+            restored = ComposedImage::from_value(v).map_err(|_| malformed())?;
+            if !restored.fits(self.spec) {
+                return Err(cfg_err(
+                    "composed checkpoint image does not fit the hierarchy",
+                ));
+            }
+        }
+        let mut own = std::mem::take(&mut restored.members).into_iter();
+        let mut members = Vec::with_capacity(self.spec.groups + 1);
+        for m in 0..=self.spec.groups {
+            let (fabric, node_base) = if m < self.spec.groups {
+                (&*self.intra, m * self.spec.group_size)
+            } else {
+                (&*self.inter, 0)
+            };
+            let own = own.next();
+            members.push(Member {
+                eng: fabric.engine(arbitrated, fair_share, own.as_ref().map(|i| &i.engine))?,
+                node_base,
+                clock_s: own.as_ref().map_or(0.0, |i| i.clock_s),
+                keys: own.map_or_else(Vec::new, |i| i.keys),
+            });
+        }
+        Ok(Box::new(ComposedEngine::new(self.spec, members, restored)))
     }
 }
 
@@ -559,7 +839,7 @@ mod tests {
     use crate::fault::{FaultPolicy, FaultScript};
     use crate::stream::{ArrivalProcess, StreamSpec, StreamTemplate};
     use crate::substrate::{ElectricalSubstrate, OpticalSubstrate};
-    use crate::tenancy::{JobWorkload, SchedPolicy};
+    use crate::tenancy::{JobArbitration, JobWorkload, SchedPolicy};
     use optical_sim::{OpticalConfig, StepSchedule};
 
     fn optical_cfg(n: usize) -> OpticalConfig {
@@ -749,11 +1029,14 @@ mod tests {
     }
 
     #[test]
-    fn multi_group_faults_and_streams_are_rejected() {
+    fn multi_group_faults_are_rejected_and_streams_run() {
         let mut comp = composed(2, 4);
-        let dag = DepSchedule::from_transfers(vec![dep(t(0, 1, 1), vec![], 0)]).unwrap();
-        let unsupported =
-            cfg_err("faults and streams on a multi-group composed substrate are not supported");
+        let dag = DepSchedule::from_transfers(vec![
+            dep(t(0, 1, 1 << 20), vec![], 0),
+            dep(t(1, 5, 1 << 20), vec![0], 1),
+        ])
+        .unwrap();
+        let unsupported = cfg_err("faults on a multi-group composed substrate are not supported");
         let faulted = comp.execute_dag_faulted(&dag, &FaultScript::default(), FaultPolicy::FailJob);
         assert_eq!(faulted.unwrap_err(), unsupported);
         let spec = StreamSpec::new(
@@ -763,19 +1046,68 @@ mod tests {
             SchedPolicy::Fifo,
         )
         .with_template(StreamTemplate::new("job", JobWorkload::Dag(dag)));
-        assert_eq!(comp.execute_stream(&spec).unwrap_err(), unsupported);
-        let paused = comp.execute_stream_until(&spec, Some(1));
-        assert_eq!(paused.unwrap_err(), unsupported);
-        // A checkpoint the one-group hierarchy wrote, relabelled so that
-        // only the missing engine can reject it.
-        let mut checkpoint = composed(1, 4)
+        let report = comp.execute_stream(&spec).unwrap();
+        assert_eq!(report.substrate, "composed(optical+electrical)");
+        assert_eq!(report.completed, 2);
+        assert!(report.events > 0);
+        // Paused after the first arrival and resumed, the stream reports
+        // exactly what the uninterrupted run reports.
+        let checkpoint = comp
             .execute_stream_until(&spec, Some(1))
             .unwrap()
             .checkpoint()
             .unwrap();
-        checkpoint.substrate = comp.name().to_string();
-        let resumed = comp.resume_stream(&spec, &checkpoint, None);
-        assert_eq!(resumed.unwrap_err(), unsupported);
+        let resumed = comp.resume_stream(&spec, &checkpoint, None).unwrap();
+        assert_eq!(resumed.report(), Some(report));
+        // A checkpoint the one-group hierarchy wrote, relabelled so that
+        // only its flat engine image can reject it.
+        let local = DepSchedule::from_transfers(vec![dep(t(0, 1, 1), vec![], 0)]).unwrap();
+        let spec = StreamSpec::new(
+            ArrivalProcess::Trace {
+                arrivals_s: vec![0.0, 1e-3],
+            },
+            SchedPolicy::Fifo,
+        )
+        .with_template(StreamTemplate::new("job", JobWorkload::Dag(local)));
+        let mut flat = composed(1, 4)
+            .execute_stream_until(&spec, Some(1))
+            .unwrap()
+            .checkpoint()
+            .unwrap();
+        flat.substrate = comp.name().to_string();
+        let resumed = comp.resume_stream(&spec, &flat, None);
+        assert_eq!(resumed.unwrap_err(), cfg_err("malformed stream checkpoint"));
+    }
+
+    #[test]
+    fn a_resumed_stream_whose_image_claims_every_key_settled_fails_typed() {
+        let mut comp = composed(2, 4);
+        let dag = DepSchedule::from_transfers(vec![
+            dep(t(0, 1, 1 << 20), vec![], 0),
+            dep(t(1, 5, 1 << 20), vec![0], 1),
+        ])
+        .unwrap();
+        let spec = StreamSpec::new(
+            ArrivalProcess::Trace {
+                arrivals_s: vec![0.0, 1e-3],
+            },
+            SchedPolicy::Fifo,
+        )
+        .with_template(StreamTemplate::new("job", JobWorkload::Dag(dag)));
+        // Paused right after the first arrival: both keys are in flight.
+        let checkpoint = comp
+            .execute_stream_until(&spec, Some(1))
+            .unwrap()
+            .checkpoint()
+            .unwrap();
+        let json = serde_json::to_string(&checkpoint).unwrap();
+        let bad = json.replace("\"settled\":0", "\"settled\":2");
+        assert_ne!(bad, json);
+        let bad = serde_json::from_str(&bad).unwrap();
+        assert_eq!(
+            comp.resume_stream(&spec, &bad, None).unwrap_err(),
+            cfg_err("stream drained with unfinished jobs")
+        );
     }
 
     #[test]

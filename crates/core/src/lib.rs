@@ -50,20 +50,20 @@
 //!   and recovery time in a [`fault::FaultClusterReport`]
 //!   ([`substrate::Substrate::execute_jobs_faulted`]);
 //! * [`engine`] — the one streaming-engine interface
-//!   ([`engine::FabricEngine`]) every driver drives on both fabrics, and
-//!   the closed driver ([`engine::run_closed`]) behind every DAG, tenancy
-//!   and fault run;
+//!   ([`engine::FabricEngine`]) every driver drives, on both fabrics and
+//!   on the composed hierarchy, and the closed driver
+//!   ([`engine::run_closed`]) behind every DAG, tenancy and fault run;
 //! * [`stream`] — the open-loop cluster service: arrival streams
 //!   ([`stream::ArrivalProcess`]) admitted into the *running* engines
 //!   ([`substrate::Substrate::execute_stream`]), windowed metrics with
 //!   bounded memory, and versioned checkpoint/resume
 //!   ([`stream::StreamCheckpoint`]);
 //! * [`hierarchy`] — hierarchical composed substrates: per-group intra
-//!   fabrics (optical grant loop) plus an inter-group fabric (incremental
-//!   max-min engine) executing one domain-tagged [`dag::DepSchedule`] in a
-//!   single event loop, built by [`hierarchy::compose`] from two flat
-//!   substrates, with single-group specs collapsing to the intra substrate
-//!   itself;
+//!   fabrics (optical grant engine) plus an inter-group fabric (incremental
+//!   max-min engine) composed into one engine that runs a domain-tagged
+//!   [`dag::DepSchedule`] or a stream, built by [`hierarchy::compose`]
+//!   from two flat substrates, with single-group specs collapsing to the
+//!   intra substrate itself;
 //! * [`parallelism`] — the mixed-parallelism IR
 //!   ([`parallelism::ParallelismSpec`]: TP × PP × DP × MoE) lowering
 //!   transformer stage models to one hierarchical traffic DAG;

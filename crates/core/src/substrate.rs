@@ -18,19 +18,20 @@
 //! run then never holds more than one step.
 //!
 //! Everything event-driven is written once, on top of each substrate's
-//! event engine ([`Substrate::engine`]): the DAG, tenancy and fault methods
-//! run the closed driver ([`crate::engine::run_closed`]) through
-//! [`Substrate::execute_closed`], and the stream methods run the stream
-//! driver ([`crate::stream`]). A substrate implements only its name, its
-//! size, the stepped [`Substrate::execute`] and its engine; the electrical
-//! substrate also overrides [`Substrate::execute_closed`] with its barrier
-//! fast path.
+//! event engine ([`Substrate::engine`]), and every substrate is one engine:
+//! the DAG, tenancy and fault methods run the closed driver
+//! ([`crate::engine::run_closed`]) through [`Substrate::execute_closed`],
+//! and the stream methods run the stream driver ([`crate::stream`]). A
+//! substrate implements only its name, its size, the stepped
+//! [`Substrate::execute`] and its engine; only the electrical substrate
+//! also overrides [`Substrate::execute_closed`], with its barrier fast
+//! path.
 //!
 //! Both flat fabrics also compose: [`crate::hierarchy::compose`] builds a
-//! third [`Substrate`] from two of them, which co-simulates per-group
-//! intra fabrics with an inter-group fabric in one event loop, taking each
-//! member engine from [`Substrate::engine`]; with `groups == 1` it is the
-//! intra substrate itself.
+//! third [`Substrate`] from two of them, whose engine composes per-group
+//! intra engines with an inter-group engine, each taken from the member's
+//! [`Substrate::engine`]; with `groups == 1` it is the intra substrate
+//! itself.
 //!
 //! Every stepped run reports in one shape, [`RunReport`] of per-step
 //! [`StepTiming`]s, defined beside the step IR in [`optical_sim::sim`]
@@ -138,8 +139,7 @@ pub trait Substrate {
     /// ignore them).
     ///
     /// # Errors
-    /// Invalid configurations, malformed images, and substrates that are
-    /// not one engine (a multi-group composed substrate).
+    /// Invalid configurations and malformed images.
     fn engine(
         &self,
         arbitrated: bool,
@@ -445,7 +445,8 @@ impl Substrate for OpticalSubstrate {
     }
 }
 
-fn malformed() -> crate::error::WrhtError {
+/// The error of a checkpoint engine image that does not parse.
+pub(crate) fn malformed() -> crate::error::WrhtError {
     optical_sim::OpticalError::BadConfig("malformed stream checkpoint").into()
 }
 
@@ -811,6 +812,34 @@ mod tests {
                 assert!(optical(4, 4).execute(&sched).is_err());
             }
         }
+    }
+
+    #[test]
+    fn an_unschedulable_optical_transfer_fails_stepped_and_as_a_dag_alike() {
+        // 1e-300 B/s lanes pass validation; a `u64::MAX`-byte transfer on
+        // them takes longer than any finite time.
+        let mut o = OpticalSubstrate::new(
+            OpticalConfig::new(8, 4)
+                .with_lambda_bandwidth(1e-300)
+                .with_message_overhead(0.0)
+                .with_hop_propagation(0.0),
+        )
+        .unwrap();
+        let sched = StepSchedule::from_steps(vec![vec![Transfer::shortest(
+            NodeId(0),
+            NodeId(1),
+            u64::MAX,
+        )]]);
+        let stepped = o.execute(&sched).unwrap_err();
+        let dag = o
+            .execute_dag(&crate::dag::DepSchedule::from_steps(&sched))
+            .unwrap_err();
+        assert_eq!(stepped, dag);
+        assert_eq!(
+            stepped,
+            optical_sim::OpticalError::BadConfig("transfer duration must be finite and >= 0")
+                .into()
+        );
     }
 
     #[test]

@@ -705,8 +705,7 @@ impl<'a> FluidEngine<'a> {
     /// Drop the state of the settled prefix of the flow tables, once it is
     /// at least half of them and every outcome has been drained. For a
     /// closed driver that keeps each outcome itself: afterwards
-    /// [`FluidEngine::window`], [`FluidEngine::failed`] and
-    /// [`FluidEngine::aborts`] know only the flows from the lowest
+    /// [`FluidEngine::window`] knows only the flows from the lowest
     /// unsettled one on, and a snapshot is no longer possible. Runs under
     /// faults keep every flow.
     pub fn forget_settled(&mut self) {
@@ -1332,19 +1331,6 @@ impl<'a> FluidEngine<'a> {
     pub fn window(&self, i: usize) -> (f64, f64) {
         let i = i - self.key_base;
         (self.start[i], self.finish[i])
-    }
-
-    /// Did a fault fail flow `i` (or strand it behind a failed flow)?
-    #[must_use]
-    pub fn failed(&self, i: usize) -> bool {
-        self.phase[i - self.key_base] == Phase::Failed
-    }
-
-    /// Times a fault killed flow `i` while it was transmitting. Runs under
-    /// faults keep every flow's state.
-    #[must_use]
-    pub fn aborts(&self, i: usize) -> u32 {
-        self.faults.as_ref().map_or(0, |f| f.aborted[i])
     }
 
     /// Instant a fault first failed, aborted or slowed a flow, if any.

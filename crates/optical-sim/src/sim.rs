@@ -257,6 +257,13 @@ pub struct EventReport {
     pub events: u64,
 }
 
+/// The error of a transfer whose duration, or whose completion instant,
+/// is not a finite forward time: the grant engine's error for the same
+/// transfer, so stepped and event-driven runs fail alike.
+fn unschedulable() -> OpticalError {
+    OpticalError::BadConfig("transfer duration must be finite and >= 0")
+}
+
 /// Simulator for one optical ring deployment.
 #[derive(Debug, Clone)]
 pub struct RingSimulator {
@@ -330,9 +337,14 @@ impl RingSimulator {
                 peak_wavelength: placed.peak_wavelength,
             });
         }
+        // An infinite transfer time, or a finite sum that overflows.
+        let total_time_s: f64 = steps.iter().fold(0.0, |total, s| total + s.duration_s);
+        if !total_time_s.is_finite() {
+            return Err(unschedulable());
+        }
         Ok(RunReport {
             substrate: "optical".into(),
-            total_time_s: steps.iter().fold(0.0, |total, s| total + s.duration_s),
+            total_time_s,
             steps,
         })
     }
@@ -403,7 +415,7 @@ impl RingSimulator {
             timing: &crate::timing::TimingModel,
             active: &mut usize,
             peak: &mut usize,
-        ) {
+        ) -> Result<()> {
             let mut i = 0;
             while i < waiting.len() {
                 let id = waiting[i];
@@ -415,7 +427,7 @@ impl RingSimulator {
                         times[id].0 = queue.now();
                         queue
                             .schedule_in(dur, Ev::Complete(id))
-                            .expect("transfer duration is a finite forward delay");
+                            .map_err(|_| unschedulable())?;
                         *active += 1;
                         *peak = (*peak).max(*active);
                         waiting.remove(i);
@@ -423,6 +435,7 @@ impl RingSimulator {
                     Err(_) => i += 1,
                 }
             }
+            Ok(())
         }
 
         while let Some((now, ev)) = queue.pop() {
@@ -440,7 +453,7 @@ impl RingSimulator {
                         &timing,
                         &mut active,
                         &mut peak,
-                    );
+                    )?;
                 }
                 Ev::Complete(id) => {
                     for &lambda in &assigned[id] {
@@ -460,7 +473,7 @@ impl RingSimulator {
                         &timing,
                         &mut active,
                         &mut peak,
-                    );
+                    )?;
                 }
             }
         }
@@ -486,6 +499,41 @@ mod tests {
             .with_lambda_bandwidth(1e9)
             .with_message_overhead(0.0)
             .with_hop_propagation(0.0)
+    }
+
+    /// An 8-node ring whose lanes carry 1e-300 B/s: a configuration
+    /// [`OpticalConfig::validate`] accepts, on which a full-size transfer
+    /// takes longer than any finite time.
+    fn glacial_cfg() -> OpticalConfig {
+        small_cfg().with_lambda_bandwidth(1e-300)
+    }
+
+    #[test]
+    fn a_stepped_run_rejects_a_duration_that_is_not_finite() {
+        let mut sim = RingSimulator::new(glacial_cfg());
+        let endless = StepSchedule::from_steps(vec![vec![Transfer::shortest(
+            NodeId(0),
+            NodeId(1),
+            u64::MAX,
+        )]]);
+        assert_eq!(
+            sim.run_stepped(&endless, Strategy::FirstFit),
+            Err(unschedulable())
+        );
+        // Two steps of 1e308 s each: finite durations, an infinite total.
+        let step = || vec![Transfer::shortest(NodeId(0), NodeId(1), 100_000_000)];
+        let overflowing = StepSchedule::from_steps(vec![step(), step()]);
+        assert_eq!(
+            sim.run_stepped(&overflowing, Strategy::FirstFit),
+            Err(unschedulable())
+        );
+    }
+
+    #[test]
+    fn an_event_driven_run_rejects_a_duration_that_is_not_finite() {
+        let mut sim = RingSimulator::new(glacial_cfg());
+        let endless = [(0.0, Transfer::shortest(NodeId(0), NodeId(1), u64::MAX))];
+        assert_eq!(sim.run_event_driven(&endless).unwrap_err(), unschedulable());
     }
 
     #[test]

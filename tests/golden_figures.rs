@@ -401,7 +401,8 @@ fn parallelism_campaign_json_matches_golden() {
     // composed hierarchical substrate (optical rings intra-group, the
     // electrical cluster inter-group). Pins the whole hierarchy pipeline —
     // parallelism IR lowering, fabric-domain tagging, per-group engine
-    // instantiation and the cross-fabric co-sim event loop — bit-exactly.
+    // instantiation and the composed engine's cross-fabric event loop —
+    // bit-exactly.
     let mut spec = wrht_bench::campaign::parallelism_spec(&golden_cfg(), 2023);
     spec.cells.retain(|c| c.model == "GPT2-small");
     assert!(!spec.cells.is_empty(), "GPT-2 shapes must be in the grid");

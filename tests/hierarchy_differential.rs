@@ -21,7 +21,14 @@
 //! * a **single-group** hierarchy streams exactly as the flat substrate:
 //!   the stream report, the checkpoint of a paused stream and the resumed
 //!   run's report serialize byte for byte alike, label included, on both
-//!   substrate orders.
+//!   substrate orders;
+//! * a **multi-group** hierarchy streams on its composed engine, on both
+//!   substrate orders: a one-arrival stream reports the closed
+//!   `execute_jobs` makespan and event count bit for bit, a stream paused
+//!   at a random arrival and resumed from its checkpoint (round-tripped
+//!   through JSON) reports byte for byte what the uninterrupted stream
+//!   reports, and a checkpoint whose composed image names a key out of
+//!   range is a typed error on resume.
 
 use collectives::halving_doubling::halving_doubling;
 use collectives::rd::recursive_doubling;
@@ -33,9 +40,9 @@ use proptest::prelude::*;
 use wrht_core::baselines::lower_collective_to_optical;
 use wrht_core::dag::{DepSchedule, DepTransfer};
 use wrht_core::hierarchy::{compose, Domain, HierSpec};
-use wrht_core::stream::{ArrivalProcess, StreamSpec, StreamTemplate};
+use wrht_core::stream::{ArrivalProcess, StreamCheckpoint, StreamSpec, StreamTemplate};
 use wrht_core::substrate::{ElectricalSubstrate, OpticalSubstrate, Substrate};
-use wrht_core::tenancy::{JobWorkload, SchedPolicy};
+use wrht_core::tenancy::{Job, JobWorkload, SchedPolicy, TenancySpec};
 
 const BYTES_PER_ELEM: usize = 4;
 
@@ -156,6 +163,19 @@ fn critical_path_lower_bound(dag: &DepSchedule, iso: &[f64]) -> f64 {
         best = best.max(finish_lb[i]);
     }
     best
+}
+
+/// Insert `value` as the first entry of the JSON list that follows the
+/// first (or, with `last`, the last) occurrence of `key`.
+fn corrupt_index(json: &str, key: &str, last: bool, value: u64) -> String {
+    let found = if last {
+        json.rfind(key)
+    } else {
+        json.find(key)
+    };
+    let at = found.expect("the image carries the list") + key.len();
+    let sep = if json[at..].starts_with(']') { "" } else { "," };
+    format!("{}{value}{sep}{}", &json[..at], &json[at..])
 }
 
 proptest! {
@@ -364,6 +384,108 @@ proptest! {
             let resumed_json = serde_json::to_string(&resumed).expect("report json");
             prop_assert_eq!(&resumed_json, &serde_json::to_string(&flat_resumed).expect("json"));
             prop_assert_eq!(&resumed_json, &report_json);
+        }
+    }
+
+    /// Multi-group hierarchies stream on the composed engine, on both
+    /// substrate orders. One arrival is the closed `execute_jobs` run: same
+    /// makespan and event count, bit for bit. A Poisson stream paused at a
+    /// random arrival and resumed from its checkpoint, round-tripped
+    /// through JSON, reports byte for byte what the uninterrupted stream
+    /// reports; a checkpoint whose composed image names a member key or a
+    /// dependent out of range is a typed error on resume.
+    #[test]
+    fn multi_group_streams_match_closed_runs_and_resume_byte_identically(
+        groups in 2usize..4,
+        group_size in 2usize..5,
+        len in 1usize..20,
+        seeds in proptest::collection::vec(0usize..4_096, 80..81),
+        arrival_us in 0u64..50,
+        count in 2u64..8,
+        pause_seed in 0u64..1_000,
+        seed in 0u64..1_000,
+        policy_idx in 0usize..3,
+    ) {
+        let hier = HierSpec::new(groups, group_size).expect("valid spec");
+        let nodes = hier.nodes();
+        let seed_vec = |k: usize| &seeds[20 * k..20 * (k + 1)];
+        let dag = random_hier_dag(hier, len, seed_vec(0), seed_vec(1), seed_vec(2), seed_vec(3));
+        let policy = SchedPolicy::ALL[policy_idx];
+        let (bandwidth, overhead) = (1e9, 1e-6);
+        let orders: [(Fabric, Fabric); 2] = [(optical, electrical), (electrical, optical)];
+        for (intra, inter) in orders {
+            let build = || {
+                compose(
+                    hier,
+                    intra(group_size, bandwidth, overhead),
+                    inter(nodes, bandwidth, overhead),
+                )
+                .expect("valid composed substrate")
+            };
+
+            // One arrival: the stream injects exactly the closed run's DAG.
+            let arrival_s = arrival_us as f64 * 1e-6;
+            let closed = build()
+                .execute_jobs(&TenancySpec::new(policy).with_job(Job {
+                    name: "job".into(),
+                    arrival_s,
+                    compute_s: 0.0,
+                    priority: 0,
+                    workload: JobWorkload::Dag(dag.clone()),
+                }))
+                .expect("closed run");
+            let one = StreamSpec::new(
+                ArrivalProcess::Trace { arrivals_s: vec![arrival_s] },
+                policy,
+            )
+            .with_template(StreamTemplate::new("job", JobWorkload::Dag(dag.clone())));
+            let streamed = build().execute_stream(&one).expect("one-arrival stream");
+            prop_assert_eq!(streamed.makespan_s.to_bits(), closed.makespan_s.to_bits());
+            prop_assert_eq!(streamed.events, closed.events);
+
+            // Several arrivals, paused and resumed through JSON.
+            let ring =
+                lower_collective_to_optical(&ring_allreduce(nodes, 64 * nodes), BYTES_PER_ELEM, 1);
+            let spec = StreamSpec::new(
+                ArrivalProcess::Poisson { rate_hz: 2e4, count, seed },
+                policy,
+            )
+            .with_template(StreamTemplate::new("dag", JobWorkload::Dag(dag.clone())))
+            .with_template(StreamTemplate::new("ring", JobWorkload::Steps(ring)).with_priority(1))
+            .with_retained_jobs(true);
+            let mut sub = build();
+            let report = sub.execute_stream(&spec).expect("stream");
+            prop_assert_eq!(report.completed, count);
+            let report_json = serde_json::to_string(&report).expect("report json");
+            let pause = 1 + pause_seed % (count - 1);
+            let checkpoint = sub
+                .execute_stream_until(&spec, Some(pause))
+                .expect("paused stream")
+                .checkpoint()
+                .expect("a checkpoint");
+            let json = serde_json::to_string(&checkpoint).expect("checkpoint json");
+            let back: StreamCheckpoint = serde_json::from_str(&json).expect("checkpoint parses");
+            prop_assert_eq!(&back, &checkpoint);
+            let resumed = sub
+                .resume_stream(&spec, &back, None)
+                .expect("resumed stream")
+                .report()
+                .expect("a report");
+            prop_assert_eq!(serde_json::to_string(&resumed).expect("report json"), report_json);
+
+            // Out-of-range indices in the composed image: the first member's
+            // key map, and the composed dependents (the image's last list of
+            // that name; a fluid member image has one too).
+            for (key, last) in [("\"keys\":[", false), ("\"dependents\":[", true)] {
+                let bad: StreamCheckpoint =
+                    serde_json::from_str(&corrupt_index(&json, key, last, 999_999))
+                        .expect("corrupt checkpoint parses");
+                prop_assert_ne!(&bad, &checkpoint);
+                prop_assert!(
+                    sub.resume_stream(&spec, &bad, None).is_err(),
+                    "{} out of range must be a typed error", key
+                );
+            }
         }
     }
 }
