@@ -5,7 +5,7 @@
 //! Fixture files live in `tests/fixtures/` (not direct children of
 //! `tests/`), so cargo never compiles them — they only exist as analyzer
 //! input. Each is analyzed under a *virtual* workspace path to exercise the
-//! path-scoped rules (R5 kernel/core/grant engine, f32 in sim crates).
+//! path-scoped rules (R5 kernel/core/fabric engines, f32 in sim crates).
 
 use wrht_analyze::analyze_source;
 
@@ -108,6 +108,18 @@ fn r5_no_panic_covers_the_grant_engine_file_only() {
     );
     // The rest of the optical crate is outside the scope.
     expect("crates/optical-sim/src/sim.rs", src, &[]);
+}
+
+#[test]
+fn r5_no_panic_covers_the_fluid_engine_file_only() {
+    let src = include_str!("fixtures/r5_scoped.rs");
+    expect(
+        "crates/electrical-sim/src/engine.rs",
+        src,
+        &[("R5", 6), ("R5", 7), ("R5", 9), ("R5", 12)],
+    );
+    // The rest of the electrical crate is outside the scope.
+    expect("crates/electrical-sim/src/runner.rs", src, &[]);
 }
 
 #[test]

@@ -59,13 +59,12 @@ use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use wrht_core::baselines::RingSource;
-use wrht_core::dag::{ExecMode, PipelinedSource};
+use wrht_core::dag::{DepSource, ExecMode, PipelinedSource};
 use wrht_core::fault::{
     fault_cluster_report, FaultClusterReport, FaultKind, FaultPolicy, FaultScript,
 };
-use wrht_core::hierarchy::Domain;
 use wrht_core::lower::to_optical_schedule;
-use wrht_core::parallelism::{lower_parallelism, ParallelismSpec, StageModel};
+use wrht_core::parallelism::{ParallelismSource, ParallelismSpec, StageModel};
 use wrht_core::stream::{Admission, ArrivalProcess, StreamReport, StreamSpec, StreamTemplate};
 use wrht_core::tenancy::{Job, JobWorkload, SchedPolicy, TenancySpec};
 use wrht_core::{build_plan, choose_group_size, plan_and_simulate, WrhtParams};
@@ -2263,11 +2262,10 @@ impl Axis for ParCellConfig {
     }
 
     /// The model's gradients are split evenly over the pipeline stages
-    /// ([`wrht_core::parallelism::StageModel::split`]), the iteration is
-    /// lowered to one dependency DAG
-    /// ([`wrht_core::parallelism::lower_parallelism`]) and executed on the
-    /// composed substrate; the result keeps the makespan plus the
-    /// per-domain traffic split the hierarchy derived.
+    /// ([`wrht_core::parallelism::StageModel::split`]), and the iteration,
+    /// lowered lazily ([`wrht_core::parallelism::ParallelismSource`]),
+    /// streams into the composed substrate phase by phase; the result keeps
+    /// the makespan plus the source's per-domain traffic split.
     fn run(&self, base: &ExperimentConfig, seed: u64) -> ParCellResult {
         let hash = config_hash(self);
         let mut result = ParCellResult {
@@ -2309,26 +2307,18 @@ impl Axis for ParCellConfig {
                 self.microbatches,
             )?;
             let stages = StageModel::split(model.gradient_bytes(), self.pp, self.activation_bytes);
-            let dag = lower_parallelism(&spec, &stages)?;
+            let source = ParallelismSource::new(&spec, &stages)?;
             let hier = spec.hier()?;
-            let domains = hier.domains(&dag)?;
-            for (t, d) in dag.transfers().iter().zip(&domains) {
-                match d {
-                    Domain::Intra { .. } => {
-                        result.intra_transfers += 1;
-                        result.intra_bytes += t.transfer.bytes;
-                    }
-                    Domain::Inter => {
-                        result.inter_transfers += 1;
-                        result.inter_bytes += t.transfer.bytes;
-                    }
-                }
-            }
+            let (intra, inter) = (source.intra(), source.inter());
+            result.intra_transfers = intra.transfers;
+            result.intra_bytes = intra.bytes;
+            result.inter_transfers = inter.transfers;
+            result.inter_bytes = inter.bytes;
             let mut sub = local.try_composed(hier, self.strategy)?;
-            let report = sub.execute_dag(&dag)?;
+            let report = sub.execute_dag(&source)?;
             result.nodes = spec.nodes();
             result.groups = spec.groups();
-            result.transfers = dag.len();
+            result.transfers = source.len();
             result.makespan_s = report.makespan_s;
             result.peak_wavelength = report.peak_wavelength;
             result.rate_recomputations = report.rate_recomputations;

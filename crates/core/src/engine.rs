@@ -18,10 +18,14 @@
 //!
 //! The closed driver streams: it reads its [`DepSource`] one stage at a
 //! time and injects a stage only when the engine could need it, so a
-//! lazily lowered DAG ([`crate::dag::PipelinedSource`]) runs in a few
-//! stages of engine state. A transfer injected before any of its
-//! dependencies settles behaves exactly as if it had been injected at time
-//! zero, so the streamed run is bit-identical to the materialized one.
+//! lazily lowered DAG runs in a few stages of engine state — the pipelined
+//! lowering ([`crate::dag::PipelinedSource`]) on either flat engine, and
+//! the mixed-parallelism lowering
+//! ([`crate::parallelism::ParallelismSource`]) on the composed engine,
+//! which forgets settled keys as the fluid engine does. A transfer
+//! injected before any of its dependencies settles behaves exactly as if
+//! it had been injected at time zero, so the streamed run is bit-identical
+//! to the materialized one.
 
 use serde::{Deserialize, Serialize, Value};
 
@@ -112,7 +116,8 @@ pub trait FabricEngine {
 
     /// Let the engine drop the state of settled transfers whose outcomes
     /// were drained: the closed driver calls this after every drain, since
-    /// it keeps each outcome itself. Afterwards the engine has no
+    /// it keeps each outcome itself (the fluid and the composed engine
+    /// drop their settled prefix). Afterwards the engine has no
     /// [`FabricEngine::snapshot`].
     fn forget_settled(&mut self) {}
 

@@ -40,7 +40,29 @@
 //!   ([`crate::engine::run_closed`]) drives it for every DAG and tenancy
 //!   run and the stream driver ([`crate::stream`]) for streams, pause and
 //!   resume included: a checkpoint carries every member's own image and
-//!   the composed per-transfer state.
+//!   the composed per-transfer state, every key's dependents in one flat
+//!   table.
+//!
+//! # A window of keys
+//!
+//! The closed driver streams a lazily lowered DAG, such as
+//! [`crate::parallelism::ParallelismSource`], into the composed engine
+//! stage by stage. A transfer's dependents from its own batch sit in that
+//! batch's compressed rows; dependents injected in a later batch go to an
+//! edge pool of 32-bit links whose settled edges a free list recycles. The
+//! per-key tables start at the lowest key not yet forgotten: after each
+//! drain the closed driver calls [`FabricEngine::forget_settled`], which
+//! drops the settled prefix once it is at least half of the tables, pops
+//! the forgotten keys off each member's key map and lets every member
+//! engine drop its own settled state. The benchmark's largest
+//! mixed-parallelism DAG, 271,104 transfers, runs in a window of 40,160
+//! keys. Streams never forget, so a long multi-group stream still keeps
+//! every key (and checkpoints it).
+//!
+//! A batch may depend on live keys of earlier batches only: like both flat
+//! engines, `inject` rejects a dependency on a settled or forgotten key
+//! with `BadConfig("dependency names a transfer that already settled")`
+//! before any state changes.
 //!
 //! # Flat collapse
 //!
@@ -101,8 +123,6 @@
 //! // The inter hop cannot start before the intra hop completed.
 //! assert!(report.transfers[1].start_s >= report.transfers[0].finish_s);
 //! ```
-
-use std::collections::BTreeMap;
 
 use optical_sim::sim::StepSource;
 use optical_sim::{NodeId, OpticalError, Transfer};
@@ -237,12 +257,22 @@ impl HierSpec {
 /// per-key state of more would not fit in memory anyway).
 const MAX_KEYS: usize = u32::MAX as usize;
 
+/// End of an edge list in [`ComposedEngine::pool`], and the most edges the
+/// pool holds.
+const NIL: u32 = u32::MAX;
+
+/// [`ComposedEngine::missing`] of a settled key.
+const SETTLED: u32 = u32::MAX;
+
 /// One member fabric of a [`ComposedEngine`]: its engine and the composed
 /// engine's bookkeeping for it.
 struct Member<'a> {
     eng: Box<dyn FabricEngine + 'a>,
-    /// Composed key of each of the engine's own keys.
+    /// Composed key of each of the engine's own keys from `first_key` on.
     keys: Vec<usize>,
+    /// The engine's key of `keys[0]`: the keys below it settled, and the
+    /// composed engine forgot them.
+    first_key: usize,
     /// Global id of the fabric's host 0 (group * group_size; 0 for the
     /// inter fabric).
     node_base: usize,
@@ -278,13 +308,27 @@ impl Member<'_> {
     }
 }
 
+/// One edge of [`ComposedEngine::pool`].
+#[derive(Clone, Copy)]
+struct Edge {
+    dependent: u32,
+    next: u32,
+}
+
 /// The composed hierarchy as one [`FabricEngine`]: the engines of the G
 /// groups' intra fabrics and of the inter fabric, in that order, and per
 /// composed key the state that holds the key back until its last
 /// dependency settled (see the module docs for the event loop).
+///
+/// The per-key tables start at key `base`: a closed driver lets the engine
+/// drop its settled prefix ([`FabricEngine::forget_settled`]), so a DAG
+/// streamed stage by stage holds a window of keys, not all of them.
 struct ComposedEngine<'a> {
     spec: HierSpec,
     members: Vec<Member<'a>>,
+    /// Key of the first entry of every per-key table; every key below it
+    /// settled.
+    base: usize,
     /// Per key: the transfer, with global endpoints.
     transfers: Vec<Transfer>,
     /// Per key: the job tag it was injected with.
@@ -292,41 +336,51 @@ struct ComposedEngine<'a> {
     /// Per key: the earliest legal start — its release, raised to the
     /// completion instant of the latest dependency as dependencies settle.
     gate_s: Vec<f64>,
-    /// Per key: dependencies not settled yet. The key launches into its
-    /// member when the count reaches zero.
-    missing: Vec<usize>,
+    /// Per key: dependencies not settled yet ([`SETTLED`] once the key
+    /// itself settled). The key launches into its member when the count
+    /// reaches zero.
+    missing: Vec<u32>,
     /// Dependents inside each key's batch, in compressed rows (one
-    /// allocation per batch, not one list per key): those of key `k` are
-    /// `dependents[row[k]..row[k + 1]]`, ascending. Keys are stored in 32
-    /// bits, which halves the largest table.
+    /// allocation per batch, not one list per key): those of key
+    /// `base + k` are `dependents[row[k]..row[k + 1]]`, ascending. Keys are
+    /// stored in 32 bits, which halves the largest table.
     row: Vec<usize>,
     dependents: Vec<u32>,
-    /// Dependents injected in a later batch than their dependency (a
-    /// closed DAG streamed stage by stage), per dependency.
-    later: BTreeMap<usize, Vec<usize>>,
+    /// Per key: the first of its dependents injected in a later batch (a
+    /// closed DAG streamed stage by stage), as an edge list in `pool`.
+    later: Vec<u32>,
+    /// Edges of the `later` lists; settled keys return theirs to the free
+    /// list at `free`.
+    pool: Vec<Edge>,
+    free: u32,
     /// Keys settled so far.
     settled: usize,
+    /// Length of the settled prefix of the per-key tables, as far as
+    /// [`FabricEngine::forget_settled`] scanned it.
+    settled_below: usize,
     /// One past the highest key launched into a member.
     launched: usize,
     /// Outcomes of previous steps, by composed key, not drained yet.
     done: Vec<Completion>,
     /// Keys one step unblocked.
     ready: Vec<usize>,
+    /// Most keys the per-key tables ever held at once.
+    #[cfg(test)]
+    peak_held: usize,
 }
 
 /// A [`ComposedEngine`]'s checkpoint image: each member's own image, key
-/// map and clock, and the per-key state (every time in it is finite, so
-/// JSON carries it exactly).
+/// map and clock, and the per-key state, every key's dependents in one
+/// flat table (every time in it is finite, so JSON carries it exactly).
 #[derive(Default, Serialize, Deserialize)]
 struct ComposedImage {
     members: Vec<MemberImage>,
     transfers: Vec<Transfer>,
     jobs: Vec<usize>,
     gate_s: Vec<f64>,
-    missing: Vec<usize>,
+    missing: Vec<u32>,
     row: Vec<usize>,
     dependents: Vec<u32>,
-    later: Vec<(usize, Vec<usize>)>,
     settled: usize,
     done: Vec<Completion>,
 }
@@ -363,7 +417,6 @@ impl ComposedImage {
                 .all(|t| t.src.0 < nodes && t.dst.0 < nodes)
             && self.jobs.iter().all(key)
             && self.dependents.iter().all(|&d| key(&(d as usize)))
-            && self.later.iter().all(|(k, v)| key(k) && v.iter().all(key))
             && self.members.iter().all(|m| m.keys.iter().all(key))
             && self.done.iter().all(|c| key(&c.key))
     }
@@ -373,34 +426,50 @@ impl<'a> ComposedEngine<'a> {
     /// The engine over `members` (intra groups, then inter) in the state
     /// of `image`, whose member images the members were restored from.
     fn new(spec: HierSpec, members: Vec<Member<'a>>, image: ComposedImage) -> Self {
+        let held = image.transfers.len();
         Self {
             spec,
             members,
-            launched: image.transfers.len(),
+            base: 0,
+            launched: held,
             transfers: image.transfers,
             jobs: image.jobs,
             gate_s: image.gate_s,
             missing: image.missing,
             row: image.row,
             dependents: image.dependents,
-            later: image.later.into_iter().collect(),
+            later: vec![NIL; held],
+            pool: Vec::new(),
+            free: NIL,
             settled: image.settled,
+            settled_below: 0,
             done: image.done,
             ready: Vec::new(),
+            #[cfg(test)]
+            peak_held: held,
         }
     }
 
+    /// Table index of key `key`, if the tables hold it.
+    fn slot(&self, key: usize) -> Option<usize> {
+        key.checked_sub(self.base)
+            .filter(|&k| k < self.transfers.len())
+    }
+
     /// Validate `batch` and append each transfer's per-key state, counting
-    /// its in-batch dependencies into `row`.
+    /// its in-batch dependencies into `row`. `dag0` is the key of the
+    /// DAG's transfer 0.
     fn record(
         &mut self,
         batch: &[DepTransfer],
         first: usize,
-        base: usize,
+        dag0: usize,
         offset_s: f64,
         job: &dyn Fn(usize) -> usize,
     ) -> Result<()> {
         let nodes = self.spec.nodes();
+        let held = self.transfers.len();
+        let mut edges = 0usize;
         for (i, t) in batch.iter().enumerate() {
             if t.transfer.src.0 >= nodes || t.transfer.dst.0 >= nodes {
                 return Err(cfg_err("transfer endpoint outside the hierarchy"));
@@ -409,30 +478,70 @@ impl<'a> ComposedEngine<'a> {
             if !release_s.is_finite() || release_s < 0.0 {
                 return Err(cfg_err("release time must be finite and >= 0"));
             }
+            let missing = u32::try_from(t.deps.len())
+                .ok()
+                .filter(|&m| m != SETTLED)
+                .ok_or_else(|| cfg_err("transfer has too many dependencies"))?;
             for &d in &t.deps {
                 if d >= first + i {
                     return Err(cfg_err("dependency must precede its transfer"));
                 }
                 if d >= first {
-                    self.row[base + d] += 1;
+                    self.row[held + (d - first)] += 1;
+                } else {
+                    // A key of an earlier batch, still held and unsettled.
+                    match self.slot(dag0 + d) {
+                        Some(k) if self.missing[k] != SETTLED => edges += 1,
+                        _ => {
+                            return Err(cfg_err("dependency names a transfer that already settled"))
+                        }
+                    }
                 }
             }
             self.transfers.push(t.transfer.clone());
             self.jobs.push(job(i));
             self.gate_s.push(release_s);
-            self.missing.push(t.deps.len());
+            self.missing.push(missing);
+        }
+        if self.pool.len() + edges >= NIL as usize {
+            return Err(cfg_err("composed engine edges exhausted"));
         }
         Ok(())
     }
 
+    /// File `dependent` under key slot `k`'s later-batch dependents.
+    fn add_later(&mut self, k: usize, dependent: u32) {
+        let edge = Edge {
+            dependent,
+            next: self.later[k],
+        };
+        let e = match self.pool.get_mut(self.free as usize) {
+            Some(slot) => {
+                let e = self.free;
+                self.free = slot.next;
+                *slot = edge;
+                e
+            }
+            // In range: `record` bounds the pool.
+            None => {
+                self.pool.push(edge);
+                (self.pool.len() - 1) as u32
+            }
+        };
+        self.later[k] = e;
+    }
+
     /// Inject key `key` into the member its endpoints name.
     fn launch(&mut self, key: usize) -> Result<()> {
-        let t = &self.transfers[key];
+        let k = self
+            .slot(key)
+            .ok_or_else(|| cfg_err("launched key outside the composed keys"))?;
+        let t = &self.transfers[k];
         let member = match self.spec.domain_of(t.src.0, t.dst.0) {
             Domain::Intra { group } => group,
             Domain::Inter => self.spec.groups,
         };
-        self.members[member].launch(key, t, self.gate_s[key], self.jobs[key])?;
+        self.members[member].launch(key, t, self.gate_s[k], self.jobs[k])?;
         self.launched = self.launched.max(key + 1);
         Ok(())
     }
@@ -451,7 +560,7 @@ impl FabricEngine for ComposedEngine<'_> {
     /// settled, events members still hold are stale, and [`Self::step`]
     /// steps no member.
     fn peek_time(&mut self) -> Option<f64> {
-        if self.settled >= self.transfers.len() {
+        if self.settled >= self.base + self.transfers.len() {
             return None;
         }
         self.members
@@ -484,8 +593,10 @@ impl FabricEngine for ComposedEngine<'_> {
     }
 
     /// Record each transfer's job, gate and unsettled-dependency count and
-    /// its dependents' rows, then launch the dependency-free transfers in
-    /// key order. A batch that fails validation leaves no trace.
+    /// its dependents — in the batch's rows, or for a dependency of an
+    /// earlier batch in that key's edge list — then launch the
+    /// dependency-free transfers in key order. A batch that fails
+    /// validation, a dependency on a settled key included, leaves no trace.
     fn inject(
         &mut self,
         batch: &[DepTransfer],
@@ -493,8 +604,9 @@ impl FabricEngine for ComposedEngine<'_> {
         offset_s: f64,
         job: &dyn Fn(usize) -> usize,
     ) -> Result<()> {
-        let n = self.transfers.len();
-        let base = dag_base(n, first)?;
+        let held = self.transfers.len();
+        let n = self.base + held;
+        let dag0 = dag_base(n, first)?;
         let len = batch.len();
         if n + len > MAX_KEYS {
             return Err(cfg_err("composed engine keys exhausted"));
@@ -503,36 +615,43 @@ impl FabricEngine for ComposedEngine<'_> {
         self.jobs.reserve(len);
         self.gate_s.reserve(len);
         self.missing.reserve(len);
-        // The batch's rows follow the earlier batches' (`row[n]` is where
+        // The batch's rows follow the earlier batches' (`row[held]` is where
         // they end): count each key's dependents, sum, then fill back to
         // front, so `row[k]` ends at the start of its row.
-        self.row.resize(n + len + 1, 0);
-        if let Err(e) = self.record(batch, first, base, offset_s, job) {
-            self.transfers.truncate(n);
-            self.jobs.truncate(n);
-            self.gate_s.truncate(n);
-            self.missing.truncate(n);
-            self.row.truncate(n + 1);
-            self.row[n] = self.dependents.len();
+        self.row.resize(held + len + 1, 0);
+        if let Err(e) = self.record(batch, first, dag0, offset_s, job) {
+            self.transfers.truncate(held);
+            self.jobs.truncate(held);
+            self.gate_s.truncate(held);
+            self.missing.truncate(held);
+            self.row.truncate(held + 1);
+            self.row[held] = self.dependents.len();
             return Err(e);
         }
-        for k in n + 1..=n + len {
+        self.later.resize(held + len, NIL);
+        for k in held + 1..=held + len {
             self.row[k] += self.row[k - 1];
         }
-        self.dependents.resize(self.row[n + len], 0);
+        self.dependents.resize(self.row[held + len], 0);
         for (i, t) in batch.iter().enumerate().rev() {
+            // In range: `MAX_KEYS` bounds every key.
+            let key = (n + i) as u32;
             for &d in &t.deps {
                 if d >= first {
-                    self.row[base + d] -= 1;
-                    // In range: `MAX_KEYS` bounds every key.
-                    self.dependents[self.row[base + d]] = (n + i) as u32;
+                    let k = held + (d - first);
+                    self.row[k] -= 1;
+                    self.dependents[self.row[k]] = key;
                 } else {
-                    self.later.entry(base + d).or_default().push(n + i);
+                    self.add_later(dag0 + d - self.base, key);
                 }
             }
         }
+        #[cfg(test)]
+        {
+            self.peak_held = self.peak_held.max(self.transfers.len());
+        }
         for k in n..n + len {
-            if self.missing[k] == 0 {
+            if self.missing[k - self.base] == 0 {
                 self.launch(k)?;
             }
         }
@@ -544,6 +663,37 @@ impl FabricEngine for ComposedEngine<'_> {
         self.launched
     }
 
+    /// Drop the settled prefix of the per-key tables once it is at least
+    /// half of them, pop the forgotten keys off each member's key map, and
+    /// let every member drop its own settled state.
+    fn forget_settled(&mut self) {
+        let held = self.missing.len();
+        while self.settled_below < held && self.missing[self.settled_below] == SETTLED {
+            self.settled_below += 1;
+        }
+        let low = self.settled_below;
+        if low == 0 || 2 * low < held {
+            return;
+        }
+        let cut = self.row[low];
+        self.transfers.drain(..low);
+        self.jobs.drain(..low);
+        self.gate_s.drain(..low);
+        self.missing.drain(..low);
+        self.later.drain(..low);
+        self.row.drain(..low);
+        self.row.iter_mut().for_each(|r| *r -= cut);
+        self.dependents.drain(..cut);
+        self.settled_below = 0;
+        self.base += low;
+        for m in &mut self.members {
+            let forgotten = m.keys.iter().take_while(|&&k| k < self.base).count();
+            m.keys.drain(..forgotten);
+            m.first_key += forgotten;
+            m.eng.forget_settled();
+        }
+    }
+
     /// The member with the earliest pending event steps (ties go to the
     /// lowest member index); with none pending, every member steps once,
     /// since the fluid engine promotes released flows lazily inside its
@@ -551,7 +701,7 @@ impl FabricEngine for ComposedEngine<'_> {
     /// dependency settled launch in key order. `None` once every key
     /// settled, or when no member made progress.
     fn step(&mut self) -> Result<Option<f64>> {
-        if self.settled >= self.transfers.len() {
+        if self.settled >= self.base + self.transfers.len() {
             return Ok(None);
         }
         let mut best: Option<(f64, usize)> = None;
@@ -579,9 +729,11 @@ impl FabricEngine for ComposedEngine<'_> {
             let from = self.done.len();
             m.eng.drain(&mut self.done);
             for c in &mut self.done[from..] {
-                c.key = *m
-                    .keys
-                    .get(c.key)
+                c.key = c
+                    .key
+                    .checked_sub(m.first_key)
+                    .and_then(|k| m.keys.get(k))
+                    .copied()
                     .ok_or_else(|| cfg_err("member completion outside the composed keys"))?;
             }
         }
@@ -589,38 +741,59 @@ impl FabricEngine for ComposedEngine<'_> {
             return Ok(None);
         }
         let Self {
+            base,
             done,
             row,
             dependents,
             later,
+            pool,
+            free,
             gate_s,
             missing,
             ready,
             settled,
             ..
         } = self;
+        let base = *base;
         ready.clear();
-        let mut unblock = |j: usize, finish_s: f64| -> Result<()> {
-            if finish_s > gate_s[j] {
-                gate_s[j] = finish_s;
-            }
-            missing[j] = missing[j]
-                .checked_sub(1)
-                .ok_or_else(|| cfg_err("dependent released more often than it has dependencies"))?;
-            if missing[j] == 0 {
-                ready.push(j);
-            }
-            Ok(())
-        };
-        for c in &done[first..] {
-            *settled += 1;
-            for &j in &dependents[row[c.key]..row[c.key + 1]] {
-                unblock(j as usize, c.finish_s)?;
-            }
-            if !later.is_empty() {
-                for j in later.remove(&c.key).into_iter().flatten() {
-                    unblock(j, c.finish_s)?;
+        // Count one settled dependency of key `j`, finished at `finish_s`.
+        let unblock =
+            |gate_s: &mut [f64], missing: &mut [u32], ready: &mut Vec<usize>, j, finish_s| {
+                let k = usize::checked_sub(j, base)
+                    .filter(|&k| k < missing.len())
+                    .ok_or_else(|| cfg_err("dependent outside the composed keys"))?;
+                if finish_s > gate_s[k] {
+                    gate_s[k] = finish_s;
                 }
+                missing[k] = missing[k]
+                    .checked_sub(1)
+                    .filter(|&m| m != SETTLED - 1)
+                    .ok_or_else(|| {
+                        cfg_err("dependent released more often than it has dependencies")
+                    })?;
+                if missing[k] == 0 {
+                    ready.push(j);
+                }
+                Ok::<_, crate::error::WrhtError>(())
+            };
+        for c in &done[first..] {
+            let k = c
+                .key
+                .checked_sub(base)
+                .filter(|&k| k < later.len() && missing[k] == 0)
+                .ok_or_else(|| cfg_err("completion of a key that is not in flight"))?;
+            *settled += 1;
+            missing[k] = SETTLED;
+            for &j in &dependents[row[k]..row[k + 1]] {
+                unblock(gate_s, missing, ready, j as usize, c.finish_s)?;
+            }
+            let mut e = std::mem::replace(&mut later[k], NIL);
+            while let Some(edge) = pool.get_mut(e as usize) {
+                let Edge { dependent, next } = *edge;
+                edge.next = *free;
+                *free = e;
+                e = next;
+                unblock(gate_s, missing, ready, dependent as usize, c.finish_s)?;
             }
         }
         // Unblocked keys enter their member in key order, released at the
@@ -646,7 +819,7 @@ impl FabricEngine for ComposedEngine<'_> {
     /// The first member diagnostic, or the composed one, when a key is
     /// unsettled.
     fn stall_diagnostic(&mut self) -> Result<()> {
-        if self.settled >= self.transfers.len() {
+        if self.settled >= self.base + self.transfers.len() {
             return Ok(());
         }
         for m in &mut self.members {
@@ -674,7 +847,21 @@ impl FabricEngine for ComposedEngine<'_> {
         None
     }
 
+    /// Each key's dependents, its rows and its edge list alike, go into
+    /// one flat table, which a restored engine keeps as its rows.
     fn snapshot(&self) -> Value {
+        let mut row = Vec::with_capacity(self.row.len());
+        let mut dependents = Vec::with_capacity(self.dependents.len());
+        row.push(0);
+        for k in 0..self.transfers.len() {
+            dependents.extend_from_slice(&self.dependents[self.row[k]..self.row[k + 1]]);
+            let mut e = self.later[k];
+            while let Some(edge) = self.pool.get(e as usize) {
+                dependents.push(edge.dependent);
+                e = edge.next;
+            }
+            row.push(dependents.len());
+        }
         ComposedImage {
             members: self
                 .members
@@ -689,9 +876,8 @@ impl FabricEngine for ComposedEngine<'_> {
             jobs: self.jobs.clone(),
             gate_s: self.gate_s.clone(),
             missing: self.missing.clone(),
-            row: self.row.clone(),
-            dependents: self.dependents.clone(),
-            later: self.later.iter().map(|(&k, v)| (k, v.clone())).collect(),
+            row,
+            dependents,
             settled: self.settled,
             done: self.done.clone(),
         }
@@ -800,6 +986,20 @@ impl Substrate for ComposedSubstrate {
         fair_share: bool,
         image: Option<&Value>,
     ) -> Result<Box<dyn FabricEngine + '_>> {
+        Ok(Box::new(
+            self.composed_engine(arbitrated, fair_share, image)?,
+        ))
+    }
+}
+
+impl ComposedSubstrate {
+    /// [`Substrate::engine`], unboxed.
+    fn composed_engine(
+        &self,
+        arbitrated: bool,
+        fair_share: bool,
+        image: Option<&Value>,
+    ) -> Result<ComposedEngine<'_>> {
         let mut restored = ComposedImage {
             row: vec![0],
             ..ComposedImage::default()
@@ -823,19 +1023,20 @@ impl Substrate for ComposedSubstrate {
             let own = own.next();
             members.push(Member {
                 eng: fabric.engine(arbitrated, fair_share, own.as_ref().map(|i| &i.engine))?,
+                first_key: 0,
                 node_base,
                 clock_s: own.as_ref().map_or(0.0, |i| i.clock_s),
                 keys: own.map_or_else(Vec::new, |i| i.keys),
             });
         }
-        Ok(Box::new(ComposedEngine::new(self.spec, members, restored)))
+        Ok(ComposedEngine::new(self.spec, members, restored))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dag::DepTransfer;
+    use crate::dag::{DepSource, DepTransfer};
     use crate::fault::{FaultPolicy, FaultScript};
     use crate::stream::{ArrivalProcess, StreamSpec, StreamTemplate};
     use crate::substrate::{ElectricalSubstrate, OpticalSubstrate};
@@ -1108,6 +1309,91 @@ mod tests {
             comp.resume_stream(&spec, &bad, None).unwrap_err(),
             cfg_err("stream drained with unfinished jobs")
         );
+    }
+
+    #[test]
+    fn a_dependency_on_a_settled_key_is_rejected_before_any_state_change() {
+        let sub = composed(2, 4);
+        let mut eng = sub.engine(false, false, None).unwrap();
+        // Keys 0 (intra) and 1 (inter) settle; key 2 waits on key 1.
+        let batch = [
+            dep(t(0, 1, 1 << 20), vec![], 0),
+            dep(t(1, 5, 1 << 20), vec![], 0),
+            dep(t(5, 6, 1 << 20), vec![1], 1),
+        ];
+        eng.inject(&batch, 0, 0.0, &|_| 0).unwrap();
+        let mut done = Vec::new();
+        while done.iter().filter(|c: &&Completion| c.key < 2).count() < 2 {
+            eng.step().unwrap();
+            eng.drain(&mut done);
+        }
+        let settled = cfg_err("dependency names a transfer that already settled");
+        // A later batch may name the live key 2, but not a settled one.
+        for bad in [0, 1] {
+            let later = [
+                dep(t(2, 3, 1 << 10), vec![2], 2),
+                dep(t(6, 7, 1 << 10), vec![bad], 2),
+            ];
+            assert_eq!(eng.inject(&later, 3, 0.0, &|_| 0), Err(settled.clone()));
+        }
+        // Nothing of the rejected batches stuck: the next batch continues
+        // at key 3, and the run ends cleanly.
+        let later = [dep(t(2, 3, 1 << 10), vec![2], 2)];
+        eng.inject(&later, 3, 0.0, &|_| 0).unwrap();
+        while eng.step().unwrap().is_some() {}
+        eng.drain(&mut done);
+        eng.stall_diagnostic().unwrap();
+        let mut keys: Vec<usize> = done.iter().map(|c| c.key).collect();
+        keys.sort_unstable();
+        assert_eq!(keys, [0, 1, 2, 3]);
+        // Forgotten keys are settled too.
+        eng.forget_settled();
+        let forgotten = [dep(t(0, 1, 1), vec![3], 3)];
+        assert_eq!(eng.inject(&forgotten, 4, 0.0, &|_| 0), Err(settled));
+    }
+
+    /// Streamed phase by phase through the closed driver, the largest
+    /// mixed-parallelism shape of the benchmark, (8, 4, 4, 8) at 128
+    /// microbatches, holds a window of its keys in the composed engine;
+    /// injected whole, it holds all 271,104.
+    #[test]
+    fn a_streamed_parallelism_dag_holds_a_window_of_keys() {
+        use crate::engine::run_closed;
+        use crate::parallelism::{
+            lower_parallelism, ParallelismSource, ParallelismSpec, StageModel,
+        };
+        use crate::substrate::DagTiming;
+        let spec = ParallelismSpec::new(8, 4, 4, 8, 128).unwrap();
+        // GPT2-small's gradient, the benchmark's activations and physics.
+        let model = StageModel::split(497_759_232, 4, 8 << 20);
+        let sub = ComposedSubstrate {
+            spec: spec.hier().unwrap(),
+            intra: Box::new(
+                OpticalSubstrate::new(
+                    OpticalConfig::new(8, 64)
+                        .with_lambda_bandwidth(25e9 / 8.0)
+                        .with_message_overhead(50e-9)
+                        .with_hop_propagation(5e-9),
+                )
+                .unwrap(),
+            ),
+            inter: Box::new(ElectricalSubstrate::new(
+                electrical_sim::topology::star_cluster(128, 100e9 / 8.0, 500e-9),
+                5e-6,
+            )),
+            name: "composed".into(),
+        };
+        let source = ParallelismSource::new(&spec, &model).unwrap();
+        assert_eq!(source.len(), 271_104);
+        let mut eng = sub.composed_engine(false, false, None).unwrap();
+        let streamed = run_closed(&mut eng, &source, None, DagTiming::from).unwrap();
+        assert_eq!(streamed.len(), source.len());
+        assert!(eng.peak_held <= 40_160, "held {} keys", eng.peak_held);
+
+        let mut whole = sub.composed_engine(false, false, None).unwrap();
+        let dag = lower_parallelism(&spec, &model).unwrap();
+        whole.inject(dag.transfers(), 0, 0.0, &|_| 0).unwrap();
+        assert_eq!(whole.peak_held, 271_104);
     }
 
     #[test]

@@ -133,7 +133,9 @@ pub mod prelude {
         to_logical_schedule, to_optical_schedule, to_optical_schedule_with, BroadcastMode,
     };
     pub use crate::optimizer::{choose_group_size, plan_and_simulate, PlanOutcome};
-    pub use crate::parallelism::{lower_parallelism, ParallelismSpec, StageModel};
+    pub use crate::parallelism::{
+        lower_parallelism, ParallelismSource, ParallelismSpec, StageModel,
+    };
     pub use crate::params::{GroupSize, WrhtParams};
     pub use crate::pipeline::{optimal_segments, segment_sweep, segmented_time, SegmentPoint};
     pub use crate::plan::{
@@ -164,7 +166,7 @@ pub use error::WrhtError;
 pub use fault::{FaultClusterReport, FaultPolicy, FaultRunReport, FaultScript};
 pub use hierarchy::{compose, Domain, HierSpec};
 pub use optimizer::{choose_group_size, plan_and_simulate, PlanOutcome};
-pub use parallelism::{lower_parallelism, ParallelismSpec, StageModel};
+pub use parallelism::{lower_parallelism, ParallelismSource, ParallelismSpec, StageModel};
 pub use params::{GroupSize, WrhtParams};
 pub use plan::{build_plan, candidate_plans, StopPolicy, WrhtPlan};
 pub use quantile::{PercentileSet, Percentiles};

@@ -18,11 +18,18 @@
 //!   every pair of expert hosts ([`crate::alltoall::alltoall_pairs`]).
 //!   Expert hosts span replicas, so the pattern straddles both fabrics.
 //!
-//! [`ParallelismSpec`] names the degrees, [`StageModel`] carries the byte
-//! counts, and [`lower_parallelism`] emits one [`DepSchedule`] whose
+//! [`ParallelismSpec`] names the degrees and [`StageModel`] carries the
+//! byte counts. [`ParallelismSource`] is the lowering as a lazy
+//! [`DepSource`]: each read writes one phase — a stage's TP rings across
+//! its replicas, its MoE exchange, a PP boundary, or the trailing DP
+//! rings — so the closed driver streams the iteration into a composed
+//! substrate ([`crate::hierarchy::compose`]) a few phases at a time, and
+//! its constructor counts the transfers and splits them and their bytes by
+//! fabric domain without building a dependency list.
+//! [`lower_parallelism`] is its collected form, one [`DepSchedule`] whose
 //! transfers the hierarchy layer tags by endpoint
-//! ([`crate::hierarchy::HierSpec::domains`]) and executes on a composed
-//! substrate ([`crate::hierarchy::compose`]).
+//! ([`crate::hierarchy::HierSpec::domains`]); both run the one lowering
+//! body.
 //!
 //! # Rank layout
 //!
@@ -41,6 +48,31 @@
 //! both endpoints' frontiers. The result is a DAG where, e.g., replica 0's
 //! TP all-reduce for microbatch 2 can overlap replica 1's PP send for
 //! microbatch 1 — exactly the concurrency a real pipeline exposes.
+//!
+//! The frontier is all a reader of [`ParallelismSource`] keeps between
+//! reads, and it bounds what the rest of the DAG can depend on: an unread
+//! transfer depends on a frontier entry or on a transfer not written yet.
+//! The reader's horizon is therefore the lowest index in any host's
+//! frontier, unknown until every host has one.
+//!
+//! ```
+//! use wrht_core::dag::DepSource;
+//! use wrht_core::parallelism::{lower_parallelism, ParallelismSource, ParallelismSpec, StageModel};
+//!
+//! let spec = ParallelismSpec::new(2, 2, 2, 0, 3).unwrap();
+//! let model = StageModel::split(1 << 20, 2, 1 << 16);
+//! let source = ParallelismSource::new(&spec, &model).unwrap();
+//! let whole = lower_parallelism(&spec, &model).unwrap();
+//! assert_eq!(source.len(), whole.len());
+//! assert_eq!(source.intra().transfers + source.inter().transfers, whole.len());
+//! // Read phase by phase, the source is the collected lowering.
+//! let mut stages = source.stages();
+//! let mut read = Vec::new();
+//! while let Some(stage) = stages.next_stage() {
+//!     read.extend_from_slice(stage);
+//! }
+//! assert_eq!(read, whole.transfers());
+//! ```
 
 use collectives::ring::ring_allreduce;
 use collectives::Schedule;
@@ -48,9 +80,9 @@ use optical_sim::{NodeId, OpticalError, Transfer};
 use serde::{Deserialize, Serialize};
 
 use crate::alltoall::alltoall_pairs;
-use crate::dag::{DepSchedule, DepTransfer};
+use crate::dag::{DepReader, DepSchedule, DepSource, DepTransfer};
 use crate::error::Result;
-use crate::hierarchy::HierSpec;
+use crate::hierarchy::{Domain, HierSpec};
 
 fn cfg_err(msg: &'static str) -> crate::error::WrhtError {
     OpticalError::BadConfig(msg).into()
@@ -182,35 +214,291 @@ impl StageModel {
     }
 }
 
-/// Per-host frontier DAG builder (see module docs).
-struct DagBuilder {
-    transfers: Vec<DepTransfer>,
-    frontier: Vec<Vec<usize>>,
-    stage: usize,
-    scratch: Vec<usize>,
+/// Transfers and payload bytes of one fabric domain.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DomainTraffic {
+    /// Transfers in the domain.
+    pub transfers: usize,
+    /// Their payload bytes.
+    pub bytes: u64,
 }
 
-impl DagBuilder {
-    fn new(nodes: usize) -> Self {
-        Self {
-            transfers: Vec::new(),
-            frontier: vec![Vec::new(); nodes],
+/// One phase of the lowering: what one read of a [`ParallelismSource`]
+/// writes.
+#[derive(Clone, Copy)]
+enum Phase {
+    /// The TP activation all-reduce of a pipeline stage in every replica's
+    /// group.
+    Tp(usize),
+    /// A pipeline stage's MoE token exchange.
+    Moe(usize),
+    /// The PP boundary from a pipeline stage into the next.
+    Pp(usize),
+    /// The trailing DP gradient rings.
+    Dp,
+}
+
+/// What a phase writes into: the dependency builder of a reader, or the
+/// constructor's tally.
+trait Sink {
+    /// Collective `template` with rank `r` at host `members[r]` and
+    /// `bytes_per_elem`-wide elements; zero-element transfers are skipped.
+    fn collective(&mut self, template: &Schedule, members: &[usize], bytes_per_elem: u64);
+
+    /// One-step all-to-all among `hosts`: every ordered pair at once.
+    fn alltoall(&mut self, hosts: &[usize], bytes: u64);
+
+    /// One point-to-point transfer.
+    fn p2p(&mut self, src: usize, dst: usize, bytes: u64);
+}
+
+/// One training iteration of a [`ParallelismSpec`] over a [`StageModel`],
+/// lowered lazily (see [`lower_parallelism`] for the traffic). Each read
+/// of a reader writes one phase — a stage's TP rings across its replicas,
+/// its MoE exchange, a PP boundary, or the trailing DP rings — with
+/// dependencies on the per-host frontier the reader keeps, so a closed run
+/// holds a few phases of transfers instead of the whole DAG.
+/// [`lower_parallelism`] is its collected form.
+pub struct ParallelismSource {
+    spec: ParallelismSpec,
+    model: StageModel,
+    /// One ring template per collective shape, re-addressed per member set.
+    tp_ring: Schedule,
+    dp_ring: Schedule,
+    /// The phases of one microbatch, in order.
+    microbatch: Vec<Phase>,
+    phases: usize,
+    len: usize,
+    intra: DomainTraffic,
+    inter: DomainTraffic,
+}
+
+impl ParallelismSource {
+    /// Lower `spec` over `model` lazily. One pass over the phases counts
+    /// the transfers and splits them and their bytes by fabric domain,
+    /// building no dependency lists.
+    ///
+    /// # Errors
+    /// Rejects invalid specs and models whose stage table does not match
+    /// `spec.pp` or whose byte counts are zero.
+    pub fn new(spec: &ParallelismSpec, model: &StageModel) -> Result<Self> {
+        spec.validate()?;
+        if model.gradient_bytes.len() != spec.pp {
+            return Err(cfg_err(
+                "stage model must have one entry per pipeline stage",
+            ));
+        }
+        if model.activation_bytes == 0 || model.gradient_bytes.contains(&0) {
+            return Err(cfg_err("stage model byte counts must be positive"));
+        }
+        let mut microbatch = Vec::new();
+        for s in 0..spec.pp {
+            microbatch.push(Phase::Tp(s));
+            if spec.moe_experts >= 2 {
+                microbatch.push(Phase::Moe(s));
+            }
+            if s + 1 < spec.pp {
+                microbatch.push(Phase::Pp(s));
+            }
+        }
+        let phases = microbatch
+            .len()
+            .checked_mul(spec.microbatches)
+            .and_then(|p| p.checked_add(usize::from(spec.dp >= 2)))
+            .ok_or_else(|| cfg_err("parallelism phase count overflows"))?;
+        let mut source = Self {
+            spec: *spec,
+            model: model.clone(),
+            tp_ring: ring_allreduce(spec.tp, spec.tp),
+            dp_ring: ring_allreduce(spec.dp, spec.dp),
+            microbatch,
+            phases,
+            len: 0,
+            intra: DomainTraffic::default(),
+            inter: DomainTraffic::default(),
+        };
+        let mut tally = Tally {
+            hier: spec.hier()?,
+            traffic: [DomainTraffic::default(); 2],
+        };
+        for index in 0..phases {
+            source.write(source.phase(index), &mut tally);
+        }
+        let [intra, inter] = tally.traffic;
+        source.len = intra.transfers + inter.transfers;
+        source.intra = intra;
+        source.inter = inter;
+        Ok(source)
+    }
+
+    /// Intra-group transfers and bytes.
+    #[must_use]
+    pub fn intra(&self) -> DomainTraffic {
+        self.intra
+    }
+
+    /// Inter-group transfers and bytes.
+    #[must_use]
+    pub fn inter(&self) -> DomainTraffic {
+        self.inter
+    }
+
+    /// The phase at `index`: the microbatches' phases, then the DP rings.
+    fn phase(&self, index: usize) -> Phase {
+        let per = self.microbatch.len().max(1);
+        match self.microbatch.get(index % per) {
+            Some(&phase) if index / per < self.spec.microbatches => phase,
+            _ => Phase::Dp,
+        }
+    }
+
+    /// Write `phase` into `sink`: the one lowering body of the source's
+    /// readers, its tally and [`lower_parallelism`].
+    fn write(&self, phase: Phase, sink: &mut impl Sink) {
+        let spec = &self.spec;
+        let act_chunk = self.model.activation_bytes.div_ceil(spec.tp as u64);
+        match phase {
+            Phase::Tp(s) => {
+                for r in 0..spec.dp {
+                    let members: Vec<usize> = (0..spec.tp).map(|k| spec.node(s, r, k)).collect();
+                    sink.collective(&self.tp_ring, &members, act_chunk);
+                }
+            }
+            // Spans replicas, so the pairs mix intra and inter traffic.
+            Phase::Moe(s) => {
+                let base = spec.node(s, 0, 0);
+                let hosts: Vec<usize> = (0..spec.moe_experts).map(|e| base + e).collect();
+                let bytes = self
+                    .model
+                    .activation_bytes
+                    .div_ceil(spec.moe_experts as u64);
+                sink.alltoall(&hosts, bytes);
+            }
+            // TP-sharded activations, one send per lane.
+            Phase::Pp(s) => {
+                for r in 0..spec.dp {
+                    for k in 0..spec.tp {
+                        sink.p2p(spec.node(s, r, k), spec.node(s + 1, r, k), act_chunk);
+                    }
+                }
+            }
+            // Per stage, per lane, a ring across replicas.
+            Phase::Dp => {
+                for (s, &grad) in self.model.gradient_bytes.iter().enumerate() {
+                    let chunk = grad.div_ceil((spec.tp * spec.dp) as u64);
+                    for k in 0..spec.tp {
+                        let members: Vec<usize> =
+                            (0..spec.dp).map(|r| spec.node(s, r, k)).collect();
+                        sink.collective(&self.dp_ring, &members, chunk);
+                    }
+                }
+            }
+        }
+    }
+
+    fn reader(&self) -> ParallelismReader<'_> {
+        ParallelismReader {
+            source: self,
+            next: 0,
+            first: 0,
             stage: 0,
+            frontier: vec![Vec::new(); self.spec.nodes()],
+            horizon: None,
+            out: Vec::new(),
             scratch: Vec::new(),
         }
     }
+}
 
-    /// Advance the stage label (non-decreasing, required by
-    /// [`DepSchedule::from_transfers`]).
-    fn next_phase(&mut self) {
-        if !self.transfers.is_empty() {
-            self.stage += 1;
+impl DepSource for ParallelismSource {
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn stages(&self) -> Box<dyn DepReader + '_> {
+        Box::new(self.reader())
+    }
+}
+
+/// The constructor's sink: transfers and bytes per domain, intra first.
+struct Tally {
+    hier: HierSpec,
+    traffic: [DomainTraffic; 2],
+}
+
+impl Tally {
+    fn add(&mut self, src: usize, dst: usize, bytes: u64) {
+        let domain = match self.hier.domain_of(src, dst) {
+            Domain::Intra { .. } => 0,
+            Domain::Inter => 1,
+        };
+        self.traffic[domain].transfers += 1;
+        self.traffic[domain].bytes += bytes;
+    }
+}
+
+impl Sink for Tally {
+    fn collective(&mut self, template: &Schedule, members: &[usize], bytes_per_elem: u64) {
+        for t in template.steps.iter().flat_map(|step| &step.transfers) {
+            if t.elems() > 0 {
+                let bytes = t.elems() as u64 * bytes_per_elem;
+                self.add(members[t.src], members[t.dst], bytes);
+            }
         }
     }
 
+    fn alltoall(&mut self, hosts: &[usize], bytes: u64) {
+        for (src, dst) in alltoall_pairs(hosts) {
+            self.add(src, dst, bytes);
+        }
+    }
+
+    fn p2p(&mut self, src: usize, dst: usize, bytes: u64) {
+        self.add(src, dst, bytes);
+    }
+}
+
+/// The reader of a [`ParallelismSource`]: the per-host frontier DAG
+/// builder (see module docs), one phase per read.
+struct ParallelismReader<'a> {
+    source: &'a ParallelismSource,
+    /// The next phase to write.
+    next: usize,
+    /// Index of `out[0]` in the whole schedule.
+    first: usize,
+    /// Stage label of the phase being written (non-decreasing, as
+    /// [`DepSchedule::from_transfers`] requires).
+    stage: usize,
+    /// Per host, the transfers that last touched it, ascending.
+    frontier: Vec<Vec<usize>>,
+    horizon: Option<usize>,
+    out: Vec<DepTransfer>,
+    scratch: Vec<usize>,
+}
+
+impl ParallelismReader<'_> {
+    /// Append the next non-empty phase to `out`; false once every phase
+    /// was written.
+    fn write_next(&mut self) -> bool {
+        let source = self.source;
+        while self.next < source.phases {
+            let phase = source.phase(self.next);
+            self.next += 1;
+            if self.first + self.out.len() > 0 {
+                self.stage += 1;
+            }
+            let before = self.out.len();
+            source.write(phase, self);
+            if self.out.len() > before {
+                return true;
+            }
+        }
+        false
+    }
+
     fn push(&mut self, src: usize, dst: usize, bytes: u64, deps: Vec<usize>) -> usize {
-        let idx = self.transfers.len();
-        self.transfers.push(DepTransfer {
+        let idx = self.first + self.out.len();
+        self.out.push(DepTransfer {
             transfer: Transfer::shortest(NodeId(src), NodeId(dst), bytes),
             deps,
             release_s: 0.0,
@@ -229,29 +517,21 @@ impl DagBuilder {
         self.scratch.dedup();
         self.scratch.clone()
     }
+}
 
-    /// Point-to-point transfer gated on both endpoints' frontiers.
-    fn p2p(&mut self, src: usize, dst: usize, bytes: u64) {
-        let deps = self.barrier([src, dst]);
-        let idx = self.push(src, dst, bytes, deps);
-        self.frontier[src] = vec![idx];
-        self.frontier[dst] = vec![idx];
-    }
-
-    /// Embed a collective `sched` (already addressed in global host ids —
-    /// see [`Schedule::over_members`]) with `bytes_per_elem`-wide
-    /// elements: entry barrier over the members' frontiers, step-over-step
+impl Sink for ParallelismReader<'_> {
+    /// Entry barrier over the members' frontiers, step-over-step
     /// dependency chains inside, exit frontier on every member.
-    fn collective(&mut self, sched: &Schedule, members: &[usize], bytes_per_elem: u64) {
+    fn collective(&mut self, template: &Schedule, members: &[usize], bytes_per_elem: u64) {
         let mut prev = self.barrier(members.iter().copied());
-        for step in &sched.steps {
+        for step in &template.steps {
             let mut cur = Vec::with_capacity(step.transfers.len());
             for t in &step.transfers {
                 if t.elems() == 0 {
                     continue;
                 }
                 let bytes = t.elems() as u64 * bytes_per_elem;
-                cur.push(self.push(t.src, t.dst, bytes, prev.clone()));
+                cur.push(self.push(members[t.src], members[t.dst], bytes, prev.clone()));
             }
             if !cur.is_empty() {
                 prev = cur;
@@ -262,8 +542,7 @@ impl DagBuilder {
         }
     }
 
-    /// One-step all-to-all among `hosts`: every ordered pair at once,
-    /// barrier in, barrier out.
+    /// Barrier in, barrier out.
     fn alltoall(&mut self, hosts: &[usize], bytes: u64) {
         let entry = self.barrier(hosts.iter().copied());
         let mut out = Vec::new();
@@ -278,13 +557,39 @@ impl DagBuilder {
         }
     }
 
-    fn finish(self) -> Result<DepSchedule> {
-        DepSchedule::from_transfers(self.transfers)
+    /// Gated on both endpoints' frontiers.
+    fn p2p(&mut self, src: usize, dst: usize, bytes: u64) {
+        let deps = self.barrier([src, dst]);
+        let idx = self.push(src, dst, bytes, deps);
+        self.frontier[src] = vec![idx];
+        self.frontier[dst] = vec![idx];
+    }
+}
+
+impl DepReader for ParallelismReader<'_> {
+    fn next_stage(&mut self) -> Option<&[DepTransfer]> {
+        self.first += self.out.len();
+        self.out.clear();
+        if !self.write_next() {
+            return None;
+        }
+        // An unread transfer depends on a frontier or on a transfer not
+        // written yet; a host without a frontier would give it none.
+        self.horizon = self
+            .frontier
+            .iter()
+            .try_fold(usize::MAX, |low, keys| keys.first().map(|&k| low.min(k)));
+        Some(&self.out)
+    }
+
+    fn horizon(&self) -> Option<usize> {
+        self.horizon
     }
 }
 
 /// Lower one training iteration of `spec` over `model` to a single
-/// dependency DAG in the hierarchical rank layout (see module docs).
+/// dependency DAG in the hierarchical rank layout (see module docs): the
+/// collected form of [`ParallelismSource`].
 ///
 /// Per microbatch and pipeline stage: a TP ring all-reduce of the
 /// activation inside every replica's group, the stage's MoE all-to-all
@@ -300,69 +605,11 @@ impl DagBuilder {
 /// Rejects invalid specs and models whose stage table does not match
 /// `spec.pp` or whose byte counts are zero.
 pub fn lower_parallelism(spec: &ParallelismSpec, model: &StageModel) -> Result<DepSchedule> {
-    spec.validate()?;
-    if model.gradient_bytes.len() != spec.pp {
-        return Err(cfg_err(
-            "stage model must have one entry per pipeline stage",
-        ));
-    }
-    if model.activation_bytes == 0 || model.gradient_bytes.contains(&0) {
-        return Err(cfg_err("stage model byte counts must be positive"));
-    }
-
-    let mut b = DagBuilder::new(spec.nodes());
-    // One ring template per collective shape, re-addressed per member set.
-    let tp_ring = ring_allreduce(spec.tp, spec.tp);
-    let dp_ring = ring_allreduce(spec.dp, spec.dp);
-    let act_chunk = model.activation_bytes.div_ceil(spec.tp as u64);
-
-    for _microbatch in 0..spec.microbatches {
-        for s in 0..spec.pp {
-            // TP activation all-reduce inside every replica's group.
-            b.next_phase();
-            for r in 0..spec.dp {
-                let members: Vec<usize> = (0..spec.tp).map(|k| spec.node(s, r, k)).collect();
-                let sched = tp_ring.over_members(&members);
-                b.collective(&sched, &members, act_chunk);
-            }
-            // MoE token exchange among the stage's expert hosts (spans
-            // replicas, so the pairs mix intra and inter traffic).
-            if spec.moe_experts >= 2 {
-                b.next_phase();
-                let base = spec.node(s, 0, 0);
-                let hosts: Vec<usize> = (0..spec.moe_experts).map(|e| base + e).collect();
-                b.alltoall(
-                    &hosts,
-                    model.activation_bytes.div_ceil(spec.moe_experts as u64),
-                );
-            }
-            // PP boundary: activations to the corresponding rank of the
-            // next stage (TP-sharded, one send per lane).
-            if s + 1 < spec.pp {
-                b.next_phase();
-                for r in 0..spec.dp {
-                    for k in 0..spec.tp {
-                        b.p2p(spec.node(s, r, k), spec.node(s + 1, r, k), act_chunk);
-                    }
-                }
-            }
-        }
-    }
-
-    // DP gradient all-reduce: per stage, per lane, a ring across replicas.
-    if spec.dp >= 2 {
-        b.next_phase();
-        for (s, &grad) in model.gradient_bytes.iter().enumerate() {
-            let chunk = grad.div_ceil((spec.tp * spec.dp) as u64);
-            for k in 0..spec.tp {
-                let members: Vec<usize> = (0..spec.dp).map(|r| spec.node(s, r, k)).collect();
-                let sched = dp_ring.over_members(&members);
-                b.collective(&sched, &members, chunk);
-            }
-        }
-    }
-
-    b.finish()
+    let source = ParallelismSource::new(spec, model)?;
+    let mut reader = source.reader();
+    reader.out.reserve_exact(source.len);
+    while reader.write_next() {}
+    DepSchedule::from_transfers(reader.out)
 }
 
 #[cfg(test)]

@@ -965,6 +965,11 @@ impl<E: FabricEngine + ?Sized> Driver<'_, E> {
             idx,
         );
         let slot = self.eng.add_job(rank);
+        // Tags are dense: a retired slot, or the next one. A resumed
+        // engine whose job counter disagrees must not size the table.
+        if slot > self.st.live.len() || self.st.live.get(slot).is_some_and(Option::is_some) {
+            return Err(cfg_err("engine job tag is not a free slot"));
+        }
         self.eng
             .inject(lowered.dag.transfers(), 0, admit_s, &|_| slot)?;
         if slot >= self.st.live.len() {
@@ -1414,6 +1419,24 @@ mod tests {
         assert!(optical().resume_stream(&spec, &stale, None).is_err());
         let other_policy = stream_spec(SchedPolicy::Priority);
         assert!(optical().resume_stream(&other_policy, &ck, None).is_err());
+    }
+
+    #[test]
+    fn a_fluid_job_counter_beyond_the_checkpoint_is_a_typed_error() {
+        let spec = stream_spec(SchedPolicy::Fifo);
+        let ck = electrical()
+            .execute_stream_until(&spec, Some(1))
+            .unwrap()
+            .checkpoint()
+            .unwrap();
+        let json = serde_json::to_string(&ck).unwrap();
+        let bad = json.replace("\"next_job\":1", "\"next_job\":1000000000000000000");
+        assert_ne!(bad, json);
+        let bad = serde_json::from_str(&bad).unwrap();
+        assert_eq!(
+            electrical().resume_stream(&spec, &bad, None).unwrap_err(),
+            cfg_err("engine job tag is not a free slot")
+        );
     }
 
     #[test]

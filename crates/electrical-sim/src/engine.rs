@@ -811,7 +811,7 @@ impl<'a> FluidEngine<'a> {
                         None => break,
                     },
                 };
-                unblocked |= self.promote(i, now);
+                unblocked |= self.promote(i, now)?;
                 if matches!(self.phase[i], Phase::Pending | Phase::Latency(_)) {
                     if ready {
                         self.unsettled.push(i);
@@ -956,7 +956,12 @@ impl<'a> FluidEngine<'a> {
 
     /// Visit flow `i` in a promotion pass at `now`. Returns whether the
     /// visit unblocked anything, which makes the pass repeat.
-    fn promote(&mut self, i: usize, now: f64) -> bool {
+    ///
+    /// # Errors
+    /// [`NetError::BadConfig`] when a wake-up cannot be scheduled (a
+    /// latency expiry or release that is not a finite instant at or after
+    /// the clock).
+    fn promote(&mut self, i: usize, now: f64) -> Result<bool> {
         match self.phase[i] {
             Phase::Pending if self.flows[i].release_s <= now + EPS => {
                 self.start[i] = now;
@@ -970,16 +975,16 @@ impl<'a> FluidEngine<'a> {
                     self.phase[i] = Phase::Latency(now + pipe);
                     self.kernel
                         .schedule_at(now + pipe, Ev::Timer(self.key_base + i))
-                        .expect("latency expiry is ahead of the clock");
+                        .map_err(|_| NetError::BadConfig("latency expiry precedes the clock"))?;
                 } else if self.remaining[i] <= EPS {
-                    return self.settle_zero_byte(i, now);
+                    return Ok(self.settle_zero_byte(i, now));
                 } else {
                     self.activate(i);
                 }
             }
             Phase::Latency(t) if t <= now + EPS => {
                 if self.remaining[i] <= EPS {
-                    return self.settle_zero_byte(i, now.max(t));
+                    return Ok(self.settle_zero_byte(i, now.max(t)));
                 }
                 self.activate(i);
             }
@@ -989,15 +994,15 @@ impl<'a> FluidEngine<'a> {
                 self.release_scheduled[i] = true;
                 self.kernel
                     .schedule_at(self.flows[i].release_s, Ev::Release(self.key_base + i))
-                    .expect("pending release is ahead of the clock");
+                    .map_err(|_| NetError::BadConfig("pending release precedes the clock"))?;
             }
             Phase::Blocked if self.missing[i] == 0 => {
                 self.phase[i] = Phase::Pending;
-                return true;
+                return Ok(true);
             }
             _ => {}
         }
-        false
+        Ok(false)
     }
 
     fn activate(&mut self, i: usize) {
@@ -1211,7 +1216,9 @@ impl<'a> FluidEngine<'a> {
                     let f = self.flows_on_link[l][f_idx];
                     if !self.flow_seen[f] {
                         self.flow_seen[f] = true;
-                        self.flow_comp[f] = u32::try_from(n_comps).expect("component count");
+                        self.flow_comp[f] = u32::try_from(n_comps).map_err(|_| {
+                            NetError::BadConfig("contention component count overflows")
+                        })?;
                         self.comp_flows.push(f);
                         found_flow = true;
                         for l2_idx in 0..self.routes[f].len() {
@@ -1299,7 +1306,9 @@ impl<'a> FluidEngine<'a> {
                     self.sched_cand[f] = t;
                     self.kernel
                         .schedule_at(t, Ev::Complete(self.key_base + f))
-                        .expect("completion candidate is ahead of the clock");
+                        .map_err(|_| {
+                            NetError::BadConfig("completion candidate precedes the clock")
+                        })?;
                 }
             }
         }
@@ -1564,12 +1573,10 @@ fn check_snapshot(net: &Network, s: &FluidEngineSnapshot) -> std::result::Result
             _ => return Err("snapshot event names an unknown flow or a fault"),
         }
     }
-    let mut seen = vec![false; s.next_job];
-    if !s
-        .job_free
-        .iter()
-        .all(|&j| j < s.next_job && !std::mem::replace(&mut seen[j], true))
-    {
+    // Memory bounded by the image, whatever the job counter claims.
+    let mut free = s.job_free.clone();
+    free.sort_unstable();
+    if free.last().is_some_and(|&j| j >= s.next_job) || free.windows(2).any(|w| w[0] == w[1]) {
         return Err("snapshot job free list names an unknown or repeated job");
     }
     Ok(())
@@ -1972,6 +1979,42 @@ mod tests {
                 FluidEngine::restore(&net, &snap),
                 Err(NetError::BadConfig(_))
             ));
+        }
+        assert!(FluidEngine::restore(&net, &good).is_ok());
+    }
+
+    #[test]
+    fn job_free_lists_beyond_the_counter_are_typed_errors_not_allocations() {
+        let net = star_cluster(4, 1e9, 0.0);
+        let mut eng = FluidEngine::new(&net);
+        let (a, b) = (eng.add_job(), eng.add_job());
+        let mut first = flow(0, 1, 1_000_000, 0.0, vec![]);
+        first.job = a;
+        let mut second = flow(1, 2, 1_000_000, 0.0, vec![]);
+        second.job = b;
+        eng.inject(&[first, second]).unwrap();
+        eng.retire_job(a);
+        let good = eng.snapshot();
+        assert_eq!((good.next_job, good.job_free.clone()), (2, vec![0]));
+        let free = NetError::BadConfig("snapshot job free list names an unknown or repeated job");
+        // The first two would have sized a table by the counter before
+        // checking it, and aborted.
+        let corruptions: [fn(&mut FluidEngineSnapshot); 4] = [
+            |s| {
+                s.next_job = 1_000_000_000_000_000_000;
+                s.job_free = vec![s.next_job];
+            },
+            |s| {
+                s.next_job = 1_000_000_000_000_000_000;
+                s.job_free = vec![7, 0, 7];
+            },
+            |s| s.job_free = vec![2],
+            |s| s.job_free = vec![1, 0, 1],
+        ];
+        for corrupt in corruptions {
+            let mut snap = good.clone();
+            corrupt(&mut snap);
+            assert_eq!(FluidEngine::restore(&net, &snap).err(), Some(free.clone()));
         }
         assert!(FluidEngine::restore(&net, &good).is_ok());
     }
