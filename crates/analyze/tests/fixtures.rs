@@ -111,15 +111,18 @@ fn r5_no_panic_covers_the_grant_engine_file_only() {
 }
 
 #[test]
-fn r5_no_panic_covers_the_fluid_engine_file_only() {
+fn r5_no_panic_covers_the_whole_electrical_crate() {
     let src = include_str!("fixtures/r5_scoped.rs");
-    expect(
+    for path in [
         "crates/electrical-sim/src/engine.rs",
-        src,
-        &[("R5", 6), ("R5", 7), ("R5", 9), ("R5", 12)],
-    );
-    // The rest of the electrical crate is outside the scope.
-    expect("crates/electrical-sim/src/runner.rs", src, &[]);
+        "crates/electrical-sim/src/runner.rs",
+        "crates/electrical-sim/src/maxmin.rs",
+        "crates/electrical-sim/src/graph.rs",
+    ] {
+        expect(path, src, &[("R5", 6), ("R5", 7), ("R5", 9), ("R5", 12)]);
+    }
+    // Its tests and benches are outside the scope.
+    expect("crates/electrical-sim/tests/full_resolve.rs", src, &[]);
 }
 
 #[test]

@@ -399,27 +399,19 @@ impl FabricEngine for FluidEngine<'_> {
     ) -> Result<()> {
         let delay_s = self.launch_delay_s();
         let base = dag_base(self.next_key(), first)?;
-        let item = |i: usize, t: &DepTransfer| EngineFlow {
-            src: t.transfer.src.0,
-            dst: t.transfer.dst.0,
-            bytes: t.transfer.bytes,
-            release_s: offset_s + t.release_s,
-            delay_s,
-            deps: t.deps.iter().map(|&d| base + d).collect(),
-            job: job(i),
-        };
-        // The converted batch moves into the engine; one transfer stays on
-        // the stack (see the grant engine's inject).
-        match transfers {
-            [t] => self.inject_owned([item(0, t)]),
-            _ => self.inject_owned(
-                transfers
-                    .iter()
-                    .enumerate()
-                    .map(|(i, t)| item(i, t))
-                    .collect::<Vec<_>>(),
-            ),
-        }?;
+        // The engine reads the batch in place: no list is built per flow.
+        self.inject_from(transfers.iter().enumerate().map(|(i, t)| {
+            let flow = EngineFlow {
+                src: t.transfer.src.0,
+                dst: t.transfer.dst.0,
+                bytes: t.transfer.bytes,
+                release_s: offset_s + t.release_s,
+                delay_s,
+                deps: Vec::new(),
+                job: job(i),
+            };
+            (flow, t.deps.iter().map(move |&d| base.saturating_add(d)))
+        }))?;
         Ok(())
     }
 

@@ -58,6 +58,7 @@
 //! ```
 
 use serde::{Deserialize, Serialize, Value};
+use std::rc::Rc;
 
 use crate::dag::DepSchedule;
 use crate::engine::{Completion, FabricEngine};
@@ -727,7 +728,12 @@ impl ServiceState {
     }
 
     /// Account one finished job into the run and window aggregates.
-    fn record_finish(&mut self, spec: &StreamSpec, lowered: &[LoweredTemplate], job: FinishedJob) {
+    fn record_finish(
+        &mut self,
+        spec: &StreamSpec,
+        lowered: &[Rc<LoweredTemplate>],
+        job: FinishedJob,
+    ) {
         self.roll(job.finish_s, spec);
         let template = &lowered[job.template];
         let makespan_s = (job.finish_s - job.arrival_s).max(0.0);
@@ -814,12 +820,20 @@ struct LoweredTemplate {
     isolated_s: f64,
 }
 
+/// Each template's lowering, by template index. Templates with equal
+/// workloads (a high- and a low-priority copy of one job, say) share one
+/// lowering and one isolated run.
 fn lower_templates<S: Substrate + ?Sized>(
     sub: &mut S,
     spec: &StreamSpec,
-) -> Result<Vec<LoweredTemplate>> {
-    let mut out = Vec::with_capacity(spec.templates.len());
-    for template in &spec.templates {
+) -> Result<Vec<Rc<LoweredTemplate>>> {
+    let mut out: Vec<Rc<LoweredTemplate>> = Vec::with_capacity(spec.templates.len());
+    for (k, template) in spec.templates.iter().enumerate() {
+        let earlier = &spec.templates[..k];
+        if let Some(j) = earlier.iter().position(|t| t.workload == template.workload) {
+            out.push(Rc::clone(&out[j]));
+            continue;
+        }
         let dag = template.workload.lower();
         let isolated_s = if dag.is_empty() {
             0.0
@@ -831,11 +845,11 @@ fn lower_templates<S: Substrate + ?Sized>(
             .iter()
             .map(|t| t.transfer.bytes as f64)
             .sum();
-        out.push(LoweredTemplate {
+        out.push(Rc::new(LoweredTemplate {
             dag,
             bytes,
             isolated_s,
-        });
+        }));
     }
     Ok(out)
 }
@@ -847,7 +861,7 @@ fn lower_templates<S: Substrate + ?Sized>(
 struct Driver<'a, E: FabricEngine + ?Sized> {
     eng: &'a mut E,
     spec: &'a StreamSpec,
-    lowered: &'a [LoweredTemplate],
+    lowered: &'a [Rc<LoweredTemplate>],
     st: &'a mut ServiceState,
 }
 
@@ -1197,6 +1211,82 @@ mod tests {
                 })
                 .collect(),
         )
+    }
+
+    /// The electrical substrate, counting the closed DAG runs it is asked
+    /// for.
+    struct CountingDags {
+        inner: ElectricalSubstrate,
+        dag_runs: usize,
+    }
+
+    impl Substrate for CountingDags {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+
+        fn nodes(&self) -> usize {
+            self.inner.nodes()
+        }
+
+        fn execute(
+            &mut self,
+            schedule: &dyn optical_sim::sim::StepSource,
+        ) -> Result<crate::substrate::RunReport> {
+            self.inner.execute(schedule)
+        }
+
+        fn engine(
+            &self,
+            arbitrated: bool,
+            fair_share: bool,
+            image: Option<&Value>,
+        ) -> Result<Box<dyn FabricEngine + '_>> {
+            self.inner.engine(arbitrated, fair_share, image)
+        }
+
+        fn execute_dag(
+            &mut self,
+            dag: &dyn crate::dag::DepSource,
+        ) -> Result<crate::substrate::DagRunReport> {
+            self.dag_runs += 1;
+            self.inner.execute_dag(dag)
+        }
+    }
+
+    /// Templates with equal workloads share one isolated run, and the
+    /// report is the one the substrate gives on its own.
+    #[test]
+    fn templates_sharing_a_workload_are_measured_once() {
+        let shared = sched(vec![
+            vec![(0, 1, 400_000), (2, 3, 300_000)],
+            vec![(1, 2, 200_000)],
+        ]);
+        let spec = StreamSpec::new(
+            ArrivalProcess::Poisson {
+                rate_hz: 3_000.0,
+                count: 9,
+                seed: 11,
+            },
+            SchedPolicy::Priority,
+        )
+        .with_template(
+            StreamTemplate::new("hi", JobWorkload::Steps(shared.clone())).with_priority(2),
+        )
+        .with_template(StreamTemplate::new("lo", JobWorkload::Steps(shared)).with_priority(1))
+        .with_template(StreamTemplate::new(
+            "other",
+            JobWorkload::Steps(sched(vec![vec![(4, 5, 600_000)]])),
+        ))
+        .with_retained_jobs(true);
+        let mut counting = CountingDags {
+            inner: electrical(),
+            dag_runs: 0,
+        };
+        let report = counting.execute_stream(&spec).unwrap();
+        assert_eq!(counting.dag_runs, 2);
+        assert_eq!(report, electrical().execute_stream(&spec).unwrap());
+        assert_eq!(report.completed, 9);
     }
 
     fn templates() -> Vec<StreamTemplate> {

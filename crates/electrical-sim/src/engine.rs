@@ -28,17 +28,30 @@
 //! [`FluidEngine::frontier`] tells a streaming driver how far ahead it must
 //! have injected.
 //!
-//! Bookkeeping is `O(total flows injected)` in memory for streams, whose
-//! snapshots list every flow (per-flow scalars are kept; routes,
-//! dependency and dependent lists are dropped when a flow completes). A
-//! closed driver that keeps every outcome itself lets the engine drop the
-//! per-flow state of its settled, drained prefix
+//! # Bookkeeping
+//!
+//! Per-flow lists live in flat 32-bit blocks, not in a `Vec` per flow.
+//! Routes are one arena of link indices with per-flow offsets, routed
+//! straight into it at injection. Each injected batch with dependencies
+//! gets one block holding its flows' dependency lists and their dependents
+//! inside the batch, as compressed rows; a dependent injected in a later
+//! batch (a closed DAG streamed stage by stage) goes into a pool of 32-bit
+//! edges whose settled edges a free list recycles. List entries are
+//! distances between flow indices. The batch's last flow to settle frees
+//! its block, so a stream holds lists only for unsettled jobs, and a batch
+//! without dependencies (a single launched transfer, say) allocates none.
+//! Runs under faults keep every list. The per-flow scalars and routes are
+//! `O(total flows injected)` for streams, whose snapshots list every flow.
+//! A closed driver that keeps every outcome itself lets the engine drop
+//! the per-flow state of its settled, drained prefix
 //! ([`FluidEngine::forget_settled`]), so a DAG streamed stage by stage runs
 //! in memory proportional to the flows between the lowest unsettled one
 //! and the last injected. The per-flow tables and index lists hold
-//! positions from the first flow kept; kernel events, completions and the
-//! injection interface name flow indices, and a stale kernel event that
-//! names a dropped flow is dead, like one that names a settled flow.
+//! positions from the first flow kept (the distances in the blocks need no
+//! update); kernel events, completions and the injection interface name
+//! flow indices, and a stale kernel event that names a dropped flow is
+//! dead, like one that names a settled flow. An index that would not fit
+//! in 32 bits is a [`NetError::BadConfig`] at injection.
 //!
 //! An event costs work proportional to the flows in flight
 //! (transmitting, or waiting on a release or a latency timer), the flows
@@ -47,7 +60,10 @@
 //! reached through its last settling dependency's dependent list and put
 //! on a ready list; the promotion pass merges that list into its ascending
 //! scan, so it visits the same flows in the same order as a scan of every
-//! unsettled flow, without visiting the blocked ones.
+//! unsettled flow, without visiting the blocked ones. The re-solve lists a
+//! component's flows and links in ascending order: a component that is a
+//! large share of the transmitting flows (or of the links) is read off the
+//! sorted active list (or the link flags) instead of being sorted.
 //!
 //! # Faults
 //!
@@ -74,19 +90,34 @@
 //! [`FluidEngine::restore`]: a versioned, serializable image of the flow
 //! table, pending kernel events and clock. Per-flow times are stored as
 //! IEEE-754 bit patterns so `INFINITY` sentinels and exact candidates
-//! survive JSON round-trips byte-identically. Restore validates the
-//! image's indices and table shapes and rejects corrupt ones with
-//! [`NetError::BadConfig`].
+//! survive JSON round-trips byte-identically. The image lists every flow
+//! with its dependencies, route and dependents (empty once it completed),
+//! whatever the engine's own layout. Restore validates the image's indices
+//! and table shapes and rejects corrupt ones with [`NetError::BadConfig`].
 
 use crate::error::{NetError, Result};
 use crate::graph::{LinkId, Network};
-use crate::maxmin::progressive_fill;
+use crate::maxmin::{progressive_fill, Fill};
 use crate::sim::{EngineFlow, Phase, EPS};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 use wrht_kernel::{EventKernel, FaultKind, FaultLimits, FaultPolicy, FaultScript};
 
 /// Version tag of [`FluidEngineSnapshot`]; bump on any layout change.
 pub const SNAPSHOT_VERSION: u32 = 2;
+
+/// The block of a batch without dependencies, and the end of an edge
+/// list; also the most blocks, edges and list entries the engine holds.
+const NIL: u32 = u32::MAX;
+
+/// A contention component with at least `1 / SCAN_SHARE` of the
+/// transmitting flows (or of the links) is listed in ascending order by a
+/// scan of the sorted active list (or of the link flags) instead of by a
+/// sort.
+const SCAN_SHARE: usize = 8;
+
+/// Error for an index the engine keeps in 32 bits that would not fit.
+const WIDE: NetError = NetError::BadConfig("index overflows the fluid engine's 32-bit tables");
 
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 enum Ev {
@@ -182,15 +213,112 @@ fn from_bits(v: &[u64]) -> Vec<f64> {
     v.iter().map(|&x| f64::from_bits(x)).collect()
 }
 
+/// One flow of the table: an [`EngineFlow`] without its dependency list,
+/// its hosts and job in 32 bits, and the block that holds its lists.
+#[derive(Debug, Clone, Copy)]
+struct Flow {
+    src: u32,
+    dst: u32,
+    job: u32,
+    /// Slot of its batch's [`Block`] ([`NIL`] for a batch without
+    /// dependencies). Read only while the flow is unsettled: a later batch
+    /// can reuse a freed slot.
+    block: u32,
+    bytes: u64,
+    release_s: f64,
+    delay_s: f64,
+}
+
+impl Flow {
+    fn src(&self) -> usize {
+        self.src as usize
+    }
+
+    fn dst(&self) -> usize {
+        self.dst as usize
+    }
+
+    fn job(&self) -> usize {
+        self.job as usize
+    }
+}
+
+/// The dependency lists of one batch of `len` flows in one allocation, as
+/// compressed rows: flow `first + k` depends on the flows
+/// `data[data[k]..data[k + 1]]` before it, and the batch's flows
+/// `data[data[len + 1 + k]..data[len + 2 + k]]` after it depend on it.
+/// Entries are distances between flow indices, so dropping a settled
+/// prefix of the tables leaves them valid.
+#[derive(Debug)]
+struct Block {
+    /// Flow index of the batch's first flow.
+    first: usize,
+    len: u32,
+    /// Flows of the batch not settled yet; the last to settle frees `data`.
+    unsettled: u32,
+    data: Vec<u32>,
+}
+
+impl Block {
+    /// Row `k` of the rows whose offsets start at `data[at]`.
+    fn row(&self, at: usize, k: usize) -> &[u32] {
+        let d = &self.data;
+        &d[d[at + k] as usize..d[at + k + 1] as usize]
+    }
+
+    /// Distances back to the dependencies of the batch's flow `k`.
+    fn deps(&self, k: usize) -> &[u32] {
+        self.row(0, k)
+    }
+
+    /// Distances ahead to the dependents of the batch's flow `k` inside
+    /// the batch.
+    fn dependents(&self, k: usize) -> &[u32] {
+        self.row(self.len as usize + 1, k)
+    }
+}
+
+/// One edge of [`FluidEngine::pool`]: a dependent injected in a later
+/// batch than its dependency, `ahead` flows after it, and the next edge of
+/// the dependency's list.
+#[derive(Debug, Clone, Copy)]
+struct Edge {
+    ahead: u32,
+    next: u32,
+}
+
+/// What a validated batch needs: its flows, its dependencies, those on
+/// flows of the batch itself, and those on earlier batches' flows.
+#[derive(Debug, Default)]
+struct BatchSize {
+    flows: usize,
+    deps: usize,
+    inner: usize,
+    edges: usize,
+}
+
 /// The dependency-aware streaming fluid engine (see module docs).
 #[derive(Debug)]
 pub struct FluidEngine<'a> {
     net: &'a Network,
-    flows: Vec<EngineFlow>,
-    routes: Vec<Vec<LinkId>>,
+    flows: Vec<Flow>,
+    /// Every flow's route, as link indices: position `i` crosses the links
+    /// `route_links[route_at[i]..route_at[i + 1]]`.
+    route_links: Vec<u32>,
+    route_at: Vec<u32>,
     latencies: Vec<f64>,
-    dependents: Vec<Vec<usize>>,
-    missing: Vec<usize>,
+    /// Each batch's dependency lists, in slots a freed block returns to
+    /// `free_blocks`.
+    blocks: Vec<Block>,
+    free_blocks: Vec<u32>,
+    /// Per flow: the first of its dependents injected in a later batch, as
+    /// an edge list in `pool`.
+    later: Vec<u32>,
+    /// Edges of the `later` lists; released edges return to the free list
+    /// at `free_edge`.
+    pool: Vec<Edge>,
+    free_edge: u32,
+    missing: Vec<u32>,
     phase: Vec<Phase>,
     remaining: Vec<f64>,
     start: Vec<f64>,
@@ -209,12 +337,12 @@ pub struct FluidEngine<'a> {
     unsettled: Vec<usize>,
     active: Vec<usize>,
     n_done: usize,
-    /// Flow index of the first flow the tables hold. The tables, lists and
-    /// dependency lists use positions in the tables; a closed driver that
-    /// keeps every outcome itself lets the engine drop the settled prefix
-    /// of the tables ([`FluidEngine::forget_settled`]), which moves this
-    /// base. Kernel events, completions and the injection interface use
-    /// flow indices, so they never change.
+    /// Flow index of the first flow the tables hold. The tables and index
+    /// lists use positions in the tables; a closed driver that keeps every
+    /// outcome itself lets the engine drop the settled prefix of the
+    /// tables ([`FluidEngine::forget_settled`]), which moves this base.
+    /// Kernel events, completions and the injection interface use flow
+    /// indices, so they never change.
     key_base: usize,
     /// Every flow below this position has settled.
     settled_below: usize,
@@ -249,8 +377,7 @@ pub struct FluidEngine<'a> {
     flow_seen: Vec<bool>,
     flow_comp: Vec<u32>,
     comp_min: Vec<(f64, usize)>,
-    cap_scratch: Vec<f64>,
-    count_scratch: Vec<usize>,
+    fill: Fill,
     old_rate_scratch: Vec<f64>,
     batch: Vec<Ev>,
     comp_links: Vec<usize>,
@@ -275,9 +402,14 @@ impl<'a> FluidEngine<'a> {
         Self {
             net,
             flows: Vec::new(),
-            routes: Vec::new(),
+            route_links: Vec::new(),
+            route_at: vec![0],
             latencies: Vec::new(),
-            dependents: Vec::new(),
+            blocks: Vec::new(),
+            free_blocks: Vec::new(),
+            later: Vec::new(),
+            pool: Vec::new(),
+            free_edge: NIL,
             missing: Vec::new(),
             phase: Vec::new(),
             remaining: Vec::new(),
@@ -314,8 +446,7 @@ impl<'a> FluidEngine<'a> {
             flow_seen: Vec::new(),
             flow_comp: Vec::new(),
             comp_min: Vec::new(),
-            cap_scratch: vec![0.0; n_links],
-            count_scratch: vec![0; n_links],
+            fill: Fill::new(n_links),
             old_rate_scratch: Vec::new(),
             batch: Vec::new(),
             comp_links: Vec::new(),
@@ -336,9 +467,14 @@ impl<'a> FluidEngine<'a> {
         let Self {
             net: _,
             flows,
-            routes,
+            route_links,
+            route_at,
             latencies,
-            dependents,
+            blocks,
+            free_blocks,
+            later,
+            pool,
+            free_edge,
             missing,
             phase,
             remaining,
@@ -375,8 +511,7 @@ impl<'a> FluidEngine<'a> {
             flow_seen,
             flow_comp,
             comp_min,
-            cap_scratch,
-            count_scratch,
+            fill,
             old_rate_scratch,
             batch,
             comp_links,
@@ -388,9 +523,15 @@ impl<'a> FluidEngine<'a> {
             newly_active,
         } = self;
         flows.clear();
-        routes.clear();
+        route_links.clear();
+        route_at.clear();
+        route_at.push(0);
         latencies.clear();
-        dependents.clear();
+        blocks.clear();
+        free_blocks.clear();
+        later.clear();
+        pool.clear();
+        *free_edge = NIL;
         missing.clear();
         phase.clear();
         remaining.clear();
@@ -426,8 +567,8 @@ impl<'a> FluidEngine<'a> {
         flow_seen.clear();
         flow_comp.clear();
         comp_min.clear();
-        cap_scratch.fill(0.0);
-        count_scratch.fill(0);
+        fill.remaining.fill(0.0);
+        fill.active.fill(0);
         old_rate_scratch.clear();
         batch.clear();
         comp_links.clear();
@@ -547,24 +688,42 @@ impl<'a> FluidEngine<'a> {
     /// Same validation (and error values) as the closed path: forward deps,
     /// non-finite/negative releases and unroutable flows are rejected
     /// before any state changes, and so are dependencies on flows that
-    /// already settled ([`NetError::BadConfig`]).
+    /// already settled and indices too wide for the engine's 32-bit tables
+    /// ([`NetError::BadConfig`]).
     pub fn inject(&mut self, batch: &[EngineFlow]) -> Result<usize> {
-        let (routes, latencies) = self.route_batch(batch)?;
-        Ok(self.admit(batch.iter().cloned(), routes, latencies))
+        self.inject_from(batch.iter().map(|f| {
+            let head = EngineFlow {
+                deps: Vec::new(),
+                ..*f
+            };
+            (head, f.deps.iter().copied())
+        }))
     }
 
-    /// [`FluidEngine::inject`] for a driver that owns its batch (a `Vec`,
-    /// or an array on the stack): the flows move into the engine instead
-    /// of being cloned.
+    /// [`FluidEngine::inject`] for a batch the caller does not hold as
+    /// [`EngineFlow`]s, read in place: each item is a flow, whose own
+    /// `deps` are not read (an empty `Vec` allocates nothing), with its
+    /// dependencies as flow indices. The batch is read more than once, so
+    /// the caller builds no list per flow.
     ///
     /// # Errors
     /// As [`FluidEngine::inject`].
-    pub fn inject_owned<B>(&mut self, batch: B) -> Result<usize>
+    pub fn inject_from<I, D>(&mut self, batch: I) -> Result<usize>
     where
-        B: AsRef<[EngineFlow]> + IntoIterator<Item = EngineFlow>,
+        I: Iterator<Item = (EngineFlow, D)> + Clone,
+        D: Iterator<Item = usize>,
     {
-        let (routes, latencies) = self.route_batch(batch.as_ref())?;
-        Ok(self.admit(batch, routes, latencies))
+        let held = self.flows.len();
+        let arena = self.route_links.len();
+        match self.route_batch(batch.clone()) {
+            Ok(size) => Ok(self.admit(batch, &size)),
+            Err(e) => {
+                self.route_links.truncate(arena);
+                self.route_at.truncate(held + 1);
+                self.latencies.truncate(held);
+                Err(e)
+            }
+        }
     }
 
     /// Index the next injected flow gets.
@@ -573,23 +732,48 @@ impl<'a> FluidEngine<'a> {
         self.key_base + self.flows.len()
     }
 
-    /// Validate a batch and route each flow once, in flow order and before
-    /// any state changes.
-    fn route_batch(&self, batch: &[EngineFlow]) -> Result<(Vec<Vec<LinkId>>, Vec<f64>)> {
+    /// Validate a batch and route each flow once, in flow order, into the
+    /// route arena. On an error the caller truncates the arena, and nothing
+    /// else has changed.
+    fn route_batch<I, D>(&mut self, batch: I) -> Result<BatchSize>
+    where
+        I: Iterator<Item = (EngineFlow, D)>,
+        D: Iterator<Item = usize>,
+    {
+        let net = self.net;
+        if u32::try_from(net.links().len()).is_err() {
+            return Err(WIDE);
+        }
         let first = self.next_key();
+        let (key_base, phase) = (self.key_base, &self.phase);
         let settled = |d: usize| {
             !matches!(
-                d.checked_sub(self.key_base).and_then(|d| self.phase.get(d)),
+                d.checked_sub(key_base).and_then(|d| phase.get(d)),
                 Some(Phase::Blocked | Phase::Pending | Phase::Latency(_) | Phase::Active)
             )
         };
-        let mut routes: Vec<Vec<LinkId>> = Vec::with_capacity(batch.len());
-        let mut latencies: Vec<f64> = Vec::with_capacity(batch.len());
-        for (i, f) in batch.iter().enumerate() {
-            if f.deps.iter().any(|&d| d >= first + i) {
+        let mut size = BatchSize::default();
+        for (i, (f, deps)) in batch.enumerate() {
+            let key = first + i;
+            let (mut forward, mut gone, mut far) = (false, false, false);
+            for d in deps {
+                size.deps += 1;
+                if d >= key {
+                    forward = true;
+                    continue;
+                }
+                far |= key - d > NIL as usize;
+                if d >= first {
+                    size.inner += 1;
+                } else {
+                    size.edges += 1;
+                    gone |= settled(d);
+                }
+            }
+            if forward {
                 return Err(NetError::BadConfig("dependency must precede its flow"));
             }
-            if f.deps.iter().any(|&d| d < first && settled(d)) {
+            if gone {
                 return Err(NetError::BadConfig(
                     "dependency names a flow that already settled",
                 ));
@@ -597,29 +781,95 @@ impl<'a> FluidEngine<'a> {
             if !f.release_s.is_finite() || f.release_s < 0.0 {
                 return Err(NetError::BadConfig("release time must be finite and >= 0"));
             }
-            let route = self.net.route(f.src, f.dst)?;
-            latencies.push(self.net.path_latency(&route));
-            routes.push(route);
+            let start = self.route_links.len();
+            // In range: the link count fits in 32 bits (checked above).
+            net.route_with(f.src, f.dst, |l| self.route_links.push(l.0 as u32))?;
+            self.latencies
+                .push(net.flat_latency(&self.route_links[start..]));
+            let end = u32::try_from(self.route_links.len()).map_err(|_| WIDE)?;
+            self.route_at.push(end);
+            let narrow = |v: usize| u32::try_from(v).is_ok();
+            if far || !(narrow(f.src) && narrow(f.dst) && narrow(f.job)) {
+                return Err(WIDE);
+            }
+            size.flows += 1;
         }
-        Ok((routes, latencies))
+        let block = 2 * (size.flows + 1) + size.deps + size.inner;
+        let slot = if self.free_blocks.is_empty() {
+            self.blocks.len()
+        } else {
+            0
+        };
+        if size.deps > 0 && (block > NIL as usize || slot >= NIL as usize) {
+            return Err(WIDE);
+        }
+        if self.pool.len() + size.edges >= NIL as usize {
+            return Err(WIDE);
+        }
+        Ok(size)
     }
 
-    /// Append a batch that passed [`FluidEngine::inject`]'s validation, with
-    /// its routes and route latencies. Returns the batch's first flow
-    /// index.
-    pub(crate) fn admit(
-        &mut self,
-        batch: impl IntoIterator<Item = EngineFlow>,
-        mut routes: Vec<Vec<LinkId>>,
-        mut latencies: Vec<f64>,
-    ) -> usize {
-        let base = self.flows.len();
-        for (bi, f) in batch.into_iter().enumerate() {
-            let i = base + bi;
-            self.missing.push(f.deps.len());
-            self.dependents.push(Vec::new());
-            for &d in &f.deps {
-                self.dependents[d - self.key_base].push(i);
+    /// Append a batch [`FluidEngine::route_batch`] validated and routed:
+    /// its flows' state, and its block of dependency lists, or its
+    /// dependents' edges for dependencies on earlier batches. Returns the
+    /// batch's first flow index.
+    fn admit<I, D>(&mut self, batch: I, size: &BatchSize) -> usize
+    where
+        I: Iterator<Item = (EngineFlow, D)> + Clone,
+        D: Iterator<Item = usize>,
+    {
+        let held = self.flows.len();
+        let first = self.key_base + held;
+        let len = size.flows;
+        // In range: `route_batch` bounds the block, its slot and the pool.
+        let block = if size.deps == 0 {
+            NIL
+        } else {
+            let data = vec![0; 2 * (len + 1) + size.deps + size.inner];
+            let new = Block {
+                first,
+                len: len as u32,
+                unsettled: len as u32,
+                data,
+            };
+            match self.free_blocks.pop() {
+                Some(b) => {
+                    self.blocks[b as usize] = new;
+                    b
+                }
+                None => {
+                    self.blocks.push(new);
+                    (self.blocks.len() - 1) as u32
+                }
+            }
+        };
+        // The dependency rows and entries come first, then the dependents'
+        // rows and entries.
+        let (blk, rows) = (block as usize, len + 1);
+        let mut at = 2 * rows;
+        for (bi, (f, deps)) in batch.clone().enumerate() {
+            let i = held + bi;
+            let key = first + bi;
+            if block != NIL {
+                self.blocks[blk].data[bi] = at as u32;
+            }
+            let mut n_deps = 0u32;
+            for d in deps {
+                n_deps += 1;
+                let back = (key - d) as u32;
+                let data = &mut self.blocks[blk].data;
+                data[at] = back;
+                at += 1;
+                if d >= first {
+                    // Count the dependent two rows on, so that the sums
+                    // below leave each row's start one row on.
+                    let k = d - first;
+                    if k + 2 <= len {
+                        data[rows + k + 2] += 1;
+                    }
+                } else {
+                    self.add_later(d - self.key_base, back);
+                }
             }
             // A flow whose launch pipe is within the coincidence tolerance
             // can settle in the very promotion pass that gates it, so it
@@ -627,12 +877,12 @@ impl<'a> FluidEngine<'a> {
             let pipe = if f.bytes == 0 {
                 f.delay_s
             } else {
-                f.delay_s + latencies[bi]
+                f.delay_s + self.latencies[i]
             };
-            if f.deps.is_empty() || pipe <= EPS {
+            if n_deps == 0 || pipe <= EPS {
                 self.gated = self.gated.max(i + 1);
             }
-            self.phase.push(if f.deps.is_empty() {
+            self.phase.push(if n_deps == 0 {
                 self.pending_release = Some(
                     self.pending_release
                         .map_or(f.release_s, |r| r.min(f.release_s)),
@@ -641,6 +891,8 @@ impl<'a> FluidEngine<'a> {
             } else {
                 Phase::Blocked
             });
+            self.missing.push(n_deps);
+            self.later.push(NIL);
             self.remaining.push(f.bytes as f64);
             self.start.push(0.0);
             self.finish.push(0.0);
@@ -654,7 +906,7 @@ impl<'a> FluidEngine<'a> {
             // New indices are the largest yet, so pushing keeps the
             // unsettled list sorted. A blocked flow joins the ready list
             // when its last dependency settles.
-            if f.deps.is_empty() {
+            if n_deps == 0 {
                 self.unsettled.push(i);
             }
             if f.job >= self.job_active_s.len() {
@@ -665,16 +917,73 @@ impl<'a> FluidEngine<'a> {
                 self.job_agg_rate.resize(jobs, 0.0);
                 self.job_busy.resize(jobs, false);
             }
-            self.flows.push(f);
+            // In range: `route_batch` checked every host and job.
+            self.flows.push(Flow {
+                src: f.src as u32,
+                dst: f.dst as u32,
+                job: f.job as u32,
+                block,
+                bytes: f.bytes,
+                release_s: f.release_s,
+                delay_s: f.delay_s,
+            });
         }
-        self.routes.append(&mut routes);
-        self.latencies.append(&mut latencies);
+        if let Some(b) = self.blocks.get_mut(blk) {
+            let data = &mut b.data;
+            data[len] = at as u32;
+            // With the counts summed, row `k` of the dependents starts at
+            // `data[rows + k + 1]`, which each entry filled moves on: the
+            // rows end up in place, each ascending.
+            data[rows] = at as u32;
+            data[rows + 1] = at as u32;
+            for k in rows + 2..=rows + len {
+                data[k] += data[k - 1];
+            }
+            if size.inner > 0 {
+                for (bi, (_, deps)) in batch.enumerate() {
+                    for d in deps.filter(|&d| d >= first) {
+                        let row = rows + d - first + 1;
+                        let e = data[row] as usize;
+                        data[e] = (first + bi - d) as u32;
+                        data[row] += 1;
+                    }
+                }
+            }
+        }
         self.peak_held = self.peak_held.max(self.flows.len());
         if let Some(f) = self.faults.as_deref_mut() {
             f.flow_slow.resize(self.flows.len(), 1.0);
             f.aborted.resize(self.flows.len(), 0);
         }
-        self.key_base + base
+        first
+    }
+
+    /// File a dependent `ahead` flows after position `i` under `i`'s
+    /// later-batch dependents.
+    fn add_later(&mut self, i: usize, ahead: u32) {
+        let edge = Edge {
+            ahead,
+            next: self.later[i],
+        };
+        let e = match self.pool.get_mut(self.free_edge as usize) {
+            Some(slot) => {
+                let e = self.free_edge;
+                self.free_edge = slot.next;
+                *slot = edge;
+                e
+            }
+            // In range: `route_batch` bounds the pool.
+            None => {
+                self.pool.push(edge);
+                (self.pool.len() - 1) as u32
+            }
+        };
+        self.later[i] = e;
+    }
+
+    /// The arena range of position `i`'s route.
+    fn span(&self, i: usize) -> Range<usize> {
+        self.route_at[i] as usize..self.route_at[i + 1] as usize
     }
 
     /// One past the highest flow index the next [`FluidEngine::step`]
@@ -723,9 +1032,12 @@ impl<'a> FluidEngine<'a> {
             return;
         }
         self.flows.drain(..low);
-        self.routes.drain(..low);
+        let cut = self.route_at[low];
+        self.route_links.drain(..cut as usize);
+        self.route_at.drain(..low);
+        self.route_at.iter_mut().for_each(|a| *a -= cut);
         self.latencies.drain(..low);
-        self.dependents.drain(..low);
+        self.later.drain(..low);
         self.missing.drain(..low);
         self.phase.drain(..low);
         self.remaining.drain(..low);
@@ -739,14 +1051,13 @@ impl<'a> FluidEngine<'a> {
         self.flow_seen.drain(..low);
         self.flow_comp.drain(..low);
         // Between steps the lists hold live flows only, all at or above
-        // `low`: the unsettled, active and ready lists, each link's
-        // transmitting flows and each flow's dependents.
+        // `low`: the unsettled, active and ready lists and each link's
+        // transmitting flows. Blocks and edges hold distances, which stay.
         let shift = |list: &mut Vec<usize>| list.iter_mut().for_each(|i| *i -= low);
         shift(&mut self.unsettled);
         shift(&mut self.active);
         shift(&mut self.comp_stack);
         self.flows_on_link.iter_mut().for_each(shift);
-        self.dependents.iter_mut().for_each(shift);
         self.settled_below = 0;
         self.gated -= low;
         self.key_base += low;
@@ -899,7 +1210,7 @@ impl<'a> FluidEngine<'a> {
         self.busy_jobs.clear();
         for &i in &self.active {
             if self.rate[i].is_finite() && self.rate[i] > 0.0 {
-                let j = self.flows[i].job;
+                let j = self.flows[i].job();
                 if !self.job_busy[j] {
                     self.job_busy[j] = true;
                     self.busy_jobs.push(j);
@@ -929,17 +1240,13 @@ impl<'a> FluidEngine<'a> {
                 self.phase[i] = Phase::Done;
                 self.finish[i] = next;
                 self.n_done += 1;
-                for &l in &self.routes[i] {
-                    self.flows_on_link[l.0].retain(|&f| f != i);
-                    self.dirty.push(l.0);
+                for x in self.span(i) {
+                    let l = self.route_links[x] as usize;
+                    self.flows_on_link[l].retain(|&f| f != i);
+                    self.dirty.push(l);
                 }
                 self.release_dependents(i);
-                // Done flows keep their scalars (outcomes, rates) but drop
-                // their route and edge lists — the O(total flows) residue
-                // of a long stream is a handful of scalars per flow.
-                self.routes[i] = Vec::new();
-                self.dependents[i] = Vec::new();
-                self.flows[i].deps = Vec::new();
+                self.settle_lists(i);
                 self.completed.push(i);
             }
         }
@@ -1007,26 +1314,65 @@ impl<'a> FluidEngine<'a> {
 
     fn activate(&mut self, i: usize) {
         self.phase[i] = Phase::Active;
-        for &l in &self.routes[i] {
-            self.flows_on_link[l.0].push(i);
-            self.dirty.push(l.0);
+        for x in self.span(i) {
+            let l = self.route_links[x] as usize;
+            self.flows_on_link[l].push(i);
+            self.dirty.push(l);
         }
         self.newly_active.push(i);
     }
 
-    /// Count one settled predecessor for every dependent of `i`; each
-    /// dependent left with none joins the ready list, which the next
-    /// promotion pass sorts. Returns whether `i` has dependents.
+    /// Count one settled predecessor for every dependent of `i` — in its
+    /// batch's block, then in its edge list, whose edges return to the free
+    /// list; each dependent left with none joins the ready list, which the
+    /// next promotion pass sorts. Returns whether `i` has dependents.
     fn release_dependents(&mut self, i: usize) -> bool {
-        for d in 0..self.dependents[i].len() {
-            let dep = self.dependents[i][d];
-            self.missing[dep] -= 1;
-            if self.missing[dep] == 0 {
-                self.gated = self.gated.max(dep + 1);
-                self.comp_stack.push(dep);
+        let mut any = false;
+        let b = self.flows[i].block as usize;
+        if let Some(block) = self.blocks.get(b) {
+            let k = self.key_base + i - block.first;
+            let n = block.dependents(k).len();
+            any = n > 0;
+            for e in 0..n {
+                let ahead = self.blocks[b].dependents(k)[e];
+                self.unblock(i + ahead as usize);
             }
         }
-        !self.dependents[i].is_empty()
+        let mut e = std::mem::replace(&mut self.later[i], NIL);
+        while let Some(edge) = self.pool.get_mut(e as usize) {
+            let Edge { ahead, next } = *edge;
+            edge.next = self.free_edge;
+            self.free_edge = e;
+            e = next;
+            self.unblock(i + ahead as usize);
+            any = true;
+        }
+        any
+    }
+
+    /// Count one settled predecessor of flow `j`.
+    fn unblock(&mut self, j: usize) {
+        self.missing[j] -= 1;
+        if self.missing[j] == 0 {
+            self.gated = self.gated.max(j + 1);
+            self.comp_stack.push(j);
+        }
+    }
+
+    /// Count settled flow `i` off its batch's block: the batch's last flow
+    /// to settle frees the block. Runs under faults keep every list.
+    fn settle_lists(&mut self, i: usize) {
+        if self.faults.is_some() {
+            return;
+        }
+        let b = self.flows[i].block;
+        if let Some(block) = self.blocks.get_mut(b as usize) {
+            block.unsettled -= 1;
+            if block.unsettled == 0 {
+                block.data = Vec::new();
+                self.free_blocks.push(b);
+            }
+        }
     }
 
     /// Complete a zero-byte control gate at `finish`, inside a promotion
@@ -1042,9 +1388,7 @@ impl<'a> FluidEngine<'a> {
             // descending order so the pass reaches them at their index.
             self.comp_stack.sort_unstable_by(|a, b| b.cmp(a));
         }
-        self.routes[i] = Vec::new();
-        self.dependents[i] = Vec::new();
-        self.flows[i].deps = Vec::new();
+        self.settle_lists(i);
         self.completed.push(i);
         unblocked
     }
@@ -1073,12 +1417,14 @@ impl<'a> FluidEngine<'a> {
                 FaultKind::NodeStraggle { node, slowdown } => {
                     f.node_slow[node] = f.node_slow[node].max(slowdown);
                     for (i, fl) in self.flows.iter().enumerate() {
-                        let slow = f.node_slow[fl.src].max(f.node_slow[fl.dst]);
-                        if (fl.src == node || fl.dst == node) && slow > f.flow_slow[i] {
+                        let slow = f.node_slow[fl.src()].max(f.node_slow[fl.dst()]);
+                        if (fl.src() == node || fl.dst() == node) && slow > f.flow_slow[i] {
                             f.flow_slow[i] = slow;
                             if self.phase[i] == Phase::Active {
                                 f.first_impact_s.get_or_insert(now);
-                                self.dirty.extend(self.routes[i].iter().map(|l| l.0));
+                                let span = self.route_at[i] as usize..self.route_at[i + 1] as usize;
+                                self.dirty
+                                    .extend(self.route_links[span].iter().map(|&l| l as usize));
                             }
                         }
                     }
@@ -1088,12 +1434,12 @@ impl<'a> FluidEngine<'a> {
                     // dependents that also touch the node in one sweep.
                     for i in 0..self.flows.len() {
                         let fl = &self.flows[i];
-                        if (fl.src != node && fl.dst != node)
+                        if (fl.src() != node && fl.dst() != node)
                             || matches!(self.phase[i], Phase::Done | Phase::Failed)
                         {
                             continue;
                         }
-                        let job = fl.job;
+                        let job = fl.job();
                         if self.fail_flow(i, now) {
                             if let Some(f) = self.faults.as_deref_mut() {
                                 f.aborted[i] += 1;
@@ -1117,7 +1463,7 @@ impl<'a> FluidEngine<'a> {
         }
         if !fail_jobs.is_empty() {
             for i in 0..self.flows.len() {
-                if fail_jobs.contains(&self.flows[i].job)
+                if fail_jobs.contains(&self.flows[i].job())
                     && !matches!(self.phase[i], Phase::Done | Phase::Failed)
                 {
                     self.fail_flow(i, now);
@@ -1139,9 +1485,10 @@ impl<'a> FluidEngine<'a> {
     fn fail_flow(&mut self, i: usize, now: f64) -> bool {
         let active = self.phase[i] == Phase::Active;
         if active {
-            for &l in &self.routes[i] {
-                self.flows_on_link[l.0].retain(|&f| f != i);
-                self.dirty.push(l.0);
+            for x in self.span(i) {
+                let l = self.route_links[x] as usize;
+                self.flows_on_link[l].retain(|&f| f != i);
+                self.dirty.push(l);
             }
         }
         self.phase[i] = Phase::Failed;
@@ -1184,10 +1531,10 @@ impl<'a> FluidEngine<'a> {
         let zero_rate = self.rate[f] == 0.0;
         zero_rate
             && self.faults.as_deref().is_some_and(|ft| {
-                self.routes[f]
+                self.route_links[self.span(f)]
                     .iter()
                     // wrht-analyze: allow(r6, reason = "exact-zero sentinel: a dark link's factor is the literal 0.0, never a computed value")
-                    .any(|&l| ft.link_factor[l.0] == 0.0)
+                    .any(|&l| ft.link_factor[l as usize] == 0.0)
             })
     }
 
@@ -1221,12 +1568,12 @@ impl<'a> FluidEngine<'a> {
                         })?;
                         self.comp_flows.push(f);
                         found_flow = true;
-                        for l2_idx in 0..self.routes[f].len() {
-                            let l2 = self.routes[f][l2_idx];
-                            if !self.link_seen[l2.0] {
-                                self.link_seen[l2.0] = true;
-                                self.comp_links.push(l2.0);
-                                self.comp_stack.push(l2.0);
+                        for x in self.span(f) {
+                            let l2 = self.route_links[x] as usize;
+                            if !self.link_seen[l2] {
+                                self.link_seen[l2] = true;
+                                self.comp_links.push(l2);
+                                self.comp_stack.push(l2);
                             }
                         }
                     }
@@ -1236,27 +1583,44 @@ impl<'a> FluidEngine<'a> {
                 n_comps += 1;
             }
         }
-        self.comp_links.sort_unstable();
-        self.comp_flows.sort_unstable();
+        // The fill visits flows and links in ascending order. Every flow
+        // found is transmitting, so a component that is a large share of
+        // the sorted active list (or of the links) is read off it (or off
+        // the link flags); a small one is sorted.
+        if self.comp_flows.len() >= self.active.len() / SCAN_SHARE {
+            let seen = &self.flow_seen;
+            self.comp_flows.clear();
+            self.comp_flows
+                .extend(self.active.iter().copied().filter(|&f| seen[f]));
+        } else {
+            self.comp_flows.sort_unstable();
+        }
+        if self.comp_links.len() >= self.link_seen.len() / SCAN_SHARE {
+            let seen = &self.link_seen;
+            self.comp_links.clear();
+            self.comp_links.extend((0..seen.len()).filter(|&l| seen[l]));
+        } else {
+            self.comp_links.sort_unstable();
+        }
         if !self.comp_flows.is_empty() {
             self.recomputations += 1;
             for &l in &self.comp_links {
                 let cap = self.net.links()[l].capacity_bps;
-                self.cap_scratch[l] = self
+                self.fill.remaining[l] = self
                     .faults
                     .as_deref()
                     .map_or(cap, |f| cap * f.link_factor[l]);
-                self.count_scratch[l] = self.flows_on_link[l].len();
+                self.fill.active[l] = self.flows_on_link[l].len();
             }
             self.old_rate_scratch.clear();
             self.old_rate_scratch
                 .extend(self.comp_flows.iter().map(|&f| self.rate[f]));
+            let (links, at) = (&self.route_links, &self.route_at);
             progressive_fill(
                 &self.comp_links,
                 &self.comp_flows,
-                &self.routes,
-                &mut self.cap_scratch,
-                &mut self.count_scratch,
+                |f| &links[at[f] as usize..at[f + 1] as usize],
+                &mut self.fill,
                 &mut self.rate,
                 &mut self.solver_work,
             );
@@ -1273,8 +1637,8 @@ impl<'a> FluidEngine<'a> {
             for (k, &f) in self.comp_flows.iter().enumerate() {
                 if (self.rate[f].is_nan() || self.rate[f] <= 0.0) && !self.suspended(f) {
                     return Err(NetError::StalledFlow {
-                        src: self.flows[f].src,
-                        dst: self.flows[f].dst,
+                        src: self.flows[f].src(),
+                        dst: self.flows[f].dst(),
                     });
                 }
                 if self.rate[f].to_bits() == self.old_rate_scratch[k].to_bits() {
@@ -1368,7 +1732,7 @@ impl<'a> FluidEngine<'a> {
         let key_base = self.key_base;
         self.completed.drain(..).map(move |i| FlowCompletion {
             index: key_base + i,
-            job: flows[i].job,
+            job: flows[i].job(),
             start_s: start[i],
             finish_s: finish[i],
             aborts: aborted.map_or(0, |a| a[i]),
@@ -1396,22 +1760,87 @@ impl<'a> FluidEngine<'a> {
         ]
     }
 
+    /// Flow `i`'s dependencies as flow indices, in injection order.
+    fn deps_of(&self, i: usize) -> Vec<usize> {
+        let key = self.key_base + i;
+        self.blocks
+            .get(self.flows[i].block as usize)
+            .map_or_else(Vec::new, |b| {
+                let back = b.deps(key - b.first).iter();
+                back.map(|&d| key - d as usize).collect()
+            })
+    }
+
+    /// Flow `i`'s dependents as flow indices, ascending: those of its own
+    /// batch, then those of later batches.
+    fn dependents_of(&self, i: usize) -> Vec<usize> {
+        let key = self.key_base + i;
+        let mut out: Vec<usize> =
+            self.blocks
+                .get(self.flows[i].block as usize)
+                .map_or_else(Vec::new, |b| {
+                    let ahead = b.dependents(key - b.first).iter();
+                    ahead.map(|&d| key + d as usize).collect()
+                });
+        let mut e = self.later[i];
+        while let Some(edge) = self.pool.get(e as usize) {
+            out.push(key + edge.ahead as usize);
+            e = edge.next;
+        }
+        out.sort_unstable();
+        out
+    }
+
     /// Capture the full mutable state as a versioned snapshot. Completions
-    /// not yet drained are included and survive the round-trip. An engine
-    /// that dropped a settled prefix ([`FluidEngine::forget_settled`]) has
-    /// no image.
+    /// not yet drained are included and survive the round-trip. Each flow
+    /// lists its dependencies, route and dependents until it completes.
+    /// An engine that dropped a settled prefix
+    /// ([`FluidEngine::forget_settled`]) has no image.
     #[must_use]
     pub fn snapshot(&self) -> FluidEngineSnapshot {
         debug_assert_eq!(self.key_base, 0, "snapshot of a forgetful engine");
+        let n = self.flows.len();
+        let listed = |i: usize| self.phase[i] != Phase::Done;
         FluidEngineSnapshot {
             version: SNAPSHOT_VERSION,
             now: self.kernel.now().to_bits(),
             events: self.events(),
-            flows: self.flows.clone(),
-            routes: self.routes.clone(),
+            flows: (0..n)
+                .map(|i| {
+                    let f = &self.flows[i];
+                    EngineFlow {
+                        src: f.src(),
+                        dst: f.dst(),
+                        bytes: f.bytes,
+                        release_s: f.release_s,
+                        delay_s: f.delay_s,
+                        deps: if listed(i) {
+                            self.deps_of(i)
+                        } else {
+                            Vec::new()
+                        },
+                        job: f.job(),
+                    }
+                })
+                .collect(),
+            routes: (0..n)
+                .map(|i| {
+                    let route = if listed(i) { self.span(i) } else { 0..0 };
+                    let links = self.route_links[route].iter();
+                    links.map(|&l| LinkId(l as usize)).collect()
+                })
+                .collect(),
             latencies: to_bits(&self.latencies),
-            dependents: self.dependents.clone(),
-            missing: self.missing.clone(),
+            dependents: (0..n)
+                .map(|i| {
+                    if listed(i) {
+                        self.dependents_of(i)
+                    } else {
+                        Vec::new()
+                    }
+                })
+                .collect(),
+            missing: self.missing.iter().map(|&m| m as usize).collect(),
             phase: self.phase.clone(),
             remaining: to_bits(&self.remaining),
             start: to_bits(&self.start),
@@ -1441,12 +1870,14 @@ impl<'a> FluidEngine<'a> {
     }
 
     /// Rebuild an engine from a snapshot taken over an identical network.
-    /// The resumed run is byte-identical to an uninterrupted one.
+    /// The resumed run is byte-identical to an uninterrupted one. The
+    /// image's flows become one batch: their lists go into one block.
     ///
     /// # Errors
     /// Rejects unknown snapshot versions, corrupt clocks/events, and
     /// images that do not fit the engine: per-flow tables of different
-    /// lengths and out-of-range flow, link, host and job references.
+    /// lengths, out-of-range flow, link, host and job references, and
+    /// tables too wide for the engine's 32-bit indices.
     pub fn restore(net: &'a Network, snap: &FluidEngineSnapshot) -> Result<Self> {
         if snap.version != SNAPSHOT_VERSION {
             return Err(NetError::BadConfig(
@@ -1463,11 +1894,13 @@ impl<'a> FluidEngine<'a> {
                 .schedule_at(f64::from_bits(t), ev)
                 .map_err(|_| NetError::BadConfig("snapshot event precedes its clock"))?;
         }
-        eng.flows = snap.flows.clone();
-        eng.routes = snap.routes.clone();
+        eng.restore_lists(snap)?;
         eng.latencies = from_bits(&snap.latencies);
-        eng.dependents = snap.dependents.clone();
-        eng.missing = snap.missing.clone();
+        eng.missing = snap
+            .missing
+            .iter()
+            .map(|&m| u32::try_from(m).map_err(|_| WIDE))
+            .collect::<Result<_>>()?;
         eng.phase = snap.phase.clone();
         eng.remaining = from_bits(&snap.remaining);
         eng.start = from_bits(&snap.start);
@@ -1488,16 +1921,17 @@ impl<'a> FluidEngine<'a> {
         eng.job_free = snap.job_free.clone();
         eng.next_job = snap.next_job;
         eng.pending_release = snap.pending_release.map(f64::from_bits);
-        for (i, &phase) in eng.phase.iter().enumerate() {
-            match phase {
+        for i in 0..eng.phase.len() {
+            match eng.phase[i] {
                 // A blocked flow whose last dependency completed before the
                 // snapshot was on the ready list: the next pass visits it.
                 Phase::Blocked if eng.missing[i] > 0 => {}
                 Phase::Blocked | Phase::Pending | Phase::Latency(_) => eng.unsettled.push(i),
                 Phase::Active => {
                     eng.active.push(i);
-                    for &l in &eng.routes[i] {
-                        eng.flows_on_link[l.0].push(i);
+                    for x in eng.span(i) {
+                        let l = eng.route_links[x] as usize;
+                        eng.flows_on_link[l].push(i);
                     }
                 }
                 Phase::Done => eng.n_done += 1,
@@ -1507,6 +1941,7 @@ impl<'a> FluidEngine<'a> {
         let n = eng.flows.len();
         eng.flow_seen = vec![false; n];
         eng.flow_comp = vec![0; n];
+        eng.later = vec![NIL; n];
         eng.peak_held = n;
         // Streams never ask for the frontier: every flow counts.
         eng.gated = n;
@@ -1514,6 +1949,80 @@ impl<'a> FluidEngine<'a> {
         eng.job_agg_rate = vec![0.0; jobs];
         eng.job_busy = vec![false; jobs];
         Ok(eng)
+    }
+
+    /// The flow table, route arena and lists of a checked snapshot: every
+    /// flow's lists go into one block, unless none has any.
+    fn restore_lists(&mut self, s: &FluidEngineSnapshot) -> Result<()> {
+        let n = s.flows.len();
+        if u32::try_from(self.net.links().len()).is_err() {
+            return Err(WIDE);
+        }
+        let deps: usize = s.flows.iter().map(|f| f.deps.len()).sum();
+        let inner: usize = s.dependents.iter().map(Vec::len).sum();
+        let len = 2 * (n + 1) + deps + inner;
+        let block = match deps + inner {
+            0 => NIL,
+            _ if len > NIL as usize => return Err(WIDE),
+            _ => 0,
+        };
+        let narrow = |v: usize| u32::try_from(v).map_err(|_| WIDE);
+        self.flows = s
+            .flows
+            .iter()
+            .map(|f| {
+                Ok(Flow {
+                    src: narrow(f.src)?,
+                    dst: narrow(f.dst)?,
+                    job: narrow(f.job)?,
+                    block,
+                    bytes: f.bytes,
+                    release_s: f.release_s,
+                    delay_s: f.delay_s,
+                })
+            })
+            .collect::<Result<_>>()?;
+        for route in &s.routes {
+            // In range: links fit in 32 bits (checked above), and the
+            // check named only existing ones.
+            self.route_links.extend(route.iter().map(|l| l.0 as u32));
+            self.route_at.push(narrow(self.route_links.len())?);
+        }
+        if block == NIL {
+            return Ok(());
+        }
+        // In range: the block fits in 32 bits, so do its offsets and the
+        // distances between its flows, which the check orders.
+        let mut data = vec![0u32; len];
+        let mut at = 2 * (n + 1);
+        for (k, f) in s.flows.iter().enumerate() {
+            data[k] = at as u32;
+            for &d in &f.deps {
+                data[at] = (k - d) as u32;
+                at += 1;
+            }
+        }
+        data[n] = at as u32;
+        for (k, list) in s.dependents.iter().enumerate() {
+            data[n + 1 + k] = at as u32;
+            for &j in list {
+                data[at] = (j - k) as u32;
+                at += 1;
+            }
+        }
+        data[2 * n + 1] = at as u32;
+        let unsettled = s
+            .phase
+            .iter()
+            .filter(|p| !matches!(p, Phase::Done | Phase::Failed))
+            .count();
+        self.blocks.push(Block {
+            first: 0,
+            len: n as u32,
+            unsettled: unsettled as u32,
+            data,
+        });
+        Ok(())
     }
 }
 
@@ -2031,19 +2540,81 @@ mod tests {
         ));
     }
 
+    /// Blocks holding list entries, and pool edges not on the free list.
+    fn lists_held(eng: &FluidEngine<'_>) -> (usize, usize) {
+        let blocks = eng.blocks.iter().filter(|b| b.data.capacity() > 0).count();
+        let (mut free, mut e) = (0, eng.free_edge);
+        while let Some(edge) = eng.pool.get(e as usize) {
+            free += 1;
+            e = edge.next;
+        }
+        (blocks, eng.pool.len() - free)
+    }
+
+    /// A stream of batches holds list storage only for batches with an
+    /// unsettled flow, and none once every flow settled; a batch without
+    /// dependencies allocates none. Batch A is a chain of three flows,
+    /// batch B a chain whose head also waits on A's head, batch C one
+    /// flow.
     #[test]
-    fn completed_flows_drop_their_edge_lists() {
-        let net = star_cluster(4, 1e9, 0.0);
+    fn a_stream_holds_lists_only_for_unsettled_batches() {
+        let net = star_cluster(8, 1e9, 0.0);
         let mut eng = FluidEngine::new(&net);
+        let mb = 1_000_000;
+        eng.inject(&[flow(7, 0, mb, 0.0, vec![])]).unwrap();
+        assert_eq!(lists_held(&eng), (0, 0));
         eng.inject(&[
-            flow(0, 1, 1_000_000, 0.0, vec![]),
-            flow(1, 2, 1_000_000, 0.0, vec![0]),
+            flow(0, 1, mb, 0.0, vec![]),
+            flow(1, 2, mb, 0.0, vec![1]),
+            flow(2, 3, mb, 0.0, vec![2]),
         ])
         .unwrap();
+        eng.inject(&[
+            flow(4, 5, mb, 0.0, vec![1]),
+            flow(5, 6, mb, 0.0, vec![4]),
+            flow(6, 7, mb, 0.0, vec![5]),
+        ])
+        .unwrap();
+        assert_eq!(lists_held(&eng), (2, 1));
+        // The image lists what a per-flow layout listed.
+        let snap = eng.snapshot();
+        assert_eq!(snap.dependents[1], vec![2, 4]);
+        assert_eq!(snap.flows[4].deps, vec![1]);
+        // A settles at 3 ms, B at 4 ms.
+        let mut settled = Vec::new();
+        while !settled.contains(&3) {
+            eng.step().unwrap();
+            settled.extend(eng.drain_completions().map(|c| c.index));
+        }
+        assert_eq!(eng.live_flows(), 1);
+        assert_eq!(lists_held(&eng), (1, 0));
+        let snap = eng.snapshot();
+        assert!(snap.dependents[1].is_empty() && snap.flows[2].deps.is_empty());
+        assert_eq!(snap.flows[6].deps, vec![5]);
         while eng.step().unwrap().is_some() {}
         assert_eq!(eng.live_flows(), 0);
-        assert!(eng.routes.iter().all(Vec::is_empty));
-        assert!(eng.dependents.iter().all(Vec::is_empty));
-        assert_eq!(eng.drain_completions().count(), 2);
+        assert_eq!(lists_held(&eng), (0, 0));
+        assert_eq!(eng.free_blocks.len(), 2);
+        let snap = eng.snapshot();
+        assert!(snap.flows.iter().all(|f| f.deps.is_empty()));
+        assert!(snap.routes.iter().all(Vec::is_empty));
+        assert!(snap.dependents.iter().all(Vec::is_empty));
+    }
+
+    #[test]
+    fn indices_too_wide_for_the_tables_are_typed_errors_before_any_state_change() {
+        let net = star_cluster(4, 1e9, 0.0);
+        let mut eng = FluidEngine::new(&net);
+        let mut wide = flow(0, 1, 1_000, 0.0, vec![]);
+        wide.job = 1 << 40;
+        assert_eq!(
+            eng.inject(&[flow(1, 2, 1_000, 0.0, vec![]), wide]),
+            Err(WIDE)
+        );
+        assert_eq!((eng.next_key(), eng.route_links.len()), (0, 0));
+        assert_eq!(eng.route_at, vec![0]);
+        eng.inject(&[flow(1, 2, 1_000, 0.0, vec![])]).unwrap();
+        while eng.step().unwrap().is_some() {}
+        assert_eq!(eng.drain_completions().count(), 1);
     }
 }

@@ -101,26 +101,42 @@ impl Network {
 
     /// Route a flow, returning the directed links it crosses in order.
     pub fn route(&self, src: usize, dst: usize) -> Result<Vec<LinkId>> {
+        let mut route = Vec::new();
+        self.route_with(src, dst, |l| route.push(l))?;
+        Ok(route)
+    }
+
+    /// Route a flow as [`Network::route`] does, handing each link to
+    /// `visit` in order instead of collecting them: the fluid engine and
+    /// the stepped runner route straight into their flat route blocks.
+    /// Errors come before any link is visited.
+    pub(crate) fn route_with(
+        &self,
+        src: usize,
+        dst: usize,
+        mut visit: impl FnMut(LinkId),
+    ) -> Result<()> {
         self.check_host(src)?;
         self.check_host(dst)?;
         if src == dst {
             return Err(NetError::SelfFlow(src));
         }
         let n = self.hosts;
-        Ok(match &self.router {
-            Router::Star => vec![LinkId(2 * src), LinkId(2 * dst + 1)],
+        match &self.router {
+            Router::Star => {
+                visit(LinkId(2 * src));
+                visit(LinkId(2 * dst + 1));
+            }
             Router::Ring => {
                 let cw = (dst + n - src) % n;
                 let ccw = n - cw;
                 if cw <= ccw {
-                    (0..cw).map(|k| LinkId((src + k) % n)).collect()
+                    (0..cw).for_each(|k| visit(LinkId((src + k) % n)));
                 } else {
-                    (0..ccw)
-                        .map(|k| LinkId(n + (src + n - 1 - k) % n))
-                        .collect()
+                    (0..ccw).for_each(|k| visit(LinkId(n + (src + n - 1 - k) % n)));
                 }
             }
-            Router::FullMesh => vec![LinkId(src * n + dst)],
+            Router::FullMesh => visit(LinkId(src * n + dst)),
             Router::FatTree {
                 edges,
                 hosts_per_edge,
@@ -135,17 +151,13 @@ impl Network {
                 let host_down = |h: usize| LinkId(2 * h + 1);
                 let edge_up = |e: usize, s: usize| LinkId(2 * n + 2 * (e * spines + s));
                 let edge_down = |e: usize, s: usize| LinkId(2 * n + 2 * (e * spines + s) + 1);
-                if e_src == e_dst {
-                    vec![host_up(src), host_down(dst)]
-                } else {
+                visit(host_up(src));
+                if e_src != e_dst {
                     let s = (src + dst) % spines; // static ECMP hash
-                    vec![
-                        host_up(src),
-                        edge_up(e_src, s),
-                        edge_down(e_dst, s),
-                        host_down(dst),
-                    ]
+                    visit(edge_up(e_src, s));
+                    visit(edge_down(e_dst, s));
                 }
+                visit(host_down(dst));
             }
             Router::Torus2D { rows, cols } => {
                 let (rows, cols) = (*rows, *cols);
@@ -153,7 +165,6 @@ impl Network {
                 let west = |h: usize| LinkId(4 * h + 1);
                 let south = |h: usize| LinkId(4 * h + 2);
                 let north = |h: usize| LinkId(4 * h + 3);
-                let mut route = Vec::new();
                 let (mut r, mut c) = (src / cols, src % cols);
                 let (tr, tc) = (dst / cols, dst % cols);
                 // X dimension first, along the shorter wrap direction.
@@ -162,10 +173,10 @@ impl Network {
                 while c != tc {
                     let h = r * cols + c;
                     if right <= left {
-                        route.push(east(h));
+                        visit(east(h));
                         c = (c + 1) % cols;
                     } else {
-                        route.push(west(h));
+                        visit(west(h));
                         c = (c + cols - 1) % cols;
                     }
                 }
@@ -175,16 +186,16 @@ impl Network {
                 while r != tr {
                     let h = r * cols + c;
                     if down <= up {
-                        route.push(south(h));
+                        visit(south(h));
                         r = (r + 1) % rows;
                     } else {
-                        route.push(north(h));
+                        visit(north(h));
                         r = (r + rows - 1) % rows;
                     }
                 }
-                route
             }
-        })
+        }
+        Ok(())
     }
 
     /// Sum of one-way latencies along the route of a flow.
@@ -197,6 +208,16 @@ impl Network {
     #[must_use]
     pub fn path_latency(&self, route: &[LinkId]) -> f64 {
         route.iter().map(|&l| self.link(l).latency_s).sum()
+    }
+
+    /// [`Network::path_latency`] of a route held as 32-bit link indices
+    /// (the flat route blocks of [`Network::route_with`]'s callers): the
+    /// same fold over the same links, so the same bits.
+    pub(crate) fn flat_latency(&self, route: &[u32]) -> f64 {
+        route
+            .iter()
+            .map(|&l| self.links[l as usize].latency_s)
+            .sum()
     }
 }
 

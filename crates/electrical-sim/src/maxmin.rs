@@ -58,60 +58,108 @@ pub fn maxmin_rates(net: &Network, routes: &[Vec<LinkId>]) -> Vec<f64> {
 /// `solver_work` so full and incremental re-solves can be compared.
 #[must_use]
 pub fn maxmin_rates_counted(net: &Network, routes: &[Vec<LinkId>], work: &mut usize) -> Vec<f64> {
-    let n_flows = routes.len();
     let n_links = net.links().len();
-    let mut remaining: Vec<f64> = net.links().iter().map(|l| l.capacity_bps).collect();
-    let mut active_on_link: Vec<usize> = vec![0; n_links];
+    let mut fill = Fill::new(n_links);
+    for (l, link) in net.links().iter().enumerate() {
+        fill.remaining[l] = link.capacity_bps;
+    }
     // Which links each flow still counts on (all of them until frozen).
     for route in routes {
         for &l in route {
-            active_on_link[l.0] += 1;
+            fill.active[l.0] += 1;
         }
     }
     let links: Vec<usize> = (0..n_links).collect();
-    let flows: Vec<usize> = (0..n_flows).collect();
-    let mut rate = vec![f64::INFINITY; n_flows];
+    let flows: Vec<usize> = (0..routes.len()).collect();
+    let mut rate = vec![f64::INFINITY; routes.len()];
     progressive_fill(
         &links,
         &flows,
-        routes,
-        &mut remaining,
-        &mut active_on_link,
+        |f| routes[f].as_slice(),
+        &mut fill,
         &mut rate,
         work,
     );
     rate
 }
 
+/// A link of a route as [`progressive_fill`] reads it: the fluid engine's
+/// and the stepped runner's flat routes hold 32-bit link indices, the
+/// public solve takes [`LinkId`]s.
+pub(crate) trait LinkIndex: Copy {
+    /// The link's id.
+    fn index(self) -> usize;
+}
+
+impl LinkIndex for u32 {
+    fn index(self) -> usize {
+        self as usize
+    }
+}
+
+impl LinkIndex for LinkId {
+    fn index(self) -> usize {
+        self.0
+    }
+}
+
+/// The state of [`progressive_fill`], kept by a caller that solves many
+/// times so no solve allocates: per link id, the capacity not yet
+/// allocated and the unfrozen flows crossing it (the caller initializes
+/// both for the links it lists), and the flows not frozen yet.
+#[derive(Debug)]
+pub(crate) struct Fill {
+    pub(crate) remaining: Vec<f64>,
+    pub(crate) active: Vec<usize>,
+    unfrozen: Vec<usize>,
+}
+
+impl Fill {
+    /// Scratch for a network of `links` links.
+    pub(crate) fn new(links: usize) -> Self {
+        Self {
+            remaining: vec![0.0; links],
+            active: vec![0; links],
+            unfrozen: Vec::new(),
+        }
+    }
+}
+
 /// Progressive filling over an explicit link/flow subset.
 ///
 /// This is the solver core shared by the full solve ([`maxmin_rates`],
-/// `links`/`flows` = everything) and the incremental event engine (a
-/// contention component only). `remaining` and `active` are indexed by
-/// global link id and must be pre-initialized for every link in `links`
-/// (capacity and active-flow count); `rate` is indexed by global flow id
+/// `links`/`flows` = everything), the incremental event engine (a
+/// contention component only) and the stepped runner's closed form. Flow
+/// `f` crosses the links `route(f)`. `fill.remaining` and `fill.active`
+/// are indexed by link id and must be pre-initialized for every link in
+/// `links` (capacity and active-flow count); `rate` is indexed by flow id
 /// and is written for every flow in `flows` that freezes. The caller
 /// guarantees every active flow crossing a listed link is itself listed —
 /// the component property that makes a restricted solve exact.
 ///
 /// `links` and `flows` must be ascending so a restricted solve visits its
 /// subset in the same order the full solve would, keeping rates
-/// bit-identical between the two.
-pub(crate) fn progressive_fill(
+/// bit-identical between the two. Each round walks the flows still
+/// unfrozen, in that order, and keeps those that stay unfrozen.
+pub(crate) fn progressive_fill<'r, L: LinkIndex + 'r>(
     links: &[usize],
     flows: &[usize],
-    routes: &[Vec<LinkId>],
-    remaining: &mut [f64],
-    active: &mut [usize],
+    route: impl Fn(usize) -> &'r [L],
+    fill: &mut Fill,
     rate: &mut [f64],
     work: &mut usize,
 ) {
     debug_assert!(links.windows(2).all(|w| w[0] < w[1]));
     debug_assert!(flows.windows(2).all(|w| w[0] < w[1]));
-    let mut frozen = vec![false; flows.len()];
-    let mut unfrozen = flows.len();
+    let Fill {
+        remaining,
+        active,
+        unfrozen,
+    } = fill;
+    unfrozen.clear();
+    unfrozen.extend_from_slice(flows);
 
-    while unfrozen > 0 {
+    while !unfrozen.is_empty() {
         // Bottleneck share: smallest fair share among links with active
         // flows. All links at that share saturate simultaneously, so every
         // flow crossing any of them freezes this round — this keeps
@@ -135,50 +183,48 @@ pub(crate) fn progressive_fill(
             // active link produced a NaN share (corrupt capacities). The
             // latter must not leak infinite rates: freeze those flows at
             // zero so the stall is detectable downstream.
-            for (k, &f) in flows.iter().enumerate() {
-                if !frozen[k] && routes[f].iter().any(|&l| active[l.0] > 0) {
+            for &f in unfrozen.iter() {
+                if route(f).iter().any(|&l| active[l.index()] > 0) {
                     rate[f] = 0.0;
                 }
             }
             break;
         }
-        let mut progressed = false;
-        for (k, &f) in flows.iter().enumerate() {
-            if frozen[k] {
-                continue;
-            }
+        let mut kept = 0;
+        for k in 0..unfrozen.len() {
+            let f = unfrozen[k];
             *work += 1;
-            let bottlenecked = routes[f].iter().any(|&l| {
-                active[l.0] > 0 && at_bottleneck(remaining[l.0] / active[l.0] as f64, best_share)
+            let links_of_f = route(f);
+            let bottlenecked = links_of_f.iter().any(|&l| {
+                let l = l.index();
+                active[l] > 0 && at_bottleneck(remaining[l] / active[l] as f64, best_share)
             });
             if !bottlenecked {
+                unfrozen[kept] = f;
+                kept += 1;
                 continue;
             }
-            frozen[k] = true;
-            progressed = true;
-            unfrozen -= 1;
             // Degenerate (negative) capacities clamp to a zero rate so the
             // stall is detectable instead of running the clock backwards.
             let r = best_share.max(0.0);
             rate[f] = r;
-            for &l in &routes[f] {
-                remaining[l.0] = (remaining[l.0] - r).max(0.0);
-                active[l.0] -= 1;
+            for &l in links_of_f {
+                let l = l.index();
+                remaining[l] = (remaining[l] - r).max(0.0);
+                active[l] -= 1;
             }
         }
-        if !progressed {
+        if kept == unfrozen.len() {
             // Defensive numerical corner: the bottleneck link's own tie
             // test failed. Freeze every remaining flow at its current
             // per-link fair share (never the infinite sentinel) so
             // downstream time-to-finish stays finite, then stop.
-            for (k, &f) in flows.iter().enumerate() {
-                if frozen[k] {
-                    continue;
-                }
+            for &f in unfrozen.iter() {
                 let mut share = f64::INFINITY;
-                for &l in &routes[f] {
-                    if active[l.0] > 0 {
-                        let s = remaining[l.0] / active[l.0] as f64;
+                for &l in route(f) {
+                    let l = l.index();
+                    if active[l] > 0 {
+                        let s = remaining[l] / active[l] as f64;
                         share = if s.is_nan() || share.is_nan() {
                             f64::NAN
                         } else {
@@ -196,6 +242,7 @@ pub(crate) fn progressive_fill(
             }
             break;
         }
+        unfrozen.truncate(kept);
     }
 }
 

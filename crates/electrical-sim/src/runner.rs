@@ -8,8 +8,8 @@
 
 use crate::engine::FluidEngine;
 use crate::error::{NetError, Result};
-use crate::graph::{LinkId, Network};
-use crate::maxmin::progressive_fill;
+use crate::graph::Network;
+use crate::maxmin::{progressive_fill, Fill};
 use crate::sim::EngineFlow;
 use serde::{Deserialize, Serialize};
 
@@ -43,13 +43,14 @@ pub struct StepTransfer {
 /// rates — depends only on the step's ordered routing list, never on
 /// bytes. So a step whose routing list equals the last placed step's
 /// (every step of a ring all-reduce) reuses that placement and redoes only
-/// each flow's finish. Any other step is routed and checked for
-/// link-disjointness once. A step the closed form does not cover (shared
-/// links, or a finish that overflows) hands its routes to the fluid engine
-/// and is not reused: the memo covers exactly the closed form's steps.
-/// The runner keeps one engine and resets it between such steps, so a run
-/// of them reuses the engine's per-link and per-flow arrays instead of
-/// allocating, and returning to the OS, a fresh set for every step.
+/// each flow's finish. Any other step is routed once, straight into a
+/// flat block of 32-bit link indices, and checked for link-disjointness.
+/// A step the closed form does not cover (shared links, or a finish that
+/// overflows) runs on the fluid engine and is not reused: the memo covers
+/// exactly the closed form's steps. The runner keeps one engine and resets
+/// it between such steps, so a run of them reuses the engine's per-link
+/// and per-flow arrays instead of allocating, and returning to the OS, a
+/// fresh set for every step.
 ///
 /// Zero-byte transfers are legal: the fluid model itself rejects empty
 /// flows, so they are skipped before solving, but a step that contains any
@@ -67,8 +68,10 @@ pub struct StepRunner<'n> {
     /// Routing list of the last placed step: `(src, dst, bytes > 0)` per
     /// transfer, in step order.
     key: Vec<(usize, usize, bool)>,
-    /// Routes and latencies of its payload flows, in step order.
-    routes: Vec<Vec<LinkId>>,
+    /// Routes and latencies of its payload flows, in step order: flow `k`
+    /// crosses the links `route_links[route_at[k]..route_at[k + 1]]`.
+    route_links: Vec<u32>,
+    route_at: Vec<u32>,
     latencies: Vec<f64>,
     /// Its closed-form placement: `None` when it has no payload flow (and
     /// no routes), or when the closed form does not apply (and the key is
@@ -92,7 +95,8 @@ impl<'n> StepRunner<'n> {
             net,
             overhead_s: per_message_overhead_s,
             key: Vec::new(),
-            routes: Vec::new(),
+            route_links: Vec::new(),
+            route_at: vec![0],
             latencies: Vec::new(),
             fill: None,
             engine: None,
@@ -151,7 +155,7 @@ impl<'n> StepRunner<'n> {
                 .try_fold(0.0f64, |m, (t, &rate)| {
                     Some(m.max(fill.finish(t.bytes, rate)?))
                 }),
-            None if self.routes.is_empty() => Some(0.0),
+            None if self.latencies.is_empty() => Some(0.0),
             None => None,
         };
         let makespan_s = match (closed_form, &self.fill) {
@@ -173,26 +177,27 @@ impl<'n> StepRunner<'n> {
                 m
             }
             (None, _) => {
-                // The engine consumes the routes, so a step that needs it
-                // leaves no placement to reuse. Its flows are released at
-                // 0, with no launch delay and no deps.
+                // A step that needs the engine leaves no placement to
+                // reuse. Its flows are released at 0, with no launch delay
+                // and no deps, and the engine routes them into its own
+                // arena.
                 self.key.clear();
                 let net = self.net;
                 let engine = self.engine.get_or_insert_with(|| FluidEngine::new(net));
                 engine.reset();
-                let flows = payload.map(|t| EngineFlow {
-                    src: t.src,
-                    dst: t.dst,
-                    bytes: t.bytes,
-                    release_s: 0.0,
-                    delay_s: 0.0,
-                    deps: Vec::new(),
-                    job: 0,
-                });
-                let routes = std::mem::take(&mut self.routes);
-                let latencies = std::mem::take(&mut self.latencies);
-                let n = routes.len();
-                engine.admit(flows, routes, latencies);
+                let n = self.latencies.len();
+                engine.inject_from(payload.map(|t| {
+                    let flow = EngineFlow {
+                        src: t.src,
+                        dst: t.dst,
+                        bytes: t.bytes,
+                        release_s: 0.0,
+                        delay_s: 0.0,
+                        deps: Vec::new(),
+                        job: 0,
+                    };
+                    (flow, std::iter::empty())
+                }))?;
                 while engine.step()?.is_some() {}
                 if let Some(finishes) = &mut self.finishes {
                     finishes.extend((0..n).map(|i| engine.window(i).1));
@@ -205,7 +210,7 @@ impl<'n> StepRunner<'n> {
         };
         if !placed {
             for t in transfers.clone().filter(|t| t.bytes == 0) {
-                self.net.route(t.src, t.dst)?;
+                self.net.route_with(t.src, t.dst, |_| {})?;
             }
             // Saved only once the step has fully succeeded, so a step that
             // failed is never taken as placed.
@@ -234,19 +239,28 @@ impl<'n> StepRunner<'n> {
     /// solve would.
     fn place(&mut self, transfers: impl Iterator<Item = StepTransfer> + Clone) -> Result<()> {
         self.key.clear();
-        self.routes.clear();
+        self.route_links.clear();
+        self.route_at.clear();
+        self.route_at.push(0);
         self.latencies.clear();
         self.fill = None;
-        let payload = transfers.filter(|t| t.bytes > 0);
-        let flows = payload.clone().count();
-        self.routes.reserve(flows);
-        self.latencies.reserve(flows);
-        for t in payload.clone() {
-            let route = self.net.route(t.src, t.dst)?;
-            self.latencies.push(self.net.path_latency(&route));
-            self.routes.push(route);
+        let net = self.net;
+        let wide = NetError::BadConfig("index overflows the stepped runner's 32-bit routes");
+        if u32::try_from(net.links().len()).is_err() {
+            return Err(wide);
         }
-        self.fill = DisjointFill::solve(self.net, &self.routes, &self.latencies, |k| {
+        let payload = transfers.filter(|t| t.bytes > 0);
+        for t in payload.clone() {
+            let start = self.route_links.len();
+            // In range: the link count fits in 32 bits (checked above).
+            net.route_with(t.src, t.dst, |l| self.route_links.push(l.0 as u32))?;
+            self.latencies
+                .push(net.flat_latency(&self.route_links[start..]));
+            let end = u32::try_from(self.route_links.len()).map_err(|_| wide.clone())?;
+            self.route_at.push(end);
+        }
+        let routes = (self.route_links.as_slice(), self.route_at.as_slice());
+        self.fill = DisjointFill::solve(net, routes, &self.latencies, |k| {
             payload.clone().nth(k).map_or((0, 0), |t| (t.src, t.dst))
         })?;
         Ok(())
@@ -269,13 +283,15 @@ struct DisjointFill {
 }
 
 impl DisjointFill {
-    /// The fill of `routes`, or `None` when there is no route, a latency
-    /// differs (in bits) or is not finite, or a link is crossed twice. A
-    /// flow frozen at rate zero fails with [`NetError::StalledFlow`] naming
-    /// `endpoints(k)`, as the engine's first solve does.
+    /// The fill of the flat routes `(links, at)` (flow `k` crosses
+    /// `links[at[k]..at[k + 1]]`), or `None` when there is no route, a
+    /// latency differs (in bits) or is not finite, or a link is crossed
+    /// twice. A flow frozen at rate zero fails with
+    /// [`NetError::StalledFlow`] naming `endpoints(k)`, as the engine's
+    /// first solve does.
     fn solve(
         net: &Network,
-        routes: &[Vec<LinkId>],
+        (route_links, route_at): (&[u32], &[u32]),
         latencies: &[f64],
         endpoints: impl Fn(usize) -> (usize, usize),
     ) -> Result<Option<Self>> {
@@ -285,27 +301,25 @@ impl DisjointFill {
         if !lat.is_finite() || latencies.iter().any(|l| l.to_bits() != lat.to_bits()) {
             return Ok(None);
         }
-        let mut links: Vec<usize> = routes.iter().flatten().map(|l| l.0).collect();
+        let mut links: Vec<usize> = route_links.iter().map(|&l| l as usize).collect();
         links.sort_unstable();
         if links.windows(2).any(|w| w[0] == w[1]) {
             return Ok(None);
         }
         // The engine's one solve: every listed link carries exactly one flow.
-        let mut capacity = vec![0.0f64; net.links().len()];
-        let mut active = vec![0usize; net.links().len()];
+        let mut fill = Fill::new(net.links().len());
         for &l in &links {
-            capacity[l] = net.links()[l].capacity_bps;
-            active[l] = 1;
+            fill.remaining[l] = net.links()[l].capacity_bps;
+            fill.active[l] = 1;
         }
-        let ascending: Vec<usize> = (0..routes.len()).collect();
-        let mut rates = vec![0.0f64; routes.len()];
+        let ascending: Vec<usize> = (0..latencies.len()).collect();
+        let mut rates = vec![0.0f64; latencies.len()];
         let mut solver_work = 0usize;
         progressive_fill(
             &links,
             &ascending,
-            routes,
-            &mut capacity,
-            &mut active,
+            |f| &route_links[route_at[f] as usize..route_at[f + 1] as usize],
+            &mut fill,
             &mut rates,
             &mut solver_work,
         );
@@ -474,7 +488,7 @@ mod tests {
     fn engine_run(net: &Network, flows: Vec<EngineFlow>) -> Result<(f64, Vec<(f64, f64)>)> {
         let n = flows.len();
         let mut eng = FluidEngine::new(net);
-        eng.inject_owned(flows)?;
+        eng.inject(&flows)?;
         while eng.step()?.is_some() {}
         Ok((eng.makespan_s(), (0..n).map(|i| eng.window(i)).collect()))
     }

@@ -125,9 +125,8 @@ pub fn run_flows(net: &Network, specs: &[FlowSpec]) -> Result<RunReport> {
         });
     }
     let mut eng = FluidEngine::new(net);
-    let flows: Vec<EngineFlow> = specs
-        .iter()
-        .map(|s| EngineFlow {
+    eng.inject_from(specs.iter().map(|s| {
+        let flow = EngineFlow {
             src: s.src,
             dst: s.dst,
             bytes: s.bytes,
@@ -135,9 +134,9 @@ pub fn run_flows(net: &Network, specs: &[FlowSpec]) -> Result<RunReport> {
             delay_s: 0.0,
             deps: Vec::new(),
             job: 0,
-        })
-        .collect();
-    eng.inject_owned(flows)?;
+        };
+        (flow, std::iter::empty())
+    }))?;
     while eng.step()?.is_some() {}
     Ok(RunReport {
         makespan_s: eng.makespan_s(),
@@ -251,7 +250,7 @@ mod tests {
     /// Inject `flows` into a fresh engine as one batch and step it to idle.
     fn engine_run(net: &Network, flows: Vec<EngineFlow>) -> Result<FluidEngine<'_>> {
         let mut eng = FluidEngine::new(net);
-        eng.inject_owned(flows)?;
+        eng.inject(&flows)?;
         while eng.step()?.is_some() {}
         Ok(eng)
     }

@@ -8,13 +8,18 @@
 //! (`electrical_sim::sim::run_flows`) must match this reference bit for
 //! bit while doing no more solver work. The electrical-sim `full_resolve`
 //! suite checks that, and the `maxmin_incremental` benchmark includes this
-//! file to time both.
+//! file to time both. The reference fills with the routine as it was before
+//! the engine kept flat routes (`progressive_fill.rs`, next to this file),
+//! so the engine's own routine is checked against an independent one.
+
+#[path = "progressive_fill.rs"]
+mod progressive_fill;
 
 use electrical_sim::error::{NetError, Result};
 use electrical_sim::flow::FlowSpec;
 use electrical_sim::graph::{LinkId, Network};
-use electrical_sim::maxmin::maxmin_rates_counted;
 use electrical_sim::sim::{FlowOutcome, RunReport, EPS};
+use progressive_fill::maxmin_rates_counted;
 use wrht_kernel::EventKernel;
 
 /// Wake-up events of the reference engine, as in the fluid engine.
