@@ -19,7 +19,7 @@
 //! | R2 | `ambient-time` | no `Instant`/`SystemTime`/`RandomState` |
 //! | R3 | `raw-thread-spawn` | no unscoped `std::thread::spawn` |
 //! | R4 | `float-order` | no `partial_cmp` chains, no `f32` sim state |
-//! | R5 | `no-panic` | no `unwrap`/`expect`/`panic!` in kernel/core and the two fabric engines |
+//! | R5 | `no-panic` | no `unwrap`/`expect`/`panic!` in kernel/core and the two fabric crates |
 //! | R6 | `float-eq` | no bare f64 `==`/`!=` outside bit-contract sites |
 //!
 //! Deliberate exceptions are audited in place:

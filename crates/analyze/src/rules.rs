@@ -19,9 +19,8 @@ pub enum RuleId {
     RawThreadSpawn,
     /// R4: float-order hazards — `partial_cmp` chains and `f32` state.
     FloatOrder,
-    /// R5: no `unwrap`/`expect`/`panic!` in `wrht-kernel`/`wrht-core`, the
-    /// optical grant engine (`optical-sim/src/engine.rs`) and the whole
-    /// electrical crate (`electrical-sim/src/`).
+    /// R5: no `unwrap`/`expect`/`panic!` in `wrht-kernel`/`wrht-core` and
+    /// the two fabric crates (`optical-sim/src/`, `electrical-sim/src/`).
     NoPanic,
     /// R6: bare f64 `==`/`!=` outside the documented bit-equality sites.
     FloatEq,
@@ -132,9 +131,9 @@ pub fn rule_table() -> [RuleInfo; 6] {
         RuleInfo {
             id: "R5",
             name: "no-panic",
-            summary: "wrht-kernel, wrht-core, the optical grant engine and the \
-                      electrical crate return typed errors; unwrap/expect/panic! \
-                      are reserved for documented invariants",
+            summary: "wrht-kernel, wrht-core and the optical and electrical \
+                      crates return typed errors; unwrap/expect/panic! are \
+                      reserved for documented invariants",
         },
         RuleInfo {
             id: "R6",
@@ -150,7 +149,7 @@ pub fn rule_table() -> [RuleInfo; 6] {
 const NO_PANIC_SCOPE: [&str; 4] = [
     "crates/kernel/src/",
     "crates/core/src/",
-    "crates/optical-sim/src/engine.rs",
+    "crates/optical-sim/src/",
     "crates/electrical-sim/src/",
 ];
 

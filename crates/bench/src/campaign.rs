@@ -587,12 +587,15 @@ impl Axis for CellConfig {
             // event-driven — consecutive steps overlap on the wire. The DAG
             // is lowered lazily and streams into the engine stage by stage;
             // the ring's steps are written only as the lowering reads them.
+            // The cell reads only the run's summary, so no per-transfer
+            // window is kept.
             ExecMode::Pipelined => {
                 let run = |steps: &dyn StepSource| -> CellOutcome {
                     let dag = PipelinedSource::new(steps);
                     let report = local
                         .try_substrate(self.substrate, self.n, self.strategy)?
-                        .execute_dag(&dag)?;
+                        .execute_closed(&dag, None, &mut |_, _| {})?
+                        .dag;
                     Ok((
                         report.makespan_s,
                         steps.step_count(),
@@ -2315,7 +2318,8 @@ impl Axis for ParCellConfig {
             result.inter_transfers = inter.transfers;
             result.inter_bytes = inter.bytes;
             let mut sub = local.try_composed(hier, self.strategy)?;
-            let report = sub.execute_dag(&source)?;
+            // Only the summary is reported: no per-transfer window is kept.
+            let report = sub.execute_closed(&source, None, &mut |_, _| {})?.dag;
             result.nodes = spec.nodes();
             result.groups = spec.groups();
             result.transfers = source.len();

@@ -47,7 +47,6 @@ use wrht_core::tenancy::{Job, JobWorkload, SchedPolicy, TenancySpec};
 
 use wrht_core::hierarchy::HierSpec;
 use wrht_core::parallelism::{lower_parallelism, ParallelismSpec, StageModel};
-use wrht_core::substrate::DagTiming;
 
 use crate::campaign::Algorithm;
 use crate::contention::{generate_traffic, Pattern};
@@ -364,9 +363,11 @@ pub fn run_suite(scale: SuiteScale, suite: &str, milestone: &str) -> Result<Benc
         let flows = incast_flows(scale.incast_waves, scale.incast_bytes);
         let (wall_s, (makespan_s, events)) = time_best(scale.iters, || {
             let mut eng = FluidEngine::new(&net).with_launch_delay(cfg.electrical_step_overhead_s);
-            let outcomes = run_closed(&mut eng, &flows, None, DagTiming::from)
-                .expect("frozen incast workload executes");
-            let makespan_s = outcomes.iter().fold(0.0f64, |m, o| m.max(o.finish_s));
+            let mut makespan_s = 0.0f64;
+            run_closed(&mut eng, &flows, None, |c| {
+                makespan_s = makespan_s.max(c.finish_s)
+            })
+            .expect("frozen incast workload executes");
             (makespan_s, eng.events())
         });
         cases.push(case_result(

@@ -13,8 +13,10 @@
 //!
 //! Completion keys are sequential per engine — the grant engine's order
 //! keys and the fluid engine's flow indices both count injected transfers
-//! from zero — so a driver that needs to map completions back to its own
-//! transfers keeps a plain vector indexed by key.
+//! from zero — so a caller that needs to map completions back to its own
+//! transfers keeps a plain vector indexed by key. The closed driver keeps
+//! none: it hands each outcome to its caller, and only callers that read
+//! per-transfer windows build that vector.
 //!
 //! The closed driver streams: it reads its [`DepSource`] one stage at a
 //! time and injects a stage only when the engine could need it, so a
@@ -116,9 +118,9 @@ pub trait FabricEngine {
 
     /// Let the engine drop the state of settled transfers whose outcomes
     /// were drained: the closed driver calls this after every drain, since
-    /// it keeps each outcome itself (the fluid and the composed engine
-    /// drop their settled prefix). Afterwards the engine has no
-    /// [`FabricEngine::snapshot`].
+    /// it has handed each drained outcome to its caller (the fluid and the
+    /// composed engine drop their settled prefix). Afterwards the engine
+    /// has no [`FabricEngine::snapshot`].
     fn forget_settled(&mut self) {}
 
     /// Process the next event instant; `None` when idle.
@@ -185,8 +187,10 @@ pub(crate) fn check_jobs(len: usize, arb: Option<&JobArbitration>) -> Result<()>
 }
 
 /// The closed driver: register `arb`'s jobs, run `dag` on `eng` until it
-/// is idle, and return every transfer's outcome, mapped by `outcome`, in
-/// DAG order (completion keys are DAG indices, so `eng` must be fresh).
+/// is idle, and hand every drained outcome to `sink` as it is drained
+/// (completion keys are DAG indices, so `eng` must be fresh). The driver
+/// keeps no outcome: a caller that wants per-transfer windows builds its
+/// own table in `sink`, and one that wants a summary folds it there.
 /// Without `arb` the run is one job, tag 0. Faults, if any, are installed
 /// beforehand ([`FabricEngine::set_faults`]); the engine's statistics stay
 /// readable on `eng`.
@@ -200,25 +204,27 @@ pub(crate) fn check_jobs(len: usize, arb: Option<&JobArbitration>) -> Result<()>
 /// injecting the whole DAG at time zero. A materialized
 /// [`crate::dag::DepSchedule`] is one stage and is injected whole.
 ///
+/// Every key `sink` sees lies below the number of transfers injected so
+/// far, so below `dag.len()`.
+///
 /// # Errors
-/// Job tags that do not fit the schedule, the engine's validation and
-/// run-time errors, and its stall diagnostic when it went idle with a
-/// transfer unfinished.
-pub fn run_closed<E, T>(
+/// Job tags that do not fit the schedule, a source that reads more
+/// transfers than its length, a completion key outside the injected
+/// transfers, the engine's validation and run-time errors, and its stall
+/// diagnostic when it went idle with a transfer unfinished.
+pub fn run_closed<E>(
     eng: &mut E,
     dag: &dyn DepSource,
     arb: Option<&JobArbitration>,
-    outcome: fn(Completion) -> T,
-) -> Result<Vec<T>>
+    mut sink: impl FnMut(Completion),
+) -> Result<()>
 where
     E: FabricEngine + ?Sized,
-    T: Clone + Default,
 {
     check_jobs(dag.len(), arb)?;
     let tags: Vec<usize> = arb.map_or_else(Vec::new, |a| {
         a.rank.iter().map(|&rank| eng.add_job(rank)).collect()
     });
-    let mut outcomes = vec![T::default(); dag.len()];
     let mut stages = dag.stages();
     let (mut written, mut reading, mut idle) = (0, true, false);
     let mut done = Vec::new();
@@ -227,6 +233,12 @@ where
         while reading && (idle || stages.horizon().is_none_or(|h| h < eng.frontier())) {
             match stages.next_stage() {
                 Some(stage) => {
+                    if stage.len() > dag.len() - written {
+                        return Err(OpticalError::BadConfig(
+                            "source reads more transfers than its length",
+                        )
+                        .into());
+                    }
                     eng.inject(stage, written, 0.0, &|i| {
                         arb.map_or(0, |a| tags[a.job_of[written + i]])
                     })?;
@@ -242,16 +254,16 @@ where
         idle = eng.step()?.is_none();
         done.clear();
         eng.drain(&mut done);
-        for c in &done {
-            let Some(slot) = outcomes.get_mut(c.key) else {
+        for &c in &done {
+            if c.key >= written {
                 return Err(OpticalError::BadConfig("completion key outside the schedule").into());
-            };
-            *slot = outcome(*c);
+            }
+            sink(c);
         }
         eng.forget_settled();
     }
     eng.stall_diagnostic()?;
-    Ok(outcomes)
+    Ok(())
 }
 
 impl From<Completion> for FaultTiming {

@@ -1362,7 +1362,6 @@ mod tests {
         use crate::parallelism::{
             lower_parallelism, ParallelismSource, ParallelismSpec, StageModel,
         };
-        use crate::substrate::DagTiming;
         let spec = ParallelismSpec::new(8, 4, 4, 8, 128).unwrap();
         // GPT2-small's gradient, the benchmark's activations and physics.
         let model = StageModel::split(497_759_232, 4, 8 << 20);
@@ -1386,8 +1385,9 @@ mod tests {
         let source = ParallelismSource::new(&spec, &model).unwrap();
         assert_eq!(source.len(), 271_104);
         let mut eng = sub.composed_engine(false, false, None).unwrap();
-        let streamed = run_closed(&mut eng, &source, None, DagTiming::from).unwrap();
-        assert_eq!(streamed.len(), source.len());
+        let mut settled = 0;
+        run_closed(&mut eng, &source, None, |_| settled += 1).unwrap();
+        assert_eq!(settled, source.len());
         assert!(eng.peak_held <= 40_160, "held {} keys", eng.peak_held);
 
         let mut whole = sub.composed_engine(false, false, None).unwrap();

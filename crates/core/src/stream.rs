@@ -838,7 +838,10 @@ fn lower_templates<S: Substrate + ?Sized>(
         let isolated_s = if dag.is_empty() {
             0.0
         } else {
-            sub.execute_dag(&dag)?.makespan_s
+            // Only the makespan is read: no per-transfer window is kept.
+            sub.execute_closed(&dag, None, &mut |_, _| {})?
+                .dag
+                .makespan_s
         };
         let bytes = dag
             .transfers()
@@ -1245,12 +1248,14 @@ mod tests {
             self.inner.engine(arbitrated, fair_share, image)
         }
 
-        fn execute_dag(
+        fn execute_closed(
             &mut self,
             dag: &dyn crate::dag::DepSource,
-        ) -> Result<crate::substrate::DagRunReport> {
+            arb: Option<&crate::tenancy::JobArbitration>,
+            sink: &mut dyn FnMut(usize, crate::substrate::DagTiming),
+        ) -> Result<crate::tenancy::TenantDagRun> {
             self.dag_runs += 1;
-            self.inner.execute_dag(dag)
+            self.inner.execute_closed(dag, arb, sink)
         }
     }
 

@@ -90,7 +90,8 @@ pub struct DagRunReport {
     pub substrate: String,
     /// Completion time of the last transfer, seconds.
     pub makespan_s: f64,
-    /// Per-transfer windows in [`DepSchedule`] order.
+    /// Per-transfer windows in [`DepSchedule`] order; empty in the report
+    /// of [`Substrate::execute_closed`], which hands them to its sink.
     pub transfers: Vec<DagTiming>,
     /// Highest wavelength index in use at any instant + 1 (0 without WDM).
     pub peak_wavelength: usize,
@@ -154,12 +155,20 @@ pub trait Substrate {
     /// materialized [`DepSchedule`] is injected whole; a lazy source such
     /// as [`crate::dag::PipelinedSource`] streams into the engine stage by
     /// stage, bit-identical to its materialized form.
+    ///
+    /// Each transfer's window goes to `sink` with its DAG index as the run
+    /// settles it, and the run keeps none: the report's
+    /// [`DagRunReport::transfers`] is empty. [`Substrate::execute_dag`] and
+    /// [`Substrate::execute_dag_jobs`] build the per-transfer table from
+    /// the sink; a caller that reads only the summary passes a sink that
+    /// ignores the windows, and the run then holds nothing per transfer.
     fn execute_closed(
         &mut self,
         dag: &dyn DepSource,
         arb: Option<&JobArbitration>,
+        sink: &mut dyn FnMut(usize, DagTiming),
     ) -> Result<TenantDagRun> {
-        closed_run(self, dag, arb)
+        closed_run(self, dag, arb, sink)
     }
 
     /// Execute a dependency-aware schedule event-driven: each transfer
@@ -170,7 +179,7 @@ pub trait Substrate {
     /// substrates; on general DAGs consecutive steps and buckets overlap
     /// on the wire.
     fn execute_dag(&mut self, dag: &dyn DepSource) -> Result<DagRunReport> {
-        Ok(self.execute_closed(dag, None)?.dag)
+        Ok(with_windows(self, dag, None)?.dag)
     }
 
     /// Execute a **multi-job** composed DAG (see
@@ -185,7 +194,7 @@ pub trait Substrate {
         dag: &DepSchedule,
         arb: &JobArbitration,
     ) -> Result<TenantDagRun> {
-        self.execute_closed(dag, Some(arb))
+        with_windows(self, dag, Some(arb))
     }
 
     /// Execute a set of concurrent jobs sharing this substrate under the
@@ -202,7 +211,9 @@ pub trait Substrate {
         let run = self.execute_dag_jobs(&composed.dag, &arb)?;
         let mut isolated = Vec::with_capacity(spec.jobs.len());
         for lowered in &composed.lowered {
-            isolated.push(self.execute_dag(lowered)?.makespan_s);
+            // Only the makespan anchors the slowdown: no windows are kept.
+            let alone = self.execute_closed(lowered, None, &mut |_, _| {})?;
+            isolated.push(alone.dag.makespan_s);
         }
         Ok(crate::tenancy::cluster_report(
             spec, &composed, &run, &isolated,
@@ -243,30 +254,34 @@ pub trait Substrate {
         policy: FaultPolicy,
     ) -> Result<FaultRunReport> {
         let mut eng = self.engine(true, arb.fair_share, None)?;
+        let mut transfers = vec![FaultTiming::default(); dag.len()];
         if !eng.set_faults(script, policy)? {
             // Nothing concerns this fabric: the clean closed run, which
             // may be a substrate's own (the electrical fast path).
             drop(eng);
-            let clean = self.execute_closed(dag, Some(arb))?.dag;
-            return Ok(FaultRunReport {
-                substrate: clean.substrate,
-                makespan_s: clean.makespan_s,
-                transfers: clean
-                    .transfers
-                    .iter()
-                    .map(|t| FaultTiming {
+            let clean = self
+                .execute_closed(dag, Some(arb), &mut |key, t| {
+                    let timing = FaultTiming {
                         start_s: t.start_s,
                         finish_s: t.finish_s,
                         aborts: 0,
                         completed: true,
-                    })
-                    .collect(),
+                    };
+                    keep(&mut transfers, key, timing);
+                })?
+                .dag;
+            return Ok(FaultRunReport {
+                substrate: clean.substrate,
+                makespan_s: clean.makespan_s,
+                transfers,
                 peak_wavelength: clean.peak_wavelength,
                 events: clean.events,
                 first_impact_s: None,
             });
         }
-        let transfers = run_closed(&mut *eng, dag, Some(arb), FaultTiming::from)?;
+        run_closed(&mut *eng, dag, Some(arb), |c| {
+            keep(&mut transfers, c.key, c.into())
+        })?;
         Ok(FaultRunReport {
             substrate: self.name().into(),
             makespan_s: makespan_s(&transfers),
@@ -342,19 +357,24 @@ pub trait Substrate {
 }
 
 /// The provided [`Substrate::execute_closed`]: the closed driver on a fresh
-/// engine of `sub`, and the run's report.
+/// engine of `sub`, each window handed to `sink`, and the run's report.
 fn closed_run<S: Substrate + ?Sized>(
     sub: &S,
     dag: &dyn DepSource,
     arb: Option<&JobArbitration>,
+    sink: &mut dyn FnMut(usize, DagTiming),
 ) -> Result<TenantDagRun> {
     let mut eng = sub.engine(arb.is_some(), arb.is_some_and(|a| a.fair_share), None)?;
-    let transfers = run_closed(&mut *eng, dag, arb, DagTiming::from)?;
+    let mut makespan_s = 0.0f64;
+    run_closed(&mut *eng, dag, arb, |c| {
+        makespan_s = makespan_s.max(c.finish_s);
+        sink(c.key, c.into());
+    })?;
     let (rate_recomputations, solver_work) = eng.solver_stats();
     let report = DagRunReport {
         substrate: sub.name().into(),
-        makespan_s: transfers.iter().fold(0.0f64, |m, t| m.max(t.finish_s)),
-        transfers,
+        makespan_s,
+        transfers: Vec::new(),
         peak_wavelength: eng.peak_wavelength(),
         rate_recomputations,
         solver_work,
@@ -376,6 +396,27 @@ fn closed_run<S: Substrate + ?Sized>(
         }
         _ => TenantDagRun::unattributed(report, dag, arb),
     })
+}
+
+/// [`Substrate::execute_closed`] with every transfer's window kept in the
+/// report, in DAG order.
+fn with_windows<S: Substrate + ?Sized>(
+    sub: &mut S,
+    dag: &dyn DepSource,
+    arb: Option<&JobArbitration>,
+) -> Result<TenantDagRun> {
+    let mut windows = vec![DagTiming::default(); dag.len()];
+    let mut run = sub.execute_closed(dag, arb, &mut |key, t| keep(&mut windows, key, t))?;
+    run.dag.transfers = windows;
+    Ok(run)
+}
+
+/// Write a transfer's outcome into a per-transfer table at its key (the
+/// closed runs hand only keys below the schedule's length).
+fn keep<T>(table: &mut [T], key: usize, outcome: T) {
+    if let Some(slot) = table.get_mut(key) {
+        *slot = outcome;
+    }
 }
 
 impl From<Completion> for DagTiming {
@@ -525,21 +566,22 @@ impl Substrate for ElectricalSubstrate {
     /// per stage, composed like [`Substrate::execute`], so the makespan is
     /// the stepped total bit-exactly. A payload transfer finishes at its
     /// stage's start plus the overhead plus its finish in the step, a
-    /// zero-byte one after the overhead alone. Delivered bytes per job are
-    /// the payload sums; the stage composition has no per-interval rate
-    /// solution to attribute. Every other DAG runs on the engine.
+    /// zero-byte one after the overhead alone; each window goes to `sink`
+    /// as its stage is composed. Delivered bytes per job are the payload
+    /// sums; the stage composition has no per-interval rate solution to
+    /// attribute. Every other DAG runs on the engine.
     fn execute_closed(
         &mut self,
         dag: &dyn DepSource,
         arb: Option<&JobArbitration>,
+        sink: &mut dyn FnMut(usize, DagTiming),
     ) -> Result<TenantDagRun> {
         if !dag.is_barrier_shaped() {
-            return closed_run(self, dag, arb);
+            return closed_run(self, dag, arb, sink);
         }
         check_jobs(dag.len(), arb)?;
         let mut runner = StepRunner::new(&self.net, self.step_overhead_s).recording();
-        let mut makespan_s = 0.0;
-        let mut transfers = Vec::with_capacity(dag.len());
+        let (mut makespan_s, mut key) = (0.0, 0);
         let mut stages = dag.stages();
         while let Some(read) = stages.next_stage() {
             for stage in read.chunk_by(|a, b| a.stage == b.stage) {
@@ -547,20 +589,21 @@ impl Substrate for ElectricalSubstrate {
                 makespan_s += runner.step(stage.iter().map(|t| step_transfer(&t.transfer)))?;
                 let launched_s = start_s + self.step_overhead_s;
                 let mut finishes = runner.finishes().iter();
-                transfers.extend(stage.iter().map(|t| DagTiming {
-                    start_s,
-                    finish_s: match t.transfer.bytes {
+                for t in stage {
+                    let finish_s = match t.transfer.bytes {
                         0 => launched_s,
                         _ => finishes.next().map_or(launched_s, |f| launched_s + f),
-                    },
-                }));
+                    };
+                    sink(key, DagTiming { start_s, finish_s });
+                    key += 1;
+                }
             }
         }
         let (rate_recomputations, solver_work, events) = runner.counters();
         let report = DagRunReport {
             substrate: "electrical".into(),
             makespan_s,
-            transfers,
+            transfers: Vec::new(),
             peak_wavelength: 0,
             rate_recomputations,
             solver_work,

@@ -42,8 +42,9 @@
 //! without dependencies (a single launched transfer, say) allocates none.
 //! Runs under faults keep every list. The per-flow scalars and routes are
 //! `O(total flows injected)` for streams, whose snapshots list every flow.
-//! A closed driver that keeps every outcome itself lets the engine drop
-//! the per-flow state of its settled, drained prefix
+//! A closed driver that hands each drained outcome on (the core crate's
+//! `run_closed` passes it to its caller, and keeps none) lets the engine
+//! drop the per-flow state of its settled, drained prefix
 //! ([`FluidEngine::forget_settled`]), so a DAG streamed stage by stage runs
 //! in memory proportional to the flows between the lowest unsettled one
 //! and the last injected. The per-flow tables and index lists hold
@@ -338,8 +339,8 @@ pub struct FluidEngine<'a> {
     active: Vec<usize>,
     n_done: usize,
     /// Flow index of the first flow the tables hold. The tables and index
-    /// lists use positions in the tables; a closed driver that keeps every
-    /// outcome itself lets the engine drop the settled prefix of the
+    /// lists use positions in the tables; a closed driver that hands each
+    /// drained outcome on lets the engine drop the settled prefix of the
     /// tables ([`FluidEngine::forget_settled`]), which moves this base.
     /// Kernel events, completions and the injection interface use flow
     /// indices, so they never change.
@@ -1013,7 +1014,7 @@ impl<'a> FluidEngine<'a> {
 
     /// Drop the state of the settled prefix of the flow tables, once it is
     /// at least half of them and every outcome has been drained. For a
-    /// closed driver that keeps each outcome itself: afterwards
+    /// closed driver that hands each drained outcome on: afterwards
     /// [`FluidEngine::window`] knows only the flows from the lowest
     /// unsettled one on, and a snapshot is no longer possible. Runs under
     /// faults keep every flow.

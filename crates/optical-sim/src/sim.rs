@@ -272,10 +272,14 @@ pub struct RingSimulator {
 }
 
 impl RingSimulator {
-    /// Build a simulator; panics on invalid configuration
-    /// (use [`RingSimulator::try_new`] to handle errors).
+    /// Build a simulator.
+    ///
+    /// # Panics
+    /// Panics on an invalid configuration; use [`RingSimulator::try_new`]
+    /// to handle errors.
     #[must_use]
     pub fn new(config: OpticalConfig) -> Self {
+        // wrht-analyze: allow(r5, reason = "the documented panicking twin of try_new, for configurations the caller built valid; every fallible path takes try_new")
         Self::try_new(config).expect("invalid optical configuration")
     }
 

@@ -70,6 +70,7 @@ impl RingTopology {
     /// construction.
     #[must_use]
     pub fn new(n: usize) -> Self {
+        // wrht-analyze: allow(r5, reason = "the documented panicking twin of try_new, for ring sizes the caller built valid; every fallible path takes try_new")
         Self::try_new(n).expect("ring must have at least 2 nodes")
     }
 

@@ -117,12 +117,14 @@ fn same_as_engine(net: &Network, specs: &[FlowSpec]) -> Result<(), String> {
         })
         .collect();
     let mut eng = FluidEngine::new(net);
+    let mut windows = vec![DagTiming::default(); specs.len()];
     let engine = run_closed(
         &mut eng,
         &DepSchedule::from_released(&released),
         None,
-        DagTiming::from,
-    );
+        |c| windows[c.key] = c.into(),
+    )
+    .map(|()| windows);
     let mut runner = StepRunner::new(net, 0.0).recording();
     for repeat in 1..=2 {
         match (step(&mut runner, specs), &engine) {

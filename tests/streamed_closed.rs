@@ -8,8 +8,8 @@
 //! `solver_work` and `peak_wavelength`, and in the error value, on both
 //! fabrics:
 //!
-//! * over random stage-structured step schedules whose generator makes
-//!   nodes sit idle for several stages (the horizon stays pinned), mixes in
+//! * over random stage-structured step schedules (`tests/support/stage_cases.rs`)
+//!   whose generator makes nodes sit idle for several stages (the horizon stays pinned), mixes in
 //!   zero-byte transfers (the fluid engine settles a chain of them inside
 //!   one promotion pass) and equal payloads (simultaneous completions),
 //!   uses non-zero latencies (stale kernel events name flows the fluid
@@ -23,12 +23,13 @@
 //! holds a few stages of transfers in either engine, where the
 //! materialized run holds all of them.
 
-use electrical_sim::topology::star_cluster;
-use electrical_sim::{FluidEngine, Network};
-use optical_sim::{
-    GrantEngine, NodeId, OpticalConfig, StepSchedule, StepSource, Strategy, Transfer,
-};
+#[path = "support/stage_cases.rs"]
+mod stage_cases;
+
+use electrical_sim::FluidEngine;
+use optical_sim::{GrantEngine, StepSchedule, StepSource, Strategy};
 use proptest::prelude::*;
+use stage_cases::case;
 use wrht_bench::campaign::Algorithm;
 use wrht_bench::config::{ExperimentConfig, SubstrateKind};
 use wrht_bench::timeline::lower_allreduce;
@@ -36,114 +37,7 @@ use wrht_core::baselines::RingSource;
 use wrht_core::dag::{DepSchedule, DepSource, PipelinedSource};
 use wrht_core::engine::{run_closed, FabricEngine};
 use wrht_core::error::Result;
-use wrht_core::substrate::{
-    DagRunReport, DagTiming, ElectricalSubstrate, OpticalSubstrate, Substrate,
-};
-
-/// xorshift64* draws for the schedule generator.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 ^= self.0 >> 12;
-        self.0 ^= self.0 << 25;
-        self.0 ^= self.0 >> 27;
-        self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    fn below(&mut self, bound: usize) -> usize {
-        (self.next() % bound as u64) as usize
-    }
-
-    fn chance(&mut self, percent: usize) -> bool {
-        self.below(100) < percent
-    }
-}
-
-/// Payload sizes: zero-byte gates, repeated sizes (equal transfers
-/// complete at one instant) and one large enough to outlive several
-/// stages, so rates change under it and leave stale completion events.
-const BYTES: [u64; 8] = [0, 0, 4_096, 4_096, 4_096, 10_000, 123_457, 1_000_003];
-
-/// A random stage-structured schedule and the physics of the two fabrics
-/// it runs on.
-struct Case {
-    steps: StepSchedule,
-    optical: OpticalConfig,
-    net: Network,
-    overhead_s: f64,
-}
-
-impl Case {
-    fn optical(&self) -> OpticalSubstrate {
-        OpticalSubstrate::new(self.optical.clone()).expect("valid optical config")
-    }
-
-    fn electrical(&self) -> ElectricalSubstrate {
-        ElectricalSubstrate::new(self.net.clone(), self.overhead_s)
-    }
-}
-
-fn case(seed: u64) -> Case {
-    let mut rng = Rng(seed | 1);
-    let n = if rng.chance(25) { 2 } else { 3 + rng.below(8) };
-    let stages = 1 + rng.below(12);
-    // Each node sits out runs of stages: some from the start (the horizon
-    // is unknown until every node took part), some in the middle (its
-    // last step pins the horizon). Active nodes send one to three
-    // transfers a stage.
-    let idle: Vec<(usize, usize)> = (0..n)
-        .map(|_| {
-            let from = if rng.chance(30) { 0 } else { rng.below(stages) };
-            (from, from + rng.below(5))
-        })
-        .collect();
-    let exchange = n == 2 && rng.chance(60);
-    let mut steps = Vec::with_capacity(stages);
-    for stage in 0..stages {
-        let mut step = Vec::new();
-        if exchange {
-            // Both nodes every stage, equal payloads: barrier-shaped.
-            let bytes = BYTES[rng.below(BYTES.len())];
-            step.push(Transfer::shortest(NodeId(0), NodeId(1), bytes));
-            step.push(Transfer::shortest(NodeId(1), NodeId(0), bytes));
-        } else {
-            for (src, &(from, to)) in idle.iter().enumerate() {
-                if (from..to).contains(&stage) || !rng.chance(70) {
-                    continue;
-                }
-                for _ in 0..1 + rng.below(3) {
-                    let dst = (src + 1 + rng.below(n - 1)) % n;
-                    let bytes = BYTES[rng.below(BYTES.len())];
-                    let lanes = 1 + rng.below(2);
-                    step.push(
-                        Transfer::shortest(NodeId(src), NodeId(dst), bytes).with_lanes(lanes),
-                    );
-                }
-            }
-        }
-        steps.push(step);
-    }
-    if stages >= 3 && rng.chance(15) {
-        // An endpoint past the last node, late in the schedule.
-        let src = rng.below(n);
-        let bad = if rng.chance(50) {
-            Transfer::shortest(NodeId(src), NodeId(n), 4_096)
-        } else {
-            Transfer::shortest(NodeId(n), NodeId(src), 4_096)
-        };
-        steps[stages - 1 - rng.below(2)].push(bad);
-    }
-    Case {
-        steps: StepSchedule::from_steps(steps),
-        optical: OpticalConfig::new(n, 2 + rng.below(3))
-            .with_lambda_bandwidth([1e9, 2.5e9][rng.below(2)])
-            .with_message_overhead([0.0, 1e-6][rng.below(2)])
-            .with_hop_propagation([0.0, 5e-9][rng.below(2)]),
-        net: star_cluster(n, [1e9, 2.5e9][rng.below(2)], [0.0, 500e-9][rng.below(2)]),
-        overhead_s: [0.0, 0.0, 2e-6][rng.below(3)],
-    }
-}
+use wrht_core::substrate::{DagRunReport, Substrate};
 
 /// Do two runs agree bit for bit (or fail with the same error)?
 fn same(
@@ -220,10 +114,10 @@ fn generator_covers_the_edge_cases() {
         }
         let mut grant = GrantEngine::new(&case.optical, Strategy::FirstFit, false, false)
             .expect("valid optical config");
-        run_closed(&mut grant, &source, None, DagTiming::from).expect("optical run");
+        run_closed(&mut grant, &source, None, |_| {}).expect("optical run");
         optical_streamed += usize::from(grant.peak_slots() < source.len());
         let mut fluid = FluidEngine::new(&case.net).with_launch_delay(case.overhead_s);
-        run_closed(&mut fluid, &source, None, DagTiming::from).expect("fluid run");
+        run_closed(&mut fluid, &source, None, |_| {}).expect("fluid run");
         let streamed = fluid.peak_held() < source.len();
         fluid_streamed += usize::from(streamed);
         let gates = case.steps.steps().iter().flatten().any(|t| t.bytes == 0);
@@ -313,23 +207,25 @@ fn pipelined_ring_streams_in_a_few_stages() {
 
     let mut grant =
         GrantEngine::new(&cfg.optical(512), Strategy::FirstFit, false, false).expect("valid ring");
-    let optical = run_closed(&mut grant, &source, None, DagTiming::from).expect("optical run");
+    let mut optical = 0;
+    run_closed(&mut grant, &source, None, |_| optical += 1).expect("optical run");
     assert!(
         grant.peak_slots() <= WINDOW,
         "grant slots {}",
         grant.peak_slots()
     );
-    assert_eq!(optical.len(), source.len());
+    assert_eq!(optical, source.len());
 
     let net = cfg.electrical(512);
     let mut fluid = FluidEngine::new(&net).with_launch_delay(cfg.electrical_step_overhead_s);
-    let electrical = run_closed(&mut fluid, &source, None, DagTiming::from).expect("fluid run");
+    let mut electrical = 0;
+    run_closed(&mut fluid, &source, None, |_| electrical += 1).expect("fluid run");
     assert!(
         fluid.peak_held() <= WINDOW,
         "fluid flows {}",
         fluid.peak_held()
     );
-    assert_eq!(electrical.len(), source.len());
+    assert_eq!(electrical, source.len());
 
     // Injected whole, both engines hold every transfer at once.
     let mut grant =

@@ -21,7 +21,7 @@ use proptest::prelude::*;
 use wrht_core::dag::DepSource;
 use wrht_core::hierarchy::{compose, Domain, HierSpec};
 use wrht_core::parallelism::{lower_parallelism, ParallelismSource, ParallelismSpec, StageModel};
-use wrht_core::substrate::{ElectricalSubstrate, OpticalSubstrate, Substrate};
+use wrht_core::substrate::{DagTiming, ElectricalSubstrate, OpticalSubstrate, Substrate};
 use wrht_core::tenancy::{JobArbitration, TenantDagRun};
 
 /// SplitMix64 draws for the case generator.
@@ -164,6 +164,19 @@ fn arbitration(rng: &mut Rng, len: usize) -> JobArbitration {
     }
 }
 
+/// The closed run of `dag` on `sub`, with its windows collected in DAG
+/// order.
+fn closed(
+    sub: &mut dyn Substrate,
+    dag: &dyn DepSource,
+    arb: Option<&JobArbitration>,
+) -> wrht_core::error::Result<TenantDagRun> {
+    let mut windows = vec![DagTiming::default(); dag.len()];
+    let mut run = sub.execute_closed(dag, arb, &mut |key, t| windows[key] = t)?;
+    run.dag.transfers = windows;
+    Ok(run)
+}
+
 /// Every pinned field of a run, floats as bits.
 fn fields(run: &TenantDagRun) -> Vec<u64> {
     let r = &run.dag;
@@ -201,8 +214,8 @@ fn streamed_runs_match_the_whole_dag(seed: u64) -> Result<(), String> {
         let mut sub = composed(&mut rng, hier, electrical_intra);
         let arb = arbitration(&mut rng, whole.len());
         for arb in [None, Some(&arb)] {
-            let streamed = sub.execute_closed(&source, arb);
-            let materialized = sub.execute_closed(&whole, arb);
+            let streamed = closed(&mut *sub, &source, arb);
+            let materialized = closed(&mut *sub, &whole, arb);
             let same = match (&streamed, &materialized) {
                 (Ok(s), Ok(w)) => fields(s) == fields(w),
                 (Err(s), Err(w)) => s == w,
