@@ -32,7 +32,7 @@
 use serde::{Deserialize, Serialize, Value};
 
 use crate::dag::{DepSource, DepTransfer};
-use crate::error::Result;
+use crate::error::{Result, WrhtError};
 use crate::fault::{FaultPolicy, FaultScript, FaultTiming};
 use crate::tenancy::JobArbitration;
 use electrical_sim::{EngineFlow, FluidEngine};
@@ -234,10 +234,7 @@ where
             match stages.next_stage() {
                 Some(stage) => {
                     if stage.len() > dag.len() - written {
-                        return Err(OpticalError::BadConfig(
-                            "source reads more transfers than its length",
-                        )
-                        .into());
+                        return Err(overlong_source());
                     }
                     eng.inject(stage, written, 0.0, &|i| {
                         arb.map_or(0, |a| tags[a.job_of[written + i]])
@@ -264,6 +261,12 @@ where
     }
     eng.stall_diagnostic()?;
     Ok(())
+}
+
+/// The error of a source whose stages read more transfers than its
+/// length.
+pub(crate) fn overlong_source() -> WrhtError {
+    OpticalError::BadConfig("source reads more transfers than its length").into()
 }
 
 impl From<Completion> for FaultTiming {

@@ -55,7 +55,9 @@
 //! ```
 
 use crate::dag::{DepSchedule, DepSource};
-use crate::engine::{check_jobs, makespan_s, run_closed, Completion, FabricEngine};
+use crate::engine::{
+    check_jobs, makespan_s, overlong_source, run_closed, Completion, FabricEngine,
+};
 use crate::error::Result;
 use crate::fault::{
     fault_cluster_report, FaultClusterReport, FaultPolicy, FaultRunReport, FaultScript, FaultTiming,
@@ -584,6 +586,9 @@ impl Substrate for ElectricalSubstrate {
         let (mut makespan_s, mut key) = (0.0, 0);
         let mut stages = dag.stages();
         while let Some(read) = stages.next_stage() {
+            if read.len() > dag.len() - key {
+                return Err(overlong_source());
+            }
             for stage in read.chunk_by(|a, b| a.stage == b.stage) {
                 let start_s = makespan_s;
                 makespan_s += runner.step(stage.iter().map(|t| step_transfer(&t.transfer)))?;

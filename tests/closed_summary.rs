@@ -458,7 +458,9 @@ impl DepSource for Overlong<'_> {
 
 /// A source that reads more transfers than its length is a typed error
 /// before anything is injected past it, arbitrated or not (a job tag list
-/// sized by the length has no tag for the extra transfer).
+/// sized by the length has no tag for the extra transfer). A barrier-shaped
+/// one takes the electrical fast path, which stops there too: its sink
+/// never sees a key at or past the length.
 #[test]
 fn a_source_longer_than_its_length_is_a_typed_error() {
     let steps = StepSchedule::from_steps(vec![
@@ -493,5 +495,16 @@ fn a_source_longer_than_its_length_is_a_typed_error() {
         let mut sub = OpticalSubstrate::new(config.clone()).expect("valid ring");
         let run = sub.execute_closed(&source, arb, &mut |_, _| {});
         assert_eq!(run.map(|r| r.dag.makespan_s), Err(want.clone()));
+    }
+    let barrier = DepSchedule::from_steps(&steps);
+    let source = Overlong(&barrier);
+    assert!(source.is_barrier_shaped());
+    let cfg = ExperimentConfig::small();
+    let mut sub = ElectricalSubstrate::new(cfg.electrical(4), cfg.electrical_step_overhead_s);
+    for arb in [None, Some(&arb)] {
+        let mut keys = Vec::new();
+        let run = sub.execute_closed(&source, arb, &mut |key, _| keys.push(key));
+        assert_eq!(run.map(|r| r.dag.makespan_s), Err(want.clone()));
+        assert!(keys.iter().all(|&k| k < source.len()), "{keys:?}");
     }
 }
