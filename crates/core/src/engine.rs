@@ -36,7 +36,7 @@ use crate::error::{Result, WrhtError};
 use crate::fault::{FaultPolicy, FaultScript, FaultTiming};
 use crate::tenancy::JobArbitration;
 use electrical_sim::{EngineFlow, FluidEngine};
-use optical_sim::{GrantEngine, GrantTransfer, OpticalError};
+use optical_sim::{GrantEngine, OpticalError};
 
 /// One transfer outcome drained from a [`FabricEngine`]: a completion, or
 /// under faults a failure.
@@ -319,27 +319,16 @@ impl FabricEngine for GrantEngine {
         job: &dyn Fn(usize) -> usize,
     ) -> Result<()> {
         let base = dag_base(self.next_key() as usize, first)?;
-        let item = |i: usize, t: &DepTransfer| GrantTransfer {
-            transfer: t.transfer.clone(),
-            release_s: offset_s + t.release_s,
-            deps: t.deps.iter().map(|&d| base + d).collect(),
-            job: job(i),
-        };
-        // The composed engine injects one transfer at a time; that case goes
-        // through the stack, because a heap temporary per injection
-        // fragments a campaign worker's heap enough to raise its peak
-        // resident memory measurably.
-        match transfers {
-            [t] => GrantEngine::inject(self, &[item(0, t)]),
-            _ => {
-                let batch: Vec<GrantTransfer> = transfers
-                    .iter()
-                    .enumerate()
-                    .map(|(i, t)| item(i, t))
-                    .collect();
-                GrantEngine::inject(self, &batch)
-            }
-        }?;
+        // The engine reads the batch in place: no list is built per
+        // transfer.
+        self.inject_from(transfers.iter().enumerate().map(|(i, t)| {
+            (
+                &t.transfer,
+                offset_s + t.release_s,
+                job(i),
+                t.deps.iter().map(move |&d| base.saturating_add(d)),
+            )
+        }))?;
         Ok(())
     }
 

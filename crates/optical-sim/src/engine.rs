@@ -60,9 +60,39 @@
 //! Every entry carries its arc (direction, first clockwise segment, hops),
 //! and the claimed segments are one bitset per direction, so skipping a
 //! blocked waiter is a few word operations and never reads its slot. Lanes
-//! come from [`Occupancy::assign`], which ORs the path's per-segment lane
-//! masks once. A grant's highest lane only ever raises the peak, so the
-//! engine's peak wavelength is the running maximum of granted lane + 1.
+//! come from [`Occupancy::assign`]'s arc form, which ORs the arc's
+//! per-segment lane masks once and writes the granted lanes straight into
+//! the transfer's place in the lane store. A grant's highest lane only ever
+//! raises the peak, so the engine's peak wavelength is the running maximum
+//! of granted lane + 1.
+//!
+//! # Bookkeeping
+//!
+//! A live transfer is one fixed-size `Copy` record of 32-bit fields (and
+//! its 64-bit order key, payload and instants), with no heap block of its
+//! own. It keeps its route as an arc — direction and hops, computed at
+//! injection from [`RingTopology::hops`] with the checks of
+//! [`Transfer::resolve`] — rather than a segment list, and its lists live
+//! in flat 32-bit stores:
+//!
+//! * **Dependents.** Each injected batch with dependencies inside it gets
+//!   one block holding, as compressed rows, the slots of the batch's
+//!   transfers that depend on each of its transfers. A dependent injected
+//!   in a later batch (a closed DAG streamed stage by stage) goes into a
+//!   pool of 32-bit edges, one list per dependency in injection order,
+//!   whose settled lists a free list recycles. The batch's last transfer
+//!   to settle frees its block, so a stream holds lists only for unsettled
+//!   jobs, and a batch without inner dependencies allocates none.
+//! * **Lanes.** Each transfer owns `lanes` entries of one lane store from
+//!   injection until it settles, holding its granted lanes while in
+//!   flight; freed ranges are reused by transfers of the same width.
+//!
+//! A dependent's list entry is its slot, which stays its own until it
+//! settles, and no transfer settles before its dependencies. Runs under
+//! faults keep every list. An index that would not fit in 32 bits (a job
+//! tag, a slot, a list or lane-store position, a ring of more nodes or
+//! wavelengths) is an [`OpticalError::BadConfig`] before any state
+//! changes.
 //!
 //! # Faults
 //!
@@ -84,14 +114,21 @@
 //! [`GrantCompletion`]s with `failed` set. Without a relevant fault the
 //! engine allocates no fault state and runs the clean arithmetic.
 //!
+//! # Snapshots
+//!
 //! The engine also supports [`GrantEngine::snapshot`] /
 //! [`GrantEngine::restore`]: a versioned, serializable image of the slots,
 //! pending kernel events and clock, pinned byte-identical by the stream
-//! checkpoint tests in `wrht-core`. The image lists the waiters in
-//! order-key order; restore puts them back into scan order. Restore
-//! validates the image's indices, times, routes and lane holdings, rejects
-//! corrupt ones with [`OpticalError::BadConfig`], and rebuilds the lane
-//! occupancy from the in-flight slots.
+//! checkpoint tests in `wrht-core` and by `tests/grant_checkpoints.rs`.
+//! The image lists every live slot as a per-slot layout would: its
+//! transfer, routed path (segments and all), dependents in the order they
+//! are released, and granted lanes, each rebuilt from the records and flat
+//! stores. It lists the waiters in order-key order; restore puts them back
+//! into scan order. Restore validates the image's indices, times, routes
+//! and lane holdings, rejects corrupt ones with
+//! [`OpticalError::BadConfig`], flattens each slot into its record (its
+//! dependents into edge lists, its lanes into the lane store), and
+//! rebuilds the lane occupancy from the in-flight slots.
 
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -101,17 +138,23 @@ use wrht_kernel::{EventId, EventKernel, FaultKind, FaultLimits, FaultPolicy, Fau
 use crate::config::OpticalConfig;
 use crate::error::{OpticalError, Result};
 use crate::path::LightPath;
-use crate::request::Transfer;
-use crate::rwa::{arc_runs, arc_start, Occupancy, Strategy};
+use crate::request::{DirectionChoice, Transfer};
+use crate::rwa::{arc_first, arc_runs, Occupancy, Strategy};
 use crate::timing::TimingModel;
-use crate::topology::{Direction, RingTopology};
+use crate::topology::{Direction, NodeId, RingTopology};
 use crate::wavelength::Wavelength;
 
 /// Version tag of [`GrantEngineSnapshot`]; bump on any layout change.
 pub const SNAPSHOT_VERSION: u32 = 2;
 
-/// Entry of [`GrantEngine`]'s key table for a key whose transfer settled.
-const SETTLED: usize = usize::MAX;
+/// A slot without a block, the end of an edge or lane-range list, and a
+/// settled key's entry in the key table; also one past the most slots,
+/// edges and list entries the engine holds.
+const NIL: u32 = u32::MAX;
+
+/// Error for an index the engine keeps in 32 bits that would not fit.
+const WIDE: OpticalError =
+    OpticalError::BadConfig("index overflows the grant engine's 32-bit tables");
 
 /// One transfer submitted to [`GrantEngine::inject`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -157,8 +200,56 @@ enum Ev {
     Fault(usize),
 }
 
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// A live transfer (see the module docs' bookkeeping).
+#[derive(Debug, Clone, Copy)]
 struct Slot {
+    order: u64,
+    bytes: u64,
+    release_s: f64,
+    /// Grant instant; NaN until the transfer's lanes are first granted.
+    started: f64,
+    src: u32,
+    dst: u32,
+    lanes: u32,
+    tag: u32,
+    /// Ring hops of the route: the arc is the `hops` segments clockwise
+    /// from [`Slot::first`] on the `direction` waveguide.
+    hops: u32,
+    /// Dependencies not completed yet.
+    missing: u32,
+    job: u32,
+    /// The batch's block of dependents inside the batch, or [`NIL`].
+    block: u32,
+    /// First and last edge of the dependents injected in later batches,
+    /// or [`NIL`].
+    later: u32,
+    later_end: u32,
+    /// Where the slot's `lanes` entries of the lane store start.
+    lane_at: u32,
+    direction: Direction,
+    /// The routing policy the transfer was submitted with.
+    route: DirectionChoice,
+    /// In flight: the lane store holds its granted lanes.
+    held: bool,
+}
+
+impl Slot {
+    /// The first segment, counted clockwise, of the arc.
+    fn first(&self) -> usize {
+        arc_first(self.src as usize, self.dst as usize, self.direction)
+    }
+
+    /// The slot's entries of the lane store.
+    fn lane_range(&self) -> Range<usize> {
+        let at = self.lane_at as usize;
+        at..at + self.lanes as usize
+    }
+}
+
+/// A slot as a snapshot lists it: the layout of an engine that kept a
+/// `Vec` per list.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+struct SlotImage {
     transfer: Transfer,
     path: LightPath,
     release_s: f64,
@@ -170,6 +261,39 @@ struct Slot {
     /// Grant instant; `None` until the transfer's lanes are granted.
     /// (An `Option`, not NaN, so snapshots survive JSON round-trips.)
     started: Option<f64>,
+}
+
+/// The dependents inside one injected batch, as compressed rows: the
+/// slots of the batch's transfers that depend on its transfer `k` are
+/// `data[data[k]..data[k + 1]]`, in injection order.
+#[derive(Debug)]
+struct Block {
+    /// Order key of the batch's first transfer.
+    first: u64,
+    /// Transfers of the batch not settled yet; the last to settle frees
+    /// `data`.
+    unsettled: u32,
+    data: Vec<u32>,
+}
+
+/// One edge of [`GrantEngine::pool`]: the slot of a dependent injected in
+/// a later batch than its dependency, and the next edge of the
+/// dependency's list.
+#[derive(Debug, Clone, Copy)]
+struct Edge {
+    slot: u32,
+    next: u32,
+}
+
+/// What a validated batch needs: its transfers, their dependencies on
+/// transfers of the batch and on earlier batches' transfers, and their
+/// lanes.
+#[derive(Debug, Default)]
+struct BatchSize {
+    transfers: usize,
+    inner: usize,
+    edges: usize,
+    lanes: usize,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -185,28 +309,32 @@ struct Waiter {
     /// The order key: with the owning job's rank under arbitration, the
     /// waiter's static scan key.
     order: u64,
-    id: usize,
-    job: usize,
-    lanes: usize,
+    id: u32,
+    job: u32,
+    lanes: u32,
+    /// Where the slot's lanes go in the lane store.
+    lane_at: u32,
     /// The arc: the segments `first..first + hops` (mod `n`), counted
     /// clockwise, on the `direction` waveguide.
-    first: usize,
-    hops: usize,
+    first: u32,
+    hops: u32,
     direction: Direction,
     /// Granted by the current scan; removed when it ends.
     granted: bool,
 }
 
 impl Waiter {
-    fn new(id: usize, slot: &Slot) -> Self {
+    fn new(id: u32, slot: &Slot) -> Self {
         Self {
             order: slot.order,
             id,
             job: slot.job,
-            lanes: slot.transfer.lanes,
-            first: arc_start(&slot.path),
-            hops: slot.path.hops(),
-            direction: slot.path.direction,
+            lanes: slot.lanes,
+            lane_at: slot.lane_at,
+            // In range: the ring's size fits in 32 bits.
+            first: slot.first() as u32,
+            hops: slot.hops,
+            direction: slot.direction,
             granted: false,
         }
     }
@@ -302,9 +430,10 @@ impl FairOrder {
         bucket.resize(jobs.len(), ABSENT);
         present.clear();
         for w in waiting {
-            if bucket[w.job] == ABSENT {
-                bucket[w.job] = 0;
-                present.push(w.job);
+            let job = w.job as usize;
+            if bucket[job] == ABSENT {
+                bucket[job] = 0;
+                present.push(job);
             }
         }
         let cmp = |a: usize, b: usize| jobs[a].service.total_cmp(&jobs[b].service);
@@ -320,7 +449,7 @@ impl FairOrder {
             start.clear();
             start.resize(buckets, 0);
             for w in waiting {
-                start[bucket[w.job]] += 1;
+                start[bucket[w.job as usize]] += 1;
             }
             let mut sum = 0;
             for place in start.iter_mut() {
@@ -328,7 +457,7 @@ impl FairOrder {
             }
             perm.resize(waiting.len(), 0);
             for (pos, w) in waiting.iter().enumerate() {
-                let next = &mut start[bucket[w.job]];
+                let next = &mut start[bucket[w.job as usize]];
                 perm[*next] = pos;
                 *next += 1;
             }
@@ -371,7 +500,7 @@ pub struct GrantEngineSnapshot {
     pub version: u32,
     now: f64,
     events: u64,
-    slots: Vec<Option<Slot>>,
+    slots: Vec<Option<SlotImage>>,
     free: Vec<usize>,
     jobs: Vec<JobSlot>,
     job_free: Vec<usize>,
@@ -395,15 +524,28 @@ pub struct GrantEngine {
     fair_share: bool,
     occ: Occupancy,
     slots: Vec<Option<Slot>>,
-    free: Vec<usize>,
-    /// Slot of every order key from the lowest unsettled one on
-    /// ([`SETTLED`] once its transfer completed or failed), so a batch can
-    /// depend on live transfers of earlier batches. Built from the live
-    /// slots when the first such batch arrives; runs that inject whole
-    /// DAGs never build it.
-    keys: Option<VecDeque<usize>>,
+    free: Vec<u32>,
+    /// Slot of every order key from the lowest unsettled one on ([`NIL`]
+    /// once its transfer completed or failed), so a batch can depend on
+    /// live transfers of earlier batches. Built from the live slots when
+    /// the first such batch arrives; runs that inject whole DAGs never
+    /// build it.
+    keys: Option<VecDeque<u32>>,
     /// One past the highest order key whose dependencies are all met.
     gated: u64,
+    /// Each batch's dependents inside it, in slots a freed block returns
+    /// to `free_blocks`.
+    blocks: Vec<Block>,
+    free_blocks: Vec<u32>,
+    /// Edges of the slots' later-batch dependent lists; released lists
+    /// return to the free list at `free_edge`.
+    pool: Vec<Edge>,
+    free_edge: u32,
+    /// Every live slot's lanes ([`Slot::lane_range`]). A freed range of
+    /// `k` lanes waits on the list at `lane_free[k]`, chained through its
+    /// first entry.
+    lanes: Vec<u32>,
+    lane_free: Vec<u32>,
     jobs: Vec<JobSlot>,
     job_free: Vec<usize>,
     next_order: u64,
@@ -422,6 +564,8 @@ pub struct GrantEngine {
     /// Segments claimed by blocked waiters, per direction.
     claimed: [SegmentSet; 2],
     fair: FairOrder,
+    /// The slots of the batch being injected.
+    ids: Vec<u32>,
 }
 
 impl GrantEngine {
@@ -433,7 +577,9 @@ impl GrantEngine {
     ///
     /// # Errors
     /// Invalid configurations are rejected exactly as by
-    /// [`crate::sim::RingSimulator::try_new`].
+    /// [`crate::sim::RingSimulator::try_new`], and rings of more nodes or
+    /// wavelengths than 32-bit indices reach with
+    /// [`OpticalError::BadConfig`].
     pub fn new(
         config: &OpticalConfig,
         strategy: Strategy,
@@ -443,6 +589,9 @@ impl GrantEngine {
         config.validate()?;
         let topo = RingTopology::try_new(config.nodes)?;
         let nodes = topo.nodes();
+        if u32::try_from(nodes).is_err() || u32::try_from(config.wavelengths).is_err() {
+            return Err(WIDE);
+        }
         Ok(Self {
             timing: config.timing(),
             wavelengths: config.wavelengths,
@@ -454,6 +603,12 @@ impl GrantEngine {
             free: Vec::new(),
             keys: None,
             gated: 0,
+            blocks: Vec::new(),
+            free_blocks: Vec::new(),
+            pool: Vec::new(),
+            free_edge: NIL,
+            lanes: Vec::new(),
+            lane_free: Vec::new(),
             jobs: Vec::new(),
             job_free: Vec::new(),
             next_order: 0,
@@ -469,6 +624,7 @@ impl GrantEngine {
             batch: Vec::new(),
             claimed: [SegmentSet::new(nodes), SegmentSet::new(nodes)],
             fair: FairOrder::default(),
+            ids: Vec::new(),
             topo,
         })
     }
@@ -561,107 +717,259 @@ impl GrantEngine {
     /// deps, non-finite/negative releases, unroutable transfers and lane
     /// demands exceeding the channel count are rejected before any state
     /// changes, and so are dependencies on transfers that already
-    /// completed or failed ([`OpticalError::BadConfig`]).
+    /// completed or failed ([`OpticalError::BadConfig`]), and job tags,
+    /// slots and list positions that overflow the engine's 32-bit tables.
     pub fn inject(&mut self, transfers: &[GrantTransfer]) -> Result<()> {
+        self.inject_from(
+            transfers
+                .iter()
+                .map(|t| (&t.transfer, t.release_s, t.job, t.deps.iter().copied())),
+        )
+    }
+
+    /// [`GrantEngine::inject`] reading the batch in place: each item is a
+    /// transfer, its absolute release, its job slot and its dependencies
+    /// as order keys. The batch is read more than once, so the caller
+    /// builds no list per transfer.
+    ///
+    /// # Errors
+    /// As [`GrantEngine::inject`].
+    pub fn inject_from<'t, I, D>(&mut self, batch: I) -> Result<()>
+    where
+        I: Iterator<Item = (&'t Transfer, f64, usize, D)> + Clone,
+        D: Iterator<Item = usize>,
+    {
+        let size = self.check_batch(batch.clone())?;
+        self.admit(batch, &size)
+    }
+
+    /// Validate a batch and size its lists. Nothing changes but the key
+    /// table, built from the live slots when a dependency first names an
+    /// earlier batch.
+    fn check_batch<'t, I, D>(&mut self, batch: I) -> Result<BatchSize>
+    where
+        I: Iterator<Item = (&'t Transfer, f64, usize, D)>,
+        D: Iterator<Item = usize>,
+    {
         let now = self.queue.now();
         let first = self.next_order;
-        let earlier = |t: &GrantTransfer| t.deps.iter().any(|&d| (d as u64) < first);
-        if self.keys.is_none() && transfers.iter().any(earlier) {
-            self.keys = Some(self.key_table());
-        }
-        let mut paths: Vec<LightPath> = Vec::with_capacity(transfers.len());
-        for (i, t) in transfers.iter().enumerate() {
+        let mut size = BatchSize::default();
+        for (i, (t, release_s, job, deps)) in batch.enumerate() {
             let key = first + i as u64;
-            for &d in &t.deps {
-                if d as u64 >= key {
-                    return Err(OpticalError::BadConfig(
-                        "dependency must precede its transfer",
-                    ));
+            let mut n = 0usize;
+            for d in deps {
+                let d = d as u64;
+                if d >= key {
+                    return Err(bad("dependency must precede its transfer"));
                 }
-                if (d as u64) < first && self.slot_of(d as u64).is_none() {
-                    return Err(OpticalError::BadConfig(
-                        "dependency names a transfer that already settled",
-                    ));
+                if d < first {
+                    if self.keys.is_none() {
+                        self.keys = Some(self.key_table());
+                    }
+                    if self.slot_of(d).is_none() {
+                        return Err(bad("dependency names a transfer that already settled"));
+                    }
+                    size.edges += 1;
+                } else {
+                    size.inner += 1;
                 }
+                n += 1;
             }
-            if !t.release_s.is_finite() || t.release_s < 0.0 {
-                return Err(OpticalError::BadConfig(
-                    "release time must be finite and >= 0",
-                ));
+            if !release_s.is_finite() || release_s < 0.0 {
+                return Err(bad("release time must be finite and >= 0"));
             }
-            if t.deps.is_empty() && t.release_s < now {
-                return Err(OpticalError::BadConfig(
-                    "release time must not precede the engine clock",
-                ));
+            if n == 0 && release_s < now {
+                return Err(bad("release time must not precede the engine clock"));
             }
-            if self.arbitrated && t.job >= self.jobs.len() {
-                return Err(OpticalError::BadConfig(
-                    "job tag out of range of the rank table",
-                ));
+            if self.arbitrated && job >= self.jobs.len() {
+                return Err(bad("job tag out of range of the rank table"));
             }
-            let path = t.transfer.resolve(&self.topo)?;
-            if t.transfer.lanes > self.wavelengths {
+            t.route(&self.topo)?;
+            if t.lanes > self.wavelengths {
                 return Err(OpticalError::WavelengthsExhausted {
                     available: self.wavelengths,
-                    requested: t.transfer.lanes,
+                    requested: t.lanes,
                     step: 0,
                 });
             }
-            paths.push(path);
+            if u32::try_from(job).is_err() || u32::try_from(n).is_err() {
+                return Err(WIDE);
+            }
+            size.transfers += 1;
+            size.lanes += t.lanes;
         }
+        // Freed slots are taken first; every slot, edge, block row and lane
+        // position must stay below `NIL`.
+        let slots = self.slots.len() + size.transfers.saturating_sub(self.free.len());
+        let block = size.transfers + 1 + size.inner;
+        let limit = NIL as usize;
+        if slots > limit
+            || (size.inner > 0 && (block >= limit || self.blocks.len() >= limit))
+            || self.pool.len() + size.edges >= limit
+            || self.lanes.len() + size.lanes >= limit
+        {
+            return Err(WIDE);
+        }
+        Ok(size)
+    }
 
-        let mut ids: Vec<usize> = Vec::with_capacity(transfers.len());
-        for (t, path) in transfers.iter().zip(paths) {
-            let order = self.next_order;
-            self.next_order += 1;
-            let slot = Slot {
-                transfer: t.transfer.clone(),
-                path,
-                release_s: t.release_s,
-                missing: t.deps.len(),
-                dependents: Vec::new(),
-                job: t.job,
+    /// Admit a batch [`GrantEngine::check_batch`] validated: a record per
+    /// transfer, its block of dependents inside the batch, and its
+    /// dependents' edges for dependencies on earlier batches.
+    fn admit<'t, I, D>(&mut self, batch: I, size: &BatchSize) -> Result<()>
+    where
+        I: Iterator<Item = (&'t Transfer, f64, usize, D)> + Clone,
+        D: Iterator<Item = usize>,
+    {
+        let first = self.next_order;
+        let len = size.transfers;
+        // In range: `check_batch` bounded every index.
+        let block = if size.inner == 0 {
+            NIL
+        } else {
+            let new = Block {
+                first,
+                unsettled: len as u32,
+                data: vec![0; len + 1 + size.inner],
+            };
+            match self.free_blocks.pop() {
+                Some(b) => {
+                    self.blocks[b as usize] = new;
+                    b
+                }
+                None => {
+                    self.blocks.push(new);
+                    (self.blocks.len() - 1) as u32
+                }
+            }
+        };
+        self.ids.clear();
+        for (bi, (t, release_s, job, deps)) in batch.clone().enumerate() {
+            let order = first + bi as u64;
+            let (direction, hops) = t.route(&self.topo)?;
+            let lane_at = self.take_lanes(t.lanes);
+            let id = self.free.pop().unwrap_or(self.slots.len() as u32);
+            let mut slot = Slot {
                 order,
-                assigned: Vec::new(),
-                started: None,
+                bytes: t.bytes,
+                release_s,
+                started: f64::NAN,
+                src: t.src.0 as u32,
+                dst: t.dst.0 as u32,
+                lanes: t.lanes as u32,
+                tag: t.tag,
+                hops: hops as u32,
+                missing: 0,
+                job: job as u32,
+                block,
+                later: NIL,
+                later_end: NIL,
+                lane_at,
+                direction,
+                route: t.direction,
+                held: false,
             };
-            let id = if let Some(id) = self.free.pop() {
-                self.slots[id] = Some(slot);
-                id
-            } else {
-                self.slots.push(Some(slot));
-                self.slots.len() - 1
-            };
-            ids.push(id);
-        }
-        if let Some(keys) = self.keys.as_mut() {
-            keys.extend(&ids);
+            for d in deps {
+                slot.missing += 1;
+                match d.checked_sub(first as usize) {
+                    // Count the dependent two rows on, so that the sums
+                    // below leave each row's start one row on.
+                    Some(k) if k + 2 <= len => self.blocks[block as usize].data[k + 2] += 1,
+                    Some(_) => {}
+                    // Validated: a live transfer of an earlier batch.
+                    None => {
+                        if let Some(dep) = self.slot_of(d as u64) {
+                            self.add_later(dep, id);
+                        }
+                    }
+                }
+            }
+            match self.slots.get_mut(id as usize) {
+                Some(place) => *place = Some(slot),
+                None => self.slots.push(Some(slot)),
+            }
+            self.ids.push(id);
+            // The key table and the next key move together, so `slot_of`
+            // stays right for the batch's later transfers.
+            self.next_order = order + 1;
+            if let Some(keys) = self.keys.as_mut() {
+                keys.push_back(id);
+            }
+            if slot.missing == 0 {
+                self.gated = self.gated.max(order + 1);
+                self.queue
+                    .schedule_at(release_s, Ev::Gate(id as usize))
+                    .map_err(|_| bad("release time must be finite and >= 0"))?;
+            }
         }
         if let Some(f) = self.faults.as_deref_mut() {
             f.in_flight.resize(self.slots.len(), None);
             f.aborts.resize(self.slots.len(), 0);
         }
-        for (bi, t) in transfers.iter().enumerate() {
-            let id = ids[bi];
-            for &d in &t.deps {
-                // Validated above: an earlier transfer of the batch, or a
-                // live one of an earlier batch.
-                let dep = match (d as u64).checked_sub(first) {
-                    Some(k) => Some(ids[k as usize]),
-                    None => self.slot_of(d as u64),
-                };
-                if let Some(slot) = dep.and_then(|dep| self.slots[dep].as_mut()) {
-                    slot.dependents.push(id);
-                }
+        if let Some(b) = self.blocks.get_mut(block as usize) {
+            let data = &mut b.data;
+            // With the counts summed, row `k` starts at `data[k + 1]`,
+            // which each entry filled moves on: the rows end up in place,
+            // each in injection order.
+            data[0] = (len + 1) as u32;
+            data[1] = (len + 1) as u32;
+            for k in 2..=len {
+                data[k] += data[k - 1];
             }
-            if t.deps.is_empty() {
-                self.gated = self.gated.max(first + bi as u64 + 1);
-                self.queue
-                    .schedule_at(t.release_s, Ev::Gate(id))
-                    .map_err(|_| bad("release time must be finite and >= 0"))?;
+            for (bi, (_, _, _, deps)) in batch.enumerate() {
+                for k in deps.filter_map(|d| d.checked_sub(first as usize)) {
+                    let e = data[k + 1] as usize;
+                    data[e] = self.ids[bi];
+                    data[k + 1] += 1;
+                }
             }
         }
         Ok(())
+    }
+
+    /// Append `dependent` to the later-batch dependents of slot `dep`.
+    fn add_later(&mut self, dep: u32, dependent: u32) {
+        let edge = Edge {
+            slot: dependent,
+            next: NIL,
+        };
+        let e = match self.pool.get_mut(self.free_edge as usize) {
+            Some(place) => {
+                let e = self.free_edge;
+                self.free_edge = place.next;
+                *place = edge;
+                e
+            }
+            // In range: `check_batch` bounds the pool.
+            None => {
+                self.pool.push(edge);
+                (self.pool.len() - 1) as u32
+            }
+        };
+        if let Some(s) = self.slots[dep as usize].as_mut() {
+            match self.pool.get_mut(s.later_end as usize) {
+                Some(tail) => tail.next = e,
+                None => s.later = e,
+            }
+            s.later_end = e;
+        }
+    }
+
+    /// A range of `len` lane-store entries: a freed one of that length, or
+    /// new ones at the end.
+    fn take_lanes(&mut self, len: usize) -> u32 {
+        match self.lane_free.get(len).copied().filter(|&at| at != NIL) {
+            Some(at) => {
+                self.lane_free[len] = self.lanes[at as usize];
+                at
+            }
+            // In range: `check_batch` bounds the store.
+            None => {
+                let at = self.lanes.len();
+                self.lanes.resize(at + len, 0);
+                at as u32
+            }
+        }
     }
 
     /// Order key the next injected transfer gets.
@@ -693,13 +1001,14 @@ impl GrantEngine {
     }
 
     /// The key table of the live slots.
-    fn key_table(&self) -> VecDeque<usize> {
+    fn key_table(&self) -> VecDeque<u32> {
         let live = || self.slots.iter().flatten();
         let front = live().map(|s| s.order).min().unwrap_or(self.next_order);
-        let mut keys = VecDeque::from(vec![SETTLED; (self.next_order - front) as usize]);
+        let mut keys = VecDeque::from(vec![NIL; (self.next_order - front) as usize]);
         for (id, slot) in self.slots.iter().enumerate() {
             if let Some(s) = slot {
-                keys[(s.order - front) as usize] = id;
+                // In range: slots are 32-bit indices.
+                keys[(s.order - front) as usize] = id as u32;
             }
         }
         keys
@@ -707,12 +1016,12 @@ impl GrantEngine {
 
     /// Slot of an injected key whose transfer has not settled, once the
     /// key table exists.
-    fn slot_of(&self, key: u64) -> Option<usize> {
+    fn slot_of(&self, key: u64) -> Option<u32> {
         let keys = self.keys.as_ref()?;
         let k = key.checked_sub(self.next_order - keys.len() as u64)?;
         keys.get(usize::try_from(k).ok()?)
             .copied()
-            .filter(|&id| id != SETTLED)
+            .filter(|&id| id != NIL)
     }
 
     /// Mark `key`'s transfer settled in the key table, if there is one,
@@ -726,9 +1035,9 @@ impl GrantEngine {
             .checked_sub(front)
             .and_then(|k| keys.get_mut(usize::try_from(k).ok()?))
         {
-            *entry = SETTLED;
+            *entry = NIL;
         }
-        while keys.front() == Some(&SETTLED) {
+        while keys.front() == Some(&NIL) {
             keys.pop_front();
         }
     }
@@ -788,12 +1097,16 @@ impl GrantEngine {
     /// Insert `id` into the waiting list at its scan position.
     fn enqueue_waiting(&mut self, id: usize) -> Result<()> {
         let slot = self.slots[id].as_ref();
-        let w = Waiter::new(id, slot.ok_or(bad("gated transfer has no live slot"))?);
+        // In range: slots are 32-bit indices.
+        let w = Waiter::new(
+            id as u32,
+            slot.ok_or(bad("gated transfer has no live slot"))?,
+        );
         let pos = if self.arbitrated {
             let jobs = &self.jobs;
-            let key = (jobs[w.job].rank, w.order);
+            let key = (jobs[w.job as usize].rank, w.order);
             self.waiting
-                .partition_point(|x| (jobs[x.job].rank, x.order) < key)
+                .partition_point(|x| (jobs[x.job as usize].rank, x.order) < key)
         } else {
             self.waiting.partition_point(|x| x.order < w.order)
         };
@@ -809,22 +1122,28 @@ impl GrantEngine {
         let slot = self.slots[id]
             .take()
             .ok_or(bad("completed transfer has no live slot"))?;
-        self.free.push(id);
+        // In range: slots are 32-bit indices.
+        self.free.push(id as u32);
         self.settle_key(slot.order);
-        for &lambda in &slot.assigned {
-            self.occ.release(&slot.path, lambda);
+        if slot.held {
+            self.release_lanes(&slot);
         }
         self.makespan = self.makespan.max(now);
         self.active -= 1;
-        self.release_dependents(&slot.dependents, now)?;
+        self.release_dependents(&slot, now)?;
         let aborts = self.faults.as_deref_mut().map_or(0, |f| {
             f.in_flight[id] = None;
             std::mem::take(&mut f.aborts[id])
         });
+        self.settle_lists(&slot);
         self.completions.push(GrantCompletion {
             order: slot.order,
-            job: slot.job,
-            start_s: slot.started.unwrap_or(0.0),
+            job: slot.job as usize,
+            start_s: if slot.started.is_nan() {
+                0.0
+            } else {
+                slot.started
+            },
             finish_s: now,
             aborts,
             failed: false,
@@ -832,27 +1151,80 @@ impl GrantEngine {
         Ok(())
     }
 
-    /// Retire one dependency edge of each of `dependents`, gating those
-    /// whose last predecessor this was (failed dependents are skipped).
-    fn release_dependents(&mut self, dependents: &[usize], now: f64) -> Result<()> {
-        for &dep in dependents {
-            let Some(d) = self.slots[dep].as_mut() else {
-                continue;
-            };
-            d.missing -= 1;
-            if d.missing == 0 {
-                self.gated = self.gated.max(d.order + 1);
-                let rel = d.release_s;
-                if rel <= now {
-                    self.enqueue_waiting(dep)?;
-                } else {
-                    self.queue
-                        .schedule_at(rel, Ev::Gate(dep))
-                        .map_err(|_| bad("release time must be finite and >= 0"))?;
-                }
+    /// Free the lanes `slot` holds on its arc.
+    fn release_lanes(&mut self, slot: &Slot) {
+        let (first, hops) = (slot.first(), slot.hops as usize);
+        for &lambda in &self.lanes[slot.lane_range()] {
+            self.occ
+                .release_arc(slot.direction, first, hops, Wavelength(lambda as usize));
+        }
+    }
+
+    /// Retire one dependency edge of each dependent of `slot` — those of
+    /// its batch, then those of later batches, in injection order — gating
+    /// those whose last predecessor this was (failed dependents are
+    /// skipped).
+    fn release_dependents(&mut self, slot: &Slot, now: f64) -> Result<()> {
+        let b = slot.block as usize;
+        if let Some(block) = self.blocks.get(b) {
+            let k = (slot.order - block.first) as usize;
+            for e in block.data[k] as usize..block.data[k + 1] as usize {
+                let dep = self.blocks[b].data[e];
+                self.release_one(dep as usize, now)?;
+            }
+        }
+        let mut e = slot.later;
+        while let Some(&Edge { slot: dep, next }) = self.pool.get(e as usize) {
+            self.release_one(dep as usize, now)?;
+            e = next;
+        }
+        Ok(())
+    }
+
+    /// Retire one dependency edge of slot `dep`, gating it if that was its
+    /// last (a failed dependent is skipped).
+    fn release_one(&mut self, dep: usize, now: f64) -> Result<()> {
+        let Some(d) = self.slots[dep].as_mut() else {
+            return Ok(());
+        };
+        d.missing -= 1;
+        if d.missing == 0 {
+            self.gated = self.gated.max(d.order + 1);
+            let rel = d.release_s;
+            if rel <= now {
+                self.enqueue_waiting(dep)?;
+            } else {
+                self.queue
+                    .schedule_at(rel, Ev::Gate(dep))
+                    .map_err(|_| bad("release time must be finite and >= 0"))?;
             }
         }
         Ok(())
+    }
+
+    /// Return settled `slot`'s lists: its lanes, its later-batch edges, and
+    /// its count on its batch's block, which the batch's last transfer to
+    /// settle frees. Runs under faults keep every list.
+    fn settle_lists(&mut self, slot: &Slot) {
+        if self.faults.is_some() {
+            return;
+        }
+        let len = slot.lanes as usize;
+        if self.lane_free.len() <= len {
+            self.lane_free.resize(len + 1, NIL);
+        }
+        self.lanes[slot.lane_at as usize] =
+            std::mem::replace(&mut self.lane_free[len], slot.lane_at);
+        if let Some(tail) = self.pool.get_mut(slot.later_end as usize) {
+            tail.next = std::mem::replace(&mut self.free_edge, slot.later);
+        }
+        if let Some(block) = self.blocks.get_mut(slot.block as usize) {
+            block.unsettled -= 1;
+            if block.unsettled == 0 {
+                block.data = Vec::new();
+                self.free_blocks.push(slot.block);
+            }
+        }
     }
 
     /// Apply the faults of the current batch, after its completions.
@@ -871,10 +1243,11 @@ impl GrantEngine {
                 FaultKind::WavelengthDown { lane } => {
                     self.occ.set_lane_down(Wavelength(lane));
                     for id in 0..self.slots.len() {
-                        let holder = self.slots[id]
-                            .as_ref()
-                            .filter(|s| s.assigned.contains(&Wavelength(lane)));
-                        let Some(job) = holder.map(|s| s.job) else {
+                        // In range: the lane is below the channel count.
+                        let holds = |s: &Slot| {
+                            s.held && self.lanes[s.lane_range()].contains(&(lane as u32))
+                        };
+                        let Some(job) = self.slots[id].filter(holds).map(|s| s.job as usize) else {
                             continue;
                         };
                         if !self.abort(id, Some(now)) {
@@ -899,8 +1272,7 @@ impl GrantEngine {
                     // dependents that also touch the node in one sweep.
                     for id in 0..self.slots.len() {
                         let touches = self.slots[id]
-                            .as_ref()
-                            .is_some_and(|s| s.transfer.src.0 == node || s.transfer.dst.0 == node);
+                            .is_some_and(|s| s.src as usize == node || s.dst as usize == node);
                         if !touches {
                             continue;
                         }
@@ -909,9 +1281,9 @@ impl GrantEngine {
                             continue;
                         };
                         if policy == FaultPolicy::FailJob {
-                            fail_jobs.push(slot.job);
+                            fail_jobs.push(slot.job as usize);
                         } else {
-                            self.release_dependents(&slot.dependents, now)?;
+                            self.release_dependents(&slot, now)?;
                         }
                     }
                 }
@@ -926,17 +1298,14 @@ impl GrantEngine {
         }
         if !fail_jobs.is_empty() {
             for id in 0..self.slots.len() {
-                if self.slots[id]
-                    .as_ref()
-                    .is_some_and(|s| fail_jobs.contains(&s.job))
-                {
+                if self.slots[id].is_some_and(|s| fail_jobs.contains(&(s.job as usize))) {
                     self.abort(id, None);
                     self.fail(id, None);
                 }
             }
         }
         let slots = &self.slots;
-        self.waiting.retain(|w| slots[w.id].is_some());
+        self.waiting.retain(|w| slots[w.id as usize].is_some());
         Ok(())
     }
 
@@ -955,12 +1324,15 @@ impl GrantEngine {
             f.first_impact_s.get_or_insert(now);
         }
         self.queue.cancel(ev);
-        if let Some(slot) = self.slots[id].as_mut() {
-            for &lambda in &slot.assigned {
-                self.occ.release(&slot.path, lambda);
+        if let Some(slot) = self.slots[id] {
+            if slot.held {
+                self.release_lanes(&slot);
             }
-            slot.assigned.clear();
-            slot.started = None;
+            self.slots[id] = Some(Slot {
+                held: false,
+                started: f64::NAN,
+                ..slot
+            });
         }
         self.active -= 1;
         true
@@ -979,7 +1351,7 @@ impl GrantEngine {
         self.settle_key(slot.order);
         self.completions.push(GrantCompletion {
             order: slot.order,
-            job: slot.job,
+            job: slot.job as usize,
             start_s: 0.0,
             finish_s: 0.0,
             aborts,
@@ -999,6 +1371,7 @@ impl GrantEngine {
         let n = self.topo.nodes();
         let Self {
             slots,
+            lanes,
             jobs,
             occ,
             queue,
@@ -1018,42 +1391,44 @@ impl GrantEngine {
         for k in 0..waiting.len() {
             let w = &mut waiting[if fair { perm[k] } else { k }];
             let d = usize::from(w.direction == Direction::CounterClockwise);
-            if !claimed[d].meets(w.first, w.hops, n) {
-                let lanes = occ.assign_arc(w.direction, w.first, w.hops, w.lanes, *strategy);
-                if let Ok(lanes) = lanes {
-                    let slot = slots[w.id]
+            let (first, hops) = (w.first as usize, w.hops as usize);
+            if !claimed[d].meets(first, hops, n) {
+                let granted = &mut lanes[w.lane_at as usize..][..w.lanes as usize];
+                if occ
+                    .assign_arc(w.direction, first, hops, *strategy, granted)
+                    .is_ok()
+                {
+                    let slot = slots[w.id as usize]
                         .as_mut()
                         .ok_or(bad("waiting transfer has no live slot"))?;
-                    let top = lanes.iter().fold(0, |top, l| top.max(l.0 + 1));
+                    let top = granted.iter().fold(0, |top, &l| top.max(l as usize + 1));
                     *peak_wavelength = (*peak_wavelength).max(top);
-                    slot.assigned = lanes;
-                    let mut dur =
-                        timing.transfer_time(slot.transfer.bytes, slot.transfer.lanes, w.hops);
+                    slot.held = true;
+                    let mut dur = timing.transfer_time(slot.bytes, slot.lanes as usize, hops);
                     if let Some(f) = faults.as_deref() {
-                        let slow =
-                            f.straggle[slot.transfer.src.0].max(f.straggle[slot.transfer.dst.0]);
+                        let slow = f.straggle[slot.src as usize].max(f.straggle[slot.dst as usize]);
                         if slow > 1.0 {
                             dur *= slow;
                         }
                     }
-                    slot.started = Some(queue.now());
+                    slot.started = queue.now();
                     let ev = queue
-                        .schedule_in(dur, Ev::Complete(w.id))
+                        .schedule_in(dur, Ev::Complete(w.id as usize))
                         .map_err(|_| bad("transfer duration must be finite and >= 0"))?;
                     if let Some(f) = faults.as_deref_mut() {
-                        f.in_flight[w.id] = Some(ev);
+                        f.in_flight[w.id as usize] = Some(ev);
                     }
                     *active += 1;
                     *peak = (*peak).max(*active);
                     if *arbitrated {
-                        jobs[slot.job].service += dur * slot.transfer.lanes as f64;
+                        jobs[slot.job as usize].service += dur * f64::from(slot.lanes);
                     }
                     w.granted = true;
                     any_granted = true;
                     continue;
                 }
             }
-            claimed[d].insert(w.first, w.hops, n);
+            claimed[d].insert(first, hops, n);
         }
         if any_granted {
             waiting.retain(|w| !w.granted);
@@ -1105,10 +1480,10 @@ impl GrantEngine {
     /// with a waiter whose lane demand can never be granted.
     pub fn check_stuck(&self) -> Result<()> {
         let first = self.waiting.iter().min_by_key(|w| w.order);
-        match first.and_then(|w| self.slots[w.id].as_ref()) {
+        match first.and_then(|w| self.slots[w.id as usize].as_ref()) {
             Some(s) => Err(OpticalError::WavelengthsExhausted {
                 available: self.wavelengths,
-                requested: s.transfer.lanes,
+                requested: s.lanes as usize,
                 step: 0,
             }),
             None => Ok(()),
@@ -1125,8 +1500,12 @@ impl GrantEngine {
             version: SNAPSHOT_VERSION,
             now: self.queue.now(),
             events: self.events(),
-            slots: self.slots.clone(),
-            free: self.free.clone(),
+            slots: self
+                .slots
+                .iter()
+                .map(|s| s.as_ref().map(|s| self.image(s)))
+                .collect(),
+            free: self.free.iter().map(|&id| id as usize).collect(),
             jobs: self.jobs.clone(),
             job_free: self.job_free.clone(),
             next_order: self.next_order,
@@ -1144,10 +1523,52 @@ impl GrantEngine {
         }
     }
 
+    /// A live slot as the snapshot lists it, rebuilt from its record and
+    /// the flat stores.
+    fn image(&self, s: &Slot) -> SlotImage {
+        let (src, dst) = (NodeId(s.src as usize), NodeId(s.dst as usize));
+        let mut dependents: Vec<usize> = Vec::new();
+        if let Some(block) = self.blocks.get(s.block as usize) {
+            let k = (s.order - block.first) as usize;
+            let row = &block.data[block.data[k] as usize..block.data[k + 1] as usize];
+            dependents.extend(row.iter().map(|&d| d as usize));
+        }
+        let mut e = s.later;
+        while let Some(edge) = self.pool.get(e as usize) {
+            dependents.push(edge.slot as usize);
+            e = edge.next;
+        }
+        let held = if s.held { s.lane_range() } else { 0..0 };
+        SlotImage {
+            transfer: Transfer {
+                src,
+                dst,
+                bytes: s.bytes,
+                direction: s.route,
+                lanes: s.lanes as usize,
+                tag: s.tag,
+            },
+            path: LightPath::routed(&self.topo, src, dst, s.direction),
+            release_s: s.release_s,
+            missing: s.missing as usize,
+            dependents,
+            job: s.job as usize,
+            order: s.order,
+            assigned: self.lanes[held]
+                .iter()
+                .map(|&l| Wavelength(l as usize))
+                .collect(),
+            started: (!s.started.is_nan()).then_some(s.started),
+        }
+    }
+
     /// The waiters' slots in order-key order, as snapshots list them.
     fn waiting_by_order(&self) -> Vec<usize> {
-        let mut by_order: Vec<(u64, usize)> =
-            self.waiting.iter().map(|w| (w.order, w.id)).collect();
+        let mut by_order: Vec<(u64, usize)> = self
+            .waiting
+            .iter()
+            .map(|w| (w.order, w.id as usize))
+            .collect();
         by_order.sort_unstable();
         by_order.into_iter().map(|(_, id)| id).collect()
     }
@@ -1161,7 +1582,8 @@ impl GrantEngine {
     /// and lane references, free and waiting lists that disagree with the
     /// live slots, paths that are not their transfer's route, lane holdings
     /// other than exactly `lanes` distinct lanes per in-flight transfer and
-    /// none otherwise, and in-flight transfers sharing a lane.
+    /// none otherwise, in-flight transfers sharing a lane, and counts,
+    /// tags or indices that overflow the engine's 32-bit tables.
     pub fn restore(
         config: &OpticalConfig,
         strategy: Strategy,
@@ -1176,6 +1598,7 @@ impl GrantEngine {
         }
         let mut eng = Self::new(config, strategy, arbitrated, fair_share)?;
         check_snapshot(&eng, snap).map_err(OpticalError::BadConfig)?;
+        check_width(snap)?;
         eng.queue
             .fast_forward(snap.now)
             .map_err(|_| OpticalError::BadConfig("snapshot clock must be finite and >= 0"))?;
@@ -1197,8 +1620,17 @@ impl GrantEngine {
             .iter()
             .filter(|(_, ev)| matches!(ev, Ev::Complete(_)))
             .count();
-        eng.slots = snap.slots.clone();
-        eng.free = snap.free.clone();
+        for image in &snap.slots {
+            let slot = image.as_ref().map(|s| eng.flatten(s));
+            eng.slots.push(slot);
+        }
+        // In range: `check_width` bounded the slots and the edges.
+        for (id, image) in snap.slots.iter().enumerate() {
+            for &d in image.iter().flat_map(|s| &s.dependents) {
+                eng.add_later(id as u32, d as u32);
+            }
+        }
+        eng.free = snap.free.iter().map(|&id| id as u32).collect();
         eng.jobs = snap.jobs.clone();
         eng.job_free = snap.job_free.clone();
         eng.next_order = snap.next_order;
@@ -1213,6 +1645,39 @@ impl GrantEngine {
         eng.peak_wavelength = snap.peak_wavelength;
         eng.makespan = snap.makespan;
         Ok(eng)
+    }
+
+    /// The record of a checked snapshot slot, with its lanes in the lane
+    /// store; its dependents go into edge lists once every slot exists.
+    fn flatten(&mut self, s: &SlotImage) -> Slot {
+        let lane_at = self.take_lanes(s.transfer.lanes);
+        let at = lane_at as usize;
+        for (place, lambda) in self.lanes[at..].iter_mut().zip(&s.assigned) {
+            *place = lambda.0 as u32;
+        }
+        // In range: the ring's nodes and wavelengths fit in 32 bits, the
+        // check matched the route and lanes to them, and `check_width`
+        // bounded the rest.
+        Slot {
+            order: s.order,
+            bytes: s.transfer.bytes,
+            release_s: s.release_s,
+            started: s.started.unwrap_or(f64::NAN),
+            src: s.transfer.src.0 as u32,
+            dst: s.transfer.dst.0 as u32,
+            lanes: s.transfer.lanes as u32,
+            tag: s.transfer.tag,
+            hops: s.path.hops() as u32,
+            missing: s.missing as u32,
+            job: s.job as u32,
+            block: NIL,
+            later: NIL,
+            later_end: NIL,
+            lane_at,
+            direction: s.path.direction,
+            route: s.transfer.direction,
+            held: !s.assigned.is_empty(),
+        }
     }
 }
 
@@ -1273,9 +1738,24 @@ fn check_snapshot(
         }
         s.dependents.iter().for_each(|&d| refs[d] += 1);
     }
-    let over = |(slot, &r): (&Option<Slot>, &usize)| slot.as_ref().is_some_and(|s| r > s.missing);
+    let over =
+        |(slot, &r): (&Option<SlotImage>, &usize)| slot.as_ref().is_some_and(|s| r > s.missing);
     if snap.slots.iter().zip(&refs).any(over) {
         return Err("snapshot slot has more live predecessors than missing edges");
+    }
+    Ok(())
+}
+
+/// Does a checked snapshot fit the engine's 32-bit tables: its slots, each
+/// slot's missing count and job tag, its dependents' edges and its lanes?
+fn check_width(snap: &GrantEngineSnapshot) -> Result<()> {
+    let limit = NIL as usize;
+    let live = || snap.slots.iter().flatten();
+    let narrow = |s: &SlotImage| u32::try_from(s.missing).is_ok() && u32::try_from(s.job).is_ok();
+    let edges: usize = live().map(|s| s.dependents.len()).sum();
+    let lanes: usize = live().map(|s| s.transfer.lanes).sum();
+    if snap.slots.len() > limit || !live().all(narrow) || edges >= limit || lanes >= limit {
+        return Err(WIDE);
     }
     Ok(())
 }
@@ -1435,6 +1915,117 @@ mod tests {
         assert!(eng.slots.iter().all(Option::is_none));
     }
 
+    /// Dependent blocks holding entries, pool edges not on the free list,
+    /// and lane-store entries not on a free list.
+    fn lists_held(eng: &GrantEngine) -> (usize, usize, usize) {
+        let blocks = eng.blocks.iter().filter(|b| b.data.capacity() > 0).count();
+        let (mut free_edges, mut e) = (0, eng.free_edge);
+        while let Some(edge) = eng.pool.get(e as usize) {
+            free_edges += 1;
+            e = edge.next;
+        }
+        let mut free_lanes = 0;
+        for (len, &head) in eng.lane_free.iter().enumerate() {
+            let mut at = head;
+            while at != NIL {
+                free_lanes += len;
+                at = eng.lanes[at as usize];
+            }
+        }
+        (
+            blocks,
+            eng.pool.len() - free_edges,
+            eng.lanes.len() - free_lanes,
+        )
+    }
+
+    /// A stream of rounds holds lists only for its unsettled transfers, and
+    /// reuses what settled ones freed: each round injects a batch whose
+    /// second transfer (two lanes) waits on its first, then a batch whose
+    /// transfer waits on that first one too, and runs to idle.
+    #[test]
+    fn a_stream_holds_lists_only_for_unsettled_transfers() {
+        let mut eng = GrantEngine::new(&cfg(), Strategy::FirstFit, false, false).unwrap();
+        for round in 0..100u32 {
+            let t = f64::from(round);
+            while eng.peek_time().is_some_and(|p| p < t) {
+                eng.step().unwrap();
+            }
+            let key = eng.next_key() as usize;
+            let mut striped = item(4, 6, 1_000_000, t, vec![key]);
+            striped.transfer.lanes = 2;
+            eng.inject(&[item(0, 4, 1_000_000, t, vec![]), striped])
+                .unwrap();
+            eng.inject(&[item(6, 0, 1_000_000, t, vec![key])]).unwrap();
+            assert_eq!(lists_held(&eng), (1, 1, 4), "round {round}");
+            if round == 0 {
+                // The image lists the dependents in the order they are
+                // released: the batch's own, then the later batch's.
+                let snap = eng.snapshot();
+                assert_eq!(snap.slots[0].as_ref().unwrap().dependents, vec![1, 2]);
+            }
+            while eng.step().unwrap().is_some() {}
+            assert_eq!(lists_held(&eng), (0, 0, 0), "round {round}");
+        }
+        assert_eq!(eng.drain_completions().count(), 300);
+        assert!(eng.slots.len() <= 3 && eng.slots.iter().all(Option::is_none));
+        assert_eq!(
+            (eng.blocks.len(), eng.pool.len(), eng.lanes.len()),
+            (1, 1, 4)
+        );
+    }
+
+    #[test]
+    fn indices_too_wide_for_the_tables_are_typed_errors_before_any_state_change() {
+        let mut eng = GrantEngine::new(&cfg(), Strategy::FirstFit, false, false).unwrap();
+        let mut wide = item(0, 2, 1_000, 0.0, vec![0]);
+        wide.job = 1 << 40;
+        assert_eq!(
+            eng.inject(&[item(1, 2, 1_000, 0.0, vec![]), wide]),
+            Err(WIDE)
+        );
+        assert_eq!((eng.next_key(), eng.peak_slots()), (0, 0));
+        assert_eq!((eng.blocks.len(), eng.lanes.len()), (0, 0));
+        // Rings of more nodes or wavelengths than 32-bit indices reach are
+        // refused before anything is allocated for them.
+        for (nodes, wavelengths) in [(1 << 33, 2), (8, 1 << 33)] {
+            let config = OpticalConfig::new(nodes, wavelengths);
+            assert_eq!(
+                GrantEngine::new(&config, Strategy::FirstFit, false, false).err(),
+                Some(WIDE)
+            );
+        }
+        // So are images whose counts or tags do not fit.
+        eng.inject(&[
+            item(0, 2, 1_000_000, 0.0, vec![]),
+            item(0, 2, 1_000_000, 0.0, vec![0]),
+        ])
+        .unwrap();
+        eng.step().unwrap();
+        let good = eng.snapshot();
+        for corrupt in [
+            |s: &mut SlotImage| s.missing = 1 << 40,
+            |s: &mut SlotImage| s.job = 1 << 40,
+        ] {
+            let mut snap = good.clone();
+            corrupt(snap.slots[1].as_mut().unwrap());
+            assert_eq!(
+                GrantEngine::restore(&cfg(), Strategy::FirstFit, false, false, &snap).err(),
+                Some(WIDE)
+            );
+        }
+        while eng.step().unwrap().is_some() {}
+        assert_eq!(eng.drain_completions().count(), 2);
+    }
+
+    /// The slot record stays one fixed-size block of at most 80 bytes,
+    /// live or not.
+    #[test]
+    fn the_slot_record_is_small() {
+        assert!(std::mem::size_of::<Slot>() <= 80);
+        assert!(std::mem::size_of::<Option<Slot>>() <= 80);
+    }
+
     #[test]
     fn snapshot_restore_resumes_byte_identically() {
         let cfgv = cfg();
@@ -1479,7 +2070,7 @@ mod tests {
         // Slot 0 (0 -> 2 clockwise, one lane) is in flight; slot 1 waits
         // for it.
         let good = eng.snapshot();
-        fn slot(s: &mut GrantEngineSnapshot, id: usize) -> &mut Slot {
+        fn slot(s: &mut GrantEngineSnapshot, id: usize) -> &mut SlotImage {
             s.slots[id].as_mut().unwrap()
         }
         let corruptions: [fn(&mut GrantEngineSnapshot); 16] = [

@@ -79,6 +79,13 @@ impl Transfer {
     /// payload (mirrored by the electrical runner, which skips empty flows
     /// but keeps the step's launch overhead).
     pub fn resolve(&self, topo: &RingTopology) -> Result<LightPath> {
+        let (direction, _) = self.route(topo)?;
+        Ok(LightPath::routed(topo, self.src, self.dst, direction))
+    }
+
+    /// [`Transfer::resolve`]'s direction and hop count, with the same
+    /// checks and error values, without building the segment list.
+    pub fn route(&self, topo: &RingTopology) -> Result<(Direction, usize)> {
         topo.check_node(self.src)?;
         topo.check_node(self.dst)?;
         if self.src == self.dst {
@@ -87,10 +94,11 @@ impl Transfer {
         if self.lanes == 0 {
             return Err(OpticalError::ZeroLanes);
         }
-        Ok(match self.direction {
-            DirectionChoice::Shortest => LightPath::shortest(topo, self.src, self.dst),
-            DirectionChoice::Forced(d) => LightPath::routed(topo, self.src, self.dst, d),
-        })
+        let direction = match self.direction {
+            DirectionChoice::Shortest => topo.shortest_direction(self.src, self.dst),
+            DirectionChoice::Forced(d) => d,
+        };
+        Ok((direction, topo.hops(self.src, self.dst, direction)))
     }
 }
 
@@ -141,6 +149,25 @@ mod tests {
         assert!(Transfer::shortest(NodeId(0), NodeId(1), 0)
             .resolve(&t)
             .is_ok());
+    }
+
+    #[test]
+    fn route_is_the_resolved_direction_and_hops() {
+        let t = RingTopology::new(7);
+        for (a, b) in (0..9).flat_map(|a| (0..9).map(move |b| (a, b))) {
+            for choice in [
+                DirectionChoice::Shortest,
+                DirectionChoice::Forced(Direction::Clockwise),
+                DirectionChoice::Forced(Direction::CounterClockwise),
+            ] {
+                for lanes in [0, 2] {
+                    let mut tr = Transfer::shortest(NodeId(a), NodeId(b), 1).with_lanes(lanes);
+                    tr.direction = choice;
+                    let resolved = tr.resolve(&t).map(|p| (p.direction, p.hops()));
+                    assert_eq!(tr.route(&t), resolved, "{a} -> {b} {choice:?} x{lanes}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -46,6 +46,10 @@ impl std::fmt::Display for Strategy {
 /// the path's segment words once per word it needs, so a path costs `hops`
 /// word loads per 64 lanes instead of one membership test per lane per
 /// hop, and on an arc those loads are one or two contiguous runs.
+///
+/// Every operation has one body, on an arc: the `hops` segments clockwise
+/// from segment `first` on one direction's waveguide, which is what a
+/// routed lightpath covers. The forms on a [`LightPath`] pass its arc.
 #[derive(Debug, Clone)]
 pub struct Occupancy {
     segments: usize,
@@ -65,6 +69,8 @@ pub struct Occupancy {
     blocked: Vec<u64>,
     /// Scratch of Best-Fit: the path's free lanes, sorted into load order.
     order: Vec<usize>,
+    /// Scratch of [`Occupancy::assign`]: the lanes granted.
+    picked: Vec<u32>,
 }
 
 fn dir_index(d: Direction) -> usize {
@@ -74,19 +80,20 @@ fn dir_index(d: Direction) -> usize {
     }
 }
 
-/// The segments of `path`, as runs of consecutive segment indices.
-fn path_runs(path: &LightPath) -> impl Iterator<Item = Range<usize>> + Clone + '_ {
-    path.segments.iter().map(|&s| s..s + 1)
+/// The first segment, counted clockwise, of the route from `src` to `dst`
+/// in `direction`: the source going clockwise, the destination going
+/// counter-clockwise. With its hop count it names the route's arc (see
+/// [`Occupancy::assign_arc`]).
+pub(crate) fn arc_first(src: usize, dst: usize, direction: Direction) -> usize {
+    match direction {
+        Direction::Clockwise => src,
+        Direction::CounterClockwise => dst,
+    }
 }
 
-/// The first segment, counted clockwise, of the routed `path`: the source
-/// going clockwise, the destination going counter-clockwise. With its hop
-/// count it names the path's arc (see [`Occupancy::assign_arc`]).
-pub(crate) fn arc_start(path: &LightPath) -> usize {
-    match path.direction {
-        Direction::Clockwise => path.src.0,
-        Direction::CounterClockwise => path.dst.0,
-    }
+/// [`arc_first`] of the routed `path`.
+fn arc_start(path: &LightPath) -> usize {
+    arc_first(path.src.0, path.dst.0, path.direction)
 }
 
 /// The segments of the arc `first..first + hops` on a ring of `n`
@@ -135,6 +142,7 @@ impl Occupancy {
             down: vec![0; words],
             blocked: vec![0; words],
             order: Vec::new(),
+            picked: Vec::new(),
         }
     }
 
@@ -160,9 +168,23 @@ impl Occupancy {
     /// Is `lambda` free on every segment of `path`?
     #[must_use]
     pub fn is_free(&self, path: &LightPath, lambda: Wavelength) -> bool {
+        self.is_free_arc(path.direction, arc_start(path), path.hops(), lambda)
+    }
+
+    /// [`Occupancy::is_free`] on the arc of `hops` segments clockwise from
+    /// segment `first` on the `direction` waveguide.
+    pub(crate) fn is_free_arc(
+        &self,
+        direction: Direction,
+        first: usize,
+        hops: usize,
+        lambda: Wavelength,
+    ) -> bool {
         let (k, bit) = lane_bit(lambda);
-        let row = self.row(dir_index(path.direction), k);
-        self.down[k] & bit == 0 && path.segments.iter().all(|&s| row[s] & bit == 0)
+        let row = self.row(dir_index(direction), k);
+        self.down[k] & bit == 0
+            && arc_runs(first, hops, self.segments)
+                .all(|run| row[run].iter().all(|&w| w & bit == 0))
     }
 
     /// Word `k` of the lane masks of every segment, in direction `d`.
@@ -193,20 +215,22 @@ impl Occupancy {
 
     /// Mark `lambda` busy along `path`.
     pub fn occupy(&mut self, path: &LightPath, lambda: Wavelength) {
-        self.occupy_on(dir_index(path.direction), path_runs(path), lambda);
+        self.occupy_arc(path.direction, arc_start(path), path.hops(), lambda);
     }
 
-    fn occupy_on(
+    /// [`Occupancy::occupy`] on the arc of `hops` segments clockwise from
+    /// segment `first` on the `direction` waveguide.
+    pub(crate) fn occupy_arc(
         &mut self,
-        d: usize,
-        runs: impl Iterator<Item = Range<usize>>,
+        direction: Direction,
+        first: usize,
+        hops: usize,
         lambda: Wavelength,
     ) {
+        let d = dir_index(direction);
         let (k, bit) = lane_bit(lambda);
         let row = &mut self.used[d][k * self.segments..(k + 1) * self.segments];
-        let mut hops = 0;
-        for run in runs {
-            hops += run.len();
+        for run in arc_runs(first, hops, self.segments) {
             for word in &mut row[run] {
                 debug_assert!(*word & bit == 0, "double-occupying {lambda}");
                 *word |= bit;
@@ -217,13 +241,27 @@ impl Occupancy {
 
     /// Release `lambda` along `path` (event-driven mode).
     pub fn release(&mut self, path: &LightPath, lambda: Wavelength) {
-        let d = dir_index(path.direction);
+        self.release_arc(path.direction, arc_start(path), path.hops(), lambda);
+    }
+
+    /// [`Occupancy::release`] on the arc of `hops` segments clockwise from
+    /// segment `first` on the `direction` waveguide.
+    pub(crate) fn release_arc(
+        &mut self,
+        direction: Direction,
+        first: usize,
+        hops: usize,
+        lambda: Wavelength,
+    ) {
+        let d = dir_index(direction);
         let (k, bit) = lane_bit(lambda);
         let row = &mut self.used[d][k * self.segments..(k + 1) * self.segments];
-        for &s in &path.segments {
-            row[s] &= !bit;
+        for run in arc_runs(first, hops, self.segments) {
+            for word in &mut row[run] {
+                *word &= !bit;
+            }
         }
-        self.load[d][lambda.0] = self.load[d][lambda.0].saturating_sub(path.segments.len());
+        self.load[d][lambda.0] = self.load[d][lambda.0].saturating_sub(hops);
     }
 
     /// Highest wavelength index in use anywhere, plus one (i.e. the number of
@@ -254,52 +292,56 @@ impl Occupancy {
         lanes: usize,
         strategy: Strategy,
     ) -> Result<Vec<Wavelength>> {
-        self.assign_on(dir_index(path.direction), path_runs(path), lanes, strategy)
+        // More lanes than channels never fit: fail before sizing the
+        // scratch for them.
+        if lanes > self.wavelengths {
+            return Err(self.exhausted(lanes));
+        }
+        let mut picked = std::mem::take(&mut self.picked);
+        picked.resize(lanes, 0);
+        let (first, hops) = (arc_start(path), path.hops());
+        let placed = self.assign_arc(path.direction, first, hops, strategy, &mut picked);
+        let lanes = placed.map(|()| picked.iter().map(|&l| Wavelength(l as usize)).collect());
+        self.picked = picked;
+        lanes
     }
 
-    /// [`Occupancy::assign`] on the arc of `hops` segments clockwise from
-    /// segment `first` on the `direction` waveguide — the segments of a
-    /// routed lightpath, which need not be at hand.
+    /// [`Occupancy::assign`] of `lanes.len()` wavelengths on the arc of
+    /// `hops` segments clockwise from segment `first` on the `direction`
+    /// waveguide — the segments of a routed lightpath, which need not be at
+    /// hand. On success the lanes, in assignment order, are written to
+    /// `lanes`; a failed call writes nothing and changes nothing. Lane
+    /// indices fit in 32 bits when the channel count does.
     pub(crate) fn assign_arc(
         &mut self,
         direction: Direction,
         first: usize,
         hops: usize,
-        lanes: usize,
         strategy: Strategy,
-    ) -> Result<Vec<Wavelength>> {
-        let runs = arc_runs(first, hops, self.segments);
-        self.assign_on(dir_index(direction), runs, lanes, strategy)
-    }
-
-    fn assign_on(
-        &mut self,
-        d: usize,
-        runs: impl Iterator<Item = Range<usize>> + Clone,
-        lanes: usize,
-        strategy: Strategy,
-    ) -> Result<Vec<Wavelength>> {
-        if lanes == 0 {
+        lanes: &mut [u32],
+    ) -> Result<()> {
+        let want = lanes.len();
+        if want == 0 {
             return Err(OpticalError::ZeroLanes);
         }
-        // First Fit needs only the words up to its `lanes`-th free lane;
+        let d = dir_index(direction);
+        // First Fit needs only the words up to its `want`-th free lane;
         // Best Fit ranks every free lane.
         let needed = match strategy {
-            Strategy::FirstFit => lanes,
+            Strategy::FirstFit => want,
             Strategy::BestFit => usize::MAX,
         };
-        let (words, free) = self.block(d, runs.clone(), needed);
-        if free < lanes {
-            return Err(OpticalError::WavelengthsExhausted {
-                available: self.wavelengths,
-                requested: lanes,
-                step: 0,
-            });
+        let (words, free) = self.block(d, arc_runs(first, hops, self.segments), needed);
+        if free < want {
+            return Err(self.exhausted(want));
         }
         let free_lanes = clear_bits(&self.blocked[..words]);
-        let mut picked = Vec::with_capacity(lanes);
         match strategy {
-            Strategy::FirstFit => picked.extend(free_lanes.take(lanes).map(Wavelength)),
+            Strategy::FirstFit => {
+                for (out, lambda) in lanes.iter_mut().zip(free_lanes) {
+                    *out = lambda as u32;
+                }
+            }
             Strategy::BestFit => {
                 let load = &self.load[d];
                 self.order.clear();
@@ -307,13 +349,24 @@ impl Occupancy {
                 // Busiest-elsewhere first; tie-break on index.
                 self.order
                     .sort_unstable_by(|&a, &b| load[b].cmp(&load[a]).then(a.cmp(&b)));
-                picked.extend(self.order[..lanes].iter().copied().map(Wavelength));
+                for (out, &lambda) in lanes.iter_mut().zip(&self.order) {
+                    *out = lambda as u32;
+                }
             }
         }
-        for &lambda in &picked {
-            self.occupy_on(d, runs.clone(), lambda);
+        for &lambda in lanes.iter() {
+            self.occupy_arc(direction, first, hops, Wavelength(lambda as usize));
         }
-        Ok(picked)
+        Ok(())
+    }
+
+    /// The error of a demand for `lanes` wavelengths that are not free.
+    fn exhausted(&self, lanes: usize) -> OpticalError {
+        OpticalError::WavelengthsExhausted {
+            available: self.wavelengths,
+            requested: lanes,
+            step: 0,
+        }
     }
 
     /// Fill `blocked` with the lanes unusable on the segment `runs` of

@@ -10,7 +10,7 @@ use crate::config::OpticalConfig;
 use crate::error::{OpticalError, Result};
 use crate::path::LightPath;
 use crate::request::{DirectionChoice, Transfer};
-use crate::rwa::{Occupancy, Strategy};
+use crate::rwa::{arc_first, Occupancy, Strategy};
 use crate::topology::{NodeId, RingTopology};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
@@ -204,6 +204,8 @@ struct StepPlacement {
     hops: Vec<usize>,
     /// Highest wavelength index the step uses, plus one.
     peak_wavelength: usize,
+    /// Scratch of the lanes granted to one transfer.
+    lanes: Vec<u32>,
 }
 
 impl StepPlacement {
@@ -234,10 +236,21 @@ impl StepPlacement {
         self.hops.clear();
         occ.clear();
         for tr in step {
-            let path = tr.resolve(topo)?;
-            occ.assign(&path, tr.lanes, strategy)?;
+            let (direction, hops) = tr.route(topo)?;
+            // More lanes than channels never fit: fail before sizing the
+            // scratch for them.
+            if tr.lanes > occ.wavelengths() {
+                return Err(OpticalError::WavelengthsExhausted {
+                    available: occ.wavelengths(),
+                    requested: tr.lanes,
+                    step: 0,
+                });
+            }
+            self.lanes.resize(tr.lanes, 0);
+            let first = arc_first(tr.src.0, tr.dst.0, direction);
+            occ.assign_arc(direction, first, hops, strategy, &mut self.lanes)?;
             self.key.push(Self::routing(tr));
-            self.hops.push(path.hops());
+            self.hops.push(hops);
         }
         self.peak_wavelength = occ.peak_wavelengths_used();
         Ok(())
