@@ -246,8 +246,8 @@ impl Slot {
     }
 }
 
-/// A slot as a snapshot lists it: the layout of an engine that kept a
-/// `Vec` per list.
+/// A slot as a snapshot lists it, with its route, dependents and lanes as
+/// lists.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct SlotImage {
     transfer: Transfer,
@@ -564,8 +564,6 @@ pub struct GrantEngine {
     /// Segments claimed by blocked waiters, per direction.
     claimed: [SegmentSet; 2],
     fair: FairOrder,
-    /// The slots of the batch being injected.
-    ids: Vec<u32>,
 }
 
 impl GrantEngine {
@@ -624,7 +622,6 @@ impl GrantEngine {
             batch: Vec::new(),
             claimed: [SegmentSet::new(nodes), SegmentSet::new(nodes)],
             fair: FairOrder::default(),
-            ids: Vec::new(),
             topo,
         })
     }
@@ -843,7 +840,8 @@ impl GrantEngine {
                 }
             }
         };
-        self.ids.clear();
+        // The batch's slots, kept while its rows are filled.
+        let mut ids: Vec<u32> = Vec::with_capacity(if block == NIL { 0 } else { len });
         for (bi, (t, release_s, job, deps)) in batch.clone().enumerate() {
             let order = first + bi as u64;
             let (direction, hops) = t.route(&self.topo)?;
@@ -873,9 +871,9 @@ impl GrantEngine {
                 slot.missing += 1;
                 match d.checked_sub(first as usize) {
                     // Count the dependent two rows on, so that the sums
-                    // below leave each row's start one row on.
-                    Some(k) if k + 2 <= len => self.blocks[block as usize].data[k + 2] += 1,
-                    Some(_) => {}
+                    // below leave each row's start one row on. In range:
+                    // `k` precedes `bi`, so `k + 2 <= len`.
+                    Some(k) => self.blocks[block as usize].data[k + 2] += 1,
                     // Validated: a live transfer of an earlier batch.
                     None => {
                         if let Some(dep) = self.slot_of(d as u64) {
@@ -888,7 +886,9 @@ impl GrantEngine {
                 Some(place) => *place = Some(slot),
                 None => self.slots.push(Some(slot)),
             }
-            self.ids.push(id);
+            if block != NIL {
+                ids.push(id);
+            }
             // The key table and the next key move together, so `slot_of`
             // stays right for the batch's later transfers.
             self.next_order = order + 1;
@@ -919,7 +919,7 @@ impl GrantEngine {
             for (bi, (_, _, _, deps)) in batch.enumerate() {
                 for k in deps.filter_map(|d| d.checked_sub(first as usize)) {
                     let e = data[k + 1] as usize;
-                    data[e] = self.ids[bi];
+                    data[e] = ids[bi];
                     data[k + 1] += 1;
                 }
             }

@@ -85,7 +85,7 @@ impl Transfer {
 
     /// [`Transfer::resolve`]'s direction and hop count, with the same
     /// checks and error values, without building the segment list.
-    pub fn route(&self, topo: &RingTopology) -> Result<(Direction, usize)> {
+    pub(crate) fn route(&self, topo: &RingTopology) -> Result<(Direction, usize)> {
         topo.check_node(self.src)?;
         topo.check_node(self.dst)?;
         if self.src == self.dst {
