@@ -173,7 +173,7 @@ impl Occupancy {
 
     /// [`Occupancy::is_free`] on the arc of `hops` segments clockwise from
     /// segment `first` on the `direction` waveguide.
-    pub(crate) fn is_free_arc(
+    fn is_free_arc(
         &self,
         direction: Direction,
         first: usize,
@@ -220,13 +220,7 @@ impl Occupancy {
 
     /// [`Occupancy::occupy`] on the arc of `hops` segments clockwise from
     /// segment `first` on the `direction` waveguide.
-    pub(crate) fn occupy_arc(
-        &mut self,
-        direction: Direction,
-        first: usize,
-        hops: usize,
-        lambda: Wavelength,
-    ) {
+    fn occupy_arc(&mut self, direction: Direction, first: usize, hops: usize, lambda: Wavelength) {
         let d = dir_index(direction);
         let (k, bit) = lane_bit(lambda);
         let row = &mut self.used[d][k * self.segments..(k + 1) * self.segments];
