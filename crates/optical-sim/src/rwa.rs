@@ -69,7 +69,7 @@ pub struct Occupancy {
     blocked: Vec<u64>,
     /// Scratch of Best-Fit: the path's free lanes, sorted into load order.
     order: Vec<usize>,
-    /// Scratch of [`Occupancy::assign`]: the lanes granted.
+    /// Scratch of [`Occupancy::assign_lanes`]: the lanes granted.
     picked: Vec<u32>,
 }
 
@@ -279,13 +279,34 @@ impl Occupancy {
     /// On success the lanes are recorded as busy and returned in assignment
     /// order. Fails with [`OpticalError::WavelengthsExhausted`] when fewer
     /// than `lanes` channels are free along the whole path; a failed call
-    /// allocates nothing and changes nothing.
+    /// returns no list and changes nothing.
     pub fn assign(
         &mut self,
         path: &LightPath,
         lanes: usize,
         strategy: Strategy,
     ) -> Result<Vec<Wavelength>> {
+        let picked = self.assign_lanes(
+            path.direction,
+            arc_start(path),
+            path.hops(),
+            lanes,
+            strategy,
+        )?;
+        Ok(picked.iter().map(|&l| Wavelength(l as usize)).collect())
+    }
+
+    /// [`Occupancy::assign`] on the arc of `hops` segments clockwise from
+    /// segment `first` on the `direction` waveguide, returning the lanes
+    /// in a scratch the next call reuses.
+    pub(crate) fn assign_lanes(
+        &mut self,
+        direction: Direction,
+        first: usize,
+        hops: usize,
+        lanes: usize,
+        strategy: Strategy,
+    ) -> Result<&[u32]> {
         // More lanes than channels never fit: fail before sizing the
         // scratch for them.
         if lanes > self.wavelengths {
@@ -293,11 +314,9 @@ impl Occupancy {
         }
         let mut picked = std::mem::take(&mut self.picked);
         picked.resize(lanes, 0);
-        let (first, hops) = (arc_start(path), path.hops());
-        let placed = self.assign_arc(path.direction, first, hops, strategy, &mut picked);
-        let lanes = placed.map(|()| picked.iter().map(|&l| Wavelength(l as usize)).collect());
+        let placed = self.assign_arc(direction, first, hops, strategy, &mut picked);
         self.picked = picked;
-        lanes
+        placed.map(|()| self.picked.as_slice())
     }
 
     /// [`Occupancy::assign`] of `lanes.len()` wavelengths on the arc of

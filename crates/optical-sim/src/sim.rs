@@ -204,8 +204,6 @@ struct StepPlacement {
     hops: Vec<usize>,
     /// Highest wavelength index the step uses, plus one.
     peak_wavelength: usize,
-    /// Scratch of the lanes granted to one transfer.
-    lanes: Vec<u32>,
 }
 
 impl StepPlacement {
@@ -237,18 +235,8 @@ impl StepPlacement {
         occ.clear();
         for tr in step {
             let (direction, hops) = tr.route(topo)?;
-            // More lanes than channels never fit: fail before sizing the
-            // scratch for them.
-            if tr.lanes > occ.wavelengths() {
-                return Err(OpticalError::WavelengthsExhausted {
-                    available: occ.wavelengths(),
-                    requested: tr.lanes,
-                    step: 0,
-                });
-            }
-            self.lanes.resize(tr.lanes, 0);
             let first = arc_first(tr.src.0, tr.dst.0, direction);
-            occ.assign_arc(direction, first, hops, strategy, &mut self.lanes)?;
+            occ.assign_lanes(direction, first, hops, tr.lanes, strategy)?;
             self.key.push(Self::routing(tr));
             self.hops.push(hops);
         }
