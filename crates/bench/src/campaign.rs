@@ -67,7 +67,7 @@ use wrht_core::lower::to_optical_schedule;
 use wrht_core::parallelism::{ParallelismSource, ParallelismSpec, StageModel};
 use wrht_core::stream::{Admission, ArrivalProcess, StreamReport, StreamSpec, StreamTemplate};
 use wrht_core::tenancy::{Job, JobWorkload, SchedPolicy, TenancySpec};
-use wrht_core::{build_plan, choose_group_size, plan_and_simulate, WrhtParams};
+use wrht_core::{build_plan, choose_group_size, WrhtParams};
 
 /// The collective algorithm a cell times.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -538,31 +538,15 @@ impl Axis for CellConfig {
 
         let outcome: CellOutcome = match self.mode {
             ExecMode::Barrier => match self.algorithm {
-                Algorithm::Wrht => match self.substrate {
-                    // Plan and execute on the stepped optical substrate.
-                    SubstrateKind::Optical => {
-                        let params = match self.group_size {
-                            Some(m) => WrhtParams::fixed(self.n, self.wavelengths, m),
-                            None => WrhtParams::auto(self.n, self.wavelengths),
-                        };
-                        plan_and_simulate(&params, &local.optical(self.n), self.gradient_bytes).map(
-                            |planned| {
-                                result.wrht_m = planned.m;
-                                summarize(&planned.report)
-                            },
-                        )
-                    }
-                    // Plan against the optical cost model (no optical
-                    // simulation), then execute the lowered schedule on the
-                    // electrical fabric.
-                    SubstrateKind::Electrical => wrht_plan(self, &local).and_then(|plan| {
-                        result.wrht_m = plan.m;
-                        let r = local
-                            .try_substrate(self.substrate, self.n, self.strategy)?
-                            .execute(&to_optical_schedule(&plan, self.gradient_bytes))?;
-                        Ok(summarize(&r))
-                    }),
-                },
+                // Plan against the optical cost model, then execute the
+                // lowered schedule on the cell's substrate.
+                Algorithm::Wrht => wrht_plan(self, &local).and_then(|plan| {
+                    result.wrht_m = plan.m;
+                    let r = local
+                        .try_substrate(self.substrate, self.n, self.strategy)?
+                        .execute(&to_optical_schedule(&plan, self.gradient_bytes))?;
+                    Ok(summarize(&r))
+                }),
                 // The ring's 2(n-1) steps are generated as the runner
                 // reaches them, never materialized.
                 Algorithm::Ring => local
@@ -2425,6 +2409,31 @@ mod tests {
                 assert!(r.wrht_m >= 2);
             }
         }
+    }
+
+    #[test]
+    fn optical_wrht_barrier_cells_run_their_own_strategy() {
+        // Best Fit packs this plan's widest step into one lane fewer than
+        // First Fit, in the same time and steps.
+        let run = |strategy| {
+            let cell = CellConfig {
+                substrate: SubstrateKind::Optical,
+                algorithm: Algorithm::Wrht,
+                model: "toy".into(),
+                gradient_bytes: 1 << 20,
+                n: 29,
+                wavelengths: 11,
+                strategy,
+                group_size: Some(4),
+                mode: ExecMode::Barrier,
+            };
+            cell.run(&tiny_cfg(), 0)
+        };
+        let (first, best) = (run(Strategy::FirstFit), run(Strategy::BestFit));
+        assert_eq!((first.error, best.error), (None, None));
+        assert_eq!((first.peak_wavelengths, best.peak_wavelengths), (11, 10));
+        assert_eq!(first.time_s.to_bits(), best.time_s.to_bits());
+        assert_eq!(first.steps, best.steps);
     }
 
     #[test]

@@ -117,12 +117,14 @@ pub struct DepSchedule {
 /// and [`DepSchedule::chain`].
 fn push_barrier_bucket(
     transfers: &mut Vec<DepTransfer>,
-    schedule: &StepSchedule,
+    schedule: &dyn StepSource,
     release_s: f64,
     stage_base: usize,
 ) {
     let mut prev: Vec<usize> = Vec::new();
-    for (step_idx, step) in schedule.steps().iter().enumerate() {
+    let mut buf = Vec::new();
+    for step_idx in 0..schedule.step_count() {
+        let step = schedule.step(step_idx, &mut buf);
         let first = transfers.len();
         for tr in step {
             transfers.push(DepTransfer {
@@ -174,21 +176,21 @@ impl DepSchedule {
         Ok(Self { transfers, stages })
     }
 
-    /// Lower a [`StepSchedule`] with **full barrier edges**: every
+    /// Lower a stepped schedule with **full barrier edges**: every
     /// transfer of step `k` depends on every transfer of the most recent
     /// non-empty step before `k`. Executing this DAG agrees bit-exactly
     /// with the stepped run on both substrates.
     #[must_use]
-    pub fn from_steps(schedule: &StepSchedule) -> Self {
-        let mut transfers: Vec<DepTransfer> = Vec::with_capacity(schedule.transfer_count());
+    pub fn from_steps(schedule: &dyn StepSource) -> Self {
+        let mut transfers = Vec::new();
         push_barrier_bucket(&mut transfers, schedule, 0.0, 0);
         Self {
             transfers,
-            stages: schedule.len(),
+            stages: schedule.step_count(),
         }
     }
 
-    /// Lower a [`StepSchedule`] with **per-node ordering edges**: a
+    /// Lower a stepped schedule with **per-node ordering edges**: a
     /// transfer depends only on the most recent earlier transfers its
     /// source node took part in (as sender or receiver). This preserves
     /// the data flow of reduce/broadcast/ring collectives — a node cannot
@@ -196,8 +198,11 @@ impl DepSchedule {
     /// ordered — while letting independent branches of consecutive steps
     /// overlap on the wire. The collected form of [`PipelinedSource`].
     #[must_use]
-    pub fn pipelined_from_steps(schedule: &StepSchedule) -> Self {
-        PipelinedSource::new(schedule).collect()
+    pub fn pipelined_from_steps(schedule: &dyn StepSource) -> Self {
+        Self {
+            transfers: read_all(&PipelinedSource::new(schedule)),
+            stages: schedule.step_count(),
+        }
     }
 
     /// Chain per-bucket schedules: each bucket keeps internal barrier
@@ -420,22 +425,6 @@ impl<'a> PipelinedSource<'a> {
     pub fn total_bytes(&self) -> u64 {
         self.bytes
     }
-
-    /// The whole lowering at once.
-    fn collect(&self) -> DepSchedule {
-        let mut last = vec![Vec::new(); self.nodes];
-        let mut transfers = Vec::with_capacity(self.len);
-        let mut buf = Vec::new();
-        for stage in 0..self.steps.step_count() {
-            let step = self.steps.step(stage, &mut buf);
-            let first = transfers.len();
-            push_pipelined_step(&mut last, step, stage, first, &mut transfers);
-        }
-        DepSchedule {
-            transfers,
-            stages: self.steps.step_count(),
-        }
-    }
 }
 
 impl DepSource for PipelinedSource<'_> {
@@ -451,7 +440,7 @@ impl DepSource for PipelinedSource<'_> {
             last: vec![Vec::new(); self.nodes],
             horizon: None,
             step: Vec::new(),
-            out: Vec::new(),
+            out: StageBuf::default(),
         })
     }
 }
@@ -467,7 +456,7 @@ struct PipelinedReader<'a> {
     last: Vec<Vec<usize>>,
     horizon: Option<usize>,
     step: Vec<Transfer>,
-    out: Vec<DepTransfer>,
+    out: StageBuf,
 }
 
 impl DepReader for PipelinedReader<'_> {
@@ -497,7 +486,7 @@ impl DepReader for PipelinedReader<'_> {
             *horizon = last
                 .iter()
                 .try_fold(usize::MAX, |low, keys| keys.first().map(|&k| low.min(k)));
-            return Some(out);
+            return Some(out.as_slice());
         }
         None
     }
@@ -509,23 +498,16 @@ impl DepReader for PipelinedReader<'_> {
 
 /// Append `step` (source stage `stage`, whose first transfer is the
 /// schedule's transfer `first`) to `out`, lowered with per-node ordering
-/// edges, and record in `last` each node's involvement in it. The one
-/// lowering body of [`DepSchedule::pipelined_from_steps`] and
-/// [`PipelinedSource`].
+/// edges, and record in `last` each node's involvement in it.
 fn push_pipelined_step(
     last: &mut [Vec<usize>],
     step: &[Transfer],
     stage: usize,
     first: usize,
-    out: &mut Vec<DepTransfer>,
+    out: &mut StageBuf,
 ) {
     for tr in step {
-        out.push(DepTransfer {
-            transfer: tr.clone(),
-            deps: last[tr.src.0].clone(),
-            release_s: 0.0,
-            stage,
-        });
+        out.push(tr.clone(), &last[tr.src.0], stage);
     }
     // Each node the step touches now last took part in this step: its
     // transfers, in step order, sender before receiver.
@@ -536,6 +518,60 @@ fn push_pipelined_step(
     for (k, tr) in step.iter().enumerate() {
         last[tr.src.0].push(first + k);
         last[tr.dst.0].push(first + k);
+    }
+}
+
+/// Every transfer of `source`, read stage by stage: the collected form of
+/// a lazy lowering, which runs its one lowering body.
+pub(crate) fn read_all(source: &dyn DepSource) -> Vec<DepTransfer> {
+    let mut transfers = Vec::with_capacity(source.len());
+    let mut stages = source.stages();
+    while let Some(stage) = stages.next_stage() {
+        transfers.extend_from_slice(stage);
+    }
+    transfers
+}
+
+/// A lazy lowering's stage, released at 0. Once cleared, its entries are
+/// overwritten in place, each refilling its own `deps` list, so a streamed
+/// lowering allocates per entry of its largest stage rather than per
+/// transfer.
+#[derive(Default)]
+pub(crate) struct StageBuf {
+    entries: Vec<DepTransfer>,
+    len: usize,
+}
+
+impl StageBuf {
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.len = 0;
+    }
+
+    /// Append `transfer` of source stage `stage`, gated on `deps`.
+    pub(crate) fn push(&mut self, transfer: Transfer, deps: &[usize], stage: usize) {
+        match self.entries.get_mut(self.len) {
+            Some(entry) => {
+                entry.transfer = transfer;
+                entry.deps.clear();
+                entry.deps.extend_from_slice(deps);
+                entry.stage = stage;
+            }
+            None => self.entries.push(DepTransfer {
+                transfer,
+                deps: deps.to_vec(),
+                release_s: 0.0,
+                stage,
+            }),
+        }
+        self.len += 1;
+    }
+
+    pub(crate) fn as_slice(&self) -> &[DepTransfer] {
+        &self.entries[..self.len]
     }
 }
 

@@ -70,7 +70,7 @@ pub trait FabricEngine {
 
     /// Instant of the next pending event, including releases of
     /// transfers injected since the last step.
-    fn peek_time(&mut self) -> Option<f64>;
+    fn peek_time(&self) -> Option<f64>;
 
     /// Register a job with a grant rank (only the optical grant order uses
     /// ranks) and return its tag; tags of retired jobs are reused.
@@ -295,7 +295,7 @@ pub(crate) fn makespan_s(outcomes: &[FaultTiming]) -> f64 {
 }
 
 impl FabricEngine for GrantEngine {
-    fn peek_time(&mut self) -> Option<f64> {
+    fn peek_time(&self) -> Option<f64> {
         GrantEngine::peek_time(self)
     }
 
@@ -377,7 +377,7 @@ impl FabricEngine for FluidEngine<'_> {
         electrical_sim::sim::EPS
     }
 
-    fn peek_time(&mut self) -> Option<f64> {
+    fn peek_time(&self) -> Option<f64> {
         FluidEngine::peek_time(self)
     }
 

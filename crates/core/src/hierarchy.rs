@@ -559,12 +559,12 @@ impl FabricEngine for ComposedEngine<'_> {
     /// The earliest member event while a key is unsettled. Once every key
     /// settled, events members still hold are stale, and [`Self::step`]
     /// steps no member.
-    fn peek_time(&mut self) -> Option<f64> {
+    fn peek_time(&self) -> Option<f64> {
         if self.settled >= self.base + self.transfers.len() {
             return None;
         }
         self.members
-            .iter_mut()
+            .iter()
             .filter_map(|m| m.eng.peek_time())
             .min_by(f64::total_cmp)
     }
@@ -950,24 +950,21 @@ impl Substrate for ComposedSubstrate {
         // Barrier steps across two fabrics: lower to the barrier DAG and
         // rebuild per-step durations from the stage frontier (a step's
         // transfers are gated on the whole previous step, so stage ends
-        // are non-decreasing).
-        let schedule = source.to_schedule();
-        let dag = DepSchedule::from_steps(&schedule);
+        // are non-decreasing). Each step's duration holds its stage's end
+        // until the second pass.
+        let dag = DepSchedule::from_steps(source);
         let run = self.execute_dag(&dag)?;
-        let mut stage_end = vec![0.0f64; schedule.len()];
+        let mut steps = vec![StepTiming::default(); source.step_count()];
         for (t, timing) in dag.transfers().iter().zip(&run.transfers) {
-            stage_end[t.stage] = stage_end[t.stage].max(timing.finish_s);
+            let step = &mut steps[t.stage];
+            step.duration_s = step.duration_s.max(timing.finish_s);
+            step.transfers += 1;
+            step.bytes += t.transfer.bytes;
         }
-        let mut steps = Vec::with_capacity(schedule.len());
         let mut prev_end = 0.0f64;
-        for (k, step) in schedule.steps().iter().enumerate() {
-            let end = stage_end[k].max(prev_end);
-            steps.push(StepTiming {
-                duration_s: end - prev_end,
-                transfers: step.len(),
-                bytes: step.iter().map(|t| t.bytes).sum(),
-                peak_wavelength: 0,
-            });
+        for step in &mut steps {
+            let end = step.duration_s.max(prev_end);
+            step.duration_s = end - prev_end;
             prev_end = end;
         }
         Ok(RunReport {

@@ -97,12 +97,12 @@ pub mod hierarchy;
 ///
 /// Re-exported from the standalone `wrht-kernel` crate so downstream users
 /// (campaign drivers, custom substrates) can schedule against the same
-/// clock/queue semantics — monotonic [`kernel::SimClock`], typed
+/// clock/queue semantics — a monotonic clock, typed
 /// [`kernel::KernelError`] for backwards scheduling, stable FIFO
-/// tie-breaking and bit-equality same-instant batching — without depending
-/// on either simulator crate.
+/// tie-breaking and bit-equality same-instant batching, with no
+/// cancellation — without depending on either simulator crate.
 pub mod kernel {
-    pub use wrht_kernel::{EventId, EventKernel, KernelError, SimClock, Slab, SlabKey};
+    pub use wrht_kernel::{EventKernel, KernelError};
 }
 pub mod lower;
 pub mod optimizer;

@@ -80,7 +80,7 @@ use optical_sim::{NodeId, OpticalError, Transfer};
 use serde::{Deserialize, Serialize};
 
 use crate::alltoall::alltoall_pairs;
-use crate::dag::{DepReader, DepSchedule, DepSource, DepTransfer};
+use crate::dag::{read_all, DepReader, DepSchedule, DepSource, DepTransfer, StageBuf};
 use crate::error::Result;
 use crate::hierarchy::{Domain, HierSpec};
 
@@ -395,19 +395,6 @@ impl ParallelismSource {
             }
         }
     }
-
-    fn reader(&self) -> ParallelismReader<'_> {
-        ParallelismReader {
-            source: self,
-            next: 0,
-            first: 0,
-            stage: 0,
-            frontier: vec![Vec::new(); self.spec.nodes()],
-            horizon: None,
-            out: Vec::new(),
-            scratch: Vec::new(),
-        }
-    }
 }
 
 impl DepSource for ParallelismSource {
@@ -416,7 +403,17 @@ impl DepSource for ParallelismSource {
     }
 
     fn stages(&self) -> Box<dyn DepReader + '_> {
-        Box::new(self.reader())
+        Box::new(ParallelismReader {
+            source: self,
+            next: 0,
+            first: 0,
+            stage: 0,
+            frontier: vec![Vec::new(); self.spec.nodes()],
+            horizon: None,
+            out: StageBuf::default(),
+            deps: Vec::new(),
+            written: Vec::new(),
+        })
     }
 }
 
@@ -472,12 +469,15 @@ struct ParallelismReader<'a> {
     /// Per host, the transfers that last touched it, ascending.
     frontier: Vec<Vec<usize>>,
     horizon: Option<usize>,
-    out: Vec<DepTransfer>,
-    scratch: Vec<usize>,
+    out: StageBuf,
+    /// The dependencies of the transfers being written.
+    deps: Vec<usize>,
+    /// The transfers of the step or exchange being written.
+    written: Vec<usize>,
 }
 
 impl ParallelismReader<'_> {
-    /// Append the next non-empty phase to `out`; false once every phase
+    /// Write the next non-empty phase into `out`; false once every phase
     /// was written.
     fn write_next(&mut self) -> bool {
         let source = self.source;
@@ -496,26 +496,23 @@ impl ParallelismReader<'_> {
         false
     }
 
-    fn push(&mut self, src: usize, dst: usize, bytes: u64, deps: Vec<usize>) -> usize {
+    /// Write a transfer gated on `deps`, returning its index.
+    fn push(&mut self, src: usize, dst: usize, bytes: u64) -> usize {
         let idx = self.first + self.out.len();
-        self.out.push(DepTransfer {
-            transfer: Transfer::shortest(NodeId(src), NodeId(dst), bytes),
-            deps,
-            release_s: 0.0,
-            stage: self.stage,
-        });
+        let transfer = Transfer::shortest(NodeId(src), NodeId(dst), bytes);
+        self.out.push(transfer, &self.deps, self.stage);
         idx
     }
 
-    /// Sorted, deduplicated union of the members' frontiers.
-    fn barrier(&mut self, members: impl IntoIterator<Item = usize>) -> Vec<usize> {
-        self.scratch.clear();
+    /// Set `deps` to the sorted, deduplicated union of the members'
+    /// frontiers.
+    fn barrier(&mut self, members: impl IntoIterator<Item = usize>) {
+        self.deps.clear();
         for m in members {
-            self.scratch.extend_from_slice(&self.frontier[m]);
+            self.deps.extend_from_slice(&self.frontier[m]);
         }
-        self.scratch.sort_unstable();
-        self.scratch.dedup();
-        self.scratch.clone()
+        self.deps.sort_unstable();
+        self.deps.dedup();
     }
 }
 
@@ -523,46 +520,50 @@ impl Sink for ParallelismReader<'_> {
     /// Entry barrier over the members' frontiers, step-over-step
     /// dependency chains inside, exit frontier on every member.
     fn collective(&mut self, template: &Schedule, members: &[usize], bytes_per_elem: u64) {
-        let mut prev = self.barrier(members.iter().copied());
+        self.barrier(members.iter().copied());
         for step in &template.steps {
-            let mut cur = Vec::with_capacity(step.transfers.len());
+            self.written.clear();
             for t in &step.transfers {
                 if t.elems() == 0 {
                     continue;
                 }
                 let bytes = t.elems() as u64 * bytes_per_elem;
-                cur.push(self.push(members[t.src], members[t.dst], bytes, prev.clone()));
+                let idx = self.push(members[t.src], members[t.dst], bytes);
+                self.written.push(idx);
             }
-            if !cur.is_empty() {
-                prev = cur;
+            if !self.written.is_empty() {
+                std::mem::swap(&mut self.deps, &mut self.written);
             }
         }
         for &m in members {
-            self.frontier[m] = prev.clone();
+            self.frontier[m].clone_from(&self.deps);
         }
     }
 
     /// Barrier in, barrier out.
     fn alltoall(&mut self, hosts: &[usize], bytes: u64) {
-        let entry = self.barrier(hosts.iter().copied());
-        let mut out = Vec::new();
+        self.barrier(hosts.iter().copied());
+        self.written.clear();
         for (src, dst) in alltoall_pairs(hosts) {
-            out.push(self.push(src, dst, bytes, entry.clone()));
+            let idx = self.push(src, dst, bytes);
+            self.written.push(idx);
         }
-        if out.is_empty() {
+        if self.written.is_empty() {
             return;
         }
         for &h in hosts {
-            self.frontier[h] = out.clone();
+            self.frontier[h].clone_from(&self.written);
         }
     }
 
     /// Gated on both endpoints' frontiers.
     fn p2p(&mut self, src: usize, dst: usize, bytes: u64) {
-        let deps = self.barrier([src, dst]);
-        let idx = self.push(src, dst, bytes, deps);
-        self.frontier[src] = vec![idx];
-        self.frontier[dst] = vec![idx];
+        self.barrier([src, dst]);
+        let idx = self.push(src, dst, bytes);
+        for host in [src, dst] {
+            self.frontier[host].clear();
+            self.frontier[host].push(idx);
+        }
     }
 }
 
@@ -579,7 +580,7 @@ impl DepReader for ParallelismReader<'_> {
             .frontier
             .iter()
             .try_fold(usize::MAX, |low, keys| keys.first().map(|&k| low.min(k)));
-        Some(&self.out)
+        Some(self.out.as_slice())
     }
 
     fn horizon(&self) -> Option<usize> {
@@ -605,11 +606,7 @@ impl DepReader for ParallelismReader<'_> {
 /// Rejects invalid specs and models whose stage table does not match
 /// `spec.pp` or whose byte counts are zero.
 pub fn lower_parallelism(spec: &ParallelismSpec, model: &StageModel) -> Result<DepSchedule> {
-    let source = ParallelismSource::new(spec, model)?;
-    let mut reader = source.reader();
-    reader.out.reserve_exact(source.len);
-    while reader.write_next() {}
-    DepSchedule::from_transfers(reader.out)
+    DepSchedule::from_transfers(read_all(&ParallelismSource::new(spec, model)?))
 }
 
 #[cfg(test)]

@@ -1067,7 +1067,8 @@ impl<'a> FluidEngine<'a> {
     /// Timestamp of the next pending event, if any — including the release
     /// of a flow injected since the last step, whose wake-up the promotion
     /// scan has not scheduled yet.
-    pub fn peek_time(&mut self) -> Option<f64> {
+    #[must_use]
+    pub fn peek_time(&self) -> Option<f64> {
         match (self.kernel.peek_time(), self.pending_release) {
             (Some(p), Some(r)) => Some(p.min(r)),
             (peek, pending) => peek.or(pending),

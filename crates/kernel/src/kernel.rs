@@ -2,10 +2,8 @@
 //! deterministic future-event list with batched same-instant extraction.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::fmt;
-
-use crate::slab::{Slab, SlabKey};
 
 /// Error returned when a schedule request violates the kernel's time contract.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -40,37 +38,25 @@ impl fmt::Display for KernelError {
 
 impl std::error::Error for KernelError {}
 
-/// Monotonic simulated clock.
-///
-/// The clock starts at zero and only moves forward; [`SimClock::advance_to`]
-/// rejects non-finite targets and targets earlier than the current time with
-/// a typed error instead of silently rewinding.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SimClock {
+/// Monotonic simulated clock: starts at zero and only moves forward;
+/// [`SimClock::advance_to`] rejects non-finite targets and targets earlier
+/// than the current time with a typed error instead of silently rewinding.
+#[derive(Debug)]
+struct SimClock {
     now: f64,
 }
 
 impl SimClock {
-    /// New clock at time zero.
-    #[must_use]
-    pub fn new() -> Self {
+    fn new() -> Self {
         Self { now: 0.0 }
     }
 
-    /// Current simulated time.
-    #[must_use]
-    pub fn now(&self) -> f64 {
+    fn now(&self) -> f64 {
         self.now
     }
 
-    /// Advance the clock to `time`.
-    ///
-    /// # Errors
-    /// [`KernelError::NonFiniteTime`] if `time` is NaN or infinite;
-    /// [`KernelError::PastEvent`] if `time` precedes the current time.
-    pub fn advance_to(&mut self, time: f64) -> Result<(), KernelError> {
-        let time = check_time(time, self.now)?;
-        self.now = time;
+    fn advance_to(&mut self, time: f64) -> Result<(), KernelError> {
+        self.now = check_time(time, self.now)?;
         Ok(())
     }
 }
@@ -91,43 +77,36 @@ fn check_time(time: f64, now: f64) -> Result<f64, KernelError> {
     Ok(if time == 0.0 { 0.0 } else { time })
 }
 
-/// Handle to a scheduled event, usable to cancel it before it fires.
-///
-/// Handles go stale once the event fires or is canceled; stale handles are
-/// ignored by [`EventKernel::cancel`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EventId(SlabKey);
-
-/// Heap entry: small and `Copy` so sift operations never move payloads.
-#[derive(Debug, Clone, Copy)]
-struct HeapEntry {
+/// Heap entry: an event's instant, its insertion sequence number and its
+/// payload. Only `(time, seq)` is ordered.
+#[derive(Debug)]
+struct Entry<T> {
     time: f64,
     seq: u64,
-    key: SlabKey,
+    payload: T,
 }
 
-impl PartialEq for HeapEntry {
+impl<T> PartialEq for Entry<T> {
     fn eq(&self, other: &Self) -> bool {
-        // wrht-analyze: allow(r6, reason = "bit-equality coalescing contract: times are finite with -0.0 normalized at schedule time, so == coincides with to_bits equality")
-        self.time == other.time && self.seq == other.seq
+        self.cmp(other).is_eq()
     }
 }
-impl Eq for HeapEntry {}
+impl<T> Eq for Entry<T> {}
 
-impl Ord for HeapEntry {
+impl<T> Ord for Entry<T> {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reversed for a min-heap on (time, seq). Times are finite with
         // -0.0 normalized at schedule time, so `total_cmp` coincides with
-        // the IEEE order `partial_cmp` gave here while being total by
-        // construction; the sequence tie-break makes simultaneous events
-        // pop in insertion order regardless of heap-internal churn.
+        // the IEEE order while being total by construction; the sequence
+        // tie-break makes simultaneous events pop in insertion order
+        // regardless of heap-internal churn.
         other
             .time
             .total_cmp(&self.time)
             .then_with(|| other.seq.cmp(&self.seq))
     }
 }
-impl PartialOrd for HeapEntry {
+impl<T> PartialOrd for Entry<T> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
@@ -141,17 +120,11 @@ impl PartialOrd for HeapEntry {
 /// the next instant (bit-identical `f64` times) in one call.
 #[derive(Debug)]
 pub struct EventKernel<T> {
-    heap: BinaryHeap<HeapEntry>,
-    payloads: Slab<T>,
+    heap: BinaryHeap<Entry<T>>,
     clock: SimClock,
     next_seq: u64,
     processed: u64,
-    cancelled: u64,
-    compactions: u64,
 }
-
-/// Below this many heap entries, compaction is never worth the rebuild.
-const COMPACT_MIN_HEAP: usize = 256;
 
 impl<T> Default for EventKernel<T> {
     fn default() -> Self {
@@ -163,15 +136,7 @@ impl<T> EventKernel<T> {
     /// Empty kernel at time zero.
     #[must_use]
     pub fn new() -> Self {
-        Self {
-            heap: BinaryHeap::new(),
-            payloads: Slab::new(),
-            clock: SimClock::new(),
-            next_seq: 0,
-            processed: 0,
-            cancelled: 0,
-            compactions: 0,
-        }
+        Self::with_capacity(0)
     }
 
     /// Empty kernel with room for `cap` pending events before reallocating.
@@ -179,26 +144,20 @@ impl<T> EventKernel<T> {
     pub fn with_capacity(cap: usize) -> Self {
         Self {
             heap: BinaryHeap::with_capacity(cap),
-            payloads: Slab::with_capacity(cap),
             clock: SimClock::new(),
             next_seq: 0,
             processed: 0,
-            cancelled: 0,
-            compactions: 0,
         }
     }
 
     /// Return to an empty kernel at time zero with every counter reset,
-    /// keeping the allocations: the kernel then behaves exactly like
+    /// keeping the allocation: the kernel then behaves exactly like
     /// [`EventKernel::new`].
     pub fn clear(&mut self) {
         self.heap.clear();
-        self.payloads.clear();
         self.clock = SimClock::new();
         self.next_seq = 0;
         self.processed = 0;
-        self.cancelled = 0;
-        self.compactions = 0;
     }
 
     /// Current simulated time (the timestamp of the last popped event).
@@ -207,43 +166,22 @@ impl<T> EventKernel<T> {
         self.clock.now()
     }
 
-    /// Total number of events popped (fired) so far. Canceled events and
-    /// lazily discarded heap entries do not count.
+    /// Total number of events popped (fired) so far.
     #[must_use]
     pub fn events_processed(&self) -> u64 {
         self.processed
     }
 
-    /// Number of pending (live, uncanceled) events.
+    /// Number of pending events.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.payloads.len()
-    }
-
-    /// Total number of events canceled so far.
-    #[must_use]
-    pub fn cancelled(&self) -> u64 {
-        self.cancelled
-    }
-
-    /// Number of heap entries, **including** stale entries left behind by
-    /// lazy cancellation. `heap_len() - len()` is the current stale count;
-    /// long-running streams can watch it to observe compaction behavior.
-    #[must_use]
-    pub fn heap_len(&self) -> usize {
         self.heap.len()
     }
 
-    /// Number of times the heap was compacted to shed stale entries.
-    #[must_use]
-    pub fn compactions(&self) -> u64 {
-        self.compactions
-    }
-
-    /// Whether no live events are pending.
+    /// Whether no events are pending.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.payloads.is_empty()
+        self.heap.is_empty()
     }
 
     /// Schedule `payload` at absolute time `time`.
@@ -254,13 +192,12 @@ impl<T> EventKernel<T> {
     /// # Errors
     /// [`KernelError::NonFiniteTime`] if `time` is NaN or infinite;
     /// [`KernelError::PastEvent`] if `time` precedes the current clock.
-    pub fn schedule_at(&mut self, time: f64, payload: T) -> Result<EventId, KernelError> {
+    pub fn schedule_at(&mut self, time: f64, payload: T) -> Result<(), KernelError> {
         let time = check_time(time, self.clock.now())?;
-        let key = self.payloads.insert(payload);
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(HeapEntry { time, seq, key });
-        Ok(EventId(key))
+        self.heap.push(Entry { time, seq, payload });
+        Ok(())
     }
 
     /// Schedule `payload` at `delay` after the current time.
@@ -269,63 +206,30 @@ impl<T> EventKernel<T> {
     /// Same contract as [`EventKernel::schedule_at`] applied to
     /// `now + delay`: a NaN/overflowing delay is `NonFiniteTime`, a negative
     /// delay is `PastEvent`.
-    pub fn schedule_in(&mut self, delay: f64, payload: T) -> Result<EventId, KernelError> {
-        let time = self.clock.now() + delay;
-        self.schedule_at(time, payload)
+    pub fn schedule_in(&mut self, delay: f64, payload: T) -> Result<(), KernelError> {
+        self.schedule_at(self.clock.now() + delay, payload)
     }
 
-    /// Cancel a pending event, returning its payload.
-    ///
-    /// Returns `None` if the event already fired or was already canceled.
-    /// Cancellation is amortized O(1): the payload leaves the slab
-    /// immediately and the heap entry is discarded lazily when it reaches
-    /// the top. When stale entries outnumber live ones on a large heap the
-    /// heap is compacted in place, so cancel-heavy streams stay bounded by
-    /// the live event count instead of the total schedule count.
-    pub fn cancel(&mut self, id: EventId) -> Option<T> {
-        let payload = self.payloads.remove(id.0)?;
-        self.cancelled += 1;
-        if self.heap.len() >= COMPACT_MIN_HEAP && self.heap.len() > 2 * self.payloads.len() {
-            let payloads = &self.payloads;
-            self.heap.retain(|e| payloads.contains(e.key));
-            self.compactions += 1;
-        }
-        Some(payload)
+    /// Timestamp of the earliest pending event, without popping it.
+    #[must_use]
+    pub fn peek_time(&self) -> Option<f64> {
+        self.heap.peek().map(|e| e.time)
     }
 
-    /// Timestamp of the earliest pending live event, without popping it.
-    ///
-    /// Takes `&mut self` because stale (canceled) heap entries are discarded
-    /// on the way to the answer.
-    pub fn peek_time(&mut self) -> Option<f64> {
-        loop {
-            let head = self.heap.peek()?;
-            if self.payloads.contains(head.key) {
-                return Some(head.time);
-            }
-            self.heap.pop();
-        }
-    }
-
-    /// Pop the earliest live event, advancing the clock to its timestamp.
+    /// Pop the earliest event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(f64, T)> {
-        loop {
-            let entry = self.heap.pop()?;
-            if let Some(payload) = self.payloads.remove(entry.key) {
-                debug_assert!(
-                    entry.time >= self.clock.now(),
-                    "heap produced a past event: {} < {}",
-                    entry.time,
-                    self.clock.now()
-                );
-                self.clock.now = entry.time;
-                self.processed += 1;
-                return Some((entry.time, payload));
-            }
-        }
+        let Entry { time, payload, .. } = self.heap.pop()?;
+        debug_assert!(
+            time >= self.clock.now(),
+            "heap produced a past event: {time} < {}",
+            self.clock.now()
+        );
+        self.clock.now = time;
+        self.processed += 1;
+        Some((time, payload))
     }
 
-    /// Pop **every** live event scheduled at the next instant, appending
+    /// Pop **every** event scheduled at the next instant, appending
     /// payloads to `out` in insertion order, and advance the clock to that
     /// instant. Returns the instant, or `None` if no events are pending.
     ///
@@ -339,18 +243,17 @@ impl<T> EventKernel<T> {
     pub fn pop_batch(&mut self, out: &mut Vec<T>) -> Option<f64> {
         let (time, first) = self.pop()?;
         out.push(first);
-        while let Some(head) = self.peek_time() {
-            if head.to_bits() != time.to_bits() {
+        while let Some(head) = self.heap.peek_mut() {
+            if head.time.to_bits() != time.to_bits() {
                 break;
             }
-            // wrht-analyze: allow(r5, reason = "peek_time just proved the heap non-empty; a None here is kernel-internal corruption, not caller error")
-            let (_, payload) = self.pop().expect("peeked event must pop");
-            out.push(payload);
+            out.push(PeekMut::pop(head).payload);
+            self.processed += 1;
         }
         Some(time)
     }
 
-    /// Snapshot every pending live event as `(time, payload)`, ordered by
+    /// Snapshot every pending event as `(time, payload)`, ordered by
     /// `(time, insertion order)` — the exact order they would pop in.
     ///
     /// This is the checkpoint contract: re-scheduling the returned pairs in
@@ -358,17 +261,10 @@ impl<T> EventKernel<T> {
     /// saved clock) reproduces pop and batch order exactly, because relative
     /// sequence order is all that tie-breaking observes.
     #[must_use]
-    pub fn pending(&self) -> Vec<(f64, &T)>
-    where
-        T: Sized,
-    {
-        let mut live: Vec<(&HeapEntry, &T)> = self
-            .heap
-            .iter()
-            .filter_map(|e| self.payloads.get(e.key).map(|p| (e, p)))
-            .collect();
-        live.sort_by(|(a, _), (b, _)| a.time.total_cmp(&b.time).then_with(|| a.seq.cmp(&b.seq)));
-        live.into_iter().map(|(e, p)| (e.time, p)).collect()
+    pub fn pending(&self) -> Vec<(f64, &T)> {
+        let mut pending: Vec<&Entry<T>> = self.heap.iter().collect();
+        pending.sort_unstable_by(|a, b| b.cmp(a));
+        pending.into_iter().map(|e| (e.time, &e.payload)).collect()
     }
 
     /// Advance the clock to `time` without popping any event.
@@ -379,8 +275,8 @@ impl<T> EventKernel<T> {
     /// schedule calls see the same past/future boundary as the original run.
     ///
     /// # Errors
-    /// Same contract as [`SimClock::advance_to`]: non-finite targets and
-    /// targets earlier than the current clock are typed errors.
+    /// Non-finite targets and targets earlier than the current clock are
+    /// typed errors, as for [`EventKernel::schedule_at`].
     pub fn fast_forward(&mut self, time: f64) -> Result<(), KernelError> {
         self.clock.advance_to(time)
     }
@@ -393,14 +289,11 @@ mod tests {
     #[test]
     fn cleared_kernel_behaves_like_a_new_one() {
         let run = |k: &mut EventKernel<u32>| {
-            let ids = [
-                k.schedule_at(2.0, 1).unwrap(),
-                k.schedule_at(1.0, 2).unwrap(),
-                k.schedule_at(1.0, 3).unwrap(),
-            ];
-            k.cancel(ids[0]);
+            k.schedule_at(2.0, 1).unwrap();
+            k.schedule_at(1.0, 2).unwrap();
+            k.schedule_at(1.0, 3).unwrap();
             let popped: Vec<_> = std::iter::from_fn(|| k.pop()).collect();
-            (ids, popped, k.now(), k.events_processed(), k.cancelled())
+            (popped, k.now(), k.events_processed())
         };
         let mut used = EventKernel::new();
         used.schedule_at(5.0, 9).unwrap();
@@ -583,28 +476,13 @@ mod tests {
     fn len_and_is_empty_track_live_events() {
         let mut k = EventKernel::new();
         assert!(k.is_empty());
-        let id = k.schedule_at(1.0, ()).unwrap();
+        k.schedule_at(1.0, ()).unwrap();
         k.schedule_at(2.0, ()).unwrap();
         assert_eq!(k.len(), 2);
-        k.cancel(id);
+        k.pop();
         assert_eq!(k.len(), 1);
         k.pop();
         assert!(k.is_empty());
-    }
-
-    #[test]
-    fn cancel_semantics() {
-        let mut k = EventKernel::new();
-        let a = k.schedule_at(1.0, "a").unwrap();
-        let b = k.schedule_at(1.0, "b").unwrap();
-        k.schedule_at(1.0, "c").unwrap();
-        assert_eq!(k.cancel(b), Some("b"));
-        assert_eq!(k.cancel(b), None, "double cancel is a no-op");
-        let mut out = Vec::new();
-        assert_eq!(k.pop_batch(&mut out), Some(1.0));
-        assert_eq!(out, vec!["a", "c"], "canceled event must not fire");
-        assert_eq!(k.cancel(a), None, "cancel after fire is a no-op");
-        assert_eq!(k.events_processed(), 2);
     }
 
     #[test]
@@ -661,52 +539,11 @@ mod tests {
     }
 
     #[test]
-    fn cancel_heavy_streams_compact_the_heap() {
-        // Satellite regression (PR 8): before compaction, every canceled
-        // event left a stale heap entry until it happened to reach the top,
-        // so a long stream that schedules-and-supersedes grew without bound.
-        let mut k = EventKernel::new();
-        let mut live = Vec::new();
-        for round in 0..64u64 {
-            // Schedule a wave, cancel most of it, keep a few.
-            let base = k.now() + 1.0;
-            let ids: Vec<_> = (0..64)
-                .map(|i| k.schedule_at(base + f64::from(i), round).unwrap())
-                .collect();
-            for (i, id) in ids.iter().enumerate() {
-                if i % 16 == 0 {
-                    live.push(*id);
-                } else {
-                    assert!(k.cancel(*id).is_some());
-                }
-            }
-            k.pop();
-        }
-        assert!(k.cancelled() >= 60 * 64);
-        assert!(k.compactions() > 0, "stale-dominated heap must compact");
-        assert!(
-            k.heap_len() <= 2 * k.len() + COMPACT_MIN_HEAP,
-            "heap stays bounded by live events: {} vs {}",
-            k.heap_len(),
-            k.len()
-        );
-        // Compaction must not disturb ordering: remaining events still pop
-        // in (time, insertion) order.
-        let mut prev = k.now();
-        while let Some((t, _)) = k.pop() {
-            assert!(t >= prev);
-            prev = t;
-        }
-    }
-
-    #[test]
     fn pending_snapshot_matches_pop_order_and_restores() {
         let mut k = EventKernel::new();
         k.schedule_at(2.0, "b1").unwrap();
         k.schedule_at(1.0, "a").unwrap();
-        let c = k.schedule_at(2.0, "cancelled").unwrap();
         k.schedule_at(2.0, "b2").unwrap();
-        k.cancel(c);
         k.pop(); // fire "a", clock at 1.0
 
         let snap: Vec<(f64, &str)> = k.pending().into_iter().map(|(t, p)| (t, *p)).collect();

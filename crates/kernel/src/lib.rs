@@ -15,8 +15,8 @@
 //! - **Typed payloads.** [`EventKernel<T>`] is generic over the event payload;
 //!   each simulator brings its own event enum and the kernel never inspects
 //!   it.
-//! - **Monotonic clock.** [`SimClock`] only moves forward. Scheduling an
-//!   event before the current time is a typed error
+//! - **Monotonic clock.** The kernel's clock only moves forward.
+//!   Scheduling an event before the current time is a typed error
 //!   ([`KernelError::PastEvent`]) instead of a silent clock rewind.
 //! - **Stable FIFO tie-breaking.** Events at the same timestamp pop in
 //!   insertion order via per-event sequence numbers, so runs never depend on
@@ -29,11 +29,11 @@
 //!   at scheduling time). Times one ulp apart are distinct instants and pop
 //!   in separate batches — callers that want mathematically-equal times to
 //!   coalesce must compute them through the same float expression.
-//! - **Slab handles on hot paths.** Payloads live in a generational
-//!   [`Slab`]; the heap sifts small `(time, seq, key)` entries and
-//!   cancellation is an O(1) slab removal plus lazy heap deletion. [`SlabKey`]
-//!   is also exported for simulators that want arena-style entity storage
-//!   without hash maps.
+//! - **No cancellation.** The future-event list is one binary heap of
+//!   `(time, seq, payload)` entries, and every scheduled event fires. A
+//!   simulator that supersedes an event (the grant engine's fault abort,
+//!   the fluid engine's re-solved completion instants) checks it when it
+//!   pops and lets a stale one go.
 //!
 //! # Who owns the clock
 //!
@@ -48,8 +48,6 @@
 
 pub mod fault;
 mod kernel;
-mod slab;
 
 pub use fault::{FaultError, FaultEvent, FaultKind, FaultLimits, FaultPolicy, FaultScript};
-pub use kernel::{EventId, EventKernel, KernelError, SimClock};
-pub use slab::{Slab, SlabKey};
+pub use kernel::{EventKernel, KernelError};

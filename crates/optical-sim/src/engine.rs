@@ -104,15 +104,22 @@
 //! in-flight holders, which recover per [`FaultPolicy`]: re-granted over
 //! the surviving lanes under the same arbitration, at once (`Replan`) or
 //! after the backoff (`RetryAfter`), or failing the owning job wholly
-//! (`FailJob`). `WavelengthUp` repairs the lane. `NodeDown` permanently
-//! fails every unfinished transfer with an endpoint on the node; under
-//! `RetryAfter`/`Replan` their dependents are released so survivors
-//! re-plan, under `FailJob` the owning job fails. `NodeStraggle`
-//! multiplies the duration of grants made at or after the instant. Link
-//! events have no optical meaning. Failed transfers — and, once the engine
-//! goes idle, every transfer stranded behind them — are reported as
-//! [`GrantCompletion`]s with `failed` set. Without a relevant fault the
-//! engine allocates no fault state and runs the clean arithmetic.
+//! (`FailJob`). An abort leaves the grant's completion queued (the kernel
+//! has no cancellation): the engine records each in-flight transfer's
+//! completion instant, and a completion that pops at another instant, or
+//! after the transfer's live completion at the same one, is stale. Stale
+//! completions change nothing, a batch of nothing else is passed over, and
+//! [`GrantEngine::events`] does not count them, so the run is the one in
+//! which the aborted grant's completion was never scheduled. `WavelengthUp`
+//! repairs the lane. `NodeDown` permanently fails every unfinished transfer
+//! with an endpoint on the node; under `RetryAfter`/`Replan` their
+//! dependents are released so survivors re-plan, under `FailJob` the owning
+//! job fails. `NodeStraggle` multiplies the duration of grants made at or
+//! after the instant. Link events have no optical meaning. Failed transfers
+//! — and, once the engine goes idle, every transfer stranded behind them —
+//! are reported as [`GrantCompletion`]s with `failed` set. Without a
+//! relevant fault the engine allocates no fault state and runs the clean
+//! arithmetic.
 //!
 //! # Snapshots
 //!
@@ -133,7 +140,7 @@
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::ops::Range;
-use wrht_kernel::{EventId, EventKernel, FaultKind, FaultLimits, FaultPolicy, FaultScript};
+use wrht_kernel::{EventKernel, FaultKind, FaultLimits, FaultPolicy, FaultScript};
 
 use crate::config::OpticalConfig;
 use crate::error::{OpticalError, Result};
@@ -478,8 +485,12 @@ struct Faults {
     policy: FaultPolicy,
     /// Grant-duration multiplier per node (1.0 while healthy).
     straggle: Vec<f64>,
-    /// Pending completion event of every in-flight slot.
-    in_flight: Vec<Option<EventId>>,
+    /// Completion instant of every in-flight slot. An aborted grant's
+    /// completion stays queued; it is stale when it pops at another
+    /// instant, or after the slot's live completion at the same one.
+    in_flight: Vec<Option<f64>>,
+    /// Stale completions popped, which [`GrantEngine::events`] leaves out.
+    stale: u64,
     /// Mid-flight aborts per slot.
     aborts: Vec<u32>,
     first_impact_s: Option<f64>,
@@ -659,7 +670,7 @@ impl GrantEngine {
             .map(|(k, ev)| {
                 self.queue
                     .schedule_at(ev.at_s, Ev::Fault(k))
-                    .map(|_| ev.kind)
+                    .map(|()| ev.kind)
                     .map_err(|_| OpticalError::BadConfig("fault instant precedes the engine clock"))
             })
             .collect::<Result<_>>()?;
@@ -671,6 +682,7 @@ impl GrantEngine {
             policy,
             straggle: vec![1.0; self.topo.nodes()],
             in_flight: Vec::new(),
+            stale: 0,
             aborts: Vec::new(),
             first_impact_s: None,
         }));
@@ -1042,14 +1054,17 @@ impl GrantEngine {
         }
     }
 
-    /// Timestamp of the next pending event, if any.
-    pub fn peek_time(&mut self) -> Option<f64> {
+    /// Timestamp of the next pending event, if any (under faults, possibly
+    /// a stale completion's).
+    #[must_use]
+    pub fn peek_time(&self) -> Option<f64> {
         self.queue.peek_time()
     }
 
     /// Process the next event batch (every event at the next bit-identical
     /// instant) and run one grant scan. Returns the batch instant, or
-    /// `None` when the engine is idle. Under faults, going idle fails every
+    /// `None` when the engine is idle. Under faults, a batch of nothing but
+    /// stale completions is passed over, and going idle fails every
     /// transfer still unfinished.
     ///
     /// # Errors
@@ -1057,41 +1072,48 @@ impl GrantEngine {
     /// or a grant or gate cannot be scheduled (a non-finite duration or
     /// release); the engine is then unusable.
     pub fn step(&mut self) -> Result<Option<f64>> {
-        self.batch.clear();
-        let Some(now) = self.queue.pop_batch(&mut self.batch) else {
-            // Under faults, an idle engine can still hold unfinished
-            // transfers — stuck waiters and dependents of failed ones.
-            // They are casualties.
-            if self.faults.is_some() {
-                for id in 0..self.slots.len() {
-                    self.fail(id, None);
-                }
-                self.waiting.clear();
-            }
-            return Ok(None);
-        };
-        // The kernel coalesces every event at this exact instant before
-        // granting: cross-job arbitration must see all simultaneous waiters
-        // (and all simultaneously freed wavelengths) together. Completes
-        // scheduled *by* the grant scan below land in a later batch at the
-        // same clock, which is fine.
-        for k in 0..self.batch.len() {
-            match self.batch[k] {
-                // A failed transfer's slot is retired; its gate is stale.
-                Ev::Gate(id) => {
-                    if self.slots[id].is_some() {
-                        self.enqueue_waiting(id)?;
+        loop {
+            self.batch.clear();
+            let Some(now) = self.queue.pop_batch(&mut self.batch) else {
+                // Under faults, an idle engine can still hold unfinished
+                // transfers — stuck waiters and dependents of failed ones.
+                // They are casualties.
+                if self.faults.is_some() {
+                    for id in 0..self.slots.len() {
+                        self.fail(id, None);
                     }
+                    self.waiting.clear();
                 }
-                Ev::Complete(id) => self.complete(id, now)?,
-                Ev::Fault(_) => {}
+                return Ok(None);
+            };
+            let stale = self.faults.as_deref().map_or(0, |f| f.stale);
+            // The kernel coalesces every event at this exact instant before
+            // granting: cross-job arbitration must see all simultaneous
+            // waiters (and all simultaneously freed wavelengths) together.
+            // Completes scheduled *by* the grant scan below land in a later
+            // batch at the same clock, which is fine.
+            for k in 0..self.batch.len() {
+                match self.batch[k] {
+                    // A failed transfer's slot is retired; its gate is stale.
+                    Ev::Gate(id) => {
+                        if self.slots[id].is_some() {
+                            self.enqueue_waiting(id)?;
+                        }
+                    }
+                    Ev::Complete(id) => self.complete(id, now)?,
+                    Ev::Fault(_) => {}
+                }
             }
+            if let Some(f) = self.faults.as_deref() {
+                // Stale completions alone are no event of the run.
+                if f.stale - stale == self.batch.len() as u64 {
+                    continue;
+                }
+                self.apply_faults(now)?;
+            }
+            self.grant_scan()?;
+            return Ok(Some(now));
         }
-        if self.faults.is_some() {
-            self.apply_faults(now)?;
-        }
-        self.grant_scan()?;
-        Ok(Some(now))
     }
 
     /// Insert `id` into the waiting list at its scan position.
@@ -1115,10 +1137,23 @@ impl GrantEngine {
     }
 
     fn complete(&mut self, id: usize, now: f64) -> Result<()> {
-        // The slot is retired here — its only two events (one gate, one
-        // completion) have both fired, and dependents hold no references
-        // past the `missing` decrement below — so the slot count tracks
-        // *live* transfers, not total transfers ever injected.
+        let aborts = match self.faults.as_deref_mut() {
+            None => 0,
+            // An aborted grant's completion, or the second of two at one
+            // instant: the slot is not in flight to complete now.
+            Some(f) if f.in_flight[id].map(f64::to_bits) != Some(now.to_bits()) => {
+                f.stale += 1;
+                return Ok(());
+            }
+            Some(f) => {
+                f.in_flight[id] = None;
+                std::mem::take(&mut f.aborts[id])
+            }
+        };
+        // The slot is retired here — its gate and its live completion have
+        // both fired, and dependents hold no references past the `missing`
+        // decrement below — so the slot count tracks *live* transfers, not
+        // total transfers ever injected.
         let slot = self.slots[id]
             .take()
             .ok_or(bad("completed transfer has no live slot"))?;
@@ -1131,10 +1166,6 @@ impl GrantEngine {
         self.makespan = self.makespan.max(now);
         self.active -= 1;
         self.release_dependents(&slot, now)?;
-        let aborts = self.faults.as_deref_mut().map_or(0, |f| {
-            f.in_flight[id] = None;
-            std::mem::take(&mut f.aborts[id])
-        });
         self.settle_lists(&slot);
         self.completions.push(GrantCompletion {
             order: slot.order,
@@ -1309,21 +1340,20 @@ impl GrantEngine {
         Ok(())
     }
 
-    /// Tear down `id`'s grant if it is in flight: cancel its completion
-    /// and free its lanes; `impact` counts it as an abort at that instant.
-    /// Returns whether it was in flight.
+    /// Tear down `id`'s grant if it is in flight: its queued completion
+    /// goes stale and its lanes are freed; `impact` counts it as an abort at
+    /// that instant. Returns whether it was in flight.
     fn abort(&mut self, id: usize, impact: Option<f64>) -> bool {
         let Some(f) = self.faults.as_deref_mut() else {
             return false;
         };
-        let Some(ev) = f.in_flight[id].take() else {
+        if f.in_flight[id].take().is_none() {
             return false;
-        };
+        }
         if let Some(now) = impact {
             f.aborts[id] += 1;
             f.first_impact_s.get_or_insert(now);
         }
-        self.queue.cancel(ev);
         if let Some(slot) = self.slots[id] {
             if slot.held {
                 self.release_lanes(&slot);
@@ -1412,11 +1442,12 @@ impl GrantEngine {
                         }
                     }
                     slot.started = queue.now();
-                    let ev = queue
-                        .schedule_in(dur, Ev::Complete(w.id as usize))
+                    let finish = slot.started + dur;
+                    queue
+                        .schedule_at(finish, Ev::Complete(w.id as usize))
                         .map_err(|_| bad("transfer duration must be finite and >= 0"))?;
                     if let Some(f) = faults.as_deref_mut() {
-                        f.in_flight[w.id as usize] = Some(ev);
+                        f.in_flight[w.id as usize] = Some(finish);
                     }
                     *active += 1;
                     *peak = (*peak).max(*active);
@@ -1444,10 +1475,12 @@ impl GrantEngine {
         self.completions.drain(..)
     }
 
-    /// Events processed so far, including any before a snapshot/restore.
+    /// Events processed so far, including any before a snapshot/restore;
+    /// stale completions do not count.
     #[must_use]
     pub fn events(&self) -> u64 {
-        self.events_base + self.queue.events_processed()
+        let stale = self.faults.as_deref().map_or(0, |f| f.stale);
+        self.events_base + self.queue.events_processed() - stale
     }
 
     /// Completion time of the last completed transfer, seconds.
@@ -1819,7 +1852,7 @@ mod tests {
             let arrival = 5e-4;
             let mut injected = false;
             loop {
-                if !injected && self::peek_at_least(&mut eng, arrival) {
+                if !injected && self::peek_at_least(&eng, arrival) {
                     eng.inject(&[item(1, 3, 2_000_000, arrival, vec![])])
                         .unwrap();
                     injected = true;
@@ -1841,8 +1874,62 @@ mod tests {
         assert_eq!(e1, e2);
     }
 
-    fn peek_at_least(eng: &mut GrantEngine, t: f64) -> bool {
+    fn peek_at_least(eng: &GrantEngine, t: f64) -> bool {
         eng.peek_time().is_none_or(|p| p >= t)
+    }
+
+    #[test]
+    fn an_aborted_grant_completes_once_at_its_re_grant() {
+        // A lane loss aborts transfer 0 mid-flight, and its first
+        // completion stays queued. Whether that stale completion pops
+        // before the re-grant's or at the same instant, transfer 0
+        // completes once, at the re-grant's finish, its dependent is gated
+        // once, and the stale pop is no event or step of the run.
+        let tiny = f64::from_bits(1);
+        for (policy, abort_s, events) in [
+            (FaultPolicy::Replan, 4e-4, 4),
+            (FaultPolicy::Replan, tiny, 4),
+            (FaultPolicy::RetryAfter(1e-4), 4e-4, 5),
+            (FaultPolicy::RetryAfter(tiny), tiny, 5),
+        ] {
+            let mut eng = GrantEngine::new(&cfg(), Strategy::FirstFit, false, false).unwrap();
+            let script = FaultScript::new().with(abort_s, FaultKind::WavelengthDown { lane: 0 });
+            assert!(eng.set_faults(&script, policy).unwrap());
+            eng.inject(&[
+                item(0, 2, 1_000_000, 0.0, vec![]),
+                item(2, 4, 1_000_000, 0.0, vec![0]),
+            ])
+            .unwrap();
+            let mut instants = Vec::new();
+            while let Some(t) = eng.step().unwrap() {
+                instants.push(t.to_bits());
+            }
+            let dur = eng.timing.transfer_time(1_000_000, 1, 2);
+            let regrant_s = match policy {
+                FaultPolicy::RetryAfter(backoff) => abort_s + backoff,
+                _ => abort_s,
+            };
+            let finish = regrant_s + dur;
+            // A tiny abort instant rounds both completions to `dur`; a
+            // stale completion alone is no step of the run.
+            assert_eq!(finish.to_bits() == dur.to_bits(), abort_s == tiny);
+            assert_eq!(instants.contains(&dur.to_bits()), abort_s == tiny);
+            let done: Vec<GrantCompletion> = eng.drain_completions().collect();
+            let view: Vec<_> = done
+                .iter()
+                .map(|c| (c.order, c.start_s, c.finish_s, c.aborts, c.failed))
+                .collect();
+            assert_eq!(
+                view,
+                [
+                    (0, regrant_s, finish, 1, false),
+                    (1, finish, finish + dur, 0, false)
+                ],
+                "{policy} at {abort_s}"
+            );
+            assert_eq!(eng.events(), events, "{policy} at {abort_s}");
+            assert_eq!(eng.queue.events_processed(), events + 1);
+        }
     }
 
     #[test]

@@ -13,7 +13,6 @@ use crate::request::{DirectionChoice, Transfer};
 use crate::rwa::{arc_first, Occupancy, Strategy};
 use crate::topology::{NodeId, RingTopology};
 use serde::{Deserialize, Serialize};
-use std::borrow::Cow;
 use wrht_kernel::EventKernel;
 
 /// A step-synchronous communication schedule: every transfer of a step
@@ -78,17 +77,6 @@ pub trait StepSource {
     /// written into `buf` and borrowed from there. A runner passes the same
     /// buffer for every step, so a generator allocates once per run.
     fn step<'a>(&'a self, index: usize, buf: &'a mut Vec<Transfer>) -> &'a [Transfer];
-
-    /// The whole schedule materialized, for consumers that need every step
-    /// at once (DAG lowering); borrowed when the source already is one.
-    fn to_schedule(&self) -> Cow<'_, StepSchedule> {
-        let mut buf = Vec::new();
-        Cow::Owned(StepSchedule::from_steps(
-            (0..self.step_count())
-                .map(|k| self.step(k, &mut buf).to_vec())
-                .collect(),
-        ))
-    }
 }
 
 impl StepSource for StepSchedule {
@@ -99,15 +87,11 @@ impl StepSource for StepSchedule {
     fn step<'a>(&'a self, index: usize, _buf: &'a mut Vec<Transfer>) -> &'a [Transfer] {
         &self.steps[index]
     }
-
-    fn to_schedule(&self) -> Cow<'_, StepSchedule> {
-        Cow::Borrowed(self)
-    }
 }
 
 /// Timing and accounting for one executed step, common to every stepped
 /// substrate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct StepTiming {
     /// Wall-clock duration of the step, seconds.
     pub duration_s: f64,

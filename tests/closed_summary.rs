@@ -340,7 +340,7 @@ struct Misnumbered<E> {
 }
 
 impl<E: FabricEngine> FabricEngine for Misnumbered<E> {
-    fn peek_time(&mut self) -> Option<f64> {
+    fn peek_time(&self) -> Option<f64> {
         self.inner.peek_time()
     }
 
@@ -414,7 +414,7 @@ fn a_key_outside_the_injected_transfers_is_a_typed_error() {
         bytes_per_elem: cfg.bytes_per_elem,
         lanes: 1,
     };
-    let whole = DepSchedule::pipelined_from_steps(&optical_sim::StepSource::to_schedule(&ring));
+    let whole = DepSchedule::pipelined_from_steps(&ring);
     let streamed = PipelinedSource::new(&ring);
     let want: WrhtError =
         optical_sim::OpticalError::BadConfig("completion key outside the schedule").into();

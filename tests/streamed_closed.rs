@@ -27,7 +27,7 @@
 mod stage_cases;
 
 use electrical_sim::FluidEngine;
-use optical_sim::{GrantEngine, StepSchedule, StepSource, Strategy};
+use optical_sim::{GrantEngine, StepSchedule, Strategy};
 use proptest::prelude::*;
 use stage_cases::case;
 use wrht_bench::campaign::Algorithm;
@@ -203,7 +203,7 @@ fn pipelined_ring_streams_in_a_few_stages() {
     let (cfg, ring) = alexnet_ring();
     let source = PipelinedSource::new(&ring);
     assert_eq!(source.len(), 1022 * 512);
-    let whole = DepSchedule::pipelined_from_steps(&ring.to_schedule());
+    let whole = DepSchedule::pipelined_from_steps(&ring);
 
     let mut grant =
         GrantEngine::new(&cfg.optical(512), Strategy::FirstFit, false, false).expect("valid ring");
