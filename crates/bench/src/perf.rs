@@ -222,7 +222,7 @@ pub fn tenancy_workload(n: usize) -> (ExperimentConfig, TenancySpec) {
         .with_job(Job::dag(
             "incast-bg",
             1e-3,
-            DepSchedule::from_released(&incast),
+            DepSchedule::from_released(&incast).expect("incast releases are finite and >= 0"),
         ));
     (cfg, spec)
 }
@@ -241,7 +241,7 @@ pub fn incast_flows(waves: usize, bytes: u64) -> DepSchedule {
             flows.push((release_s, Transfer::shortest(NodeId(src), NodeId(0), bytes)));
         }
     }
-    DepSchedule::from_released(&flows)
+    DepSchedule::from_released(&flows).expect("wave releases are finite and >= 0")
 }
 
 /// The frozen pipelined-training workload: one VGG16 iteration's bucket

@@ -236,21 +236,22 @@ impl DepSchedule {
     /// own instant with no dependency edges — the shape of background
     /// traffic (incast floods, permutation storms) injected next to a
     /// structured job in a multi-tenant run.
-    #[must_use]
-    pub fn from_released(released: &[(f64, Transfer)]) -> Self {
-        let transfers = released
-            .iter()
-            .map(|(release_s, tr)| DepTransfer {
-                transfer: tr.clone(),
-                deps: Vec::new(),
-                release_s: release_s.max(0.0),
-                stage: 0,
-            })
-            .collect();
-        Self {
-            transfers,
-            stages: usize::from(!released.is_empty()),
-        }
+    ///
+    /// # Errors
+    /// As [`DepSchedule::from_transfers`]: a release that is not finite
+    /// and `>= 0`.
+    pub fn from_released(released: &[(f64, Transfer)]) -> crate::error::Result<Self> {
+        Self::from_transfers(
+            released
+                .iter()
+                .map(|(release_s, tr)| DepTransfer {
+                    transfer: tr.clone(),
+                    deps: Vec::new(),
+                    release_s: *release_s,
+                    stage: 0,
+                })
+                .collect(),
+        )
     }
 
     /// The transfers in topological order.
@@ -601,6 +602,29 @@ mod tests {
         assert_eq!(dag.transfers()[2].stage, 2);
         assert!(dag.is_barrier_shaped());
         assert_eq!(dag.total_bytes(), 60);
+    }
+
+    #[test]
+    fn released_schedules_check_their_releases() {
+        let bad = crate::error::WrhtError::from(optical_sim::OpticalError::BadConfig(
+            "release time must be finite and >= 0",
+        ));
+        for release_s in [f64::NAN, -1.0, f64::NEG_INFINITY] {
+            let released = [(0.0, t(0, 1, 10)), (release_s, t(1, 2, 20))];
+            assert_eq!(DepSchedule::from_released(&released), Err(bad.clone()));
+        }
+        let empty = DepSchedule::from_released(&[]).unwrap();
+        assert!(empty.is_empty());
+        assert_eq!(empty.stage_count(), 0);
+        let dag = DepSchedule::from_released(&[(2e-3, t(0, 1, 10)), (0.0, t(1, 2, 20))]).unwrap();
+        assert_eq!(dag.stage_count(), 1);
+        let view: Vec<_> = dag
+            .transfers()
+            .iter()
+            .map(|x| (x.release_s, x.stage))
+            .collect();
+        assert_eq!(view, [(2e-3, 0), (0.0, 0)]);
+        assert_eq!(dag.edge_count(), 0);
     }
 
     #[test]

@@ -47,17 +47,19 @@
 //!
 //! The closed driver streams a lazily lowered DAG, such as
 //! [`crate::parallelism::ParallelismSource`], into the composed engine
-//! stage by stage. A transfer's dependents from its own batch sit in that
-//! batch's compressed rows; dependents injected in a later batch go to an
-//! edge pool of 32-bit links whose settled edges a free list recycles. The
+//! stage by stage. A key's dependents live in the kernel's
+//! [`wrht_kernel::DepLists`] (see the `wrht_kernel` docs' "Dependency
+//! lists"): those of its own batch in its batch's block, those injected in
+//! a later batch in its edge list, freed once they are released. The
 //! per-key tables start at the lowest key not yet forgotten: after each
 //! drain the closed driver calls [`FabricEngine::forget_settled`], which
-//! drops the settled prefix once it is at least half of the tables, pops
-//! the forgotten keys off each member's key map and lets every member
-//! engine drop its own settled state. The benchmark's largest
-//! mixed-parallelism DAG, 271,104 transfers, runs in a window of 40,160
-//! keys. Streams never forget, so a long multi-group stream still keeps
-//! every key (and checkpoints it).
+//! drops the settled prefix once it is at least half of the tables, counts
+//! each dropped key settled on its block (the last frees it), pops the
+//! forgotten keys off each member's key map and lets every member engine
+//! drop its own settled state. The benchmark's largest mixed-parallelism
+//! DAG, 271,104 transfers, runs in a window of 40,160 keys. Streams never
+//! forget, so a long multi-group stream still keeps every key and its
+//! rows (and checkpoints them).
 //!
 //! A batch may depend on live keys of earlier batches only: like both flat
 //! engines, `inject` rejects a dependency on a settled or forgotten key
@@ -127,6 +129,7 @@
 use optical_sim::sim::StepSource;
 use optical_sim::{NodeId, OpticalError, Transfer};
 use serde::{Deserialize, Serialize, Value};
+use wrht_kernel::{DepLists, NIL};
 
 use crate::dag::{DepSchedule, DepTransfer};
 use crate::engine::{dag_base, Completion, FabricEngine};
@@ -257,10 +260,6 @@ impl HierSpec {
 /// per-key state of more would not fit in memory anyway).
 const MAX_KEYS: usize = u32::MAX as usize;
 
-/// End of an edge list in [`ComposedEngine::pool`], and the most edges the
-/// pool holds.
-const NIL: u32 = u32::MAX;
-
 /// [`ComposedEngine::missing`] of a settled key.
 const SETTLED: u32 = u32::MAX;
 
@@ -308,13 +307,6 @@ impl Member<'_> {
     }
 }
 
-/// One edge of [`ComposedEngine::pool`].
-#[derive(Clone, Copy)]
-struct Edge {
-    dependent: u32,
-    next: u32,
-}
-
 /// The composed hierarchy as one [`FabricEngine`]: the engines of the G
 /// groups' intra fabrics and of the inter fabric, in that order, and per
 /// composed key the state that holds the key back until its last
@@ -340,19 +332,14 @@ struct ComposedEngine<'a> {
     /// itself settled). The key launches into its member when the count
     /// reaches zero.
     missing: Vec<u32>,
-    /// Dependents inside each key's batch, in compressed rows (one
-    /// allocation per batch, not one list per key): those of key
-    /// `base + k` are `dependents[row[k]..row[k + 1]]`, ascending. Keys are
-    /// stored in 32 bits, which halves the largest table.
-    row: Vec<usize>,
-    dependents: Vec<u32>,
-    /// Per key: the first of its dependents injected in a later batch (a
-    /// closed DAG streamed stage by stage), as an edge list in `pool`.
+    /// The keys' dependents, as 32-bit keys: a row per key in its batch's
+    /// block, ascending, and a list of those injected in later batches (a
+    /// closed DAG streamed stage by stage).
+    lists: DepLists,
+    /// Per key: its batch's block and its later-batch list in `lists`
+    /// ([`NIL`] for none).
+    block: Vec<u32>,
     later: Vec<u32>,
-    /// Edges of the `later` lists; settled keys return theirs to the free
-    /// list at `free`.
-    pool: Vec<Edge>,
-    free: u32,
     /// Keys settled so far.
     settled: usize,
     /// Length of the settled prefix of the per-key tables, as far as
@@ -395,9 +382,9 @@ struct MemberImage {
 
 impl ComposedImage {
     /// Does every index the engine dereferences name an existing member,
-    /// key or host? A job tag must also be below the key count: a stream
-    /// registers a job only with at least one transfer and reuses retired
-    /// tags first.
+    /// key or host, and do the rows fit the engine's 32-bit lists? A job
+    /// tag must also be below the key count: a stream registers a job only
+    /// with at least one transfer and reuses retired tags first.
     fn fits(&self, spec: HierSpec) -> bool {
         let n = self.transfers.len();
         let key = |k: &usize| *k < n;
@@ -410,6 +397,7 @@ impl ComposedImage {
             && self.row.first() == Some(&0)
             && self.row.windows(2).all(|w| w[0] <= w[1])
             && self.row.last() == Some(&self.dependents.len())
+            && DepLists::new().fits(n, self.dependents.len(), 0)
             && self.settled <= n
             && self
                 .transfers
@@ -424,9 +412,19 @@ impl ComposedImage {
 
 impl<'a> ComposedEngine<'a> {
     /// The engine over `members` (intra groups, then inter) in the state
-    /// of `image`, whose member images the members were restored from.
+    /// of `image`, whose member images the members were restored from. The
+    /// image's keys become one batch: their rows go into one block.
     fn new(spec: HierSpec, members: Vec<Member<'a>>, image: ComposedImage) -> Self {
         let held = image.transfers.len();
+        let mut lists = DepLists::new();
+        // In range: `ComposedImage::fits` bounds the keys and the block,
+        // and orders the rows.
+        let block = lists.open(0, held as u32, held, image.dependents.len());
+        lists.fill(block, || {
+            let rows = image.row.windows(2).map(|w| &image.dependents[w[0]..w[1]]);
+            rows.enumerate()
+                .flat_map(|(k, row)| row.iter().map(move |&d| (k, d)))
+        });
         Self {
             spec,
             members,
@@ -436,11 +434,9 @@ impl<'a> ComposedEngine<'a> {
             jobs: image.jobs,
             gate_s: image.gate_s,
             missing: image.missing,
-            row: image.row,
-            dependents: image.dependents,
+            lists,
+            block: vec![block; held],
             later: vec![NIL; held],
-            pool: Vec::new(),
-            free: NIL,
             settled: image.settled,
             settled_below: 0,
             done: image.done,
@@ -456,9 +452,9 @@ impl<'a> ComposedEngine<'a> {
             .filter(|&k| k < self.transfers.len())
     }
 
-    /// Validate `batch` and append each transfer's per-key state, counting
-    /// its in-batch dependencies into `row`. `dag0` is the key of the
-    /// DAG's transfer 0.
+    /// Validate `batch` and append each transfer's per-key state. `dag0`
+    /// is the key of the DAG's transfer 0. Returns the batch's
+    /// dependencies on its own transfers.
     fn record(
         &mut self,
         batch: &[DepTransfer],
@@ -466,10 +462,9 @@ impl<'a> ComposedEngine<'a> {
         dag0: usize,
         offset_s: f64,
         job: &dyn Fn(usize) -> usize,
-    ) -> Result<()> {
+    ) -> Result<usize> {
         let nodes = self.spec.nodes();
-        let held = self.transfers.len();
-        let mut edges = 0usize;
+        let (mut inner, mut edges) = (0usize, 0usize);
         for (i, t) in batch.iter().enumerate() {
             if t.transfer.src.0 >= nodes || t.transfer.dst.0 >= nodes {
                 return Err(cfg_err("transfer endpoint outside the hierarchy"));
@@ -487,7 +482,7 @@ impl<'a> ComposedEngine<'a> {
                     return Err(cfg_err("dependency must precede its transfer"));
                 }
                 if d >= first {
-                    self.row[held + (d - first)] += 1;
+                    inner += 1;
                 } else {
                     // A key of an earlier batch, still held and unsettled.
                     match self.slot(dag0 + d) {
@@ -503,32 +498,10 @@ impl<'a> ComposedEngine<'a> {
             self.gate_s.push(release_s);
             self.missing.push(missing);
         }
-        if self.pool.len() + edges >= NIL as usize {
-            return Err(cfg_err("composed engine edges exhausted"));
+        if !self.lists.fits(batch.len(), inner, edges) {
+            return Err(cfg_err("composed engine lists exhausted"));
         }
-        Ok(())
-    }
-
-    /// File `dependent` under key slot `k`'s later-batch dependents.
-    fn add_later(&mut self, k: usize, dependent: u32) {
-        let edge = Edge {
-            dependent,
-            next: self.later[k],
-        };
-        let e = match self.pool.get_mut(self.free as usize) {
-            Some(slot) => {
-                let e = self.free;
-                self.free = slot.next;
-                *slot = edge;
-                e
-            }
-            // In range: `record` bounds the pool.
-            None => {
-                self.pool.push(edge);
-                (self.pool.len() - 1) as u32
-            }
-        };
-        self.later[k] = e;
+        Ok(inner)
     }
 
     /// Inject key `key` into the member its endpoints name.
@@ -593,7 +566,7 @@ impl FabricEngine for ComposedEngine<'_> {
     }
 
     /// Record each transfer's job, gate and unsettled-dependency count and
-    /// its dependents — in the batch's rows, or for a dependency of an
+    /// its dependents — in the batch's block, or for a dependency of an
     /// earlier batch in that key's edge list — then launch the
     /// dependency-free transfers in key order. A batch that fails
     /// validation, a dependency on a settled key included, leaves no trace.
@@ -615,35 +588,36 @@ impl FabricEngine for ComposedEngine<'_> {
         self.jobs.reserve(len);
         self.gate_s.reserve(len);
         self.missing.reserve(len);
-        // The batch's rows follow the earlier batches' (`row[held]` is where
-        // they end): count each key's dependents, sum, then fill back to
-        // front, so `row[k]` ends at the start of its row.
-        self.row.resize(held + len + 1, 0);
-        if let Err(e) = self.record(batch, first, dag0, offset_s, job) {
-            self.transfers.truncate(held);
-            self.jobs.truncate(held);
-            self.gate_s.truncate(held);
-            self.missing.truncate(held);
-            self.row.truncate(held + 1);
-            self.row[held] = self.dependents.len();
-            return Err(e);
-        }
+        let inner = match self.record(batch, first, dag0, offset_s, job) {
+            Ok(inner) => inner,
+            Err(e) => {
+                self.transfers.truncate(held);
+                self.jobs.truncate(held);
+                self.gate_s.truncate(held);
+                self.missing.truncate(held);
+                return Err(e);
+            }
+        };
+        // In range: `MAX_KEYS` bounds every key, and `record` the lists.
+        let block = self.lists.open(n as u64, len as u32, len, inner);
+        self.block.resize(held + len, block);
         self.later.resize(held + len, NIL);
-        for k in held + 1..=held + len {
-            self.row[k] += self.row[k - 1];
-        }
-        self.dependents.resize(self.row[held + len], 0);
-        for (i, t) in batch.iter().enumerate().rev() {
-            // In range: `MAX_KEYS` bounds every key.
-            let key = (n + i) as u32;
-            for &d in &t.deps {
-                if d >= first {
-                    let k = held + (d - first);
-                    self.row[k] -= 1;
-                    self.dependents[self.row[k]] = key;
-                } else {
-                    self.add_later(dag0 + d - self.base, key);
-                }
+        let keyed = || {
+            batch
+                .iter()
+                .enumerate()
+                .map(|(i, t)| ((n + i) as u32, &t.deps))
+        };
+        self.lists.fill(block, || {
+            keyed().flat_map(|(key, deps)| {
+                deps.iter()
+                    .filter_map(move |&d| Some((d.checked_sub(first)?, key)))
+            })
+        });
+        for (key, deps) in keyed() {
+            for &d in deps.iter().filter(|&&d| d < first) {
+                self.lists
+                    .append(&mut self.later[dag0 + d - self.base], key);
             }
         }
         #[cfg(test)]
@@ -664,8 +638,9 @@ impl FabricEngine for ComposedEngine<'_> {
     }
 
     /// Drop the settled prefix of the per-key tables once it is at least
-    /// half of them, pop the forgotten keys off each member's key map, and
-    /// let every member drop its own settled state.
+    /// half of them, counting each dropped key settled on its block, pop
+    /// the forgotten keys off each member's key map, and let every member
+    /// drop its own settled state.
     fn forget_settled(&mut self) {
         let held = self.missing.len();
         while self.settled_below < held && self.missing[self.settled_below] == SETTLED {
@@ -675,15 +650,14 @@ impl FabricEngine for ComposedEngine<'_> {
         if low == 0 || 2 * low < held {
             return;
         }
-        let cut = self.row[low];
+        for b in self.block.drain(..low) {
+            self.lists.settle(b);
+        }
         self.transfers.drain(..low);
         self.jobs.drain(..low);
         self.gate_s.drain(..low);
         self.missing.drain(..low);
         self.later.drain(..low);
-        self.row.drain(..low);
-        self.row.iter_mut().for_each(|r| *r -= cut);
-        self.dependents.drain(..cut);
         self.settled_below = 0;
         self.base += low;
         for m in &mut self.members {
@@ -743,11 +717,9 @@ impl FabricEngine for ComposedEngine<'_> {
         let Self {
             base,
             done,
-            row,
-            dependents,
+            lists,
+            block,
             later,
-            pool,
-            free,
             gate_s,
             missing,
             ready,
@@ -784,17 +756,11 @@ impl FabricEngine for ComposedEngine<'_> {
                 .ok_or_else(|| cfg_err("completion of a key that is not in flight"))?;
             *settled += 1;
             missing[k] = SETTLED;
-            for &j in &dependents[row[k]..row[k + 1]] {
-                unblock(gate_s, missing, ready, j as usize, c.finish_s)?;
-            }
-            let mut e = std::mem::replace(&mut later[k], NIL);
-            while let Some(edge) = pool.get_mut(e as usize) {
-                let Edge { dependent, next } = *edge;
-                edge.next = *free;
-                *free = e;
-                e = next;
-                unblock(gate_s, missing, ready, dependent as usize, c.finish_s)?;
-            }
+            let row = lists.row_of(block[k], c.key as u64);
+            lists
+                .entries(lists.walk(block[k], row, later[k]))
+                .try_for_each(|j| unblock(gate_s, missing, ready, j as usize, c.finish_s))?;
+            lists.free(&mut later[k]);
         }
         // Unblocked keys enter their member in key order, released at the
         // bit-exact instant their last dependency finished (raised to
@@ -847,19 +813,18 @@ impl FabricEngine for ComposedEngine<'_> {
         None
     }
 
-    /// Each key's dependents, its rows and its edge list alike, go into
-    /// one flat table, which a restored engine keeps as its rows.
+    /// Each key's dependents, its row and its edge list alike, go into one
+    /// flat table, which a restored engine keeps as its rows.
     fn snapshot(&self) -> Value {
-        let mut row = Vec::with_capacity(self.row.len());
-        let mut dependents = Vec::with_capacity(self.dependents.len());
+        let mut row = Vec::with_capacity(self.transfers.len() + 1);
+        let mut dependents = Vec::new();
         row.push(0);
         for k in 0..self.transfers.len() {
-            dependents.extend_from_slice(&self.dependents[self.row[k]..self.row[k + 1]]);
-            let mut e = self.later[k];
-            while let Some(edge) = self.pool.get(e as usize) {
-                dependents.push(edge.dependent);
-                e = edge.next;
-            }
+            let (block, key) = (self.block[k], (self.base + k) as u64);
+            let walk = self
+                .lists
+                .walk(block, self.lists.row_of(block, key), self.later[k]);
+            dependents.extend(self.lists.entries(walk));
             row.push(dependents.len());
         }
         ComposedImage {
@@ -1347,6 +1312,61 @@ mod tests {
         eng.forget_settled();
         let forgotten = [dep(t(0, 1, 1), vec![3], 3)];
         assert_eq!(eng.inject(&forgotten, 4, 0.0, &|_| 0), Err(settled));
+    }
+
+    /// A closed multi-group run streamed stage by stage holds blocks and
+    /// edges only for the keys it has not forgotten, and reuses what
+    /// forgotten keys freed: each round injects a stage whose inter
+    /// transfer waits on its intra one, then a stage whose transfer waits
+    /// on that intra one too, runs to idle and lets the engine forget. A
+    /// stream, which never forgets, keeps every block.
+    #[test]
+    fn a_closed_run_holds_lists_only_for_unforgotten_keys() {
+        let sub = ComposedSubstrate {
+            spec: HierSpec::new(2, 4).unwrap(),
+            intra: optical(4),
+            inter: electrical(8),
+            name: "composed".into(),
+        };
+        let mut eng = sub.composed_engine(false, false, None).unwrap();
+        let mut done = Vec::new();
+        for round in 0..50 {
+            let first = 3 * round;
+            let stage = [
+                dep(t(0, 1, 1 << 10), vec![], 0),
+                dep(t(1, 5, 1 << 10), vec![first], 1),
+            ];
+            eng.inject(&stage, first, 0.0, &|_| 0).unwrap();
+            let later = [dep(t(5, 6, 1 << 10), vec![first], 2)];
+            eng.inject(&later, first + 2, 0.0, &|_| 0).unwrap();
+            assert_eq!(eng.lists.held(), (1, 1), "round {round}");
+            let walk = eng.lists.walk(eng.block[0], 0, eng.later[0]);
+            let dependents: Vec<u32> = eng.lists.entries(walk).collect();
+            assert_eq!(dependents, [first + 1, first + 2].map(|k| k as u32));
+            while eng.step().unwrap().is_some() {}
+            eng.drain(&mut done);
+            assert_eq!(eng.lists.held(), (1, 0), "round {round}");
+            eng.forget_settled();
+            assert_eq!(eng.lists.held(), (0, 0), "round {round}");
+            assert_eq!(eng.base, first + 3);
+        }
+        assert_eq!(done.len(), 150);
+        assert_eq!(eng.lists.allocated(), (1, 1));
+        // Without forgetting, every block stays, and so does every row.
+        let mut kept = sub.composed_engine(false, false, None).unwrap();
+        for round in 0..3 {
+            let first = 2 * round;
+            let stage = [
+                dep(t(0, 1, 1 << 10), vec![], 0),
+                dep(t(1, 5, 1 << 10), vec![first], 1),
+            ];
+            kept.inject(&stage, first, 0.0, &|_| 0).unwrap();
+            while kept.step().unwrap().is_some() {}
+            assert_eq!(kept.lists.held(), (round + 1, 0));
+        }
+        let image = ComposedImage::from_value(&kept.snapshot()).unwrap();
+        assert_eq!(image.row, [0, 1, 1, 2, 2, 3, 3]);
+        assert_eq!(image.dependents, [1, 3, 5]);
     }
 
     /// Streamed phase by phase through the closed driver, the largest

@@ -65,7 +65,7 @@ use crate::engine::{Completion, FabricEngine};
 use crate::error::Result;
 use crate::quantile::{PercentileSet, Percentiles};
 use crate::substrate::Substrate;
-use crate::tenancy::{JobWorkload, SchedPolicy};
+use crate::tenancy::{jain_from_sums, JobWorkload, SchedPolicy};
 use optical_sim::OpticalError;
 
 /// Version tag of [`StreamCheckpoint`]; bump on any layout change.
@@ -778,17 +778,6 @@ struct FinishedJob {
     admit_s: f64,
     start_s: f64,
     finish_s: f64,
-}
-
-/// Jain's index from running sums — the bounded-memory counterpart of
-/// [`crate::tenancy::jain_index`], with the same conventions (1.0 for
-/// empty or all-zero inputs).
-fn jain_from_sums(n: u64, sum: f64, sq: f64) -> f64 {
-    if n == 0 || sq <= 0.0 {
-        1.0
-    } else {
-        (sum * sum) / (n as f64 * sq)
-    }
 }
 
 /// The grant rank a streamed job registers with the engine. Only the

@@ -499,9 +499,14 @@ impl ClusterReport {
 /// for empty or all-zero inputs.
 #[must_use]
 pub fn jain_index(values: &[f64]) -> f64 {
-    let n = values.len();
     let sum: f64 = values.iter().sum();
     let sq: f64 = values.iter().map(|v| v * v).sum();
+    jain_from_sums(values.len() as u64, sum, sq)
+}
+
+/// [`jain_index`] of `n` values from their sum and sum of squares, so a
+/// stream can keep running sums instead of the values.
+pub(crate) fn jain_from_sums(n: u64, sum: f64, sq: f64) -> f64 {
     if n == 0 || sq <= 0.0 {
         1.0
     } else {

@@ -30,18 +30,16 @@
 //!
 //! # Bookkeeping
 //!
-//! Per-flow lists live in flat 32-bit blocks, not in a `Vec` per flow.
+//! Per-flow lists live in flat 32-bit stores, not in a `Vec` per flow.
 //! Routes are one arena of link indices with per-flow offsets, routed
-//! straight into it at injection. Each injected batch with dependencies
-//! gets one block holding its flows' dependency lists and their dependents
-//! inside the batch, as compressed rows; a dependent injected in a later
-//! batch (a closed DAG streamed stage by stage) goes into a pool of 32-bit
-//! edges whose settled edges a free list recycles. List entries are
-//! distances between flow indices. The batch's last flow to settle frees
-//! its block, so a stream holds lists only for unsettled jobs, and a batch
-//! without dependencies (a single launched transfer, say) allocates none.
-//! Runs under faults keep every list. The per-flow scalars and routes are
-//! `O(total flows injected)` for streams, whose snapshots list every flow.
+//! straight into it at injection. Dependency lists live in the kernel's
+//! [`DepLists`] (see the `wrht_kernel` docs' "Dependency lists"): each
+//! flow has two rows in its batch's block, its dependencies and then its
+//! dependents inside the batch, and an edge list of the dependents
+//! injected in later batches, freed once they are released. List entries
+//! are distances between flow indices. Runs under faults keep every block.
+//! The per-flow scalars and routes are `O(total flows injected)` for
+//! streams, whose snapshots list every flow.
 //! A closed driver that hands each drained outcome on (the core crate's
 //! `run_closed` passes it to its caller, and keeps none) lets the engine
 //! drop the per-flow state of its settled, drained prefix
@@ -102,14 +100,12 @@ use crate::maxmin::{progressive_fill, Fill};
 use crate::sim::{EngineFlow, Phase, EPS};
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
-use wrht_kernel::{EventKernel, FaultKind, FaultLimits, FaultPolicy, FaultScript};
+use wrht_kernel::{
+    DepLists, EventKernel, FaultKind, FaultLimits, FaultPolicy, FaultScript, Walk, NIL,
+};
 
 /// Version tag of [`FluidEngineSnapshot`]; bump on any layout change.
 pub const SNAPSHOT_VERSION: u32 = 2;
-
-/// The block of a batch without dependencies, and the end of an edge
-/// list; also the most blocks, edges and list entries the engine holds.
-const NIL: u32 = u32::MAX;
 
 /// A contention component with at least `1 / SCAN_SHARE` of the
 /// transmitting flows (or of the links) is listed in ascending order by a
@@ -221,9 +217,9 @@ struct Flow {
     src: u32,
     dst: u32,
     job: u32,
-    /// Slot of its batch's [`Block`] ([`NIL`] for a batch without
-    /// dependencies). Read only while the flow is unsettled: a later batch
-    /// can reuse a freed slot.
+    /// Its batch's block in [`FluidEngine::lists`] ([`NIL`] for a batch
+    /// without dependencies). Read only while the flow is unsettled: a
+    /// later batch can reuse a freed block.
     block: u32,
     bytes: u64,
     release_s: f64,
@@ -244,48 +240,12 @@ impl Flow {
     }
 }
 
-/// The dependency lists of one batch of `len` flows in one allocation, as
-/// compressed rows: flow `first + k` depends on the flows
-/// `data[data[k]..data[k + 1]]` before it, and the batch's flows
-/// `data[data[len + 1 + k]..data[len + 2 + k]]` after it depend on it.
-/// Entries are distances between flow indices, so dropping a settled
-/// prefix of the tables leaves them valid.
-#[derive(Debug)]
-struct Block {
-    /// Flow index of the batch's first flow.
-    first: usize,
-    len: u32,
-    /// Flows of the batch not settled yet; the last to settle frees `data`.
-    unsettled: u32,
-    data: Vec<u32>,
-}
-
-impl Block {
-    /// Row `k` of the rows whose offsets start at `data[at]`.
-    fn row(&self, at: usize, k: usize) -> &[u32] {
-        let d = &self.data;
-        &d[d[at + k] as usize..d[at + k + 1] as usize]
-    }
-
-    /// Distances back to the dependencies of the batch's flow `k`.
-    fn deps(&self, k: usize) -> &[u32] {
-        self.row(0, k)
-    }
-
-    /// Distances ahead to the dependents of the batch's flow `k` inside
-    /// the batch.
-    fn dependents(&self, k: usize) -> &[u32] {
-        self.row(self.len as usize + 1, k)
-    }
-}
-
-/// One edge of [`FluidEngine::pool`]: a dependent injected in a later
-/// batch than its dependency, `ahead` flows after it, and the next edge of
-/// the dependency's list.
-#[derive(Debug, Clone, Copy)]
-struct Edge {
-    ahead: u32,
-    next: u32,
+/// The row of flow `k` of its batch in the batch's block that holds the
+/// distances back to its dependencies; the next row holds the distances
+/// ahead to its dependents inside the batch. Distances stay valid when a
+/// settled prefix of the tables is dropped.
+fn deps_row(k: usize) -> usize {
+    2 * k
 }
 
 /// What a validated batch needs: its flows, its dependencies, those on
@@ -308,17 +268,11 @@ pub struct FluidEngine<'a> {
     route_links: Vec<u32>,
     route_at: Vec<u32>,
     latencies: Vec<f64>,
-    /// Each batch's dependency lists, in slots a freed block returns to
-    /// `free_blocks`.
-    blocks: Vec<Block>,
-    free_blocks: Vec<u32>,
-    /// Per flow: the first of its dependents injected in a later batch, as
-    /// an edge list in `pool`.
+    /// Each batch's dependency rows, and the `later` lists.
+    lists: DepLists,
+    /// Per flow: its dependents injected in a later batch, as an edge list
+    /// in `lists`.
     later: Vec<u32>,
-    /// Edges of the `later` lists; released edges return to the free list
-    /// at `free_edge`.
-    pool: Vec<Edge>,
-    free_edge: u32,
     missing: Vec<u32>,
     phase: Vec<Phase>,
     remaining: Vec<f64>,
@@ -406,11 +360,8 @@ impl<'a> FluidEngine<'a> {
             route_links: Vec::new(),
             route_at: vec![0],
             latencies: Vec::new(),
-            blocks: Vec::new(),
-            free_blocks: Vec::new(),
+            lists: DepLists::new(),
             later: Vec::new(),
-            pool: Vec::new(),
-            free_edge: NIL,
             missing: Vec::new(),
             phase: Vec::new(),
             remaining: Vec::new(),
@@ -471,11 +422,8 @@ impl<'a> FluidEngine<'a> {
             route_links,
             route_at,
             latencies,
-            blocks,
-            free_blocks,
+            lists,
             later,
-            pool,
-            free_edge,
             missing,
             phase,
             remaining,
@@ -528,11 +476,8 @@ impl<'a> FluidEngine<'a> {
         route_at.clear();
         route_at.push(0);
         latencies.clear();
-        blocks.clear();
-        free_blocks.clear();
+        lists.clear();
         later.clear();
-        pool.clear();
-        *free_edge = NIL;
         missing.clear();
         phase.clear();
         remaining.clear();
@@ -795,25 +740,19 @@ impl<'a> FluidEngine<'a> {
             }
             size.flows += 1;
         }
-        let block = 2 * (size.flows + 1) + size.deps + size.inner;
-        let slot = if self.free_blocks.is_empty() {
-            self.blocks.len()
-        } else {
-            0
-        };
-        if size.deps > 0 && (block > NIL as usize || slot >= NIL as usize) {
-            return Err(WIDE);
-        }
-        if self.pool.len() + size.edges >= NIL as usize {
+        if !self
+            .lists
+            .fits(2 * size.flows, size.deps + size.inner, size.edges)
+        {
             return Err(WIDE);
         }
         Ok(size)
     }
 
     /// Append a batch [`FluidEngine::route_batch`] validated and routed:
-    /// its flows' state, and its block of dependency lists, or its
-    /// dependents' edges for dependencies on earlier batches. Returns the
-    /// batch's first flow index.
+    /// its flows' state, its block of dependency rows, and its dependents'
+    /// edges for dependencies on earlier batches. Returns the batch's first
+    /// flow index.
     fn admit<I, D>(&mut self, batch: I, size: &BatchSize) -> usize
     where
         I: Iterator<Item = (EngineFlow, D)> + Clone,
@@ -822,54 +761,19 @@ impl<'a> FluidEngine<'a> {
         let held = self.flows.len();
         let first = self.key_base + held;
         let len = size.flows;
-        // In range: `route_batch` bounds the block, its slot and the pool.
-        let block = if size.deps == 0 {
-            NIL
-        } else {
-            let data = vec![0; 2 * (len + 1) + size.deps + size.inner];
-            let new = Block {
-                first,
-                len: len as u32,
-                unsettled: len as u32,
-                data,
-            };
-            match self.free_blocks.pop() {
-                Some(b) => {
-                    self.blocks[b as usize] = new;
-                    b
-                }
-                None => {
-                    self.blocks.push(new);
-                    (self.blocks.len() - 1) as u32
-                }
-            }
-        };
-        // The dependency rows and entries come first, then the dependents'
-        // rows and entries.
-        let (blk, rows) = (block as usize, len + 1);
-        let mut at = 2 * rows;
+        // In range: `route_batch` bounds the block and the edges.
+        let block = self
+            .lists
+            .open(first as u64, len as u32, 2 * len, size.deps + size.inner);
         for (bi, (f, deps)) in batch.clone().enumerate() {
             let i = held + bi;
             let key = first + bi;
-            if block != NIL {
-                self.blocks[blk].data[bi] = at as u32;
-            }
             let mut n_deps = 0u32;
             for d in deps {
                 n_deps += 1;
-                let back = (key - d) as u32;
-                let data = &mut self.blocks[blk].data;
-                data[at] = back;
-                at += 1;
-                if d >= first {
-                    // Count the dependent two rows on, so that the sums
-                    // below leave each row's start one row on.
-                    let k = d - first;
-                    if k + 2 <= len {
-                        data[rows + k + 2] += 1;
-                    }
-                } else {
-                    self.add_later(d - self.key_base, back);
+                if d < first {
+                    let later = &mut self.later[d - self.key_base];
+                    self.lists.append(later, (key - d) as u32);
                 }
             }
             // A flow whose launch pipe is within the coincidence tolerance
@@ -929,57 +833,22 @@ impl<'a> FluidEngine<'a> {
                 delay_s: f.delay_s,
             });
         }
-        if let Some(b) = self.blocks.get_mut(blk) {
-            let data = &mut b.data;
-            data[len] = at as u32;
-            // With the counts summed, row `k` of the dependents starts at
-            // `data[rows + k + 1]`, which each entry filled moves on: the
-            // rows end up in place, each ascending.
-            data[rows] = at as u32;
-            data[rows + 1] = at as u32;
-            for k in rows + 2..=rows + len {
-                data[k] += data[k - 1];
-            }
-            if size.inner > 0 {
-                for (bi, (_, deps)) in batch.enumerate() {
-                    for d in deps.filter(|&d| d >= first) {
-                        let row = rows + d - first + 1;
-                        let e = data[row] as usize;
-                        data[e] = (first + bi - d) as u32;
-                        data[row] += 1;
-                    }
-                }
-            }
-        }
+        // In range: `route_batch` bounds every distance.
+        self.lists.fill(block, || {
+            batch.clone().enumerate().flat_map(|(bi, (_, deps))| {
+                deps.flat_map(move |d| {
+                    let back = (first + bi - d) as u32;
+                    let ahead = d.checked_sub(first).map(|k| (deps_row(k) + 1, back));
+                    std::iter::once((deps_row(bi), back)).chain(ahead)
+                })
+            })
+        });
         self.peak_held = self.peak_held.max(self.flows.len());
         if let Some(f) = self.faults.as_deref_mut() {
             f.flow_slow.resize(self.flows.len(), 1.0);
             f.aborted.resize(self.flows.len(), 0);
         }
         first
-    }
-
-    /// File a dependent `ahead` flows after position `i` under `i`'s
-    /// later-batch dependents.
-    fn add_later(&mut self, i: usize, ahead: u32) {
-        let edge = Edge {
-            ahead,
-            next: self.later[i],
-        };
-        let e = match self.pool.get_mut(self.free_edge as usize) {
-            Some(slot) => {
-                let e = self.free_edge;
-                self.free_edge = slot.next;
-                *slot = edge;
-                e
-            }
-            // In range: `route_batch` bounds the pool.
-            None => {
-                self.pool.push(edge);
-                (self.pool.len() - 1) as u32
-            }
-        };
-        self.later[i] = e;
     }
 
     /// The arena range of position `i`'s route.
@@ -1325,31 +1194,26 @@ impl<'a> FluidEngine<'a> {
     }
 
     /// Count one settled predecessor for every dependent of `i` — in its
-    /// batch's block, then in its edge list, whose edges return to the free
-    /// list; each dependent left with none joins the ready list, which the
-    /// next promotion pass sorts. Returns whether `i` has dependents.
+    /// batch's block, then in its edge list, which is then freed; each
+    /// dependent left with none joins the ready list, which the next
+    /// promotion pass sorts. Returns whether `i` has dependents.
     fn release_dependents(&mut self, i: usize) -> bool {
+        let mut walk = self.dependents(i);
         let mut any = false;
-        let b = self.flows[i].block as usize;
-        if let Some(block) = self.blocks.get(b) {
-            let k = self.key_base + i - block.first;
-            let n = block.dependents(k).len();
-            any = n > 0;
-            for e in 0..n {
-                let ahead = self.blocks[b].dependents(k)[e];
-                self.unblock(i + ahead as usize);
-            }
-        }
-        let mut e = std::mem::replace(&mut self.later[i], NIL);
-        while let Some(edge) = self.pool.get_mut(e as usize) {
-            let Edge { ahead, next } = *edge;
-            edge.next = self.free_edge;
-            self.free_edge = e;
-            e = next;
+        while let Some(ahead) = self.lists.next_entry(&mut walk) {
             self.unblock(i + ahead as usize);
             any = true;
         }
+        self.lists.free(&mut self.later[i]);
         any
+    }
+
+    /// A walk over the distances ahead to position `i`'s dependents: those
+    /// of its batch, then those of later batches.
+    fn dependents(&self, i: usize) -> Walk {
+        let b = self.flows[i].block;
+        let k = self.lists.row_of(b, (self.key_base + i) as u64);
+        self.lists.walk(b, deps_row(k) + 1, self.later[i])
     }
 
     /// Count one settled predecessor of flow `j`.
@@ -1367,14 +1231,7 @@ impl<'a> FluidEngine<'a> {
         if self.faults.is_some() {
             return;
         }
-        let b = self.flows[i].block;
-        if let Some(block) = self.blocks.get_mut(b as usize) {
-            block.unsettled -= 1;
-            if block.unsettled == 0 {
-                block.data = Vec::new();
-                self.free_blocks.push(b);
-            }
-        }
+        self.lists.settle(self.flows[i].block);
     }
 
     /// Complete a zero-byte control gate at `finish`, inside a promotion
@@ -1762,40 +1619,10 @@ impl<'a> FluidEngine<'a> {
         ]
     }
 
-    /// Flow `i`'s dependencies as flow indices, in injection order.
-    fn deps_of(&self, i: usize) -> Vec<usize> {
-        let key = self.key_base + i;
-        self.blocks
-            .get(self.flows[i].block as usize)
-            .map_or_else(Vec::new, |b| {
-                let back = b.deps(key - b.first).iter();
-                back.map(|&d| key - d as usize).collect()
-            })
-    }
-
-    /// Flow `i`'s dependents as flow indices, ascending: those of its own
-    /// batch, then those of later batches.
-    fn dependents_of(&self, i: usize) -> Vec<usize> {
-        let key = self.key_base + i;
-        let mut out: Vec<usize> =
-            self.blocks
-                .get(self.flows[i].block as usize)
-                .map_or_else(Vec::new, |b| {
-                    let ahead = b.dependents(key - b.first).iter();
-                    ahead.map(|&d| key + d as usize).collect()
-                });
-        let mut e = self.later[i];
-        while let Some(edge) = self.pool.get(e as usize) {
-            out.push(key + edge.ahead as usize);
-            e = edge.next;
-        }
-        out.sort_unstable();
-        out
-    }
-
     /// Capture the full mutable state as a versioned snapshot. Completions
     /// not yet drained are included and survive the round-trip. Each flow
-    /// lists its dependencies, route and dependents until it completes.
+    /// lists its dependencies (in injection order), route and dependents
+    /// (ascending) until it completes.
     /// An engine that dropped a settled prefix
     /// ([`FluidEngine::forget_settled`]) has no image.
     #[must_use]
@@ -1809,18 +1636,21 @@ impl<'a> FluidEngine<'a> {
             events: self.events(),
             flows: (0..n)
                 .map(|i| {
-                    let f = &self.flows[i];
+                    let (f, key) = (&self.flows[i], self.key_base + i);
+                    let mut deps = Vec::new();
+                    // A settled flow's block may be another batch's now.
+                    if listed(i) {
+                        let row = deps_row(self.lists.row_of(f.block, key as u64));
+                        let back = self.lists.entries(self.lists.walk(f.block, row, NIL));
+                        deps.extend(back.map(|d| key - d as usize));
+                    }
                     EngineFlow {
                         src: f.src(),
                         dst: f.dst(),
                         bytes: f.bytes,
                         release_s: f.release_s,
                         delay_s: f.delay_s,
-                        deps: if listed(i) {
-                            self.deps_of(i)
-                        } else {
-                            Vec::new()
-                        },
+                        deps,
                         job: f.job(),
                     }
                 })
@@ -1835,11 +1665,14 @@ impl<'a> FluidEngine<'a> {
             latencies: to_bits(&self.latencies),
             dependents: (0..n)
                 .map(|i| {
+                    let mut ahead = Vec::new();
                     if listed(i) {
-                        self.dependents_of(i)
-                    } else {
-                        Vec::new()
+                        let key = self.key_base + i;
+                        let walk = self.lists.entries(self.dependents(i));
+                        ahead.extend(walk.map(|d| key + d as usize));
+                        ahead.sort_unstable();
                     }
+                    ahead
                 })
                 .collect(),
             missing: self.missing.iter().map(|&m| m as usize).collect(),
@@ -1962,12 +1795,18 @@ impl<'a> FluidEngine<'a> {
         }
         let deps: usize = s.flows.iter().map(|f| f.deps.len()).sum();
         let inner: usize = s.dependents.iter().map(Vec::len).sum();
-        let len = 2 * (n + 1) + deps + inner;
-        let block = match deps + inner {
-            0 => NIL,
-            _ if len > NIL as usize => return Err(WIDE),
-            _ => 0,
-        };
+        if !self.lists.fits(2 * n, deps + inner, 0) {
+            return Err(WIDE);
+        }
+        let unsettled = s
+            .phase
+            .iter()
+            .filter(|p| !matches!(p, Phase::Done | Phase::Failed))
+            .count();
+        // In range: the block fits in 32 bits, so do its rows, its
+        // unsettled flows and the distances between its flows, which the
+        // check orders.
+        let block = self.lists.open(0, unsettled as u32, 2 * n, deps + inner);
         let narrow = |v: usize| u32::try_from(v).map_err(|_| WIDE);
         self.flows = s
             .flows
@@ -1990,39 +1829,16 @@ impl<'a> FluidEngine<'a> {
             self.route_links.extend(route.iter().map(|l| l.0 as u32));
             self.route_at.push(narrow(self.route_links.len())?);
         }
-        if block == NIL {
-            return Ok(());
-        }
-        // In range: the block fits in 32 bits, so do its offsets and the
-        // distances between its flows, which the check orders.
-        let mut data = vec![0u32; len];
-        let mut at = 2 * (n + 1);
-        for (k, f) in s.flows.iter().enumerate() {
-            data[k] = at as u32;
-            for &d in &f.deps {
-                data[at] = (k - d) as u32;
-                at += 1;
-            }
-        }
-        data[n] = at as u32;
-        for (k, list) in s.dependents.iter().enumerate() {
-            data[n + 1 + k] = at as u32;
-            for &j in list {
-                data[at] = (j - k) as u32;
-                at += 1;
-            }
-        }
-        data[2 * n + 1] = at as u32;
-        let unsettled = s
-            .phase
-            .iter()
-            .filter(|p| !matches!(p, Phase::Done | Phase::Failed))
-            .count();
-        self.blocks.push(Block {
-            first: 0,
-            len: n as u32,
-            unsettled: unsettled as u32,
-            data,
+        self.lists.fill(block, || {
+            let lists = s.flows.iter().map(|f| &f.deps).zip(&s.dependents);
+            lists.enumerate().flat_map(|(k, (deps, dependents))| {
+                let back = deps.iter().map(move |&d| (deps_row(k), (k - d) as u32));
+                back.chain(
+                    dependents
+                        .iter()
+                        .map(move |&j| (deps_row(k) + 1, (j - k) as u32)),
+                )
+            })
         });
         Ok(())
     }
@@ -2542,15 +2358,9 @@ mod tests {
         ));
     }
 
-    /// Blocks holding list entries, and pool edges not on the free list.
+    /// Blocks holding list entries, and edges on some list.
     fn lists_held(eng: &FluidEngine<'_>) -> (usize, usize) {
-        let blocks = eng.blocks.iter().filter(|b| b.data.capacity() > 0).count();
-        let (mut free, mut e) = (0, eng.free_edge);
-        while let Some(edge) = eng.pool.get(e as usize) {
-            free += 1;
-            e = edge.next;
-        }
-        (blocks, eng.pool.len() - free)
+        eng.lists.held()
     }
 
     /// A stream of batches holds list storage only for batches with an
@@ -2596,7 +2406,8 @@ mod tests {
         while eng.step().unwrap().is_some() {}
         assert_eq!(eng.live_flows(), 0);
         assert_eq!(lists_held(&eng), (0, 0));
-        assert_eq!(eng.free_blocks.len(), 2);
+        // Both blocks are free, and so is the edge.
+        assert_eq!(eng.lists.allocated(), (2, 1));
         let snap = eng.snapshot();
         assert!(snap.flows.iter().all(|f| f.deps.is_empty()));
         assert!(snap.routes.iter().all(Vec::is_empty));

@@ -35,6 +35,36 @@
 //!   the fluid engine's re-solved completion instants) checks it when it
 //!   pops and lets a stale one go.
 //!
+//! # Dependency lists
+//!
+//! Every engine releases a transfer's dependents when it settles, and
+//! [`DepLists`] holds those lists for all of them in flat 32-bit stores,
+//! with no list per transfer. What an entry means (a slot, a distance
+//! between indices, a key) and what a released dependent does stay with
+//! the engine.
+//!
+//! - **Blocks.** An injected batch with entries gets one block of
+//!   compressed rows: row offsets, then the entries, in one `u32`
+//!   allocation ([`DepLists::open`]; the rows are counted, sealed and
+//!   filled, and each reads back in the order it was filled). The block
+//!   keeps its batch's first key, so a member finds its row from its key
+//!   ([`DepLists::row_of`]), and a count of members not settled yet. The
+//!   last member to settle ([`DepLists::settle`]) frees the block's rows
+//!   and puts its place on a free list for the next batch; a batch without
+//!   entries allocates nothing.
+//! - **Edge lists.** An entry filed after its key's batch was injected (a
+//!   DAG streamed stage by stage) goes to a list of 32-bit edges in one
+//!   pool ([`DepLists::append`]), kept in the order appended. A list is
+//!   freed whole ([`DepLists::free`]), and freed edges are reused first.
+//! - **Reading.** [`DepLists::walk`] reads a key's row, then its list; the
+//!   cursor holds no borrow, so an engine can release each dependent as it
+//!   reads it.
+//! - **The 32-bit bound.** Block and edge indices, block positions and row
+//!   offsets are `u32`, and [`NIL`] means no block or the end of a list.
+//!   [`DepLists::fits`] checks a batch's rows, entries and edges against
+//!   that bound, so an engine can refuse a batch with a typed error before
+//!   any state changes.
+//!
 //! # Who owns the clock
 //!
 //! The kernel does. Simulators read it via [`EventKernel::now`] and advance
@@ -46,8 +76,10 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+mod deplists;
 pub mod fault;
 mod kernel;
 
+pub use deplists::{DepLists, Walk, NIL};
 pub use fault::{FaultError, FaultEvent, FaultKind, FaultLimits, FaultPolicy, FaultScript};
 pub use kernel::{EventKernel, KernelError};

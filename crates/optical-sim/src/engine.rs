@@ -75,24 +75,21 @@
 //! [`Transfer::resolve`] — rather than a segment list, and its lists live
 //! in flat 32-bit stores:
 //!
-//! * **Dependents.** Each injected batch with dependencies inside it gets
-//!   one block holding, as compressed rows, the slots of the batch's
-//!   transfers that depend on each of its transfers. A dependent injected
-//!   in a later batch (a closed DAG streamed stage by stage) goes into a
-//!   pool of 32-bit edges, one list per dependency in injection order,
-//!   whose settled lists a free list recycles. The batch's last transfer
-//!   to settle frees its block, so a stream holds lists only for unsettled
-//!   jobs, and a batch without inner dependencies allocates none.
+//! * **Dependents.** The kernel's [`DepLists`] holds them (see the
+//!   `wrht_kernel` docs' "Dependency lists"): one row per transfer in its
+//!   batch's block, for dependents of the same batch, and an edge list for
+//!   dependents injected in a later batch. An entry is the dependent's
+//!   slot, which stays its own until it settles, and no transfer settles
+//!   before its dependencies. A transfer's dependents are released in
+//!   that order, and its edge list is then freed.
 //! * **Lanes.** Each transfer owns `lanes` entries of one lane store from
 //!   injection until it settles, holding its granted lanes while in
 //!   flight; freed ranges are reused by transfers of the same width.
 //!
-//! A dependent's list entry is its slot, which stays its own until it
-//! settles, and no transfer settles before its dependencies. Runs under
-//! faults keep every list. An index that would not fit in 32 bits (a job
-//! tag, a slot, a list or lane-store position, a ring of more nodes or
-//! wavelengths) is an [`OpticalError::BadConfig`] before any state
-//! changes.
+//! Runs under faults keep every block and lane range. An index that would
+//! not fit in 32 bits (a job tag, a slot, a list or lane-store position, a
+//! ring of more nodes or wavelengths) is an [`OpticalError::BadConfig`]
+//! before any state changes.
 //!
 //! # Faults
 //!
@@ -134,13 +131,13 @@
 //! into scan order. Restore validates the image's indices, times, routes
 //! and lane holdings, rejects corrupt ones with
 //! [`OpticalError::BadConfig`], flattens each slot into its record (its
-//! dependents into edge lists, its lanes into the lane store), and
+//! dependents into an edge list, its lanes into the lane store), and
 //! rebuilds the lane occupancy from the in-flight slots.
 
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::ops::Range;
-use wrht_kernel::{EventKernel, FaultKind, FaultLimits, FaultPolicy, FaultScript};
+use wrht_kernel::{DepLists, EventKernel, FaultKind, FaultLimits, FaultPolicy, FaultScript, NIL};
 
 use crate::config::OpticalConfig;
 use crate::error::{OpticalError, Result};
@@ -153,11 +150,6 @@ use crate::wavelength::Wavelength;
 
 /// Version tag of [`GrantEngineSnapshot`]; bump on any layout change.
 pub const SNAPSHOT_VERSION: u32 = 2;
-
-/// A slot without a block, the end of an edge or lane-range list, and a
-/// settled key's entry in the key table; also one past the most slots,
-/// edges and list entries the engine holds.
-const NIL: u32 = u32::MAX;
 
 /// Error for an index the engine keeps in 32 bits that would not fit.
 const WIDE: OpticalError =
@@ -225,12 +217,11 @@ struct Slot {
     /// Dependencies not completed yet.
     missing: u32,
     job: u32,
-    /// The batch's block of dependents inside the batch, or [`NIL`].
+    /// The batch's block of dependents inside the batch, and the list of
+    /// dependents injected in later batches, in [`GrantEngine::lists`];
+    /// [`NIL`] for none.
     block: u32,
-    /// First and last edge of the dependents injected in later batches,
-    /// or [`NIL`].
     later: u32,
-    later_end: u32,
     /// Where the slot's `lanes` entries of the lane store start.
     lane_at: u32,
     direction: Direction,
@@ -268,28 +259,6 @@ struct SlotImage {
     /// Grant instant; `None` until the transfer's lanes are granted.
     /// (An `Option`, not NaN, so snapshots survive JSON round-trips.)
     started: Option<f64>,
-}
-
-/// The dependents inside one injected batch, as compressed rows: the
-/// slots of the batch's transfers that depend on its transfer `k` are
-/// `data[data[k]..data[k + 1]]`, in injection order.
-#[derive(Debug)]
-struct Block {
-    /// Order key of the batch's first transfer.
-    first: u64,
-    /// Transfers of the batch not settled yet; the last to settle frees
-    /// `data`.
-    unsettled: u32,
-    data: Vec<u32>,
-}
-
-/// One edge of [`GrantEngine::pool`]: the slot of a dependent injected in
-/// a later batch than its dependency, and the next edge of the
-/// dependency's list.
-#[derive(Debug, Clone, Copy)]
-struct Edge {
-    slot: u32,
-    next: u32,
 }
 
 /// What a validated batch needs: its transfers, their dependencies on
@@ -544,14 +513,9 @@ pub struct GrantEngine {
     keys: Option<VecDeque<u32>>,
     /// One past the highest order key whose dependencies are all met.
     gated: u64,
-    /// Each batch's dependents inside it, in slots a freed block returns
-    /// to `free_blocks`.
-    blocks: Vec<Block>,
-    free_blocks: Vec<u32>,
-    /// Edges of the slots' later-batch dependent lists; released lists
-    /// return to the free list at `free_edge`.
-    pool: Vec<Edge>,
-    free_edge: u32,
+    /// The slots' dependents: a row per slot in its batch's block, and a
+    /// list of those injected in later batches.
+    lists: DepLists,
     /// Every live slot's lanes ([`Slot::lane_range`]). A freed range of
     /// `k` lanes waits on the list at `lane_free[k]`, chained through its
     /// first entry.
@@ -612,10 +576,7 @@ impl GrantEngine {
             free: Vec::new(),
             keys: None,
             gated: 0,
-            blocks: Vec::new(),
-            free_blocks: Vec::new(),
-            pool: Vec::new(),
-            free_edge: NIL,
+            lists: DepLists::new(),
             lanes: Vec::new(),
             lane_free: Vec::new(),
             jobs: Vec::new(),
@@ -807,14 +768,12 @@ impl GrantEngine {
             size.transfers += 1;
             size.lanes += t.lanes;
         }
-        // Freed slots are taken first; every slot, edge, block row and lane
-        // position must stay below `NIL`.
+        // Freed slots are taken first; every slot and lane position must
+        // stay below `NIL`, and so must the batch's lists.
         let slots = self.slots.len() + size.transfers.saturating_sub(self.free.len());
-        let block = size.transfers + 1 + size.inner;
         let limit = NIL as usize;
         if slots > limit
-            || (size.inner > 0 && (block >= limit || self.blocks.len() >= limit))
-            || self.pool.len() + size.edges >= limit
+            || !self.lists.fits(size.transfers, size.inner, size.edges)
             || self.lanes.len() + size.lanes >= limit
         {
             return Err(WIDE);
@@ -833,25 +792,7 @@ impl GrantEngine {
         let first = self.next_order;
         let len = size.transfers;
         // In range: `check_batch` bounded every index.
-        let block = if size.inner == 0 {
-            NIL
-        } else {
-            let new = Block {
-                first,
-                unsettled: len as u32,
-                data: vec![0; len + 1 + size.inner],
-            };
-            match self.free_blocks.pop() {
-                Some(b) => {
-                    self.blocks[b as usize] = new;
-                    b
-                }
-                None => {
-                    self.blocks.push(new);
-                    (self.blocks.len() - 1) as u32
-                }
-            }
-        };
+        let block = self.lists.open(first, len as u32, len, size.inner);
         // The batch's slots, kept while its rows are filled.
         let mut ids: Vec<u32> = Vec::with_capacity(if block == NIL { 0 } else { len });
         for (bi, (t, release_s, job, deps)) in batch.clone().enumerate() {
@@ -873,7 +814,6 @@ impl GrantEngine {
                 job: job as u32,
                 block,
                 later: NIL,
-                later_end: NIL,
                 lane_at,
                 direction,
                 route: t.direction,
@@ -881,16 +821,12 @@ impl GrantEngine {
             };
             for d in deps {
                 slot.missing += 1;
-                match d.checked_sub(first as usize) {
-                    // Count the dependent two rows on, so that the sums
-                    // below leave each row's start one row on. In range:
-                    // `k` precedes `bi`, so `k + 2 <= len`.
-                    Some(k) => self.blocks[block as usize].data[k + 2] += 1,
-                    // Validated: a live transfer of an earlier batch.
-                    None => {
-                        if let Some(dep) = self.slot_of(d as u64) {
-                            self.add_later(dep, id);
-                        }
+                // Validated: a transfer of the batch, or a live one of an
+                // earlier batch.
+                if (d as u64) < first {
+                    let dep = self.slot_of(d as u64);
+                    if let Some(s) = dep.and_then(|dep| self.slots[dep as usize].as_mut()) {
+                        self.lists.append(&mut s.later, id);
                     }
                 }
             }
@@ -918,53 +854,13 @@ impl GrantEngine {
             f.in_flight.resize(self.slots.len(), None);
             f.aborts.resize(self.slots.len(), 0);
         }
-        if let Some(b) = self.blocks.get_mut(block as usize) {
-            let data = &mut b.data;
-            // With the counts summed, row `k` starts at `data[k + 1]`,
-            // which each entry filled moves on: the rows end up in place,
-            // each in injection order.
-            data[0] = (len + 1) as u32;
-            data[1] = (len + 1) as u32;
-            for k in 2..=len {
-                data[k] += data[k - 1];
-            }
-            for (bi, (_, _, _, deps)) in batch.enumerate() {
-                for k in deps.filter_map(|d| d.checked_sub(first as usize)) {
-                    let e = data[k + 1] as usize;
-                    data[e] = ids[bi];
-                    data[k + 1] += 1;
-                }
-            }
-        }
+        self.lists.fill(block, || {
+            let dependents = batch.clone().zip(&ids);
+            dependents.flat_map(|((_, _, _, deps), &id)| {
+                deps.filter_map(move |d| Some((d.checked_sub(first as usize)?, id)))
+            })
+        });
         Ok(())
-    }
-
-    /// Append `dependent` to the later-batch dependents of slot `dep`.
-    fn add_later(&mut self, dep: u32, dependent: u32) {
-        let edge = Edge {
-            slot: dependent,
-            next: NIL,
-        };
-        let e = match self.pool.get_mut(self.free_edge as usize) {
-            Some(place) => {
-                let e = self.free_edge;
-                self.free_edge = place.next;
-                *place = edge;
-                e
-            }
-            // In range: `check_batch` bounds the pool.
-            None => {
-                self.pool.push(edge);
-                (self.pool.len() - 1) as u32
-            }
-        };
-        if let Some(s) = self.slots[dep as usize].as_mut() {
-            match self.pool.get_mut(s.later_end as usize) {
-                Some(tail) => tail.next = e,
-                None => s.later = e,
-            }
-            s.later_end = e;
-        }
     }
 
     /// A range of `len` lane-store entries: a freed one of that length, or
@@ -1165,7 +1061,7 @@ impl GrantEngine {
         }
         self.makespan = self.makespan.max(now);
         self.active -= 1;
-        self.release_dependents(&slot, now)?;
+        self.release_dependents(slot, now)?;
         self.settle_lists(&slot);
         self.completions.push(GrantCompletion {
             order: slot.order,
@@ -1191,24 +1087,17 @@ impl GrantEngine {
         }
     }
 
-    /// Retire one dependency edge of each dependent of `slot` — those of
-    /// its batch, then those of later batches, in injection order — gating
-    /// those whose last predecessor this was (failed dependents are
-    /// skipped).
-    fn release_dependents(&mut self, slot: &Slot, now: f64) -> Result<()> {
-        let b = slot.block as usize;
-        if let Some(block) = self.blocks.get(b) {
-            let k = (slot.order - block.first) as usize;
-            for e in block.data[k] as usize..block.data[k + 1] as usize {
-                let dep = self.blocks[b].data[e];
-                self.release_one(dep as usize, now)?;
-            }
-        }
-        let mut e = slot.later;
-        while let Some(&Edge { slot: dep, next }) = self.pool.get(e as usize) {
+    /// Retire one dependency edge of each dependent of retired `slot` —
+    /// those of its batch, then those of later batches, in injection order
+    /// — gating those whose last predecessor this was (failed dependents
+    /// are skipped), and free its edge list.
+    fn release_dependents(&mut self, mut slot: Slot, now: f64) -> Result<()> {
+        let row = self.lists.row_of(slot.block, slot.order);
+        let mut walk = self.lists.walk(slot.block, row, slot.later);
+        while let Some(dep) = self.lists.next_entry(&mut walk) {
             self.release_one(dep as usize, now)?;
-            e = next;
         }
+        self.lists.free(&mut slot.later);
         Ok(())
     }
 
@@ -1233,9 +1122,8 @@ impl GrantEngine {
         Ok(())
     }
 
-    /// Return settled `slot`'s lists: its lanes, its later-batch edges, and
-    /// its count on its batch's block, which the batch's last transfer to
-    /// settle frees. Runs under faults keep every list.
+    /// Return settled `slot`'s lanes, and count it settled on its batch's
+    /// block. Runs under faults keep every lane range and block.
     fn settle_lists(&mut self, slot: &Slot) {
         if self.faults.is_some() {
             return;
@@ -1246,16 +1134,7 @@ impl GrantEngine {
         }
         self.lanes[slot.lane_at as usize] =
             std::mem::replace(&mut self.lane_free[len], slot.lane_at);
-        if let Some(tail) = self.pool.get_mut(slot.later_end as usize) {
-            tail.next = std::mem::replace(&mut self.free_edge, slot.later);
-        }
-        if let Some(block) = self.blocks.get_mut(slot.block as usize) {
-            block.unsettled -= 1;
-            if block.unsettled == 0 {
-                block.data = Vec::new();
-                self.free_blocks.push(slot.block);
-            }
-        }
+        self.lists.settle(slot.block);
     }
 
     /// Apply the faults of the current batch, after its completions.
@@ -1314,7 +1193,7 @@ impl GrantEngine {
                         if policy == FaultPolicy::FailJob {
                             fail_jobs.push(slot.job as usize);
                         } else {
-                            self.release_dependents(&slot, now)?;
+                            self.release_dependents(slot, now)?;
                         }
                     }
                 }
@@ -1560,17 +1439,9 @@ impl GrantEngine {
     /// the flat stores.
     fn image(&self, s: &Slot) -> SlotImage {
         let (src, dst) = (NodeId(s.src as usize), NodeId(s.dst as usize));
-        let mut dependents: Vec<usize> = Vec::new();
-        if let Some(block) = self.blocks.get(s.block as usize) {
-            let k = (s.order - block.first) as usize;
-            let row = &block.data[block.data[k] as usize..block.data[k + 1] as usize];
-            dependents.extend(row.iter().map(|&d| d as usize));
-        }
-        let mut e = s.later;
-        while let Some(edge) = self.pool.get(e as usize) {
-            dependents.push(edge.slot as usize);
-            e = edge.next;
-        }
+        let walk = self
+            .lists
+            .walk(s.block, self.lists.row_of(s.block, s.order), s.later);
         let held = if s.held { s.lane_range() } else { 0..0 };
         SlotImage {
             transfer: Transfer {
@@ -1584,7 +1455,7 @@ impl GrantEngine {
             path: LightPath::routed(&self.topo, src, dst, s.direction),
             release_s: s.release_s,
             missing: s.missing as usize,
-            dependents,
+            dependents: self.lists.entries(walk).map(|d| d as usize).collect(),
             job: s.job as usize,
             order: s.order,
             assigned: self.lanes[held]
@@ -1631,7 +1502,7 @@ impl GrantEngine {
         }
         let mut eng = Self::new(config, strategy, arbitrated, fair_share)?;
         check_snapshot(&eng, snap).map_err(OpticalError::BadConfig)?;
-        check_width(snap)?;
+        check_width(&eng.lists, snap)?;
         eng.queue
             .fast_forward(snap.now)
             .map_err(|_| OpticalError::BadConfig("snapshot clock must be finite and >= 0"))?;
@@ -1657,12 +1528,6 @@ impl GrantEngine {
             let slot = image.as_ref().map(|s| eng.flatten(s));
             eng.slots.push(slot);
         }
-        // In range: `check_width` bounded the slots and the edges.
-        for (id, image) in snap.slots.iter().enumerate() {
-            for &d in image.iter().flat_map(|s| &s.dependents) {
-                eng.add_later(id as u32, d as u32);
-            }
-        }
         eng.free = snap.free.iter().map(|&id| id as u32).collect();
         eng.jobs = snap.jobs.clone();
         eng.job_free = snap.job_free.clone();
@@ -1681,16 +1546,20 @@ impl GrantEngine {
     }
 
     /// The record of a checked snapshot slot, with its lanes in the lane
-    /// store; its dependents go into edge lists once every slot exists.
+    /// store and its dependents in an edge list.
     fn flatten(&mut self, s: &SlotImage) -> Slot {
         let lane_at = self.take_lanes(s.transfer.lanes);
         let at = lane_at as usize;
         for (place, lambda) in self.lanes[at..].iter_mut().zip(&s.assigned) {
             *place = lambda.0 as u32;
         }
+        let mut later = NIL;
+        for &d in &s.dependents {
+            self.lists.append(&mut later, d as u32);
+        }
         // In range: the ring's nodes and wavelengths fit in 32 bits, the
         // check matched the route and lanes to them, and `check_width`
-        // bounded the rest.
+        // bounded the rest, the slots and edges included.
         Slot {
             order: s.order,
             bytes: s.transfer.bytes,
@@ -1704,8 +1573,7 @@ impl GrantEngine {
             missing: s.missing as u32,
             job: s.job as u32,
             block: NIL,
-            later: NIL,
-            later_end: NIL,
+            later,
             lane_at,
             direction: s.path.direction,
             route: s.transfer.direction,
@@ -1780,14 +1648,16 @@ fn check_snapshot(
 }
 
 /// Does a checked snapshot fit the engine's 32-bit tables: its slots, each
-/// slot's missing count and job tag, its dependents' edges and its lanes?
-fn check_width(snap: &GrantEngineSnapshot) -> Result<()> {
+/// slot's missing count and job tag, its dependents' edges in `lists` and
+/// its lanes?
+fn check_width(lists: &DepLists, snap: &GrantEngineSnapshot) -> Result<()> {
     let limit = NIL as usize;
     let live = || snap.slots.iter().flatten();
     let narrow = |s: &SlotImage| u32::try_from(s.missing).is_ok() && u32::try_from(s.job).is_ok();
     let edges: usize = live().map(|s| s.dependents.len()).sum();
     let lanes: usize = live().map(|s| s.transfer.lanes).sum();
-    if snap.slots.len() > limit || !live().all(narrow) || edges >= limit || lanes >= limit {
+    if snap.slots.len() > limit || !live().all(narrow) || !lists.fits(0, 0, edges) || lanes >= limit
+    {
         return Err(WIDE);
     }
     Ok(())
@@ -2002,15 +1872,10 @@ mod tests {
         assert!(eng.slots.iter().all(Option::is_none));
     }
 
-    /// Dependent blocks holding entries, pool edges not on the free list,
-    /// and lane-store entries not on a free list.
+    /// Dependent blocks holding entries, edges on some list, and lane-store
+    /// entries not on a free list.
     fn lists_held(eng: &GrantEngine) -> (usize, usize, usize) {
-        let blocks = eng.blocks.iter().filter(|b| b.data.capacity() > 0).count();
-        let (mut free_edges, mut e) = (0, eng.free_edge);
-        while let Some(edge) = eng.pool.get(e as usize) {
-            free_edges += 1;
-            e = edge.next;
-        }
+        let (blocks, edges) = eng.lists.held();
         let mut free_lanes = 0;
         for (len, &head) in eng.lane_free.iter().enumerate() {
             let mut at = head;
@@ -2019,11 +1884,7 @@ mod tests {
                 at = eng.lanes[at as usize];
             }
         }
-        (
-            blocks,
-            eng.pool.len() - free_edges,
-            eng.lanes.len() - free_lanes,
-        )
+        (blocks, edges, eng.lanes.len() - free_lanes)
     }
 
     /// A stream of rounds holds lists only for its unsettled transfers, and
@@ -2056,10 +1917,7 @@ mod tests {
         }
         assert_eq!(eng.drain_completions().count(), 300);
         assert!(eng.slots.len() <= 3 && eng.slots.iter().all(Option::is_none));
-        assert_eq!(
-            (eng.blocks.len(), eng.pool.len(), eng.lanes.len()),
-            (1, 1, 4)
-        );
+        assert_eq!((eng.lists.allocated(), eng.lanes.len()), ((1, 1), 4));
     }
 
     #[test]
@@ -2072,7 +1930,7 @@ mod tests {
             Err(WIDE)
         );
         assert_eq!((eng.next_key(), eng.peak_slots()), (0, 0));
-        assert_eq!((eng.blocks.len(), eng.lanes.len()), (0, 0));
+        assert_eq!((eng.lists.allocated().0, eng.lanes.len()), (0, 0));
         // Rings of more nodes or wavelengths than 32-bit indices reach are
         // refused before anything is allocated for them.
         for (nodes, wavelengths) in [(1 << 33, 2), (8, 1 << 33)] {

@@ -61,7 +61,7 @@ fn main() {
             .with_job(Job::dag(
                 "incast-bg",
                 1e-3,
-                DepSchedule::from_released(&incast),
+                DepSchedule::from_released(&incast).expect("incast releases are finite and >= 0"),
             ))
     };
 

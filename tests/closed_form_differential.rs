@@ -120,7 +120,7 @@ fn same_as_engine(net: &Network, specs: &[FlowSpec]) -> Result<(), String> {
     let mut windows = vec![DagTiming::default(); specs.len()];
     let engine = run_closed(
         &mut eng,
-        &DepSchedule::from_released(&released),
+        &DepSchedule::from_released(&released).expect("releases at zero"),
         None,
         |c| windows[c.key] = c.into(),
     )
