@@ -757,10 +757,15 @@ impl FabricEngine for ComposedEngine<'_> {
             *settled += 1;
             missing[k] = SETTLED;
             let row = lists.row_of(block[k], c.key as u64);
-            lists
-                .entries(lists.walk(block[k], row, later[k]))
-                .try_for_each(|j| unblock(gate_s, missing, ready, j as usize, c.finish_s))?;
-            lists.free(&mut later[k]);
+            for &j in lists.row(block[k], row) {
+                unblock(gate_s, missing, ready, j as usize, c.finish_s)?;
+            }
+            if later[k] != NIL {
+                for j in lists.entries(lists.walk(NIL, 0, later[k])) {
+                    unblock(gate_s, missing, ready, j as usize, c.finish_s)?;
+                }
+                lists.free(&mut later[k]);
+            }
         }
         // Unblocked keys enter their member in key order, released at the
         // bit-exact instant their last dependency finished (raised to

@@ -168,6 +168,17 @@ impl DepLists {
             .map_or(0, |b| (key - b.first) as usize)
     }
 
+    /// Row `row` of `block` (empty without a block).
+    #[inline]
+    #[must_use]
+    pub fn row(&self, block: u32, row: usize) -> &[u32] {
+        let data = self.blocks.get(block as usize).map_or(&[][..], |b| &b.data);
+        match (data.get(row), data.get(row + 1)) {
+            (Some(&at), Some(&end)) => data.get(at as usize..end as usize).unwrap_or(&[]),
+            _ => &[],
+        }
+    }
+
     /// Count one member of `block` settled: the last frees the block.
     #[inline]
     pub fn settle(&mut self, block: u32) {
@@ -248,8 +259,11 @@ impl DepLists {
     /// The entries of a walk, in [`DepLists::next_entry`]'s order.
     #[inline]
     pub fn entries(&self, walk: Walk) -> impl Iterator<Item = u32> + '_ {
-        let row = self.blocks.get(walk.block as usize).map(|b| &b.data[..]);
-        let row = row.and_then(|d| d.get(walk.at..walk.end)).unwrap_or(&[]);
+        let row = self
+            .blocks
+            .get(walk.block as usize)
+            .map_or(&[][..], |b| &b.data);
+        let row = row.get(walk.at..walk.end).unwrap_or(&[]);
         let mut edge = walk.edge;
         row.iter().copied().chain(std::iter::from_fn(move || {
             let e = self.edges.get(edge as usize)?;

@@ -45,8 +45,9 @@
 //!
 //! - **Blocks.** An injected batch with entries gets one block of
 //!   compressed rows: row offsets, then the entries, in one `u32`
-//!   allocation ([`DepLists::open`]; the rows are counted, sealed and
-//!   filled, and each reads back in the order it was filled). The block
+//!   allocation ([`DepLists::open`], then [`DepLists::fill`], which reads
+//!   the batch's entries twice, to count and to place them; each row reads
+//!   back in the order its entries came). The block
 //!   keeps its batch's first key, so a member finds its row from its key
 //!   ([`DepLists::row_of`]), and a count of members not settled yet. The
 //!   last member to settle ([`DepLists::settle`]) frees the block's rows
@@ -58,7 +59,8 @@
 //!   freed whole ([`DepLists::free`]), and freed edges are reused first.
 //! - **Reading.** [`DepLists::walk`] reads a key's row, then its list; the
 //!   cursor holds no borrow, so an engine can release each dependent as it
-//!   reads it.
+//!   reads it ([`DepLists::next_entry`]), and [`DepLists::entries`] reads
+//!   it as an iterator.
 //! - **The 32-bit bound.** Block and edge indices, block positions and row
 //!   offsets are `u32`, and [`NIL`] means no block or the end of a list.
 //!   [`DepLists::fits`] checks a batch's rows, entries and edges against
