@@ -756,8 +756,7 @@ impl FabricEngine for ComposedEngine<'_> {
                 .ok_or_else(|| cfg_err("completion of a key that is not in flight"))?;
             *settled += 1;
             missing[k] = SETTLED;
-            let row = lists.row_of(block[k], c.key as u64);
-            for &j in lists.row(block[k], row) {
+            for &j in lists.row(block[k], c.key as u64) {
                 unblock(gate_s, missing, ready, j as usize, c.finish_s)?;
             }
             if later[k] != NIL {

@@ -168,13 +168,17 @@ impl DepLists {
             .map_or(0, |b| (key - b.first) as usize)
     }
 
-    /// Row `row` of `block` (empty without a block).
+    /// The row of `key` in a block of one row per member, found in one
+    /// lookup (empty without a block).
     #[inline]
     #[must_use]
-    pub fn row(&self, block: u32, row: usize) -> &[u32] {
-        let data = self.blocks.get(block as usize).map_or(&[][..], |b| &b.data);
-        match (data.get(row), data.get(row + 1)) {
-            (Some(&at), Some(&end)) => data.get(at as usize..end as usize).unwrap_or(&[]),
+    pub fn row(&self, block: u32, key: u64) -> &[u32] {
+        let Some(b) = self.blocks.get(block as usize) else {
+            return &[];
+        };
+        let row = (key - b.first) as usize;
+        match (b.data.get(row), b.data.get(row + 1)) {
+            (Some(&at), Some(&end)) => b.data.get(at as usize..end as usize).unwrap_or(&[]),
             _ => &[],
         }
     }
@@ -258,18 +262,8 @@ impl DepLists {
 
     /// The entries of a walk, in [`DepLists::next_entry`]'s order.
     #[inline]
-    pub fn entries(&self, walk: Walk) -> impl Iterator<Item = u32> + '_ {
-        let row = self
-            .blocks
-            .get(walk.block as usize)
-            .map_or(&[][..], |b| &b.data);
-        let row = row.get(walk.at..walk.end).unwrap_or(&[]);
-        let mut edge = walk.edge;
-        row.iter().copied().chain(std::iter::from_fn(move || {
-            let e = self.edges.get(edge as usize)?;
-            edge = if edge == walk.last { NIL } else { e.next };
-            Some(e.entry)
-        }))
+    pub fn entries(&self, mut walk: Walk) -> impl Iterator<Item = u32> + '_ {
+        std::iter::from_fn(move || self.next_entry(&mut walk))
     }
 
     /// Blocks holding rows, and edges on some list (a walk of the free

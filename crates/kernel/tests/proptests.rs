@@ -218,7 +218,7 @@ proptest! {
                         let gone = blocks.swap_remove(k);
                         for r in 0..gone.rows.len() {
                             prop_assert!(read(&lists, gone.id, r, NIL).is_empty());
-                            prop_assert!(lists.row(gone.id, r).is_empty());
+                            prop_assert!(lists.row(gone.id, gone.first + r as u64).is_empty());
                         }
                         freed.push(gone.id);
                     }
@@ -250,7 +250,7 @@ proptest! {
             for b in &blocks {
                 for (r, row) in b.rows.iter().enumerate() {
                     prop_assert_eq!(&read(&lists, b.id, r, NIL), row);
-                    prop_assert_eq!(lists.row(b.id, r), &row[..]);
+                    prop_assert_eq!(lists.row(b.id, b.first + r as u64), &row[..]);
                 }
                 let last = b.first + u64::from(b.unsettled) - 1;
                 prop_assert_eq!(lists.row_of(b.id, last), (last - b.first) as usize);
