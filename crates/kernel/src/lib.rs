@@ -60,7 +60,8 @@
 //! - **Reading.** [`DepLists::walk`] reads a key's row, then its list; the
 //!   cursor holds no borrow, so an engine can release each dependent as it
 //!   reads it ([`DepLists::next_entry`]), and [`DepLists::entries`] reads
-//!   it as an iterator.
+//!   it as an iterator. [`DepLists::row`] reads a key's row alone as a
+//!   slice, in one lookup of its block.
 //! - **The 32-bit bound.** Block and edge indices, block positions and row
 //!   offsets are `u32`, and [`NIL`] means no block or the end of a list.
 //!   [`DepLists::fits`] checks a batch's rows, entries and edges against
