@@ -1,12 +1,15 @@
 //! Harness micro-benchmarks: schedule construction cost for every
-//! algorithm, and Wrht plan construction across scales.
+//! algorithm, Wrht plan construction across scales, and the group-size
+//! search at the largest scales the campaigns run.
 
 use collectives::halving_doubling::halving_doubling;
 use collectives::rd::recursive_doubling;
 use collectives::ring::ring_allreduce;
 use collectives::tree::binomial_tree;
 use criterion::{criterion_group, criterion_main, Criterion};
+use optical_sim::OpticalConfig;
 use wrht_core::plan::build_plan;
+use wrht_core::{choose_group_size, StopPolicy, WrhtParams};
 
 fn bench_baselines(c: &mut Criterion) {
     let n = 256;
@@ -39,5 +42,34 @@ fn bench_wrht_plans(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_baselines, bench_wrht_plans);
+/// One `choose_group_size` call, cold: the search walks every group size
+/// `2..=2w+1` (and, under `BestDepth`, every stop level) for one 25 MiB
+/// payload.
+fn bench_group_search(c: &mut Criterion) {
+    let w = 64;
+    let mut group = c.benchmark_group("schedule_generation/group_search");
+    group.sample_size(20);
+    for n in [1024usize, 4096] {
+        let config = OpticalConfig::new(n, w);
+        for policy in [StopPolicy::EarliestFeasible, StopPolicy::BestDepth] {
+            let params = WrhtParams::auto(n, w).with_stop_policy(policy);
+            group.bench_function(format!("n{n}_w{w}_{policy:?}"), |b| {
+                b.iter(|| {
+                    std::hint::black_box(
+                        choose_group_size(&params, &config, std::hint::black_box(25 << 20))
+                            .unwrap(),
+                    )
+                })
+            });
+        }
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_baselines,
+    bench_wrht_plans,
+    bench_group_search
+);
 criterion_main!(benches);

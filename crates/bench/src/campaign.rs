@@ -49,7 +49,9 @@
 use crate::config::{ExperimentConfig, SubstrateKind};
 use crate::fig2::{Fig2Row, Fig2Series};
 use crate::report::to_json;
-use crate::timeline::{iteration_model, lower_allreduce, timeline_buckets, TimelineRow};
+use crate::timeline::{
+    iteration_model, lower_allreduce, timeline_buckets, AllReduceLowering, TimelineRow,
+};
 use dnn_models::Model;
 use optical_sim::sim::{StepSchedule, StepSource};
 use optical_sim::Strategy;
@@ -1076,13 +1078,11 @@ fn lower_buckets(
     n: usize,
     bucket_bytes: u64,
 ) -> wrht_core::error::Result<Vec<(f64, StepSchedule)>> {
-    let buckets = timeline_buckets(model, bucket_bytes);
-    let mut lowered = Vec::with_capacity(buckets.len());
-    for b in &buckets {
-        let (schedule, _) = lower_allreduce(local, algorithm, n, b.bytes)?;
-        lowered.push((b.ready_s, schedule));
-    }
-    Ok(lowered)
+    let lowering = AllReduceLowering::new(local, algorithm, n);
+    timeline_buckets(model, bucket_bytes)
+        .iter()
+        .map(|b| Ok((b.ready_s, lowering.lower(b.bytes)?.0)))
+        .collect()
 }
 
 /// `jobs` identical training iterations of `model` under `policy`: job `j`

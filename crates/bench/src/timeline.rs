@@ -16,12 +16,13 @@ use crate::config::{ExperimentConfig, SubstrateKind};
 use collectives::halving_doubling::halving_doubling;
 use collectives::rd::recursive_doubling;
 use collectives::ring::ring_allreduce;
+use collectives::schedule::Schedule;
 use collectives::tree::binomial_tree;
 use dnn_models::bucket::bucketize;
 use dnn_models::training::{bucket_ready_times, IterationModel};
 use dnn_models::Model;
 use optical_sim::sim::StepSchedule;
-use optical_sim::Strategy;
+use optical_sim::{OpticalConfig, Strategy};
 use serde::{Deserialize, Serialize};
 use wrht_core::baselines::lower_collective_to_optical;
 use wrht_core::dag::ExecMode;
@@ -29,7 +30,7 @@ use wrht_core::lower::to_optical_schedule;
 use wrht_core::timeline::{
     execute_timeline, execute_timeline_pipelined, IterationTimeline, TimelineBucket,
 };
-use wrht_core::{choose_group_size, WrhtParams};
+use wrht_core::{GroupSearch, WrhtParams};
 
 /// Compute-side model for one zoo model: backward time proportional to the
 /// parameter count ([`BACKWARD_S_PER_PARAM`]), forward at half backward.
@@ -42,38 +43,78 @@ pub fn iteration_model(model: &Model) -> IterationModel {
     }
 }
 
-/// Lower one all-reduce of `bytes` over `n` nodes to the substrate IR.
+/// All-reduces over `n` nodes lowered to the substrate IR, for any
+/// payload.
 ///
 /// Wrht plans with the optimizer (auto group size) against the optical
 /// cost model at the given wavelength budget — also when the schedule will
-/// execute electrically, mirroring the campaign's Wrht cells. Returns the
-/// schedule plus the chosen group size (0 for the classic algorithms).
+/// execute electrically, mirroring the campaign's Wrht cells. Its
+/// [`GroupSearch`] walks when the lowering is made and prices each payload
+/// from that walk, so a cell that lowers many buckets walks once.
+pub struct AllReduceLowering<'a> {
+    cfg: &'a ExperimentConfig,
+    n: usize,
+    lowering: Lowering,
+}
+
+/// How an [`AllReduceLowering`] builds its schedules.
+enum Lowering {
+    Wrht {
+        search: GroupSearch,
+        optical: OpticalConfig,
+    },
+    Collective(fn(usize, usize) -> Schedule),
+}
+
+impl<'a> AllReduceLowering<'a> {
+    /// The lowering of `algorithm`'s all-reduces over `n` nodes.
+    #[must_use]
+    pub fn new(cfg: &'a ExperimentConfig, algorithm: Algorithm, n: usize) -> Self {
+        let lowering = match algorithm {
+            Algorithm::Wrht => Lowering::Wrht {
+                search: GroupSearch::new(&WrhtParams::auto(n, cfg.wavelengths)),
+                optical: cfg.optical(n),
+            },
+            Algorithm::Ring => Lowering::Collective(ring_allreduce),
+            Algorithm::RecursiveDoubling => Lowering::Collective(recursive_doubling),
+            Algorithm::HalvingDoubling => Lowering::Collective(halving_doubling),
+            Algorithm::Tree => Lowering::Collective(binomial_tree),
+        };
+        Self { cfg, n, lowering }
+    }
+
+    /// Lower one all-reduce of `bytes`. Returns the schedule plus the
+    /// chosen group size (0 for the classic algorithms).
+    ///
+    /// # Errors
+    /// The group-size search's, for Wrht.
+    pub fn lower(&self, bytes: u64) -> wrht_core::error::Result<(StepSchedule, usize)> {
+        match &self.lowering {
+            Lowering::Wrht { search, optical } => {
+                let (m, plan, _) = search.choose(optical, bytes)?;
+                Ok((to_optical_schedule(&plan, bytes), m))
+            }
+            Lowering::Collective(collective) => {
+                let schedule = collective(self.n, self.cfg.elems(bytes));
+                Ok((
+                    lower_collective_to_optical(&schedule, self.cfg.bytes_per_elem, 1),
+                    0,
+                ))
+            }
+        }
+    }
+}
+
+/// Lower one all-reduce of `bytes` over `n` nodes to the substrate IR (see
+/// [`AllReduceLowering`]). Returns the schedule plus the chosen group size
+/// (0 for the classic algorithms).
 pub fn lower_allreduce(
     cfg: &ExperimentConfig,
     algorithm: Algorithm,
     n: usize,
     bytes: u64,
 ) -> wrht_core::error::Result<(StepSchedule, usize)> {
-    if let Algorithm::Wrht = algorithm {
-        let (m, plan, _) = choose_group_size(
-            &WrhtParams::auto(n, cfg.wavelengths),
-            &cfg.optical(n),
-            bytes,
-        )?;
-        return Ok((to_optical_schedule(&plan, bytes), m));
-    }
-    let elems = cfg.elems(bytes);
-    let schedule = match algorithm {
-        Algorithm::Ring => ring_allreduce(n, elems),
-        Algorithm::RecursiveDoubling => recursive_doubling(n, elems),
-        Algorithm::HalvingDoubling => halving_doubling(n, elems),
-        Algorithm::Tree => binomial_tree(n, elems),
-        Algorithm::Wrht => unreachable!("handled above"),
-    };
-    Ok((
-        lower_collective_to_optical(&schedule, cfg.bytes_per_elem, 1),
-        0,
-    ))
+    AllReduceLowering::new(cfg, algorithm, n).lower(bytes)
 }
 
 /// Buckets of a model as timeline inputs: payloads from
@@ -116,8 +157,8 @@ pub fn model_timeline(
     let im = iteration_model(model);
     let mut substrate = cfg.try_substrate(kind, n, strategy)?;
     let compute_s = im.forward_s + im.backward_s;
-    let lower =
-        |bytes: u64| lower_allreduce(cfg, algorithm, n, bytes).map(|(schedule, _)| schedule);
+    let lowering = AllReduceLowering::new(cfg, algorithm, n);
+    let lower = |bytes: u64| lowering.lower(bytes).map(|(schedule, _)| schedule);
     match mode {
         ExecMode::Barrier => execute_timeline(substrate.as_mut(), &buckets, compute_s, lower),
         ExecMode::Pipelined => {

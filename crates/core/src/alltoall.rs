@@ -8,8 +8,7 @@
 //! bound alone.
 
 use crate::error::Result;
-use optical_sim::path::LightPath;
-use optical_sim::rwa::{Occupancy, Strategy};
+use optical_sim::rwa::{arc_first, Occupancy, Strategy};
 use optical_sim::topology::{NodeId, RingTopology};
 
 /// All ordered `(src, dst)` pairs among `reps` — the transfer set of one
@@ -48,7 +47,8 @@ pub fn alltoall_pairs(reps: &[usize]) -> Vec<(usize, usize)> {
 ///   when the pairs are assigned in slice order, each as one unit-lane
 ///   lightpath on its shortest arc of `topo` (clockwise on ties) — not the
 ///   Liang–Shen `⌈k²/8⌉` bound, which
-///   [`crate::steps::alltoall_wavelength_requirement`] provides;
+///   [`crate::steps::alltoall_wavelength_requirement`] provides; the caller
+///   compares it against its wavelength budget to decide feasibility;
 /// * the trial runs on the **endpoint-compressed ring**, so its cost
 ///   scales with the number `k` of distinct endpoints, not with
 ///   `topo.nodes()`. With the endpoints sorted, `e_0 < … < e_{k−1}`, span
@@ -59,10 +59,10 @@ pub fn alltoall_pairs(reps: &[usize]) -> Vec<(usize, usize)> {
 ///   is therefore free along a path on the small ring exactly when it is
 ///   free along the path on `topo`, and First-Fit picks the same lane for
 ///   every pair. Directions come from `topo`, never from the small ring;
-/// * `w` is only a sizing hint: the trial occupancy is sized beyond
-///   `max(w, pairs.len())`, so the measurement stays exact even when the
-///   requirement exceeds the budget, and the caller compares the result
-///   against `w` to decide feasibility;
+/// * the trial occupancy has `pairs.len() + 1` lanes, so its memory
+///   follows the trial, and First-Fit never reaches past its last lane:
+///   each pair takes the lowest lane free on its arc, and the pairs
+///   before it hold fewer lanes than that;
 /// * assignment order matters to First-Fit, so callers must pass pairs in
 ///   a canonical order ([`alltoall_pairs`] output) for reproducible
 ///   measurements;
@@ -77,7 +77,6 @@ pub fn alltoall_pairs(reps: &[usize]) -> Vec<(usize, usize)> {
 pub fn measured_alltoall_wavelengths(
     topo: &RingTopology,
     pairs: &[(usize, usize)],
-    w: usize,
 ) -> Result<usize> {
     if let Some(node) = pairs.iter().map(|&(a, b)| a.max(b)).max() {
         topo.check_node(NodeId(node))?;
@@ -92,19 +91,50 @@ pub fn measured_alltoall_wavelengths(
         .collect();
     ends.sort_unstable();
     ends.dedup();
-    if ends.is_empty() {
+    let span_of = |node: usize| ends.partition_point(|&e| e < node);
+    let spans = pairs
+        .iter()
+        .filter(travels)
+        .map(|&(a, b)| (span_of(a), span_of(b)));
+    first_fit_peak(topo, &ends, pairs.len(), spans)
+}
+
+/// [`measured_alltoall_wavelengths`] of [`alltoall_pairs`]`(reps)`, for
+/// strictly ascending ring positions `reps` on `topo`, without listing
+/// the pairs: the representatives are the compressed ring's endpoints.
+pub(crate) fn reps_alltoall_wavelengths(topo: &RingTopology, reps: &[usize]) -> Result<usize> {
+    let k = reps.len();
+    let spans = (0..k).flat_map(|i| (0..k).filter(move |&j| j != i).map(move |j| (i, j)));
+    first_fit_peak(topo, reps, k * k.saturating_sub(1), spans)
+}
+
+/// Place one unit lane per `(i, j)` span pair, First-Fit in order, on the
+/// ring compressed to the sorted distinct endpoints `ends` of `topo`
+/// (span `i` runs from `ends[i]` to the next endpoint), and return the
+/// peak lane count. The pair `(i, j)` travels from `ends[i]` to `ends[j]`
+/// in `topo`'s shortest direction; the occupancy holds `pairs + 1` lanes.
+fn first_fit_peak(
+    topo: &RingTopology,
+    ends: &[usize],
+    pairs: usize,
+    spans: impl Iterator<Item = (usize, usize)>,
+) -> Result<usize> {
+    // A pair that travels has two endpoints.
+    if ends.len() < 2 {
         return Ok(0);
     }
-    // Two endpoints at least: a pair that travels has two.
-    let spans = RingTopology::try_new(ends.len())?;
-    let span_of = |node: usize| NodeId(ends.partition_point(|&e| e < node));
-    // Upper bound: every pair on its own wavelength.
-    let headroom = w.max(pairs.len()) + 1;
-    let mut occ = Occupancy::new(spans.nodes(), headroom);
-    for &(src, dst) in pairs.iter().filter(travels) {
-        let direction = topo.shortest_direction(NodeId(src), NodeId(dst));
-        let path = LightPath::routed(&spans, span_of(src), span_of(dst), direction);
-        occ.assign(&path, 1, Strategy::FirstFit)?;
+    let ring = RingTopology::try_new(ends.len())?;
+    let mut occ = Occupancy::new(ends.len(), pairs + 1);
+    for (i, j) in spans {
+        let direction = topo.shortest_direction(NodeId(ends[i]), NodeId(ends[j]));
+        let hops = ring.hops(NodeId(i), NodeId(j), direction);
+        occ.assign_lanes(
+            direction,
+            arc_first(i, j, direction),
+            hops,
+            1,
+            Strategy::FirstFit,
+        )?;
     }
     Ok(occ.peak_wavelengths_used())
 }
@@ -127,10 +157,14 @@ mod tests {
 
     #[test]
     fn two_reps_need_one_wavelength() {
+        // Half a ring apart both pairs go clockwise, on disjoint arcs.
         let topo = RingTopology::new(16);
-        let pairs = alltoall_pairs(&[2, 10]);
-        let need = measured_alltoall_wavelengths(&topo, &pairs, 4).unwrap();
-        assert_eq!(need, 1);
+        for reps in [[2, 10], [0, 8]] {
+            let pairs = alltoall_pairs(&reps);
+            assert_eq!(pairs.len(), 2);
+            assert_eq!(measured_alltoall_wavelengths(&topo, &pairs).unwrap(), 1);
+            assert_eq!(reps_alltoall_wavelengths(&topo, &reps).unwrap(), 1);
+        }
     }
 
     #[test]
@@ -142,7 +176,7 @@ mod tests {
             let topo = RingTopology::new(n);
             let reps: Vec<usize> = (0..k).map(|i| i * 8).collect();
             let pairs = alltoall_pairs(&reps);
-            let measured = measured_alltoall_wavelengths(&topo, &pairs, 64).unwrap();
+            let measured = measured_alltoall_wavelengths(&topo, &pairs).unwrap();
             let bound = alltoall_wavelength_requirement(k);
             assert!(
                 measured <= 2 * bound,
@@ -156,13 +190,13 @@ mod tests {
     #[test]
     fn empty_pairs_need_nothing() {
         let topo = RingTopology::new(8);
-        assert_eq!(measured_alltoall_wavelengths(&topo, &[], 4).unwrap(), 0);
+        assert_eq!(measured_alltoall_wavelengths(&topo, &[]).unwrap(), 0);
     }
 
     #[test]
     fn out_of_range_endpoint_is_a_typed_error() {
         let topo = RingTopology::new(8);
-        let err = measured_alltoall_wavelengths(&topo, &[(9, 3)], 4).unwrap_err();
+        let err = measured_alltoall_wavelengths(&topo, &[(9, 3)]).unwrap_err();
         assert_eq!(
             err,
             WrhtError::Optical(OpticalError::NodeOutOfRange {
@@ -171,20 +205,17 @@ mod tests {
             })
         );
         // A self-pair is checked too, although it occupies nothing.
-        assert!(measured_alltoall_wavelengths(&topo, &[(1, 2), (8, 8)], 4).is_err());
+        assert!(measured_alltoall_wavelengths(&topo, &[(1, 2), (8, 8)]).is_err());
     }
 
     #[test]
     fn self_pairs_cost_nothing() {
         let topo = RingTopology::new(8);
         // No second endpoint at all.
-        assert_eq!(
-            measured_alltoall_wavelengths(&topo, &[(4, 4)], 4).unwrap(),
-            0
-        );
+        assert_eq!(measured_alltoall_wavelengths(&topo, &[(4, 4)]).unwrap(), 0);
         // Beside a pair that travels, a self-pair changes nothing.
-        let with = measured_alltoall_wavelengths(&topo, &[(0, 4), (4, 4), (1, 3)], 4).unwrap();
-        let without = measured_alltoall_wavelengths(&topo, &[(0, 4), (1, 3)], 4).unwrap();
+        let with = measured_alltoall_wavelengths(&topo, &[(0, 4), (4, 4), (1, 3)]).unwrap();
+        let without = measured_alltoall_wavelengths(&topo, &[(0, 4), (1, 3)]).unwrap();
         assert_eq!((with, without), (2, 2));
     }
 
@@ -197,7 +228,9 @@ mod tests {
     }
 
     mod props {
-        use super::super::{alltoall_pairs, measured_alltoall_wavelengths};
+        use super::super::{
+            alltoall_pairs, measured_alltoall_wavelengths, reps_alltoall_wavelengths,
+        };
         use optical_sim::topology::RingTopology;
         use proptest::prelude::*;
 
@@ -244,13 +277,12 @@ mod tests {
                 let reps: Vec<usize> = reps.into_iter().filter(|&r| r < n).collect();
                 let topo = RingTopology::new(n);
                 let pairs = alltoall_pairs(&reps);
-                // The sizing hint must not change the measurement.
-                let lo = measured_alltoall_wavelengths(&topo, &pairs, 1).unwrap();
-                let hi = measured_alltoall_wavelengths(&topo, &pairs, 256).unwrap();
-                prop_assert_eq!(lo, hi);
+                let need = measured_alltoall_wavelengths(&topo, &pairs).unwrap();
                 // Never more than one wavelength per pair, none for none.
-                prop_assert!(lo <= pairs.len());
-                prop_assert_eq!(lo == 0, pairs.is_empty());
+                prop_assert!(need <= pairs.len());
+                prop_assert_eq!(need == 0, pairs.is_empty());
+                // The planner's trial over the representatives themselves.
+                prop_assert_eq!(reps_alltoall_wavelengths(&topo, &reps).unwrap(), need);
             }
         }
     }

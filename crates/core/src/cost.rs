@@ -5,7 +5,8 @@
 //! symmetric, and the all-to-all step (if any) is paid once. The optimizer
 //! uses this model to search group sizes without running the simulator.
 
-use crate::plan::WrhtPlan;
+use crate::plan::{StepShape, WrhtPlan};
+use optical_sim::timing::TimingModel;
 use optical_sim::OpticalConfig;
 use serde::{Deserialize, Serialize};
 
@@ -34,29 +35,57 @@ impl CostBreakdown {
 /// the ring described by `config`.
 #[must_use]
 pub fn predict_time_s(plan: &WrhtPlan, config: &OpticalConfig, bytes: u64) -> CostBreakdown {
-    let timing = config.timing();
-    let mut per_step_s = Vec::with_capacity(plan.step_count());
+    let levels = plan.levels.iter().map(|level| {
+        // A level of single-member groups has nothing to send.
+        let sends = level.groups.iter().any(|g| g.members.len() != 1);
+        sends.then(|| StepShape {
+            lambda_requirement: level.lambda_requirement,
+            lanes: level.lanes,
+            hop_span: level.max_hop_span(),
+        })
+    });
+    let alltoall = plan.alltoall.as_ref().map(|ata| StepShape {
+        lambda_requirement: ata.lambda_requirement,
+        lanes: ata.lanes,
+        hop_span: plan.alltoall_hop_span(),
+    });
+    let per_step_s = Vec::with_capacity(plan.step_count());
+    price(&config.timing(), bytes, levels, alltoall, per_step_s)
+}
 
+/// Price a plan from its steps' shapes: the reduce `levels` in order
+/// (`None` for a level with nothing to send), then the optional
+/// all-to-all, then the broadcast, which mirrors the reduce stage
+/// root-most level first. Each step lasts
+/// [`TimingModel::transfer_time`] of its lanes and hop span. The step
+/// durations go to `per_step_s`, cleared first, whose allocation a caller
+/// pricing many plans reuses.
+pub(crate) fn price(
+    timing: &TimingModel,
+    bytes: u64,
+    levels: impl IntoIterator<Item = Option<StepShape>>,
+    alltoall: Option<StepShape>,
+    mut per_step_s: Vec<f64>,
+) -> CostBreakdown {
+    let time = |step: StepShape| timing.transfer_time(bytes, step.lanes, step.hop_span);
+    per_step_s.clear();
     let mut reduce_s = 0.0;
-    for level in &plan.levels {
-        let t = if level.groups.iter().all(|g| g.members.len() == 1) {
-            0.0 // degenerate level: nothing to send
-        } else {
-            timing.transfer_time(bytes, level.lanes, level.max_hop_span())
-        };
+    for level in levels {
+        let t = level.map_or(0.0, time);
         reduce_s += t;
         per_step_s.push(t);
     }
+    let depth = per_step_s.len();
 
     let mut alltoall_s = 0.0;
-    if let Some(ata) = &plan.alltoall {
-        alltoall_s = timing.transfer_time(bytes, ata.lanes, plan.alltoall_hop_span());
+    if let Some(ata) = alltoall {
+        alltoall_s = time(ata);
         per_step_s.push(alltoall_s);
     }
 
     // Broadcast mirrors the reduce stage, root-most level first.
     let broadcast_s = reduce_s;
-    for i in (0..plan.levels.len()).rev() {
+    for i in (0..depth).rev() {
         per_step_s.push(per_step_s[i]);
     }
 

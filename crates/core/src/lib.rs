@@ -132,7 +132,7 @@ pub mod prelude {
     pub use crate::lower::{
         to_logical_schedule, to_optical_schedule, to_optical_schedule_with, BroadcastMode,
     };
-    pub use crate::optimizer::{choose_group_size, plan_and_simulate, PlanOutcome};
+    pub use crate::optimizer::{choose_group_size, plan_and_simulate, GroupSearch, PlanOutcome};
     pub use crate::parallelism::{
         lower_parallelism, ParallelismSource, ParallelismSpec, StageModel,
     };
@@ -165,7 +165,7 @@ pub use dag::{DepSchedule, DepTransfer, ExecMode};
 pub use error::WrhtError;
 pub use fault::{FaultClusterReport, FaultPolicy, FaultRunReport, FaultScript};
 pub use hierarchy::{compose, Domain, HierSpec};
-pub use optimizer::{choose_group_size, plan_and_simulate, PlanOutcome};
+pub use optimizer::{choose_group_size, plan_and_simulate, GroupSearch, PlanOutcome};
 pub use parallelism::{lower_parallelism, ParallelismSource, ParallelismSpec, StageModel};
 pub use params::{GroupSize, WrhtParams};
 pub use plan::{build_plan, candidate_plans, StopPolicy, WrhtPlan};

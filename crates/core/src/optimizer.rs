@@ -2,19 +2,27 @@
 //! pipeline.
 //!
 //! The search space is small (`m ∈ 2..=2w+1`, a handful of stop levels per
-//! `m`) and each candidate costs one plan construction: the levels down to
-//! the stop, one trial First-Fit RWA on the ring compressed to the
-//! all-to-all's endpoints, and the cost model. The search runs on the
-//! caller's thread and starts none of its own.
+//! `m`), and the search prices each candidate without building it. One
+//! level walk per `m` summarizes every level it passes by its lanes and
+//! hop span, over two position buffers the walks of all `m` share, and
+//! runs each stop's trial First-Fit RWA on the ring compressed to the
+//! all-to-all's endpoints. The cost model prices a candidate from those
+//! summaries through the body [`crate::cost::predict_time_s`] uses, and
+//! only the winner's [`WrhtPlan`] is built. The summaries depend on the
+//! ring size and the wavelength budget alone, so one [`GroupSearch`]
+//! prices any number of payloads. The search runs on the caller's thread
+//! and starts none of its own.
 
-use crate::cost::{predict_time_s, CostBreakdown};
+use crate::cost::{price, CostBreakdown};
 use crate::error::{Result, WrhtError};
 use crate::lower::to_optical_schedule;
 use crate::params::{GroupSize, WrhtParams};
-use crate::plan::{build_plan, candidate_plans, StopPolicy, WrhtPlan};
+use crate::plan::{build_candidate, build_plan, LevelWalk, StepShape, StopPolicy, WrhtPlan};
 use crate::substrate::{OpticalSubstrate, RunReport, Substrate};
+use optical_sim::timing::TimingModel;
 use optical_sim::OpticalConfig;
 use serde::{Deserialize, Serialize};
+use std::ops::RangeInclusive;
 
 /// Result of planning (and optionally simulating) a Wrht all-reduce.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -31,21 +39,173 @@ pub struct PlanOutcome {
     pub report: RunReport,
 }
 
-/// Candidates for one group size under a stop policy.
-fn plans_for_m(m: usize, params: &WrhtParams) -> Vec<WrhtPlan> {
-    match params.stop_policy {
-        StopPolicy::EarliestFeasible => build_plan(params.n, m, params.wavelengths)
-            .map(|p| vec![p])
-            .unwrap_or_default(),
-        StopPolicy::BestDepth => {
-            candidate_plans(params.n, m, params.wavelengths).unwrap_or_default()
+/// One candidate plan: group size `m`, stopped after `depth` reduce
+/// levels (shapes `GroupSearch::levels[first..first + depth]`), then the
+/// all-to-all `alltoall`, or none for the run-to-root plan.
+#[derive(Debug, Clone, Copy)]
+struct Candidate {
+    m: usize,
+    first: usize,
+    depth: usize,
+    alltoall: Option<StepShape>,
+}
+
+/// The group-size search for one ring size, wavelength budget and stop
+/// policy: the shape of every candidate plan, walked once, so that it
+/// prices any payload without building a plan.
+///
+/// Build one per cell (or per call) and drop it with the cell: it holds
+/// no payload and shares nothing with other searches.
+///
+/// ```
+/// use optical_sim::OpticalConfig;
+/// use wrht_core::optimizer::{choose_group_size, GroupSearch};
+/// use wrht_core::WrhtParams;
+///
+/// let params = WrhtParams::auto(128, 16);
+/// let config = OpticalConfig::new(128, 16);
+/// let search = GroupSearch::new(&params);
+/// for bytes in [1u64 << 20, 25 << 20] {
+///     let (m, plan, cost) = search.choose(&config, bytes).unwrap();
+///     assert_eq!((m, plan, cost), choose_group_size(&params, &config, bytes).unwrap());
+/// }
+/// ```
+#[derive(Debug, Clone)]
+pub struct GroupSearch {
+    n: usize,
+    wavelengths: usize,
+    /// Each candidate's reduce levels, one run per group size.
+    levels: Vec<StepShape>,
+    /// In search order: ascending `m`, earliest stop first.
+    candidates: Vec<Candidate>,
+}
+
+impl GroupSearch {
+    /// Walk every group size `2..=params.max_group_size()` and every stop
+    /// level `params.stop_policy` allows. A group size whose walk fails
+    /// adds no candidate.
+    #[must_use]
+    pub fn new(params: &WrhtParams) -> Self {
+        Self::over(params, 2..=params.max_group_size())
+    }
+
+    /// [`GroupSearch::new`] over the group sizes `sizes`.
+    fn over(params: &WrhtParams, sizes: RangeInclusive<usize>) -> Self {
+        let mut search = Self {
+            n: params.n,
+            wavelengths: params.wavelengths,
+            levels: Vec::new(),
+            candidates: Vec::new(),
+        };
+        let everyone: Vec<usize> = (0..params.n).collect();
+        let mut walk = LevelWalk::default();
+        for m in sizes {
+            let kept = (search.levels.len(), search.candidates.len());
+            let walked = walk
+                .start(params.n, &everyone, m, params.wavelengths)
+                .and_then(|()| search.record(&mut walk, m, params.stop_policy));
+            if walked.is_err() {
+                search.levels.truncate(kept.0);
+                search.candidates.truncate(kept.1);
+            }
         }
+        search
+    }
+
+    /// Record the candidates of group size `m` from its started `walk`:
+    /// each feasible all-to-all stop (the first alone under
+    /// [`StopPolicy::EarliestFeasible`]) and, unless a stop ended the walk,
+    /// the run-to-root plan.
+    fn record(&mut self, walk: &mut LevelWalk<'_>, m: usize, policy: StopPolicy) -> Result<()> {
+        let first = self.levels.len();
+        loop {
+            let candidate = |alltoall| Candidate {
+                m,
+                first,
+                depth: self.levels.len() - first,
+                alltoall,
+            };
+            if walk.active().len() == 1 {
+                self.candidates.push(candidate(None));
+                return Ok(());
+            }
+            if let Some(alltoall) = walk.alltoall()? {
+                self.candidates.push(candidate(Some(alltoall)));
+                if policy == StopPolicy::EarliestFeasible {
+                    return Ok(());
+                }
+            }
+            self.levels.push(walk.descend());
+        }
+    }
+
+    /// Price `candidate` for `bytes` per message, into `per_step_s`'s
+    /// allocation.
+    fn price(
+        &self,
+        timing: &TimingModel,
+        bytes: u64,
+        candidate: &Candidate,
+        per_step_s: Vec<f64>,
+    ) -> CostBreakdown {
+        let levels = &self.levels[candidate.first..candidate.first + candidate.depth];
+        price(
+            timing,
+            bytes,
+            levels.iter().copied().map(Some),
+            candidate.alltoall,
+            per_step_s,
+        )
+    }
+
+    /// The candidate minimizing predicted communication time for `bytes`
+    /// per message on `config`, its plan and its prediction.
+    ///
+    /// The scan runs in ascending `m`, earliest stop first, and keeps a
+    /// candidate only when its total is strictly lower, so ties go to the
+    /// smallest `m` and then the shallowest plan. Only the winner's plan is
+    /// built.
+    ///
+    /// # Errors
+    /// [`WrhtError::NoFeasiblePlan`] when no group size has a plan.
+    pub fn choose(
+        &self,
+        config: &OpticalConfig,
+        bytes: u64,
+    ) -> Result<(usize, WrhtPlan, CostBreakdown)> {
+        let timing = config.timing();
+        let mut per_step_s = Vec::new();
+        let mut best: Option<(&Candidate, f64)> = None;
+        for candidate in &self.candidates {
+            let cost = self.price(&timing, bytes, candidate, per_step_s);
+            let total = cost.total_s();
+            if best.is_none_or(|(_, incumbent)| total < incumbent) {
+                best = Some((candidate, total));
+            }
+            per_step_s = cost.per_step_s;
+        }
+        let Some((winner, _)) = best else {
+            return Err(WrhtError::NoFeasiblePlan {
+                n: self.n,
+                wavelengths: self.wavelengths,
+            });
+        };
+        let plan = build_candidate(
+            self.n,
+            winner.m,
+            self.wavelengths,
+            winner.depth,
+            winner.alltoall,
+        )?;
+        let cost = self.price(&timing, bytes, winner, per_step_s);
+        Ok((winner.m, plan, cost))
     }
 }
 
 /// Search group sizes `2..=max_group_size` (and, under
 /// [`StopPolicy::BestDepth`], every stop level) for the plan minimizing
-/// predicted communication time for `bytes` per message.
+/// predicted communication time for `bytes` per message: a
+/// [`GroupSearch`] priced once.
 ///
 /// The scan runs in ascending `m`, earliest stop first, and keeps a
 /// candidate only when its total is strictly lower, so ties go to the
@@ -55,22 +215,7 @@ pub fn choose_group_size(
     config: &OpticalConfig,
     bytes: u64,
 ) -> Result<(usize, WrhtPlan, CostBreakdown)> {
-    let mut best: Option<(usize, WrhtPlan, CostBreakdown)> = None;
-    for m in 2..=params.max_group_size() {
-        for plan in plans_for_m(m, params) {
-            let cost = predict_time_s(&plan, config, bytes);
-            let better = best
-                .as_ref()
-                .is_none_or(|(_, _, inc)| cost.total_s() < inc.total_s());
-            if better {
-                best = Some((m, plan, cost));
-            }
-        }
-    }
-    best.ok_or(WrhtError::NoFeasiblePlan {
-        n: params.n,
-        wavelengths: params.wavelengths,
-    })
+    GroupSearch::new(params).choose(config, bytes)
 }
 
 /// Build a plan per `params` (fixed or optimizer-chosen `m`), lower it and
@@ -91,28 +236,18 @@ pub fn plan_and_simulate(
             config: config.nodes,
         });
     }
-    let (m, plan, predicted) = match params.group_size {
+    let search = match params.group_size {
         GroupSize::Fixed(m) => {
-            let best = plans_for_m(m, params).into_iter().min_by(|a, b| {
-                let ca = predict_time_s(a, config, bytes).total_s();
-                let cb = predict_time_s(b, config, bytes).total_s();
-                ca.total_cmp(&cb)
-            });
-            let Some(plan) = best else {
-                // Surface the underlying construction error; if `m` is
-                // buildable after all, report infeasibility typed rather
-                // than panicking.
+            let search = GroupSearch::over(params, m..=m);
+            if search.candidates.is_empty() {
+                // Surface the underlying construction error.
                 build_plan(params.n, m, params.wavelengths)?;
-                return Err(WrhtError::NoFeasiblePlan {
-                    n: params.n,
-                    wavelengths: params.wavelengths,
-                });
-            };
-            let cost = predict_time_s(&plan, config, bytes);
-            (m, plan, cost)
+            }
+            search
         }
-        GroupSize::Auto => choose_group_size(params, config, bytes)?,
+        GroupSize::Auto => GroupSearch::new(params),
     };
+    let (m, plan, predicted) = search.choose(config, bytes)?;
     let sched = to_optical_schedule(&plan, bytes);
     let mut substrate = OpticalSubstrate::new(config.clone())?;
     let report = substrate.execute(&sched)?;
@@ -128,6 +263,7 @@ pub fn plan_and_simulate(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::predict_time_s;
 
     #[test]
     fn auto_is_at_least_as_good_as_any_fixed_m() {
@@ -237,6 +373,16 @@ mod tests {
         // all-to-all among all 16 nodes, so every candidate costs the same.
         let config = OpticalConfig::new(16, 64);
         let (m, plan, _) = choose_group_size(&WrhtParams::auto(16, 64), &config, 1 << 20).unwrap();
+        assert_eq!((m, plan.depth()), (2, 0));
+    }
+
+    #[test]
+    fn a_budget_past_half_the_address_space_still_plans() {
+        // `2w + 1` overflows here, and the all-to-all trial must size its
+        // lanes by the pairs, not by the budget.
+        let w = usize::MAX / 2 + 1;
+        let config = OpticalConfig::new(8, 64);
+        let (m, plan, _) = choose_group_size(&WrhtParams::auto(8, w), &config, 1 << 20).unwrap();
         assert_eq!((m, plan.depth()), (2, 0));
     }
 

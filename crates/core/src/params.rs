@@ -57,10 +57,14 @@ impl WrhtParams {
     }
 
     /// Largest group size whose tree step fits the wavelength budget:
-    /// `⌊m/2⌋ <= w`, i.e. `m <= 2w + 1` (and never beyond `n`).
+    /// `⌊m/2⌋ <= w`, i.e. `m <= 2w + 1` (and never beyond `n`). The bound
+    /// saturates, so a budget past `usize::MAX / 2` leaves `n` as the cap.
     #[must_use]
     pub fn max_group_size(&self) -> usize {
-        (2 * self.wavelengths + 1).min(self.n.max(2))
+        self.wavelengths
+            .saturating_mul(2)
+            .saturating_add(1)
+            .min(self.n.max(2))
     }
 }
 
@@ -73,6 +77,8 @@ mod tests {
         assert_eq!(WrhtParams::auto(1024, 4).max_group_size(), 9);
         assert_eq!(WrhtParams::auto(6, 64).max_group_size(), 6);
         assert_eq!(WrhtParams::auto(2, 1).max_group_size(), 2);
+        // `2w + 1` would overflow.
+        assert_eq!(WrhtParams::auto(8, usize::MAX / 2 + 1).max_group_size(), 8);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! surviving representatives. The broadcast stage is the mirror image and
 //! is derived from the same levels by [`crate::lower`].
 
-use crate::alltoall::{alltoall_pairs, measured_alltoall_wavelengths};
+use crate::alltoall::reps_alltoall_wavelengths;
 use crate::error::{Result, WrhtError};
 use crate::steps::{alltoall_wavelength_requirement, tree_wavelength_requirement};
 use optical_sim::topology::{NodeId, RingTopology};
@@ -28,7 +28,7 @@ impl Group {
     pub fn new(members: Vec<usize>) -> Self {
         debug_assert!(!members.is_empty());
         debug_assert!(members.windows(2).all(|w| w[0] < w[1]));
-        let rep = members[members.len() / 2];
+        let rep = middle(&members);
         Self { members, rep }
     }
 
@@ -147,18 +147,9 @@ impl WrhtPlan {
     /// participants (0 when the plan has no all-to-all step).
     #[must_use]
     pub fn alltoall_hop_span(&self) -> usize {
-        let Some(ata) = &self.alltoall else { return 0 };
-        let n = self.n.max(2);
-        ata.reps
-            .iter()
-            .flat_map(|&a| ata.reps.iter().map(move |&b| (a, b)))
-            .filter(|(a, b)| a != b)
-            .map(|(a, b)| {
-                let cw = (b + n - a) % n;
-                cw.min(n - cw)
-            })
-            .max()
-            .unwrap_or(0)
+        self.alltoall
+            .as_ref()
+            .map_or(0, |ata| reps_hop_span(self.n, &ata.reps))
     }
 
     /// Peak wavelength-group requirement over all steps.
@@ -232,7 +223,7 @@ pub fn build_plan_over(
     m: usize,
     w: usize,
 ) -> Result<WrhtPlan> {
-    let mut plans = walk_levels(ring_n, participants, m, w, true)?;
+    let mut plans = walk_plans(ring_n, participants, m, w, 1)?;
     // The walk always ends in at least the run-to-root plan.
     Ok(plans.swap_remove(0))
 }
@@ -253,100 +244,243 @@ pub fn candidate_plans_over(
     m: usize,
     w: usize,
 ) -> Result<Vec<WrhtPlan>> {
-    walk_levels(ring_n, participants, m, w, false)
+    walk_plans(ring_n, participants, m, w, usize::MAX)
 }
 
 /// Walk the reduce levels over `participants`, collecting a plan for every
 /// feasible all-to-all stop (earliest first) and the run-to-root plan
-/// (last). With `stop_at_first` the walk returns the first of these alone.
-fn walk_levels(
+/// (last), up to `limit` plans.
+fn walk_plans(
     ring_n: usize,
     participants: &[usize],
     m: usize,
     w: usize,
-    stop_at_first: bool,
+    limit: usize,
 ) -> Result<Vec<WrhtPlan>> {
-    let Some(&last) = participants.last() else {
-        return Err(WrhtError::NoNodes);
-    };
-    if let Some(pair) = participants.windows(2).find(|p| p[0] >= p[1]) {
-        return Err(WrhtError::ParticipantsNotAscending {
-            previous: pair[0],
-            node: pair[1],
-        });
-    }
-    // `RingTopology::check_node`'s test, spelled out: a one-node ring is a
-    // valid planning input, but a `RingTopology` needs two nodes.
-    if last >= ring_n {
-        return Err(OpticalError::NodeOutOfRange {
-            node: NodeId(last),
-            n: ring_n,
-        }
-        .into());
-    }
-    if m < 2 {
-        return Err(WrhtError::GroupSizeTooSmall(m));
-    }
-    if tree_wavelength_requirement(m) > w {
-        return Err(WrhtError::GroupSizeNeedsMoreWavelengths { m, wavelengths: w });
-    }
-
-    let plan = |levels, final_reps, alltoall| WrhtPlan {
-        n: ring_n,
-        m,
-        wavelengths: w,
-        levels,
-        alltoall,
-        final_reps,
-    };
-    if participants.len() == 1 {
-        return Ok(vec![plan(Vec::new(), vec![last], None)]);
-    }
-
-    // Two distinct participants below `ring_n`: the ring has two nodes at
-    // least.
-    let topo = RingTopology::try_new(ring_n)?;
-    let mut active: Vec<usize> = participants.to_vec();
+    let mut walk = LevelWalk::default();
+    walk.start(ring_n, participants, m, w)?;
     let mut levels: Vec<Level> = Vec::new();
-    let mut candidates: Vec<WrhtPlan> = Vec::new();
-
+    let mut plans: Vec<WrhtPlan> = Vec::new();
     loop {
-        if active.len() == 1 {
+        if walk.active().len() == 1 {
             // Run-to-root plan: reduce to one node, broadcast back.
-            candidates.push(plan(levels, active, None));
-            return Ok(candidates);
+            plans.push(walk.plan(levels, None));
+            return Ok(plans);
         }
-        // Would stopping here (all-to-all among `active`) be feasible?
-        if alltoall_wavelength_requirement(active.len()) <= w {
-            let pairs = alltoall_pairs(&active);
-            let measured = measured_alltoall_wavelengths(&topo, &pairs, w)?;
-            if measured <= w {
-                let alltoall = Some(AllToAll {
-                    reps: active.clone(),
-                    lambda_requirement: measured,
-                    lanes: (w / measured).max(1),
-                });
-                if stop_at_first {
-                    return Ok(vec![plan(levels, active, alltoall)]);
-                }
-                candidates.push(plan(levels.clone(), active.clone(), alltoall));
+        if let Some(alltoall) = walk.alltoall()? {
+            plans.push(walk.plan(levels.clone(), Some(alltoall)));
+            if plans.len() == limit {
+                return Ok(plans);
             }
         }
-        // Partition into contiguous groups of m and recurse on the middles.
-        let groups: Vec<Group> = active.chunks(m).map(|c| Group::new(c.to_vec())).collect();
-        let lambda_requirement = groups
-            .iter()
-            .map(Group::wavelength_requirement)
-            .max()
-            .unwrap_or(0)
-            .max(1);
-        let lanes = (w / lambda_requirement).max(1);
-        active = groups.iter().map(|g| g.rep).collect();
-        levels.push(Level {
+        levels.push(walk.level());
+    }
+}
+
+/// Build the plan the group-size search kept: group size `m`, `depth`
+/// reduce levels, then `alltoall` (a stop [`LevelWalk::alltoall`]
+/// reported at that depth), or no all-to-all when `depth` reaches the
+/// single root. No trial runs again.
+pub(crate) fn build_candidate(
+    n: usize,
+    m: usize,
+    w: usize,
+    depth: usize,
+    alltoall: Option<StepShape>,
+) -> Result<WrhtPlan> {
+    let everyone: Vec<usize> = (0..n).collect();
+    let mut walk = LevelWalk::default();
+    walk.start(n, &everyone, m, w)?;
+    let levels = (0..depth).map(|_| walk.level()).collect();
+    Ok(walk.plan(levels, alltoall))
+}
+
+/// One step of a plan as the cost model prices it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct StepShape {
+    /// Wavelength groups the step needs.
+    pub(crate) lambda_requirement: usize,
+    /// Striping lanes per transfer.
+    pub(crate) lanes: usize,
+    /// Longest hop distance of one transfer.
+    pub(crate) hop_span: usize,
+}
+
+/// The representative of a group of ascending positions: its middle
+/// member.
+fn middle(members: &[usize]) -> usize {
+    members[members.len() / 2]
+}
+
+/// Longest shortest-path hop distance between two of `reps` on a ring of
+/// `ring_n` nodes (0 for fewer than two). Two nodes `d` positions apart
+/// are `d` hops apart one way and `n - d` the other.
+fn reps_hop_span(ring_n: usize, reps: &[usize]) -> usize {
+    let n = ring_n.max(2);
+    reps.iter()
+        .enumerate()
+        .flat_map(|(i, &a)| reps[i + 1..].iter().map(move |&b| a.abs_diff(b)))
+        .map(|d| d.min(n.saturating_sub(d)))
+        .max()
+        .unwrap_or(0)
+}
+
+/// The reduce levels of a Wrht tree, one at a time. Each level partitions
+/// the active positions into contiguous groups of `m` and keeps their
+/// middle members as the next level's active positions. The first level
+/// reads the participants in place; two position buffers hold the later
+/// levels' active positions and the next ones. They swap at every level,
+/// and a new [`LevelWalk::start`] reuses them.
+#[derive(Debug, Default)]
+pub(crate) struct LevelWalk<'a> {
+    ring_n: usize,
+    m: usize,
+    w: usize,
+    /// The participants: the active positions until the first descent.
+    participants: &'a [usize],
+    /// Whether the walk has descended, so that `active` holds the active
+    /// positions.
+    descended: bool,
+    /// The current level's active positions once descended, strictly
+    /// ascending.
+    active: Vec<usize>,
+    /// Scratch for the next level's representatives.
+    next: Vec<usize>,
+}
+
+impl<'a> LevelWalk<'a> {
+    /// Start a walk over `participants` of a ring of `ring_n` nodes with
+    /// group size `m` and `w` wavelengths.
+    ///
+    /// # Errors
+    /// As [`candidate_plans_over`].
+    pub(crate) fn start(
+        &mut self,
+        ring_n: usize,
+        participants: &'a [usize],
+        m: usize,
+        w: usize,
+    ) -> Result<()> {
+        let Some(&last) = participants.last() else {
+            return Err(WrhtError::NoNodes);
+        };
+        if let Some(pair) = participants.windows(2).find(|p| p[0] >= p[1]) {
+            return Err(WrhtError::ParticipantsNotAscending {
+                previous: pair[0],
+                node: pair[1],
+            });
+        }
+        // `RingTopology::check_node`'s test, spelled out: a one-node ring is
+        // a valid planning input, but a `RingTopology` needs two nodes.
+        if last >= ring_n {
+            return Err(OpticalError::NodeOutOfRange {
+                node: NodeId(last),
+                n: ring_n,
+            }
+            .into());
+        }
+        if m < 2 {
+            return Err(WrhtError::GroupSizeTooSmall(m));
+        }
+        if tree_wavelength_requirement(m) > w {
+            return Err(WrhtError::GroupSizeNeedsMoreWavelengths { m, wavelengths: w });
+        }
+        (self.ring_n, self.m, self.w) = (ring_n, m, w);
+        self.participants = participants;
+        self.descended = false;
+        Ok(())
+    }
+
+    /// The current level's active positions.
+    pub(crate) fn active(&self) -> &[usize] {
+        if self.descended {
+            &self.active
+        } else {
+            self.participants
+        }
+    }
+
+    /// The all-to-all among the active positions, when the wavelength
+    /// budget fits it: within the `⌈k²/8⌉` bound and within a trial
+    /// First-Fit assignment, whose peak becomes its requirement.
+    ///
+    /// # Errors
+    /// The trial's, which a validated walk never meets.
+    pub(crate) fn alltoall(&self) -> Result<Option<StepShape>> {
+        let active = self.active();
+        let k = active.len();
+        if k < 2 || alltoall_wavelength_requirement(k) > self.w {
+            return Ok(None);
+        }
+        // Two distinct positions below `ring_n`: the ring has two nodes at
+        // least.
+        let topo = RingTopology::try_new(self.ring_n)?;
+        let measured = reps_alltoall_wavelengths(&topo, active)?;
+        Ok((measured <= self.w).then(|| StepShape {
+            lambda_requirement: measured,
+            lanes: (self.w / measured).max(1),
+            hop_span: reps_hop_span(self.ring_n, active),
+        }))
+    }
+
+    /// The current level's groups: runs of `m` consecutive active
+    /// positions (the last may be shorter).
+    fn groups(&self) -> std::slice::Chunks<'_, usize> {
+        self.active().chunks(self.m)
+    }
+
+    /// Partition the active positions into groups, move to their
+    /// representatives and return the level's shape: the groups' largest
+    /// side (at least 1), the lanes that leaves each transfer, and the
+    /// farthest member's hops to its representative.
+    pub(crate) fn descend(&mut self) -> StepShape {
+        let mut next = std::mem::take(&mut self.next);
+        next.clear();
+        let mut side = 1;
+        let mut hop_span = 0;
+        for group in self.groups() {
+            let rep = middle(group);
+            // Ascending members: the lower side is the larger one, and an
+            // end member is the farthest.
+            side = side.max(group.len() / 2);
+            hop_span = hop_span.max((rep - group[0]).max(group[group.len() - 1] - rep));
+            next.push(rep);
+        }
+        self.next = std::mem::replace(&mut self.active, next);
+        self.descended = true;
+        StepShape {
+            lambda_requirement: side,
+            lanes: (self.w / side).max(1),
+            hop_span,
+        }
+    }
+
+    /// [`LevelWalk::descend`], building the level's groups on the way.
+    fn level(&mut self) -> Level {
+        let groups = self.groups().map(|c| Group::new(c.to_vec())).collect();
+        let shape = self.descend();
+        Level {
             groups,
-            lambda_requirement,
-            lanes,
-        });
+            lambda_requirement: shape.lambda_requirement,
+            lanes: shape.lanes,
+        }
+    }
+
+    /// The plan of `levels` stopped here, with `alltoall` among the active
+    /// positions or none (at the single root).
+    fn plan(&self, levels: Vec<Level>, alltoall: Option<StepShape>) -> WrhtPlan {
+        WrhtPlan {
+            n: self.ring_n,
+            m: self.m,
+            wavelengths: self.w,
+            levels,
+            alltoall: alltoall.map(|a| AllToAll {
+                reps: self.active().to_vec(),
+                lambda_requirement: a.lambda_requirement,
+                lanes: a.lanes,
+            }),
+            final_reps: self.active().to_vec(),
+        }
     }
 }
 

@@ -1,10 +1,11 @@
 //! Differential test of the all-to-all wavelength trial.
 //!
 //! [`measured_alltoall_wavelengths`] runs First-Fit on the ring compressed
-//! to the pairs' distinct endpoints. The oracle below runs the same
-//! First-Fit on every segment of the full ring, as the planner once did.
-//! Both must report the same peak for any ring, endpoint set, pair order
-//! and wavelength hint.
+//! to the pairs' distinct endpoints, with one lane per pair and one spare.
+//! The oracle below runs the same First-Fit on every segment of the full
+//! ring, with lanes past a wavelength budget as well, as the planner once
+//! did. Both must report the same peak for any ring, endpoint set, pair
+//! order and budget.
 
 use optical_sim::path::LightPath;
 use optical_sim::rwa::{Occupancy, Strategy as Rwa};
@@ -29,7 +30,8 @@ fn full_ring_trial(topo: &RingTopology, pairs: &[(usize, usize)], w: usize) -> u
     occ.peak_wavelengths_used()
 }
 
-/// One trial input: ring size, pairs in assignment order, wavelength hint.
+/// One trial input: ring size, pairs in assignment order, the oracle's
+/// wavelength budget.
 #[derive(Debug)]
 struct Trial {
     n: usize,
@@ -113,7 +115,7 @@ proptest! {
     #[test]
     fn compressed_trial_equals_full_ring_trial(t in Trials) {
         let topo = RingTopology::new(t.n);
-        let compressed = measured_alltoall_wavelengths(&topo, &t.pairs, t.w)
+        let compressed = measured_alltoall_wavelengths(&topo, &t.pairs)
             .expect("every endpoint is on the ring");
         prop_assert_eq!(compressed, full_ring_trial(&topo, &t.pairs, t.w));
     }

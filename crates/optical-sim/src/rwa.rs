@@ -83,8 +83,8 @@ fn dir_index(d: Direction) -> usize {
 /// The first segment, counted clockwise, of the route from `src` to `dst`
 /// in `direction`: the source going clockwise, the destination going
 /// counter-clockwise. With its hop count it names the route's arc (see
-/// [`Occupancy::assign_arc`]).
-pub(crate) fn arc_first(src: usize, dst: usize, direction: Direction) -> usize {
+/// [`Occupancy::assign_lanes`]).
+pub fn arc_first(src: usize, dst: usize, direction: Direction) -> usize {
     match direction {
         Direction::Clockwise => src,
         Direction::CounterClockwise => dst,
@@ -297,9 +297,10 @@ impl Occupancy {
     }
 
     /// [`Occupancy::assign`] on the arc of `hops` segments clockwise from
-    /// segment `first` on the `direction` waveguide, returning the lanes
-    /// in a scratch the next call reuses.
-    pub(crate) fn assign_lanes(
+    /// segment `first` on the `direction` waveguide (see [`arc_first`]),
+    /// returning the lanes in a scratch the next call reuses. It builds no
+    /// [`LightPath`] and allocates nothing once the scratch holds `lanes`.
+    pub fn assign_lanes(
         &mut self,
         direction: Direction,
         first: usize,
