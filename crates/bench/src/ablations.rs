@@ -9,12 +9,12 @@
 //!   compute/communication overlap.
 
 use crate::config::{ExperimentConfig, SubstrateKind};
+use collectives::Collective;
 use dnn_models::bucket::bucketize;
 use dnn_models::training::{simulate_iteration, IterationModel};
 use dnn_models::Model;
 use optical_sim::Strategy;
 use serde::{Deserialize, Serialize};
-use wrht_core::baselines::oring_schedule;
 use wrht_core::cost::predict_time_s;
 use wrht_core::lower::{to_optical_schedule, to_optical_schedule_with, BroadcastMode};
 use wrht_core::pipeline::optimal_segments;
@@ -83,7 +83,8 @@ pub fn wavelength_sweep(
     bytes: u64,
     wavelengths: &[usize],
 ) -> Vec<WavelengthPoint> {
-    let elems = (bytes as usize).div_ceil(cfg.bytes_per_elem);
+    // O-Ring, written step by step as the runner reaches it.
+    let o_ring_steps = cfg.collective(Collective::Ring, n, bytes);
     wavelengths
         .iter()
         .filter_map(|&w| {
@@ -92,9 +93,7 @@ pub fn wavelength_sweep(
             let optical = local.optical(n);
             let wrht = plan_and_simulate(&WrhtParams::auto(n, w), &optical, bytes).ok()?;
             let mut substrate = local.substrate(SubstrateKind::Optical, n, Strategy::FirstFit);
-            let o_ring = substrate
-                .execute(&oring_schedule(n, elems, cfg.bytes_per_elem))
-                .ok()?;
+            let o_ring = substrate.execute(&o_ring_steps).ok()?;
             Some(WavelengthPoint {
                 w,
                 wrht_s: wrht.simulated_time_s,

@@ -49,9 +49,8 @@
 use crate::config::{ExperimentConfig, SubstrateKind};
 use crate::fig2::{Fig2Row, Fig2Series};
 use crate::report::to_json;
-use crate::timeline::{
-    iteration_model, lower_allreduce, timeline_buckets, AllReduceLowering, TimelineRow,
-};
+use crate::timeline::{iteration_model, timeline_buckets, AllReduceLowering, TimelineRow};
+use collectives::Collective;
 use dnn_models::Model;
 use optical_sim::sim::{StepSchedule, StepSource};
 use optical_sim::Strategy;
@@ -60,7 +59,6 @@ use std::fs;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use wrht_core::baselines::RingSource;
 use wrht_core::dag::{DepSource, ExecMode, PipelinedSource};
 use wrht_core::fault::{
     fault_cluster_report, FaultClusterReport, FaultKind, FaultPolicy, FaultScript,
@@ -87,6 +85,19 @@ pub enum Algorithm {
 }
 
 impl Algorithm {
+    /// The classic collective the algorithm runs, or `None` for Wrht,
+    /// which lowers through its plan.
+    #[must_use]
+    pub fn collective(self) -> Option<Collective> {
+        match self {
+            Algorithm::Ring => Some(Collective::Ring),
+            Algorithm::RecursiveDoubling => Some(Collective::RecursiveDoubling),
+            Algorithm::HalvingDoubling => Some(Collective::HalvingDoubling),
+            Algorithm::Tree => Some(Collective::Tree),
+            Algorithm::Wrht => None,
+        }
+    }
+
     /// Stable lowercase label used in hashes and CSV rows.
     #[must_use]
     pub fn label(self) -> &'static str {
@@ -465,17 +476,6 @@ fn wrht_plan(
     }
 }
 
-/// Condense a barrier-mode run into the cell-outcome tuple
-/// `(time_s, steps, total_bytes, peak_wavelengths)`.
-fn summarize(r: &wrht_core::RunReport) -> (f64, usize, u64, usize) {
-    (
-        r.total_time_s,
-        r.step_count(),
-        r.total_bytes(),
-        r.peak_wavelengths(),
-    )
-}
-
 impl Axis for CellConfig {
     type Row = CellResult;
     const PREFIX: &'static str = "cell";
@@ -529,81 +529,52 @@ impl Axis for CellConfig {
             wavelengths: self.wavelengths,
             ..base.clone()
         };
-        // A classic collective lowered to the substrate IR.
-        let classic = || {
-            lower_allreduce(&local, self.algorithm, self.n, self.gradient_bytes)
-                .map(|(schedule, _)| schedule)
+        // The cell's all-reduce in the substrate IR. Wrht plans against the
+        // optical cost model (also on the electrical substrate) before its
+        // substrate is built, and runs its lowered plan; a classic
+        // collective writes each step only as the runner reaches it.
+        let steps: wrht_core::error::Result<Box<dyn StepSource>> = match self.algorithm.collective()
+        {
+            None => wrht_plan(self, &local).map(|plan| {
+                result.wrht_m = plan.m;
+                Box::new(to_optical_schedule(&plan, self.gradient_bytes)) as _
+            }),
+            Some(collective) => Ok(Box::new(local.collective(
+                collective,
+                self.n,
+                self.gradient_bytes,
+            ))),
         };
 
         // time_s, steps, total_bytes, peak_wavelengths of the executed cell.
-        type CellOutcome = wrht_core::error::Result<(f64, usize, u64, usize)>;
-
-        let outcome: CellOutcome = match self.mode {
-            ExecMode::Barrier => match self.algorithm {
-                // Plan against the optical cost model, then execute the
-                // lowered schedule on the cell's substrate.
-                Algorithm::Wrht => wrht_plan(self, &local).and_then(|plan| {
-                    result.wrht_m = plan.m;
-                    let r = local
-                        .try_substrate(self.substrate, self.n, self.strategy)?
-                        .execute(&to_optical_schedule(&plan, self.gradient_bytes))?;
-                    Ok(summarize(&r))
+        let outcome = steps.and_then(|steps| {
+            let mut substrate = local.try_substrate(self.substrate, self.n, self.strategy)?;
+            match self.mode {
+                ExecMode::Barrier => substrate.execute(&*steps).map(|r| {
+                    (
+                        r.total_time_s,
+                        r.step_count(),
+                        r.total_bytes(),
+                        r.peak_wavelengths(),
+                    )
                 }),
-                // The ring's 2(n-1) steps are generated as the runner
-                // reaches them, never materialized.
-                Algorithm::Ring => local
-                    .try_substrate(self.substrate, self.n, self.strategy)
-                    .and_then(|mut substrate| {
-                        substrate.execute(&RingSource {
-                            n: self.n,
-                            elems: local.elems(self.gradient_bytes),
-                            bytes_per_elem: local.bytes_per_elem,
-                            lanes: 1,
-                        })
-                    })
-                    .map(|r| summarize(&r)),
-                _ => local
-                    .try_substrate(self.substrate, self.n, self.strategy)
-                    .and_then(|mut substrate| substrate.execute(&classic()?))
-                    .map(|r| summarize(&r)),
-            },
-            // Pipelined: lower the same schedule (Wrht plans against the
-            // optical cost model on both substrates, mirroring the electrical
-            // Wrht cells) to the per-node dependency DAG and execute it
-            // event-driven — consecutive steps overlap on the wire. The DAG
-            // is lowered lazily and streams into the engine stage by stage;
-            // the ring's steps are written only as the lowering reads them.
-            // The cell reads only the run's summary, so no per-transfer
-            // window is kept.
-            ExecMode::Pipelined => {
-                let run = |steps: &dyn StepSource| -> CellOutcome {
-                    let dag = PipelinedSource::new(steps);
-                    let report = local
-                        .try_substrate(self.substrate, self.n, self.strategy)?
-                        .execute_closed(&dag, None, &mut |_, _| {})?
-                        .dag;
+                // Pipelined: the per-node dependency DAG of the same steps,
+                // executed event-driven, so consecutive steps overlap on the
+                // wire. The DAG is lowered lazily and streams into the engine
+                // stage by stage; the cell reads only the run's summary, so
+                // no per-transfer window is kept.
+                ExecMode::Pipelined => {
+                    let dag = PipelinedSource::new(&*steps);
+                    let report = substrate.execute_closed(&dag, None, &mut |_, _| {})?.dag;
                     Ok((
                         report.makespan_s,
                         steps.step_count(),
                         dag.total_bytes(),
                         report.peak_wavelength,
                     ))
-                };
-                match self.algorithm {
-                    Algorithm::Wrht => wrht_plan(self, &local).and_then(|plan| {
-                        result.wrht_m = plan.m;
-                        run(&to_optical_schedule(&plan, self.gradient_bytes))
-                    }),
-                    Algorithm::Ring => run(&RingSource {
-                        n: self.n,
-                        elems: local.elems(self.gradient_bytes),
-                        bytes_per_elem: local.bytes_per_elem,
-                        lanes: 1,
-                    }),
-                    _ => classic().and_then(|schedule| run(&schedule)),
                 }
             }
-        };
+        });
 
         match outcome {
             Ok((time_s, steps, total_bytes, peak_wavelengths)) => {

@@ -15,8 +15,10 @@
 //! constants, which the poster does not publish, so the gap is expected.
 //! `tests/golden_figures.rs` pins both reproduced numbers.
 
+use collectives::Collective;
 use optical_sim::{OpticalConfig, Strategy};
 use serde::{Deserialize, Serialize};
+use wrht_core::baselines::CollectiveSource;
 use wrht_core::hierarchy::{compose, HierSpec};
 use wrht_core::substrate::{ElectricalSubstrate, OpticalSubstrate, Substrate};
 
@@ -94,6 +96,19 @@ impl ExperimentConfig {
     #[must_use]
     pub fn elems(&self, bytes: u64) -> usize {
         (bytes as usize).div_ceil(self.bytes_per_elem)
+    }
+
+    /// `collective`'s all-reduce of `bytes` over `n` nodes in the substrate
+    /// IR, written step by step, one wavelength per transfer.
+    #[must_use]
+    pub fn collective(&self, collective: Collective, n: usize, bytes: u64) -> CollectiveSource {
+        CollectiveSource {
+            collective,
+            n,
+            elems: self.elems(bytes),
+            bytes_per_elem: self.bytes_per_elem,
+            lanes: 1,
+        }
     }
 
     /// Optical ring configuration for `n` nodes.

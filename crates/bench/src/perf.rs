@@ -50,7 +50,7 @@ use wrht_core::parallelism::{lower_parallelism, ParallelismSpec, StageModel};
 
 use crate::campaign::Algorithm;
 use crate::contention::{generate_traffic, Pattern};
-use crate::timeline::{iteration_model, lower_allreduce, timeline_buckets};
+use crate::timeline::{iteration_model, timeline_buckets, AllReduceLowering};
 use crate::{ExperimentConfig, SubstrateKind};
 
 /// Format version of the emitted JSON (bump on breaking layout changes).
@@ -199,11 +199,11 @@ pub fn tenancy_workload(n: usize) -> (ExperimentConfig, TenancySpec) {
     let model = dnn_models::googlenet();
     let im = iteration_model(&model);
     let compute_s = im.forward_s + im.backward_s;
+    let lowering = AllReduceLowering::new(&cfg, Algorithm::Wrht, n);
     let buckets: Vec<_> = timeline_buckets(&model, 25 << 20)
         .iter()
         .map(|b| {
-            let (schedule, _) =
-                lower_allreduce(&cfg, Algorithm::Wrht, n, b.bytes).expect("lowerable bucket");
+            let (schedule, _) = lowering.lower(b.bytes).expect("lowerable bucket");
             (b.ready_s, schedule)
         })
         .collect();
@@ -249,10 +249,10 @@ pub fn incast_flows(waves: usize, bytes: u64) -> DepSchedule {
 pub fn pipelined_train_dag(n: usize) -> Result<(ExperimentConfig, DepSchedule)> {
     let cfg = ExperimentConfig::default();
     let model = dnn_models::vgg16();
+    let lowering = AllReduceLowering::new(&cfg, Algorithm::Wrht, n);
     let mut lowered = Vec::new();
     for b in timeline_buckets(&model, 25 << 20) {
-        let (schedule, _) = lower_allreduce(&cfg, Algorithm::Wrht, n, b.bytes)?;
-        lowered.push((b.ready_s, schedule));
+        lowered.push((b.ready_s, lowering.lower(b.bytes)?.0));
     }
     let (dag, _) = DepSchedule::chain(&lowered);
     Ok((cfg, dag))

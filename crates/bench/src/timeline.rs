@@ -13,18 +13,13 @@
 use crate::ablations::BACKWARD_S_PER_PARAM;
 use crate::campaign::Algorithm;
 use crate::config::{ExperimentConfig, SubstrateKind};
-use collectives::halving_doubling::halving_doubling;
-use collectives::rd::recursive_doubling;
-use collectives::ring::ring_allreduce;
-use collectives::schedule::Schedule;
-use collectives::tree::binomial_tree;
+use collectives::Collective;
 use dnn_models::bucket::bucketize;
 use dnn_models::training::{bucket_ready_times, IterationModel};
 use dnn_models::Model;
 use optical_sim::sim::StepSchedule;
 use optical_sim::{OpticalConfig, Strategy};
 use serde::{Deserialize, Serialize};
-use wrht_core::baselines::lower_collective_to_optical;
 use wrht_core::dag::ExecMode;
 use wrht_core::lower::to_optical_schedule;
 use wrht_core::timeline::{
@@ -50,7 +45,9 @@ pub fn iteration_model(model: &Model) -> IterationModel {
 /// cost model at the given wavelength budget — also when the schedule will
 /// execute electrically, mirroring the campaign's Wrht cells. Its
 /// [`GroupSearch`] walks when the lowering is made and prices each payload
-/// from that walk, so a cell that lowers many buckets walks once.
+/// from that walk, so a cell that lowers many buckets walks once. A
+/// classic collective collects its step source
+/// ([`ExperimentConfig::collective`]).
 pub struct AllReduceLowering<'a> {
     cfg: &'a ExperimentConfig,
     n: usize,
@@ -63,22 +60,19 @@ enum Lowering {
         search: GroupSearch,
         optical: OpticalConfig,
     },
-    Collective(fn(usize, usize) -> Schedule),
+    Collective(Collective),
 }
 
 impl<'a> AllReduceLowering<'a> {
     /// The lowering of `algorithm`'s all-reduces over `n` nodes.
     #[must_use]
     pub fn new(cfg: &'a ExperimentConfig, algorithm: Algorithm, n: usize) -> Self {
-        let lowering = match algorithm {
-            Algorithm::Wrht => Lowering::Wrht {
+        let lowering = match algorithm.collective() {
+            None => Lowering::Wrht {
                 search: GroupSearch::new(&WrhtParams::auto(n, cfg.wavelengths)),
                 optical: cfg.optical(n),
             },
-            Algorithm::Ring => Lowering::Collective(ring_allreduce),
-            Algorithm::RecursiveDoubling => Lowering::Collective(recursive_doubling),
-            Algorithm::HalvingDoubling => Lowering::Collective(halving_doubling),
-            Algorithm::Tree => Lowering::Collective(binomial_tree),
+            Some(collective) => Lowering::Collective(collective),
         };
         Self { cfg, n, lowering }
     }
@@ -94,27 +88,11 @@ impl<'a> AllReduceLowering<'a> {
                 let (m, plan, _) = search.choose(optical, bytes)?;
                 Ok((to_optical_schedule(&plan, bytes), m))
             }
-            Lowering::Collective(collective) => {
-                let schedule = collective(self.n, self.cfg.elems(bytes));
-                Ok((
-                    lower_collective_to_optical(&schedule, self.cfg.bytes_per_elem, 1),
-                    0,
-                ))
+            &Lowering::Collective(collective) => {
+                Ok((self.cfg.collective(collective, self.n, bytes).collect(), 0))
             }
         }
     }
-}
-
-/// Lower one all-reduce of `bytes` over `n` nodes to the substrate IR (see
-/// [`AllReduceLowering`]). Returns the schedule plus the chosen group size
-/// (0 for the classic algorithms).
-pub fn lower_allreduce(
-    cfg: &ExperimentConfig,
-    algorithm: Algorithm,
-    n: usize,
-    bytes: u64,
-) -> wrht_core::error::Result<(StepSchedule, usize)> {
-    AllReduceLowering::new(cfg, algorithm, n).lower(bytes)
 }
 
 /// Buckets of a model as timeline inputs: payloads from
@@ -294,11 +272,15 @@ mod tests {
             Algorithm::HalvingDoubling,
             Algorithm::Tree,
         ] {
-            let (schedule, m) = lower_allreduce(&cfg, alg, 16, 1 << 20).unwrap();
+            let (schedule, m) = AllReduceLowering::new(&cfg, alg, 16)
+                .lower(1 << 20)
+                .unwrap();
             assert_eq!(m, 0);
             assert!(!schedule.is_empty());
         }
-        let (_, m) = lower_allreduce(&cfg, Algorithm::Wrht, 16, 1 << 20).unwrap();
+        let (_, m) = AllReduceLowering::new(&cfg, Algorithm::Wrht, 16)
+            .lower(1 << 20)
+            .unwrap();
         assert!(m >= 2);
     }
 

@@ -1,106 +1,78 @@
 //! Rabenseifner's halving-doubling all-reduce.
 //!
 //! Recursive *halving* reduce-scatter (exchange shrinking halves at
-//! growing distances... actually shrinking distances) followed by recursive
-//! *doubling* all-gather. Bandwidth-optimal like the ring but with only
-//! `2 log2 p` steps; included as an extension baseline beyond the paper's
-//! E-Ring/RD pair. Non-power-of-two counts use the same pre/post fixup as
-//! recursive doubling.
+//! shrinking distances) followed by recursive *doubling* all-gather.
+//! Bandwidth-optimal like the ring but with only `2 log2 p` steps;
+//! included as an extension baseline beyond the paper's E-Ring/RD pair.
+//! Non-power-of-two counts use the same pre/post fixup as recursive
+//! doubling.
 
-use crate::rd::pow2_floor;
-use crate::schedule::{Op, Schedule, Step, TransferSpec};
+use crate::collective::Collective;
+use crate::rd::Fixup;
+use crate::schedule::{Op, Schedule, TransferSpec};
 use std::ops::Range;
 
-/// Build the halving-doubling all-reduce schedule.
+/// Build the halving-doubling all-reduce schedule: every step of
+/// [`Collective::HalvingDoubling`], collected.
 #[must_use]
 pub fn halving_doubling(n: usize, elems: usize) -> Schedule {
-    let mut sched = Schedule::new(n, elems, format!("halving-doubling(n={n})"));
-    if n < 2 {
-        return sched;
-    }
-    let p = pow2_floor(n);
-    let r = n - p;
-    let node_of = |j: usize| if j < r { 2 * j } else { j + r };
+    Collective::HalvingDoubling.schedule(n, elems)
+}
 
-    if r > 0 {
-        let mut step = Step::default();
-        for j in 0..r {
-            step.transfers.push(TransferSpec::new(
-                2 * j + 1,
-                2 * j,
-                0..elems,
-                Op::ReduceInto,
+/// Number of steps over `n` nodes: `2 log2 p`, plus the two fixup steps
+/// when `n` is not a power of two.
+pub(crate) fn steps(n: usize) -> usize {
+    if n < 2 {
+        return 0;
+    }
+    let fixup = Fixup::new(n);
+    fixup.steps(2 * fixup.levels())
+}
+
+/// Emit step `k` (`< steps(n)`). Halving step `t` exchanges at distance
+/// `p >> (t + 1)`: each participant sends the half of its range that its
+/// partner keeps. The gather retraces the distances in reverse: at
+/// distance `p >> (t + 1)` each participant sends the range it held after
+/// `t + 1` halvings, now fully reduced. Empty sends are skipped.
+pub(crate) fn step(n: usize, elems: usize, k: usize, mut emit: impl FnMut(TransferSpec)) {
+    let fixup = Fixup::new(n);
+    let levels = fixup.levels();
+    let Some(core) = fixup.core_step(elems, 2 * levels, k, &mut emit) else {
+        return;
+    };
+    let (t, op) = if core < levels {
+        (core, Op::ReduceInto)
+    } else {
+        (2 * levels - 1 - core, Op::Copy)
+    };
+    let dist = fixup.p >> (t + 1);
+    for j in 0..fixup.p {
+        let partner = j ^ dist;
+        let owner = if op == Op::ReduceInto { partner } else { j };
+        let send = held(elems, fixup.p, owner, t + 1);
+        if !send.is_empty() {
+            emit(TransferSpec::new(
+                fixup.node(j),
+                fixup.node(partner),
+                send,
+                op,
             ));
         }
-        sched.push_step(step);
     }
+}
 
-    // Recursive halving reduce-scatter. Every participant tracks the range
-    // it is still responsible for; at distance `dist` it keeps the half
-    // matching its `dist` bit and sends the other half.
-    let mut ranges: Vec<Range<usize>> = vec![0..elems; p];
-    let mut dist = p / 2;
-    let mut halving_order = Vec::new(); // remember distances for the gather
-    while dist >= 1 {
-        let mut step = Step::default();
-        #[allow(clippy::needless_range_loop)] // j is the participant id, not just an index
-        for j in 0..p {
-            let partner = j ^ dist;
-            let my = ranges[j].clone();
-            let mid = my.start + my.len() / 2;
-            let (keep, send) = if j & dist == 0 {
-                (my.start..mid, mid..my.end)
-            } else {
-                (mid..my.end, my.start..mid)
-            };
-            if !send.is_empty() {
-                step.transfers.push(TransferSpec::new(
-                    node_of(j),
-                    node_of(partner),
-                    send,
-                    Op::ReduceInto,
-                ));
-            }
-            ranges[j] = keep;
+/// The range participant `j` of `p` holds after `t` halvings: `0..elems`
+/// halved `t` times, keeping the lower half where its bit at distance
+/// `p/2, p/4, …` is clear and the upper half where it is set.
+fn held(elems: usize, p: usize, j: usize, t: usize) -> Range<usize> {
+    (0..t).fold(0..elems, |range, s| {
+        let mid = range.start + range.len() / 2;
+        if j & (p >> (s + 1)) == 0 {
+            range.start..mid
+        } else {
+            mid..range.end
         }
-        sched.push_step(step);
-        halving_order.push(dist);
-        dist /= 2;
-    }
-
-    // Recursive doubling all-gather: retrace distances in reverse, sending
-    // the currently owned (fully reduced) range and merging with the
-    // partner's adjacent range.
-    for &dist in halving_order.iter().rev() {
-        let mut step = Step::default();
-        let snapshot = ranges.clone();
-        #[allow(clippy::needless_range_loop)] // j is the participant id, not just an index
-        for j in 0..p {
-            let partner = j ^ dist;
-            let send = snapshot[j].clone();
-            if !send.is_empty() {
-                step.transfers.push(TransferSpec::new(
-                    node_of(j),
-                    node_of(partner),
-                    send,
-                    Op::Copy,
-                ));
-            }
-            let other = snapshot[partner].clone();
-            ranges[j] = ranges[j].start.min(other.start)..ranges[j].end.max(other.end);
-        }
-        sched.push_step(step);
-    }
-
-    if r > 0 {
-        let mut step = Step::default();
-        for j in 0..r {
-            step.transfers
-                .push(TransferSpec::new(2 * j, 2 * j + 1, 0..elems, Op::Copy));
-        }
-        sched.push_step(step);
-    }
-    sched
+    })
 }
 
 #[cfg(test)]

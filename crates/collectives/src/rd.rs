@@ -6,7 +6,8 @@
 //! pairwise so `p = 2^k` nodes run the core, and results are copied back to
 //! the `r` parked nodes afterwards.
 
-use crate::schedule::{Op, Schedule, Step, TransferSpec};
+use crate::collective::Collective;
+use crate::schedule::{Op, Schedule, TransferSpec};
 
 /// Largest power of two `<= n` (n >= 1).
 #[must_use]
@@ -15,62 +16,110 @@ pub fn pow2_floor(n: usize) -> usize {
     1 << (usize::BITS - 1 - n.leading_zeros())
 }
 
-/// Build the recursive-doubling all-reduce schedule.
+/// Build the recursive-doubling all-reduce schedule: every step of
+/// [`Collective::RecursiveDoubling`], collected.
 #[must_use]
 pub fn recursive_doubling(n: usize, elems: usize) -> Schedule {
-    let mut sched = Schedule::new(n, elems, format!("recursive-doubling(n={n})"));
+    Collective::RecursiveDoubling.schedule(n, elems)
+}
+
+/// Number of steps over `n` nodes: `log2 p`, plus the two fixup steps
+/// when `n` is not a power of two.
+pub(crate) fn steps(n: usize) -> usize {
     if n < 2 {
-        return sched;
+        return 0;
     }
-    let p = pow2_floor(n);
-    let r = n - p;
+    let fixup = Fixup::new(n);
+    fixup.steps(fixup.levels())
+}
 
-    // Participant j (0..p) lives at this physical node.
-    let node_of = |j: usize| if j < r { 2 * j } else { j + r };
+/// Emit step `k` (`< steps(n)`): pairwise full-buffer exchanges at
+/// doubling distances, inside the fixup steps.
+pub(crate) fn step(n: usize, elems: usize, k: usize, mut emit: impl FnMut(TransferSpec)) {
+    let fixup = Fixup::new(n);
+    let Some(core) = fixup.core_step(elems, fixup.levels(), k, &mut emit) else {
+        return;
+    };
+    let dist = 1 << core;
+    for j in 0..fixup.p {
+        // Each ordered pair appears once per direction.
+        emit(TransferSpec::new(
+            fixup.node(j),
+            fixup.node(j ^ dist),
+            0..elems,
+            Op::ReduceInto,
+        ));
+    }
+}
 
-    // Pre-combine: odd nodes of the first 2r hand their data to the even
-    // node on their left, which becomes participant j = node/2.
-    if r > 0 {
-        let mut step = Step::default();
-        for j in 0..r {
-            step.transfers.push(TransferSpec::new(
-                2 * j + 1,
-                2 * j,
-                0..elems,
-                Op::ReduceInto,
-            ));
+/// The non-power-of-two fixup around a core of `p = pow2_floor(n)`
+/// participants, shared with halving-doubling: the odd nodes of the first
+/// `2r` (`r = n - p`) hand their data to the even node on their left
+/// before the core and get the result back after it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Fixup {
+    /// Participants of the core.
+    pub(crate) p: usize,
+    /// Parked nodes.
+    r: usize,
+}
+
+impl Fixup {
+    pub(crate) fn new(n: usize) -> Self {
+        let p = pow2_floor(n);
+        Self { p, r: n - p }
+    }
+
+    /// `log2 p`.
+    pub(crate) fn levels(self) -> usize {
+        self.p.trailing_zeros() as usize
+    }
+
+    /// The physical node of participant `j`: even node `2j` for the first
+    /// `r` participants, node `j + r` after them.
+    pub(crate) fn node(self, j: usize) -> usize {
+        if j < self.r {
+            2 * j
+        } else {
+            j + self.r
         }
-        sched.push_step(step);
     }
 
-    // Core: pairwise full-buffer exchanges at doubling distances.
-    let mut dist = 1;
-    while dist < p {
-        let mut step = Step::default();
-        for j in 0..p {
-            let partner = j ^ dist;
-            // Each ordered pair appears once per direction.
-            step.transfers.push(TransferSpec::new(
-                node_of(j),
-                node_of(partner),
-                0..elems,
-                Op::ReduceInto,
-            ));
-        }
-        sched.push_step(step);
-        dist <<= 1;
+    /// Steps of a collective whose core takes `core` steps.
+    pub(crate) fn steps(self, core: usize) -> usize {
+        core + if self.r > 0 { 2 } else { 0 }
     }
 
-    // Post-copy to the parked odd nodes.
-    if r > 0 {
-        let mut step = Step::default();
-        for j in 0..r {
-            step.transfers
-                .push(TransferSpec::new(2 * j, 2 * j + 1, 0..elems, Op::Copy));
+    /// Emit step `k` if it is the pre-combine or the post-copy around a
+    /// core of `core` steps; otherwise return its index among the core's.
+    pub(crate) fn core_step(
+        self,
+        elems: usize,
+        core: usize,
+        k: usize,
+        emit: &mut impl FnMut(TransferSpec),
+    ) -> Option<usize> {
+        if self.r == 0 {
+            return Some(k);
         }
-        sched.push_step(step);
+        if k == 0 {
+            for j in 0..self.r {
+                emit(TransferSpec::new(
+                    2 * j + 1,
+                    2 * j,
+                    0..elems,
+                    Op::ReduceInto,
+                ));
+            }
+        } else if k > core {
+            for j in 0..self.r {
+                emit(TransferSpec::new(2 * j, 2 * j + 1, 0..elems, Op::Copy));
+            }
+        } else {
+            return Some(k - 1);
+        }
+        None
     }
-    sched
 }
 
 #[cfg(test)]

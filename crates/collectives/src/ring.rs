@@ -8,38 +8,26 @@
 //! (one wavelength per step) on the optical ring.
 
 use crate::chunks::chunk_range;
-use crate::schedule::{Op, Schedule, Step, TransferSpec};
+use crate::collective::Collective;
+use crate::schedule::{Op, Schedule, TransferSpec};
 
-/// Build the ring all-reduce schedule for `n` nodes and `elems` elements.
+/// Build the ring all-reduce schedule for `n` nodes and `elems` elements:
+/// every step of [`Collective::Ring`], collected.
 ///
 /// For `n == 1` the schedule is empty (a single node already holds the sum).
 #[must_use]
 pub fn ring_allreduce(n: usize, elems: usize) -> Schedule {
-    let mut sched = Schedule::new(n, elems, format!("ring-allreduce(n={n})"));
-    for k in 0..ring_steps(n) {
-        let mut step = Step::default();
-        ring_step(n, elems, k, |t| step.transfers.push(t));
-        sched.push_step(step);
-    }
-    sched
+    Collective::Ring.schedule(n, elems)
 }
 
-/// Number of steps of the ring all-reduce over `n` nodes: `2(n-1)`, or 0
-/// when `n < 2`.
-#[must_use]
-pub fn ring_steps(n: usize) -> usize {
+/// Number of steps over `n` nodes: `2(n-1)`, or 0 when `n < 2`.
+pub(crate) fn steps(n: usize) -> usize {
     2 * n.saturating_sub(1)
 }
 
-/// Emit step `k` (`< ring_steps(n)`) of the ring all-reduce over `n` nodes
-/// and `elems` elements, transfer by transfer in node order. Empty chunks
-/// (more nodes than elements) are skipped.
-///
-/// This is the one generator body behind [`ring_allreduce`], which
-/// collects every step into a [`Schedule`], and behind lazy consumers that
-/// write one step at a time: step `k` depends on nothing but `(n, elems,
-/// k)`.
-pub fn ring_step(n: usize, elems: usize, k: usize, mut emit: impl FnMut(TransferSpec)) {
+/// Emit step `k` (`< steps(n)`), transfer by transfer in node order.
+/// Empty chunks (more nodes than elements) are skipped.
+pub(crate) fn step(n: usize, elems: usize, k: usize, mut emit: impl FnMut(TransferSpec)) {
     // Reduce-scatter: at step k node i forwards chunk (i - k) mod n.
     // All-gather: at step n-1+j node i forwards chunk (i + 1 - j) mod n.
     let (shift, op) = if k < n - 1 {

@@ -4,52 +4,42 @@
 //! of pairwise reduction followed by the mirror broadcast. Works for any
 //! `n`, any root-free node count (root is node 0).
 
-use crate::schedule::{Op, Schedule, Step, TransferSpec};
+use crate::collective::Collective;
+use crate::schedule::{Op, Schedule, TransferSpec};
 
-/// Build a binomial-tree all-reduce (root at node 0).
+/// Build a binomial-tree all-reduce (root at node 0): every step of
+/// [`Collective::Tree`], collected.
 #[must_use]
 pub fn binomial_tree(n: usize, elems: usize) -> Schedule {
-    let mut sched = Schedule::new(n, elems, format!("binomial-tree(n={n})"));
+    Collective::Tree.schedule(n, elems)
+}
+
+/// Number of steps over `n` nodes: `2 ⌈log2 n⌉`, or 0 when `n < 2`. Every
+/// round has work when `n >= 2`.
+pub(crate) fn steps(n: usize) -> usize {
     if n < 2 {
-        return sched;
+        return 0;
     }
-    let rounds = usize::BITS as usize - (n - 1).leading_zeros() as usize; // ceil(log2 n)
+    2 * (usize::BITS - (n - 1).leading_zeros()) as usize
+}
 
-    // Reduce: at round d, nodes that are odd multiples of 2^d send their
-    // whole buffer to the even multiple 2^d below them.
-    for d in 0..rounds {
-        let dist = 1 << d;
-        let mut step = Step::default();
-        let mut j = dist;
-        while j < n {
-            if (j / dist) % 2 == 1 {
-                step.transfers
-                    .push(TransferSpec::new(j, j - dist, 0..elems, Op::ReduceInto));
-            }
-            j += dist;
+/// Emit step `k` (`< steps(n)`): reduce rounds, then their mirror image.
+pub(crate) fn step(n: usize, elems: usize, k: usize, mut emit: impl FnMut(TransferSpec)) {
+    let rounds = steps(n) / 2;
+    if k < rounds {
+        // Reduce: at round d, nodes that are odd multiples of 2^d send
+        // their whole buffer to the even multiple 2^d below them.
+        let dist = 1 << k;
+        for j in (dist..n).step_by(2 * dist) {
+            emit(TransferSpec::new(j, j - dist, 0..elems, Op::ReduceInto));
         }
-        if !step.transfers.is_empty() {
-            sched.push_step(step);
-        }
-    }
-
-    // Broadcast: mirror image.
-    for d in (0..rounds).rev() {
-        let dist = 1 << d;
-        let mut step = Step::default();
-        let mut j = 0;
-        while j + dist < n {
-            if (j / dist) % 2 == 0 {
-                step.transfers
-                    .push(TransferSpec::new(j, j + dist, 0..elems, Op::Copy));
-            }
-            j += dist;
-        }
-        if !step.transfers.is_empty() {
-            sched.push_step(step);
+    } else {
+        // Broadcast: the reduce rounds in reverse, copying down the tree.
+        let dist = 1 << (2 * rounds - 1 - k);
+        for j in (0..n - dist).step_by(2 * dist) {
+            emit(TransferSpec::new(j, j + dist, 0..elems, Op::Copy));
         }
     }
-    sched
 }
 
 #[cfg(test)]

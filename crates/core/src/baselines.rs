@@ -1,13 +1,17 @@
-//! Optical baselines: O-Ring and a generic collectives→optical lowering.
+//! Optical baselines: O-Ring and the classic collectives lowered to the
+//! substrate IR.
 //!
 //! **O-Ring** is the paper's optical baseline: the classic ring all-reduce
 //! run over the optical ring with a *single wavelength per transmission* —
 //! exactly the deficiency Wrht is designed to fix.
+//!
+//! [`CollectiveSource`] lowers any classic collective one step at a time,
+//! as a runner reaches each step; [`lower_collective_to_optical`] lowers a
+//! materialized logical schedule.
 
 use crate::error::Result;
 use crate::substrate::{RunReport, Substrate};
-use collectives::ring::{ring_allreduce, ring_step, ring_steps};
-use collectives::{Schedule, TransferSpec};
+use collectives::{Collective, Schedule, TransferSpec};
 use optical_sim::request::Transfer;
 use optical_sim::sim::{StepSchedule, StepSource};
 
@@ -45,17 +49,18 @@ pub fn lower_collective_to_optical(
     out
 }
 
-/// The ring all-reduce lowered to the substrate IR one step at a time: the
-/// same steps, transfer for transfer, as
-/// `lower_collective_to_optical(&ring_allreduce(n, elems), bytes_per_elem,
-/// lanes)`, but each is written only when a runner reaches it (by
-/// [`ring_step`], the generator behind [`ring_allreduce`]). A stepped run
-/// of the E-Ring or O-Ring baseline then holds one step of `n` transfers
-/// instead of `2(n-1)` of them, and builds neither the collective
-/// [`Schedule`] nor the [`StepSchedule`].
+/// A classic collective lowered to the substrate IR one step at a time:
+/// the same steps, transfer for transfer, as
+/// `lower_collective_to_optical(&collective.schedule(n, elems),
+/// bytes_per_elem, lanes)`, but each is written only when a runner reaches
+/// it (by [`Collective::step`]). A stepped or pipelined run then holds one
+/// step of transfers instead of all of them, and builds neither the
+/// collective [`Schedule`] nor the [`StepSchedule`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RingSource {
-    /// Ring size.
+pub struct CollectiveSource {
+    /// The all-reduce algorithm.
+    pub collective: Collective,
+    /// Node count.
     pub n: usize,
     /// Elements per node buffer.
     pub elems: usize,
@@ -65,15 +70,30 @@ pub struct RingSource {
     pub lanes: usize,
 }
 
-impl StepSource for RingSource {
+impl CollectiveSource {
+    /// Every step written out: the materialized [`StepSchedule`].
+    #[must_use]
+    pub fn collect(&self) -> StepSchedule {
+        let mut buf = Vec::new();
+        StepSchedule::from_steps(
+            (0..self.step_count())
+                .map(|k| self.step(k, &mut buf).to_vec())
+                .collect(),
+        )
+    }
+}
+
+impl StepSource for CollectiveSource {
     fn step_count(&self) -> usize {
-        ring_steps(self.n)
+        self.collective.steps(self.n)
     }
 
     fn step<'a>(&'a self, index: usize, buf: &'a mut Vec<Transfer>) -> &'a [Transfer] {
         buf.clear();
-        ring_step(self.n, self.elems, index, |t| {
-            buf.push(lower_transfer(&t, self.bytes_per_elem, self.lanes));
+        self.collective.step(self.n, self.elems, index, |t| {
+            if !t.range.is_empty() {
+                buf.push(lower_transfer(&t, self.bytes_per_elem, self.lanes));
+            }
         });
         buf
     }
@@ -83,7 +103,14 @@ impl StepSource for RingSource {
 /// `elems * bytes_per_elem` bytes in total, one wavelength per transfer.
 #[must_use]
 pub fn oring_schedule(n: usize, elems: usize, bytes_per_elem: usize) -> StepSchedule {
-    lower_collective_to_optical(&ring_allreduce(n, elems), bytes_per_elem, 1)
+    CollectiveSource {
+        collective: Collective::Ring,
+        n,
+        elems,
+        bytes_per_elem,
+        lanes: 1,
+    }
+    .collect()
 }
 
 /// Lower a logical collective schedule and execute it on `substrate` —
@@ -104,6 +131,7 @@ pub fn run_collective(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use collectives::ring::ring_allreduce;
     use optical_sim::{OpticalConfig, RingSimulator, Strategy};
 
     #[test]

@@ -119,7 +119,7 @@ pub mod timeline;
 
 /// Common re-exports.
 pub mod prelude {
-    pub use crate::baselines::{lower_collective_to_optical, oring_schedule, RingSource};
+    pub use crate::baselines::{lower_collective_to_optical, oring_schedule, CollectiveSource};
     pub use crate::cost::{predict_time_s, CostBreakdown};
     pub use crate::dag::{DepSchedule, DepTransfer, ExecMode};
     pub use crate::describe::describe_plan;
@@ -142,7 +142,7 @@ pub mod prelude {
         build_plan, build_plan_over, candidate_plans, candidate_plans_over, Group, Level,
         StopPolicy, WrhtPlan,
     };
-    pub use crate::quantile::{exact_percentiles, P2Quantile, PercentileSet, Percentiles};
+    pub use crate::quantile::{P2Quantile, PercentileSet, Percentiles};
     pub use crate::steps::{paper_step_count, tree_wavelength_requirement};
     pub use crate::stream::{
         Admission, ArrivalProcess, StreamCheckpoint, StreamJobReport, StreamOutcome, StreamReport,

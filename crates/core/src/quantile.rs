@@ -241,29 +241,29 @@ impl PercentileSet {
     }
 }
 
-/// Exact percentiles of a small sample (used by tests as the reference for
-/// the streaming estimator, and total on empty input).
-#[must_use]
-pub fn exact_percentiles(values: &[f64]) -> Percentiles {
-    if values.is_empty() {
-        return Percentiles::zero();
-    }
-    let mut sorted: Vec<f64> = values.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let pick = |q: f64| {
-        let rank = (q * sorted.len() as f64).ceil().max(1.0) as usize;
-        sorted[rank.min(sorted.len()) - 1]
-    };
-    Percentiles {
-        p50: pick(0.5),
-        p99: pick(0.99),
-        p999: pick(0.999),
-    }
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Exact nearest-rank percentiles of a small sample: the reference for
+    /// the streaming estimator (here and in the tenancy tests), total on
+    /// empty input.
+    pub(crate) fn exact_percentiles(values: &[f64]) -> Percentiles {
+        if values.is_empty() {
+            return Percentiles::zero();
+        }
+        let mut sorted: Vec<f64> = values.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        let pick = |q: f64| {
+            let rank = (q * sorted.len() as f64).ceil().max(1.0) as usize;
+            sorted[rank.min(sorted.len()) - 1]
+        };
+        Percentiles {
+            p50: pick(0.5),
+            p99: pick(0.99),
+            p999: pick(0.999),
+        }
+    }
 
     #[test]
     fn empty_estimator_reports_zero() {

@@ -14,8 +14,9 @@
 //! routing is decided by the [`electrical_sim::Network`] topology.
 //! [`Substrate::execute`] reads it one step at a time through
 //! [`StepSource`], which the materialized schedule implements and so does
-//! the lazy ring all-reduce ([`crate::baselines::RingSource`]): a stepped
-//! run then never holds more than one step.
+//! every classic collective written step by step
+//! ([`crate::baselines::CollectiveSource`]): a stepped run of one then
+//! never holds more than one step.
 //!
 //! Everything event-driven is written once, on top of each substrate's
 //! event engine ([`Substrate::engine`]), and every substrate is one engine:
@@ -132,7 +133,8 @@ pub trait Substrate {
     /// Execute a stepped schedule and report per-step timing. The source
     /// is read one step at a time: a materialized
     /// [`optical_sim::StepSchedule`], or a generator such as
-    /// [`crate::baselines::RingSource`] that writes each step on demand.
+    /// [`crate::baselines::CollectiveSource`] that writes each step on
+    /// demand.
     fn execute(&mut self, schedule: &dyn StepSource) -> Result<RunReport>;
 
     /// A fresh event engine for this fabric, or — given a stream

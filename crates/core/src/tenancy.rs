@@ -701,13 +701,13 @@ mod tests {
             // phase, so the percentiles equal the nearest-rank reference.
             assert_eq!(
                 report.slowdown,
-                crate::quantile::exact_percentiles(&slowdowns),
+                crate::quantile::tests::exact_percentiles(&slowdowns),
                 "{}",
                 report.substrate
             );
             assert_eq!(
                 report.job_makespan,
-                crate::quantile::exact_percentiles(&makespans)
+                crate::quantile::tests::exact_percentiles(&makespans)
             );
         }
     }

@@ -226,11 +226,29 @@ pub fn execute_timeline(
         });
     }
 
-    let overlapped_s = executed
-        .last()
-        .map_or(compute_s, |b| b.finish_s.max(compute_s));
+    iteration(substrate, compute_s, lower, executed, total_comm)
+}
 
-    let total_bytes: u64 = buckets.iter().map(|b| b.bytes).sum();
+/// The iteration around its executed buckets, as both executors finish
+/// it: the overlapped time (the last bucket finish, or compute if later),
+/// the sequential baseline (one fused `lower(total_bytes)` run after
+/// compute), the exposed communication and the hidden fraction.
+fn iteration(
+    substrate: &mut dyn Substrate,
+    compute_s: f64,
+    mut lower: impl FnMut(u64) -> Result<StepSchedule>,
+    executed: Vec<BucketTimeline>,
+    total_comm: f64,
+) -> Result<IterationTimeline> {
+    // Bucket finishes are never negative; serialized ones never decrease.
+    let overlapped_s = if executed.is_empty() {
+        compute_s
+    } else {
+        let last_finish = executed.iter().map(|b| b.finish_s).fold(0.0f64, f64::max);
+        last_finish.max(compute_s)
+    };
+
+    let total_bytes: u64 = executed.iter().map(|b| b.bytes).sum();
     let sequential_comm_s = if total_bytes > 0 {
         substrate.execute(&lower(total_bytes)?)?.total_time_s
     } else {
@@ -281,7 +299,6 @@ pub fn execute_timeline_pipelined(
 
     let mut executed = Vec::with_capacity(buckets.len());
     let mut total_comm = 0.0f64;
-    let mut last_finish = 0.0f64;
     for ((b, range), (_, schedule)) in buckets.iter().zip(&ranges).zip(&lowered) {
         let windows = &report.transfers[range.clone()];
         let start = windows
@@ -321,7 +338,6 @@ pub fn execute_timeline_pipelined(
             });
         }
         total_comm += finish - start;
-        last_finish = last_finish.max(finish);
         executed.push(BucketTimeline {
             label: b.label.clone(),
             bytes: b.bytes,
@@ -335,31 +351,7 @@ pub fn execute_timeline_pipelined(
             },
         });
     }
-
-    let overlapped_s = if executed.is_empty() {
-        compute_s
-    } else {
-        last_finish.max(compute_s)
-    };
-
-    let total_bytes: u64 = buckets.iter().map(|b| b.bytes).sum();
-    let sequential_comm_s = if total_bytes > 0 {
-        substrate.execute(&lower(total_bytes)?)?.total_time_s
-    } else {
-        0.0
-    };
-
-    let exposed_comm_s = (overlapped_s - compute_s).max(0.0);
-    Ok(IterationTimeline {
-        substrate: substrate.name().to_string(),
-        compute_s,
-        overlapped_s,
-        sequential_s: compute_s + sequential_comm_s,
-        total_comm_s: total_comm,
-        exposed_comm_s,
-        hidden_fraction: hidden_comm_fraction(total_comm, exposed_comm_s),
-        buckets: executed,
-    })
+    iteration(substrate, compute_s, lower, executed, total_comm)
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@
 //! ```
 
 use wrht_bench::campaign::Algorithm;
-use wrht_bench::timeline::{iteration_model, lower_allreduce, timeline_buckets};
+use wrht_bench::timeline::{iteration_model, timeline_buckets, AllReduceLowering};
 use wrht_bench::{ExperimentConfig, SubstrateKind};
 use wrht_core::fault::{FaultKind, FaultPolicy, FaultScript};
 use wrht_core::tenancy::{Job, SchedPolicy, TenancySpec};
@@ -25,11 +25,11 @@ fn main() {
 
     let im = iteration_model(&model);
     let compute_s = im.forward_s + im.backward_s;
+    let lowering = AllReduceLowering::new(&cfg, Algorithm::Wrht, n);
     let buckets: Vec<_> = timeline_buckets(&model, 25 << 20)
         .iter()
         .map(|b| {
-            let (schedule, _) =
-                lower_allreduce(&cfg, Algorithm::Wrht, n, b.bytes).expect("lowerable bucket");
+            let (schedule, _) = lowering.lower(b.bytes).expect("lowerable bucket");
             (b.ready_s, schedule)
         })
         .collect();

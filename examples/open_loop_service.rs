@@ -18,7 +18,7 @@
 
 use wrht_bench::campaign::Algorithm;
 use wrht_bench::report::to_json;
-use wrht_bench::timeline::{lower_allreduce, timeline_buckets};
+use wrht_bench::timeline::{timeline_buckets, AllReduceLowering};
 use wrht_bench::{ExperimentConfig, SubstrateKind};
 use wrht_core::stream::{Admission, ArrivalProcess, StreamSpec, StreamTemplate};
 use wrht_core::tenancy::JobWorkload;
@@ -32,11 +32,11 @@ fn main() {
 
     // One training iteration as chained gradient buckets, reused by both
     // templates; only the scheduling priority differs.
+    let lowering = AllReduceLowering::new(&cfg, Algorithm::Wrht, n);
     let buckets: Vec<_> = timeline_buckets(&model, 25 << 20)
         .iter()
         .map(|b| {
-            let (schedule, _) =
-                lower_allreduce(&cfg, Algorithm::Wrht, n, b.bytes).expect("lowerable bucket");
+            let (schedule, _) = lowering.lower(b.bytes).expect("lowerable bucket");
             (b.ready_s, schedule)
         })
         .collect();

@@ -13,7 +13,7 @@
 //! ```
 
 use wrht_bench::campaign::Algorithm;
-use wrht_bench::timeline::{lower_allreduce, model_timeline};
+use wrht_bench::timeline::{model_timeline, AllReduceLowering};
 use wrht_bench::{ExperimentConfig, SubstrateKind};
 use wrht_core::dag::{DepSchedule, ExecMode};
 
@@ -32,7 +32,9 @@ fn main() {
         "algo", "substrate", "barrier ms", "pipelined ms", "speedup", "dag edges"
     );
     for algorithm in [Algorithm::Ring, Algorithm::HalvingDoubling, Algorithm::Wrht] {
-        let (schedule, _) = lower_allreduce(&cfg, algorithm, n, bytes).expect("lowerable");
+        let (schedule, _) = AllReduceLowering::new(&cfg, algorithm, n)
+            .lower(bytes)
+            .expect("lowerable");
         let dag = DepSchedule::pipelined_from_steps(&schedule);
         for kind in [SubstrateKind::Electrical, SubstrateKind::Optical] {
             let mut substrate = cfg.substrate(kind, n, optical_sim::Strategy::FirstFit);

@@ -14,7 +14,7 @@
 //!   streamed and materialized, including the `n = 2` barrier-shaped
 //!   pipelined DAGs that take the electrical fast path;
 //! * over the pipelined lowerings of all five algorithms, and the lazy
-//!   ring the campaign's pipelined cells run;
+//!   collective sources the campaign's pipelined cells run;
 //! * over [`ParallelismSource`] against its collected form.
 //!
 //! On every clean run the sink sees each key exactly once: without a
@@ -26,6 +26,7 @@
 #[path = "support/stage_cases.rs"]
 mod stage_cases;
 
+use collectives::Collective;
 use electrical_sim::FluidEngine;
 use optical_sim::{GrantEngine, StepSchedule, Strategy};
 use proptest::prelude::*;
@@ -33,8 +34,7 @@ use serde::Value;
 use stage_cases::{case, Case, Rng};
 use wrht_bench::campaign::Algorithm;
 use wrht_bench::config::{ExperimentConfig, SubstrateKind};
-use wrht_bench::timeline::lower_allreduce;
-use wrht_core::baselines::RingSource;
+use wrht_bench::timeline::AllReduceLowering;
 use wrht_core::dag::{DepReader, DepSchedule, DepSource, DepTransfer, PipelinedSource};
 use wrht_core::engine::{run_closed, Completion, FabricEngine};
 use wrht_core::error::{Result, WrhtError};
@@ -247,7 +247,8 @@ fn substrates(cfg: &ExperimentConfig, n: usize) -> Vec<Box<dyn Substrate>> {
 
 /// The pipelined lowerings of all five algorithms at n ∈ {8, 32}, streamed
 /// and materialized, summarize bit-identically on every substrate,
-/// unarbitrated and over two jobs; so does the lazy ring.
+/// unarbitrated and over two jobs; so does the lazy source of each classic
+/// collective.
 #[test]
 fn real_lowerings_summarize_bit_identically() {
     let cfg = ExperimentConfig::default();
@@ -260,26 +261,25 @@ fn real_lowerings_summarize_bit_identically() {
             Algorithm::Tree,
             Algorithm::Wrht,
         ] {
-            let (steps, _) = lower_allreduce(&cfg, algorithm, n, bytes).expect("lowering");
+            let (steps, _) = AllReduceLowering::new(&cfg, algorithm, n)
+                .lower(bytes)
+                .expect("lowering");
             let whole = DepSchedule::pipelined_from_steps(&steps);
             let arb = JobArbitration {
                 job_of: (0..whole.len()).map(|i| i % 2).collect(),
                 rank: vec![1, 0],
                 fair_share: false,
             };
-            let ring = RingSource {
-                n,
-                elems: cfg.elems(bytes),
-                bytes_per_elem: cfg.bytes_per_elem,
-                lanes: 1,
-            };
-            let lazy = PipelinedSource::new(&ring);
+            let source = algorithm
+                .collective()
+                .map(|collective| cfg.collective(collective, n, bytes));
+            let lazy = source.as_ref().map(|s| PipelinedSource::new(s));
             for mut sub in substrates(&cfg, n) {
                 for arb in [None, Some(&arb)] {
                     let streamed = PipelinedSource::new(&steps);
                     let mut sources: Vec<&dyn DepSource> = vec![&streamed, &whole];
-                    if algorithm == Algorithm::Ring {
-                        sources.push(&lazy);
+                    if let Some(lazy) = &lazy {
+                        sources.push(lazy);
                     }
                     for dag in sources {
                         if let Err(e) = differential(&mut *sub, dag, &whole, arb) {
@@ -408,12 +408,7 @@ impl<E: FabricEngine> FabricEngine for Misnumbered<E> {
 #[test]
 fn a_key_outside_the_injected_transfers_is_a_typed_error() {
     let cfg = ExperimentConfig::default();
-    let ring = RingSource {
-        n: 64,
-        elems: cfg.elems(1 << 20),
-        bytes_per_elem: cfg.bytes_per_elem,
-        lanes: 1,
-    };
+    let ring = cfg.collective(Collective::Ring, 64, 1 << 20);
     let whole = DepSchedule::pipelined_from_steps(&ring);
     let streamed = PipelinedSource::new(&ring);
     let want: WrhtError =

@@ -1,5 +1,5 @@
 //! Differential tests of the two stepped runners' placement memo and of the
-//! lazy ring all-reduce.
+//! lazy collective sources.
 //!
 //! Both stepped runners reuse the last placed step's placement when a
 //! step's ordered routing list repeats it, and redo only the per-transfer
@@ -12,11 +12,16 @@
 //! or dropped, a byte count going to zero), empty steps, malformed
 //! transfers, overlapping routes, dark links and finishes that overflow.
 //!
-//! [`RingSource`] writes the ring all-reduce one step at a time; it must
-//! equal the materialized lowering transfer for transfer and produce
-//! bit-identical reports on both substrates.
+//! [`CollectiveSource`] writes each classic all-reduce one step at a time;
+//! it must equal the materialized lowering of the collective's schedule
+//! transfer for transfer and produce bit-identical reports on both
+//! substrates (or, on the optical ring, the same error).
 
+use collectives::halving_doubling::halving_doubling;
+use collectives::rd::recursive_doubling;
 use collectives::ring::ring_allreduce;
+use collectives::tree::binomial_tree;
+use collectives::Collective;
 use electrical_sim::flow::FlowSpec;
 use electrical_sim::graph::{Link, Network, Router};
 use electrical_sim::runner::{StepRunner, StepTransfer};
@@ -29,7 +34,7 @@ use optical_sim::{
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use wrht_core::baselines::{lower_collective_to_optical, RingSource};
+use wrht_core::baselines::{lower_collective_to_optical, CollectiveSource};
 use wrht_core::error::WrhtError;
 use wrht_core::substrate::{ElectricalSubstrate, OpticalSubstrate, RunReport, Substrate};
 
@@ -457,7 +462,7 @@ fn an_overflowing_finish_falls_back_to_the_engine_on_reuse() {
     assert_eq!(outcomes, [true, true, false, true]);
 }
 
-// ---- the lazy ring all-reduce --------------------------------------------
+// ---- the lazy collective sources ------------------------------------------
 
 fn same_report(got: &RunReport, want: &RunReport) {
     assert_eq!(got.substrate, want.substrate);
@@ -472,38 +477,60 @@ fn same_report(got: &RunReport, want: &RunReport) {
     }
 }
 
-/// The lazy source against the materialized lowering of the same ring:
-/// every step, transfer for transfer, then both forms on both substrates.
-fn check_ring_source(n: usize, elems: usize, lanes: usize) {
-    let source = RingSource {
+/// Both optical runs' reports bit for bit, or the same error.
+fn same_outcome(got: Result<RunReport, WrhtError>, want: Result<RunReport, WrhtError>) {
+    match (&got, &want) {
+        (Ok(g), Ok(w)) => same_report(g, w),
+        _ => assert_eq!(got.err(), want.err()),
+    }
+}
+
+type Builder = fn(usize, usize) -> collectives::Schedule;
+
+/// Every classic collective with its schedule builder.
+const COLLECTIVES: [(Collective, Builder); 4] = [
+    (Collective::Ring, ring_allreduce),
+    (Collective::RecursiveDoubling, recursive_doubling),
+    (Collective::HalvingDoubling, halving_doubling),
+    (Collective::Tree, binomial_tree),
+];
+
+/// The lazy source against the materialized lowering of the same
+/// collective: every step, transfer for transfer, then both forms on both
+/// substrates.
+fn check_collective_source(
+    (collective, builder): (Collective, Builder),
+    n: usize,
+    elems: usize,
+    lanes: usize,
+) {
+    let source = CollectiveSource {
+        collective,
         n,
         elems,
         bytes_per_elem: 4,
         lanes,
     };
-    let lowered = lower_collective_to_optical(&ring_allreduce(n, elems), 4, lanes);
-    assert_eq!(source.step_count(), lowered.len(), "n={n} elems={elems}");
+    let case = format!("{collective:?} n={n} elems={elems} lanes={lanes}");
+    let lowered = lower_collective_to_optical(&builder(n, elems), 4, lanes);
+    assert_eq!(source.step_count(), lowered.len(), "{case}");
     let mut buf = Vec::new();
     for (k, want) in lowered.steps().iter().enumerate() {
-        assert_eq!(
-            source.step(k, &mut buf),
-            want.as_slice(),
-            "n={n} elems={elems} lanes={lanes} step {k}"
-        );
+        assert_eq!(source.step(k, &mut buf), want.as_slice(), "{case} step {k}");
     }
     if n <= 40 {
-        let steps = (0..source.step_count())
-            .map(|k| source.step(k, &mut buf).to_vec())
-            .collect();
-        assert_eq!(StepSchedule::from_steps(steps), lowered);
+        assert_eq!(source.collect(), lowered, "{case}");
     }
 
     let optical =
         || OpticalSubstrate::new(OpticalConfig::new(n.max(2), 4)).expect("valid optical config");
-    same_report(
-        &optical().execute(&source).expect("lazy optical"),
-        &optical().execute(&lowered).expect("materialized optical"),
-    );
+    let lazy = optical().execute(&source);
+    // The ring's neighbour hops always fit the four wavelengths; the other
+    // collectives may exhaust them, identically in both forms.
+    if collective == Collective::Ring {
+        assert!(lazy.is_ok(), "{case}: {lazy:?}");
+    }
+    same_outcome(lazy, optical().execute(&lowered));
     let electrical = || {
         ElectricalSubstrate::new(
             electrical_sim::topology::star_cluster(n, 12.5e9, 5e-7),
@@ -524,30 +551,44 @@ fn ring_elems(n: usize) -> [usize; 6] {
     [0, 1, n - 1, n, n + 1, 1000 * n + 7]
 }
 
-#[test]
-fn lazy_ring_source_equals_the_materialized_lowering_up_to_40_nodes() {
-    for n in 1..=40 {
+/// Every collective at `n` nodes over [`ring_elems`] with `lanes`.
+fn check_every_collective(n: usize, lanes: usize) {
+    for entry in COLLECTIVES {
         for elems in ring_elems(n) {
-            for lanes in [1, 3] {
-                check_ring_source(n, elems, lanes);
-            }
+            check_collective_source(entry, n, elems, lanes);
         }
     }
 }
 
-// The 1024-node ring is split by lane count so the two halves run on
-// separate test threads.
+#[test]
+fn lazy_ring_source_equals_the_materialized_lowering_up_to_40_nodes() {
+    for n in 1..=40 {
+        for lanes in [1, 3] {
+            check_every_collective(n, lanes);
+        }
+    }
+}
+
+// The 1024-node and 1000-node checks are split by lane count so the halves
+// run on separate test threads. At n = 1000 recursive doubling and
+// halving-doubling run their non-power-of-two fixup steps.
 
 #[test]
 fn lazy_ring_source_equals_the_materialized_lowering_at_1024_nodes_one_lane() {
-    for elems in ring_elems(1024) {
-        check_ring_source(1024, elems, 1);
-    }
+    check_every_collective(1024, 1);
 }
 
 #[test]
 fn lazy_ring_source_equals_the_materialized_lowering_at_1024_nodes_three_lanes() {
-    for elems in ring_elems(1024) {
-        check_ring_source(1024, elems, 3);
-    }
+    check_every_collective(1024, 3);
+}
+
+#[test]
+fn lazy_collective_sources_equal_the_materialized_lowering_at_1000_nodes_one_lane() {
+    check_every_collective(1000, 1);
+}
+
+#[test]
+fn lazy_collective_sources_equal_the_materialized_lowering_at_1000_nodes_three_lanes() {
+    check_every_collective(1000, 3);
 }

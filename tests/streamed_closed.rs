@@ -26,14 +26,15 @@
 #[path = "support/stage_cases.rs"]
 mod stage_cases;
 
+use collectives::Collective;
 use electrical_sim::FluidEngine;
 use optical_sim::{GrantEngine, StepSchedule, Strategy};
 use proptest::prelude::*;
 use stage_cases::case;
 use wrht_bench::campaign::Algorithm;
 use wrht_bench::config::{ExperimentConfig, SubstrateKind};
-use wrht_bench::timeline::lower_allreduce;
-use wrht_core::baselines::RingSource;
+use wrht_bench::timeline::AllReduceLowering;
+use wrht_core::baselines::CollectiveSource;
 use wrht_core::dag::{DepSchedule, DepSource, PipelinedSource};
 use wrht_core::engine::{run_closed, FabricEngine};
 use wrht_core::error::Result;
@@ -135,7 +136,8 @@ fn generator_covers_the_edge_cases() {
 
 /// The real pipelined lowerings of all five algorithms stream
 /// bit-identically at n ∈ {8, 64} on both fabrics, and so does the lazy
-/// ring the campaign's pipelined cells run.
+/// source of each classic collective, which the campaign's pipelined cells
+/// run.
 #[test]
 fn real_lowerings_stream_bit_identically() {
     let cfg = ExperimentConfig::default();
@@ -148,7 +150,9 @@ fn real_lowerings_stream_bit_identically() {
             Algorithm::Tree,
             Algorithm::Wrht,
         ] {
-            let (steps, _) = lower_allreduce(&cfg, algorithm, n, bytes).expect("lowering");
+            let (steps, _) = AllReduceLowering::new(&cfg, algorithm, n)
+                .lower(bytes)
+                .expect("lowering");
             for kind in [SubstrateKind::Electrical, SubstrateKind::Optical] {
                 let mut sub = cfg
                     .try_substrate(kind, n, Strategy::FirstFit)
@@ -156,17 +160,12 @@ fn real_lowerings_stream_bit_identically() {
                 if let Err(e) = differential(&mut *sub, &steps) {
                     panic!("{algorithm:?} n={n}: {e}");
                 }
-                if algorithm == Algorithm::Ring {
-                    let ring = RingSource {
-                        n,
-                        elems: cfg.elems(bytes),
-                        bytes_per_elem: cfg.bytes_per_elem,
-                        lanes: 1,
-                    };
-                    let lazy = sub.execute_dag(&PipelinedSource::new(&ring));
+                if let Some(collective) = algorithm.collective() {
+                    let source = cfg.collective(collective, n, bytes);
+                    let lazy = sub.execute_dag(&PipelinedSource::new(&source));
                     let whole = sub.execute_dag(&DepSchedule::pipelined_from_steps(&steps));
                     if let Err(e) = same(lazy, whole) {
-                        panic!("lazy ring n={n}: {e}");
+                        panic!("lazy {algorithm:?} n={n}: {e}");
                     }
                 }
             }
@@ -176,18 +175,13 @@ fn real_lowerings_stream_bit_identically() {
 
 /// The engines of the n = 512 pipelined ring of AlexNet's gradient, as
 /// the campaign's execution-mode ablation builds them.
-fn alexnet_ring() -> (ExperimentConfig, RingSource) {
+fn alexnet_ring() -> (ExperimentConfig, CollectiveSource) {
     let cfg = ExperimentConfig::default();
     let alexnet = dnn_models::paper_models()
         .into_iter()
         .find(|m| m.name == "AlexNet")
         .expect("AlexNet in the zoo");
-    let ring = RingSource {
-        n: 512,
-        elems: cfg.elems(alexnet.gradient_bytes()),
-        bytes_per_elem: cfg.bytes_per_elem,
-        lanes: 1,
-    };
+    let ring = cfg.collective(Collective::Ring, 512, alexnet.gradient_bytes());
     (cfg, ring)
 }
 

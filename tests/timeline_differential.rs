@@ -15,7 +15,7 @@ use dnn_models::{Layer, Model};
 use optical_sim::Strategy;
 use proptest::prelude::*;
 use wrht_bench::campaign::Algorithm;
-use wrht_bench::timeline::{iteration_model, lower_allreduce, model_timeline};
+use wrht_bench::timeline::{iteration_model, model_timeline, AllReduceLowering};
 use wrht_bench::{ExperimentConfig, SubstrateKind};
 use wrht_core::dag::ExecMode;
 use wrht_core::substrate::OpticalSubstrate;
@@ -41,8 +41,9 @@ fn analytic_with_executed_callback(
 ) -> dnn_models::training::OverlapReport {
     let buckets = bucketize(&model.layers, bucket_bytes);
     let im = iteration_model(model);
+    let lowering = AllReduceLowering::new(cfg, algorithm, n);
     simulate_iteration(&model.layers, &buckets, im, |bytes| {
-        let (schedule, _) = lower_allreduce(cfg, algorithm, n, bytes).expect("lowering");
+        let (schedule, _) = lowering.lower(bytes).expect("lowering");
         let mut substrate = cfg
             .try_substrate(kind, n, Strategy::FirstFit)
             .expect("substrate");
