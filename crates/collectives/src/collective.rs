@@ -45,6 +45,20 @@ impl Collective {
         }
     }
 
+    /// Does step `k` (`< self.steps(n)`) send what step `k − 1` sends,
+    /// `(src, dst)` for `(src, dst)` in the same order, with only its range
+    /// lengths permuted, none of them empty? The ring's steps after the
+    /// first do once every chunk is non-empty (`elems ≥ n`): each node
+    /// forwards another chunk to the same neighbour. Recursive doubling, halving-doubling and the
+    /// tree change partners every step, and never do.
+    #[must_use]
+    pub fn permutes_previous(self, n: usize, elems: usize, k: usize) -> bool {
+        match self {
+            Collective::Ring => k >= 1 && elems >= n,
+            Collective::RecursiveDoubling | Collective::HalvingDoubling | Collective::Tree => false,
+        }
+    }
+
     /// Every step collected into a [`Schedule`] named after the algorithm.
     #[must_use]
     pub fn schedule(self, n: usize, elems: usize) -> Schedule {

@@ -345,3 +345,58 @@ proptest! {
         }
     }
 }
+
+/// Step `k` of `collective`, transfer by transfer.
+fn collect_step(collective: Collective, n: usize, elems: usize, k: usize) -> Vec<TransferSpec> {
+    let mut step = Vec::new();
+    collective.step(n, elems, k, |t| step.push(t));
+    step
+}
+
+/// A step's `(src, dst)` list and its sorted range lengths.
+type Shape = (Vec<(usize, usize)>, Vec<usize>);
+
+/// Range lengths in ascending order: equal for two steps exactly when one
+/// permutes the other's.
+fn sorted_lengths(step: &[TransferSpec]) -> Vec<usize> {
+    let mut lengths: Vec<usize> = step.iter().map(|t| t.range.len()).collect();
+    lengths.sort_unstable();
+    lengths
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// A step a collective claims only permutes its predecessor
+    /// (`permutes_previous`) sends the predecessor's `(src, dst)` list in
+    /// the same order, with its range lengths permuted and none empty. The
+    /// ring claims exactly its steps after the first once `elems ≥ n`; the
+    /// other collectives claim none.
+    #[test]
+    fn permuting_steps_keep_their_predecessors_routes(
+        n in 1usize..1101,
+        pick in 0usize..6,
+        random in 0usize..5000,
+    ) {
+        let elems = [0, 1, n - 1, n, n + 1, random][pick];
+        for (name, _, collective, _) in ALGORITHMS {
+            let mut prev: Option<Shape> = None;
+            for k in 0..collective.steps(n) {
+                let claimed = collective.permutes_previous(n, elems, k);
+                let expected = collective == Collective::Ring && k >= 1 && elems >= n;
+                prop_assert_eq!(claimed, expected, "{}(n={}, elems={}) step {}", name, n, elems, k);
+                let step = collect_step(collective, n, elems, k);
+                let routes: Vec<(usize, usize)> = step.iter().map(|t| (t.src, t.dst)).collect();
+                let lengths = sorted_lengths(&step);
+                if claimed {
+                    let (prev_routes, prev_lengths) =
+                        prev.as_ref().ok_or("a claimed step follows its predecessor")?;
+                    prop_assert!(&routes == prev_routes, "{}(n={}, elems={}) step {} routes", name, n, elems, k);
+                    prop_assert!(&lengths == prev_lengths, "{}(n={}, elems={}) step {} lengths", name, n, elems, k);
+                    prop_assert!(lengths.first().is_none_or(|&l| l > 0), "{}(n={}, elems={}) step {} empty range", name, n, elems, k);
+                }
+                prev = Some((routes, lengths));
+            }
+        }
+    }
+}

@@ -97,6 +97,14 @@ impl StepSource for CollectiveSource {
         });
         buf
     }
+
+    /// The collective's own answer ([`Collective::permutes_previous`]):
+    /// its ranges are then all non-empty, so the lowering keeps each one's
+    /// transfer, endpoints and lanes and scales its length by
+    /// `bytes_per_elem`.
+    fn permutes_previous(&self, index: usize) -> bool {
+        self.collective.permutes_previous(self.n, self.elems, index)
+    }
 }
 
 /// The O-Ring schedule: ring all-reduce over `n` optical nodes, moving

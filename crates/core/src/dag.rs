@@ -401,17 +401,27 @@ pub struct PipelinedSource<'a> {
 
 impl<'a> PipelinedSource<'a> {
     /// Lower `steps` lazily. One pass over the steps counts the transfers,
-    /// payload bytes and nodes (the highest endpoint + 1).
+    /// payload bytes and nodes (the highest endpoint + 1). A step that only
+    /// permutes its predecessor's payloads
+    /// ([`StepSource::permutes_previous`]) has its predecessor's endpoints,
+    /// transfer count and byte sum, so it is counted as its predecessor
+    /// without being written.
     #[must_use]
     pub fn new(steps: &'a dyn StepSource) -> Self {
         let (mut len, mut nodes, mut bytes) = (0, 0, 0);
+        // The transfer count and byte sum of the last step.
+        let mut last = (0, 0);
         let mut buf = Vec::new();
         for index in 0..steps.step_count() {
-            for t in steps.step(index, &mut buf) {
-                len += 1;
-                nodes = nodes.max(t.src.0.max(t.dst.0) + 1);
-                bytes += t.bytes;
+            if index == 0 || !steps.permutes_previous(index) {
+                last = (0, 0);
+                for t in steps.step(index, &mut buf) {
+                    nodes = nodes.max(t.src.0.max(t.dst.0) + 1);
+                    last = (last.0 + 1, last.1 + t.bytes);
+                }
             }
+            len += last.0;
+            bytes += last.1;
         }
         Self {
             steps,
@@ -754,5 +764,64 @@ mod tests {
         assert!(dag.is_empty());
         assert!(dag.is_barrier_shaped());
         assert_eq!(dag.edge_count(), 0);
+    }
+
+    mod proptests {
+        use crate::baselines::CollectiveSource;
+        use crate::dag::PipelinedSource;
+        use collectives::Collective;
+        use optical_sim::sim::StepSource;
+        use proptest::prelude::*;
+
+        /// The counting pass that writes every step: transfers, payload
+        /// bytes and nodes.
+        fn full_pass(steps: &dyn StepSource) -> (usize, u64, usize) {
+            let (mut len, mut bytes, mut nodes) = (0, 0, 0);
+            let mut buf = Vec::new();
+            for index in 0..steps.step_count() {
+                for t in steps.step(index, &mut buf) {
+                    len += 1;
+                    bytes += t.bytes;
+                    nodes = nodes.max(t.src.0.max(t.dst.0) + 1);
+                }
+            }
+            (len, bytes, nodes)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(24))]
+
+            /// Counting a permuting step as its predecessor gives the
+            /// full pass's transfer count, bytes and node count, for every
+            /// classic collective around one element per node.
+            #[test]
+            fn the_counting_pass_equals_a_full_pass(
+                n in 1usize..1101,
+                pick in 0usize..6,
+                random in 0usize..5000,
+            ) {
+                let elems = [0, 1, n - 1, n, n + 1, random][pick];
+                for collective in [
+                    Collective::Ring,
+                    Collective::RecursiveDoubling,
+                    Collective::HalvingDoubling,
+                    Collective::Tree,
+                ] {
+                    let source = CollectiveSource {
+                        collective,
+                        n,
+                        elems,
+                        bytes_per_elem: 4,
+                        lanes: 1,
+                    };
+                    let lazy = PipelinedSource::new(&source);
+                    prop_assert_eq!(
+                        (lazy.len, lazy.bytes, lazy.nodes),
+                        full_pass(&source),
+                        "{:?} n={} elems={}", collective, n, elems
+                    );
+                }
+            }
+        }
     }
 }

@@ -920,11 +920,16 @@ impl Substrate for ComposedSubstrate {
         // rebuild per-step durations from the stage frontier (a step's
         // transfers are gated on the whole previous step, so stage ends
         // are non-decreasing). Each step's duration holds its stage's end
-        // until the second pass.
+        // until the second pass. The run's payload bytes are summed with a
+        // check, so neither a step's sum nor the report's total overflows.
         let dag = DepSchedule::from_steps(source);
         let run = self.execute_dag(&dag)?;
         let mut steps = vec![StepTiming::default(); source.step_count()];
+        let mut total_bytes = 0u64;
         for (t, timing) in dag.transfers().iter().zip(&run.transfers) {
+            total_bytes = total_bytes
+                .checked_add(t.transfer.bytes)
+                .ok_or_else(|| cfg_err("stepped payload bytes overflow u64"))?;
             let step = &mut steps[t.stage];
             step.duration_s = step.duration_s.max(timing.finish_s);
             step.transfers += 1;

@@ -66,7 +66,7 @@ use crate::fault::{
 use crate::stream::{StreamCheckpoint, StreamOutcome, StreamReport, StreamSpec};
 use crate::tenancy::{ClusterReport, JobArbitration, TenancySpec, TenantDagRun};
 use electrical_sim::runner::{StepRunner, StepTransfer};
-use electrical_sim::{FluidEngine, FluidEngineSnapshot, Network};
+use electrical_sim::{FluidEngine, FluidEngineSnapshot, NetError, Network};
 use optical_sim::sim::StepSource;
 use optical_sim::{GrantEngine, GrantEngineSnapshot, OpticalConfig, RingSimulator, Strategy};
 use serde::{Deserialize, Serialize, Value};
@@ -529,19 +529,40 @@ impl Substrate for ElectricalSubstrate {
         self.net.hosts()
     }
 
+    /// One [`StepRunner`] step per schedule step. A step the source
+    /// promises only permutes its predecessor's payloads
+    /// ([`StepSource::permutes_previous`]) is not written when the runner
+    /// can repeat the last step ([`StepRunner::repeat`]): it has the
+    /// predecessor's timing. Fails when the payload bytes of a step, or of
+    /// the run, overflow `u64`.
     fn execute(&mut self, schedule: &dyn StepSource) -> Result<RunReport> {
         let mut runner = StepRunner::new(&self.net, self.step_overhead_s);
         let mut buf = Vec::new();
-        let mut steps = Vec::with_capacity(schedule.step_count());
+        let mut steps: Vec<StepTiming> = Vec::with_capacity(schedule.step_count());
+        let mut total_bytes = 0u64;
+        let overflow = || NetError::BadConfig("stepped payload bytes overflow u64");
         for index in 0..schedule.step_count() {
-            let step = schedule.step(index, &mut buf);
-            let duration_s = runner.step(step.iter().map(step_transfer))?;
-            steps.push(StepTiming {
-                duration_s,
-                transfers: step.len(),
-                bytes: step.iter().map(|t| t.bytes).sum(),
-                peak_wavelength: 0,
-            });
+            let timing = match steps.last() {
+                Some(last) if schedule.permutes_previous(index) && runner.repeat().is_some() => {
+                    last.clone()
+                }
+                _ => {
+                    let step = schedule.step(index, &mut buf);
+                    let duration_s = runner.step(step.iter().map(step_transfer))?;
+                    let bytes = step
+                        .iter()
+                        .try_fold(0u64, |sum, t| sum.checked_add(t.bytes))
+                        .ok_or_else(overflow)?;
+                    StepTiming {
+                        duration_s,
+                        transfers: step.len(),
+                        bytes,
+                        peak_wavelength: 0,
+                    }
+                }
+            };
+            total_bytes = total_bytes.checked_add(timing.bytes).ok_or_else(overflow)?;
+            steps.push(timing);
         }
         Ok(RunReport {
             substrate: "electrical".into(),

@@ -52,6 +52,13 @@ pub struct StepTransfer {
 /// and per-flow arrays instead of allocating, and returning to the OS, a
 /// fresh set for every step.
 ///
+/// A step that only permutes the last step's payloads among the same
+/// transfers need not be read at all when the last step's closed form gave
+/// every flow the same rate: each finish is then one function of bytes, so
+/// the step's duration is the last one's. [`StepRunner::repeat`] returns
+/// it, with the closed form's counters, for a caller that knows the step
+/// is such a permutation.
+///
 /// Zero-byte transfers are legal: the fluid model itself rejects empty
 /// flows, so they are skipped before solving, but a step that contains any
 /// transfer — even only zero-byte ones — still pays the per-step overhead
@@ -82,6 +89,10 @@ pub struct StepRunner<'n> {
     engine: Option<FluidEngine<'n>>,
     /// The last step's payload finishes, when recording.
     finishes: Option<Vec<f64>>,
+    /// The last step's duration, when [`StepRunner::repeat`] may return
+    /// it: the step ran in the closed form with bit-identical rates, had
+    /// no zero-byte transfer and the runner does not record.
+    repeatable: Option<f64>,
     /// Rate recomputations, solver work and events over the steps run.
     counters: (usize, usize, u64),
 }
@@ -101,6 +112,7 @@ impl<'n> StepRunner<'n> {
             fill: None,
             engine: None,
             finishes: None,
+            repeatable: None,
             counters: (0, 0, 0),
         }
     }
@@ -132,11 +144,27 @@ impl<'n> StepRunner<'n> {
         self.counters
     }
 
+    /// Execute again a step that only permutes the last step's payloads
+    /// among its transfers (the same `(src, dst)` list in the same order,
+    /// the same byte counts in another order), without reading it: its
+    /// duration, with the closed form's counters added as
+    /// [`StepRunner::step`] adds them. `None` unless the last step ran in
+    /// the closed form with bit-identical rates and no zero-byte transfer,
+    /// on a runner that does not record: its duration was then the maximum
+    /// of one function of bytes over the step's byte counts, and is the
+    /// same for any permutation of them. On `None` the caller runs the step.
+    pub fn repeat(&mut self) -> Option<f64> {
+        let duration_s = self.repeatable?;
+        self.fill.as_ref()?.count(&mut self.counters);
+        Some(duration_s)
+    }
+
     /// Execute one step and return its duration, seconds.
     pub fn step<I>(&mut self, transfers: I) -> Result<f64>
     where
         I: Iterator<Item = StepTransfer> + Clone,
     {
+        self.repeatable = None;
         if let Some(finishes) = &mut self.finishes {
             finishes.clear();
         }
@@ -170,10 +198,7 @@ impl<'n> StepRunner<'n> {
                         .map(|(t, &r)| fill.finish(t.bytes, r));
                     finishes.extend(each.flatten());
                 }
-                let flows = fill.rates.len() as u64;
-                self.counters.0 += 1;
-                self.counters.1 += fill.solver_work;
-                self.counters.2 += if fill.start_s > 0.0 { 2 * flows } else { flows };
+                fill.count(&mut self.counters);
                 m
             }
             (None, _) => {
@@ -219,7 +244,12 @@ impl<'n> StepRunner<'n> {
                     .extend(transfers.map(|t| (t.src, t.dst, t.bytes > 0)));
             }
         }
-        Ok(self.overhead_s + makespan_s)
+        let duration_s = self.overhead_s + makespan_s;
+        let closed = closed_form.is_some() && self.fill.as_ref().is_some_and(|f| f.uniform);
+        if closed && self.finishes.is_none() && self.latencies.len() == self.key.len() {
+            self.repeatable = Some(duration_s);
+        }
+        Ok(duration_s)
     }
 
     /// Is the last placement the one of `transfers`' routing list?
@@ -280,6 +310,9 @@ struct DisjointFill {
     rates: Vec<f64>,
     /// The fill's progressive-filling work.
     solver_work: usize,
+    /// Whether every rate is bit-identical: every flow's finish is then one
+    /// function of its bytes.
+    uniform: bool,
 }
 
 impl DisjointFill {
@@ -329,11 +362,22 @@ impl DisjointFill {
         }
         // A positive pipe parks every flow until its timer; otherwise flows
         // start transmitting at once.
+        let uniform = rates.windows(2).all(|w| w[0].to_bits() == w[1].to_bits());
         Ok(Some(Self {
             start_s: if lat > 0.0 { lat } else { 0.0 },
             rates,
             solver_work,
+            uniform,
         }))
+    }
+
+    /// Count one step in this closed form as the engine would run it (see
+    /// [`StepRunner::counters`]).
+    fn count(&self, counters: &mut (usize, usize, u64)) {
+        let flows = self.rates.len() as u64;
+        counters.0 += 1;
+        counters.1 += self.solver_work;
+        counters.2 += if self.start_s > 0.0 { 2 * flows } else { flows };
     }
 
     /// The closed-form finish of a flow of `bytes` at `rate` (one of
@@ -649,6 +693,28 @@ mod tests {
             let got = runner.step(step(&shared).into_iter()).unwrap();
             assert_eq!(got.to_bits(), want.to_bits());
         }
+    }
+
+    #[test]
+    fn only_a_closed_form_step_of_payloads_on_a_plain_runner_repeats() {
+        let net = star_cluster(4, 1e9, 0.0);
+        let ring = |first: u64| -> Vec<StepTransfer> {
+            (0..4)
+                .map(|i| transfer(i, (i + 1) % 4, first + i as u64))
+                .collect()
+        };
+        let mut plain = StepRunner::new(&net, 1e-6);
+        let once = plain.step(ring(1_000).into_iter()).unwrap();
+        let (recomputations, work, events) = plain.counters();
+        assert_eq!(plain.repeat(), Some(once));
+        assert_eq!(plain.counters(), (2 * recomputations, 2 * work, 2 * events));
+        // A zero-byte transfer, or a recording runner, leaves nothing to
+        // repeat: the step must be read.
+        assert!(plain.step(ring(0).into_iter()).is_ok());
+        assert_eq!(plain.repeat(), None);
+        let mut recording = StepRunner::new(&net, 1e-6).recording();
+        recording.step(ring(1_000).into_iter()).unwrap();
+        assert_eq!(recording.repeat(), None);
     }
 
     #[test]

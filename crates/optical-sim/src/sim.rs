@@ -77,6 +77,20 @@ pub trait StepSource {
     /// written into `buf` and borrowed from there. A runner passes the same
     /// buffer for every step, so a generator allocates once per run.
     fn step<'a>(&'a self, index: usize, buf: &'a mut Vec<Transfer>) -> &'a [Transfer];
+
+    /// Does step `index` (`1 ≤ index < step_count()`) only permute step
+    /// `index − 1`'s payloads? `true` promises that it lists the same
+    /// `(src, dst, direction, lanes)` in the same order and that its byte
+    /// counts are a permutation of the predecessor's. Every step of a ring
+    /// all-reduce after the first, once every chunk is non-empty, does.
+    ///
+    /// A runner whose timing of a step is independent of which transfer
+    /// carries which payload trusts the promise and reuses the
+    /// predecessor's timing without writing the step, so a false `true`
+    /// yields wrong timings, not an error. The default claims nothing.
+    fn permutes_previous(&self, _index: usize) -> bool {
+        false
+    }
 }
 
 impl StepSource for StepSchedule {
@@ -188,6 +202,9 @@ struct StepPlacement {
     hops: Vec<usize>,
     /// Highest wavelength index the step uses, plus one.
     peak_wavelength: usize,
+    /// Whether every transfer has the same hop count and lane count,
+    /// computed on the first [`StepPlacement::uniform`] call.
+    uniform: Option<bool>,
 }
 
 impl StepPlacement {
@@ -216,6 +233,7 @@ impl StepPlacement {
     ) -> Result<()> {
         self.key.clear();
         self.hops.clear();
+        self.uniform = None;
         occ.clear();
         for tr in step {
             let (direction, hops) = tr.route(topo)?;
@@ -227,6 +245,22 @@ impl StepPlacement {
         self.peak_wavelength = occ.peak_wavelengths_used();
         Ok(())
     }
+
+    /// Does every transfer have the same hop count and lane count? Then
+    /// every transfer's time is one function of its bytes, and a step that
+    /// permutes the placed step's payloads has its timing exactly.
+    fn uniform(&mut self) -> bool {
+        let (key, hops) = (&self.key, &self.hops);
+        *self.uniform.get_or_insert_with(|| {
+            key.windows(2).all(|w| w[0].3 == w[1].3) && hops.windows(2).all(|w| w[0] == w[1])
+        })
+    }
+}
+
+/// The error of a stepped run whose payload bytes, in one step or over
+/// the run, overflow `u64`.
+fn bytes_overflow() -> OpticalError {
+    OpticalError::BadConfig("stepped payload bytes overflow u64")
 }
 
 /// Result of an event-driven run.
@@ -295,36 +329,55 @@ impl RingSimulator {
     /// A step whose routing list equals the last placed step's (every
     /// step of a ring all-reduce) reuses that placement and only recomputes
     /// `transfer_time(bytes, lanes, hops)` per transfer; any other step is
-    /// resolved and assigned afresh. The results are the same either way.
+    /// resolved and assigned afresh. A step the source promises only
+    /// permutes its predecessor's payloads
+    /// ([`StepSource::permutes_previous`]) is not even written when every
+    /// transfer of the placement has the same hop count and lane count:
+    /// its timing is the predecessor's (the same maximum of one function of
+    /// bytes over the same byte counts, the same sum, transfer count and
+    /// peak wavelength). The results are the same either way.
+    ///
+    /// Fails with [`OpticalError::BadConfig`] when the payload bytes of a
+    /// step, or of the whole run, overflow `u64`.
     pub fn run_stepped<S: StepSource + ?Sized>(
         &mut self,
         schedule: &S,
         strategy: Strategy,
     ) -> Result<RunReport> {
         let timing = self.config.timing();
-        let mut steps = Vec::with_capacity(schedule.step_count());
+        let mut steps: Vec<StepTiming> = Vec::with_capacity(schedule.step_count());
         let mut occ = Occupancy::new(self.topo.nodes(), self.config.wavelengths);
         let mut placed = StepPlacement::default();
         let mut buf = Vec::new();
+        let mut total_bytes = 0u64;
         for index in 0..schedule.step_count() {
-            let step = schedule.step(index, &mut buf);
-            if !placed.fits(step) {
-                placed
-                    .place(step, &self.topo, &mut occ, strategy)
-                    .map_err(|e| e.at_step(index))?;
-            }
-            let mut duration = 0.0f64;
-            let mut bytes = 0u64;
-            for (tr, &hops) in step.iter().zip(&placed.hops) {
-                duration = duration.max(timing.transfer_time(tr.bytes, tr.lanes, hops));
-                bytes += tr.bytes;
-            }
-            steps.push(StepTiming {
-                duration_s: duration,
-                transfers: step.len(),
-                bytes,
-                peak_wavelength: placed.peak_wavelength,
-            });
+            let step_timing = match steps.last() {
+                Some(last) if schedule.permutes_previous(index) && placed.uniform() => last.clone(),
+                _ => {
+                    let step = schedule.step(index, &mut buf);
+                    if !placed.fits(step) {
+                        placed
+                            .place(step, &self.topo, &mut occ, strategy)
+                            .map_err(|e| e.at_step(index))?;
+                    }
+                    let mut duration = 0.0f64;
+                    let mut bytes = 0u64;
+                    for (tr, &hops) in step.iter().zip(&placed.hops) {
+                        duration = duration.max(timing.transfer_time(tr.bytes, tr.lanes, hops));
+                        bytes = bytes.checked_add(tr.bytes).ok_or_else(bytes_overflow)?;
+                    }
+                    StepTiming {
+                        duration_s: duration,
+                        transfers: step.len(),
+                        bytes,
+                        peak_wavelength: placed.peak_wavelength,
+                    }
+                }
+            };
+            total_bytes = total_bytes
+                .checked_add(step_timing.bytes)
+                .ok_or_else(bytes_overflow)?;
+            steps.push(step_timing);
         }
         // An infinite transfer time, or a finite sum that overflows.
         let total_time_s: f64 = steps.iter().fold(0.0, |total, s| total + s.duration_s);

@@ -16,6 +16,16 @@
 //! it must equal the materialized lowering of the collective's schedule
 //! transfer for transfer and produce bit-identical reports on both
 //! substrates (or, on the optical ring, the same error).
+//!
+//! A source may promise that a step only permutes its predecessor's
+//! payloads (`StepSource::permutes_previous`); both runners then reuse the
+//! predecessor's timing without writing the step, where their placement
+//! makes the timing independent of which transfer carries which payload.
+//! Sources here claim random payload permutations; their reports must
+//! equal the un-memoized loops bit for bit on placements where reuse
+//! applies and on placements where it must not, and the steps they are
+//! asked to write show which runs reused. A stepped run whose payload
+//! bytes overflow `u64` is a typed error on every substrate.
 
 use collectives::halving_doubling::halving_doubling;
 use collectives::rd::recursive_doubling;
@@ -33,9 +43,13 @@ use optical_sim::{
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
+use std::cell::Cell;
 use wrht_core::baselines::{lower_collective_to_optical, CollectiveSource};
+use wrht_core::dag::{DepSource, PipelinedSource};
 use wrht_core::error::WrhtError;
+use wrht_core::hierarchy::{compose, HierSpec};
 use wrht_core::substrate::{ElectricalSubstrate, OpticalSubstrate, RunReport, Substrate};
 
 // ---- references: the un-memoized stepped loops --------------------------
@@ -591,4 +605,351 @@ fn lazy_collective_sources_equal_the_materialized_lowering_at_1000_nodes_one_lan
 #[test]
 fn lazy_collective_sources_equal_the_materialized_lowering_at_1000_nodes_three_lanes() {
     check_every_collective(1000, 3);
+}
+
+// ---- steps that permute their predecessor's payloads ----------------------
+
+/// A step source that counts the steps it is asked to write.
+struct Counted<S> {
+    source: S,
+    reads: Cell<usize>,
+}
+
+impl<S: StepSource> Counted<S> {
+    fn new(source: S) -> Self {
+        Self {
+            source,
+            reads: Cell::new(0),
+        }
+    }
+
+    /// The steps written since the last call.
+    fn take_reads(&self) -> usize {
+        self.reads.replace(0)
+    }
+}
+
+impl<S: StepSource> StepSource for Counted<S> {
+    fn step_count(&self) -> usize {
+        self.source.step_count()
+    }
+
+    fn step<'a>(&'a self, index: usize, buf: &'a mut Vec<Transfer>) -> &'a [Transfer] {
+        self.reads.set(self.reads.get() + 1);
+        self.source.step(index, buf)
+    }
+
+    fn permutes_previous(&self, index: usize) -> bool {
+        self.source.permutes_previous(index)
+    }
+}
+
+/// A materialized schedule that claims `permutes_previous` for the steps
+/// `claims` marks (each does permute its predecessor's payloads).
+struct Claimed {
+    schedule: StepSchedule,
+    claims: Vec<bool>,
+}
+
+impl StepSource for Claimed {
+    fn step_count(&self) -> usize {
+        self.schedule.len()
+    }
+
+    fn step<'a>(&'a self, index: usize, buf: &'a mut Vec<Transfer>) -> &'a [Transfer] {
+        self.schedule.step(index, buf)
+    }
+
+    fn permutes_previous(&self, index: usize) -> bool {
+        self.claims[index]
+    }
+}
+
+impl Claimed {
+    /// Steps the runners must write when they reuse every claimed step.
+    fn unclaimed(&self) -> usize {
+        self.claims.iter().filter(|&&c| !c).count()
+    }
+}
+
+/// `len` steps over `base`'s routing list. Step 0 and every unclaimed step
+/// draw fresh bytes, one of them zero when `zero`; a claimed step shuffles
+/// its predecessor's bytes among the transfers, so a zero moves too.
+fn permuting_steps(rng: &mut StdRng, base: &[Transfer], len: usize, zero: bool) -> Claimed {
+    let mut steps: Vec<Vec<Transfer>> = Vec::with_capacity(len);
+    let mut claims = Vec::with_capacity(len);
+    for k in 0..len {
+        let claimed = k > 0 && rng.random_range(0..4usize) > 0;
+        let mut bytes: Vec<u64> = match steps.last() {
+            Some(prev) if claimed => prev.iter().map(|t| t.bytes).collect(),
+            _ => {
+                let mut fresh: Vec<u64> = (0..base.len())
+                    .map(|_| rng.random_range(1..3_000_000u64))
+                    .collect();
+                if zero {
+                    fresh[0] = 0;
+                }
+                fresh
+            }
+        };
+        bytes.shuffle(rng);
+        let step = base
+            .iter()
+            .zip(bytes)
+            .map(|(t, bytes)| Transfer { bytes, ..t.clone() })
+            .collect();
+        steps.push(step);
+        claims.push(claimed);
+    }
+    Claimed {
+        schedule: StepSchedule::from_steps(steps),
+        claims,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// On the optical ring, a claimed step reuses its predecessor's timing
+    /// exactly when every transfer has the same hop count and lane count:
+    /// on a uniform ring only the unclaimed steps are written, one
+    /// transfer a hop longer or a lane wider makes every step written, and
+    /// either way the report equals the un-memoized loop bit for bit. A
+    /// zero-byte payload costs the same on every transfer of a uniform
+    /// ring, so it moves between transfers without stopping the reuse.
+    #[test]
+    fn claimed_permutations_on_the_optical_ring_match_the_unmemoized_loop(
+        n in 4usize..14,
+        shift in 1usize..3,
+        lanes in 1usize..3,
+        odd in 0usize..3,
+        zero in 0usize..2,
+        len in 1usize..14,
+        seed in 0u64..u64::MAX,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut base: Vec<Transfer> = (0..n)
+            .map(|i| {
+                Transfer::directed(NodeId(i), NodeId((i + shift) % n), 0, Direction::Clockwise)
+                    .with_lanes(lanes)
+            })
+            .collect();
+        let j = rng.random_range(0..n);
+        match odd {
+            1 => base[j].dst = NodeId((j + shift + 1) % n),
+            2 => base[j].lanes += 1,
+            _ => {}
+        }
+        let source = Counted::new(permuting_steps(&mut rng, &base, len, zero == 1));
+        let mut sim = RingSimulator::new(
+            OpticalConfig::new(n, (shift + 1) * (lanes + 1)).with_hop_propagation(3e-9),
+        );
+        let written = if odd == 0 { source.source.unclaimed() } else { len };
+        for strategy in [Strategy::FirstFit, Strategy::BestFit] {
+            let got = sim.run_stepped(&source, strategy);
+            prop_assert!(got.is_ok(), "{:?}", got);
+            prop_assert_eq!(source.take_reads(), written);
+            let want = reference_optical(&sim, &source.source.schedule, strategy);
+            same_optical(&got, &want)?;
+        }
+    }
+
+    /// On a star, a claimed step reuses its predecessor's timing exactly
+    /// when the predecessor ran in the closed form with bit-identical rates
+    /// and no zero-byte transfer. Per-host capacities give the flows
+    /// different rates, and a zero-byte payload moving between transfers
+    /// moves which transfers are flows; both make every step written. The
+    /// stepped run equals the un-memoized steps bit for bit either way, and
+    /// a runner that repeats counts what a runner that steps counts.
+    #[test]
+    fn claimed_permutations_on_the_star_match_the_unmemoized_steps(
+        hosts in 3usize..10,
+        per_host in 0usize..2,
+        zero in 0usize..2,
+        latency_idx in 0usize..3,
+        len in 1usize..14,
+        seed in 0u64..u64::MAX,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let shift = rng.random_range(1..hosts);
+        let latency_s = [0.0, 5e-7, 1e-6][latency_idx];
+        // Host h's uplink is link 2h, its downlink 2h + 1.
+        let capacities: Vec<f64> = (0..hosts)
+            .map(|_| match per_host {
+                1 => CAPACITIES[rng.random_range(0..CAPACITIES.len())],
+                _ => CAPACITIES[0],
+            })
+            .collect();
+        let links = capacities
+            .iter()
+            .flat_map(|&capacity_bps| [Link { capacity_bps, latency_s }; 2])
+            .collect();
+        let net = Network::from_parts(hosts, links, Router::Star);
+        let base: Vec<Transfer> = (0..hosts)
+            .map(|i| Transfer::shortest(NodeId(i), NodeId((i + shift) % hosts), 0))
+            .collect();
+        let source = Counted::new(permuting_steps(&mut rng, &base, len, zero == 1));
+        let steps = source.source.schedule.steps();
+
+        // Each flow crosses its source's uplink and its destination's
+        // downlink alone: its rate is the smaller capacity.
+        let rate = |i: usize| capacities[i].min(capacities[(i + shift) % hosts]).to_bits();
+        let uniform = (0..hosts).all(|i| rate(i) == rate(0));
+        let written = if uniform && zero == 0 { source.source.unclaimed() } else { len };
+
+        let overhead_s = 5e-6;
+        let report = ElectricalSubstrate::new(net.clone(), overhead_s).execute(&source);
+        prop_assert!(report.is_ok(), "{:?}", report);
+        let report = report.expect("checked above");
+        prop_assert_eq!(source.take_reads(), written);
+        let step_of = |step: &[Transfer]| -> Vec<StepTransfer> {
+            step.iter()
+                .map(|t| StepTransfer { src: t.src.0, dst: t.dst.0, bytes: t.bytes })
+                .collect()
+        };
+        let mut total = 0.0;
+        prop_assert_eq!(report.steps.len(), len);
+        for (k, (got, step)) in report.steps.iter().zip(steps).enumerate() {
+            let want = reference_electrical_step(&net, &step_of(step), overhead_s);
+            prop_assert!(want.is_ok(), "{:?}", want);
+            let want = want.expect("checked above");
+            prop_assert_eq!(got.duration_s.to_bits(), want.to_bits(), "step {}", k);
+            let bytes: u64 = step.iter().map(|t| t.bytes).sum();
+            prop_assert_eq!((got.transfers, got.bytes), (step.len(), bytes), "step {}", k);
+            total += want;
+        }
+        prop_assert_eq!(report.total_time_s.to_bits(), total.to_bits());
+
+        let mut repeating = StepRunner::new(&net, overhead_s);
+        let mut stepping = StepRunner::new(&net, overhead_s);
+        let mut repeats = 0;
+        for (k, step) in steps.iter().enumerate() {
+            let want = stepping.step(step_of(step).into_iter());
+            let repeated = match source.source.claims[k] {
+                true => repeating.repeat(),
+                false => None,
+            };
+            repeats += usize::from(repeated.is_some());
+            let got = repeated.map_or_else(|| repeating.step(step_of(step).into_iter()), Ok);
+            prop_assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits), "step {}", k);
+        }
+        prop_assert_eq!(repeats, len - written);
+        prop_assert_eq!(repeating.counters(), stepping.counters());
+    }
+}
+
+/// A ring all-reduce whose chunks are all non-empty claims every step
+/// after the first, so both stepped runners and the pipelined lowering's
+/// counting pass write only step 0 of a 1024-node ring. A runner that
+/// fell back to writing every step would read 2,046.
+#[test]
+fn a_hinted_1024_node_ring_writes_only_its_first_step() {
+    let n = 1024;
+    let source = Counted::new(CollectiveSource {
+        collective: Collective::Ring,
+        n,
+        elems: 1000 * n + 7,
+        bytes_per_elem: 4,
+        lanes: 1,
+    });
+    let mut optical = OpticalSubstrate::new(OpticalConfig::new(n, 4)).expect("valid config");
+    let report = optical.execute(&source).expect("the ring fits one lane");
+    assert_eq!(report.step_count(), 2 * (n - 1));
+    assert_eq!(source.take_reads(), 1);
+    let mut electrical = ElectricalSubstrate::new(
+        electrical_sim::topology::star_cluster(n, 12.5e9, 5e-7),
+        5e-6,
+    );
+    let report = electrical.execute(&source).expect("electrical ring");
+    assert_eq!(report.step_count(), 2 * (n - 1));
+    assert_eq!(source.take_reads(), 1);
+    let dag = PipelinedSource::new(&source);
+    assert_eq!(dag.len(), 2 * (n - 1) * n);
+    assert_eq!(source.take_reads(), 1);
+}
+
+// ---- payload bytes that overflow u64 --------------------------------------
+
+/// A 4-node clockwise ring step of `bytes` per transfer.
+fn ring_step(bytes: u64) -> Vec<Transfer> {
+    (0..4)
+        .map(|i| Transfer::shortest(NodeId(i), NodeId((i + 1) % 4), bytes))
+        .collect()
+}
+
+/// Stepped runs whose payload bytes overflow `u64`: two transfers of one
+/// step, two steps of the run, and three steps of a ring that claim to
+/// permute their predecessor, each within `u64` on its own (the run's
+/// total overflows only through the steps a runner reuses).
+fn overflowing_sources() -> Vec<Counted<Claimed>> {
+    let half = u64::MAX / 2 + 1;
+    let one = |bytes| Transfer::shortest(NodeId(0), NodeId(1), bytes);
+    let plain = |steps| Claimed {
+        claims: vec![false; 2],
+        schedule: StepSchedule::from_steps(steps),
+    };
+    vec![
+        Counted::new(plain(vec![vec![one(half), one(half)], vec![]])),
+        Counted::new(plain(vec![vec![one(half)], vec![one(half)]])),
+        Counted::new(Claimed {
+            schedule: StepSchedule::from_steps(vec![ring_step(u64::MAX / 8); 3]),
+            claims: vec![false, true, true],
+        }),
+    ]
+}
+
+#[test]
+fn an_optical_stepped_run_whose_bytes_overflow_is_a_typed_error() {
+    let overflow = OpticalError::BadConfig("stepped payload bytes overflow u64");
+    let mut sim = RingSimulator::new(OpticalConfig::new(4, 4));
+    for source in overflowing_sources() {
+        assert_eq!(
+            sim.run_stepped(&source, Strategy::FirstFit),
+            Err(overflow.clone())
+        );
+        let mut substrate = OpticalSubstrate::new(OpticalConfig::new(4, 4)).expect("valid config");
+        assert_eq!(
+            substrate.execute(&source).err(),
+            Some(WrhtError::Optical(overflow.clone()))
+        );
+    }
+    // The reused ring writes only its first step.
+    let reused = overflowing_sources().pop().expect("three sources");
+    assert!(sim.run_stepped(&reused, Strategy::FirstFit).is_err());
+    assert_eq!(reused.take_reads(), 1);
+}
+
+#[test]
+fn an_electrical_stepped_run_whose_bytes_overflow_is_a_typed_error() {
+    let overflow = WrhtError::Electrical(NetError::BadConfig("stepped payload bytes overflow u64"));
+    let star = || {
+        ElectricalSubstrate::new(
+            electrical_sim::topology::star_cluster(4, 12.5e9, 5e-7),
+            5e-6,
+        )
+    };
+    for source in overflowing_sources() {
+        assert_eq!(star().execute(&source).err(), Some(overflow.clone()));
+    }
+    let reused = overflowing_sources().pop().expect("three sources");
+    assert!(star().execute(&reused).is_err());
+    assert_eq!(reused.take_reads(), 1);
+}
+
+#[test]
+fn a_composed_stepped_run_whose_bytes_overflow_is_a_typed_error() {
+    let overflow = WrhtError::Optical(OpticalError::BadConfig(
+        "stepped payload bytes overflow u64",
+    ));
+    let spec = HierSpec::new(2, 2).expect("valid hierarchy");
+    for source in overflowing_sources() {
+        let intra = OpticalSubstrate::new(OpticalConfig::new(2, 4)).expect("valid config");
+        let inter = ElectricalSubstrate::new(
+            electrical_sim::topology::star_cluster(4, 12.5e9, 5e-7),
+            5e-6,
+        );
+        let mut composed =
+            compose(spec, Box::new(intra), Box::new(inter)).expect("valid composed substrate");
+        assert_eq!(composed.execute(&source).err(), Some(overflow.clone()));
+    }
 }
